@@ -19,10 +19,12 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 BENCH_DIR = Path(__file__).resolve().parent
 BINARY_TIMEOUT_S = 170
+SETTLE_AFTER_BUILD_S = 30
 REGIME_BAND = re.compile(r"k in \[(\d+), (\d+)\]")
 
 
@@ -48,9 +50,17 @@ def build(build_dir):
                       "-DCMAKE_BUILD_TYPE=Release"])
     steps.append(["cmake", "--build", str(build_dir), "-j", jobs,
                   "--target", "perfbench", "perfbench_selftest"])
+    compiled = False
     for cmd in steps:
-        if subprocess.run(cmd, stdout=sys.stderr, stderr=sys.stderr).returncode != 0:
+        proc = subprocess.run(cmd, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+        sys.stderr.write(proc.stdout)
+        if proc.returncode != 0:
             fail("build failed: " + " ".join(cmd))
+        compiled = compiled or "Linking" in proc.stdout
+    if compiled:
+        # On the 4-core KVM host, lis_deep measured right after a compile
+        # read 2x slower than a minute later; let the host settle first.
+        time.sleep(SETTLE_AFTER_BUILD_S)
 
 
 def provenance(root):
