@@ -134,7 +134,7 @@ def summarize(rep, spec, trace):
     known = {m["name"] for m in spec["end_to_end"] + spec["per_layer"]}
     extra = sorted(n for n in by_name if n not in known)
     if extra:
-        print("  (reported, not in BENCHMARK.json: " + ", ".join(extra) + ")")
+        print("  (printed only, not in the result line: " + ", ".join(extra) + ")")
     return out, problems
 
 

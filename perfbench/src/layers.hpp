@@ -1,6 +1,6 @@
 // The LIS layer timed through its public pieces, as lis_ranks_into runs
 // them: the TournamentTree constructor on warm storage, then one
-// extract_frontier per round, each round timed and spanned.
+// extract_frontier per round.
 #pragma once
 
 #include <chrono>

@@ -48,7 +48,6 @@ constexpr int64_t kSmallN = 512;
 constexpr int64_t kHotN = 4096;
 constexpr int kSmallPool = 64;   // distinct small queries per client
 constexpr int kWeightPool = 8;   // weight vectors a hot tenant cycles through
-constexpr int64_t kWarmupOps = 1000;
 constexpr int64_t kTraceSlice = 256;  // ops per traced/untraced slice
 constexpr uint64_t kTableBudget = uint64_t{1} << 30;
 
@@ -148,15 +147,15 @@ struct Client {
     if (failures.size() < 8) failures.push_back(what);
   }
 
-  void warm(serve::Engine& eng, int h, Samples& out, SpanLog* log) {
+  void warm(serve::Engine& eng, int h, Samples& out, SpanLog* log,
+            int64_t rid) {
     const int w = static_cast<int>(warm_calls[h]++ % kWeightPool);
     const Query q{in.hot[h], in.weights[w], {}, dp_buf};
-    const int64_t rid = request_id(op);
     const auto t0 = Clock::now();
     QueryResult r;
     {
       ScopedSpan s(log, "serve.solve_warm", rid);
-      r = eng.solve_warm(hot_series(this->id, h), q);
+      r = eng.solve_warm(hot_series(id, h), q);
     }
     const double ms =
         std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
@@ -170,7 +169,50 @@ struct Client {
     }
   }
 
+  void append(serve::Engine& eng, int t, Samples& out, SpanLog* log,
+              int64_t rid) {
+    const auto t0 = Clock::now();
+    int64_t len;
+    {
+      ScopedSpan s(log, "serve.append", rid);
+      len = eng.append(stream_series(id, t), walk[t]);
+    }
+    out.append_us.push_back(
+        std::chrono::duration<double, std::micro>(Clock::now() - t0).count());
+    if (corrupt && appends.size() == 10) len ^= 1;
+    appends.push_back({static_cast<uint8_t>(t), walk[t], len});
+  }
+
+  void small(serve::Engine& eng, int qi, Samples& out, SpanLog* log,
+             int64_t rid) {
+    const Query q{in.small[qi]};
+    const auto t0 = Clock::now();
+    QueryResult r;
+    {
+      ScopedSpan s(log, "serve.solve_one", rid);
+      r = eng.solve_one(q);
+    }
+    const double us =
+        std::chrono::duration<double, std::micro>(Clock::now() - t0).count();
+    out.small_us.push_back(us);
+    out.solve_ms.push_back(us / 1e3);
+    out.solve_elems += kSmallN;
+    out.solve_rounds += static_cast<double>(r.k);
+    if (r.k != oracle->small_k[qi]) fail("solve_one differs from seq_bs_length");
+  }
+
   int streams() const { return (kStreams - id + kClients - 1) / kClients; }
+
+  // Admits every tenant of the client: the first warm solve of each hot
+  // tenant (the value-cache miss), one append per streaming tenant, and one
+  // small solve.
+  void warm_up(serve::Engine& eng) {
+    Samples discard;
+    const int64_t rid = request_id(0);
+    for (int h = 0; h < kHot; h++) warm(eng, h, discard, nullptr, rid);
+    for (int t = 0; t < streams(); t++) append(eng, t, discard, nullptr, rid);
+    small(eng, 0, discard, nullptr, rid);
+  }
 
   // One operation of the seeded schedule.
   void step(serve::Engine& eng, Samples& out, SpanLog* log) {
@@ -179,38 +221,16 @@ struct Client {
     attempted++;
     out.ops++;
     const uint64_t kind = uniform(seed, 3 * i, 100);
+    const uint64_t pick = 3 * i + 1;
     if (kind < 80) {
-      const int t = static_cast<int>(uniform(seed, 3 * i + 1, streams()));
+      const int t = static_cast<int>(uniform(seed, pick, streams()));
       walk[t] += static_cast<int64_t>(uniform(seed, 3 * i + 2, 1001)) - 500;
-      const auto t0 = Clock::now();
-      int64_t len;
-      {
-        ScopedSpan s(log, "serve.append", rid);
-        len = eng.append(stream_series(this->id, t), walk[t]);
-      }
-      out.append_us.push_back(
-          std::chrono::duration<double, std::micro>(Clock::now() - t0)
-              .count());
-      if (corrupt && appends.size() == 10) len ^= 1;
-      appends.push_back({static_cast<uint8_t>(t), walk[t], len});
+      append(eng, t, out, log, rid);
     } else if (kind < 99) {
-      const int qi = static_cast<int>(uniform(seed, 3 * i + 1, kSmallPool));
-      const Query q{in.small[qi]};
-      const auto t0 = Clock::now();
-      QueryResult r;
-      {
-        ScopedSpan s(log, "serve.solve_one", rid);
-        r = eng.solve_one(q);
-      }
-      const double us =
-          std::chrono::duration<double, std::micro>(Clock::now() - t0).count();
-      out.small_us.push_back(us);
-      out.solve_ms.push_back(us / 1e3);
-      out.solve_elems += kSmallN;
-      out.solve_rounds += static_cast<double>(r.k);
-      if (r.k != oracle->small_k[qi]) fail("solve_one differs from seq_bs_length");
+      small(eng, static_cast<int>(uniform(seed, pick, kSmallPool)), out, log,
+            rid);
     } else {
-      warm(eng, static_cast<int>(uniform(seed, 3 * i + 1, kHot)), out, log);
+      warm(eng, static_cast<int>(uniform(seed, pick, kHot)), out, log, rid);
     }
   }
 
@@ -244,9 +264,8 @@ std::unique_ptr<serve::Engine> make_engine() {
   return std::make_unique<serve::Engine>(cfg);
 }
 
-// Input generation, engine construction, and the warm-up: the first warm
-// solve of every hot tenant (a value-cache miss) plus kWarmupOps ops of
-// each client's schedule.
+// Input generation, engine construction, and each client's warm-up, run
+// from this thread one client after another (the closed loops start after).
 void setup(const Config& cfg, const std::vector<Oracle>& oracles,
            std::vector<Client>& clients,
            std::unique_ptr<serve::Engine>& engine) {
@@ -261,12 +280,7 @@ void setup(const Config& cfg, const std::vector<Oracle>& oracles,
     cl.corrupt = cfg.corrupt && c == 0;
   }
   engine = make_engine();
-  serve::Engine& eng = *engine;
-  on_clients(clients, [&](Client& c) {
-    Samples discard;
-    for (int h = 0; h < kHot; h++) c.warm(eng, h, discard, nullptr);
-    for (int64_t i = 0; i < kWarmupOps; i++) c.step(eng, discard, nullptr);
-  });
+  for (Client& c : clients) c.warm_up(*engine);
 }
 
 // Replays every client's appends on direct per-tenant LisSessions with the
