@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Runs the parlis benchmark: builds perfbench from the checkout's sources,
-runs one workload (or all four), guards its regime, and prints every metric
-followed by one JSON result line.
+runs one workload (or all four, each in a process of its own), guards its
+regime, and prints every metric followed by one JSON result line.
 
     python3 perfbench/run.py --workload lis_bulk|lis_deep|wlis_bulk|serve_mix|all
                              --seed N --seconds S --trace 0|1 [--corrupt 1]
@@ -168,30 +168,33 @@ def main():
     sha, digest = provenance(root)
     trace_dir = build_dir / "traces"
     trace_dir.mkdir(exist_ok=True)
-    cmd = [str(build_dir / "perfbench"), "--workload", args.workload,
-           "--seed", str(args.seed), "--seconds", repr(args.seconds),
-           "--trace", str(args.trace), "--git-sha", sha, "--source-digest", digest,
-           "--trace-dir", str(trace_dir)]
-    if args.corrupt:
-        cmd += ["--corrupt", "1"]
-    try:
-        proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True,
-                              timeout=None if args.workload == "all" else BINARY_TIMEOUT_S)
-    except subprocess.TimeoutExpired:
-        fail(f"the benchmark binary exceeded {BINARY_TIMEOUT_S} s")
-    reports = [json.loads(l) for l in proc.stdout.splitlines() if l.startswith("{")]
-    if not reports:
-        fail(f"the benchmark binary printed no report (exit {proc.returncode})")
+    reports, problems = [], []
+    for wl in names if args.workload == "all" else [args.workload]:
+        cmd = [str(build_dir / "perfbench"), "--workload", wl,
+               "--seed", str(args.seed), "--seconds", repr(args.seconds),
+               "--trace", str(args.trace), "--git-sha", sha, "--source-digest", digest,
+               "--trace-dir", str(trace_dir)]
+        if args.corrupt:
+            cmd += ["--corrupt", "1"]
+        try:
+            proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True,
+                                  timeout=BINARY_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            fail(f"the benchmark binary exceeded {BINARY_TIMEOUT_S} s on {wl}")
+        got = [json.loads(l) for l in proc.stdout.splitlines() if l.startswith("{")]
+        if not got:
+            fail(f"the benchmark binary printed no report for {wl} (exit {proc.returncode})")
+        reports += got
+        if proc.returncode != 0:
+            problems.append(f"the benchmark binary exited {proc.returncode} on {wl}")
 
-    metrics, problems = {}, []
+    metrics = {}
     for rep in reports:
         out, probs = summarize(rep, spec, args.trace == 1)
         problems += probs
         if args.workload == "all":
             out = {f"{rep['workload']}/{k}": v for k, v in out.items()}
         metrics.update(out)
-    if proc.returncode != 0 and not problems:
-        problems.append(f"the benchmark binary exited {proc.returncode}")
     for p in problems:
         log(f"perfbench: {p}")
     result = {

@@ -132,7 +132,7 @@ constexpr double kMiB = 1024.0 * 1024.0;
 
 // Each workload's set-up is repeated this many times per run and its median
 // reported, so set-up time is a steady figure despite being short.
-constexpr int kSetupReps = 5;
+constexpr int kSetupReps = 21;
 
 // Untimed load before every measurement. The host's hypervisor gives an
 // idle guest's vCPUs more of the machine for the first second or so of

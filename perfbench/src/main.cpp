@@ -1,11 +1,11 @@
-// perfbench: runs one workload (or all four in one process) against the
-// parlis public API, checks every answer, and prints one JSON report line
-// per workload: every metric with its unit and sample count, the regime
-// (realized k, frontier p50), provenance, and, in the traced run, the
-// per-layer self-time table. perfbench/run.py builds this binary and turns
-// the report into the benchmark's result line.
+// perfbench: runs one workload against the parlis public API, checks every
+// answer, and prints one JSON report line: every metric with its unit and
+// sample count, the regime (realized k, frontier p50), provenance, and, in
+// the traced run, the per-layer self-time table. perfbench/run.py builds
+// this binary and turns the report into the benchmark's result line. One
+// process runs one workload, so its peak RSS is that workload's.
 //
-//   perfbench --workload lis_bulk|lis_deep|wlis_bulk|serve_mix|all
+//   perfbench --workload lis_bulk|lis_deep|wlis_bulk|serve_mix
 //             --seed N --seconds S --trace 0|1 [--trace-dir DIR]
 //             [--git-sha SHA] [--source-digest HEX] [--corrupt 1]
 #include <cmath>
@@ -140,7 +140,7 @@ int main(int argc, char** argv) {
   Args args;
   if (!parse(argc, argv, args)) {
     std::fprintf(stderr,
-                 "usage: perfbench --workload NAME|all --seed N --seconds S "
+                 "usage: perfbench --workload NAME --seed N --seconds S "
                  "--trace 0|1 [--trace-dir DIR] [--git-sha SHA] "
                  "[--source-digest HEX] [--corrupt 1]\n");
     return 2;
@@ -149,13 +149,9 @@ int main(int argc, char** argv) {
   const int nproc = static_cast<int>(std::thread::hardware_concurrency());
   parlis::set_num_workers(nproc > 0 ? nproc : 1);
 
-  bool known = args.cfg.workload == "all";
-  bool all_ok = true;
   for (const Workload& w : kWorkloads) {
-    if (args.cfg.workload != "all" && args.cfg.workload != w.name) continue;
-    known = true;
+    if (args.cfg.workload != w.name) continue;
     Config cfg = args.cfg;
-    cfg.workload = w.name;
     if (!args.trace_dir.empty()) {
       cfg.trace_out = args.trace_dir + "/" + w.name + "-seed" +
                       std::to_string(cfg.seed) + ".json";
@@ -163,12 +159,9 @@ int main(int argc, char** argv) {
     Tracer tracer(cfg.trace);
     const Result res = w.run(cfg, tracer);
     print_report(args, cfg, res, tracer, nproc);
-    all_ok = all_ok && res.failed == 0;
+    return res.failed == 0 ? 0 : 1;
   }
-  if (!known) {
-    std::fprintf(stderr, "perfbench: unknown workload %s\n",
-                 args.cfg.workload.c_str());
-    return 2;
-  }
-  return all_ok ? 0 : 1;
+  std::fprintf(stderr, "perfbench: unknown workload %s\n",
+               args.cfg.workload.c_str());
+  return 2;
 }

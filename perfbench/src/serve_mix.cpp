@@ -1,21 +1,25 @@
 // serve_mix: three closed-loop clients on one serve::Engine. Each client
-// owns its tenants, so every answer can be replayed and checked:
+// owns its tenants, so every answer can be checked:
 //   80% append to one of the client's streaming tenants (16 in all, split
 //       across the clients; random-walk values, window kSlidingAmortized
 //       with capacity 4096, so window rebuilds land in the tail),
 //   19% solve_one of an unweighted n = 512 query (the coalescing path),
 //    1% solve_warm on one of 2 hot weighted tenants, n = 4096, fresh weights
 //       every call (the value-cache hit path).
-// The table budget is far above the working set: nothing is evicted.
+// The table budget is far above the working set: nothing is evicted. Each
+// append is replayed at once on the client's own LisSession for the tenant,
+// which checks the answer and times the direct call.
 //
 // The traced run alternates traced and untraced slices of each client's
-// schedule, then times the direct calls each engine verb wraps (LisSession
-// appends replayed from the clients' records, solve_many, the warm
-// Solver::solve_wlis, wlis_into on cached values) on the idle engine.
+// schedule, then times the other direct calls each engine verb wraps
+// (solve_many, the warm Solver::solve_wlis, wlis_into on cached values) on
+// the idle engine.
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <exception>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -112,18 +116,23 @@ Oracle make_oracle(const Inputs& in) {
   return o;
 }
 
-struct AppendRec {
-  uint8_t tenant;
-  int64_t value;
-  int64_t len;  // the engine's answer
+enum OpKind : uint8_t { kAppend, kSmall, kWarm };
+
+// One operation of a client's closed loop: the engine call's latency and,
+// for an append, the latency of the same append on the client's direct
+// LisSession.
+struct OpRec {
+  float us = 0;
+  float direct_ns = 0;
+  OpKind kind = kAppend;
+  bool traced = false;
 };
 
-struct Samples {
-  std::vector<double> append_us, small_us, warm_ms, solve_ms;
-  double solve_elems = 0;
-  double solve_rounds = 0;
-  int64_t ops = 0;
-};
+// Capacity of each client's op record, per measured second. The records
+// are allocated and written through before set-up, so the benchmark's own
+// memory does not grow with throughput and rss_peak_mb tracks the engine.
+// A client stops early if its record fills (about 4x today's rate).
+constexpr double kMaxOpsPerClientPerS = 40'000;
 
 struct Client {
   int id = 0;
@@ -135,8 +144,16 @@ struct Client {
   uint64_t op = 0;  // next schedule index
   int64_t walk[kStreams] = {};
   int64_t warm_calls[kHot] = {};
+  int64_t appends = 0;
   std::vector<int64_t> dp_buf = std::vector<int64_t>(kHotN);
-  std::vector<AppendRec> appends;
+  // Every append is checked against these, one per streaming tenant, with
+  // the engine's window options.
+  std::vector<std::unique_ptr<Solver>> direct_solvers;
+  std::vector<std::unique_ptr<LisSession>> direct;
+
+  std::span<OpRec> recs;
+  size_t nrec = 0;
+  double solve_rounds = 0;  // Σ k over the recorded solves
 
   int64_t attempted = 0;
   int64_t failed = 0;
@@ -147,8 +164,7 @@ struct Client {
     if (failures.size() < 8) failures.push_back(what);
   }
 
-  void warm(serve::Engine& eng, int h, Samples& out, SpanLog* log,
-            int64_t rid) {
+  double warm(serve::Engine& eng, int h, SpanLog* log, int64_t rid) {
     const int w = static_cast<int>(warm_calls[h]++ % kWeightPool);
     const Query q{in.hot[h], in.weights[w], {}, dp_buf};
     const auto t0 = Clock::now();
@@ -157,34 +173,37 @@ struct Client {
       ScopedSpan s(log, "serve.solve_warm", rid);
       r = eng.solve_warm(hot_series(id, h), q);
     }
-    const double ms =
-        std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-    out.warm_ms.push_back(ms);
-    out.solve_ms.push_back(ms);
-    out.solve_elems += kHotN;
-    out.solve_rounds += static_cast<double>(r.k);
+    const double us =
+        std::chrono::duration<double, std::micro>(Clock::now() - t0).count();
+    solve_rounds += static_cast<double>(r.k);
     if (r.k != oracle->hot_k[h] || r.best != oracle->hot_best[h][w] ||
         dp_buf != oracle->hot_dp[h][w]) {
       fail("solve_warm differs from seq_avl_wlis");
     }
+    return us;
   }
 
-  void append(serve::Engine& eng, int t, Samples& out, SpanLog* log,
-              int64_t rid) {
+  double append(serve::Engine& eng, int t, SpanLog* log, int64_t rid,
+                float* direct_ns) {
     const auto t0 = Clock::now();
     int64_t len;
     {
       ScopedSpan s(log, "serve.append", rid);
       len = eng.append(stream_series(id, t), walk[t]);
     }
-    out.append_us.push_back(
-        std::chrono::duration<double, std::micro>(Clock::now() - t0).count());
-    if (corrupt && appends.size() == 10) len ^= 1;
-    appends.push_back({static_cast<uint8_t>(t), walk[t], len});
+    const double us =
+        std::chrono::duration<double, std::micro>(Clock::now() - t0).count();
+    if (corrupt && appends == 10) len ^= 1;
+    appends++;
+    const auto t1 = Clock::now();
+    const int64_t want = direct[t]->append(walk[t]);
+    *direct_ns = static_cast<float>(
+        std::chrono::duration<double, std::nano>(Clock::now() - t1).count());
+    if (len != want) fail("append differs from the direct LisSession");
+    return us;
   }
 
-  void small(serve::Engine& eng, int qi, Samples& out, SpanLog* log,
-             int64_t rid) {
+  double small(serve::Engine& eng, int qi, SpanLog* log, int64_t rid) {
     const Query q{in.small[qi]};
     const auto t0 = Clock::now();
     QueryResult r;
@@ -194,11 +213,9 @@ struct Client {
     }
     const double us =
         std::chrono::duration<double, std::micro>(Clock::now() - t0).count();
-    out.small_us.push_back(us);
-    out.solve_ms.push_back(us / 1e3);
-    out.solve_elems += kSmallN;
-    out.solve_rounds += static_cast<double>(r.k);
+    solve_rounds += static_cast<double>(r.k);
     if (r.k != oracle->small_k[qi]) fail("solve_one differs from seq_bs_length");
+    return us;
   }
 
   int streams() const { return (kStreams - id + kClients - 1) / kClients; }
@@ -207,30 +224,41 @@ struct Client {
   // tenant (the value-cache miss), one append per streaming tenant, and one
   // small solve.
   void warm_up(serve::Engine& eng) {
-    Samples discard;
     const int64_t rid = request_id(0);
-    for (int h = 0; h < kHot; h++) warm(eng, h, discard, nullptr, rid);
-    for (int t = 0; t < streams(); t++) append(eng, t, discard, nullptr, rid);
-    small(eng, 0, discard, nullptr, rid);
+    float ns;
+    for (int h = 0; h < kHot; h++) warm(eng, h, nullptr, rid);
+    for (int t = 0; t < streams(); t++) append(eng, t, nullptr, rid, &ns);
+    small(eng, 0, nullptr, rid);
   }
 
-  // One operation of the seeded schedule.
-  void step(serve::Engine& eng, Samples& out, SpanLog* log) {
+  bool full() const { return nrec == recs.size(); }
+  void clear_records() {
+    nrec = 0;
+    solve_rounds = 0;
+  }
+
+  // One operation of the seeded schedule, recorded.
+  void step(serve::Engine& eng, SpanLog* log, bool traced) {
     const uint64_t i = op++;
     const int64_t rid = request_id(i);
     attempted++;
-    out.ops++;
+    OpRec& r = recs[nrec++];
+    r.traced = traced;
     const uint64_t kind = uniform(seed, 3 * i, 100);
     const uint64_t pick = 3 * i + 1;
     if (kind < 80) {
       const int t = static_cast<int>(uniform(seed, pick, streams()));
       walk[t] += static_cast<int64_t>(uniform(seed, 3 * i + 2, 1001)) - 500;
-      append(eng, t, out, log, rid);
+      r.kind = kAppend;
+      r.us = static_cast<float>(append(eng, t, log, rid, &r.direct_ns));
     } else if (kind < 99) {
-      small(eng, static_cast<int>(uniform(seed, pick, kSmallPool)), out, log,
-            rid);
+      const int qi = static_cast<int>(uniform(seed, pick, kSmallPool));
+      r.kind = kSmall;
+      r.us = static_cast<float>(small(eng, qi, log, rid));
     } else {
-      warm(eng, static_cast<int>(uniform(seed, pick, kHot)), out, log, rid);
+      r.kind = kWarm;
+      r.us = static_cast<float>(
+          warm(eng, static_cast<int>(uniform(seed, pick, kHot)), log, rid));
     }
   }
 
@@ -266,11 +294,11 @@ std::unique_ptr<serve::Engine> make_engine() {
 
 // Input generation, engine construction, and each client's warm-up, run
 // from this thread one client after another (the closed loops start after).
+// `recs` holds each client's op record, allocated once before all set-ups.
 void setup(const Config& cfg, const std::vector<Oracle>& oracles,
-           std::vector<Client>& clients,
+           std::vector<std::vector<OpRec>>& recs, std::vector<Client>& clients,
            std::unique_ptr<serve::Engine>& engine) {
-  engine.reset();
-  clients.assign(kClients, Client{});
+  clients.resize(kClients);
   for (int c = 0; c < kClients; c++) {
     Client& cl = clients[c];
     cl.id = c;
@@ -278,52 +306,48 @@ void setup(const Config& cfg, const std::vector<Oracle>& oracles,
     cl.in = make_inputs(cfg.seed, c);
     cl.oracle = &oracles[c];
     cl.corrupt = cfg.corrupt && c == 0;
+    cl.recs = recs[c];
+    for (int t = 0; t < cl.streams(); t++) {
+      cl.direct_solvers.push_back(std::make_unique<Solver>(tenant_options()));
+      cl.direct.push_back(std::make_unique<LisSession>(
+          cl.direct_solvers.back()->make_session()));
+    }
   }
   engine = make_engine();
   for (Client& c : clients) c.warm_up(*engine);
 }
 
-// Replays every client's appends on direct per-tenant LisSessions with the
-// engine's window options and checks each answer; with `append_ns` the
-// replay also times each append.
-int64_t replay_appends(std::vector<Client>& clients,
-                       std::vector<double>* append_ns) {
-  int64_t rebuilds = 0;
-  for (Client& c : clients) {
-    std::vector<std::unique_ptr<Solver>> solvers;
-    std::vector<std::unique_ptr<LisSession>> sessions;
-    for (int t = 0; t < c.streams(); t++) {
-      solvers.push_back(std::make_unique<Solver>(tenant_options()));
-      sessions.push_back(
-          std::make_unique<LisSession>(solvers.back()->make_session()));
-    }
-    for (const AppendRec& r : c.appends) {
-      const auto t0 = Clock::now();
-      const int64_t len = sessions[r.tenant]->append(r.value);
-      if (append_ns) {
-        append_ns->push_back(
-            std::chrono::duration<double, std::nano>(Clock::now() - t0)
-                .count());
-      }
-      if (len != r.len) c.fail("append differs from the direct LisSession replay");
-    }
-    for (const auto& s : sessions) rebuilds += s->stats().window_rebuilds;
-  }
-  return rebuilds;
-}
+struct Samples {
+  std::vector<double> append_us, direct_ns, small_us, warm_ms, solve_ms;
+  double solve_elems = 0;
+  int64_t ops = 0;
+};
 
-Samples merged(const std::vector<Samples>& parts) {
-  Samples m;
-  for (const Samples& s : parts) {
-    m.append_us.insert(m.append_us.end(), s.append_us.begin(), s.append_us.end());
-    m.small_us.insert(m.small_us.end(), s.small_us.begin(), s.small_us.end());
-    m.warm_ms.insert(m.warm_ms.end(), s.warm_ms.begin(), s.warm_ms.end());
-    m.solve_ms.insert(m.solve_ms.end(), s.solve_ms.begin(), s.solve_ms.end());
-    m.solve_elems += s.solve_elems;
-    m.solve_rounds += s.solve_rounds;
-    m.ops += s.ops;
+// The recorded ops of every client, traced or untraced ones.
+Samples collect(const std::vector<Client>& clients, bool traced) {
+  Samples s;
+  for (const Client& c : clients) {
+    for (size_t i = 0; i < c.nrec; i++) {
+      const OpRec& r = c.recs[i];
+      if (r.traced != traced) continue;
+      s.ops++;
+      const double us = r.us;
+      if (r.kind == kAppend) {
+        s.append_us.push_back(us);
+        s.direct_ns.push_back(r.direct_ns);
+        continue;
+      }
+      if (r.kind == kSmall) {
+        s.small_us.push_back(us);
+        s.solve_elems += kSmallN;
+      } else {
+        s.warm_ms.push_back(us / 1e3);
+        s.solve_elems += kHotN;
+      }
+      s.solve_ms.push_back(us / 1e3);
+    }
   }
-  return m;
+  return s;
 }
 
 void add_end_to_end(Result& res, const Samples& s, double wall_s,
@@ -452,12 +476,20 @@ Result run_serve_mix(const Config& cfg, Tracer& tracer) {
   for (int c = 0; c < kClients; c++) {
     oracles.push_back(make_oracle(make_inputs(cfg.seed, c)));
   }
+  // Closed loop: every client runs its schedule until the deadline. In the
+  // traced run each client alternates untraced and traced slices.
+  const double run_s = cfg.trace ? 0.6 * cfg.seconds : cfg.seconds;
+  const size_t cap = static_cast<size_t>(
+      std::ceil(kMaxOpsPerClientPerS * std::max(run_s, kBurnInS)));
+  std::vector<std::vector<OpRec>> recs(kClients, std::vector<OpRec>(cap));
   std::vector<Client> clients;
   std::unique_ptr<serve::Engine> engine;
   std::vector<double> setup_s;
   for (int r = 0; r < kSetupReps; r++) {
+    engine.reset();  // the previous set-up's teardown is not timed
+    clients.clear();
     const auto t0 = Clock::now();
-    setup(cfg, oracles, clients, engine);
+    setup(cfg, oracles, recs, clients, engine);
     setup_s.push_back(seconds_since(t0));
   }
   res.add("setup_s", median(setup_s), "s", kSetupReps);
@@ -465,14 +497,10 @@ Result run_serve_mix(const Config& cfg, Tracer& tracer) {
   const auto burn_end = Clock::now() + std::chrono::duration_cast<Clock::duration>(
                                            std::chrono::duration<double>(kBurnInS));
   on_clients(clients, [&](Client& c) {
-    Samples discard;
-    while (Clock::now() < burn_end) c.step(eng, discard, nullptr);
+    while (Clock::now() < burn_end && !c.full()) c.step(eng, nullptr, false);
+    c.clear_records();
   });
 
-  // Closed loop: every client runs its schedule until the deadline. In the
-  // traced run each client alternates untraced and traced slices.
-  const double run_s = cfg.trace ? 0.6 * cfg.seconds : cfg.seconds;
-  std::vector<Samples> plain(kClients), traced(kClients);
   std::vector<SpanLog*> logs(kClients, nullptr);
   for (int c = 0; c < kClients; c++) logs[c] = tracer.new_log(size_t{1} << 18);
   const SchedulerStats s0 = scheduler_stats();
@@ -480,15 +508,17 @@ Result run_serve_mix(const Config& cfg, Tracer& tracer) {
   const auto deadline = t0 + std::chrono::duration_cast<Clock::duration>(
                                  std::chrono::duration<double>(run_s));
   on_clients(clients, [&](Client& c) {
-    while (Clock::now() < deadline) {
+    while (Clock::now() < deadline && !c.full()) {
       const bool on = cfg.trace && (c.op / kTraceSlice) % 2 == 1;
-      c.step(eng, on ? traced[c.id] : plain[c.id], on ? logs[c.id] : nullptr);
+      c.step(eng, on ? logs[c.id] : nullptr, on);
     }
   });
   const double wall_s = seconds_since(t0);
   const SchedulerStats s1 = scheduler_stats();
-  const Samples base = merged(plain);
-  const Samples tr = merged(traced);
+  // Read before the samples are gathered, whose copies grow with throughput.
+  res.add("rss_peak_mb", rss_peak_mib(), "MiB");
+  const Samples base = collect(clients, false);
+  const Samples tr = collect(clients, true);
   // ops_per_s counts the untraced ops against their share of the wall time.
   add_end_to_end(res, base,
                  wall_s * static_cast<double>(base.ops) /
@@ -501,8 +531,12 @@ Result run_serve_mix(const Config& cfg, Tracer& tracer) {
 
   if (cfg.trace) {
     SpanLog* main_log = tracer.new_log(size_t{1} << 18);
-    std::vector<double> append_ns;
-    const int64_t rebuilds = replay_appends(clients, &append_ns);
+    std::vector<double> append_ns = base.direct_ns;
+    append_ns.insert(append_ns.end(), tr.direct_ns.begin(), tr.direct_ns.end());
+    int64_t rebuilds = 0;
+    for (const Client& c : clients) {
+      for (const auto& s : c.direct) rebuilds += s->stats().window_rebuilds;
+    }
     const Direct d = time_direct(clients[0], 0.3 * cfg.seconds, main_log, res);
 
     // The LIS layer on the small query shape, solved sequentially in place
@@ -528,6 +562,8 @@ Result run_serve_mix(const Config& cfg, Tracer& tracer) {
 
     const double solves = static_cast<double>(base.solve_ms.size() +
                                               tr.solve_ms.size());
+    double rounds = 0;
+    for (const Client& c : clients) rounds += c.solve_rounds;
     const double spawns = static_cast<double>(s1.spawns - s0.spawns);
     const double steals = static_cast<double>(s1.steals - s0.steals);
     res.add("api.overhead_ms", residual(d.warm_ms_p50, {d.hit_ms_p50}), "ms",
@@ -547,7 +583,7 @@ Result run_serve_mix(const Config& cfg, Tracer& tracer) {
     res.add("parallel.steals_per_solve", steals / solves, "count",
             static_cast<int64_t>(solves));
     res.add_ratio("parallel.spawns_per_round",
-                  Ratio{spawns, base.solve_rounds + tr.solve_rounds}, "count");
+                  Ratio{spawns, rounds}, "count");
     res.add("parallel.forkjoin_us", d.forkjoin_us, "us");
     res.add("parallel.seq_ms.p50", d.seq_ms_p50, "ms");
     res.add_ratio("parallel.self_speedup", Ratio{d.seq_ms_p50, d.par_ms_p50});
@@ -577,8 +613,6 @@ Result run_serve_mix(const Config& cfg, Tracer& tracer) {
             overhead_pct(percentile(tr.solve_ms, 50),
                          percentile(base.solve_ms, 50)),
             "%", static_cast<int64_t>(tr.solve_ms.size()));
-  } else {
-    replay_appends(clients, nullptr);
   }
   for (Client& c : clients) {
     res.failed += c.failed;
@@ -586,7 +620,6 @@ Result run_serve_mix(const Config& cfg, Tracer& tracer) {
       if (res.errors.size() < 8) res.errors.push_back(f);
     }
   }
-  res.add("rss_peak_mb", rss_peak_mib(), "MiB");
   return res;
 }
 
