@@ -5,6 +5,18 @@
 // exactly the objects of rank r (dp value r). Total cost O(n log k) work and
 // O(k log n) span for LIS length k.
 //
+// Round granularity: a round whose frontier is predicted below kRoundGrain
+// (tournament_tree.hpp) runs on the calling thread. The tree predicts from
+// the previous round's m; the per-round loops here (the rank fill of
+// lis_frontiers_into, the decisions of lis_decisions) use the round's exact
+// m. Work and the Thm. 3.2 visit count are unchanged; an inline round adds
+// at most O(kRoundGrain log n) span, so the O~(k) span bound still holds.
+//
+// Sentinel-valued inputs: a value not below `inf` (INT64_MAX under the
+// default sentinel) would read as an already-removed leaf and never get a
+// rank. The tournament build flags it, and the solve reruns on the input's
+// kStrict rank image, whose values all lie below n.
+//
 // Two entry-point shapes per solve:
 //  * lis_ranks / lis_frontiers — one-shot free functions returning fresh
 //    result structs (allocate per call; kept as thin wrappers),
@@ -18,6 +30,7 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "parlis/lis/tournament_tree.hpp"
@@ -55,9 +68,44 @@ struct LisFrontiers {
   }
 };
 
+namespace internal {
+
+// A per-round loop over a frontier of m objects: a plain loop below
+// kRoundGrain, parallel_for above it.
+template <typename F>
+void round_for(int64_t m, const F& f) {
+  if (m < kRoundGrain) {
+    for (int64_t j = 0; j < m; j++) f(j);
+  } else {
+    parallel_for(0, m, f);
+  }
+}
+
+// Runs solve(ranks, storage, n) on the kStrict rank image of `a`: the
+// fallback for inputs holding a value not below the caller's sentinel.
+// Ranks are dense in [0, n), so n is a valid sentinel for them. Allocates
+// the rank space (the path is rare); int64 solves reuse the caller's
+// tournament storage.
+template <typename T, typename Less, typename Solve>
+void solve_on_rank_image(std::span<const T> a, TournamentStorage<T>& ws,
+                         Less less, const Solve& solve) {
+  const RankSpace rs = rank_space<T, Less>(a, TiesPolicy::kStrict, less);
+  const std::span<const int64_t> ranks(rs.rank);
+  const int64_t n = static_cast<int64_t>(a.size());
+  if constexpr (std::is_same_v<T, int64_t>) {
+    solve(ranks, ws, n);
+  } else {
+    TournamentStorage<int64_t> own;
+    solve(ranks, own, n);
+  }
+}
+
+}  // namespace internal
+
 /// Computes all dp values (Alg. 1) into `res`, reusing its buffers and the
-/// injected tournament storage. `inf` must exceed every input value under
-/// `less` ("increasing" means strictly increasing under `less`).
+/// injected tournament storage. "Increasing" means strictly increasing
+/// under `less`; `inf` should exceed every input value under `less` (an
+/// input that reaches it is solved on its rank image instead).
 template <typename T, typename Less = std::less<T>>
 void lis_ranks_into(std::span<const T> a, LisResult& res,
                     TournamentStorage<T>& ws,
@@ -65,17 +113,27 @@ void lis_ranks_into(std::span<const T> a, LisResult& res,
   res.rank.assign(a.size(), 0);
   res.k = 0;
   if (a.empty()) return;
-  TournamentTree<T, Less> tree(a, inf, ws, less);
-  int32_t r = 0;
-  while (!tree.empty()) {
-    // Round boundary: the one cancellation/deadline poll of the LIS kernel
-    // (one thread-local load when no scope is installed).
-    internal::poll_cancellation();
-    PARLIS_FAILPOINT("lis.round");
-    ++r;
-    tree.extract_frontier([&](int64_t i) { res.rank[i] = r; });
+  {
+    TournamentTree<T, Less> tree(a, inf, ws, less);
+    if (!tree.has_inf_input()) {
+      int32_t r = 0;
+      while (!tree.empty()) {
+        // Round boundary: the one cancellation/deadline poll of the LIS
+        // kernel (one thread-local load when no scope is installed).
+        internal::poll_cancellation();
+        PARLIS_FAILPOINT("lis.round");
+        ++r;
+        tree.extract_frontier([&](int64_t i) { res.rank[i] = r; });
+      }
+      res.k = r;
+      return;
+    }
   }
-  res.k = r;
+  internal::solve_on_rank_image<T, Less>(
+      a, ws, less, [&](std::span<const int64_t> ranks,
+                       TournamentStorage<int64_t>& st, int64_t rank_inf) {
+        lis_ranks_into<int64_t>(ranks, res, st, rank_inf);
+      });
 }
 
 /// Sequential patience-sorting fallback with the same output contract as
@@ -163,7 +221,8 @@ inline LisResult lis_ranks(std::span<const int64_t> a) {
 /// into `res`, reusing its buffers and the injected tournament storage.
 /// Every object is extracted in exactly one round, so frontier_flat is
 /// sized n once and each round writes its frontier directly into the next
-/// flat region — no per-round vector, no copying.
+/// flat region — no per-round vector, no copying. `inf` as for
+/// lis_ranks_into.
 template <typename T, typename Less = std::less<T>>
 void lis_frontiers_into(std::span<const T> a, LisFrontiers& res,
                         TournamentStorage<T>& ws,
@@ -176,21 +235,31 @@ void lis_frontiers_into(std::span<const T> a, LisFrontiers& res,
   res.frontier_offset.push_back(0);
   res.frontier_flat.resize(n);
   if (a.empty()) return;
-  TournamentTree<T, Less> tree(a, inf, ws, less);
-  int32_t r = 0;
-  int64_t off = 0;
-  while (!tree.empty()) {
-    internal::poll_cancellation();
-    PARLIS_FAILPOINT("lis.round");
-    ++r;
-    const int64_t m =
-        tree.extract_frontier_collect_into(res.frontier_flat.data() + off);
-    const int64_t* f = res.frontier_flat.data() + off;
-    parallel_for(0, m, [&](int64_t j) { res.rank[f[j]] = r; });
-    off += m;
-    res.frontier_offset.push_back(off);
+  {
+    TournamentTree<T, Less> tree(a, inf, ws, less);
+    if (!tree.has_inf_input()) {
+      int32_t r = 0;
+      int64_t off = 0;
+      while (!tree.empty()) {
+        internal::poll_cancellation();
+        PARLIS_FAILPOINT("lis.round");
+        ++r;
+        const int64_t m =
+            tree.extract_frontier_collect_into(res.frontier_flat.data() + off);
+        const int64_t* f = res.frontier_flat.data() + off;
+        internal::round_for(m, [&](int64_t j) { res.rank[f[j]] = r; });
+        off += m;
+        res.frontier_offset.push_back(off);
+      }
+      res.k = r;
+      return;
+    }
   }
-  res.k = r;
+  internal::solve_on_rank_image<T, Less>(
+      a, ws, less, [&](std::span<const int64_t> ranks,
+                       TournamentStorage<int64_t>& st, int64_t rank_inf) {
+        lis_frontiers_into<int64_t>(ranks, res, st, rank_inf);
+      });
 }
 
 /// One-shot form of lis_frontiers_into.
@@ -251,7 +320,7 @@ std::vector<int64_t> lis_decisions(const std::vector<T>& a,
     int64_t prev_n = fr.frontier_offset[r - 1] - fr.frontier_offset[r - 2];
     const int64_t* cur = fr.frontier_flat.data() + fr.frontier_offset[r - 1];
     int64_t cur_n = fr.frontier_offset[r] - fr.frontier_offset[r - 1];
-    parallel_for(0, cur_n, [&](int64_t j) {
+    internal::round_for(cur_n, [&](int64_t j) {
       // Last index of the previous frontier strictly before cur[j].
       const int64_t* it = std::lower_bound(prev, prev + prev_n, cur[j]);
       d[cur[j]] = *(it - 1);  // rank r-1 object before cur[j] always exists

@@ -6,7 +6,7 @@
 //  * extract_frontier: the PrefixMin traversal of Alg. 1 — finds every
 //    *prefix-min* leaf (<= all live leaves before it), reports it, and
 //    removes it (sets it to +inf), in O(m log(n/m)) work for m reported
-//    leaves,
+//    leaves; it returns m,
 //  * extract_frontier_collect / extract_frontier_collect_into: the two-pass
 //    variant of Appendix A that also writes the frontier's leaf indices, in
 //    input order, into an array (pass 1 counts per-subtree "effective sizes"
@@ -41,15 +41,33 @@
 // shared atomic RMW per node (the counter counts considered child entries,
 // the 8-ary analogue of per-node visits).
 //
+// Round granularity: the tree owns the fork decision of every round. A
+// round whose predicted frontier is below kRoundGrain descends the top tree
+// with plain calls instead of par_do. The prediction is the previous
+// round's frontier size m (n before the first round); the placing pass of a
+// two-pass extraction uses its counting pass's exact m. Forking costs a few
+// microseconds a round, while a frontier of ~10 leaves is well under one
+// microsecond of work, so deep inputs (k near n) otherwise spend nearly all
+// their time in the scheduler. A mispredicted inline round does not stay
+// sequential: once its blocks have reported kRoundGrain leaves, the fork
+// sites it has not reached yet fork again. The visited entries, and so the
+// work and the visit counter, are the same either way; an inline round
+// (or inline prefix) reports at most kRoundGrain + 512 leaves and adds at
+// most O(kRoundGrain log n) to the span, so the O~(k) span bound still
+// holds.
+//
 // Storage lives in a TournamentStorage<T>, either owned by the tree (the
 // one-shot free functions) or injected by the caller (the Solver warm path:
 // the vectors' capacity survives the tree object, so rebuilding a tree of
 // the same size performs zero heap allocations).
 //
-// The element type T needs operator< and a user-supplied +inf sentinel.
+// The element type T needs operator< and a user-supplied +inf sentinel. An
+// input value not below inf would read as an already-removed leaf; the
+// build pass flags it (has_inf_input()) so callers can rerun on a rank image.
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <functional>
 #include <cassert>
@@ -64,6 +82,13 @@
 #include "parlis/util/simd.hpp"
 
 namespace parlis {
+
+/// Frontier size below which a round runs inline on the calling thread
+/// (see "Round granularity" above). Set from the interleaved pooled vs
+/// one-thread sweep in EXPERIMENTS.md (n = 2^20, 4 workers): with 256 the
+/// pooled solve read 1.7x the one-thread time at a mean frontier of 230,
+/// with 512 up to 1.09x, with 1024 at most 1.03x at every k.
+inline constexpr int64_t kRoundGrain = 1024;
 
 /// Reusable backing storage for a TournamentTree. Inject one into repeated
 /// constructions and the buffers are recycled (assign within capacity); the
@@ -115,6 +140,15 @@ class TournamentTree {
 
   int64_t size() const { return n_; }
 
+  /// True when some input value is not below `inf` under `less`. Such a
+  /// leaf reads as already removed, so no round would ever report it: the
+  /// caller must solve the input another way (lis.hpp reruns it on its
+  /// rank image). Found by the build itself, per block while the block is
+  /// in L1, not by a separate scan of the input.
+  bool has_inf_input() const {
+    return inf_input_.load(std::memory_order_relaxed);
+  }
+
   /// Total tree entries considered by this tree's extractions so far
   /// (Thm. 3.2 charges O(m_r log(n/m_r)) per round, O(n log k) in total —
   /// the property tests assert this bound empirically). Per-worker slots
@@ -123,13 +157,16 @@ class TournamentTree {
   uint64_t nodes_visited() const { return st_->visits.read() - base_visits_; }
 
   /// Alg. 1 ProcessFrontier: visits every prefix-min leaf, calls
-  /// visit(leaf_index) for each, and removes them. Blocks are visited in
-  /// parallel; `visit` must be safe to call concurrently for distinct
+  /// visit(leaf_index) for each, removes them, and returns their number m.
+  /// Blocks are visited in parallel unless the round runs inline (see
+  /// kRoundGrain); `visit` must be safe to call concurrently for distinct
   /// indices.
   template <typename Visit>
-  void extract_frontier(const Visit& visit) {
-    if (empty()) return;
-    top_extract(1, inf_, visit);
+  int64_t extract_frontier(const Visit& visit) {
+    if (empty()) return 0;
+    begin_pass(prev_m_);
+    prev_m_ = top_extract(1, inf_, visit);
+    return prev_m_;
   }
 
   /// Appendix A two-pass variant: returns the frontier's leaf indices sorted
@@ -137,7 +174,7 @@ class TournamentTree {
   std::vector<int64_t> extract_frontier_collect() {
     if (empty()) return {};
     std::vector<int64_t> out(count_frontier());
-    top_place(1, inf_, out.data());
+    place_frontier(out.data());
     return out;
   }
 
@@ -148,14 +185,15 @@ class TournamentTree {
   int64_t extract_frontier_collect_into(int64_t* out) {
     if (empty()) return 0;
     int64_t m = count_frontier();
-    top_place(1, inf_, out);
+    place_frontier(out);
     return m;
   }
 
   /// Pass 1 of the Appendix A two-pass extraction, standalone: the size of
   /// the current frontier without extracting it (callers size their buffer,
   /// then run extract_frontier_collect_into). Charges the visit counter
-  /// exactly like the counting pass it is.
+  /// exactly like the counting pass it is; the exact m it finds becomes the
+  /// prediction for the next extraction.
   int64_t frontier_size() {
     if (empty()) return 0;
     return count_frontier();
@@ -184,7 +222,8 @@ class TournamentTree {
         top_leaves_(static_cast<int64_t>(
             std::bit_ceil(static_cast<uint64_t>(nblocks_)))),
         inf_(inf),
-        st_(storage != nullptr ? storage : &own_) {
+        st_(storage != nullptr ? storage : &own_),
+        prev_m_(n_) {
     st_->blocks.assign(kBlockStride * nblocks_, inf);
     st_->top.assign(2 * top_leaves_, inf);
     blocks_ = st_->blocks.data();
@@ -196,6 +235,12 @@ class TournamentTree {
       T* leaf = blk + kLeafOff;
       const int64_t fill = std::min(kBlockLeaves, n_ - base);
       for (int64_t j = 0; j < fill; j++) leaf[j] = xs[base + j];
+      // The block is in L1 now; a separate loop keeps the copy a memcpy.
+      unsigned reaches_inf = 0;
+      for (int64_t j = 0; j < fill; j++) {
+        reaches_inf |= static_cast<unsigned>(!less_(leaf[j], inf));
+      }
+      if (reaches_inf) inf_input_.store(true, std::memory_order_relaxed);
       for (int64_t g = 0; g < 64; g++) {
         blk[kL2Off + g] = min8(leaf + 8 * g);
       }
@@ -262,13 +307,52 @@ class TournamentTree {
   }
 
   // (Re)sizes the (persistent, top-tree-sized) pass-1 scratch in the
-  // storage and runs the counting pass; returns the frontier size.
+  // storage and runs the counting pass, inline if the previous m predicts a
+  // small frontier; returns the frontier size and keeps it as the next
+  // prediction.
   int64_t count_frontier() {
     if (static_cast<int64_t>(st_->count.size()) != 2 * top_leaves_) {
       st_->count.assign(2 * top_leaves_, 0);
     }
     count_ = st_->count.data();
-    return top_count(1, inf_);
+    begin_pass(prev_m_);
+    prev_m_ = top_count(1, inf_);
+    return prev_m_;
+  }
+
+  // Pass 2, inline exactly when pass 1 counted fewer than kRoundGrain.
+  void place_frontier(int64_t* out) {
+    begin_pass(prev_m_);
+    top_place(1, inf_, out);
+  }
+
+  // A pass runs inline when `predicted` is below the grain, with a budget
+  // of kRoundGrain reported leaves.
+  void begin_pass(int64_t predicted) {
+    inline_round_ = predicted < kRoundGrain;
+    inline_budget_ = kRoundGrain;
+  }
+
+  // Charges a block's reported leaves to an inline pass; a pass that
+  // overruns its budget forks at every fork site it has not reached yet.
+  // Only the calling thread runs an inline pass, so the plain members are
+  // race-free: the flag is written before the pass's first par_do and read,
+  // unchanged, by everything that par_do starts.
+  void charge_inline(int64_t reported) {
+    if (inline_round_ && (inline_budget_ -= reported) < 0) {
+      inline_round_ = false;
+    }
+  }
+
+  // The only fork of a round: the two child descents of a top-tree node.
+  template <typename Left, typename Right>
+  void fork(const Left& left, const Right& right) {
+    if (inline_round_) {
+      left();
+      right();
+    } else {
+      par_do(left, right);
+    }
   }
 
   // ---------------------------------------------------------- top tree ---
@@ -279,28 +363,32 @@ class TournamentTree {
   // is counted here (without touching block storage) and the entered case
   // is counted entirely by the in-block walk.
 
+  // Returns the number of leaves extracted beneath node i.
   template <typename Visit>
-  void top_extract(int64_t i, const T& lmin, const Visit& visit) {
+  int64_t top_extract(int64_t i, const T& lmin, const Visit& visit) {
     if (less_(lmin, top_[i]) || !less_(top_[i], inf_)) {
       st_->visits.add(1);
-      return;
+      return 0;
     }
     if (i >= top_leaves_) {
       T* blk = block(i - top_leaves_);
-      uint64_t vis = 0;
-      block_extract(blk, (i - top_leaves_) * kBlockLeaves, lmin, visit, vis);
-      st_->visits.add(vis);
+      const Swept sw =
+          block_extract(blk, (i - top_leaves_) * kBlockLeaves, lmin, visit);
+      st_->visits.add(sw.visits);
       top_[i] = min8_post(blk);
-      return;
+      charge_inline(sw.removed);
+      return sw.removed;
     }
     st_->visits.add(1);
+    int64_t ml = 0, mr = 0;
     T left_min = top_[2 * i];  // read before the left recursion mutates it
-    par_do([&] { top_extract(2 * i, lmin, visit); },
-           [&] {
-             const T& rmin = less_(left_min, lmin) ? left_min : lmin;
-             top_extract(2 * i + 1, rmin, visit);
-           });
+    fork([&] { ml = top_extract(2 * i, lmin, visit); },
+         [&] {
+           const T& rmin = less_(left_min, lmin) ? left_min : lmin;
+           mr = top_extract(2 * i + 1, rmin, visit);
+         });
     top_[i] = less_(top_[2 * i + 1], top_[2 * i]) ? top_[2 * i + 1] : top_[2 * i];
+    return ml + mr;
   }
 
   int64_t top_count(int64_t i, const T& lmin) {
@@ -314,16 +402,17 @@ class TournamentTree {
       int64_t c = block_count(block(i - top_leaves_), lmin, vis);
       st_->visits.add(vis);
       count_[i] = c;
+      charge_inline(c);
       return c;
     }
     st_->visits.add(1);
     int64_t cl = 0, cr = 0;
     T left_min = top_[2 * i];
-    par_do([&] { cl = top_count(2 * i, lmin); },
-           [&] {
-             const T& rmin = less_(left_min, lmin) ? left_min : lmin;
-             cr = top_count(2 * i + 1, rmin);
-           });
+    fork([&] { cl = top_count(2 * i, lmin); },
+         [&] {
+           const T& rmin = less_(left_min, lmin) ? left_min : lmin;
+           cr = top_count(2 * i + 1, rmin);
+         });
     count_[i] = cl + cr;
     return count_[i];
   }
@@ -335,13 +424,13 @@ class TournamentTree {
     }
     if (i >= top_leaves_) {
       T* blk = block(i - top_leaves_);
-      uint64_t vis = 0;
       int64_t* cursor = out;
       // In-block reporting is in leaf order, so pass 2 needs no per-node
       // counts below the top tree — a moving cursor replaces them.
-      block_extract(blk, (i - top_leaves_) * kBlockLeaves, lmin,
-                    [&](int64_t idx) { *cursor++ = idx; }, vis);
-      st_->visits.add(vis);
+      const Swept sw =
+          block_extract(blk, (i - top_leaves_) * kBlockLeaves, lmin,
+                        [&](int64_t idx) { *cursor++ = idx; });
+      st_->visits.add(sw.visits);
       top_[i] = min8_post(blk);
       return;
     }
@@ -349,11 +438,11 @@ class TournamentTree {
     T left_min = top_[2 * i];
     // count_[2i] is 0 when pass 1 skipped the left child, so no branch needed.
     int64_t skip = count_[2 * i];
-    par_do([&] { top_place(2 * i, lmin, out); },
-           [&] {
-             const T& rmin = less_(left_min, lmin) ? left_min : lmin;
-             top_place(2 * i + 1, rmin, out + skip);
-           });
+    fork([&] { top_place(2 * i, lmin, out); },
+         [&] {
+           const T& rmin = less_(left_min, lmin) ? left_min : lmin;
+           top_place(2 * i + 1, rmin, out + skip);
+         });
     top_[i] = less_(top_[2 * i + 1], top_[2 * i]) ? top_[2 * i + 1] : top_[2 * i];
   }
 
@@ -361,8 +450,9 @@ class TournamentTree {
   // Sequential prefix-min sweeps over the three 8-ary levels. Each level
   // walks its 8 children left to right: a child is entered iff its pre-round
   // minimum qualifies against the running bound, and the bound then absorbs
-  // that minimum. `vis` counts considered entries, batched into one counter
-  // update per block visit.
+  // that minimum. Considered entries are tallied per sweep (`vis`, or the
+  // returned Swept::visits) and batched into one counter update per block
+  // visit.
   //
   // Vector form (int64 keys): one compare against the level's *initial*
   // bound replaces the 8 scalar compares. Any entry with value > bound can
@@ -370,77 +460,95 @@ class TournamentTree {
   // decreases) nor lower the running bound itself, so the candidate mask
   // `value <= bound && value < inf` contains every entry the scalar sweep
   // interacts with; walking its set bits in ascending order with the exact
-  // scalar enter/absorb checks reproduces the sweep bit-for-bit. `vis`
+  // scalar enter/absorb checks reproduces the sweep bit-for-bit. The tally
   // still charges all 8 considered entries per level, so the Thm. 3.2
   // visit accounting the property tests assert is unchanged. Entries are
   // read before their own descent mutates them, and a descent only mutates
   // the entry it descends through, never a later sibling, so the pre-sweep
   // mask stays valid across the walk.
+  //
+  // The extracting sweeps return both tallies of their descent: considered
+  // entries and removed leaves (the leaf tier's vector form reads the
+  // latter off the extracted-lane mask). Returning them, rather than adding
+  // through a reference, keeps the sums in registers across the hot loops.
+  struct Swept {
+    uint64_t visits = 0;
+    int64_t removed = 0;
+    Swept& operator+=(const Swept& o) {
+      visits += o.visits;
+      removed += o.removed;
+      return *this;
+    }
+  };
 
   template <typename Visit>
-  void block_extract(T* blk, int64_t base, const T& lmin, const Visit& visit,
-                     uint64_t& vis) {
+  Swept block_extract(T* blk, int64_t base, const T& lmin,
+                      const Visit& visit) {
+    Swept acc;
     if constexpr (kSimdKernels) {
       if (simd::enabled()) {
         T cur = lmin;
         uint32_t m = simd::cand_mask8_i64(blk, cur, inf_);
-        vis += 8;
+        acc.visits += 8;
         while (m) {
           const int64_t s = std::countr_zero(m);
           m &= m - 1;
           T v = blk[s];  // pre value: the descent below mutates blk[s]
-          if (!(cur < v)) super_extract(blk, s, base, cur, visit, vis);
+          if (!(cur < v)) acc += super_extract(blk, s, base, cur, visit);
           if (v < cur) cur = v;
         }
-        return;
+        return acc;
       }
     }
     T cur = lmin;
     for (int64_t s = 0; s < 8; s++) {
-      vis++;
+      acc.visits++;
       T v = blk[s];  // pre value: the descent below mutates blk[s]
       if (!less_(cur, v) && less_(v, inf_)) {
-        super_extract(blk, s, base, cur, visit, vis);
+        acc += super_extract(blk, s, base, cur, visit);
       }
       if (less_(v, cur)) cur = v;
     }
+    return acc;
   }
 
   template <typename Visit>
-  void super_extract(T* blk, int64_t s, int64_t base, const T& bound,
-                     const Visit& visit, uint64_t& vis) {
+  Swept super_extract(T* blk, int64_t s, int64_t base, const T& bound,
+                      const Visit& visit) {
     T* l2 = blk + kL2Off + 8 * s;
+    Swept acc;
     if constexpr (kSimdKernels) {
       if (simd::enabled()) {
         T cur = bound;
         uint32_t m = simd::cand_mask8_i64(l2, cur, inf_);
-        vis += 8;
+        acc.visits += 8;
         while (m) {
           const int64_t j = std::countr_zero(m);
           m &= m - 1;
           T w = l2[j];
-          if (!(cur < w)) group_extract(blk, 8 * s + j, base, cur, visit, vis);
+          if (!(cur < w)) acc += group_extract(blk, 8 * s + j, base, cur, visit);
           if (w < cur) cur = w;
         }
         blk[s] = min8_post(l2);
-        return;
+        return acc;
       }
     }
     T cur = bound;
     for (int64_t j = 0; j < 8; j++) {
-      vis++;
+      acc.visits++;
       T w = l2[j];
       if (!less_(cur, w) && less_(w, inf_)) {
-        group_extract(blk, 8 * s + j, base, cur, visit, vis);
+        acc += group_extract(blk, 8 * s + j, base, cur, visit);
       }
       if (less_(w, cur)) cur = w;
     }
     blk[s] = min8_post(l2);
+    return acc;
   }
 
   template <typename Visit>
-  void group_extract(T* blk, int64_t g, int64_t base, const T& bound,
-                     const Visit& visit, uint64_t& vis) {
+  Swept group_extract(T* blk, int64_t g, int64_t base, const T& bound,
+                      const Visit& visit) {
     T* leaf = blk + kLeafOff + 8 * g;
     if constexpr (kSimdKernels) {
       if (simd::enabled()) {
@@ -448,29 +556,32 @@ class TournamentTree {
         // uses the fully branchless kernel: the extracted-lane mask, the
         // inf overwrites and the refreshed group minimum all come out of
         // registers — no per-candidate reload chain, no 8-entry re-reduce.
-        vis += 8;
         T gmin;
         uint32_t ext = simd::sweep8_extract_i64(leaf, bound, inf_, &gmin);
+        const Swept acc{8, std::popcount(ext)};
         while (ext) {
           const int64_t j = std::countr_zero(ext);
           ext &= ext - 1;
           visit(base + 8 * g + j);
         }
         blk[kL2Off + g] = gmin;
-        return;
+        return acc;
       }
     }
     T cur = bound;
+    Swept acc;
     for (int64_t j = 0; j < 8; j++) {
-      vis++;
+      acc.visits++;
       T x = leaf[j];
       if (!less_(cur, x) && less_(x, inf_)) {
         visit(base + 8 * g + j);
         leaf[j] = inf_;
+        acc.removed++;
       }
       if (less_(x, cur)) cur = x;
     }
     blk[kL2Off + g] = min8_post(leaf);
+    return acc;
   }
 
   // Pass 1 within a block: identical sweeps, no mutation, returns the count.
@@ -565,6 +676,10 @@ class TournamentTree {
   T* top_ = nullptr;           // st_->top.data()
   int64_t* count_ = nullptr;   // st_->count.data(), set by count_frontier
   uint64_t base_visits_ = 0;   // visits already in the storage's counter
+  int64_t prev_m_;             // last frontier size: the next round's guess
+  bool inline_round_ = false;  // the current pass descends without forking
+  int64_t inline_budget_ = 0;  // leaves an inline pass may still report
+  std::atomic<bool> inf_input_{false};  // some leaf holds a value >= inf_
 };
 
 }  // namespace parlis

@@ -85,7 +85,11 @@ void run_wlis(std::span<const int64_t> a, std::span<const int64_t> w,
       rank_space_into<int64_t>(a, TiesPolicy::kStrict, ws.rank_space,
                                ws.rank_scratch);
     }
-    lis_frontiers_into<int64_t>(a, ws.frontiers, ws.tournament);
+    // The frontiers run on the rank image: it orders like `a`, and its
+    // values all lie below n, so n is a sentinel no input can reach (raw
+    // values may hold INT64_MAX).
+    lis_frontiers_into<int64_t>(std::span<const int64_t>(ws.rank_space.rank),
+                                ws.frontiers, ws.tournament, n);
     ws.cached_a.assign(a.begin(), a.end());
     ws.cached_hash = content_hash;
     ws.cache_valid = true;

@@ -7,12 +7,17 @@
 // scan silently corrupts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <limits>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "parlis/api/solver.hpp"
 #include "parlis/lis/lis.hpp"
+#include "parlis/lis/seq_lis.hpp"
+#include "parlis/parallel/random.hpp"
 #include "parlis/swgs/swgs.hpp"
 #include "parlis/util/rank_space.hpp"
 #include "parlis/wlis/wlis.hpp"
@@ -239,6 +244,97 @@ TEST(EdgeCases, SolveManyEmptyBatchAndEmptyQuerySpans) {
   EXPECT_EQ(results[2].k, 0);
   EXPECT_EQ(results[3].k, 3);
   EXPECT_EQ(results[3].best, 3);
+}
+
+// ------------------------------------------------------ sentinel values ---
+
+// INT64_MAX is the tournament tree's default sentinel. A leaf holding it
+// used to read as already removed, so such elements never got a rank (and
+// WLIS never gave them a dp). They are ordinary values, the largest ones,
+// on every int64 kStrict path.
+constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+
+void expect_entry_points_match_seq_bs(const std::vector<int64_t>& a) {
+  SCOPED_TRACE(testing::Message() << "n = " << a.size());
+  const std::vector<int32_t> want = seq_bs_ranks(a);
+  const int32_t k = *std::max_element(want.begin(), want.end());
+  const std::vector<int64_t> unit(a.size(), 1);
+  const std::vector<int64_t> want_dp(want.begin(), want.end());
+  const std::span<const int64_t> as(a);
+
+  Solver solver;
+  LisResult lr;
+  solver.solve_lis(as, lr);
+  EXPECT_EQ(lr.rank, want);
+  EXPECT_EQ(lr.k, k);
+
+  LisFrontiers fr, want_fr;
+  std::vector<int64_t> tails;
+  seq_patience_frontiers_into<int64_t>(as, want_fr, tails);
+  solver.solve_lis_frontiers(as, fr);
+  EXPECT_EQ(fr.rank, want);
+  EXPECT_EQ(fr.k, k);
+  EXPECT_EQ(fr.frontier_offset, want_fr.frontier_offset);
+  EXPECT_EQ(fr.frontier_flat, want_fr.frontier_flat);
+
+  WlisResult wr;
+  solver.solve_wlis(as, std::span<const int64_t>(unit), wr);
+  EXPECT_EQ(wr.dp, want_dp);
+  EXPECT_EQ(wr.best, k);
+  EXPECT_EQ(wr.k, k);
+
+  std::vector<int32_t> rank_out(a.size(), -1);
+  std::vector<int64_t> dp_out(a.size(), -1);
+  std::vector<Query> queries(2);
+  queries[0].a = as;
+  queries[0].rank_out = std::span<int32_t>(rank_out);
+  queries[1].a = as;
+  queries[1].w = std::span<const int64_t>(unit);
+  queries[1].dp_out = std::span<int64_t>(dp_out);
+  std::vector<QueryResult> results(2);
+  solver.solve_many(queries, results);
+  EXPECT_EQ(rank_out, want);
+  EXPECT_EQ(results[0].k, k);
+  EXPECT_EQ(dp_out, want_dp);
+  EXPECT_EQ(results[1].best, k);
+
+  // The free functions share the kernels.
+  EXPECT_EQ(lis_ranks(a).rank, want);
+  EXPECT_EQ(static_cast<int32_t>(lis_sequence(a).size()), k);
+  EXPECT_EQ(wlis(as, std::span<const int64_t>(unit)).dp, want_dp);
+}
+
+TEST(EdgeCases, Int64MaxIsAnOrdinaryValue) {
+  // Ranks 1 2 3 (the sentinel bug gave k = 2, ranks 1 2 0).
+  expect_entry_points_match_seq_bs({1, 2, kMax});
+  // k = 1 (the bug gave 0).
+  expect_entry_points_match_seq_bs(std::vector<int64_t>(5, kMax));
+  // k = 3 either way, but ranks 1 2 2 3 3 (the bug gave 1 0 2 0 3).
+  expect_entry_points_match_seq_bs({1, kMax, 2, kMax, 3});
+}
+
+// Large enough that the solves fork and solve_many runs the queries on
+// the caller's context; the sentinels straddle tournament blocks.
+TEST(EdgeCases, Int64MaxAcrossBlocks) {
+  std::vector<int64_t> a(5000);
+  for (int64_t i = 0; i < 5000; i++) {
+    a[i] = uniform(17, i, 9) == 0 ? kMax : static_cast<int64_t>(
+                                               uniform(18, i, 100000));
+  }
+  expect_entry_points_match_seq_bs(a);
+}
+
+// The custom-order overload's sentinel is reachable too: INT64_MIN under
+// std::greater (longest strictly decreasing run).
+TEST(EdgeCases, CustomOrderSentinelIsAnOrdinaryValue) {
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  std::vector<int64_t> a = {5, kMin, 3, kMin, 1};
+  Solver solver;
+  LisResult lr;
+  solver.solve_lis(std::span<const int64_t>(a), lr, kMin,
+                   std::greater<int64_t>{});
+  EXPECT_EQ(lr.rank, (std::vector<int32_t>{1, 2, 2, 3, 3}));
+  EXPECT_EQ(lr.k, 3);
 }
 
 TEST(EdgeCases, SolveManyNonDecreasingTies) {
