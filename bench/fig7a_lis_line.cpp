@@ -1,8 +1,12 @@
 // Figure 7(a): LIS running time vs LIS length k, *line pattern*.
 // Series: Seq-BS, SWGS, Ours (seq), Ours.   Paper setup: n = 10^8, 96 cores.
+// Seq-BS times the branch-free patience kernel (seq_patience_ranks_into),
+// the paper's "highly-optimized" baseline.
 // Default here: n = 10^6 (scaled for the reproduction machine; see
 // EXPERIMENTS.md). Flags: --n, --maxk, --swgsmaxk, --threads, --reps, --out FILE (JSON records).
 #include <cstdio>
+#include <span>
+#include <vector>
 
 #include "bench/bench_common.hpp"
 #include "bench/bench_json.hpp"
@@ -29,8 +33,19 @@ int main(int argc, char** argv) {
   for (int64_t target_k : k_sweep(maxk)) {
     auto a = line_pattern(n, target_k, 7 + target_k);
     volatile int64_t sink = 0;
-    double t_bs = time_median_of(reps, [&] { sink = sink + seq_bs_length(a); });
-    int64_t k = seq_bs_length(a);  // realized LIS length
+    // Seq-BS is the branch-free patience kernel, warm; its answer is
+    // checked against the std::lower_bound oracle first.
+    const std::span<const int64_t> as(a);
+    LisResult bs;
+    std::vector<int64_t> tails;
+    seq_patience_ranks_into<int64_t>(as, bs, tails);
+    if (bs.rank != seq_bs_ranks(a)) {
+      std::fprintf(stderr, "Seq-BS kernel differs from seq_bs_ranks\n");
+      return 1;
+    }
+    double t_bs = time_median_of(
+        reps, [&] { seq_patience_ranks_into<int64_t>(as, bs, tails); });
+    const int64_t k = bs.k;  // realized LIS length
     double t_swgs = -1;
     if (target_k <= swgs_maxk) {
       t_swgs = time_median_of(reps, [&] { sink = sink + swgs_lis_ranks(a).k; });

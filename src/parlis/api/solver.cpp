@@ -13,21 +13,6 @@
 
 namespace parlis {
 
-// Everything one thread needs to solve any query shape end to end. The
-// LIS-side rank space (lis_rs) is separate from wlis.rank_space on
-// purpose: the latter's contents back the WLIS value-sequence cache, so an
-// unweighted generic-key solve between two weighted solves must not
-// clobber it.
-struct Solver::ThreadCtx {
-  TournamentStorage<int64_t> tour;
-  WlisWorkspace wlis;
-  RankSpace lis_rs;
-  RankSpaceScratch lis_scratch;
-  LisResult lis_res;
-  WlisResult wlis_res;
-  std::vector<int64_t> tails;  // patience-fallback scratch (budget path)
-};
-
 // A claimable context: `busy` is taken for the duration of one packed
 // query (acquire on claim, release on return, so workspace state synchronizes
 // between successive holders).
@@ -51,14 +36,13 @@ size_t Solver::resident_bytes() const {
   // Measured footprint of one ThreadCtx: every vector's real capacity plus
   // the workspace accounting (which reaches the arenas' reserved chunks).
   auto ctx_bytes = [](const ThreadCtx& c) {
-    return sizeof(ThreadCtx) + c.tour.resident_bytes() +
-           c.wlis.resident_bytes() + c.lis_rs.resident_bytes() +
-           c.lis_scratch.resident_bytes() + c.lis_res.resident_bytes() +
-           c.wlis_res.resident_bytes() + vec_bytes(c.tails);
+    return sizeof(ThreadCtx) + c.lis.resident_bytes() +
+           c.wlis.resident_bytes() + c.lis_res.resident_bytes() +
+           c.wlis_res.resident_bytes();
   };
   // Heap bytes only — the object header itself is whoever embeds us (the
   // table counts it once via sizeof(TenantEntry)).
-  size_t b = vec_bytes(small_idx_) + vec_bytes(fallback_tails_);
+  size_t b = vec_bytes(small_idx_);
   if (main_ctx_) b += ctx_bytes(*main_ctx_);
   for (size_t i = 0; i < ctx_n_; i++) {
     b += sizeof(CtxSlot);
@@ -66,14 +50,6 @@ size_t Solver::resident_bytes() const {
   }
   return b;
 }
-
-TournamentStorage<int64_t>& Solver::main_tournament() {
-  return main_ctx_->tour;
-}
-WlisWorkspace& Solver::main_wlis() { return main_ctx_->wlis; }
-RankSpace& Solver::lis_rank_space() { return main_ctx_->lis_rs; }
-RankSpaceScratch& Solver::lis_rank_scratch() { return main_ctx_->lis_scratch; }
-LisResult& Solver::scratch_lis_result() { return main_ctx_->lis_res; }
 
 // ---- Memory-budget admission ------------------------------------------
 //
@@ -95,7 +71,7 @@ size_t Solver::lis_scratch_bytes(int64_t n) {
 }
 
 size_t Solver::lis_fallback_bytes(int64_t n) {
-  // Patience tails (<= k int64) + the rank output.
+  // Patience tails (at most n + 1 int64) + the rank output.
   return static_cast<size_t>(n) * 12 + (size_t{1} << 16);
 }
 
@@ -119,8 +95,19 @@ size_t Solver::swgs_scratch_bytes(int64_t n) {
          (size_t{1} << 16);
 }
 
-Solver::BudgetPlan Solver::budget_plan(size_t full_bytes, size_t fallback_bytes,
+// LisResult::rank, LisFrontiers::rank and every round counter are int32.
+static void check_rank_limit(int64_t n, const char* what) {
+  if (n > std::numeric_limits<int32_t>::max()) {
+    throw Error(ErrorCode::kInvalidArgument,
+                std::string(what) + ": n = " + std::to_string(n) +
+                    " exceeds the int32 rank limit (n < 2^31)");
+  }
+}
+
+Solver::BudgetPlan Solver::budget_plan(int64_t n, size_t full_bytes,
+                                       size_t fallback_bytes,
                                        const char* what) const {
+  check_rank_limit(n, what);
   const uint64_t budget = opts_.memory_budget_bytes;
   if (budget == 0 || full_bytes <= budget) return BudgetPlan::kFull;
   if (fallback_bytes <= budget) return BudgetPlan::kFallback;
@@ -132,7 +119,8 @@ Solver::BudgetPlan Solver::budget_plan(size_t full_bytes, size_t fallback_bytes,
                   std::to_string(budget));
 }
 
-void Solver::budget_require(size_t bytes, const char* what) const {
+void Solver::budget_require(int64_t n, size_t bytes, const char* what) const {
+  check_rank_limit(n, what);
   const uint64_t budget = opts_.memory_budget_bytes;
   if (budget != 0 && bytes > budget) {
     throw Error(ErrorCode::kBudgetExceeded,
@@ -148,13 +136,8 @@ void Solver::wlis_fallback(std::span<const int64_t> a,
   seq_avl_wlis_into(a, w, out.dp);
   out.best = 0;
   for (int64_t v : out.dp) out.best = std::max(out.best, v);
-  seq_patience_ranks_into<int64_t>(a, ctx.lis_res, ctx.tails);
+  seq_patience_ranks_into<int64_t>(a, ctx.lis_res, ctx.lis.tails);
   out.k = ctx.lis_res.k;
-}
-
-void Solver::wlis_fallback(std::span<const int64_t> a,
-                           std::span<const int64_t> w, WlisResult& out) {
-  wlis_fallback(a, w, out, *main_ctx_);
 }
 
 void Solver::solve_lis(std::span<const int64_t> a, LisResult& out) {
@@ -162,16 +145,7 @@ void Solver::solve_lis(std::span<const int64_t> a, LisResult& out) {
     solve_lis<int64_t>(a, out);  // ties matter: go through rank space
     return;
   }
-  internal::CancelScope scope(opts_.cancel, opts_.deadline_ms);
-  internal::poll_cancellation();
-  ThreadSequentialGuard guard(below_cutoff(a.size()));
-  const int64_t n = static_cast<int64_t>(a.size());
-  if (budget_plan(lis_scratch_bytes(n), lis_fallback_bytes(n), "solve_lis") ==
-      BudgetPlan::kFallback) {
-    seq_patience_ranks_into<int64_t>(a, out, fallback_tails_);
-    return;
-  }
-  lis_ranks_into<int64_t>(a, out, main_ctx_->tour);
+  solve_lis(a, out, std::numeric_limits<int64_t>::max(), std::less<int64_t>{});
 }
 
 void Solver::solve_lis_frontiers(std::span<const int64_t> a,
@@ -180,16 +154,9 @@ void Solver::solve_lis_frontiers(std::span<const int64_t> a,
     solve_lis_frontiers<int64_t>(a, out);
     return;
   }
-  internal::CancelScope scope(opts_.cancel, opts_.deadline_ms);
-  internal::poll_cancellation();
-  ThreadSequentialGuard guard(below_cutoff(a.size()));
-  const int64_t n = static_cast<int64_t>(a.size());
-  if (budget_plan(lis_scratch_bytes(n), lis_fallback_bytes(n),
-                  "solve_lis_frontiers") == BudgetPlan::kFallback) {
-    seq_patience_frontiers_into<int64_t>(a, out, fallback_tails_);
-    return;
-  }
-  lis_frontiers_into<int64_t>(a, out, main_ctx_->tour);
+  EntryGuard guard(*this, a.size());
+  run_lis(static_cast<int64_t>(a.size()), 0, "solve_lis_frontiers",
+          main_ctx_->lis, out, [a] { return a; });
 }
 
 int64_t Solver::lis_length(std::span<const int64_t> a) {
@@ -206,18 +173,16 @@ void Solver::solve_wlis(std::span<const int64_t> a,
     solve_wlis<int64_t>(a, w, out);
     return;
   }
-  internal::CancelScope scope(opts_.cancel, opts_.deadline_ms);
-  internal::poll_cancellation();
-  ThreadSequentialGuard guard(below_cutoff(a.size()));
+  EntryGuard guard(*this, a.size());
   const int64_t n = static_cast<int64_t>(a.size());
   WlisWorkspace& ws = main_ctx_->wlis;
   // Strict raw values compare directly, so the fallback skips the
   // rank-space pass entirely — and leaves the workspace (and its warm
   // cache) untouched.
-  if (budget_plan(rank_space_bytes(n) + wlis_scratch_bytes(n),
+  if (budget_plan(n, rank_space_bytes(n) + wlis_scratch_bytes(n),
                   wlis_fallback_bytes(n),
                   "solve_wlis") == BudgetPlan::kFallback) {
-    wlis_fallback(a, w, out);
+    wlis_fallback(a, w, out, *main_ctx_);
     return;
   }
   try {
@@ -234,11 +199,9 @@ void Solver::solve_swgs(std::span<const int64_t> a, LisResult& out,
     solve_swgs<int64_t>(a, out, stats);
     return;
   }
-  internal::CancelScope scope(opts_.cancel, opts_.deadline_ms);
-  internal::poll_cancellation();
-  ThreadSequentialGuard guard(below_cutoff(a.size()));
-  budget_require(swgs_scratch_bytes(static_cast<int64_t>(a.size())),
-                 "solve_swgs");
+  EntryGuard guard(*this, a.size());
+  const int64_t n = static_cast<int64_t>(a.size());
+  budget_require(n, swgs_scratch_bytes(n), "solve_swgs");
   swgs_lis_ranks_into(a, opts_.seed, out, stats);
 }
 
@@ -253,11 +216,9 @@ void Solver::solve_swgs_wlis(std::span<const int64_t> a,
     solve_swgs_wlis<int64_t>(a, w, out, stats);
     return;
   }
-  internal::CancelScope scope(opts_.cancel, opts_.deadline_ms);
-  internal::poll_cancellation();
-  ThreadSequentialGuard guard(below_cutoff(a.size()));
+  EntryGuard guard(*this, a.size());
   const int64_t n = static_cast<int64_t>(a.size());
-  budget_require(rank_space_bytes(n) + swgs_scratch_bytes(n),
+  budget_require(n, rank_space_bytes(n) + swgs_scratch_bytes(n),
                  "solve_swgs_wlis");
   // swgs_wlis_into invalidates the workspace cache both up front and on
   // any throw out of the rounds, so no extra chokepoint is needed here.
@@ -289,24 +250,12 @@ void Solver::solve_query(const Query& q, QueryResult& r, ThreadCtx& ctx) {
   const int64_t n = static_cast<int64_t>(q.a.size());
   const bool nondec = opts_.ties == TiesPolicy::kNonDecreasing;
   if (q.w.empty()) {
-    const size_t rank_cost = nondec ? rank_space_bytes(n) : 0;
-    const bool fallback =
-        budget_plan(rank_cost + lis_scratch_bytes(n),
-                    rank_cost + lis_fallback_bytes(n),
-                    "solve_many") == BudgetPlan::kFallback;
     if (nondec) {
-      rank_space_into<int64_t>(q.a, TiesPolicy::kNonDecreasing, ctx.lis_rs,
-                               ctx.lis_scratch);
-      std::span<const int64_t> ranks(ctx.lis_rs.rank);
-      if (fallback) {
-        seq_patience_ranks_into<int64_t>(ranks, ctx.lis_res, ctx.tails);
-      } else {
-        lis_ranks_into<int64_t>(ranks, ctx.lis_res, ctx.tour, n);
-      }
-    } else if (fallback) {
-      seq_patience_ranks_into<int64_t>(q.a, ctx.lis_res, ctx.tails);
+      run_lis(n, rank_space_bytes(n), "solve_many", ctx.lis, ctx.lis_res,
+              [&] { return rank_image(q.a, ctx.lis, std::less<int64_t>{}); },
+              n);
     } else {
-      lis_ranks_into<int64_t>(q.a, ctx.lis_res, ctx.tour);
+      run_lis(n, 0, "solve_many", ctx.lis, ctx.lis_res, [&] { return q.a; });
     }
     r.k = ctx.lis_res.k;
     r.best = ctx.lis_res.k;
@@ -318,7 +267,7 @@ void Solver::solve_query(const Query& q, QueryResult& r, ThreadCtx& ctx) {
   } else {
     const size_t rank_cost = nondec ? rank_space_bytes(n) : 0;
     const bool fallback =
-        budget_plan(rank_space_bytes(n) + wlis_scratch_bytes(n),
+        budget_plan(n, rank_space_bytes(n) + wlis_scratch_bytes(n),
                     rank_cost + wlis_fallback_bytes(n),
                     "solve_many") == BudgetPlan::kFallback;
     try {

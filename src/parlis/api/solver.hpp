@@ -34,9 +34,10 @@
 // Solver keeps no pointers into them.
 //
 // Failure semantics: invalid arguments (span-size mismatches, undersized
-// output spans) throw parlis::Error{kInvalidArgument} in every build mode —
-// never UB. Options.cancel / Options.deadline_ms are polled at frontier-
-// round boundaries and unwind as Error{kCancelled} / Error{kDeadlineExceeded};
+// output spans, n of 2^31 or more) throw parlis::Error{kInvalidArgument} in
+// every build mode — never UB. Options.cancel / Options.deadline_ms are
+// polled at frontier-round boundaries (every 4096 elements on the patience
+// path) and unwind as Error{kCancelled} / Error{kDeadlineExceeded};
 // Options.memory_budget_bytes degrades a too-large solve to the sequential
 // fallback (patience sorting / Seq-AVL) or throws Error{kBudgetExceeded}.
 // Any failure unwinds through the workspace cache-invalidation chokepoints,
@@ -49,11 +50,13 @@
 #include <limits>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "parlis/api/options.hpp"
 #include "parlis/lis/lis.hpp"
 #include "parlis/lis/tournament_tree.hpp"
+#include "parlis/parallel/scheduler.hpp"
 #include "parlis/swgs/swgs.hpp"
 #include "parlis/util/error.hpp"
 #include "parlis/util/exec_context.hpp"
@@ -119,6 +122,10 @@ class Solver {
   size_t resident_bytes() const;
 
   /// Unweighted LIS ranks (Alg. 1) of `a` into `out`, under options().ties.
+  /// Every LIS entry point solves by patience sorting on the calling thread
+  /// when the solve is one-thread anyway, when the first frontier is below
+  /// kPatienceFrontier (lis/lis.hpp) or when the memory budget fits only
+  /// that; by the tournament tree on the pool otherwise. Same results.
   void solve_lis(std::span<const int64_t> a, LisResult& out);
 
   /// Typed overload: compresses `a` to rank space under options().ties and
@@ -127,21 +134,7 @@ class Solver {
   /// comparators — with zero steady-state allocations when warm.
   template <typename Key, typename Less = std::less<Key>>
   void solve_lis(std::span<const Key> a, LisResult& out, Less less = Less{}) {
-    internal::CancelScope scope(opts_.cancel, opts_.deadline_ms);
-    internal::poll_cancellation();
-    ThreadSequentialGuard guard(below_cutoff(a.size()));
-    const int64_t n = static_cast<int64_t>(a.size());
-    RankSpace& rs = lis_rank_space();
-    rank_space_into<Key, Less>(a, opts_.ties, rs, lis_rank_scratch(), less);
-    if (budget_plan(rank_space_bytes(n) + lis_scratch_bytes(n),
-                    rank_space_bytes(n) + lis_fallback_bytes(n),
-                    "solve_lis") == BudgetPlan::kFallback) {
-      seq_patience_ranks_into<int64_t>(std::span<const int64_t>(rs.rank), out,
-                                       fallback_tails_);
-      return;
-    }
-    lis_ranks_into<int64_t>(std::span<const int64_t>(rs.rank), out,
-                            main_tournament(), n);
+    solve_keys(a, out, less, "solve_lis");
   }
 
   /// Custom-order form over raw int64 values (no rank reduction):
@@ -151,16 +144,9 @@ class Solver {
   template <typename Less>
   void solve_lis(std::span<const int64_t> a, LisResult& out, int64_t inf,
                  Less less) {
-    internal::CancelScope scope(opts_.cancel, opts_.deadline_ms);
-    internal::poll_cancellation();
-    ThreadSequentialGuard guard(below_cutoff(a.size()));
-    const int64_t n = static_cast<int64_t>(a.size());
-    if (budget_plan(lis_scratch_bytes(n), lis_fallback_bytes(n),
-                    "solve_lis") == BudgetPlan::kFallback) {
-      seq_patience_ranks_into<int64_t, Less>(a, out, fallback_tails_, less);
-      return;
-    }
-    lis_ranks_into<int64_t, Less>(a, out, main_tournament(), inf, less);
+    EntryGuard guard(*this, a.size());
+    run_lis(static_cast<int64_t>(a.size()), 0, "solve_lis", main_ctx_->lis,
+            out, [a] { return a; }, inf, less);
   }
 
   /// Ranks plus the per-round frontiers (what WLIS and the reconstruction
@@ -172,21 +158,7 @@ class Solver {
   template <typename Key, typename Less = std::less<Key>>
   void solve_lis_frontiers(std::span<const Key> a, LisFrontiers& out,
                            Less less = Less{}) {
-    internal::CancelScope scope(opts_.cancel, opts_.deadline_ms);
-    internal::poll_cancellation();
-    ThreadSequentialGuard guard(below_cutoff(a.size()));
-    const int64_t n = static_cast<int64_t>(a.size());
-    RankSpace& rs = lis_rank_space();
-    rank_space_into<Key, Less>(a, opts_.ties, rs, lis_rank_scratch(), less);
-    if (budget_plan(rank_space_bytes(n) + lis_scratch_bytes(n),
-                    rank_space_bytes(n) + lis_fallback_bytes(n),
-                    "solve_lis_frontiers") == BudgetPlan::kFallback) {
-      seq_patience_frontiers_into<int64_t>(std::span<const int64_t>(rs.rank),
-                                           out, fallback_tails_);
-      return;
-    }
-    lis_frontiers_into<int64_t>(std::span<const int64_t>(rs.rank), out,
-                                main_tournament(), n);
+    solve_keys(a, out, less, "solve_lis_frontiers");
   }
 
   /// LIS length only.
@@ -195,9 +167,8 @@ class Solver {
   /// Typed overload of lis_length.
   template <typename Key, typename Less = std::less<Key>>
   int64_t lis_length(std::span<const Key> a, Less less = Less{}) {
-    LisResult& res = scratch_lis_result();
-    solve_lis<Key, Less>(a, res, less);
-    return res.k;
+    solve_lis<Key, Less>(a, main_ctx_->lis_res, less);
+    return main_ctx_->lis_res.k;
   }
 
   /// Weighted LIS (Alg. 2) with the Options-selected range structure,
@@ -217,23 +188,22 @@ class Solver {
       throw Error(ErrorCode::kInvalidArgument,
                   "solve_wlis: |w| must equal |a|");
     }
-    internal::CancelScope scope(opts_.cancel, opts_.deadline_ms);
-    internal::poll_cancellation();
-    ThreadSequentialGuard guard(below_cutoff(a.size()));
+    EntryGuard guard(*this, a.size());
     const int64_t n = static_cast<int64_t>(a.size());
-    WlisWorkspace& ws = main_wlis();
+    WlisWorkspace& ws = main_ctx_->wlis;
     // Chokepoint: any throw below (a torn rank-space pass included) leaves
     // the workspace marked cold, so the next solve rebuilds from scratch.
     try {
       rank_space_into<Key, Less>(a, opts_.ties, ws.rank_space, ws.rank_scratch,
                                  less);
-      if (budget_plan(rank_space_bytes(n) + wlis_scratch_bytes(n),
+      if (budget_plan(n, rank_space_bytes(n) + wlis_scratch_bytes(n),
                       rank_space_bytes(n) + wlis_fallback_bytes(n),
                       "solve_wlis") == BudgetPlan::kFallback) {
         // The fallback bypasses the cached structures but has clobbered the
         // workspace's rank space: mark the cache cold.
         ws.invalidate_cache();
-        wlis_fallback(std::span<const int64_t>(ws.rank_space.rank), w, out);
+        wlis_fallback(std::span<const int64_t>(ws.rank_space.rank), w, out,
+                      *main_ctx_);
         return;
       }
       wlis_compressed_into(std::span<const int64_t>(ws.rank_space.rank), w, ws,
@@ -253,14 +223,11 @@ class Solver {
   template <typename Key, typename Less = std::less<Key>>
   void solve_swgs(std::span<const Key> a, LisResult& out,
                   SwgsStats* stats = nullptr, Less less = Less{}) {
-    internal::CancelScope scope(opts_.cancel, opts_.deadline_ms);
-    internal::poll_cancellation();
-    ThreadSequentialGuard guard(below_cutoff(a.size()));
+    EntryGuard guard(*this, a.size());
     const int64_t n = static_cast<int64_t>(a.size());
-    budget_require(rank_space_bytes(n) + swgs_scratch_bytes(n), "solve_swgs");
-    RankSpace& rs = lis_rank_space();
-    rank_space_into<Key, Less>(a, opts_.ties, rs, lis_rank_scratch(), less);
-    swgs_lis_ranks_into(std::span<const int64_t>(rs.rank), opts_.seed, out,
+    budget_require(n, rank_space_bytes(n) + swgs_scratch_bytes(n),
+                   "solve_swgs");
+    swgs_lis_ranks_into(rank_image(a, main_ctx_->lis, less), opts_.seed, out,
                         stats);
   }
 
@@ -280,13 +247,11 @@ class Solver {
       throw Error(ErrorCode::kInvalidArgument,
                   "solve_swgs_wlis: |w| must equal |a|");
     }
-    internal::CancelScope scope(opts_.cancel, opts_.deadline_ms);
-    internal::poll_cancellation();
-    ThreadSequentialGuard guard(below_cutoff(a.size()));
+    EntryGuard guard(*this, a.size());
     const int64_t n = static_cast<int64_t>(a.size());
-    budget_require(rank_space_bytes(n) + swgs_scratch_bytes(n),
+    budget_require(n, rank_space_bytes(n) + swgs_scratch_bytes(n),
                    "solve_swgs_wlis");
-    WlisWorkspace& ws = main_wlis();
+    WlisWorkspace& ws = main_ctx_->wlis;
     try {
       rank_space_into<Key, Less>(a, opts_.ties, ws.rank_space, ws.rank_scratch,
                                  less);
@@ -314,7 +279,6 @@ class Solver {
   LisSession make_session();
 
  private:
-  struct ThreadCtx;
   struct CtxSlot;
 
   // RAII: while `active`, par_do/parallel_for on this thread run inline
@@ -341,45 +305,120 @@ class Solver {
     return static_cast<int64_t>(n) <= opts_.sequential_cutoff;
   }
 
-  // Memory-budget admission (Options::memory_budget_bytes). The byte
-  // figures are documented scratch-size models (README "Failure
-  // semantics"), deliberately generous; the fault tests pin each one >= the
-  // structures' real accounting. budget_plan picks the full parallel build
-  // when it fits, the sequential fallback when only that fits, and throws
-  // Error{kBudgetExceeded} otherwise; budget_require is the no-fallback
-  // form (SWGS has no sequential twin).
+  // What every entry point installs first: the call's cancel/deadline
+  // scope, one poll (a pre-tripped token fails fast), and thread-sequential
+  // mode below sequential_cutoff.
+  struct EntryGuard {
+    EntryGuard(const Solver& s, size_t n)
+        : scope(s.opts_.cancel, s.opts_.deadline_ms),
+          seq((internal::poll_cancellation(), s.below_cutoff(n))) {}
+    internal::CancelScope scope;
+    ThreadSequentialGuard seq;
+  };
+
+  // Admission: n below 2^31 (ranks are int32; Error{kInvalidArgument}
+  // otherwise), then Options::memory_budget_bytes. The byte figures are
+  // documented scratch-size models (README "Failure semantics"),
+  // deliberately generous; the fault tests pin each one >= the structures'
+  // real accounting. budget_plan picks the full parallel build when it
+  // fits, the sequential fallback when only that fits, and throws
+  // Error{kBudgetExceeded} otherwise; budget_require is the no-fallback form
+  // (SWGS has no sequential twin).
   enum class BudgetPlan { kFull, kFallback };
-  BudgetPlan budget_plan(size_t full_bytes, size_t fallback_bytes,
+  BudgetPlan budget_plan(int64_t n, size_t full_bytes, size_t fallback_bytes,
                          const char* what) const;
-  void budget_require(size_t bytes, const char* what) const;
+  void budget_require(int64_t n, size_t bytes, const char* what) const;
   static size_t rank_space_bytes(int64_t n);
   static size_t lis_scratch_bytes(int64_t n);
   static size_t lis_fallback_bytes(int64_t n);
   static size_t wlis_scratch_bytes(int64_t n);
   static size_t wlis_fallback_bytes(int64_t n);
   static size_t swgs_scratch_bytes(int64_t n);
-  // Sequential WLIS degradation: Seq-AVL dp sweep + patience length. `a`
-  // must compare strictly (raw values or a rank image). The first form runs
-  // on the caller-thread context; the ctx form is for solve_many's packed
-  // runners, whose scratch must not alias the shared members.
-  void wlis_fallback(std::span<const int64_t> a, std::span<const int64_t> w,
-                     WlisResult& out);
+  // One context's LIS scratch: the rank image of keys that need one (kept
+  // apart from the WLIS workspace's rank space, whose contents back the
+  // value-sequence cache), tournament storage for the pool path, and the
+  // patience tails.
+  struct LisScratch {
+    RankSpace rs;
+    RankSpaceScratch rs_scratch;
+    TournamentStorage<int64_t> tour;
+    std::vector<int64_t> tails;
+
+    size_t resident_bytes() const {
+      return rs.resident_bytes() + rs_scratch.resident_bytes() +
+             tour.resident_bytes() + vec_bytes(tails);
+    }
+  };
+
+  // Everything one thread needs to solve any query shape end to end: the
+  // caller's (main_ctx_), and one per solve_many runner.
+  struct ThreadCtx {
+    LisScratch lis;
+    WlisWorkspace wlis;
+    LisResult lis_res;
+    WlisResult wlis_res;
+  };
+
+  // Sequential WLIS degradation: Seq-AVL dp sweep + patience length, on
+  // `ctx`'s scratch. `a` must compare strictly (raw values or a rank image).
   void wlis_fallback(std::span<const int64_t> a, std::span<const int64_t> w,
                      WlisResult& out, ThreadCtx& ctx);
 
+  // Compresses `a` into s.rs under options().ties and `less`; returns the
+  // rank image, whose values all lie below |a|.
+  template <typename Key, typename Less>
+  std::span<const int64_t> rank_image(std::span<const Key> a, LisScratch& s,
+                                      Less less) {
+    rank_space_into<Key, Less>(a, opts_.ties, s.rs, s.rs_scratch, less);
+    return s.rs.rank;
+  }
+
+  // The one LIS plan, behind every LIS entry point and solve_many's
+  // unweighted queries: admits n elements (with `rank_bytes` for a
+  // rank-space pass), takes the sequence to solve from `prepare()` (the
+  // input or its rank image), and solves it into `out`, a LisResult or
+  // LisFrontiers, by patience sorting or the tournament tree (see
+  // solve_lis). num_workers() is asked last, so patience never starts the
+  // pool.
+  template <typename Out, typename Prepare, typename Less = std::less<int64_t>>
+  void run_lis(int64_t n, size_t rank_bytes, const char* what, LisScratch& s,
+               Out& out, const Prepare& prepare,
+               int64_t inf = std::numeric_limits<int64_t>::max(),
+               Less less = Less{}) {
+    const bool budget_fallback =
+        budget_plan(n, rank_bytes + lis_scratch_bytes(n),
+                    rank_bytes + lis_fallback_bytes(n),
+                    what) == BudgetPlan::kFallback;
+    const std::span<const int64_t> a = prepare();
+    constexpr bool kRanks = std::is_same_v<Out, LisResult>;
+    if (budget_fallback || thread_sequential() || sequential_mode() ||
+        first_frontier_size<int64_t, Less>(a, kPatienceFrontier, less) <
+            kPatienceFrontier ||
+        num_workers() == 1) {
+      if constexpr (kRanks) {
+        seq_patience_ranks_into<int64_t, Less>(a, out, s.tails, less);
+      } else {
+        seq_patience_frontiers_into<int64_t, Less>(a, out, s.tails, less);
+      }
+    } else if constexpr (kRanks) {
+      lis_ranks_into<int64_t, Less>(a, out, s.tour, inf, less);
+    } else {
+      lis_frontiers_into<int64_t, Less>(a, out, s.tour, inf, less);
+    }
+  }
+
+  // The typed entry points: the plan on the rank image of `a`.
+  template <typename Out, typename Key, typename Less>
+  void solve_keys(std::span<const Key> a, Out& out, Less less,
+                  const char* what) {
+    EntryGuard guard(*this, a.size());
+    const int64_t n = static_cast<int64_t>(a.size());
+    LisScratch& s = main_ctx_->lis;
+    run_lis(n, rank_space_bytes(n), what, s, out,
+            [&] { return rank_image(a, s, less); }, n);
+  }
+
   void solve_query(const Query& q, QueryResult& r, ThreadCtx& ctx);
-  // Accessors into the caller-thread context (main_ctx_), so the template
-  // entry points above can reach the workspaces without the header seeing
-  // ThreadCtx's definition. main_tournament: one warm tournament storage
-  // serves solve_lis, solve_lis_frontiers, and solve_many's large
-  // unweighted queries alike. lis_rank_space/lis_rank_scratch: the
-  // LIS-side compression buffers — deliberately separate from the WLIS
-  // workspace's rank space, whose contents back the value-sequence cache.
-  TournamentStorage<int64_t>& main_tournament();
-  WlisWorkspace& main_wlis();
-  RankSpace& lis_rank_space();
-  RankSpaceScratch& lis_rank_scratch();
-  LisResult& scratch_lis_result();
 
   Options opts_;
   std::unique_ptr<ThreadCtx> main_ctx_; // caller-thread workspaces
@@ -390,8 +429,7 @@ class Solver {
   // packed tasks and every such thread reports pool_thread_id() == -1.
   std::unique_ptr<CtxSlot[]> ctx_;
   size_t ctx_n_ = 0;
-  std::vector<int64_t> small_idx_;      // batch partition scratch
-  std::vector<int64_t> fallback_tails_;  // patience-fallback scratch
+  std::vector<int64_t> small_idx_;  // batch partition scratch
 };
 
 }  // namespace parlis

@@ -136,65 +136,169 @@ void lis_ranks_into(std::span<const T> a, LisResult& res,
       });
 }
 
-/// Sequential patience-sorting fallback with the same output contract as
-/// lis_ranks_into: the Solver's memory-budget degradation path. O(n log k)
-/// time on the calling thread; scratch is `tails` only (O(k) words, reused
-/// across calls). Polls cancellation every few thousand elements.
+namespace internal {
+
+// A patience search halves the tails down to at most this many candidates,
+// then counts them branch-free.
+inline constexpr int64_t kPatienceWindow = 16;
+
+// The number of t[0, m) below x under `less`, branch-free. A hand-vectorized
+// AVX-512 count of the 16-tail window measured at most 7% faster at its
+// call site, and slower on deep inputs: under the SIMD layer's 10% bar
+// (EXPERIMENTS.md), so it stays scalar.
+template <typename T, typename Less>
+inline int64_t count_below(const T* t, int64_t m, const T& x, Less less) {
+  int64_t c = 0;
+  for (int64_t j = 0; j < m; j++) c += static_cast<int64_t>(less(t[j], x));
+  return c;
+}
+
+// The number of tails below x under `less`, i.e. std::lower_bound's offset
+// in the strictly increasing t[0, len). The search works from the end: on
+// the line inputs nine in ten elements land within the last 400 tails, on
+// deep ones within the last 20 (EXPERIMENTS.md, "Plan methodology"). The
+// last kPatienceWindow tails are tried first, behind the one branch, which
+// such inputs predict well. Otherwise probes at len - 16·4^j (j >= 1)
+// narrow the window without branching; their addresses repeat from one
+// element to the next. Since the tails are sorted, the probes below x form
+// a suffix of the probe sequence: the first of them bounds the window from
+// below, the last probe not below x from above. Halving steps then move
+// `base` by a masked add, and the final window is counted whole.
+template <typename T, typename Less>
+inline int64_t patience_search(const T* t, int64_t len, const T& x,
+                               Less less) {
+  if (len <= kPatienceWindow) return count_below(t, len, x, less);
+  int64_t hi = len - kPatienceWindow;
+  if (less(t[hi], x)) {
+    return hi + count_below(t + hi, kPatienceWindow, x, less);
+  }
+  int64_t lo = 0;
+  for (int64_t s = 4 * kPatienceWindow; s < len; s *= 4) {
+    const int64_t below = -static_cast<int64_t>(less(t[len - s], x));
+    lo = std::max(lo, below & (len - s + 1));
+    hi = std::min(hi, len - s + (below & s));
+  }
+  const T* base = t + lo;
+  int64_t m = hi - lo;
+  while (m > kPatienceWindow) {
+    const int64_t half = m / 2;
+    base += half & -static_cast<int64_t>(less(base[half - 1], x));
+    m -= half;
+  }
+  // Every tail before base is below x and none from base + m on is, so a
+  // window of exactly kPatienceWindow tails that covers [base, base + m)
+  // counts the rest.
+  base = std::min(base, t + (len - kPatienceWindow));
+  return (base - t) + count_below(base, kPatienceWindow, x, less);
+}
+
+// Patience sorting (Seq-BS): rank[i] is one more than the number of tails
+// below a[i], and a[i] then becomes that tail (or a new last one). Returns
+// k. `tails` is scratch whose size is the kernel's capacity: it doubles up
+// to |a| + 1 slots and is kept, so a warm call allocates nothing. Polls
+// cancellation every 4096 elements.
+template <typename T, typename Less>
+int32_t patience_ranks(std::span<const T> a, int32_t* rank,
+                       std::vector<T>& tails, Less less) {
+  if (tails.size() < 2 * kPatienceWindow) tails.resize(2 * kPatienceWindow);
+  T* t = tails.data();
+  int64_t cap = static_cast<int64_t>(tails.size());
+  int64_t len = 0;
+  const int64_t n = static_cast<int64_t>(a.size());
+  for (int64_t lo = 0; lo < n; lo += 4096) {
+    poll_cancellation();
+    const int64_t hi = std::min(n, lo + 4096);
+    for (int64_t i = lo; i < hi; i++) {
+      const T x = a[i];
+      const int64_t pos = patience_search(t, len, x, less);
+      rank[i] = static_cast<int32_t>(pos + 1);
+      // t[pos] is not below x, so x may always replace it; pos == len
+      // writes the spare slot and extends the tails.
+      t[pos] = x;
+      len += pos == len;
+      if (len == cap) [[unlikely]] {
+        cap = std::min(2 * cap, n + 1);
+        tails.resize(static_cast<size_t>(cap));
+        t = tails.data();
+      }
+    }
+  }
+  return static_cast<int32_t>(len);
+}
+
+}  // namespace internal
+
+/// First frontiers below this many objects make the Solver solve by
+/// patience sorting instead of the tournament tree (api/solver.hpp). Set
+/// from the 4-worker crossover in bench/micro_round_grain.cpp
+/// (EXPERIMENTS.md, "Plan methodology").
+inline constexpr int64_t kPatienceFrontier = 32768;
+
+/// The size of `a`'s first frontier, its rank-1 objects: the prefix minima
+/// under `less`, ties with the running minimum included. Counting stops at
+/// `cap`, so the result is min(size, cap) and costs the scan up to the
+/// cap-th such object.
+template <typename T, typename Less = std::less<T>>
+int64_t first_frontier_size(std::span<const T> a, int64_t cap,
+                            Less less = Less{}) {
+  const int64_t n = static_cast<int64_t>(a.size());
+  if (n == 0 || cap <= 0) return 0;
+  T cur = a[0];
+  int64_t m = 1;
+  auto step = [&](const T& x) {
+    const bool rank1 = !less(cur, x);
+    m += rank1;
+    cur = rank1 ? x : cur;
+  };
+  // A block of 8 holds a rank-1 object only if one of its elements is not
+  // above the running minimum: one test per block, which GCC vectorizes.
+  // Only such blocks are walked element by element.
+  int64_t i = 1;
+  for (; i + 8 <= n && m < cap; i += 8) {
+    bool any = false;
+    for (int64_t j = 0; j < 8; j++) any |= !less(cur, a[i + j]);
+    if (any) {
+      for (int64_t j = 0; j < 8; j++) step(a[i + j]);
+    }
+  }
+  for (; i < n && m < cap; i++) step(a[i]);
+  return std::min(m, cap);
+}
+
+/// Sequential patience sorting (Seq-BS) with the same output contract as
+/// lis_ranks_into: the Solver's path for one-thread solves, small first
+/// frontiers and tight memory budgets. O(n log k) time on the calling
+/// thread. `tails` is O(k) scratch, reused across calls; its contents
+/// after the call are unspecified. Polls cancellation every 4096 elements.
 template <typename T, typename Less = std::less<T>>
 void seq_patience_ranks_into(std::span<const T> a, LisResult& res,
                              std::vector<T>& tails, Less less = Less{}) {
-  res.rank.assign(a.size(), 0);
-  res.k = 0;
-  tails.clear();
-  for (size_t i = 0; i < a.size(); i++) {
-    if ((i & 4095) == 0) internal::poll_cancellation();
-    auto it = std::lower_bound(tails.begin(), tails.end(), a[i], less);
-    res.rank[i] = static_cast<int32_t>(it - tails.begin()) + 1;
-    if (it == tails.end()) {
-      tails.push_back(a[i]);
-    } else if (less(a[i], *it)) {
-      *it = a[i];
-    }
-  }
-  res.k = static_cast<int32_t>(tails.size());
+  res.rank.resize(a.size());
+  res.k = internal::patience_ranks<T, Less>(a, res.rank.data(), tails, less);
 }
 
-/// Frontier-materializing form of the patience fallback (the budget
-/// degradation of solve_lis_frontiers): ranks via patience, then one
-/// counting pass lays the frontiers out flat, index-ascending per round —
-/// the same layout lis_frontiers_into produces.
+/// Frontier-materializing form of seq_patience_ranks_into: ranks via
+/// patience, then one counting pass lays the frontiers out flat,
+/// index-ascending per round — the same layout lis_frontiers_into
+/// produces. Allocation-free when warm.
 template <typename T, typename Less = std::less<T>>
 void seq_patience_frontiers_into(std::span<const T> a, LisFrontiers& res,
                                  std::vector<T>& tails, Less less = Less{}) {
   const int64_t n = static_cast<int64_t>(a.size());
-  res.rank.assign(a.size(), 0);
-  res.k = 0;
-  res.frontier_flat.resize(n);
-  tails.clear();
-  for (int64_t i = 0; i < n; i++) {
-    if ((i & 4095) == 0) internal::poll_cancellation();
-    auto it = std::lower_bound(tails.begin(), tails.end(), a[i], less);
-    res.rank[i] = static_cast<int32_t>(it - tails.begin()) + 1;
-    if (it == tails.end()) {
-      tails.push_back(a[i]);
-    } else if (less(a[i], *it)) {
-      *it = a[i];
-    }
-  }
-  res.k = static_cast<int32_t>(tails.size());
-  res.frontier_offset.assign(static_cast<size_t>(res.k) + 1, 0);
-  for (int64_t i = 0; i < n; i++) res.frontier_offset[res.rank[i]]++;
-  for (int32_t r = 0; r < res.k; r++) {
-    res.frontier_offset[r + 1] += res.frontier_offset[r];
-  }
-  // Place each index at its frontier's cursor; iterating i ascending keeps
-  // every frontier sorted by index. Cursors run in a copy so the offsets
-  // stay the exclusive-prefix layout the consumers expect.
-  std::vector<int64_t> cursor(res.frontier_offset.begin(),
-                              res.frontier_offset.end() - 1);
-  for (int64_t i = 0; i < n; i++) {
-    res.frontier_flat[cursor[res.rank[i] - 1]++] = i;
-  }
+  res.rank.resize(a.size());
+  res.frontier_flat.resize(a.size());
+  res.k = internal::patience_ranks<T, Less>(a, res.rank.data(), tails, less);
+  // Count rank r at offset[r + 1] and prefix-sum, so offset[r] is where
+  // frontier r starts. Placing index i at offset[rank]++ in ascending i
+  // sorts each frontier by index and leaves offset[r] where frontier r
+  // ends: the layout consumers expect, with no cursor array. The spare
+  // last slot (rank k's count) is dropped afterwards.
+  std::vector<int64_t>& off = res.frontier_offset;
+  off.assign(static_cast<size_t>(res.k) + 2, 0);
+  for (int64_t i = 0; i < n; i++) off[res.rank[i] + 1]++;
+  for (int32_t r = 1; r <= res.k; r++) off[r + 1] += off[r];
+  for (int64_t i = 0; i < n; i++) res.frontier_flat[off[res.rank[i]]++] = i;
+  off.pop_back();
 }
 
 /// One-shot form of lis_ranks_into.

@@ -1,7 +1,8 @@
 // Steady-state allocation regression for the warm Solver path: after
 // warm-up, repeated same-size solve_wlis / solve_lis calls through one
 // Solver must perform ZERO heap allocations (the acceptance criterion of
-// the session API). A process-wide operator-new hook counts every
+// the session API), on both paths of the LIS plan (patience sorting and
+// the tournament tree). A process-wide operator-new hook counts every
 // allocation on every thread, so a stray vector resize, stable_sort
 // temporary, arena chunk, or make_unique anywhere in the hot path fails
 // the run.
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "parlis/api/solver.hpp"
+#include "parlis/lis/lis.hpp"
 #include "parlis/parallel/random.hpp"
 #include "parlis/parallel/scheduler.hpp"
 #include "parlis/serve/engine.hpp"
@@ -84,11 +86,21 @@ int main() {
     set_num_workers(4);  // exercise the parallel paths even on 1 core
   }
   const int64_t n = 50000;
-  std::vector<int64_t> a(n), a2(n), w(n);
+  std::vector<int64_t> a(n), a2(n), w(n), bulk(n);
   for (int64_t i = 0; i < n; i++) {
     a[i] = static_cast<int64_t>(hash64(7, i) >> 1);
     a2[i] = static_cast<int64_t>(hash64(11, i) >> 1);
     w[i] = 1 + static_cast<int64_t>(uniform(8, i, 1000));
+    // A falling trend: its first frontier (most of it) keeps the Solver's
+    // LIS plan on the pool, where the hashed inputs (first frontier ~11)
+    // take patience sorting.
+    bulk[i] = 2 * (n - i) + static_cast<int64_t>(uniform(9, i, 4));
+  }
+  if (first_frontier_size<int64_t>(bulk, kPatienceFrontier) <
+      kPatienceFrontier) {
+    std::printf("FAIL the bulk input's first frontier is below the plan's "
+                "threshold\n");
+    failures++;
   }
 
   Solver solver;  // default Options: kRangeTree backend
@@ -103,6 +115,8 @@ int main() {
     solver.solve_wlis(a2, w, wlis_out);
     solver.solve_lis(a, lis_out);
     solver.solve_lis_frontiers(a, fr_out);
+    solver.solve_lis(bulk, lis_out);
+    solver.solve_lis_frontiers(bulk, fr_out);
   }
 
   // Alternating same-size inputs: every solve misses the value cache and
@@ -126,6 +140,15 @@ int main() {
   base = g_allocs.load();
   for (int r = 0; r < 5; r++) solver.solve_lis_frontiers(a, fr_out);
   expect_zero("solve_lis_frontiers (n=50000)", g_allocs.load() - base);
+
+  // The same two entry points on the pool path of the plan (tournament
+  // tree), alternating with the patience path above.
+  base = g_allocs.load();
+  for (int r = 0; r < 5; r++) {
+    solver.solve_lis(r % 2 ? bulk : a, lis_out);
+    solver.solve_lis_frontiers(r % 2 ? a : bulk, fr_out);
+  }
+  expect_zero("solve_lis[_frontiers] pool + patience", g_allocs.load() - base);
 
   // Generic-key steady state: double keys through the typed overloads run
   // the rank-space compression (sort + run scans) before the int64 core —

@@ -18,12 +18,14 @@
 //    kBudgetExceeded on the rest, the SWGS no-fallback rule, and the
 //    estimate >= real-accounting pin for the range tree.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <new>
 #include <numeric>
 #include <set>
@@ -33,6 +35,7 @@
 #include <vector>
 
 #include "parlis/api/solver.hpp"
+#include "parlis/lis/lis.hpp"
 #include "parlis/parallel/parallel.hpp"
 #include "parlis/parallel/random.hpp"
 #include "parlis/serve/engine.hpp"
@@ -207,9 +210,9 @@ std::vector<SiteDriver> site_drivers() {
                  }
                }});
   d.push_back({"lis.round", FireKind::kFault, [a] {
-                 Solver s;
-                 LisResult out;
-                 s.solve_lis(std::span<const int64_t>(*a), out);
+                 // The tournament's rounds directly: the Solver solves this
+                 // input (first frontier ~10) by patience sorting.
+                 (void)lis_ranks(*a);
                }});
   d.push_back({"wlis.round", FireKind::kFault, [a, w] {
                  Solver s;
@@ -589,6 +592,49 @@ TEST(ErrorHandling, SolverUsableAfterInvalidArgument) {
   EXPECT_EQ(warm_out.best, cold_out.best);
 }
 
+// LisResult::rank is int32, so every entry point rejects n >= 2^31 before
+// it touches the input. The spans cover 16 GiB of address space reserved
+// inaccessible (PROT_NONE, no backing memory): a read of any element
+// faults, so the checks must throw first.
+TEST(ErrorHandling, RankLimitThrowsBeforeReading) {
+  const size_t n = size_t{1} << 31;
+  const size_t bytes = n * sizeof(int64_t);
+  void* p = mmap(nullptr, bytes, PROT_NONE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (p == MAP_FAILED) GTEST_SKIP() << "cannot reserve 16 GiB of address space";
+  const std::span<const int64_t> a(static_cast<const int64_t*>(p), n);
+  const std::span<const double> da(static_cast<const double*>(p), n);
+  Solver s;
+  LisResult lr;
+  LisFrontiers fr;
+  WlisResult wr;
+  expect_error(ErrorCode::kInvalidArgument, [&] { s.solve_lis(a, lr); });
+  expect_error(ErrorCode::kInvalidArgument,
+               [&] { s.solve_lis_frontiers(a, fr); });
+  expect_error(ErrorCode::kInvalidArgument, [&] { s.solve_lis(da, lr); });
+  expect_error(ErrorCode::kInvalidArgument, [&] {
+    s.solve_lis(a, lr, std::numeric_limits<int64_t>::min(),
+                std::greater<int64_t>{});
+  });
+  expect_error(ErrorCode::kInvalidArgument, [&] { s.solve_wlis(a, a, wr); });
+  expect_error(ErrorCode::kInvalidArgument, [&] { s.solve_swgs(a, lr); });
+  std::vector<Query> qs{Query{a}};
+  std::vector<QueryResult> rs(1);
+  expect_error(ErrorCode::kInvalidArgument, [&] { s.solve_many(qs, rs); });
+  Options nd;
+  nd.ties = TiesPolicy::kNonDecreasing;
+  Solver snd(nd);
+  expect_error(ErrorCode::kInvalidArgument, [&] { snd.solve_lis(a, lr); });
+  // One element below the limit passes the check (the span is never read:
+  // the memory budget then rejects the solve).
+  Options tiny;
+  tiny.memory_budget_bytes = 1;
+  Solver st(tiny);
+  expect_error(ErrorCode::kBudgetExceeded,
+               [&] { st.solve_lis(a.first(n - 1), lr); });
+  munmap(p, bytes);
+}
+
 TEST(ErrorHandling, WhatCarriesCodeNameAndMessage) {
   Error e(ErrorCode::kBudgetExceeded, "tiny budget");
   EXPECT_NE(std::string(e.what()).find("kBudgetExceeded"), std::string::npos);
@@ -677,6 +723,45 @@ TEST(Cancellation, DeadlineExceededMidSolveLeavesWarmStateCoherent) {
   EXPECT_EQ(warm_out.dp, cold_out.dp);
   EXPECT_EQ(warm_out.best, cold_out.best);
   EXPECT_EQ(warm_out.k, cold_out.k);
+}
+
+// The patience path polls every 4096 elements. On a deep input (first
+// frontier of a few elements, so the plan picks patience) the comparator
+// sleeps past the deadline at the second comparison whose right side is
+// element 10,000. The plan's first-frontier scan, when it runs, compares
+// that element once (no rank-1 object is near it) before the kernel does,
+// so the second one is the kernel placing element 10,000. The solve must
+// then stop at the poll before element 12,288, the next multiple of 4096.
+TEST(Cancellation, DeadlineStopsPatienceWithin4096Elements) {
+  const int64_t n = int64_t{1} << 15;
+  // A rising trend with noise; the low 32 bits of a value are its index.
+  std::vector<int64_t> a(n);
+  for (int64_t i = 0; i < n; i++) {
+    a[i] = ((i + static_cast<int64_t>(uniform(91, i, 64))) << 32) | i;
+  }
+  Options o;
+  o.deadline_ms = 250;
+  Solver s(o);
+  int sightings = 0;
+  bool slept = false;
+  int64_t last = -1;
+  auto less = [&](int64_t x, int64_t y) {
+    const int64_t i = y & 0xffffffff;
+    if (i == 10000 && ++sightings == 2) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(400));
+      slept = true;
+    }
+    if (slept) last = std::max(last, i);
+    return x < y;
+  };
+  LisResult out;
+  expect_error(ErrorCode::kDeadlineExceeded, [&] {
+    s.solve_lis(std::span<const int64_t>(a), out,
+                std::numeric_limits<int64_t>::max(), less);
+  });
+  EXPECT_TRUE(slept);
+  EXPECT_GE(last, 10000);
+  EXPECT_LT(last, 12288);
 }
 
 TEST(Cancellation, GenerousDeadlinePassesAndMatches) {

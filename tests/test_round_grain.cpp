@@ -2,7 +2,9 @@
 // round predicted below the grain runs inline, a larger one forks.
 //
 // RoundGrain.* reads the fork behaviour off scheduler_stats() (it rides the
-// `parallel` ctest label, so the TSan leg races the mode switch).
+// `parallel` ctest label, so the TSan leg races the mode switch). It drives
+// the tournament through lis_ranks_into: the Solver would solve the deep
+// inputs by patience sorting (see test_lis_plan.cpp).
 // RoundGrainDifferential.* feeds frontier sizes that jump across the grain
 // between rounds, so predicted and actual modes disagree, and checks the
 // answers, the frontier layout and the visit count against the oracles and
@@ -16,25 +18,24 @@
 #include <utility>
 #include <vector>
 
-#include "parlis/api/solver.hpp"
 #include "parlis/lis/lis.hpp"
 #include "parlis/lis/seq_lis.hpp"
-#include "parlis/parallel/random.hpp"
 #include "parlis/parallel/scheduler.hpp"
 #include "parlis/util/generators.hpp"
+#include "tests/frontier_inputs.hpp"
 
 namespace parlis {
 namespace {
 
-// Mean spawns of `solves` warm solve_lis calls on `a` (after one warm-up).
+// Mean spawns of `solves` warm lis_ranks_into calls on `a` (after one
+// warm-up).
 double spawns_per_solve(const std::vector<int64_t>& a, int solves,
                         LisResult& out) {
-  Solver solver;
-  solver.solve_lis(std::span<const int64_t>(a), out);
+  TournamentStorage<int64_t> ws;
+  const std::span<const int64_t> as(a);
+  lis_ranks_into<int64_t>(as, out, ws);
   const uint64_t before = scheduler_stats().spawns;
-  for (int s = 0; s < solves; s++) {
-    solver.solve_lis(std::span<const int64_t>(a), out);
-  }
+  for (int s = 0; s < solves; s++) lis_ranks_into<int64_t>(as, out, ws);
   return static_cast<double>(scheduler_stats().spawns - before) / solves;
 }
 
@@ -56,31 +57,6 @@ TEST(RoundGrain, BulkFrontiersStillFork) {
   ASSERT_EQ(out.rank, seq_bs_ranks(a));
   ASSERT_LT(out.k, 64);  // frontiers of thousands, far above the grain
   EXPECT_GE(spawns, static_cast<double>(out.k));  // every round forks
-}
-
-// An input whose round r holds exactly sizes[r-1] objects, spread over the
-// whole index range: one anchor per rank up front (rank r at index r-1),
-// the rest shuffled behind them. Object i of rank r gets the value
-// r*n - i: objects of one rank fall with their index, so they never chain,
-// and each follows the anchor of rank r-1, which is smaller.
-std::vector<int64_t> input_with_frontiers(const std::vector<int64_t>& sizes,
-                                          uint64_t seed) {
-  const int64_t k = static_cast<int64_t>(sizes.size());
-  std::vector<int64_t> label;
-  for (int64_t r = 1; r <= k; r++) label.push_back(r);
-  const int64_t anchors = k;
-  for (int64_t r = 1; r <= k; r++) {
-    for (int64_t c = 1; c < sizes[r - 1]; c++) label.push_back(r);
-  }
-  const int64_t n = static_cast<int64_t>(label.size());
-  for (int64_t i = n - 1; i > anchors; i--) {
-    const int64_t j =
-        anchors + static_cast<int64_t>(uniform(seed, i, i - anchors + 1));
-    std::swap(label[i], label[j]);
-  }
-  std::vector<int64_t> a(n);
-  for (int64_t i = 0; i < n; i++) a[i] = label[i] * n - i;
-  return a;
 }
 
 // A round predicted small (the previous m was 1) that turns out large
@@ -130,13 +106,13 @@ void check_frontier_sizes(const std::vector<int64_t>& sizes, uint64_t seed) {
               sizes[r - 1]);
   }
 
-  Solver solver;
+  TournamentStorage<int64_t> ws;
   LisResult lr;
-  solver.solve_lis(as, lr);
+  lis_ranks_into<int64_t>(as, lr, ws);
   EXPECT_EQ(lr.rank, want);
   EXPECT_EQ(lr.k, k);
   LisFrontiers fr;
-  solver.solve_lis_frontiers(as, fr);
+  lis_frontiers_into<int64_t>(as, fr, ws);
   EXPECT_EQ(fr.rank, want);
   EXPECT_EQ(fr.frontier_offset, want_fr.frontier_offset);
   EXPECT_EQ(fr.frontier_flat, want_fr.frontier_flat);
