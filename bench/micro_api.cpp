@@ -9,16 +9,18 @@
 //                  sequence: repeated queries over the same values (the
 //                  serving shape — one series, many weightings) hit the
 //                  workspace's value-sequence cache, so the warm solve
-//                  skips frontiers/value-order/tree-table recomputation and
-//                  only resets scores + re-runs the rounds. Acceptance: the
-//                  warm path is >= 20% faster at n = 1e5.
+//                  checks the values (hash, then equality), skips the rank
+//                  space, and runs only the sequential Fenwick pass; the
+//                  one-shot call runs all of Alg. 2 (rank space, frontiers,
+//                  range-tree build and rounds). Acceptance: the warm path
+//                  is >= 20% faster at n = 1e5.
 //   wlis_newvals — the same comparison with a DIFFERENT value sequence
-//                  every call (cache misses by construction): isolates the
-//                  buffer/arena-reuse benefit alone, so the committed JSON
-//                  states both numbers honestly.
+//                  every call (cache misses by construction): the warm
+//                  solve pays the rank space on reused buffers before the
+//                  pass, so the committed JSON states both numbers.
 //   wlis_double  — the generic-key pipeline: Solver::solve_wlis<double>
-//                  (rank-space compression + the shared int64 core) vs the
-//                  int64 warm path on the same cache-missing alternation.
+//                  (rank-space compression + the pass) vs the int64 warm
+//                  path on the same cache-missing alternation.
 //                  JSON variants int64_warm / double_warm; speedup_pct on
 //                  the double row is the (usually near-zero) cost of the
 //                  typed pipeline relative to int64.

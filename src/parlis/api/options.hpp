@@ -1,7 +1,6 @@
 // Unified per-solver configuration: one struct carries every knob the
 // Solver entry points consult, replacing the per-function parameter
-// sprawl the one-shot API grew (structure enums here, seeds there, worker
-// counts via a global).
+// sprawl the one-shot API grew (seeds here, worker counts via a global).
 #pragma once
 
 #include <cstdint>
@@ -9,7 +8,6 @@
 #include "parlis/parallel/parallel.hpp"  // kPoolGateGrain
 #include "parlis/util/cancel.hpp"        // CancelToken
 #include "parlis/util/rank_space.hpp"    // TiesPolicy
-#include "parlis/wlis/wlis.hpp"          // WlisStructure
 
 namespace parlis {
 
@@ -32,11 +30,6 @@ enum class WindowMode : uint8_t {
 };
 
 struct Options {
-  /// Dominant-max backend for the weighted solves (Sec. 4.1 vs 4.2). The
-  /// range tree is the practical default and the only backend with the
-  /// allocation-free warm steady state.
-  WlisStructure structure = WlisStructure::kRangeTree;
-
   /// What "increasing" means for equal keys (util/rank_space.hpp):
   /// kStrict (the paper's setting — duplicates never chain) or
   /// kNonDecreasing (equal keys may chain, via stable (key, index)
@@ -78,13 +71,15 @@ struct Options {
   int64_t deadline_ms = 0;
 
   /// Upper bound on solver scratch memory in bytes; 0 means unlimited.
-  /// Checked against the documented size estimates of the structures a
-  /// solve would build (validated against the arenas' real accounting by
-  /// the fault tests). When the parallel structures do not fit, the solve
-  /// degrades to the sequential fallback (patience sorting / the AVL
-  /// sweep), which needs O(n) words; if even that exceeds the budget the
-  /// call throws Error{kBudgetExceeded} before allocating. SWGS paths have
-  /// no sequential fallback and throw when over budget.
+  /// Checked against the documented size estimates of what a solve would
+  /// allocate (pinned at or above the real accounting by the fault tests),
+  /// before it allocates. An LIS solve whose tournament tree does not fit
+  /// takes patience sorting. A weighted solve needs the rank space plus
+  /// the Fenwick pass (~90 B/element); raw int64 values under kStrict
+  /// degrade to the Seq-AVL sweep (~64 B/element, no rank space), and
+  /// every other weighted solve has nothing smaller. When even the
+  /// smallest path exceeds the budget the call throws
+  /// Error{kBudgetExceeded}. SWGS paths have no fallback either.
   uint64_t memory_budget_bytes = 0;
 };
 

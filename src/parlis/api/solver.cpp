@@ -76,14 +76,14 @@ size_t Solver::lis_fallback_bytes(int64_t n) {
 }
 
 size_t Solver::wlis_scratch_bytes(int64_t n) {
-  // LIS phase + frontiers + cached values + update batch + query buffers +
-  // dp output, plus the range tree's own documented estimate.
-  return lis_scratch_bytes(n) + static_cast<size_t>(n) * 56 +
-         RangeTreeMax::estimate_build_bytes(n);
+  // The Fenwick pass beyond the rank space: a 16-byte node per rank (at
+  // most n + 1), the value cache's copy of raw int64 input, and the dp
+  // output.
+  return static_cast<size_t>(n) * 32 + (size_t{1} << 16);
 }
 
 size_t Solver::wlis_fallback_bytes(int64_t n) {
-  // Seq-AVL node pool (~48B/node) + dp output + patience tails.
+  // Seq-AVL node pool (48B/node) + dp output, then patience tails + ranks.
   return static_cast<size_t>(n) * 64 + (size_t{1} << 16);
 }
 
@@ -110,6 +110,13 @@ Solver::BudgetPlan Solver::budget_plan(int64_t n, size_t full_bytes,
   check_rank_limit(n, what);
   const uint64_t budget = opts_.memory_budget_bytes;
   if (budget == 0 || full_bytes <= budget) return BudgetPlan::kFull;
+  if (fallback_bytes == 0) {
+    throw Error(ErrorCode::kBudgetExceeded,
+                std::string(what) + ": estimated " +
+                    std::to_string(full_bytes) +
+                    " bytes exceed Options::memory_budget_bytes = " +
+                    std::to_string(budget) + " (no sequential fallback)");
+  }
   if (fallback_bytes <= budget) return BudgetPlan::kFallback;
   throw Error(ErrorCode::kBudgetExceeded,
               std::string(what) + ": estimated " +
@@ -120,14 +127,7 @@ Solver::BudgetPlan Solver::budget_plan(int64_t n, size_t full_bytes,
 }
 
 void Solver::budget_require(int64_t n, size_t bytes, const char* what) const {
-  check_rank_limit(n, what);
-  const uint64_t budget = opts_.memory_budget_bytes;
-  if (budget != 0 && bytes > budget) {
-    throw Error(ErrorCode::kBudgetExceeded,
-                std::string(what) + ": estimated " + std::to_string(bytes) +
-                    " bytes exceed Options::memory_budget_bytes = " +
-                    std::to_string(budget) + " (no sequential fallback)");
-  }
+  (void)budget_plan(n, bytes, 0, what);
 }
 
 void Solver::wlis_fallback(std::span<const int64_t> a,
@@ -166,31 +166,7 @@ int64_t Solver::lis_length(std::span<const int64_t> a) {
 
 void Solver::solve_wlis(std::span<const int64_t> a,
                         std::span<const int64_t> w, WlisResult& out) {
-  if (a.size() != w.size()) {
-    throw Error(ErrorCode::kInvalidArgument, "solve_wlis: |w| must equal |a|");
-  }
-  if (opts_.ties == TiesPolicy::kNonDecreasing) {
-    solve_wlis<int64_t>(a, w, out);
-    return;
-  }
-  EntryGuard guard(*this, a.size());
-  const int64_t n = static_cast<int64_t>(a.size());
-  WlisWorkspace& ws = main_ctx_->wlis;
-  // Strict raw values compare directly, so the fallback skips the
-  // rank-space pass entirely — and leaves the workspace (and its warm
-  // cache) untouched.
-  if (budget_plan(n, rank_space_bytes(n) + wlis_scratch_bytes(n),
-                  wlis_fallback_bytes(n),
-                  "solve_wlis") == BudgetPlan::kFallback) {
-    wlis_fallback(a, w, out, *main_ctx_);
-    return;
-  }
-  try {
-    wlis_into(a, w, ws, out, opts_.structure);
-  } catch (...) {
-    ws.invalidate_cache();
-    throw;
-  }
+  solve_wlis(a, w, out, std::less<int64_t>{});
 }
 
 void Solver::solve_swgs(std::span<const int64_t> a, LisResult& out,
@@ -265,32 +241,7 @@ void Solver::solve_query(const Query& q, QueryResult& r, ThreadCtx& ctx) {
       parallel_for(0, n, [&](int64_t i) { dst[i] = src[i]; });
     }
   } else {
-    const size_t rank_cost = nondec ? rank_space_bytes(n) : 0;
-    const bool fallback =
-        budget_plan(n, rank_space_bytes(n) + wlis_scratch_bytes(n),
-                    rank_cost + wlis_fallback_bytes(n),
-                    "solve_many") == BudgetPlan::kFallback;
-    try {
-      if (nondec) {
-        rank_space_into<int64_t>(q.a, TiesPolicy::kNonDecreasing,
-                                 ctx.wlis.rank_space, ctx.wlis.rank_scratch);
-        std::span<const int64_t> ranks(ctx.wlis.rank_space.rank);
-        if (fallback) {
-          ctx.wlis.invalidate_cache();  // rank space clobbered, cache cold
-          wlis_fallback(ranks, q.w, ctx.wlis_res, ctx);
-        } else {
-          wlis_compressed_into(ranks, q.w, ctx.wlis, ctx.wlis_res,
-                               opts_.structure);
-        }
-      } else if (fallback) {
-        wlis_fallback(q.a, q.w, ctx.wlis_res, ctx);
-      } else {
-        wlis_into(q.a, q.w, ctx.wlis, ctx.wlis_res, opts_.structure);
-      }
-    } catch (...) {
-      ctx.wlis.invalidate_cache();
-      throw;
-    }
+    run_wlis(q.a, q.w, "solve_many", ctx, ctx.wlis_res, std::less<int64_t>{});
     r.k = ctx.wlis_res.k;
     r.best = ctx.wlis_res.best;
     if (!q.dp_out.empty()) {

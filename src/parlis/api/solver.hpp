@@ -3,10 +3,10 @@
 // The free functions (lis_ranks, wlis, swgs_*) are one-shot: every call
 // rebuilds the tournament tree, reallocates frontier buffers and result
 // vectors, and re-carves the range-structure arenas. A Solver instead owns
-// all of that scratch — tournament storage, flat frontier spans, rank-space
-// arrays, the range tree's arena, per-worker slots for batched serving —
-// and writes results into caller-reusable output structs, so in the
-// amortized-serving steady state (many queries through one session)
+// all of its scratch — tournament storage, patience tails, rank-space
+// arrays, the weighted pass's Fenwick tree, per-worker slots for batched
+// serving — and writes results into caller-reusable output structs, so in
+// the amortized-serving steady state (many queries through one session)
 // repeated same-size solves allocate nothing.
 //
 // Key types: every solve_* entry point has a typed overload — any `Key`
@@ -34,10 +34,11 @@
 // Solver keeps no pointers into them.
 //
 // Failure semantics: invalid arguments (span-size mismatches, undersized
-// output spans, n of 2^31 or more) throw parlis::Error{kInvalidArgument} in
-// every build mode — never UB. Options.cancel / Options.deadline_ms are
-// polled at frontier-round boundaries (every 4096 elements on the patience
-// path) and unwind as Error{kCancelled} / Error{kDeadlineExceeded};
+// output spans, n of 2^31 or more, weighted dp sums past INT64_MAX) throw
+// parlis::Error{kInvalidArgument} in every build mode — never UB.
+// Options.cancel / Options.deadline_ms are polled at frontier-round
+// boundaries (every 4096 elements on the patience path and in the
+// weighted pass) and unwind as Error{kCancelled} / Error{kDeadlineExceeded};
 // Options.memory_budget_bytes degrades a too-large solve to the sequential
 // fallback (patience sorting / Seq-AVL) or throws Error{kBudgetExceeded}.
 // Any failure unwinds through the workspace cache-invalidation chokepoints,
@@ -58,10 +59,12 @@
 #include "parlis/lis/tournament_tree.hpp"
 #include "parlis/parallel/scheduler.hpp"
 #include "parlis/swgs/swgs.hpp"
+#include "parlis/util/content_hash.hpp"
 #include "parlis/util/error.hpp"
 #include "parlis/util/exec_context.hpp"
 #include "parlis/util/rank_space.hpp"
 #include "parlis/wlis/wlis.hpp"
+#include "parlis/wlis/wlis_sweep.hpp"
 #include "parlis/wlis/wlis_workspace.hpp"
 
 namespace parlis {
@@ -116,8 +119,8 @@ class Solver {
 
   /// Measured heap bytes this solver currently holds across every
   /// workspace it owns (the caller-thread context, the solve_many
-  /// per-runner slots, and the batch scratch): vector capacities plus the
-  /// range structures' reserved arena chunks. The serving layer's
+  /// per-runner slots, and the batch scratch): vector capacities plus any
+  /// range structure's reserved arena chunks. The serving layer's
   /// per-tenant eviction accounting; never an estimate.
   size_t resident_bytes() const;
 
@@ -171,16 +174,21 @@ class Solver {
     return main_ctx_->lis_res.k;
   }
 
-  /// Weighted LIS (Alg. 2) with the Options-selected range structure,
-  /// under options().ties.
+  /// Weighted LIS under options().ties: dp[i] = w[i] + max(0, max dp[j]
+  /// over earlier j that `a[i]` may follow), best = max(0, max dp), k = the
+  /// LIS length. Every weighted entry point (both overloads and
+  /// solve_many's weighted queries) runs one plan: the rank space of `a`,
+  /// then one sequential Fenwick pass over it (wlis/wlis_sweep.hpp), which
+  /// does O(n log n) work against the O(n log^2 n) of Alg. 2's range-tree
+  /// rounds (wlis(), wlis_into()) and beats them at every size measured.
+  /// Raw int64 values under kStrict keep the rank space in the workspace's
+  /// value cache, so re-weighting a hot series runs the pass alone. A dp
+  /// sum past INT64_MAX throws Error{kInvalidArgument}.
   void solve_wlis(std::span<const int64_t> a, std::span<const int64_t> w,
                   WlisResult& out);
 
-  /// Typed overload: keys are compressed once (shared rank-space pass) and
-  /// the rank image feeds the LIS phase, the range structure, and the
-  /// query positions alike; weights stay int64. dp/best semantics are
-  /// unchanged — dp[i] is over subsequences "increasing" per options().ties
-  /// under `less`.
+  /// Typed overload: the same plan on the rank image of `a` under `less`
+  /// (one rank-space pass per call); weights stay int64.
   template <typename Key, typename Less = std::less<Key>>
   void solve_wlis(std::span<const Key> a, std::span<const int64_t> w,
                   WlisResult& out, Less less = Less{}) {
@@ -189,29 +197,7 @@ class Solver {
                   "solve_wlis: |w| must equal |a|");
     }
     EntryGuard guard(*this, a.size());
-    const int64_t n = static_cast<int64_t>(a.size());
-    WlisWorkspace& ws = main_ctx_->wlis;
-    // Chokepoint: any throw below (a torn rank-space pass included) leaves
-    // the workspace marked cold, so the next solve rebuilds from scratch.
-    try {
-      rank_space_into<Key, Less>(a, opts_.ties, ws.rank_space, ws.rank_scratch,
-                                 less);
-      if (budget_plan(n, rank_space_bytes(n) + wlis_scratch_bytes(n),
-                      rank_space_bytes(n) + wlis_fallback_bytes(n),
-                      "solve_wlis") == BudgetPlan::kFallback) {
-        // The fallback bypasses the cached structures but has clobbered the
-        // workspace's rank space: mark the cache cold.
-        ws.invalidate_cache();
-        wlis_fallback(std::span<const int64_t>(ws.rank_space.rank), w, out,
-                      *main_ctx_);
-        return;
-      }
-      wlis_compressed_into(std::span<const int64_t>(ws.rank_space.rank), w, ws,
-                           out, opts_.structure);
-    } catch (...) {
-      ws.invalidate_cache();
-      throw;
-    }
+    run_wlis(a, w, "solve_wlis", *main_ctx_, out, less);
   }
 
   /// SWGS baseline, unweighted (seed from Options), under options().ties.
@@ -320,10 +306,10 @@ class Solver {
   // otherwise), then Options::memory_budget_bytes. The byte figures are
   // documented scratch-size models (README "Failure semantics"),
   // deliberately generous; the fault tests pin each one >= the structures'
-  // real accounting. budget_plan picks the full parallel build when it
-  // fits, the sequential fallback when only that fits, and throws
-  // Error{kBudgetExceeded} otherwise; budget_require is the no-fallback form
-  // (SWGS has no sequential twin).
+  // real accounting. budget_plan picks the full path when it fits, the
+  // fallback when only that fits (fallback_bytes 0: there is none), and
+  // throws Error{kBudgetExceeded} otherwise; budget_require is the
+  // no-fallback form (SWGS has no sequential twin).
   enum class BudgetPlan { kFull, kFallback };
   BudgetPlan budget_plan(int64_t n, size_t full_bytes, size_t fallback_bytes,
                          const char* what) const;
@@ -359,8 +345,8 @@ class Solver {
     WlisResult wlis_res;
   };
 
-  // Sequential WLIS degradation: Seq-AVL dp sweep + patience length, on
-  // `ctx`'s scratch. `a` must compare strictly (raw values or a rank image).
+  // The WLIS budget fallback: Seq-AVL dp + patience length on `ctx`'s
+  // scratch, over raw int64 values under the strict order.
   void wlis_fallback(std::span<const int64_t> a, std::span<const int64_t> w,
                      WlisResult& out, ThreadCtx& ctx);
 
@@ -405,6 +391,38 @@ class Solver {
     } else {
       lis_frontiers_into<int64_t, Less>(a, out, s.tour, inf, less);
     }
+  }
+
+  // The one WLIS plan (see solve_wlis): admits n elements, gets the rank
+  // space of `a`, and runs the Fenwick pass over it into `out`. Raw int64
+  // values under the strict order compare as they are: their rank space
+  // comes from ctx's value cache, and the Seq-AVL fallback, which needs no
+  // rank space, is what a budget too small for the pass degrades to. Any
+  // other key, order or ties policy solves on its rank image in ctx.lis.
+  template <typename Key, typename Less>
+  void run_wlis(std::span<const Key> a, std::span<const int64_t> w,
+                const char* what, ThreadCtx& ctx, WlisResult& out,
+                Less less) {
+    const int64_t n = static_cast<int64_t>(a.size());
+    constexpr bool kInt64 = std::is_same_v<Key, int64_t> &&
+                            std::is_same_v<Less, std::less<int64_t>>;
+    const bool raw = kInt64 && opts_.ties == TiesPolicy::kStrict;
+    const BudgetPlan plan =
+        budget_plan(n, rank_space_bytes(n) + wlis_scratch_bytes(n),
+                    raw ? wlis_fallback_bytes(n) : 0, what);
+    const RankSpace* rs = &ctx.lis.rs;
+    if constexpr (kInt64) {
+      if (plan == BudgetPlan::kFallback) {
+        wlis_fallback(a, w, out, ctx);
+        return;
+      }
+      if (raw) {
+        ctx.wlis.cache_values(a, content_hash64(a));
+        rs = &ctx.wlis.rank_space;
+      }
+    }
+    if (!raw) rank_image(a, ctx.lis, less);
+    wlis_sweep_into(rs->rank, rs->n_distinct, w, ctx.wlis.sweep, out);
   }
 
   // The typed entry points: the plan on the rank image of `a`.

@@ -17,6 +17,7 @@
 #include "parlis/veb/mono_veb.hpp"          // Mono-vEB staircase
 #include "parlis/veb/compact_veb.hpp"       // O(n)-space hashed-cluster vEB
 #include "parlis/wlis/wlis.hpp"             // weighted LIS (Alg. 2)
+#include "parlis/wlis/wlis_sweep.hpp"       // the Solver's WLIS pass
 #include "parlis/wlis/range_tree.hpp"       // dominant-max, Sec. 4.1
 #include "parlis/wlis/range_veb.hpp"        // dominant-max, Sec. 4.2
 #include "parlis/wlis/wlis_workspace.hpp"   // injectable WLIS scratch

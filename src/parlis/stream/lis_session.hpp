@@ -51,9 +51,9 @@
 //
 // Cache interplay: a session deliberately does NOT touch its Solver's
 // WlisWorkspace — appends never invalidate the weighted value-sequence
-// cache (the PR 4 invariant "cache_valid implies frontiers/rank_space
-// describe cached_a" survives any interleaving of session ops and warm
-// solve_wlis calls). The only solver state a session uses are the LIS-side
+// cache (its invariant, "each built level describes cached_a", survives any
+// interleaving of session ops and warm solve_wlis calls). The only solver
+// state a session uses are the LIS-side
 // buffers behind the public solve_lis_frontiers, plus the rolling window
 // content hash it maintains for the wlis_into fast-guard overload.
 //

@@ -27,6 +27,7 @@ constexpr const char* kKnownSites[] = {
     "scheduler.park",       // Pool::park (delay)
     "lis.round",            // lis_ranks/frontiers round loop (fault)
     "wlis.round",           // Alg. 2 round loop (fault)
+    "wlis.sweep",           // Solver's WLIS pass, every 4096 elements (fault)
     "swgs.round",           // SWGS wake-up round loop (fault)
     "rangetree.rebuild",    // RangeTreeMax::rebuild level carve (OOM)
     "stream.append",        // LisSession::append patience step (fault)

@@ -1,6 +1,9 @@
 #include "parlis/wlis/seq_avl.hpp"
 
 #include <algorithm>
+#include <string>
+
+#include "parlis/util/error.hpp"
 
 namespace parlis {
 
@@ -114,7 +117,12 @@ void seq_avl_wlis_into(std::span<const int64_t> a, std::span<const int64_t> w,
   AvlWlis tree(a.size());
   dp.assign(a.size(), 0);
   for (size_t i = 0; i < a.size(); i++) {
-    dp[i] = w[i] + std::max<int64_t>(0, tree.max_below(a[i]));
+    // max_below is never negative, so only a positive weight overflows.
+    if (__builtin_add_overflow(w[i], tree.max_below(a[i]), &dp[i])) {
+      throw Error(ErrorCode::kInvalidArgument,
+                  "seq_avl_wlis: dp[" + std::to_string(i) +
+                      "] overflows int64");
+    }
     tree.insert(a[i], dp[i]);
   }
 }

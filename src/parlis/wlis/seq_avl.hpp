@@ -17,6 +17,7 @@ std::vector<int64_t> seq_avl_wlis(const std::vector<int64_t>& a,
 
 /// Span/buffer-reuse form (what the Solver's memory-budget degradation
 /// drives): dp is resized to |a| and overwritten; O(n) extra space total.
+/// Both forms throw Error{kInvalidArgument} when a dp sum overflows int64.
 void seq_avl_wlis_into(std::span<const int64_t> a, std::span<const int64_t> w,
                        std::vector<int64_t>& dp);
 

@@ -19,18 +19,6 @@ namespace parlis {
 
 namespace {
 
-// Value-sequence cache hit: the cached preparation (frontiers, rank
-// space, tree tables) is valid iff the values are bytewise identical.
-// The rolling hash runs first so a miss rejects in O(1) after the size
-// check (the common warm-miss case used to pay a full O(n) std::equal);
-// a hash match still confirms with std::equal, so collisions stay correct.
-bool values_cached(const WlisWorkspace& ws, std::span<const int64_t> a,
-                   uint64_t content_hash) {
-  return ws.cache_valid && ws.cached_a.size() == a.size() &&
-         ws.cached_hash == content_hash &&
-         std::equal(a.begin(), a.end(), ws.cached_a.begin());
-}
-
 // Thin adapters binding a workspace to one RangeStruct flavour: the update
 // side is the uniform RangeStructure batch API; only the query side differs
 // (Appendix E tables vs. generic queries). The tree rebuilds in place
@@ -38,8 +26,8 @@ bool values_cached(const WlisWorkspace& ws, std::span<const int64_t> a,
 // scores; the vEB variants are re-emplaced per solve.
 struct TreeAdapter {
   RangeTreeMax& rs;
-  TreeAdapter(WlisWorkspace& ws, bool values_reused) : rs(ws.tree) {
-    if (values_reused && ws.tree_ready) {
+  explicit TreeAdapter(WlisWorkspace& ws) : rs(ws.tree) {
+    if (ws.tree_ready) {
       rs.reset_scores();
     } else {
       rs.rebuild(ws.rank_space.order);
@@ -50,7 +38,7 @@ struct TreeAdapter {
 
 struct VebAdapter {
   RangeVeb& rs;
-  VebAdapter(WlisWorkspace& ws, bool)
+  explicit VebAdapter(WlisWorkspace& ws)
       : rs(ws.veb.emplace(std::span<const int64_t>(ws.rank_space.order))) {}
 };
 
@@ -58,7 +46,7 @@ struct VebAdapter {
 // point j go through dominant_max_point(j).
 struct VebTabulatedAdapter {
   RangeVeb& rs;
-  VebTabulatedAdapter(WlisWorkspace& ws, bool)
+  explicit VebTabulatedAdapter(WlisWorkspace& ws)
       : rs(ws.veb.emplace(std::span<const int64_t>(ws.rank_space.order))) {
     rs.precompute_query_labels(ws.rank_space.qpos);  // indexed by y already
   }
@@ -78,23 +66,16 @@ void run_wlis(std::span<const int64_t> a, std::span<const int64_t> w,
               WlisWorkspace& ws, WlisResult& res, bool rank_space_ready,
               uint64_t content_hash) {
   int64_t n = static_cast<int64_t>(a.size());
-  const bool reuse = values_cached(ws, a, content_hash);
-  if (!reuse) {
-    ws.invalidate_cache();
-    if (!rank_space_ready) {
-      rank_space_into<int64_t>(a, TiesPolicy::kStrict, ws.rank_space,
-                               ws.rank_scratch);
-    }
+  ws.cache_values(a, content_hash, rank_space_ready);
+  if (!ws.frontiers_ready) {
     // The frontiers run on the rank image: it orders like `a`, and its
     // values all lie below n, so n is a sentinel no input can reach (raw
     // values may hold INT64_MAX).
     lis_frontiers_into<int64_t>(std::span<const int64_t>(ws.rank_space.rank),
                                 ws.frontiers, ws.tournament, n);
-    ws.cached_a.assign(a.begin(), a.end());
-    ws.cached_hash = content_hash;
-    ws.cache_valid = true;
+    ws.frontiers_ready = true;
   }
-  Adapter ad(ws, reuse);
+  Adapter ad(ws);
   const RankSpace& rsp = ws.rank_space;
   res.dp.assign(n, 0);
   res.k = ws.frontiers.k;
@@ -183,6 +164,24 @@ void wlis_dispatch(std::span<const int64_t> a, std::span<const int64_t> w,
 }
 
 }  // namespace
+
+bool WlisWorkspace::cache_values(std::span<const int64_t> a, uint64_t hash,
+                                 bool rank_space_ready) {
+  // The rolling hash runs first so a miss rejects in O(1) after the size
+  // check; a hash match still confirms with std::equal.
+  if (cache_valid && cached_a.size() == a.size() && cached_hash == hash &&
+      std::equal(a.begin(), a.end(), cached_a.begin())) {
+    return true;
+  }
+  invalidate_cache();
+  if (!rank_space_ready) {
+    rank_space_into<int64_t>(a, TiesPolicy::kStrict, rank_space, rank_scratch);
+  }
+  cached_a.assign(a.begin(), a.end());
+  cached_hash = hash;
+  cache_valid = true;
+  return false;
+}
 
 void wlis_into(std::span<const int64_t> a, std::span<const int64_t> w,
                WlisWorkspace& ws, WlisResult& out, WlisStructure structure) {

@@ -1,10 +1,12 @@
-// Reusable scratch state for Alg. 2 (and the SWGS WLIS baseline): every
-// buffer and structure a weighted-LIS solve needs, owned by the caller and
-// injected into wlis_into / swgs_wlis_into. parlis::Solver holds one per
-// session (plus one per worker for batched serving); after a warm-up solve,
-// repeated same-size solves through the same workspace perform zero heap
+// Reusable scratch state for weighted LIS: every buffer and structure a
+// solve needs, owned by the caller. Alg. 2 (wlis_into), the SWGS WLIS
+// baseline (swgs_wlis_into) and parlis::Solver's sequential pass
+// (wlis_sweep.hpp) all draw on it; the Solver holds one per session (plus
+// one per worker for batched serving). After a warm-up solve, repeated
+// same-size solves through the same workspace perform zero heap
 // allocations — the tournament storage, frontier buffers, rank-space
-// arrays, round batches, and the range tree's arena are all recycled.
+// arrays, round batches, the range tree's arena and the pass's Fenwick
+// tree are all recycled.
 //
 // The vEB-backed structures (kRangeVeb / kRangeVebTabulated) are
 // reconstructed per solve (their inner Mono-vEB staircases allocate during
@@ -23,6 +25,7 @@
 #include "parlis/wlis/range_structure.hpp"
 #include "parlis/wlis/range_tree.hpp"
 #include "parlis/wlis/range_veb.hpp"
+#include "parlis/wlis/wlis_sweep.hpp"
 
 namespace parlis {
 
@@ -35,7 +38,7 @@ struct WlisWorkspace {
   // the y_by_pos permutation the range structures build over, pos its
   // inverse (update positions), qpos the x-prefix of each point's
   // dominant-max query. Shared by Alg. 2, the SWGS driver, and the
-  // Solver's generic-key entry points — one compression pass per solve.
+  // Solver's int64 weighted solves — one compression pass per solve.
   RankSpace rank_space;
   RankSpaceScratch rank_scratch;
 
@@ -53,22 +56,28 @@ struct WlisWorkspace {
   // weighted result but drive the rounds).
   std::vector<int32_t> swgs_rank;
 
-  // Value-sequence cache: everything above the rounds — the frontiers, the
-  // rank space, and the range tree's rank/bridge tables — is a pure
-  // function of the value array `a`, while the weights only enter the
-  // per-round dp computation. A session serving repeated queries over a
-  // hot value sequence (same series, different weight models) therefore
-  // skips the whole preparation: wlis_into checks `a` against the cache —
-  // size, then the 64-bit content hash, then (only on a hash match, so
-  // collisions stay correct) a full std::equal — and on a hit re-runs only
-  // the rounds against score-reset structures. A miss rebuilds and
-  // re-primes the cache. Invariant: cache_valid implies frontiers,
-  // rank_space, AND cached_hash describe cached_a — anything that clobbers
-  // any of them for a different sequence must call invalidate_cache().
+  // The Solver's pass: its Fenwick tree over the ranks.
+  WlisSweepScratch sweep;
+
+  // Value-sequence cache. The rank space, the frontiers and the range
+  // tree's rank/bridge tables are pure functions of the value array `a`;
+  // the weights only enter the dp. A session serving repeated queries over
+  // a hot value sequence (same series, different weight models) therefore
+  // skips whatever preparation the cache holds: cache_values checks `a`
+  // against it — size, then the 64-bit content hash, then (only on a hash
+  // match, so collisions stay correct) a full std::equal. Each level is
+  // built on demand and promises only itself:
+  //  * cache_valid:     rank_space and cached_hash describe cached_a (all
+  //                     the Solver's pass needs);
+  //  * frontiers_ready: so do the frontiers (built by wlis_into);
+  //  * tree_ready:      so do the tree's tables (built by wlis_into).
+  // The last two imply the first. Anything that clobbers any level for a
+  // different sequence must call invalidate_cache().
   std::vector<int64_t> cached_a;
   uint64_t cached_hash = 0;  // content_hash64(cached_a) while cache_valid
-  bool cache_valid = false;  // frontiers / rank space match cached_a
-  bool tree_ready = false;   // tree's rank/bridge tables match cached_a
+  bool cache_valid = false;
+  bool frontiers_ready = false;
+  bool tree_ready = false;
 
   // The one sanctioned way to poison the cache: every site that overwrites
   // frontiers / rank_space / tree tables out-of-band (SWGS reusing the
@@ -76,8 +85,17 @@ struct WlisWorkspace {
   // above has a single chokepoint to audit.
   void invalidate_cache() {
     cache_valid = false;
+    frontiers_ready = false;
     tree_ready = false;
   }
+
+  /// Keys the cache to `a`, whose content_hash64 is `hash`. Returns true
+  /// when it already described `a` (every built level is kept). Otherwise
+  /// invalidates it, compresses `a` (kStrict) into rank_space unless the
+  /// caller already did (`rank_space_ready`), and re-keys it to `a` with
+  /// only cache_valid set. Exception-safe: a throw leaves it invalid.
+  bool cache_values(std::span<const int64_t> a, uint64_t hash,
+                    bool rank_space_ready = false);
 
   /// Measured heap bytes this workspace holds: vector capacities, the
   /// range tree's reserved arena chunks (tracked at chunk grant), and the
@@ -88,8 +106,8 @@ struct WlisWorkspace {
     size_t b = tournament.resident_bytes() + frontiers.resident_bytes() +
                rank_space.resident_bytes() + rank_scratch.resident_bytes() +
                vec_bytes(batch) + vec_bytes(qpos_buf) + vec_bytes(qres) +
-               vec_bytes(swgs_rank) + vec_bytes(cached_a) +
-               tree.pool_reserved_bytes();
+               vec_bytes(swgs_rank) + sweep.resident_bytes() +
+               vec_bytes(cached_a) + tree.pool_reserved_bytes();
     if (veb.has_value()) b += veb->pool_reserved_bytes();
     return b;
   }

@@ -1,6 +1,6 @@
 // Solver/session API regression tests: one warm Solver driven across
-// growing and shrinking input sizes, every WlisStructure backend, and a
-// custom comparator, differential-checked against the legacy one-shot free
+// growing and shrinking input sizes, every WlisStructure backend through
+// one warm workspace, and a custom comparator, differential-checked against the legacy one-shot free
 // functions (which remain the reference implementations). Also covers
 // solve_many (mixed small/large, weighted/unweighted batches with optional
 // per-element output spans) and the SWGS session entry points.
@@ -17,6 +17,7 @@
 #include "parlis/swgs/swgs.hpp"
 #include "parlis/util/generators.hpp"
 #include "parlis/wlis/wlis.hpp"
+#include "parlis/wlis/wlis_workspace.hpp"
 
 namespace parlis {
 namespace {
@@ -59,24 +60,25 @@ TEST(Solver, WarmReuseMatchesFreeFunctionsAcrossSizes) {
   }
 }
 
-// The same warm workspace must serve every dominant-max backend.
+// One warm workspace must serve every dominant-max backend of the rounds,
+// and the Solver's pass must agree with each of them.
 TEST(Solver, AllWlisBackendsAgreeThroughOneWarmSolver) {
   const WlisStructure backends[] = {WlisStructure::kRangeTree,
                                     WlisStructure::kRangeVeb,
                                     WlisStructure::kRangeVebTabulated};
-  for (WlisStructure s : backends) {
-    Options opts;
-    opts.structure = s;
-    Solver solver(opts);
-    WlisResult out;
-    for (int64_t n : {3000, 12000, 800, 12000}) {
-      auto a = random_values(n, 11 * n + 3, 400);  // duplicate-heavy
-      auto w = uniform_weights(n, 5 + n);
-      solver.solve_wlis(a, w, out);
-      WlisResult ref = wlis(a, w, s);
-      EXPECT_EQ(out.dp, ref.dp)
+  Solver solver;
+  WlisWorkspace ws;
+  WlisResult out, pass;
+  for (int64_t n : {3000, 12000, 800, 12000}) {
+    auto a = random_values(n, 11 * n + 3, 400);  // duplicate-heavy
+    auto w = uniform_weights(n, 5 + n);
+    solver.solve_wlis(a, w, pass);
+    for (WlisStructure s : backends) {
+      wlis_into(a, w, ws, out, s);
+      EXPECT_EQ(out.dp, pass.dp)
           << "backend=" << static_cast<int>(s) << " n=" << n;
-      EXPECT_EQ(out.best, ref.best);
+      EXPECT_EQ(out.best, pass.best);
+      EXPECT_EQ(out.k, pass.k);
     }
   }
 }
@@ -136,13 +138,15 @@ TEST(Solver, ValueCacheFastPathMatchesReference) {
   EXPECT_EQ(out.dp, swgs_wlis(a3, w).dp);
   solver.solve_wlis(a3, w, out);
   EXPECT_EQ(out.dp, wlis(a3, w).dp);
-  // Backend switches share the workspace too.
+  // The rounds' backends share one workspace too, cached second solves
+  // included, and agree with the Solver's pass.
+  WlisWorkspace ws;
+  WlisResult pass;
+  solver.solve_wlis(a, w, pass);
   for (auto s : {WlisStructure::kRangeVeb, WlisStructure::kRangeTree}) {
-    Options o;
-    o.structure = s;
-    Solver sv(o);
-    sv.solve_wlis(a, w, out);
-    sv.solve_wlis(a, w, out);  // cached second solve
+    wlis_into(a, w, ws, out, s);
+    wlis_into(a, w, ws, out, s);  // cached second solve
+    EXPECT_EQ(out.dp, pass.dp);
     EXPECT_EQ(out.dp, wlis(a, w, s).dp);
   }
 }

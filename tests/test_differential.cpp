@@ -23,6 +23,7 @@
 #include "parlis/util/rank_space.hpp"
 #include "parlis/wlis/seq_avl.hpp"
 #include "parlis/wlis/wlis.hpp"
+#include "parlis/wlis/wlis_workspace.hpp"
 
 namespace parlis {
 namespace {
@@ -208,19 +209,29 @@ TEST_P(Differential, NonDecreasingTiesMatchOracle) {
 
   Options opts;
   opts.ties = TiesPolicy::kNonDecreasing;
+  Solver solver(opts);
+  LisResult lr;
+  solver.solve_lis(std::span<const int64_t>(a), lr);
+  ASSERT_EQ(lr.rank, brute);
+  ASSERT_EQ(lr.k, k);
+  const std::vector<int64_t> want = brute_nondec_wlis_dp(a, w);
+  WlisResult wr;
+  solver.solve_wlis(std::span<const int64_t>(a), std::span<const int64_t>(w),
+                    wr);
+  ASSERT_EQ(wr.dp, want);
+  ASSERT_EQ(wr.k, k);
+  // The rounds reach the policy through the rank image, every structure
+  // on one shared workspace.
+  WlisWorkspace ws;
   for (WlisStructure st :
        {WlisStructure::kRangeTree, WlisStructure::kRangeVeb,
         WlisStructure::kRangeVebTabulated}) {
-    opts.structure = st;
-    Solver solver(opts);
-    LisResult lr;
-    solver.solve_lis(std::span<const int64_t>(a), lr);
-    ASSERT_EQ(lr.rank, brute);
-    ASSERT_EQ(lr.k, k);
-    WlisResult wr;
-    solver.solve_wlis(std::span<const int64_t>(a),
-                      std::span<const int64_t>(w), wr);
-    ASSERT_EQ(wr.dp, brute_nondec_wlis_dp(a, w));
+    rank_space_into<int64_t>(a, TiesPolicy::kNonDecreasing, ws.rank_space,
+                             ws.rank_scratch);
+    wlis_compressed_into(std::span<const int64_t>(ws.rank_space.rank),
+                         std::span<const int64_t>(w), ws, wr, st);
+    ASSERT_EQ(wr.dp, want) << "structure " << static_cast<int>(st);
+    ASSERT_EQ(wr.k, k);
   }
   // The free-function route to the same policy.
   ASSERT_EQ(longest_nondecreasing_ranks(a).rank, brute);

@@ -19,6 +19,7 @@
 #include "parlis/lis/seq_lis.hpp"
 #include "parlis/parallel/random.hpp"
 #include "parlis/swgs/swgs.hpp"
+#include "parlis/util/error.hpp"
 #include "parlis/util/rank_space.hpp"
 #include "parlis/wlis/wlis.hpp"
 
@@ -335,6 +336,67 @@ TEST(EdgeCases, CustomOrderSentinelIsAnOrdinaryValue) {
                    std::greater<int64_t>{});
   EXPECT_EQ(lr.rank, (std::vector<int32_t>{1, 2, 2, 3, 3}));
   EXPECT_EQ(lr.k, 3);
+}
+
+// ------------------------------------------------------ weight overflow ---
+
+// dp[i] = w[i] + max(0, best chain before i): a sum past INT64_MAX is
+// Error{kInvalidArgument} on every Solver path (it used to wrap, which is
+// UB). The prefix maximum is never negative, so INT64_MIN weights and
+// sums that land exactly on INT64_MAX are fine.
+void expect_overflow(const std::function<void()>& solve) {
+  try {
+    solve();
+    ADD_FAILURE() << "expected Error{kInvalidArgument}, call succeeded";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument) << e.what();
+  }
+}
+
+TEST(EdgeCases, WlisWeightOverflowThrows) {
+  const std::vector<int64_t> a = {1, 2, 3};
+  const std::vector<int64_t> w = {kMax, kMax, 1};
+  const std::vector<double> da = {1.0, 2.0, 3.0};
+  Options nd;
+  nd.ties = TiesPolicy::kNonDecreasing;
+  // Between the documented Seq-AVL fallback (64 B/element + 64 KiB) and
+  // the rank space plus the pass (90 B/element + 128 KiB).
+  Options tight;
+  tight.memory_budget_bytes = 100000;
+  for (const Options& opts : {Options{}, nd, tight}) {
+    SCOPED_TRACE(testing::Message()
+                 << "nondec " << (opts.ties == TiesPolicy::kNonDecreasing)
+                 << ", budget " << opts.memory_budget_bytes);
+    Solver solver(opts);
+    WlisResult out;
+    expect_overflow([&] { solver.solve_wlis(a, w, out); });
+    if (opts.memory_budget_bytes == 0) {
+      expect_overflow([&] {
+        solver.solve_wlis(std::span<const double>(da), w, out);
+      });
+    }
+    // solve_many: one query on the caller's context, then packed ones.
+    for (const int64_t cutoff : {int64_t{0}, int64_t{64}}) {
+      Options o = opts;
+      o.sequential_cutoff = cutoff;
+      Solver batch(o);
+      std::vector<Query> qs(2, Query{a, w});
+      std::vector<QueryResult> rs(2);
+      expect_overflow([&] { batch.solve_many(qs, rs); });
+    }
+    // The solver stays usable, and the edges of the domain hold.
+    solver.solve_wlis(a, std::vector<int64_t>{kMax - 2, 1, 1}, out);
+    EXPECT_EQ(out.dp, (std::vector<int64_t>{kMax - 2, kMax - 1, kMax}));
+    EXPECT_EQ(out.best, kMax);
+    const int64_t kMin = std::numeric_limits<int64_t>::min();
+    solver.solve_wlis(a, std::vector<int64_t>{kMin, kMin, kMax}, out);
+    EXPECT_EQ(out.dp, (std::vector<int64_t>{kMin, kMin, kMax}));
+    EXPECT_EQ(out.best, kMax);
+    const std::vector<int64_t> down = {3, 2, 1};
+    solver.solve_wlis(down, std::vector<int64_t>(3, kMax), out);
+    EXPECT_EQ(out.dp, std::vector<int64_t>(3, kMax));
+    EXPECT_EQ(out.k, 1);
+  }
 }
 
 TEST(EdgeCases, SolveManyNonDecreasingTies) {

@@ -23,6 +23,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -48,6 +49,7 @@
 #include "parlis/util/tracking_allocator.hpp"
 #include "parlis/wlis/range_tree.hpp"
 #include "parlis/wlis/wlis.hpp"
+#include "parlis/wlis/wlis_workspace.hpp"
 
 namespace parlis {
 namespace {
@@ -215,6 +217,12 @@ std::vector<SiteDriver> site_drivers() {
                  (void)lis_ranks(*a);
                }});
   d.push_back({"wlis.round", FireKind::kFault, [a, w] {
+                 // Alg. 2's rounds: the Solver runs the pass instead.
+                 WlisWorkspace ws;
+                 WlisResult out;
+                 wlis_into(*a, *w, ws, out);
+               }});
+  d.push_back({"wlis.sweep", FireKind::kFault, [a, w] {
                  Solver s;
                  WlisResult out;
                  s.solve_wlis(*a, *w, out);
@@ -225,9 +233,9 @@ std::vector<SiteDriver> site_drivers() {
                  s.solve_swgs(std::span<const int64_t>(*a), out);
                }});
   d.push_back({"rangetree.rebuild", FireKind::kOom, [a, w] {
-                 Solver s;  // default backend is kRangeTree
+                 WlisWorkspace ws;  // default backend is kRangeTree
                  WlisResult out;
-                 s.solve_wlis(*a, *w, out);
+                 wlis_into(*a, *w, ws, out);
                }});
   d.push_back({"stream.append", FireKind::kFault, [] {
                  Solver s;
@@ -384,9 +392,12 @@ TEST_F(FaultInjection, TableSurvivesEvictFault) {
   EXPECT_FALSE(t.contains(1));
 }
 
-// After a mid-solve failure unwinds, the Solver's warm caches must have been
-// funnelled through the invalidation chokepoints: the next solve on the same
-// (warm) solver is required to be bit-identical to a cold solver's.
+// After a mid-solve failure unwinds, warm caches must have been funnelled
+// through the invalidation chokepoints: the next solve on the same warm
+// state is required to be bit-identical to a cold one. The Solver's pass
+// meets its site with a Solver; the rounds' sites (and the allocations
+// under them) meet theirs through wlis_into on one reused WlisWorkspace,
+// whose value cache the failure must leave coherent.
 TEST_F(FaultInjection, WarmResolveAfterFaultMatchesCold) {
   const int64_t n = 8192;
   const std::vector<int64_t> a = make_vals(n, 31);
@@ -402,34 +413,59 @@ TEST_F(FaultInjection, WarmResolveAfterFaultMatchesCold) {
     const std::vector<int64_t>* fault_a;
     const std::vector<int64_t>* fault_w;
   };
-  const Case cases[] = {
+  auto expect_same = [](const WlisResult& x, const WlisResult& y) {
+    EXPECT_EQ(x.dp, y.dp);
+    EXPECT_EQ(x.best, y.best);
+    EXPECT_EQ(x.k, y.k);
+  };
+
+  const Case rounds_cases[] = {
       {"wlis.round", &a2, &w},
       {"lis.round", &a2, &w},
       {"rangetree.rebuild", &a_big, &w_big},
       {"arena.chunk_alloc", &a_big, &w_big},
   };
-  for (const Case& c : cases) {
+  for (const Case& c : rounds_cases) {
     SCOPED_TRACE(c.site);
+    failpoints::disarm_all();
+    WlisWorkspace warm;
+    WlisResult out;
+    wlis_into(a, w, warm, out);  // prime every cache level
+    failpoints::arm_nth(c.site, 1);
+    EXPECT_ANY_THROW(wlis_into(*c.fault_a, *c.fault_w, warm, out));
+    failpoints::disarm_all();
+
+    WlisResult warm_out, cold_out;
+    wlis_into(a, w, warm, warm_out);
+    WlisWorkspace cold;
+    wlis_into(a, w, cold, cold_out);
+    expect_same(warm_out, cold_out);
+    // And the faulting input itself now solves identically too.
+    wlis_into(*c.fault_a, *c.fault_w, warm, warm_out);
+    wlis_into(*c.fault_a, *c.fault_w, cold, cold_out);
+    expect_same(warm_out, cold_out);
+  }
+
+  // The pass, on a value-cache miss and on a hit.
+  for (const std::vector<int64_t>* fault_a : {&a2, &a}) {
+    SCOPED_TRACE(fault_a == &a ? "wlis.sweep, hit" : "wlis.sweep, miss");
     failpoints::disarm_all();
     Solver warm;
     WlisResult out;
-    warm.solve_wlis(a, w, out);  // prime every cache
-    failpoints::arm_nth(c.site, 1);
-    EXPECT_ANY_THROW(warm.solve_wlis(*c.fault_a, *c.fault_w, out));
+    warm.solve_wlis(a, w, out);  // prime the value cache
+    failpoints::arm_nth("wlis.sweep", 1);
+    expect_error(ErrorCode::kFaultInjected,
+                 [&] { warm.solve_wlis(*fault_a, w, out); });
     failpoints::disarm_all();
 
     WlisResult warm_out, cold_out;
     warm.solve_wlis(a, w, warm_out);
     Solver cold;
     cold.solve_wlis(a, w, cold_out);
-    EXPECT_EQ(warm_out.dp, cold_out.dp);
-    EXPECT_EQ(warm_out.best, cold_out.best);
-    EXPECT_EQ(warm_out.k, cold_out.k);
-    // And the faulting input itself now solves identically too.
-    warm.solve_wlis(*c.fault_a, *c.fault_w, warm_out);
-    cold.solve_wlis(*c.fault_a, *c.fault_w, cold_out);
-    EXPECT_EQ(warm_out.dp, cold_out.dp);
-    EXPECT_EQ(warm_out.best, cold_out.best);
+    expect_same(warm_out, cold_out);
+    warm.solve_wlis(a2, w, warm_out);
+    cold.solve_wlis(a2, w, cold_out);
+    expect_same(warm_out, cold_out);
   }
 }
 
@@ -459,9 +495,10 @@ TEST_F(FaultInjection, SessionAppendFaultIsUnadmitted) {
 }
 
 TEST_F(FaultInjection, ProbabilisticFaultStormKeepsSolverCoherent) {
-  // A 2% per-round fault probability over many re-solves: every failure
-  // must surface as Error{kFaultInjected} and never corrupt later results.
-  const int64_t n = 4096;
+  // A 10% fault probability at each of the pass's three polls over many
+  // re-solves, value-cache hits and misses mixed: every failure must
+  // surface as Error{kFaultInjected} and never corrupt later results.
+  const int64_t n = 3 * 4096;
   const std::vector<int64_t> a = make_vals(n, 61);
   const std::vector<int64_t> a2 = make_vals(n, 62);
   const std::vector<int64_t> w = make_weights(n, 63);
@@ -470,17 +507,19 @@ TEST_F(FaultInjection, ProbabilisticFaultStormKeepsSolverCoherent) {
   ref_solver.solve_wlis(a, w, ref1);
   ref_solver.solve_wlis(a2, w, ref2);
 
-  failpoints::arm_probability("wlis.round", 0.02, 777);
+  failpoints::arm_probability("wlis.sweep", 0.1, 777);
   Solver s;
   WlisResult out;
   int faults = 0, ok = 0;
   for (int it = 0; it < 60; it++) {
-    const auto& in = (it % 2 != 0) ? a2 : a;
-    const auto& ref = (it % 2 != 0) ? ref2 : ref1;
+    const bool second = it % 3 == 2;  // a, a (hit), a2, ...
+    const auto& in = second ? a2 : a;
+    const auto& ref = second ? ref2 : ref1;
     try {
       s.solve_wlis(in, w, out);
       EXPECT_EQ(out.dp, ref.dp) << "iteration " << it;
       EXPECT_EQ(out.best, ref.best) << "iteration " << it;
+      EXPECT_EQ(out.k, ref.k) << "iteration " << it;
       ok++;
     } catch (const Error& e) {
       EXPECT_EQ(e.code(), ErrorCode::kFaultInjected);
@@ -488,7 +527,8 @@ TEST_F(FaultInjection, ProbabilisticFaultStormKeepsSolverCoherent) {
     }
   }
   failpoints::disarm_all();
-  EXPECT_GT(ok, 0);  // the storm must not drown every solve
+  EXPECT_GT(ok, 0);      // the storm must not drown every solve
+  EXPECT_GT(faults, 0);  // ... nor miss them all
   // Final check on a clean solver state after the storm.
   s.solve_wlis(a, w, out);
   EXPECT_EQ(out.dp, ref1.dp);
@@ -764,6 +804,59 @@ TEST(Cancellation, DeadlineStopsPatienceWithin4096Elements) {
   EXPECT_LT(last, 12288);
 }
 
+// The Solver's WLIS pass polls every 4096 elements. A deadline that runs
+// out mid-pass must stop it at the next poll: the dp it wrote is a prefix
+// whose length is a multiple of 4096, strictly inside the input. The pass
+// has no callback to stall on, so the deadline is set from the measured
+// time of an unguarded solve on a value-cache hit (the pass alone, after
+// an O(n) cache check), and re-picked when it expired before the pass
+// started or after it ended.
+TEST(Cancellation, DeadlineStopsWlisPassWithin4096Elements) {
+  const int64_t n = int64_t{1} << 20;
+  std::vector<int64_t> a(n), w(n, 1);
+  for (int64_t i = 0; i < n; i++) a[i] = i;  // k = n: full-height walks
+  Solver s;
+  WlisResult out;
+  s.solve_wlis(a, w, out);  // prime the value cache
+  double pass_ms = 1e30;
+  for (int r = 0; r < 3; r++) {
+    const auto t0 = std::chrono::steady_clock::now();
+    s.solve_wlis(a, w, out);
+    pass_ms = std::min(
+        pass_ms, std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count());
+  }
+  double frac = 0.5;
+  for (int attempt = 0; attempt < 12; attempt++) {
+    const int64_t deadline = std::max<int64_t>(1, std::llround(pass_ms * frac));
+    SCOPED_TRACE(testing::Message() << "deadline " << deadline << " ms, pass "
+                                    << pass_ms << " ms");
+    s.set_deadline_ms(deadline);
+    std::fill(out.dp.begin(), out.dp.end(), -1);  // dp >= 1 once written
+    try {
+      s.solve_wlis(a, w, out);
+      frac /= 2;  // the pass beat the deadline
+      continue;
+    } catch (const Error& e) {
+      ASSERT_EQ(e.code(), ErrorCode::kDeadlineExceeded);
+    }
+    const int64_t written =
+        std::find(out.dp.begin(), out.dp.end(), -1) - out.dp.begin();
+    ASSERT_EQ(std::count(out.dp.begin() + written, out.dp.end(), -1),
+              n - written);  // a prefix
+    if (written == 0) {
+      frac = std::min(0.9, frac * 1.5);  // expired before the pass
+      continue;
+    }
+    EXPECT_LT(written, n);
+    EXPECT_EQ(written % 4096, 0);
+    for (int64_t i = 0; i < written; i++) ASSERT_EQ(out.dp[i], i + 1);
+    return;
+  }
+  FAIL() << "no deadline landed inside the pass";
+}
+
 TEST(Cancellation, GenerousDeadlinePassesAndMatches) {
   Options o;
   o.deadline_ms = 600000;
@@ -870,8 +963,8 @@ TEST(MemoryBudget, WlisSweepDegradesExactly) {
 
   int rejected = 0, admitted = 0, degraded = 0;
   for (uint64_t budget :
-       {uint64_t{1}, uint64_t{256} << 10, uint64_t{8} << 20,
-        uint64_t{64} << 20, uint64_t{256} << 20, uint64_t{0}}) {
+       {uint64_t{1}, uint64_t{256} << 10, uint64_t{4} << 20,
+        uint64_t{8} << 20, uint64_t{64} << 20, uint64_t{0}}) {
     SCOPED_TRACE("budget=" + std::to_string(budget));
     Options o;
     o.memory_budget_bytes = budget;
@@ -890,19 +983,27 @@ TEST(MemoryBudget, WlisSweepDegradesExactly) {
   }
   EXPECT_GE(rejected, 1);
   EXPECT_GE(admitted, 2);
-  // The 8 MiB point sits between the documented fallback (~64 B/elem) and
-  // full (~150+ B/elem) footprints at n = 60000, so the sweep provably
-  // crossed the degradation regime, not just reject/full.
+  // The 4 MiB point sits between the documented fallback (~64 B/elem) and
+  // full (~90 B/elem) footprints at n = 60000, so the sweep provably
+  // crossed the degradation regime, not just reject/full. Seq-AVL leaves
+  // only the patience scratch behind (~12 B/elem); the pass keeps the rank
+  // space (32+ B/elem).
   Options mid;
-  mid.memory_budget_bytes = uint64_t{8} << 20;
+  mid.memory_budget_bytes = uint64_t{4} << 20;
   Solver s_mid(mid);
   WlisResult out_mid;
   s_mid.solve_wlis(a, w, out_mid);
   degraded++;
+  EXPECT_LT(s_mid.resident_bytes(), static_cast<size_t>(16 * n));
   EXPECT_EQ(out_mid.dp, ref.dp);
   EXPECT_EQ(out_mid.best, ref.best);
   EXPECT_EQ(out_mid.k, ref.k);
   EXPECT_EQ(degraded, 1);
+  // Without the fallback (a rank image is needed), 4 MiB is too little.
+  expect_error(ErrorCode::kBudgetExceeded, [&] {
+    s_mid.solve_wlis(std::span<const int64_t>(a), w, out_mid,
+                     std::greater<int64_t>{});
+  });
 }
 
 TEST(MemoryBudget, SolveManySweepMatchesUnlimited) {
@@ -968,6 +1069,53 @@ TEST(MemoryBudget, RangeTreeEstimateCoversRealAccounting) {
     }
     RangeTreeMax tree{std::span<const int64_t>(perm)};
     EXPECT_LE(tree.pool_reserved_bytes(), RangeTreeMax::estimate_build_bytes(n));
+  }
+}
+
+// The weighted plan's estimate (rank space + the pass) bounds what a solve
+// really holds. The smallest budget that admits a solve with no fallback
+// (a custom order) is found by bisection, since over-budget calls throw
+// before they allocate; a fresh Solver's measured footprint plus the dp
+// output must fit in it on both the rank-image and the value-cache paths.
+TEST(MemoryBudget, WlisPassEstimateCoversRealAccounting) {
+  for (int64_t n : {int64_t{1}, int64_t{17}, int64_t{1000}, int64_t{65536},
+                    int64_t{100000}}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const std::vector<int64_t> a = make_vals(n, 111 + n);
+    const std::vector<int64_t> w = make_weights(n, 112 + n);
+    auto admits = [&](uint64_t budget) {
+      Options o;
+      o.memory_budget_bytes = budget;
+      Solver s(o);
+      WlisResult out;
+      try {
+        s.solve_wlis(std::span<const int64_t>(a), w, out,
+                     std::greater<int64_t>{});
+        return true;
+      } catch (const Error& e) {
+        EXPECT_EQ(e.code(), ErrorCode::kBudgetExceeded);
+        return false;
+      }
+    };
+    // lo rejects, hi admits.
+    uint64_t lo = 1, hi = 256 * static_cast<uint64_t>(n) + (uint64_t{1} << 20);
+    ASSERT_TRUE(admits(hi));
+    while (hi - lo > 1) {
+      const uint64_t mid = lo + (hi - lo) / 2;
+      (admits(mid) ? hi : lo) = mid;
+    }
+    for (const bool custom : {true, false}) {
+      SCOPED_TRACE(custom ? "rank image" : "value cache");
+      Solver s;
+      WlisResult out;
+      if (custom) {
+        s.solve_wlis(std::span<const int64_t>(a), w, out,
+                     std::greater<int64_t>{});
+      } else {
+        s.solve_wlis(a, w, out);
+      }
+      EXPECT_LE(s.resident_bytes() + out.resident_bytes(), hi);
+    }
   }
 }
 

@@ -373,9 +373,9 @@ TEST(StreamVebChurn, ReplaceTopPointCases) {
 // ------------------------------------------- cache-invariant regression ---
 
 TEST(StreamSession, InterleavedAppendAndWarmWlisStayCoherent) {
-  // The PR 4 invariant: cache_valid implies frontiers/rank_space describe
-  // cached_a. Session ops must not corrupt a warm weighted cache on the
-  // same solver — appends touch only LIS-side scratch.
+  // The value cache's invariant: each built level describes cached_a.
+  // Session ops must not corrupt a warm weighted cache on the same
+  // solver — appends touch only LIS-side scratch.
   constexpr int64_t kN = 500;
   std::mt19937_64 rng(3);
   std::vector<int64_t> a(kN), w(kN);

@@ -146,7 +146,6 @@ TEST(Umbrella, EveryPublicEntryPointIsReachable) {
 
   // --- Solver / session API ---------------------------------------------
   Options opts;
-  opts.structure = WlisStructure::kRangeTree;
   opts.seed = 42;
   Solver solver(opts);
   EXPECT_EQ(solver.options().seed, 42u);
