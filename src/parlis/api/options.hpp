@@ -1,6 +1,6 @@
 // Unified per-solver configuration: one struct carries every knob the
 // Solver entry points consult, replacing the per-function parameter
-// sprawl the one-shot API grew (seeds here, worker counts via a global).
+// sprawl the one-shot API grew (ties policies, worker counts via a global).
 #pragma once
 
 #include <cstdint>
@@ -48,9 +48,6 @@ struct Options {
   /// size across the pool one-per-task instead of parallelizing inside them.
   int64_t sequential_cutoff = kPoolGateGrain;
 
-  /// Seed for the SWGS wake-up scheme's certificate sampling.
-  uint64_t seed = 42;
-
   /// Streaming-session window policy (Solver::make_session). kGrowOnly
   /// ignores window_capacity; the sliding modes require capacity >= 1.
   WindowMode window = WindowMode::kGrowOnly;
@@ -79,7 +76,7 @@ struct Options {
   /// degrade to the Seq-AVL sweep (~64 B/element, no rank space), and
   /// every other weighted solve has nothing smaller. When even the
   /// smallest path exceeds the budget the call throws
-  /// Error{kBudgetExceeded}. SWGS paths have no fallback either.
+  /// Error{kBudgetExceeded}.
   uint64_t memory_budget_bytes = 0;
 };
 

@@ -8,7 +8,6 @@
 #include "parlis/parallel/scheduler.hpp"
 #include "parlis/stream/lis_session.hpp"
 #include "parlis/util/failpoint.hpp"
-#include "parlis/wlis/range_tree.hpp"
 #include "parlis/wlis/seq_avl.hpp"
 
 namespace parlis {
@@ -87,14 +86,6 @@ size_t Solver::wlis_fallback_bytes(int64_t n) {
   return static_cast<size_t>(n) * 64 + (size_t{1} << 16);
 }
 
-size_t Solver::swgs_scratch_bytes(int64_t n) {
-  // Wake-up rounds: subscriber lists (vector header + entry per object),
-  // awake/certificate/frontier buffers, the dominance oracle, and — on the
-  // weighted path, the worst case this models — the dominant-max tree.
-  return static_cast<size_t>(n) * 96 + RangeTreeMax::estimate_build_bytes(n) +
-         (size_t{1} << 16);
-}
-
 // LisResult::rank, LisFrontiers::rank and every round counter are int32.
 static void check_rank_limit(int64_t n, const char* what) {
   if (n > std::numeric_limits<int32_t>::max()) {
@@ -124,10 +115,6 @@ Solver::BudgetPlan Solver::budget_plan(int64_t n, size_t full_bytes,
                   " bytes for the sequential fallback exceed "
                   "Options::memory_budget_bytes = " +
                   std::to_string(budget));
-}
-
-void Solver::budget_require(int64_t n, size_t bytes, const char* what) const {
-  (void)budget_plan(n, bytes, 0, what);
 }
 
 void Solver::wlis_fallback(std::span<const int64_t> a,
@@ -167,38 +154,6 @@ int64_t Solver::lis_length(std::span<const int64_t> a) {
 void Solver::solve_wlis(std::span<const int64_t> a,
                         std::span<const int64_t> w, WlisResult& out) {
   solve_wlis(a, w, out, std::less<int64_t>{});
-}
-
-void Solver::solve_swgs(std::span<const int64_t> a, LisResult& out,
-                        SwgsStats* stats) {
-  if (opts_.ties == TiesPolicy::kNonDecreasing) {
-    solve_swgs<int64_t>(a, out, stats);
-    return;
-  }
-  EntryGuard guard(*this, a.size());
-  const int64_t n = static_cast<int64_t>(a.size());
-  budget_require(n, swgs_scratch_bytes(n), "solve_swgs");
-  swgs_lis_ranks_into(a, opts_.seed, out, stats);
-}
-
-void Solver::solve_swgs_wlis(std::span<const int64_t> a,
-                             std::span<const int64_t> w, WlisResult& out,
-                             SwgsStats* stats) {
-  if (a.size() != w.size()) {
-    throw Error(ErrorCode::kInvalidArgument,
-                "solve_swgs_wlis: |w| must equal |a|");
-  }
-  if (opts_.ties == TiesPolicy::kNonDecreasing) {
-    solve_swgs_wlis<int64_t>(a, w, out, stats);
-    return;
-  }
-  EntryGuard guard(*this, a.size());
-  const int64_t n = static_cast<int64_t>(a.size());
-  budget_require(n, rank_space_bytes(n) + swgs_scratch_bytes(n),
-                 "solve_swgs_wlis");
-  // swgs_wlis_into invalidates the workspace cache both up front and on
-  // any throw out of the rounds, so no extra chokepoint is needed here.
-  swgs_wlis_into(a, w, opts_.seed, main_ctx_->wlis, out, stats);
 }
 
 // Validates one Query's shape; shared by solve_many's fail-fast pre-pass

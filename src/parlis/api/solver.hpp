@@ -58,7 +58,6 @@
 #include "parlis/lis/lis.hpp"
 #include "parlis/lis/tournament_tree.hpp"
 #include "parlis/parallel/scheduler.hpp"
-#include "parlis/swgs/swgs.hpp"
 #include "parlis/util/content_hash.hpp"
 #include "parlis/util/error.hpp"
 #include "parlis/util/exec_context.hpp"
@@ -200,55 +199,6 @@ class Solver {
     run_wlis(a, w, "solve_wlis", *main_ctx_, out, less);
   }
 
-  /// SWGS baseline, unweighted (seed from Options), under options().ties.
-  void solve_swgs(std::span<const int64_t> a, LisResult& out,
-                  SwgsStats* stats = nullptr);
-
-  /// Typed overload of the SWGS baseline: the dominance oracle is
-  /// comparison-based, so it consumes the rank image directly.
-  template <typename Key, typename Less = std::less<Key>>
-  void solve_swgs(std::span<const Key> a, LisResult& out,
-                  SwgsStats* stats = nullptr, Less less = Less{}) {
-    EntryGuard guard(*this, a.size());
-    const int64_t n = static_cast<int64_t>(a.size());
-    budget_require(n, rank_space_bytes(n) + swgs_scratch_bytes(n),
-                   "solve_swgs");
-    swgs_lis_ranks_into(rank_image(a, main_ctx_->lis, less), opts_.seed, out,
-                        stats);
-  }
-
-  /// SWGS baseline, weighted, under options().ties.
-  void solve_swgs_wlis(std::span<const int64_t> a,
-                       std::span<const int64_t> w, WlisResult& out,
-                       SwgsStats* stats = nullptr);
-
-  /// Typed overload of the weighted SWGS baseline: one compression into
-  /// the WLIS workspace's rank space, consumed by the oracle rounds and
-  /// the dominant-max tree alike.
-  template <typename Key, typename Less = std::less<Key>>
-  void solve_swgs_wlis(std::span<const Key> a, std::span<const int64_t> w,
-                       WlisResult& out, SwgsStats* stats = nullptr,
-                       Less less = Less{}) {
-    if (a.size() != w.size()) {
-      throw Error(ErrorCode::kInvalidArgument,
-                  "solve_swgs_wlis: |w| must equal |a|");
-    }
-    EntryGuard guard(*this, a.size());
-    const int64_t n = static_cast<int64_t>(a.size());
-    budget_require(n, rank_space_bytes(n) + swgs_scratch_bytes(n),
-                   "solve_swgs_wlis");
-    WlisWorkspace& ws = main_ctx_->wlis;
-    try {
-      rank_space_into<Key, Less>(a, opts_.ties, ws.rank_space, ws.rank_scratch,
-                                 less);
-      swgs_wlis_compressed_into(std::span<const int64_t>(ws.rank_space.rank),
-                                w, opts_.seed, ws, out, stats);
-    } catch (...) {
-      ws.invalidate_cache();
-      throw;
-    }
-  }
-
   /// Batched serving: solves queries[i] into results[i] for every i.
   /// Queries are independent; |results| >= |queries|. Queries with
   /// |a| <= options().sequential_cutoff are packed across the worker pool
@@ -308,18 +258,15 @@ class Solver {
   // deliberately generous; the fault tests pin each one >= the structures'
   // real accounting. budget_plan picks the full path when it fits, the
   // fallback when only that fits (fallback_bytes 0: there is none), and
-  // throws Error{kBudgetExceeded} otherwise; budget_require is the
-  // no-fallback form (SWGS has no sequential twin).
+  // throws Error{kBudgetExceeded} otherwise.
   enum class BudgetPlan { kFull, kFallback };
   BudgetPlan budget_plan(int64_t n, size_t full_bytes, size_t fallback_bytes,
                          const char* what) const;
-  void budget_require(int64_t n, size_t bytes, const char* what) const;
   static size_t rank_space_bytes(int64_t n);
   static size_t lis_scratch_bytes(int64_t n);
   static size_t lis_fallback_bytes(int64_t n);
   static size_t wlis_scratch_bytes(int64_t n);
   static size_t wlis_fallback_bytes(int64_t n);
-  static size_t swgs_scratch_bytes(int64_t n);
   // One context's LIS scratch: the rank image of keys that need one (kept
   // apart from the WLIS workspace's rank space, whose contents back the
   // value-sequence cache), tournament storage for the pool path, and the

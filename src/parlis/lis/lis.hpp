@@ -147,7 +147,8 @@ inline constexpr int64_t kPatienceWindow = 16;
 // call site, and slower on deep inputs: under the SIMD layer's 10% bar
 // (EXPERIMENTS.md), so it stays scalar.
 template <typename T, typename Less>
-inline int64_t count_below(const T* t, int64_t m, const T& x, Less less) {
+inline int64_t count_tails_below(const T* t, int64_t m, const T& x,
+                                 Less less) {
   int64_t c = 0;
   for (int64_t j = 0; j < m; j++) c += static_cast<int64_t>(less(t[j], x));
   return c;
@@ -167,10 +168,10 @@ inline int64_t count_below(const T* t, int64_t m, const T& x, Less less) {
 template <typename T, typename Less>
 inline int64_t patience_search(const T* t, int64_t len, const T& x,
                                Less less) {
-  if (len <= kPatienceWindow) return count_below(t, len, x, less);
+  if (len <= kPatienceWindow) return count_tails_below(t, len, x, less);
   int64_t hi = len - kPatienceWindow;
   if (less(t[hi], x)) {
-    return hi + count_below(t + hi, kPatienceWindow, x, less);
+    return hi + count_tails_below(t + hi, kPatienceWindow, x, less);
   }
   int64_t lo = 0;
   for (int64_t s = 4 * kPatienceWindow; s < len; s *= 4) {
@@ -189,7 +190,7 @@ inline int64_t patience_search(const T* t, int64_t len, const T& x,
   // window of exactly kPatienceWindow tails that covers [base, base + m)
   // counts the rest.
   base = std::min(base, t + (len - kPatienceWindow));
-  return (base - t) + count_below(base, kPatienceWindow, x, less);
+  return (base - t) + count_tails_below(base, kPatienceWindow, x, less);
 }
 
 // Patience sorting (Seq-BS): rank[i] is one more than the number of tails

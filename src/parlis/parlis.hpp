@@ -15,7 +15,6 @@
 #include "parlis/lis/tournament_tree.hpp"   // TournamentTree
 #include "parlis/veb/veb_tree.hpp"          // parallel vEB tree (Thm. 1.3)
 #include "parlis/veb/mono_veb.hpp"          // Mono-vEB staircase
-#include "parlis/veb/compact_veb.hpp"       // O(n)-space hashed-cluster vEB
 #include "parlis/wlis/wlis.hpp"             // weighted LIS (Alg. 2)
 #include "parlis/wlis/wlis_sweep.hpp"       // the Solver's WLIS pass
 #include "parlis/wlis/range_tree.hpp"       // dominant-max, Sec. 4.1

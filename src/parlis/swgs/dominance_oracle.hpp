@@ -5,8 +5,8 @@
 // "alive" counts over that sorted order. The oracle is comparison-based —
 // raw int64 values and their rank image (util/rank_space.hpp) produce
 // bit-identical behavior — which is how generic key types reach this
-// baseline: the Solver's typed overloads compress once and hand the rank
-// span to the SWGS drivers. Supports, for an object i with key A_i, over
+// baseline: the caller compresses once (rank_space_into) and hands the
+// rank span to the SWGS drivers. Supports, for an object i with key A_i, over
 // the alive set:
 //
 //   count(i)        — # alive j with j < i and A_j < A_i       O(log^2 n)

@@ -22,8 +22,8 @@ namespace {
 // sequence — raw values or a rank image (util/rank_space.hpp): the oracle
 // is comparison-based and a rank reduction is order-isomorphic, so both
 // produce bit-identical rounds and certificates. That is how any key type
-// reaches this baseline: the Solver's typed overloads compress once and
-// pass the rank image here. Each round's frontier (sorted by index) is
+// reaches this baseline: the caller compresses once (rank_space_into) and
+// passes the rank image here. Each round's frontier (sorted by index) is
 // reported through on_frontier(round, indices).
 template <typename OnFrontier>
 int64_t run_rounds(std::span<const int64_t> a, uint64_t seed,

@@ -36,7 +36,7 @@ struct SwgsStats {
 LisResult swgs_lis_ranks(std::span<const int64_t> a, uint64_t seed = 42,
                          SwgsStats* stats = nullptr);
 
-/// Result-buffer-injected form (parlis::Solver drives this).
+/// Result-buffer-injected form.
 void swgs_lis_ranks_into(std::span<const int64_t> a, uint64_t seed,
                          LisResult& out, SwgsStats* stats = nullptr);
 
@@ -50,8 +50,8 @@ void swgs_wlis_into(std::span<const int64_t> a, std::span<const int64_t> w,
                     uint64_t seed, WlisWorkspace& ws, WlisResult& out,
                     SwgsStats* stats = nullptr);
 
-/// Rank-space entry point (the Solver's typed overloads drive this, like
-/// wlis_compressed_into): `ranks` must be ws.rank_space.rank itself, with
+/// Rank-space entry point (like wlis_compressed_into, for keys compressed
+/// by the caller): `ranks` must be ws.rank_space.rank itself, with
 /// ws.rank_space the rank_space_into output for the caller's keys — the
 /// internal re-derivation is skipped, so generic keys pay exactly one
 /// compression.

@@ -1,9 +1,9 @@
 // The VebTree node layout and the inline point-op fast paths.
 //
 // Split out of veb_tree.cpp so that trees whose root bottoms out in a
-// packed word block (universe <= 4096 under the word layout — every
-// Range-vEB inner tree, for instance) run their point ops as header-inlined
-// find-first-set kernels, with no out-of-line call and no node dispatch.
+// packed word block (universe <= 4096 — every Range-vEB inner tree, for
+// instance) run their point ops as header-inlined find-first-set kernels,
+// with no out-of-line call and no node dispatch.
 // The recursive helpers over internal nodes stay in veb_tree.cpp; the
 // public methods here only peel the base-root case and defer to the *_slow
 // entry points otherwise.
@@ -11,7 +11,6 @@
 // Included from the bottom of veb_tree.hpp — never include this directly.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 
 #include "parlis/util/arena.hpp"
@@ -23,23 +22,20 @@ namespace parlis {
 // Trivially destructible: nodes, cluster tables, and word arrays live in the
 // owning VebTree's arena and are freed wholesale with it.
 //
-// Three node kinds, decided by `bits` against the per-tree base threshold:
+// Three node kinds, decided by `bits`:
 //   * tiny  (bits <= 6):          all keys in `mask`, min/max derived
-//   * word  (6 < bits <= base_bits): a veb_words block — `mask` is the
-//         64-bit summary word, `words` the 2^(bits-6) cluster words
-//         (lazily arena-allocated on first insert); min/max cached
-//   * internal (bits > base_bits): the recursive vEB node; min/max stored
+//   * word  (6 < bits <= 12): a veb_words block — `mask` is the 64-bit
+//         summary word, `words` the 2^(bits-6) cluster words (lazily
+//         arena-allocated on first insert); min/max cached
+//   * internal (bits > 12): the recursive vEB node; min/max stored
 //         exclusively, `summary` + `clusters` lazy
-// Under the legacy layout base_bits == 6, so word nodes never exist and the
-// structure matches the pre-word release bit for bit.
 struct VebTree::Node {
   static constexpr int kTinyBits = 6;   // universe <= 2^6: one bitmask word
-  static constexpr int kWordBits = 12;  // word layout: <= 2^12 is a block
+  static constexpr int kWordBits = 12;  // universe <= 2^12: one word block
 
-  uint8_t bits;       // universe 2^bits
-  uint8_t lo_bits;    // floor(bits/2);  hi_bits = bits - lo_bits
+  uint8_t bits;     // universe 2^bits
+  uint8_t lo_bits;  // hi_bits = bits - lo_bits
   uint8_t hi_bits;
-  uint8_t base_bits;  // subtrees with bits <= base_bits are bit-packed
   uint64_t min = kNone;  // kNone <=> empty
   uint64_t max = kNone;
   uint64_t mask = 0;  // tiny: the key set; word: the summary word
@@ -49,17 +45,13 @@ struct VebTree::Node {
   };
   Node** clusters = nullptr;  // internal only: 2^hi_bits entries, lazy
 
-  Node(int b, int base_b)
-      : bits(static_cast<uint8_t>(b)), base_bits(static_cast<uint8_t>(base_b)) {
-    // Bottom-heavy split under the word layout: an internal node with at
-    // most 2*kWordBits bits takes lo_bits = kWordBits, so its clusters AND
-    // its summary are all packed word blocks — one node level above the
-    // kernels for any universe <= 2^24 (b/2 halving above that reaches this
-    // band in O(log log U) steps). The legacy layout keeps the paper's b/2
-    // split everywhere, since it is the pre-word baseline.
-    int lo = (base_b == kWordBits && b > kWordBits && b <= 2 * kWordBits)
-                 ? kWordBits
-                 : b / 2;
+  explicit Node(int b) : bits(static_cast<uint8_t>(b)) {
+    // Bottom-heavy split: an internal node with at most 2*kWordBits bits
+    // takes lo_bits = kWordBits, so its clusters AND its summary are all
+    // packed word blocks — one node level above the kernels for any
+    // universe <= 2^24 (b/2 halving above that reaches this band in
+    // O(log log U) steps).
+    int lo = (b > kWordBits && b <= 2 * kWordBits) ? kWordBits : b / 2;
     lo_bits = static_cast<uint8_t>(lo);
     hi_bits = static_cast<uint8_t>(b - lo);
     if (base()) {
@@ -69,7 +61,7 @@ struct VebTree::Node {
     }
   }
 
-  bool base() const { return bits <= base_bits; }
+  bool base() const { return bits <= kWordBits; }
   bool tiny() const { return bits <= kTinyBits; }
   bool is_empty() const { return min == kNone; }
   uint64_t nwords() const { return uint64_t{1} << (bits - kTinyBits); }
@@ -80,11 +72,11 @@ struct VebTree::Node {
   Node* cluster(uint64_t h) const { return clusters ? clusters[h] : nullptr; }
   Node* ensure_cluster(uint64_t h, Arena& arena) {
     if (!clusters) clusters = arena.create_array<Node*>(uint64_t{1} << hi_bits);
-    if (!clusters[h]) clusters[h] = arena.create<Node>(lo_bits, base_bits);
+    if (!clusters[h]) clusters[h] = arena.create<Node>(lo_bits);
     return clusters[h];
   }
   Node* ensure_summary(Arena& arena) {
-    if (!summary) summary = arena.create<Node>(hi_bits, base_bits);
+    if (!summary) summary = arena.create<Node>(hi_bits);
     return summary;
   }
   bool summary_empty() const { return !summary || summary->is_empty(); }
@@ -93,7 +85,7 @@ struct VebTree::Node {
     return words;
   }
 
-  // --- base-node kernels (bits <= base_bits); tiny mask vs word block ---
+  // --- base-node kernels (bits <= kWordBits); tiny mask vs word block ---
 
   bool base_contains(uint64_t x) const {
     if (tiny()) return (mask >> x) & 1;
@@ -214,8 +206,9 @@ inline std::optional<uint64_t> VebTree::succ_gt(uint64_t x) const {
 }
 
 inline void VebTree::insert(uint64_t x) {
-  assert(x < universe_);
-  if (x >= universe_) return;  // keep the release no-op contract
+  if (x >= universe_) [[unlikely]] {
+    throw_out_of_universe("VebTree::insert", x, universe_);
+  }
   Node* r = root_;
   if (r->base() && (r->tiny() || r->words)) {
     if (r->base_contains(x)) return;
@@ -238,10 +231,12 @@ inline void VebTree::erase(uint64_t x) {
 }
 
 inline void VebTree::replace_top(uint64_t out_key, uint64_t in_key) {
-  assert(in_key < universe_);
+  if (in_key >= universe_) [[unlikely]] {
+    throw_out_of_universe("VebTree::replace_top", in_key, universe_);
+  }
   if (out_key == in_key) return;
-  if (in_key >= universe_) {  // keep the release no-op contract for the insert
-    erase(out_key);
+  if (out_key >= universe_) [[unlikely]] {  // never present: a plain insert
+    insert(in_key);
     return;
   }
   Node* r = root_;

@@ -1,15 +1,16 @@
 #include "parlis/veb/veb_tree.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <string>
 
 #include "parlis/parallel/parallel.hpp"
 #include "parlis/parallel/primitives.hpp"
+#include "parlis/util/error.hpp"
 #include "parlis/veb/veb_words.hpp"
 
 namespace parlis {
@@ -19,25 +20,7 @@ constexpr uint64_t kNone = VebTree::kNone;
 
 static_assert(veb_words::kWordNone == VebTree::kNone,
               "word kernels and VebTree must share the none sentinel");
-
-std::atomic<uint8_t> g_default_layout{
-    static_cast<uint8_t>(VebLayout::kWordBlock)};
-
-int base_bits_for(VebLayout layout) {
-  return layout == VebLayout::kLegacyNode ? VebTree::Node::kTinyBits
-                                          : VebTree::Node::kWordBits;
-}
 }  // namespace
-
-void set_default_veb_layout(VebLayout layout) {
-  g_default_layout.store(static_cast<uint8_t>(layout),
-                         std::memory_order_relaxed);
-}
-
-VebLayout default_veb_layout() {
-  return static_cast<VebLayout>(
-      g_default_layout.load(std::memory_order_relaxed));
-}
 
 // ---------------------------------------------------------------- layout ---
 
@@ -85,9 +68,9 @@ uint64_t node_pred_lt(const Node* v, uint64_t x) {
       x = l;
       continue;
     }
-    // Summary fallback. One-node universes (<= 2^24 under the word
-    // layout, the lowest legacy level) have a base summary: dispatch its
-    // kernel directly instead of paying a recursive call to discover it.
+    // Summary fallback. One-node universes (<= 2^24) have a base summary:
+    // dispatch its kernel directly instead of paying a recursive call to
+    // discover it.
     const Node* s = v->summary;
     uint64_t hp = !s || s->is_empty()
                       ? kNone
@@ -252,14 +235,26 @@ constexpr int64_t kSerialBatch = 1024;
 void batch_insert_rec(Node* v, uint64_t* b, int64_t m, Arena& arena) {
   if (m == 0) return;
   if (v->base()) {
+    // The bits are gathered in registers, one store per touched word: the
+    // span is sorted, and the compiler must assume `b`, the node and its
+    // words alias, so updating them in place would store and reload on
+    // every key.
+    uint64_t mask = v->mask;
     if (v->tiny()) {
-      for (int64_t i = 0; i < m; i++) v->mask |= uint64_t{1} << b[i];
+      for (int64_t i = 0; i < m; i++) mask |= uint64_t{1} << b[i];
     } else {
       uint64_t* w = v->ensure_words(arena);
-      for (int64_t i = 0; i < m; i++) {
-        veb_words::block_insert(v->mask, w, b[i]);
+      for (int64_t i = 0; i < m;) {
+        const uint64_t h = b[i] >> 6;
+        uint64_t bits = 0;
+        for (; i < m && (b[i] >> 6) == h; i++) {
+          bits |= uint64_t{1} << (b[i] & 63);
+        }
+        w[h] |= bits;
+        mask |= uint64_t{1} << h;
       }
     }
+    v->mask = mask;
     v->base_sync_minmax();
     return;
   }
@@ -564,28 +559,54 @@ int64_t check_node(const Node* v, uint64_t universe);
 
 // ------------------------------------------------------------- public API
 
+void VebTree::throw_out_of_universe(const char* what, uint64_t x,
+                                    uint64_t universe) {
+  throw Error(ErrorCode::kInvalidArgument,
+              std::string(what) + ": key " + std::to_string(x) +
+                  " is outside the universe [0, " + std::to_string(universe) +
+                  ")");
+}
+
+namespace {
+
+// Root width for a universe in [1, 2^63]; anything else would admit keys
+// the 63-bit root cannot index.
+int root_bits(uint64_t universe) {
+  if (universe == 0 || universe > (uint64_t{1} << 63)) {
+    throw Error(ErrorCode::kInvalidArgument,
+                "VebTree: universe " + std::to_string(universe) +
+                    " is outside [1, 2^63]");
+  }
+  int bits = 1;
+  while ((uint64_t{1} << bits) < universe && bits < 63) bits++;
+  return bits;
+}
+
+// The batch contract's order half, checked before any mutation: strictly
+// increasing, i.e. sorted and duplicate-free.
+void check_sorted_unique(const std::vector<uint64_t>& b, const char* what) {
+  const uint64_t unsorted = reduce_index<uint64_t>(
+      1, static_cast<int64_t>(b.size()), 0,
+      [&](int64_t i) { return uint64_t{b[i - 1] >= b[i]}; },
+      std::bit_or<uint64_t>{});
+  if (unsorted != 0) {
+    throw Error(ErrorCode::kInvalidArgument,
+                std::string(what) + ": batch is not sorted and duplicate-free");
+  }
+}
+
+}  // namespace
+
 VebTree::VebTree(uint64_t universe)
-    : VebTree(universe, default_veb_layout()) {}
-
-VebTree::VebTree(uint64_t universe, Arena* pool)
-    : VebTree(universe, pool, default_veb_layout()) {}
-
-VebTree::VebTree(uint64_t universe, VebLayout layout)
     : own_arena_(std::make_unique<Arena>()),
       arena_(own_arena_.get()),
       universe_(universe) {
-  assert(universe >= 1);
-  int bits = 1;
-  while ((uint64_t{1} << bits) < universe && bits < 63) bits++;
-  root_ = arena_->create<Node>(bits, base_bits_for(layout));
+  root_ = arena_->create<Node>(root_bits(universe));
 }
 
-VebTree::VebTree(uint64_t universe, Arena* pool, VebLayout layout)
+VebTree::VebTree(uint64_t universe, Arena* pool)
     : arena_(pool), universe_(universe) {
-  assert(universe >= 1 && pool != nullptr);
-  int bits = 1;
-  while ((uint64_t{1} << bits) < universe && bits < 63) bits++;
-  root_ = arena_->create<Node>(bits, base_bits_for(layout));
+  root_ = arena_->create<Node>(root_bits(universe));
 }
 
 VebTree::~VebTree() = default;
@@ -698,6 +719,10 @@ void VebTree::replace_slow(uint64_t out_key, uint64_t in_key) {
 }
 
 int64_t VebTree::batch_insert(const std::vector<uint64_t>& batch) {
+  check_sorted_unique(batch, "VebTree::batch_insert");
+  if (!batch.empty() && batch.back() >= universe_) {
+    throw_out_of_universe("VebTree::batch_insert", batch.back(), universe_);
+  }
   // Empty tree: nothing to filter against, take the batch as-is.
   std::vector<uint64_t> b =
       empty() ? batch
@@ -710,6 +735,7 @@ int64_t VebTree::batch_insert(const std::vector<uint64_t>& batch) {
 }
 
 int64_t VebTree::batch_delete(const std::vector<uint64_t>& batch) {
+  check_sorted_unique(batch, "VebTree::batch_delete");
   std::vector<uint64_t> b =
       filter(batch, [&](uint64_t x) { return contains(x); });
   int64_t deleted = static_cast<int64_t>(b.size());
@@ -756,8 +782,8 @@ std::vector<uint64_t> VebTree::range(uint64_t lo, uint64_t hi) const {
   if (!a || *a > hi) return {};
   std::optional<uint64_t> b = pred_leq(std::min(hi, universe_ - 1));
   if (root_->base()) {
-    // Word-packed root (universe <= 4096 under the word layout): scan the
-    // packed bits directly — no split tree, no per-call arena.
+    // Word-packed root (universe <= 4096): scan the packed bits directly —
+    // no split tree, no per-call arena.
     std::vector<uint64_t> out;
     if (root_->tiny()) {
       uint64_t w = root_->mask & (~uint64_t{0} << *a);
@@ -806,7 +832,10 @@ int64_t check_node(const Node* v, uint64_t universe) {
     }
     // Word block: the mask is the summary word over the cluster words.
     check_that(v->words != nullptr, "nonempty word base has words");
-    uint64_t derived = veb_words::block_summary_of(v->words, v->nwords());
+    uint64_t derived = 0;
+    for (uint64_t h = 0; h < v->nwords(); h++) {
+      if (v->words[h] != 0) derived |= uint64_t{1} << h;
+    }
     check_that(v->mask == derived, "word summary matches nonzero words");
     check_that(v->min == veb_words::block_min(v->mask, v->words),
                "word base min = first set bit");

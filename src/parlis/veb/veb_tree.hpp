@@ -10,10 +10,7 @@
 // with universe <= 4096 are a flat two-level word block — a 64-bit summary
 // word over up to 64 cluster words — so the bottom two node levels of the
 // classic layout collapse into find-first-set kernels with zero per-leaf
-// allocations (universe <= 64 remains a single bitmask). The previous
-// node-structured bottom is kept for one release behind VebLayout::
-// kLegacyNode, as the differential-test baseline; it is not a supported
-// production configuration.
+// allocations (universe <= 64 remains a single bitmask).
 //
 // Supported operations and costs (U = universe size, m = batch size):
 //   insert / erase / contains / pred / succ      O(log log U)
@@ -24,8 +21,12 @@
 //   range (Alg. 6, Appendix C)                   O((1+m) log log U) work,
 //                                                O(log U log log U) span
 //
-// Batch inputs must be sorted and duplicate-free; keys already present
-// (insert) or absent (delete) are filtered out internally.
+// Contract, the same in every build mode: a universe outside [1, 2^63],
+// insert / replace_top of a key >= U, and a batch that is unsorted, holds
+// a duplicate, or (insert) holds a key >= U throw Error{kInvalidArgument}
+// before anything is mutated. Batch keys already present (insert) or absent
+// (delete) are filtered out internally; erase and lookups of a key >= U
+// see an absent key.
 #pragma once
 
 #include <cstdint>
@@ -36,25 +37,6 @@
 #include "parlis/util/arena.hpp"
 
 namespace parlis {
-
-/// How the bottom of the vEB recursion is represented.
-enum class VebLayout : uint8_t {
-  /// Universe <= 4096 subtrees are flat word blocks (veb_words.hpp): no
-  /// leaf nodes, find-first-set kernels. The production layout.
-  kWordBlock,
-  /// Pre-word node-structured bottom (bitmask only at universe <= 64).
-  /// Test-only: kept one release so the differential harness can diff the
-  /// two layouts; scheduled for removal afterwards.
-  kLegacyNode,
-};
-
-/// Process-wide default layout for trees constructed without an explicit
-/// one (ships as kWordBlock). A test/bench hook — flip it around a scope to
-/// A/B whole structures (MonoVeb, RangeVeb) that construct trees
-/// internally; not meant for steady-state production use. Racy flips only
-/// affect trees constructed concurrently with the flip.
-void set_default_veb_layout(VebLayout layout);
-VebLayout default_veb_layout();
 
 class VebTree {
  public:
@@ -71,8 +53,8 @@ class VebTree {
   /// assigned over.
   struct Node;
 
-  /// Creates an empty set over universe [0, universe); universe >= 1.
-  /// Uses the process default layout (see set_default_veb_layout).
+  /// Creates an empty set over universe [0, universe). Throws
+  /// Error{kInvalidArgument} unless 1 <= universe <= 2^63.
   explicit VebTree(uint64_t universe);
 
   /// Same, but draws every node from `pool` instead of a private arena —
@@ -82,9 +64,6 @@ class VebTree {
   /// shared-pool tree stay in the pool until the pool itself dies.
   VebTree(uint64_t universe, Arena* pool);
 
-  /// Explicit-layout overloads (test/bench hooks for layout A/Bs).
-  VebTree(uint64_t universe, VebLayout layout);
-  VebTree(uint64_t universe, Arena* pool, VebLayout layout);
   ~VebTree();
   VebTree(VebTree&&) noexcept;
   VebTree& operator=(VebTree&&) noexcept;
@@ -96,9 +75,9 @@ class VebTree {
   bool empty() const { return size_ == 0; }
 
   // The point ops are defined inline in veb_node.hpp (included below): when
-  // the root is a packed base block — every tree with universe <= 4096 under
-  // the word layout — they compile down to find-first-set kernels with no
-  // out-of-line call. Larger trees fall through to the *_slow paths.
+  // the root is a packed base block — every tree with universe <= 4096 —
+  // they compile down to find-first-set kernels with no out-of-line call.
+  // Larger trees fall through to the *_slow paths.
   bool contains(uint64_t x) const;
   std::optional<uint64_t> min() const;
   std::optional<uint64_t> max() const;
@@ -110,7 +89,8 @@ class VebTree {
   std::optional<uint64_t> pred_leq(uint64_t x) const;
   std::optional<uint64_t> succ_geq(uint64_t x) const;
 
-  /// Single-point update; no-op if already present / absent.
+  /// Single-point update; no-op if already present / absent. insert throws
+  /// Error{kInvalidArgument} for x >= universe().
   void insert(uint64_t x);
   void erase(uint64_t x);
 
@@ -120,14 +100,17 @@ class VebTree {
   /// base root it is two word updates, and on internal roots the descent is
   /// shared while both keys stay interior to the same cluster (the cluster
   /// never empties, so no summary fix-up is needed along the shared path).
+  /// Throws Error{kInvalidArgument} for in_key >= universe().
   void replace_top(uint64_t out_key, uint64_t in_key);
 
-  /// Alg. 4: inserts a sorted, duplicate-free batch. Keys already present
-  /// are ignored. Returns the number of keys actually inserted.
+  /// Alg. 4: inserts a sorted, duplicate-free batch of keys below the
+  /// universe (Error{kInvalidArgument} otherwise, tree unchanged). Keys
+  /// already present are ignored. Returns the number actually inserted.
   int64_t batch_insert(const std::vector<uint64_t>& batch);
 
-  /// Alg. 5: deletes a sorted, duplicate-free batch using survivor
-  /// mappings. Keys not present are ignored. Returns the number deleted.
+  /// Alg. 5: deletes a sorted, duplicate-free batch (Error{kInvalidArgument}
+  /// otherwise, tree unchanged) using survivor mappings. Keys not present
+  /// are ignored. Returns the number deleted.
   int64_t batch_delete(const std::vector<uint64_t>& batch);
 
   /// Alg. 6: all keys in [lo, hi], sorted, collected in parallel.
@@ -144,10 +127,14 @@ class VebTree {
 
   /// Payload bytes actually handed out by the pool — nodes, cluster tables,
   /// word arrays (testing/introspection hook; whole pool for shared-pool
-  /// trees). The word-layout memory gate diffs this across inserts.
+  /// trees). The zero-leaf-allocation checks diff this across inserts.
   size_t pool_allocated_bytes() const { return arena_->bytes_allocated(); }
 
  private:
+  // The contract's throw, out of line so the inline point ops stay small.
+  [[noreturn]] static void throw_out_of_universe(const char* what, uint64_t x,
+                                                 uint64_t universe);
+
   // Out-of-line continuations of the inline point ops, for internal roots
   // (and the first insert into a word root, which must touch the arena).
   bool contains_slow(uint64_t x) const;

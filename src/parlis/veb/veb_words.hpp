@@ -10,10 +10,9 @@
 // per-leaf allocations.
 //
 // Everything here is a free function over plain integers (or a pair of
-// summary word + word array), deliberately stateless: VebTree and
-// CompactVebTree call the block kernels on arena- or heap-owned word
-// arrays, WordLeaf/WordBlock4096 wrap them as self-contained values for
-// direct use and testing.
+// summary word + word array), deliberately stateless: VebTree calls the
+// block kernels on arena-owned word arrays, WordLeaf/WordBlock4096 wrap
+// them as self-contained values for direct use and testing.
 //
 // Conventions shared with VebTree:
 //   * keys are unsigned, universes are [0, 2^k)
@@ -28,8 +27,6 @@
 #include <cstdint>
 #include <limits>
 #include <type_traits>
-
-#include "parlis/util/simd.hpp"
 
 namespace parlis::veb_words {
 
@@ -141,9 +138,9 @@ using WordLeaf64 = WordLeaf<uint64_t>;
 // A block is a two-level word structure over [0, nwords * 64) with
 // nwords <= 64: `summary` has bit h set iff words[h] != 0. This is the
 // 64x64 = 4096-universe case of the vEB recursion flattened into
-// 1 + nwords machine words — the shape both tree backends bottom out in.
-// The caller owns the storage (arena array, heap array, or WordBlock4096);
-// the kernels never allocate.
+// 1 + nwords machine words — the shape VebTree bottoms out in. The caller
+// owns the storage (arena array or WordBlock4096); the kernels never
+// allocate.
 
 // The lookup kernels consult the summary word before touching words[h]:
 // the summary travels in the same cache line as the owning node's min/max,
@@ -181,35 +178,13 @@ inline uint64_t block_max(uint64_t summary, const uint64_t* words) {
   return (h << 6) | word_max(words[h]);
 }
 
-/// Reference (narrow) count: summary-guided word hops, one popcount per
-/// non-empty word. Kept as the twin the tests diff block_count against.
-inline int64_t block_count_ref(uint64_t summary, const uint64_t* words) {
+/// Key count: summary-guided word hops, one popcount per non-empty word.
+inline int64_t block_count(uint64_t summary, const uint64_t* words) {
   int64_t total = 0;
   for (uint64_t s = summary; s != 0; s &= s - 1) {
     total += std::popcount(words[word_min(s)]);
   }
   return total;
-}
-
-inline int64_t block_count(uint64_t summary, const uint64_t* words) {
-  if (summary == 0) return 0;
-  // Dense blocks: a straight-line popcount sweep up to the highest live
-  // word (vector nibble-LUT under AVX2, hardware popcnt otherwise) beats
-  // hopping the summary bits; sparse blocks keep the hop. Empty words
-  // contribute zero either way, so the cutover — deterministic, from the
-  // summary alone — never changes the result.
-  const uint64_t hw = word_max(summary) + 1;
-  if (simd::enabled() && static_cast<uint64_t>(std::popcount(summary)) * 2 >= hw) {
-    return simd::words_count(words, hw);
-  }
-  return block_count_ref(summary, words);
-}
-
-/// Recomputes a summary from the words (bulk loads, invariant checks):
-/// bit h set iff words[h] != 0. Vector compare-to-zero + movemask when the
-/// SIMD layer is on.
-inline uint64_t block_summary_of(const uint64_t* words, uint64_t nwords) {
-  return parlis::simd::summary_of_words(words, nwords);
 }
 
 /// Reference (narrow) succ probe: the pre-widening two-branch form, kept

@@ -7,22 +7,24 @@
 #include "parlis/parallel/parallel.hpp"
 #include "parlis/parallel/primitives.hpp"
 #include "parlis/util/failpoint.hpp"
-#include "parlis/util/simd.hpp"
 
 namespace parlis {
 
 namespace {
 
-// The masked-max kernel reads the score slots as plain int64 lanes; the
-// phase structure (updates and queries never overlap) makes that sound,
-// but only if the atomic wrapper is exactly its value.
-static_assert(sizeof(std::atomic<int64_t>) == sizeof(int64_t),
-              "score slots must be vector-loadable");
-
 // Final partial nodes (and width-8 canonical children) are scanned
 // directly; the smallest materialized level therefore has width 16.
 constexpr int64_t kLeafWidth = 8;
 constexpr int64_t kLeafParentWidth = 2 * kLeafWidth;
+
+// bridge[i] = cnt + #j in [lo, i) with order[j] < mid.
+void write_bridge_run(const int32_t* order, int64_t lo, int64_t hi,
+                      int32_t mid, int32_t cnt, int32_t* bridge) {
+  for (int64_t i = lo; i < hi; i++) {
+    bridge[i] = cnt;
+    cnt += order[i] < mid ? 1 : 0;
+  }
+}
 
 // Per-block exclusive count of "position falls in the left child": the
 // bridge table of one level. When there are few blocks (the top levels —
@@ -42,13 +44,15 @@ void fill_bridges(int64_t n, int64_t width, const int32_t* order,
       int32_t mid = static_cast<int32_t>(lo + width / 2);
       int64_t nb = (len + kBlock - 1) / kBlock;
       if (nb <= 1) {
-        simd::bridge_fill_i32(order, lo, lo + len, mid, 0, bridge);
+        write_bridge_run(order, lo, lo + len, mid, 0, bridge);
         continue;
       }
       if (static_cast<int64_t>(sums.size()) < nb) sums.resize(nb);
       parallel_for(0, nb, [&](int64_t blk) {
         int64_t s = lo + blk * kBlock, e = std::min(lo + len, s + kBlock);
-        sums[blk] = simd::count_below_i32(order, s, e, mid);
+        int32_t c = 0;
+        for (int64_t i = s; i < e; i++) c += order[i] < mid ? 1 : 0;
+        sums[blk] = c;
       });
       int32_t total = 0;
       for (int64_t blk = 0; blk < nb; blk++) {
@@ -58,7 +62,7 @@ void fill_bridges(int64_t n, int64_t width, const int32_t* order,
       }
       parallel_for(0, nb, [&](int64_t blk) {
         int64_t s = lo + blk * kBlock, e = std::min(lo + len, s + kBlock);
-        simd::bridge_fill_i32(order, s, e, mid, sums[blk], bridge);
+        write_bridge_run(order, s, e, mid, sums[blk], bridge);
       });
     }
     return;
@@ -67,7 +71,7 @@ void fill_bridges(int64_t n, int64_t width, const int32_t* order,
     int64_t lo = b * width;
     int64_t hi = std::min(n, lo + width);
     int32_t mid = static_cast<int32_t>(lo + width / 2);
-    simd::bridge_fill_i32(order, lo, hi, mid, 0, bridge);
+    write_bridge_run(order, lo, hi, mid, 0, bridge);
   });
 }
 
@@ -341,13 +345,7 @@ void RangeTreeMax::dominant_max_group(const int64_t* qpos, const int64_t* qy,
       best[cn_t[c]] = std::max(best[cn_t[c]], b);
     }
   }
-  // Trailing scans, as in the single-query path. Vector form: clamping qy
-  // to [-1, n] preserves the y_[p] < qy predicate over y_ in [0, n) while
-  // fitting the int32 compare lanes; the score slots are read as plain
-  // int64 lanes (queries and updates run in disjoint phases — the scalar
-  // twin's relaxed loads have no ordering to lose). The Fenwick folds
-  // above stay scalar + prefetch: their addresses are serially dependent
-  // (i -= i & -i), which no pre-AVX2 ISA can gather.
+  // Trailing scans, as in the single-query path.
   for (int64_t t = 0; t < g; t++) {
     if (!live[t]) {
       out[t] = best[t];
@@ -355,13 +353,6 @@ void RangeTreeMax::dominant_max_group(const int64_t* qpos, const int64_t* qy,
     }
     int64_t node_start = ns[t], b = best[t];
     auto scan = [&](int64_t lo, int64_t hi) {
-      if (simd::enabled()) {
-        const int32_t qy32 =
-            static_cast<int32_t>(std::clamp<int64_t>(qy[t], -1, n_));
-        b = simd::masked_max_i64(y_, reinterpret_cast<const int64_t*>(scores_),
-                                 lo, hi, qy32, b);
-        return;
-      }
       for (int64_t p = lo; p < hi; p++) {
         if (y_[p] < qy[t]) {
           b = std::max(b, scores_[p].load(std::memory_order_relaxed));

@@ -49,31 +49,21 @@ RangeVeb::RangeVeb(std::span<const int64_t> y_by_pos)
     });
     lev.rank = rank;
   };
-  // Shape follows the process-default vEB layout. The word layout gets the
-  // truncated outer tree described in the header. VebLayout::kLegacyNode
-  // reproduces the pre-word shape end to end — width-1 leaves and a stored
-  // root level, every level updated — so the layout hook A/Bs the whole
-  // pre-word wlis_veb pipeline, not just the node bottoms. (The root as a
-  // queried level is harmless: it is consumed only by the qpos == n query,
-  // where its inner tree answers correctly in one step.)
-  const bool legacy = default_veb_layout() == VebLayout::kLegacyNode;
-  const int64_t leaf_width = legacy ? 1 : kLeafWidth;
-  const int64_t top_width = legacy ? width : width / 2;
-  if (legacy || width > kLeafWidth) {
+  if (width > kLeafWidth) {
     Level leaf;
-    leaf.width = leaf_width;
+    leaf.width = kLeafWidth;
     int64_t* ys = arena_->create_array_uninit<int64_t>(n_);
-    int64_t nblocks = (n_ + leaf_width - 1) / leaf_width;
+    int64_t nblocks = (n_ + kLeafWidth - 1) / kLeafWidth;
     parallel_for(0, nblocks, [&](int64_t blk) {
-      int64_t lo = blk * leaf_width;
-      int64_t hi = std::min(n_, lo + leaf_width);
+      int64_t lo = blk * kLeafWidth;
+      int64_t hi = std::min(n_, lo + kLeafWidth);
       std::copy(y_pos_ + lo, y_pos_ + hi, ys + lo);
       std::sort(ys + lo, ys + hi);
     });
     leaf.ys = ys;
     fill_ranks(leaf);
     rev.push_back(std::move(leaf));
-    while (rev.back().width < top_width) {
+    while (rev.back().width < width / 2) {
       const Level& prev = rev.back();
       Level next;
       next.width = prev.width * 2;

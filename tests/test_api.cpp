@@ -14,7 +14,6 @@
 #include "parlis/api/solver.hpp"
 #include "parlis/lis/lis.hpp"
 #include "parlis/parallel/random.hpp"
-#include "parlis/swgs/swgs.hpp"
 #include "parlis/util/generators.hpp"
 #include "parlis/wlis/wlis.hpp"
 #include "parlis/wlis/wlis_workspace.hpp"
@@ -132,12 +131,6 @@ TEST(Solver, ValueCacheFastPathMatchesReference) {
   a3[n / 2] ^= 1;
   solver.solve_wlis(a3, w, out);
   EXPECT_EQ(out.dp, wlis(a3, w).dp);
-  // SWGS through the same workspace dirties the tree; the next cached-value
-  // solve must still be exact.
-  solver.solve_swgs_wlis(a3, w, out);
-  EXPECT_EQ(out.dp, swgs_wlis(a3, w).dp);
-  solver.solve_wlis(a3, w, out);
-  EXPECT_EQ(out.dp, wlis(a3, w).dp);
   // The rounds' backends share one workspace too, cached second solves
   // included, and agree with the Solver's pass.
   WlisWorkspace ws;
@@ -148,28 +141,6 @@ TEST(Solver, ValueCacheFastPathMatchesReference) {
     wlis_into(a, w, ws, out, s);  // cached second solve
     EXPECT_EQ(out.dp, pass.dp);
     EXPECT_EQ(out.dp, wlis(a, w, s).dp);
-  }
-}
-
-TEST(Solver, SwgsSessionMatchesFreeFunctions) {
-  Options opts;
-  opts.seed = 1234;
-  Solver solver(opts);
-  LisResult lis_out;
-  WlisResult wlis_out;
-  SwgsStats st_solver, st_free;
-  for (int64_t n : {2000, 400, 5000}) {
-    auto a = random_values(n, n ^ 7, 150);
-    auto w = uniform_weights(n, n ^ 9);
-    solver.solve_swgs(a, lis_out, &st_solver);
-    LisResult ref = swgs_lis_ranks(a, opts.seed, &st_free);
-    EXPECT_EQ(lis_out.rank, ref.rank) << "n=" << n;
-    EXPECT_EQ(st_solver.total_checks, st_free.total_checks);
-
-    solver.solve_swgs_wlis(a, w, wlis_out, &st_solver);
-    WlisResult wref = swgs_wlis(a, w, opts.seed);
-    EXPECT_EQ(wlis_out.dp, wref.dp) << "n=" << n;
-    EXPECT_EQ(wlis_out.best, wref.best);
   }
 }
 

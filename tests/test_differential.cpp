@@ -20,6 +20,7 @@
 #include "parlis/lis/seq_lis.hpp"
 #include "parlis/parallel/random.hpp"
 #include "parlis/parallel/scheduler.hpp"
+#include "parlis/swgs/swgs.hpp"
 #include "parlis/util/rank_space.hpp"
 #include "parlis/wlis/seq_avl.hpp"
 #include "parlis/wlis/wlis.hpp"
@@ -334,13 +335,14 @@ TEST_P(Differential, DoubleAndPairKeysMatchOracleThroughSolver) {
                      std::greater<double>{});
     ASSERT_EQ(lr.rank, brute_ranks);
 
-    // The SWGS baseline through the same reduction (small cases only: the
+    // The SWGS baseline on the same rank image (small cases only: the
     // wake-up scheme is O(n log^3 n) with big constants).
     if (c.n <= 900) {
-      solver.solve_swgs(std::span<const double>(ad), lr);
-      ASSERT_EQ(lr.rank, brute_ranks);
-      solver.solve_swgs_wlis(std::span<const double>(ad),
-                             std::span<const int64_t>(w), wr);
+      WlisWorkspace ws;
+      rank_space_into<double>(std::span<const double>(ad), ties,
+                              ws.rank_space, ws.rank_scratch);
+      ASSERT_EQ(swgs_lis_ranks(ws.rank_space.rank).rank, brute_ranks);
+      swgs_wlis_compressed_into(ws.rank_space.rank, w, 42, ws, wr);
       ASSERT_EQ(wr.dp, brute_dp);
     }
   }

@@ -22,6 +22,7 @@
 #include "parlis/util/error.hpp"
 #include "parlis/util/rank_space.hpp"
 #include "parlis/wlis/wlis.hpp"
+#include "parlis/wlis/wlis_workspace.hpp"
 
 namespace parlis {
 namespace {
@@ -185,11 +186,6 @@ TEST(EdgeCases, SolverDegenerateInputsBothPolicies) {
     solver.solve_wlis(std::span<const int64_t>(empty),
                       std::span<const int64_t>(empty), wr);
     EXPECT_EQ(wr.best, 0);
-    solver.solve_swgs(std::span<const int64_t>(empty), lr);
-    EXPECT_EQ(lr.k, 0);
-    solver.solve_swgs_wlis(std::span<const int64_t>(empty),
-                           std::span<const int64_t>(empty), wr);
-    EXPECT_EQ(wr.k, 0);
     EXPECT_EQ(solver.lis_length(std::span<const int64_t>(empty)), 0);
 
     // Typed overloads on empty spans.
@@ -212,10 +208,21 @@ TEST(EdgeCases, SolverDegenerateInputsBothPolicies) {
     solver.solve_wlis(std::span<const int64_t>(eq),
                       std::span<const int64_t>(eqw), wr);
     EXPECT_EQ(wr.best, ties == TiesPolicy::kStrict ? 2 : 100);
-    solver.solve_swgs(std::span<const int64_t>(eq), lr);
-    EXPECT_EQ(lr.k, ties == TiesPolicy::kStrict ? 1 : 50);
-    solver.solve_swgs_wlis(std::span<const int64_t>(eq),
-                           std::span<const int64_t>(eqw), wr);
+
+    // The SWGS baseline on the rank image under the same ties policy.
+    WlisWorkspace ws;
+    rank_space_into<int64_t>(std::span<const int64_t>(empty), ties,
+                             ws.rank_space, ws.rank_scratch);
+    EXPECT_EQ(swgs_lis_ranks(ws.rank_space.rank).k, 0);
+    swgs_wlis_compressed_into(ws.rank_space.rank,
+                              std::span<const int64_t>(empty), 42, ws, wr);
+    EXPECT_EQ(wr.k, 0);
+    rank_space_into<int64_t>(std::span<const int64_t>(eq), ties,
+                             ws.rank_space, ws.rank_scratch);
+    EXPECT_EQ(swgs_lis_ranks(ws.rank_space.rank).k,
+              ties == TiesPolicy::kStrict ? 1 : 50);
+    swgs_wlis_compressed_into(ws.rank_space.rank,
+                              std::span<const int64_t>(eqw), 42, ws, wr);
     EXPECT_EQ(wr.best, ties == TiesPolicy::kStrict ? 2 : 100);
   }
 }

@@ -42,6 +42,7 @@
 #include "parlis/serve/engine.hpp"
 #include "parlis/serve/session_table.hpp"
 #include "parlis/stream/lis_session.hpp"
+#include "parlis/swgs/swgs.hpp"
 #include "parlis/util/arena.hpp"
 #include "parlis/util/cancel.hpp"
 #include "parlis/util/error.hpp"
@@ -228,9 +229,7 @@ std::vector<SiteDriver> site_drivers() {
                  s.solve_wlis(*a, *w, out);
                }});
   d.push_back({"swgs.round", FireKind::kFault, [a] {
-                 Solver s;
-                 LisResult out;
-                 s.solve_swgs(std::span<const int64_t>(*a), out);
+                 (void)swgs_lis_ranks(*a);
                }});
   d.push_back({"rangetree.rebuild", FireKind::kOom, [a, w] {
                  WlisWorkspace ws;  // default backend is kRangeTree
@@ -542,8 +541,6 @@ TEST(ErrorHandling, WlisSizeMismatchThrows) {
   const std::vector<int64_t> w{1, 1, 1};
   WlisResult out;
   expect_error(ErrorCode::kInvalidArgument, [&] { s.solve_wlis(a, w, out); });
-  expect_error(ErrorCode::kInvalidArgument,
-               [&] { s.solve_swgs_wlis(a, w, out); });
   const std::vector<double> da{3.0, 1.0, 2.0, 4.0};
   expect_error(ErrorCode::kInvalidArgument, [&] {
     s.solve_wlis(std::span<const double>(da), w, out);
@@ -657,7 +654,6 @@ TEST(ErrorHandling, RankLimitThrowsBeforeReading) {
                 std::greater<int64_t>{});
   });
   expect_error(ErrorCode::kInvalidArgument, [&] { s.solve_wlis(a, a, wr); });
-  expect_error(ErrorCode::kInvalidArgument, [&] { s.solve_swgs(a, lr); });
   std::vector<Query> qs{Query{a}};
   std::vector<QueryResult> rs(1);
   expect_error(ErrorCode::kInvalidArgument, [&] { s.solve_many(qs, rs); });
@@ -697,8 +693,6 @@ TEST(Cancellation, PreTrippedTokenFailsFastEverywhere) {
   expect_error(ErrorCode::kCancelled, [&] { s.solve_lis(a, lr); });
   expect_error(ErrorCode::kCancelled, [&] { s.solve_lis_frontiers(a, fr); });
   expect_error(ErrorCode::kCancelled, [&] { s.solve_wlis(a, w, wr); });
-  expect_error(ErrorCode::kCancelled, [&] { s.solve_swgs(a, lr); });
-  expect_error(ErrorCode::kCancelled, [&] { s.solve_swgs_wlis(a, w, wr); });
   std::vector<Query> qs{Query{a}};
   std::vector<QueryResult> rs(1);
   expect_error(ErrorCode::kCancelled, [&] { s.solve_many(qs, rs); });
@@ -1034,27 +1028,6 @@ TEST(MemoryBudget, SolveManySweepMatchesUnlimited) {
       EXPECT_EQ(e.code(), ErrorCode::kBudgetExceeded) << e.what();
     }
   }
-}
-
-TEST(MemoryBudget, SwgsHasNoFallbackAndThrows) {
-  const int64_t n = 60000;
-  const std::vector<int64_t> a = make_vals(n, 98);
-  const std::vector<int64_t> w = make_weights(n, 99);
-  Options o;
-  // Far below SWGS's ~100 B/elem at n = 60000, but roomy enough for the
-  // unweighted patience fallback (~12 B/elem) that the coda exercises.
-  o.memory_budget_bytes = uint64_t{1} << 20;
-  Solver s(o);
-  LisResult lr;
-  WlisResult wr;
-  expect_error(ErrorCode::kBudgetExceeded, [&] { s.solve_swgs(a, lr); });
-  expect_error(ErrorCode::kBudgetExceeded, [&] { s.solve_swgs_wlis(a, w, wr); });
-  // The same solver still runs the paths that do have a fallback.
-  s.solve_lis(a, lr);
-  Solver plain;
-  LisResult ref;
-  plain.solve_lis(a, ref);
-  EXPECT_EQ(lr.rank, ref.rank);
 }
 
 TEST(MemoryBudget, RangeTreeEstimateCoversRealAccounting) {

@@ -278,10 +278,10 @@ TEST(StreamDifferential, DeltaResolveEdgeShapes) {
 TEST(StreamVebChurn, EraseInsertChurnVsSetOracle) {
   // Erase-heavy word-block churn at fixed occupancy — the access shape a
   // session's tops structure produces, which batch-oriented tests miss.
-  for (VebLayout layout : {VebLayout::kWordBlock, VebLayout::kLegacyNode}) {
-    constexpr uint64_t kU = 1 << 16;
+  // 2^16 is one internal level over word blocks, 2^32 two.
+  for (uint64_t kU : {uint64_t{1} << 16, uint64_t{1} << 32}) {
     constexpr int64_t kOccupancy = 2000, kOps = 20000;
-    VebTree t(kU, layout);
+    VebTree t(kU);
     std::set<uint64_t> oracle;
     std::vector<uint64_t> members;  // for O(1) random member picks
     std::mt19937_64 rng(5);
@@ -334,8 +334,8 @@ TEST(StreamVebChurn, EraseInsertChurnVsSetOracle) {
 }
 
 TEST(StreamVebChurn, ReplaceTopPointCases) {
-  for (VebLayout layout : {VebLayout::kWordBlock, VebLayout::kLegacyNode}) {
-    VebTree t(1 << 20, layout);
+  for (uint64_t universe : {uint64_t{1} << 20, uint64_t{1} << 32}) {
+    VebTree t(universe);
     t.insert(100);
     t.insert(5000);
     t.insert(900000);
@@ -357,7 +357,7 @@ TEST(StreamVebChurn, ReplaceTopPointCases) {
     ASSERT_EQ(t.size(), 3);
     t.check_invariants();
     // Single-key and two-key trees (min==max edge).
-    VebTree u(1 << 14, layout);
+    VebTree u(universe >> 6);
     u.insert(42);
     u.replace_top(42, 43);
     ASSERT_EQ(*u.min(), 43);

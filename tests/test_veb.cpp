@@ -1,12 +1,16 @@
 // Tests for the parallel van Emde Boas tree (point ops, Alg. 4 BatchInsert,
-// Alg. 5 BatchDelete, Alg. 6 Range) and the Mono-vEB staircase (Alg. 7).
+// Alg. 5 BatchDelete, Alg. 6 Range, the argument contract) and the Mono-vEB
+// staircase (Alg. 7).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "parlis/parallel/random.hpp"
+#include "parlis/util/arena.hpp"
+#include "parlis/util/error.hpp"
 #include "parlis/veb/mono_veb.hpp"
 #include "parlis/veb/veb_tree.hpp"
 
@@ -313,6 +317,111 @@ TEST(VebBatch, DeleteAllButMaximum) {
   EXPECT_EQ(t.size(), 1);
   EXPECT_EQ(*t.min(), universe - 1);
   EXPECT_EQ(*t.max(), universe - 1);
+}
+
+// -------------------------------------------------------------- contract ---
+//
+// One contract in every build mode: a universe outside [1, 2^63], an insert
+// at or above the universe, and an unsorted, duplicate or (insert) out-of-
+// universe batch throw Error{kInvalidArgument} before anything is mutated.
+
+template <typename F>
+void expect_invalid(const F& f) {
+  try {
+    f();
+    ADD_FAILURE() << "expected Error{kInvalidArgument}";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument) << e.what();
+  }
+}
+
+std::vector<uint64_t> keys_of(const VebTree& t) {
+  return t.range(0, t.universe() - 1);
+}
+
+TEST(VebContract, InitRejectsUniversesOutsideOneTo2Pow63) {
+  expect_invalid([] { VebTree t(0); });
+  expect_invalid([] { VebTree t((uint64_t{1} << 63) + 1); });
+  expect_invalid([] { VebTree t(~uint64_t{0}); });
+  Arena pool;
+  expect_invalid([&] { VebTree t(0, &pool); });
+  for (uint64_t u : {uint64_t{1}, uint64_t{1} << 63}) {
+    VebTree t(u, &pool);
+    EXPECT_EQ(t.universe(), u);
+    EXPECT_TRUE(t.empty());
+  }
+}
+
+TEST(VebContract, OutOfUniverseInsertFailsAndEdgesReturnNone) {
+  for (uint64_t u : {uint64_t{1}, uint64_t{64}, uint64_t{100}, uint64_t{4096},
+                     uint64_t{5000}, uint64_t{1} << 20, uint64_t{1} << 32,
+                     uint64_t{1} << 63}) {
+    SCOPED_TRACE("u=" + std::to_string(u));
+    VebTree t(u);
+    EXPECT_FALSE(t.succ_gt(0));
+    EXPECT_FALSE(t.pred_lt(u));
+    t.insert(0);
+    t.insert(u - 1);
+    const std::vector<uint64_t> keys = keys_of(t);
+    for (uint64_t x : {u, u + 6, ~uint64_t{0}}) {
+      expect_invalid([&] { t.insert(x); });
+      expect_invalid([&] { t.replace_top(0, x); });
+      t.erase(x);  // never present: a no-op
+      EXPECT_FALSE(t.contains(x));
+    }
+    EXPECT_EQ(keys_of(t), keys);
+    t.check_invariants();
+    // Succ/pred at the edges: nothing below 0, nothing above u - 1, and
+    // queries past the universe clamp to it.
+    EXPECT_FALSE(t.pred_lt(0));
+    EXPECT_FALSE(t.succ_gt(u - 1));
+    EXPECT_FALSE(t.succ_gt(u));
+    EXPECT_FALSE(t.succ_geq(u));
+    EXPECT_EQ(t.pred_lt(~uint64_t{0}), u - 1);
+    EXPECT_EQ(t.pred_leq(u - 1), u - 1);
+    EXPECT_EQ(t.succ_geq(0), uint64_t{0});
+    if (u > 1) {
+      EXPECT_EQ(t.succ_gt(0), u - 1);
+      EXPECT_EQ(t.pred_lt(u - 1), uint64_t{0});
+      // An out-of-universe key never leaves: replace_top is a plain insert.
+      t.erase(u - 1);
+      t.replace_top(~uint64_t{0}, u - 1);
+      EXPECT_EQ(keys_of(t), keys);
+    }
+  }
+}
+
+TEST(VebContract, BatchInsertRejectsOutOfUniverseKeysUnchanged) {
+  VebTree t(64);
+  t.insert(1);
+  expect_invalid([&] { t.batch_insert({65, 66}); });
+  expect_invalid([&] { t.batch_insert({2, 63, 64}); });
+  EXPECT_EQ(t.size(), 1);
+  EXPECT_EQ(keys_of(t), std::vector<uint64_t>{1});
+  VebTree big(4096);
+  expect_invalid([&] { big.batch_insert({5, 4096}); });
+  EXPECT_TRUE(big.empty());
+  EXPECT_EQ(big.batch_insert({5, 4095}), 2);
+  big.check_invariants();
+}
+
+TEST(VebContract, BatchesMustBeSortedAndDuplicateFree) {
+  VebTree t(64);
+  expect_invalid([&] { t.batch_insert({3, 3, 7}); });
+  EXPECT_TRUE(t.empty());
+  const uint64_t u = uint64_t{1} << 20;
+  VebTree big(u);
+  big.batch_insert({10, 20});
+  expect_invalid([&] { big.batch_insert({u / 2, 3, u - 1}); });
+  expect_invalid([&] { big.batch_delete({20, 10}); });
+  expect_invalid([&] { big.batch_delete({10, 10}); });
+  EXPECT_EQ(keys_of(big), (std::vector<uint64_t>{10, 20}));
+  big.check_invariants();
+  // Valid batches still go through, absent / present keys filtered.
+  EXPECT_EQ(big.batch_insert({3, 10, u / 2, u - 1}), 3);
+  EXPECT_EQ(big.batch_delete({3, 4, u - 1}), 2);
+  EXPECT_EQ(keys_of(big), (std::vector<uint64_t>{10, 20, u / 2}));
+  big.check_invariants();
 }
 
 // --------------------------------------------------------------- Mono-vEB ---

@@ -1,8 +1,8 @@
-// Tests for the bit-packed word layer (veb_words.hpp) and the trees built
-// on it: randomized differentials of the word/block kernels vs a std::set
-// oracle (dense, sparse, boundary-straddling, and all-64-set patterns),
-// word-layout vs legacy-node-layout tree equivalence, the zero-leaf-
-// allocation gate, and the tracking-allocator accounting itself.
+// Tests for the bit-packed word layer (veb_words.hpp) and the tree built
+// on it: randomized differentials of the word/block kernels and of VebTree
+// (one internal level below 2^24, two at 2^32) vs a std::set oracle
+// (dense, sparse, boundary-straddling, and all-64-set patterns), the
+// zero-leaf-allocation gate, and the tracking-allocator accounting itself.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,8 +12,6 @@
 #include "parlis/parallel/random.hpp"
 #include "parlis/util/arena.hpp"
 #include "parlis/util/tracking_allocator.hpp"
-#include "parlis/veb/compact_veb.hpp"
-#include "parlis/veb/mono_veb.hpp"
 #include "parlis/veb/veb_tree.hpp"
 #include "parlis/veb/veb_words.hpp"
 
@@ -23,19 +21,6 @@ namespace {
 using veb_words::kWordNone;
 using veb_words::WordBlock4096;
 using veb_words::WordLeaf;
-
-// Flips the process default layout for a scope (tests must restore it: the
-// rest of the suite assumes the word default).
-class LayoutGuard {
- public:
-  explicit LayoutGuard(VebLayout l) : prev_(default_veb_layout()) {
-    set_default_veb_layout(l);
-  }
-  ~LayoutGuard() { set_default_veb_layout(prev_); }
-
- private:
-  VebLayout prev_;
-};
 
 // -------------------------------------------------------- word leaf kernels
 
@@ -238,7 +223,7 @@ TEST(VebWords, BlockForEachRange) {
   }
 }
 
-// ------------------------------------- word vs legacy tree differential ---
+// ------------------------------------------- tree vs std::set differential ---
 
 struct LayoutCase {
   uint64_t universe;
@@ -247,35 +232,29 @@ struct LayoutCase {
 
 class VebWordsLayoutDiff : public ::testing::TestWithParam<LayoutCase> {};
 
-TEST_P(VebWordsLayoutDiff, PointOpsMatchLegacyAndStdSet) {
+TEST_P(VebWordsLayoutDiff, PointOpsMatchStdSet) {
   auto [universe, seed] = GetParam();
-  VebTree word(universe, VebLayout::kWordBlock);
-  VebTree legacy(universe, VebLayout::kLegacyNode);
+  VebTree word(universe);
   std::set<uint64_t> ref;
   for (int op = 0; op < 4000; op++) {
     uint64_t x = uniform(seed, op, universe);
     switch (hash64(seed + 1, op) % 5) {
       case 0:
         word.insert(x);
-        legacy.insert(x);
         ref.insert(x);
         break;
       case 1:
         word.erase(x);
-        legacy.erase(x);
         ref.erase(x);
         break;
       case 2: {
         ASSERT_EQ(word.contains(x), ref.count(x) > 0);
-        ASSERT_EQ(word.contains(x), legacy.contains(x));
         break;
       }
       case 3: {
         auto a = word.pred_lt(x);
-        auto b = legacy.pred_lt(x);
         auto r = ref.lower_bound(x);
         ASSERT_EQ(a.has_value(), r != ref.begin());
-        ASSERT_EQ(a, b);
         if (a) {
           ASSERT_EQ(*a, *std::prev(r));
         }
@@ -283,25 +262,21 @@ TEST_P(VebWordsLayoutDiff, PointOpsMatchLegacyAndStdSet) {
       }
       default: {
         auto a = word.succ_gt(x);
-        auto b = legacy.succ_gt(x);
         auto r = ref.upper_bound(x);
         ASSERT_EQ(a.has_value(), r != ref.end());
-        ASSERT_EQ(a, b);
         if (a) {
           ASSERT_EQ(*a, *r);
         }
       }
     }
     ASSERT_EQ(word.size(), static_cast<int64_t>(ref.size()));
-    ASSERT_EQ(legacy.size(), word.size());
   }
-  EXPECT_EQ(word.check_invariants(), legacy.check_invariants());
+  EXPECT_EQ(word.check_invariants(), static_cast<int64_t>(ref.size()));
 }
 
-TEST_P(VebWordsLayoutDiff, BatchOpsAndRangeMatchLegacy) {
+TEST_P(VebWordsLayoutDiff, BatchOpsAndRangeMatchStdSet) {
   auto [universe, seed] = GetParam();
-  VebTree word(universe, VebLayout::kWordBlock);
-  VebTree legacy(universe, VebLayout::kLegacyNode);
+  VebTree word(universe);
   std::set<uint64_t> ref;
   for (int round = 0; round < 12; round++) {
     // Insert a sorted random batch, delete a different one, cross-check a
@@ -312,8 +287,9 @@ TEST_P(VebWordsLayoutDiff, BatchOpsAndRangeMatchLegacy) {
     }
     std::sort(ins.begin(), ins.end());
     ins.erase(std::unique(ins.begin(), ins.end()), ins.end());
-    ASSERT_EQ(word.batch_insert(ins), legacy.batch_insert(ins));
-    for (uint64_t x : ins) ref.insert(x);
+    int64_t fresh = 0;
+    for (uint64_t x : ins) fresh += ref.insert(x).second ? 1 : 0;
+    ASSERT_EQ(word.batch_insert(ins), fresh);
 
     std::vector<uint64_t> del;
     for (int i = 0; i < 120; i++) {
@@ -321,20 +297,18 @@ TEST_P(VebWordsLayoutDiff, BatchOpsAndRangeMatchLegacy) {
     }
     std::sort(del.begin(), del.end());
     del.erase(std::unique(del.begin(), del.end()), del.end());
-    ASSERT_EQ(word.batch_delete(del), legacy.batch_delete(del));
-    for (uint64_t x : del) ref.erase(x);
+    int64_t present = 0;
+    for (uint64_t x : del) present += static_cast<int64_t>(ref.erase(x));
+    ASSERT_EQ(word.batch_delete(del), present);
 
     uint64_t lo = uniform(seed + round, 7777, universe);
     uint64_t hi = uniform(seed + round, 8888, universe);
     if (lo > hi) std::swap(lo, hi);
-    std::vector<uint64_t> got = word.range(lo, hi);
-    ASSERT_EQ(got, legacy.range(lo, hi));
     std::vector<uint64_t> want(ref.lower_bound(lo), ref.upper_bound(hi));
-    ASSERT_EQ(got, want);
+    ASSERT_EQ(word.range(lo, hi), want);
 
     ASSERT_EQ(word.size(), static_cast<int64_t>(ref.size()));
     word.check_invariants();
-    legacy.check_invariants();
   }
 }
 
@@ -343,75 +317,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(LayoutCase{64, 101}, LayoutCase{100, 102},
                       LayoutCase{4095, 103}, LayoutCase{4096, 104},
                       LayoutCase{4097, 105}, LayoutCase{1 << 16, 106},
-                      LayoutCase{1 << 20, 107}));
-
-// The global default flips both VebTree and CompactVeb construction.
-TEST(VebWords, CompactVebLayoutsAgree) {
-  std::unique_ptr<CompactVebTree> legacy;
-  {
-    LayoutGuard g(VebLayout::kLegacyNode);
-    legacy = std::make_unique<CompactVebTree>(uint64_t{1} << 24);
-  }
-  CompactVebTree word(uint64_t{1} << 24);
-  std::set<uint64_t> ref;
-  for (int op = 0; op < 4000; op++) {
-    uint64_t x = uniform(201, op, uint64_t{1} << 24);
-    if (hash64(202, op) % 3 == 0) {
-      word.erase(x);
-      legacy->erase(x);
-      ref.erase(x);
-    } else {
-      word.insert(x);
-      legacy->insert(x);
-      ref.insert(x);
-    }
-    auto s1 = word.succ_gt(x), s2 = legacy->succ_gt(x);
-    ASSERT_EQ(s1, s2);
-    auto p1 = word.pred_lt(x), p2 = legacy->pred_lt(x);
-    ASSERT_EQ(p1, p2);
-  }
-  ASSERT_EQ(word.size(), static_cast<int64_t>(ref.size()));
-  // Word blocks strictly reduce the node count: the bottom two levels of
-  // every key path are words now.
-  EXPECT_LT(word.allocated_nodes(), legacy->allocated_nodes());
-}
-
-TEST(VebWords, MonoVebLayoutsAgree) {
-  // Same staircase batches through both layouts (the legacy tree still runs
-  // the pre-word point/batch paths internally).
-  std::unique_ptr<MonoVeb> legacy;
-  {
-    LayoutGuard g(VebLayout::kLegacyNode);
-    legacy = std::make_unique<MonoVeb>(uint64_t{1} << 14);
-  }
-  MonoVeb word(uint64_t{1} << 14);
-  for (int round = 0; round < 20; round++) {
-    std::vector<MonoVeb::Point> batch;
-    std::set<uint64_t> used;
-    for (int i = 0; i < 40; i++) {
-      uint64_t k = uniform(301 + round, i, uint64_t{1} << 14);
-      if (!used.insert(k).second) continue;
-      batch.push_back(
-          {k, static_cast<int64_t>(uniform(302 + round, i, 1000000))});
-    }
-    std::sort(batch.begin(), batch.end(),
-              [](const auto& a, const auto& b) { return a.key < b.key; });
-    // Keys must be disjoint from the current staircase.
-    std::vector<MonoVeb::Point> fresh;
-    for (const auto& p : batch) {
-      if (!word.keys().contains(p.key)) fresh.push_back(p);
-    }
-    word.insert_staircase(fresh);
-    legacy->insert_staircase(fresh);
-    word.check_staircase();
-    legacy->check_staircase();
-    ASSERT_EQ(word.size(), legacy->size());
-    auto wk = word.keys().range(0, (uint64_t{1} << 14) - 1);
-    auto lk = legacy->keys().range(0, (uint64_t{1} << 14) - 1);
-    ASSERT_EQ(wk, lk);
-    for (uint64_t k : wk) ASSERT_EQ(word.score_of(k), legacy->score_of(k));
-  }
-}
+                      LayoutCase{1 << 20, 107},
+                      LayoutCase{uint64_t{1} << 32, 108}));
 
 // ---------------------------------------------- allocation accounting ---
 
@@ -445,45 +352,17 @@ TEST(TrackingAllocator, ArenaReportsChunkTraffic) {
 }
 
 TEST(VebWords, ZeroLeafAllocationsAtWordUniverse) {
-  // Universe <= 4096 under the word layout: the whole tree is the root node
-  // plus one lazily-created word array. After the first insert faults the
+  // Universe <= 4096: the whole tree is the root node plus one
+  // lazily-created word array. After the first insert faults the
   // array in, no further insert/erase touches the allocator.
   Arena pool;
-  VebTree t(4096, &pool, VebLayout::kWordBlock);
+  VebTree t(4096, &pool);
   t.insert(uniform(401, 0, 4096));
   size_t after_first = pool.bytes_allocated();
   for (int i = 1; i < 4096; i++) t.insert(uniform(401, i, 4096));
   for (int i = 0; i < 2048; i++) t.erase(uniform(401, i, 4096));
   EXPECT_EQ(pool.bytes_allocated(), after_first);
   t.check_invariants();
-
-  // The legacy layout allocates leaf nodes as keys spread out.
-  Arena legacy_pool;
-  VebTree legacy(4096, &legacy_pool, VebLayout::kLegacyNode);
-  legacy.insert(uniform(401, 0, 4096));
-  size_t legacy_after_first = legacy_pool.bytes_allocated();
-  for (int i = 1; i < 4096; i++) legacy.insert(uniform(401, i, 4096));
-  EXPECT_GT(legacy_pool.bytes_allocated(), legacy_after_first);
-}
-
-TEST(VebWords, WordLayoutUsesLessMemory) {
-  // Dense 2^20-universe fill: the word layout's bottom blocks must beat the
-  // legacy leaf nodes on payload bytes.
-  constexpr uint64_t kU = uint64_t{1} << 20;
-  auto fill_bytes = [&](VebLayout layout) {
-    Arena pool;
-    VebTree t(kU, &pool, layout);
-    std::vector<uint64_t> keys;
-    for (int i = 0; i < 100000; i++) keys.push_back(uniform(411, i, kU));
-    std::sort(keys.begin(), keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-    t.batch_insert(keys);
-    t.check_invariants();
-    return pool.bytes_allocated();
-  };
-  size_t word_bytes = fill_bytes(VebLayout::kWordBlock);
-  size_t legacy_bytes = fill_bytes(VebLayout::kLegacyNode);
-  EXPECT_LT(word_bytes, legacy_bytes / 2);
 }
 
 }  // namespace

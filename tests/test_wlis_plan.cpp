@@ -294,14 +294,6 @@ TEST(WlisPlanDifferential, PassWarmedWorkspaceServesTheRounds) {
                     ws.sweep, out);
     expect_same(out, oracle(a2, w));
   }
-  // Through a Solver: its pass and SWGS share one workspace.
-  Solver solver;
-  WlisResult out;
-  solver.solve_wlis(a, w, out);
-  solver.solve_swgs_wlis(a, w, out);
-  expect_same(out, oracle(a, w));
-  solver.solve_wlis(a, w, out);
-  expect_same(out, oracle(a, w));
 }
 
 // The kernel on its own against the O(n^2) recurrence at small n.
