@@ -1,7 +1,9 @@
 // Figure 7(a): LIS running time vs LIS length k, *line pattern*.
 // Series: Seq-BS, SWGS, Ours (seq), Ours.   Paper setup: n = 10^8, 96 cores.
-// Seq-BS times the branch-free patience kernel (seq_patience_ranks_into),
-// the paper's "highly-optimized" baseline.
+// Seq-BS times the library's patience kernel (seq_patience_ranks_into:
+// AVX-512 register tiers up to 128 tails, then the branch-free memory
+// loop), checked against seq_bs_ranks, the paper's std::lower_bound
+// "highly-optimized" baseline.
 // Default here: n = 10^6 (scaled for the reproduction machine; see
 // EXPERIMENTS.md). Flags: --n, --maxk, --swgsmaxk, --threads, --reps, --out FILE (JSON records).
 #include <cstdio>
@@ -33,8 +35,8 @@ int main(int argc, char** argv) {
   for (int64_t target_k : k_sweep(maxk)) {
     auto a = line_pattern(n, target_k, 7 + target_k);
     volatile int64_t sink = 0;
-    // Seq-BS is the branch-free patience kernel, warm; its answer is
-    // checked against the std::lower_bound oracle first.
+    // Seq-BS is the patience kernel, warm; its answer is checked against
+    // the std::lower_bound oracle first.
     const std::span<const int64_t> as(a);
     LisResult bs;
     std::vector<int64_t> tails;

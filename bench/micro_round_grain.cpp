@@ -3,14 +3,16 @@
 //  - the tournament tree (lis_ranks_into) on the pool and on one thread
 //    (set_sequential_mode). Pooled ÷ one-thread per k is what kRoundGrain
 //    (lis/tournament_tree.hpp) is set from;
-//  - patience sorting, the new kernel (seq_patience_ranks_into) and Seq-BS
-//    (seq_bs_ranks, the std::lower_bound oracle);
-//  - Solver::solve_lis, which picks patience or the pool per input. The
-//    crossover between the pool and patience, read as a first-frontier
-//    size, is what kPatienceFrontier (lis/lis.hpp) is set from.
-// Each row also times the plan's first-frontier scan with its early exit at
-// kPatienceFrontier. See EXPERIMENTS.md, "Round-granularity methodology"
-// and "Plan methodology".
+//  - the patience kernel (seq_patience_ranks_into) with the SIMD toggle on
+//    (regs: the register tiers up to 128 tails, util/simd.hpp) and off
+//    (twin: their scalar twin, the memory loop), the SIMD rule's paired row
+//    at the kernel's call site;
+//  - Seq-BS (seq_bs_ranks, the paper's std::lower_bound baseline);
+//  - Solver::solve_lis, which runs the kernel (api/solver.hpp). Solver ÷
+//    min(pool, regs) is the plan's check: the pool never won by 10%
+//    (EXPERIMENTS.md, "Register tiers").
+// Exits 1 if any series' ranks differ from seq_bs_ranks. See EXPERIMENTS.md,
+// "Round-granularity methodology", "Plan methodology" and "Register tiers".
 //
 // Flags: --n (default 2^20), --klist (target k values, comma-separated),
 // --reps (default 7), --seed, --out FILE (JSON records). The pool size
@@ -18,7 +20,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <limits>
 #include <span>
 #include <vector>
 
@@ -29,6 +30,7 @@
 #include "parlis/lis/seq_lis.hpp"
 #include "parlis/parallel/scheduler.hpp"
 #include "parlis/util/generators.hpp"
+#include "parlis/util/simd.hpp"
 
 using namespace parlis;
 using namespace parlis::bench;
@@ -49,7 +51,7 @@ double time_ms(const F& f) {
       .count();
 }
 
-enum Series { kPooled, kOneThread, kPatience, kSeqBs, kSolver, kScan, kCount };
+enum Series { kPooled, kOneThread, kRegs, kTwin, kSeqBs, kSolver, kCount };
 
 }  // namespace
 
@@ -63,34 +65,35 @@ int main(int argc, char** argv) {
       "16,32,48,64,96,128,192,256,384,512,1024,2048,4096,8192,16384,32768,"
       "65536,131072"));
   std::printf("LIS plan sweep: n=%lld, workers=%d, kRoundGrain=%lld, "
-              "kPatienceFrontier=%lld, reps=%d (interleaved medians)\n",
+              "simd=%s, reps=%d (interleaved medians)\n",
               static_cast<long long>(n), num_workers(),
-              static_cast<long long>(kRoundGrain),
-              static_cast<long long>(kPatienceFrontier), reps);
-  std::printf("%7s %7s %7s %9s %9s %9s %9s %9s %8s %7s %9s %8s %8s\n", "k",
-              "n/k", "1st_fr", "pool_ms", "one_ms", "pat_ms", "seqbs_ms",
-              "solver", "path", "scan", "slv/best", "pool/one", "spawns");
+              static_cast<long long>(kRoundGrain), simd::backend_name(), reps);
+  std::printf("%7s %7s %9s %9s %9s %9s %9s %9s %9s %8s %8s\n", "k", "n/k",
+              "pool_ms", "one_ms", "regs_ms", "twin_ms", "seqbs_ms", "solver",
+              "twin/regs", "slv/best", "spawns");
 
   BenchJson json(flags.get_str("out", ""));
   for (int target_k : klist) {
     const std::vector<int64_t> a = line_pattern(n, target_k, seed + target_k);
     const std::span<const int64_t> as(a);
     const std::vector<int32_t> want = seq_bs_ranks(a);
-    const int64_t first_frontier =
-        first_frontier_size(as, std::numeric_limits<int64_t>::max());
-    const bool pool_path =
-        first_frontier >= kPatienceFrontier && num_workers() > 1;
 
     Solver solver;
-    LisResult solver_out, tour_out, pat_out;
+    LisResult solver_out, tour_out, regs_out, twin_out;
     TournamentStorage<int64_t> storage;
     std::vector<int64_t> tails;
+    auto patience = [&](bool vector, LisResult& out) {
+      const bool prev = simd::set_enabled(vector);
+      seq_patience_ranks_into<int64_t>(as, out, tails);
+      simd::set_enabled(prev);
+    };
     // Warm every workspace, and check each answer once against Seq-BS.
     solver.solve_lis(as, solver_out);
     lis_ranks_into<int64_t>(as, tour_out, storage);
-    seq_patience_ranks_into<int64_t>(as, pat_out, tails);
+    patience(true, regs_out);
+    patience(false, twin_out);
     if (solver_out.rank != want || tour_out.rank != want ||
-        pat_out.rank != want) {
+        regs_out.rank != want || twin_out.rank != want) {
       std::fprintf(stderr, "k=%d: an answer differs from seq_bs_ranks\n",
                    target_k);
       return 1;
@@ -120,36 +123,30 @@ int main(int argc, char** argv) {
             set_sequential_mode(prev);
             break;
           }
-          case kPatience:
-            t = time_ms(
-                [&] { seq_patience_ranks_into<int64_t>(as, pat_out, tails); });
+          case kRegs:
+            t = time_ms([&] { patience(true, regs_out); });
+            break;
+          case kTwin:
+            t = time_ms([&] { patience(false, twin_out); });
             break;
           case kSeqBs:
             t = time_ms([&] { sink = sink + seq_bs_ranks(a)[0]; });
             break;
-          case kSolver:
-            t = time_ms([&] { solver.solve_lis(as, solver_out); });
-            break;
           default:
-            t = time_ms([&] {
-              sink = sink + first_frontier_size(as, kPatienceFrontier);
-            });
+            t = time_ms([&] { solver.solve_lis(as, solver_out); });
         }
         if (r >= 0) ms[series].push_back(t);
       }
     }
     double med[kCount];
     for (int s = 0; s < kCount; s++) med[s] = median(ms[s]);
-    const double best = std::min(med[kOneThread], med[kPatience]);
+    const double best = std::min(med[kPooled], med[kRegs]);
     const double spawns_per_solve = static_cast<double>(spawns) / reps;
     std::printf(
-        "%7d %7.0f %7lld %9.2f %9.2f %9.2f %9.2f %9.2f %8s %7.3f %9.2f %8.2f "
-        "%8.0f\n",
-        k, static_cast<double>(n) / k, static_cast<long long>(first_frontier),
-        med[kPooled], med[kOneThread], med[kPatience], med[kSeqBs],
-        med[kSolver], pool_path ? "pool" : "patience", med[kScan],
-        med[kSolver] / best, med[kPooled] / med[kOneThread],
-        spawns_per_solve);
+        "%7d %7.0f %9.2f %9.2f %9.2f %9.2f %9.2f %9.2f %9.2f %8.2f %8.0f\n",
+        k, static_cast<double>(n) / k, med[kPooled], med[kOneThread],
+        med[kRegs], med[kTwin], med[kSeqBs], med[kSolver],
+        med[kTwin] / med[kRegs], med[kSolver] / best, spawns_per_solve);
     std::fflush(stdout);
     json.add(JsonRecord()
                  .field("bench", "micro_round_grain")
@@ -157,18 +154,17 @@ int main(int argc, char** argv) {
                  .field("pattern", "line")
                  .field("n", n)
                  .field("k", static_cast<int64_t>(k))
-                 .field("first_frontier", first_frontier)
                  .field("round_grain", kRoundGrain)
-                 .field("patience_frontier", kPatienceFrontier)
                  .field("threads", num_workers())
+                 .field("simd_backend", simd::backend_name())
                  .field("tournament_pooled_ms", med[kPooled])
                  .field("tournament_one_thread_ms", med[kOneThread])
-                 .field("patience_ms", med[kPatience])
+                 .field("regs_ms", med[kRegs])
+                 .field("twin_ms", med[kTwin])
                  .field("seq_bs_ms", med[kSeqBs])
                  .field("solver_ms", med[kSolver])
-                 .field("solver_path", pool_path ? "pool" : "patience")
-                 .field("first_frontier_scan_ms", med[kScan])
-                 .field("solver_over_best_one_thread", med[kSolver] / best)
+                 .field("twin_over_regs", med[kTwin] / med[kRegs])
+                 .field("solver_over_best", med[kSolver] / best)
                  .field("pooled_over_one_thread",
                         med[kPooled] / med[kOneThread])
                  .field("spawns_per_solve", spawns_per_solve));

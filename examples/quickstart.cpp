@@ -17,10 +17,10 @@
 int main() {
   std::printf("parlis quickstart (%d worker threads)\n\n", parlis::num_workers());
 
-  // One Solver owns all scratch state (tournament storage, rank spaces,
-  // the weighted pass's Fenwick tree): repeated solves through it allocate
-  // nothing once warm. One solver per thread; each solve parallelizes
-  // internally.
+  // One Solver owns all scratch state (patience tails, rank spaces, the
+  // weighted pass's Fenwick tree): repeated solves through it allocate
+  // nothing once warm. One solver per thread; solve_many spreads
+  // independent queries over the worker pool.
   parlis::Solver solver;
 
   // --- Longest increasing subsequence (Alg. 1) --------------------------

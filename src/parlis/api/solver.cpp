@@ -65,11 +65,6 @@ size_t Solver::rank_space_bytes(int64_t n) {
 }
 
 size_t Solver::lis_scratch_bytes(int64_t n) {
-  // Tournament blocks + top + count arrays (~20B/elem) and the rank output.
-  return static_cast<size_t>(n) * 40 + (size_t{1} << 16);
-}
-
-size_t Solver::lis_fallback_bytes(int64_t n) {
   // Patience tails (at most n + 1 int64) + the rank output.
   return static_cast<size_t>(n) * 12 + (size_t{1} << 16);
 }
@@ -183,8 +178,7 @@ void Solver::solve_query(const Query& q, QueryResult& r, ThreadCtx& ctx) {
   if (q.w.empty()) {
     if (nondec) {
       run_lis(n, rank_space_bytes(n), "solve_many", ctx.lis, ctx.lis_res,
-              [&] { return rank_image(q.a, ctx.lis, std::less<int64_t>{}); },
-              n);
+              [&] { return rank_image(q.a, ctx.lis, std::less<int64_t>{}); });
     } else {
       run_lis(n, 0, "solve_many", ctx.lis, ctx.lis_res, [&] { return q.a; });
     }
@@ -224,9 +218,9 @@ void Solver::solve_many(std::span<const Query> queries,
       internal::make_exec_context(opts_.cancel, opts_.deadline_ms);
   internal::CancelScope scope(batch_ctx);
   internal::poll_cancellation();
-  // Large queries first, one at a time with intra-query parallelism: they
-  // saturate the pool on their own, and finishing them before the packed
-  // phase keeps the tail of the batch load-balanced.
+  // Large queries first, one at a time on the caller's context (a weighted
+  // query's rank-space pass uses the pool; an unweighted one runs on this
+  // thread), then the packed phase.
   small_idx_.clear();
   for (int64_t i = 0; i < nq; i++) {
     if (static_cast<int64_t>(queries[i].a.size()) > opts_.sequential_cutoff) {

@@ -3,11 +3,11 @@
 // The free functions (lis_ranks, wlis, swgs_*) are one-shot: every call
 // rebuilds the tournament tree, reallocates frontier buffers and result
 // vectors, and re-carves the range-structure arenas. A Solver instead owns
-// all of its scratch — tournament storage, patience tails, rank-space
-// arrays, the weighted pass's Fenwick tree, per-worker slots for batched
-// serving — and writes results into caller-reusable output structs, so in
-// the amortized-serving steady state (many queries through one session)
-// repeated same-size solves allocate nothing.
+// all of its scratch — patience tails, rank-space arrays, the weighted
+// pass's Fenwick tree, per-worker slots for batched serving — and writes
+// results into caller-reusable output structs, so in the amortized-serving
+// steady state (many queries through one session) repeated same-size
+// solves allocate nothing.
 //
 // Key types: every solve_* entry point has a typed overload — any `Key`
 // with a strict-weak-order comparator (doubles, timestamps, pairs/tuples
@@ -19,14 +19,14 @@
 // The generic paths keep the zero-allocation warm steady state: the
 // compression workspace is part of the session scratch.
 //
-// Thread-safety: one Solver per thread. The solve_* methods parallelize
-// *internally* (they drive the shared worker pool), but two threads must
-// not call into the same Solver concurrently. solve_many is the batched
-// entry point: it fans independent queries out across the pool itself —
-// small queries are packed one-per-task and solved sequentially in place
-// (per-worker workspaces, no nested fork-join), large queries run with
-// intra-query parallelism — which is the serving shape for high query
-// traffic.
+// Thread-safety: one Solver per thread. The solve_* methods may use the
+// shared worker pool internally (the rank-space pass, result copies), but
+// two threads must not call into the same Solver concurrently. solve_many
+// is the batched entry point: it fans independent queries out across the
+// pool itself — small queries are packed one-per-task and solved
+// sequentially in place (per-worker workspaces, no nested fork-join), large
+// queries run one at a time on the caller's context — which is the serving
+// shape for high query traffic.
 //
 // Buffer-reuse semantics: output structs (LisResult, WlisResult, ...) are
 // plain vectors-of-results; pass the same instance back in and its capacity
@@ -36,11 +36,12 @@
 // Failure semantics: invalid arguments (span-size mismatches, undersized
 // output spans, n of 2^31 or more, weighted dp sums past INT64_MAX) throw
 // parlis::Error{kInvalidArgument} in every build mode — never UB.
-// Options.cancel / Options.deadline_ms are polled at frontier-round
-// boundaries (every 4096 elements on the patience path and in the
-// weighted pass) and unwind as Error{kCancelled} / Error{kDeadlineExceeded};
-// Options.memory_budget_bytes degrades a too-large solve to the sequential
-// fallback (patience sorting / Seq-AVL) or throws Error{kBudgetExceeded}.
+// Options.cancel / Options.deadline_ms are polled every 4096 elements by
+// the patience kernel and the weighted pass (and at frontier-round
+// boundaries by the one-shot rounds) and unwind as Error{kCancelled} /
+// Error{kDeadlineExceeded}; Options.memory_budget_bytes degrades a
+// too-large weighted solve to the Seq-AVL fallback or throws
+// Error{kBudgetExceeded}.
 // Any failure unwinds through the workspace cache-invalidation chokepoints,
 // so a post-failure solve on the same Solver is bit-identical to a cold one.
 #pragma once
@@ -56,7 +57,6 @@
 
 #include "parlis/api/options.hpp"
 #include "parlis/lis/lis.hpp"
-#include "parlis/lis/tournament_tree.hpp"
 #include "parlis/parallel/scheduler.hpp"
 #include "parlis/util/content_hash.hpp"
 #include "parlis/util/error.hpp"
@@ -123,11 +123,13 @@ class Solver {
   /// per-tenant eviction accounting; never an estimate.
   size_t resident_bytes() const;
 
-  /// Unweighted LIS ranks (Alg. 1) of `a` into `out`, under options().ties.
-  /// Every LIS entry point solves by patience sorting on the calling thread
-  /// when the solve is one-thread anyway, when the first frontier is below
-  /// kPatienceFrontier (lis/lis.hpp) or when the memory budget fits only
-  /// that; by the tournament tree on the pool otherwise. Same results.
+  /// Unweighted LIS ranks (dp values) of `a` into `out`, under
+  /// options().ties. Every LIS entry point solves by patience sorting on
+  /// the calling thread (lis/lis.hpp, internal::patience_ranks: register
+  /// tiers while k <= 128, then the memory loop). On the sweep in
+  /// EXPERIMENTS.md ("Register tiers") it beat Alg. 1's rounds on a
+  /// 4-worker pool at every k, so the Solver no longer runs them; the
+  /// one-shot lis_ranks / lis_frontiers still do.
   void solve_lis(std::span<const int64_t> a, LisResult& out);
 
   /// Typed overload: compresses `a` to rank space under options().ties and
@@ -140,15 +142,16 @@ class Solver {
   }
 
   /// Custom-order form over raw int64 values (no rank reduction):
-  /// "increasing" means strictly increasing under `less`; `inf` must
-  /// compare greater than every input under `less` (e.g. inf = INT64_MIN
-  /// with std::greater for longest decreasing runs).
+  /// "increasing" means strictly increasing under `less` (e.g. std::greater
+  /// for longest decreasing runs). `inf`, the sentinel Alg. 1's tournament
+  /// tree needs, is unused: patience sorting has none.
   template <typename Less>
   void solve_lis(std::span<const int64_t> a, LisResult& out, int64_t inf,
                  Less less) {
+    (void)inf;
     EntryGuard guard(*this, a.size());
     run_lis(static_cast<int64_t>(a.size()), 0, "solve_lis", main_ctx_->lis,
-            out, [a] { return a; }, inf, less);
+            out, [a] { return a; }, less);
   }
 
   /// Ranks plus the per-round frontiers (what WLIS and the reconstruction
@@ -203,8 +206,9 @@ class Solver {
   /// Queries are independent; |results| >= |queries|. Queries with
   /// |a| <= options().sequential_cutoff are packed across the worker pool
   /// (one task each, solved sequentially on per-worker workspaces); larger
-  /// ones run one at a time with intra-query parallelism. Honors
-  /// options().ties like every other entry point.
+  /// ones run one at a time on the caller's context (a weighted query's
+  /// rank-space pass uses the pool; an unweighted one runs on one thread).
+  /// Honors options().ties like every other entry point.
   void solve_many(std::span<const Query> queries,
                   std::span<QueryResult> results);
 
@@ -264,22 +268,19 @@ class Solver {
                          const char* what) const;
   static size_t rank_space_bytes(int64_t n);
   static size_t lis_scratch_bytes(int64_t n);
-  static size_t lis_fallback_bytes(int64_t n);
   static size_t wlis_scratch_bytes(int64_t n);
   static size_t wlis_fallback_bytes(int64_t n);
   // One context's LIS scratch: the rank image of keys that need one (kept
   // apart from the WLIS workspace's rank space, whose contents back the
-  // value-sequence cache), tournament storage for the pool path, and the
-  // patience tails.
+  // value-sequence cache) and the patience tails.
   struct LisScratch {
     RankSpace rs;
     RankSpaceScratch rs_scratch;
-    TournamentStorage<int64_t> tour;
     std::vector<int64_t> tails;
 
     size_t resident_bytes() const {
       return rs.resident_bytes() + rs_scratch.resident_bytes() +
-             tour.resident_bytes() + vec_bytes(tails);
+             vec_bytes(tails);
     }
   };
 
@@ -310,33 +311,16 @@ class Solver {
   // unweighted queries: admits n elements (with `rank_bytes` for a
   // rank-space pass), takes the sequence to solve from `prepare()` (the
   // input or its rank image), and solves it into `out`, a LisResult or
-  // LisFrontiers, by patience sorting or the tournament tree (see
-  // solve_lis). num_workers() is asked last, so patience never starts the
-  // pool.
+  // LisFrontiers, by patience sorting (see solve_lis).
   template <typename Out, typename Prepare, typename Less = std::less<int64_t>>
   void run_lis(int64_t n, size_t rank_bytes, const char* what, LisScratch& s,
-               Out& out, const Prepare& prepare,
-               int64_t inf = std::numeric_limits<int64_t>::max(),
-               Less less = Less{}) {
-    const bool budget_fallback =
-        budget_plan(n, rank_bytes + lis_scratch_bytes(n),
-                    rank_bytes + lis_fallback_bytes(n),
-                    what) == BudgetPlan::kFallback;
+               Out& out, const Prepare& prepare, Less less = Less{}) {
+    budget_plan(n, rank_bytes + lis_scratch_bytes(n), 0, what);
     const std::span<const int64_t> a = prepare();
-    constexpr bool kRanks = std::is_same_v<Out, LisResult>;
-    if (budget_fallback || thread_sequential() || sequential_mode() ||
-        first_frontier_size<int64_t, Less>(a, kPatienceFrontier, less) <
-            kPatienceFrontier ||
-        num_workers() == 1) {
-      if constexpr (kRanks) {
-        seq_patience_ranks_into<int64_t, Less>(a, out, s.tails, less);
-      } else {
-        seq_patience_frontiers_into<int64_t, Less>(a, out, s.tails, less);
-      }
-    } else if constexpr (kRanks) {
-      lis_ranks_into<int64_t, Less>(a, out, s.tour, inf, less);
+    if constexpr (std::is_same_v<Out, LisResult>) {
+      seq_patience_ranks_into<int64_t, Less>(a, out, s.tails, less);
     } else {
-      lis_frontiers_into<int64_t, Less>(a, out, s.tour, inf, less);
+      seq_patience_frontiers_into<int64_t, Less>(a, out, s.tails, less);
     }
   }
 
@@ -380,7 +364,7 @@ class Solver {
     const int64_t n = static_cast<int64_t>(a.size());
     LisScratch& s = main_ctx_->lis;
     run_lis(n, rank_space_bytes(n), what, s, out,
-            [&] { return rank_image(a, s, less); }, n);
+            [&] { return rank_image(a, s, less); });
   }
 
   void solve_query(const Query& q, QueryResult& r, ThreadCtx& ctx);

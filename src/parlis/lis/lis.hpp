@@ -22,12 +22,17 @@
 //    result structs (allocate per call; kept as thin wrappers),
 //  * lis_ranks_into / lis_frontiers_into — span inputs, caller-injected
 //    TournamentStorage and result buffers. Repeated same-size solves reuse
-//    every buffer and allocate nothing; this is what parlis::Solver drives.
+//    every buffer and allocate nothing.
+// parlis::Solver runs neither: on a 4-core AVX-512 Xeon the patience
+// kernel below (seq_patience_ranks_into) beat Alg. 1's rounds on the pool
+// at every k measured (EXPERIMENTS.md, "Register tiers"). The rounds stay
+// as the paper's algorithm and the tests' and figures' reference.
 #pragma once
 
 #include <algorithm>
 #include <utility>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <span>
 #include <type_traits>
@@ -38,6 +43,7 @@
 #include "parlis/util/exec_context.hpp"
 #include "parlis/util/failpoint.hpp"
 #include "parlis/util/rank_space.hpp"
+#include "parlis/util/simd.hpp"
 
 namespace parlis {
 
@@ -110,7 +116,7 @@ template <typename T, typename Less = std::less<T>>
 void lis_ranks_into(std::span<const T> a, LisResult& res,
                     TournamentStorage<T>& ws,
                     T inf = std::numeric_limits<T>::max(), Less less = Less{}) {
-  res.rank.assign(a.size(), 0);
+  res.rank.resize(a.size());  // the rounds write every rank
   res.k = 0;
   if (a.empty()) return;
   {
@@ -193,23 +199,81 @@ inline int64_t patience_search(const T* t, int64_t len, const T& x,
   return (base - t) + count_tails_below(base, kPatienceWindow, x, less);
 }
 
+// The register tiers' scalar twin: the memory kernel's loop below over the
+// tiers' kTierTails-slot block, with their stop rule (util/simd.hpp,
+// patience_tiers_i64).
+inline int64_t patience_tiers_scalar(const int64_t* a, int64_t i, int64_t hi,
+                                     int32_t* rank, int64_t* t,
+                                     int64_t& len) {
+  for (; i < hi; i++) {
+    const int64_t x = a[i];
+    const int64_t pos = patience_search(t, len, x, std::less<int64_t>{});
+    if (pos == simd::kTierTails) break;
+    rank[i] = static_cast<int32_t>(pos + 1);
+    t[pos] = x;
+    len += pos == len;
+  }
+  return i;
+}
+
+// The front end of patience_ranks for int64 keys under std::less: the
+// vector tiers behind the SIMD toggle, else their twin.
+inline int64_t patience_tiers(const int64_t* a, int64_t i, int64_t hi,
+                              int32_t* rank, int64_t* t, int64_t& len) {
+#if PARLIS_SIMD_BACKEND == 4
+  if (simd::enabled()) return simd::patience_tiers_i64(a, i, hi, rank, t, len);
+#endif
+  return patience_tiers_scalar(a, i, hi, rank, t, len);
+}
+
 // Patience sorting (Seq-BS): rank[i] is one more than the number of tails
 // below a[i], and a[i] then becomes that tail (or a new last one). Returns
-// k. `tails` is scratch whose size is the kernel's capacity: it doubles up
-// to |a| + 1 slots and is kept, so a warm call allocates nothing. Polls
-// cancellation every 4096 elements.
+// k. int64 keys under std::less (raw values and every rank image) start in
+// the tiers of patience_tiers while there are at most kTierTails tails;
+// the element that needs one more spills them to `tails`, and the memory
+// loop goes on from it. `tails` is scratch whose size is the memory loop's
+// capacity: it doubles up to |a| + 1 slots and is kept, so a warm call
+// allocates nothing. Polls cancellation every 4096 elements, on either
+// side of the spill.
 template <typename T, typename Less>
 int32_t patience_ranks(std::span<const T> a, int32_t* rank,
                        std::vector<T>& tails, Less less) {
-  if (tails.size() < 2 * kPatienceWindow) tails.resize(2 * kPatienceWindow);
-  T* t = tails.data();
-  int64_t cap = static_cast<int64_t>(tails.size());
-  int64_t len = 0;
+  constexpr bool kTiers = std::is_same_v<T, int64_t> &&
+                          std::is_same_v<Less, std::less<int64_t>>;
   const int64_t n = static_cast<int64_t>(a.size());
+  int64_t len = 0;
+  int64_t i = 0;
+  T* t = nullptr;
+  int64_t cap = 0;
+  auto hold_tails = [&](int64_t slots) {
+    if (static_cast<int64_t>(tails.size()) < slots) {
+      tails.resize(static_cast<size_t>(slots));
+    }
+    t = tails.data();
+    cap = static_cast<int64_t>(tails.size());
+  };
+  [[maybe_unused]] alignas(64) int64_t tier[kTiers ? simd::kTierTails : 1];
+  [[maybe_unused]] bool in_tiers = kTiers;
+  if constexpr (kTiers) {
+    std::fill(tier, tier + simd::kTierTails,
+              std::numeric_limits<int64_t>::max());
+  } else {
+    hold_tails(2 * kPatienceWindow);
+  }
   for (int64_t lo = 0; lo < n; lo += 4096) {
     poll_cancellation();
     const int64_t hi = std::min(n, lo + 4096);
-    for (int64_t i = lo; i < hi; i++) {
+    if constexpr (kTiers) {
+      if (in_tiers) {
+        i = patience_tiers(a.data(), i, hi, rank, tier, len);
+        if (i == hi) continue;
+        // a[i] needs tail kTierTails + 1, so n > len: the spill fits.
+        in_tiers = false;
+        hold_tails(std::min(2 * len, n + 1));
+        std::copy(tier, tier + len, t);
+      }
+    }
+    for (; i < hi; i++) {
       const T x = a[i];
       const int64_t pos = patience_search(t, len, x, less);
       rank[i] = static_cast<int32_t>(pos + 1);
@@ -217,11 +281,7 @@ int32_t patience_ranks(std::span<const T> a, int32_t* rank,
       // writes the spare slot and extends the tails.
       t[pos] = x;
       len += pos == len;
-      if (len == cap) [[unlikely]] {
-        cap = std::min(2 * cap, n + 1);
-        tails.resize(static_cast<size_t>(cap));
-        t = tails.data();
-      }
+      if (len == cap) [[unlikely]] hold_tails(std::min(2 * cap, n + 1));
     }
   }
   return static_cast<int32_t>(len);
@@ -229,48 +289,11 @@ int32_t patience_ranks(std::span<const T> a, int32_t* rank,
 
 }  // namespace internal
 
-/// First frontiers below this many objects make the Solver solve by
-/// patience sorting instead of the tournament tree (api/solver.hpp). Set
-/// from the 4-worker crossover in bench/micro_round_grain.cpp
-/// (EXPERIMENTS.md, "Plan methodology").
-inline constexpr int64_t kPatienceFrontier = 32768;
-
-/// The size of `a`'s first frontier, its rank-1 objects: the prefix minima
-/// under `less`, ties with the running minimum included. Counting stops at
-/// `cap`, so the result is min(size, cap) and costs the scan up to the
-/// cap-th such object.
-template <typename T, typename Less = std::less<T>>
-int64_t first_frontier_size(std::span<const T> a, int64_t cap,
-                            Less less = Less{}) {
-  const int64_t n = static_cast<int64_t>(a.size());
-  if (n == 0 || cap <= 0) return 0;
-  T cur = a[0];
-  int64_t m = 1;
-  auto step = [&](const T& x) {
-    const bool rank1 = !less(cur, x);
-    m += rank1;
-    cur = rank1 ? x : cur;
-  };
-  // A block of 8 holds a rank-1 object only if one of its elements is not
-  // above the running minimum: one test per block, which GCC vectorizes.
-  // Only such blocks are walked element by element.
-  int64_t i = 1;
-  for (; i + 8 <= n && m < cap; i += 8) {
-    bool any = false;
-    for (int64_t j = 0; j < 8; j++) any |= !less(cur, a[i + j]);
-    if (any) {
-      for (int64_t j = 0; j < 8; j++) step(a[i + j]);
-    }
-  }
-  for (; i < n && m < cap; i++) step(a[i]);
-  return std::min(m, cap);
-}
-
 /// Sequential patience sorting (Seq-BS) with the same output contract as
-/// lis_ranks_into: the Solver's path for one-thread solves, small first
-/// frontiers and tight memory budgets. O(n log k) time on the calling
-/// thread. `tails` is O(k) scratch, reused across calls; its contents
-/// after the call are unspecified. Polls cancellation every 4096 elements.
+/// lis_ranks_into: the Solver's LIS path. O(n log k) time on the calling
+/// thread, O(n) while k <= 128 (the register tiers). `tails` is O(k)
+/// scratch, reused across calls; its contents after the call are
+/// unspecified. Polls cancellation every 4096 elements.
 template <typename T, typename Less = std::less<T>>
 void seq_patience_ranks_into(std::span<const T> a, LisResult& res,
                              std::vector<T>& tails, Less less = Less{}) {
@@ -334,7 +357,7 @@ void lis_frontiers_into(std::span<const T> a, LisFrontiers& res,
                         T inf = std::numeric_limits<T>::max(),
                         Less less = Less{}) {
   const int64_t n = static_cast<int64_t>(a.size());
-  res.rank.assign(a.size(), 0);
+  res.rank.resize(a.size());  // the rounds write every rank
   res.k = 0;
   res.frontier_offset.clear();
   res.frontier_offset.push_back(0);

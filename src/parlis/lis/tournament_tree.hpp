@@ -224,7 +224,9 @@ class TournamentTree {
         inf_(inf),
         st_(storage != nullptr ? storage : &own_),
         prev_m_(n_) {
-    st_->blocks.assign(kBlockStride * nblocks_, inf);
+    // The build below writes every block entry, so the blocks are only
+    // resized (a warm storage of the same size is not touched twice).
+    st_->blocks.resize(kBlockStride * nblocks_);
     st_->top.assign(2 * top_leaves_, inf);
     blocks_ = st_->blocks.data();
     top_ = st_->top.data();
@@ -235,6 +237,8 @@ class TournamentTree {
       T* leaf = blk + kLeafOff;
       const int64_t fill = std::min(kBlockLeaves, n_ - base);
       for (int64_t j = 0; j < fill; j++) leaf[j] = xs[base + j];
+      // The last block's phantom leaves read as removed.
+      for (int64_t j = fill; j < kBlockLeaves; j++) leaf[j] = inf;
       // The block is in L1 now; a separate loop keeps the copy a memcpy.
       unsigned reaches_inf = 0;
       for (int64_t j = 0; j < fill; j++) {

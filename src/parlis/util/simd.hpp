@@ -1,10 +1,11 @@
 // Vectorized comparison kernels: the one place SIMD lives.
 //
-// Two hot loops in this repo are dense comparison sweeps that a vector
+// Three hot loops in this repo are dense comparison sweeps that a vector
 // body beats by a measured margin: the 8-ary tournament tree's min-of-8
-// reductions and prefix-min sweeps, and the rank-space pass's neighbor-
-// compare run scan over sorted keys. This header provides those sweeps as
-// free functions with three properties the rest of the codebase relies on:
+// reductions and prefix-min sweeps, the rank-space pass's neighbor-compare
+// run scan over sorted keys, and the patience kernel's search while it has
+// at most 128 tails. This header provides those sweeps as free functions
+// with three properties the rest of the codebase relies on:
 //
 //  1. **Compile-time backend dispatch.** `PARLIS_SIMD` (CMake, default ON)
 //     compiles the vector paths when the target ISA has the AVX-512
@@ -19,6 +20,9 @@
 //     runtime toggle (`set_enabled`). The differential harness flips the
 //     toggle and diffs whole solves vectorized-vs-scalar in one process;
 //     the forced-scalar CI leg (-DPARLIS_SIMD=OFF) diffs across builds.
+//     The one exception is patience_tiers_i64: its twin is the patience
+//     kernel's own search loop, so the twin and the dispatch live next to
+//     that loop (lis/lis.hpp, internal::patience_tiers).
 //  3. **No hidden relaxation.** Each kernel's contract is stated in terms
 //     of the scalar loop it replaces, and the vector implementations follow
 //     the exact same comparison semantics (total order on int64), so
@@ -314,5 +318,144 @@ inline void run_masks_i64(const int64_t* s, int64_t lo, int64_t hi,
 #endif
   run_masks_i64_scalar(s, lo, hi, force_first, out);
 }
+
+// ------------------------------------------------ patience tail tiers ------
+//
+// The patience kernel's front end for int64 keys under std::less
+// (lis/lis.hpp): while there are at most kTierTails tails, they stay in a
+// 64-byte-aligned block t[0, kTierTails) whose slots from len on hold
+// INT64_MAX (the empty-lane filler; a real INT64_MAX tail is harmless, since
+// no key is above it). Element a[i] gets rank 1 + #tails below it and
+// replaces the first tail not below it, exactly as in the scalar loop.
+//
+// The update needs no lane index: lane j takes min(t[j], x) exactly when
+// the tail before it, t[j - 1], is below x (lane 0 always qualifies). That
+// lowers t[pos] to x and leaves every other lane as it was, and the number
+// of qualifying lanes is the rank. Two layouts, picked per tier by the
+// paired rows in EXPERIMENTS.md ("Register tiers"):
+//  - 16 and 32 tails live in 2 and 4 zmm registers. Each element costs one
+//    lane shift, one compare and one masked min per register and a
+//    popcount; the next element waits only on the shift, compare and min.
+//  - 64 and 128 tails live in 8 and 16 L1 lines, with each line's last
+//    tail in 1 or 2 summary registers. The summary compare counts the lines
+//    wholly below x; the element then touches only the next line. Holding
+//    64 or 128 tails in 8 or 16 registers is throughput-bound (two port-5
+//    ops per register per element) and ran 1.4-2.8x slower.
+
+/// Tails the tiers hold before the caller spills them to memory.
+inline constexpr int64_t kTierTails = 128;
+
+#if PARLIS_SIMD_BACKEND == 4
+namespace detail {
+
+// Lanes of v moved up by one, lane 0 from lane 7 of `below`. The masked
+// form with a full mask is the same instruction; the unmasked intrinsic's
+// undefined pass-through trips GCC 12's -Wmaybe-uninitialized.
+inline __m512i shift_up1(__m512i v, __m512i below) {
+  return _mm512_mask_alignr_epi64(v, 0xFF, v, below, 7);
+}
+
+// Tails t[0, 8R) in R registers; runs until hi or an element above t[8R-1].
+template <int R>
+inline int64_t patience_regs(const int64_t* a, int64_t i, int64_t hi,
+                             int32_t* rank, int64_t* t, int64_t& len) {
+  __m512i v[R];
+  for (int r = 0; r < R; r++) v[r] = _mm512_load_si512(t + 8 * r);
+  int64_t last = t[8 * R - 1];
+  int64_t k = len;
+  for (; i < hi; i++) {
+    const int64_t y = a[i];
+    if (y > last) [[unlikely]] break;  // would need tail 8R + 1
+    const __m512i x = _mm512_set1_epi64(y);
+    uint32_t below = 0;
+    for (int r = 0; r < R; r++) {
+      const __m512i prev = shift_up1(v[r], r ? v[r - 1] : v[r]);
+      __mmask8 m = _mm512_cmplt_epi64_mask(prev, x);
+      if (r == 0) m = _kor_mask8(m, 1);
+      v[r] = _mm512_mask_min_epi64(v[r], m, v[r], x);
+      below |= static_cast<uint32_t>(_cvtmask8_u32(m)) << (8 * r);
+    }
+    const int64_t rk = std::popcount(below);
+    rank[i] = static_cast<int32_t>(rk);
+    k = rk > k ? rk : k;
+    last = rk == 8 * R ? y : last;
+  }
+  for (int r = 0; r < R; r++) _mm512_store_si512(t + 8 * r, v[r]);
+  len = k;
+  return i;
+}
+
+// Tails t[0, 8L) in L lines, summarized by their last tails; same stop rule.
+// The summary changes only when an element replaces a line's last tail, one
+// element in eight on spread inputs: a branch there beat a masked move,
+// which puts the summary on the element-to-element chain.
+template <int L>
+inline int64_t patience_lines(const int64_t* a, int64_t i, int64_t hi,
+                              int32_t* rank, int64_t* t, int64_t& len) {
+  constexpr int kS = L / 8;
+  const __m512i every8th = _mm512_set_epi64(63, 55, 47, 39, 31, 23, 15, 7);
+  __m512i s[kS];
+  for (int j = 0; j < kS; j++) {
+    s[j] = _mm512_mask_i64gather_epi64(every8th, 0xFF, every8th, t + 64 * j,
+                                       8);
+  }
+  int64_t last = t[8 * L - 1];
+  int64_t k = len;
+  for (; i < hi; i++) {
+    const int64_t y = a[i];
+    if (y > last) [[unlikely]] break;
+    const __m512i x = _mm512_set1_epi64(y);
+    uint32_t full = 0;  // lines whose every tail is below y
+    for (int j = 0; j < kS; j++) {
+      full |= static_cast<uint32_t>(
+                  _cvtmask8_u32(_mm512_cmplt_epi64_mask(s[j], x)))
+              << (8 * j);
+    }
+    const int64_t r = std::popcount(full);
+    int64_t* line = t + 8 * r;
+    const __m512i v = _mm512_load_si512(line);
+    const __mmask8 m = _kor_mask8(
+        _mm512_cmplt_epi64_mask(shift_up1(v, v), x), 1);
+    _mm512_store_si512(line, _mm512_mask_min_epi64(v, m, v, x));
+    const int64_t c = std::popcount(_cvtmask8_u32(m));
+    if (c == 8) {
+      const uint32_t bit = uint32_t{1} << r;
+      s[0] = _mm512_mask_mov_epi64(s[0], static_cast<__mmask8>(bit), x);
+      if constexpr (kS == 2) {
+        s[1] = _mm512_mask_mov_epi64(s[1], static_cast<__mmask8>(bit >> 8), x);
+      }
+    }
+    const int64_t rk = 8 * r + c;
+    rank[i] = static_cast<int32_t>(rk);
+    k = rk > k ? rk : k;
+    last = rk == 8 * L ? y : last;
+  }
+  len = k;
+  return i;
+}
+
+}  // namespace detail
+
+/// Ranks a[i, hi) against the tails t[0, len) (layout above; t 64-byte
+/// aligned), updating t and len. Returns hi, or the index of the first
+/// element that would need tail kTierTails + 1, whose rank is not written.
+/// A full tier hands its tails to the next one.
+inline int64_t patience_tiers_i64(const int64_t* a, int64_t i, int64_t hi,
+                                  int32_t* rank, int64_t* t, int64_t& len) {
+  if (len <= 16) {
+    i = detail::patience_regs<2>(a, i, hi, rank, t, len);
+    if (i == hi) return i;
+  }
+  if (len <= 32) {
+    i = detail::patience_regs<4>(a, i, hi, rank, t, len);
+    if (i == hi) return i;
+  }
+  if (len <= 64) {
+    i = detail::patience_lines<8>(a, i, hi, rank, t, len);
+    if (i == hi) return i;
+  }
+  return detail::patience_lines<16>(a, i, hi, rank, t, len);
+}
+#endif  // PARLIS_SIMD_BACKEND == 4
 
 }  // namespace parlis::simd

@@ -1,8 +1,10 @@
 // Steady-state allocation regression for the warm Solver path: after
 // warm-up, repeated same-size solve_wlis / solve_lis calls through one
 // Solver must perform ZERO heap allocations (the acceptance criterion of
-// the session API), on both paths of the LIS plan (patience sorting and
-// the tournament tree). A process-wide operator-new hook counts every
+// the session API), on every path of the LIS plan's patience kernel: the
+// register tiers alone, the tiers spilling to the memory loop, the memory
+// loop alone (custom order) and the rank image (typed keys, kNonDecreasing
+// ties). A process-wide operator-new hook counts every
 // allocation on every thread, so a stray vector resize, stable_sort
 // temporary, arena chunk, or make_unique anywhere in the hot path fails
 // the run.
@@ -14,6 +16,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <limits>
 #include <new>
 #include <vector>
 
@@ -22,6 +26,7 @@
 #include "parlis/parallel/random.hpp"
 #include "parlis/parallel/scheduler.hpp"
 #include "parlis/serve/engine.hpp"
+#include "parlis/util/simd.hpp"
 
 namespace {
 
@@ -91,16 +96,23 @@ int main() {
     a[i] = static_cast<int64_t>(hash64(7, i) >> 1);
     a2[i] = static_cast<int64_t>(hash64(11, i) >> 1);
     w[i] = 1 + static_cast<int64_t>(uniform(8, i, 1000));
-    // A falling trend: its first frontier (most of it) keeps the Solver's
-    // LIS plan on the pool, where the hashed inputs (first frontier ~11)
-    // take patience sorting.
+    // A falling trend: k of a few, so the patience kernel never leaves
+    // its register tiers, where the hashed inputs (k ~ 2 sqrt(n)) climb
+    // every tier and spill to the memory loop.
     bulk[i] = 2 * (n - i) + static_cast<int64_t>(uniform(9, i, 4));
   }
-  if (first_frontier_size<int64_t>(bulk, kPatienceFrontier) <
-      kPatienceFrontier) {
-    std::printf("FAIL the bulk input's first frontier is below the plan's "
-                "threshold\n");
-    failures++;
+  {
+    Solver probe;
+    LisResult r;
+    probe.solve_lis(bulk, r);
+    const int32_t bulk_k = r.k;
+    probe.solve_lis(a, r);
+    if (bulk_k > simd::kTierTails || r.k <= simd::kTierTails) {
+      std::printf("FAIL k = %d (bulk) and %d (hashed) do not straddle the "
+                  "tiers' %lld tails\n",
+                  bulk_k, r.k, static_cast<long long>(simd::kTierTails));
+      failures++;
+    }
   }
 
   Solver solver;  // default Options: kRangeTree backend
@@ -141,14 +153,29 @@ int main() {
   for (int r = 0; r < 5; r++) solver.solve_lis_frontiers(a, fr_out);
   expect_zero("solve_lis_frontiers (n=50000)", g_allocs.load() - base);
 
-  // The same two entry points on the pool path of the plan (tournament
-  // tree), alternating with the patience path above.
+  // The same two entry points on an input that stays in the register
+  // tiers, alternating with the spilling one above.
   base = g_allocs.load();
   for (int r = 0; r < 5; r++) {
     solver.solve_lis(r % 2 ? bulk : a, lis_out);
     solver.solve_lis_frontiers(r % 2 ? a : bulk, fr_out);
   }
-  expect_zero("solve_lis[_frontiers] pool + patience", g_allocs.load() - base);
+  expect_zero("solve_lis[_frontiers] tiers + spill", g_allocs.load() - base);
+
+  // A custom order runs the memory loop alone.
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  for (int r = 0; r < 3; r++) {
+    for (const std::vector<int64_t>* in : {&a, &bulk}) {
+      solver.solve_lis(std::span<const int64_t>(*in), lis_out, kMin,
+                       std::greater<int64_t>{});
+    }
+  }
+  base = g_allocs.load();
+  for (int r = 0; r < 5; r++) {
+    solver.solve_lis(std::span<const int64_t>(r % 2 ? a : bulk), lis_out,
+                     kMin, std::greater<int64_t>{});
+  }
+  expect_zero("solve_lis custom order", g_allocs.load() - base);
 
   // Generic-key steady state: double keys through the typed overloads run
   // the rank-space compression (sort + run scans) before the int64 core —
@@ -196,6 +223,13 @@ int main() {
   base = g_allocs.load();
   for (int r = 0; r < 5; r++) nd_solver.solve_wlis(r % 2 ? a2 : a, w, wlis_out);
   expect_zero("solve_wlis nondec ties", g_allocs.load() - base);
+  for (int r = 0; r < 3; r++) {
+    nd_solver.solve_lis(a, lis_out);
+    nd_solver.solve_lis(bulk, lis_out);
+  }
+  base = g_allocs.load();
+  for (int r = 0; r < 5; r++) nd_solver.solve_lis(r % 2 ? bulk : a, lis_out);
+  expect_zero("solve_lis nondec ties", g_allocs.load() - base);
 
   // Guarded steady state: a live cancel token plus a (far) deadline install
   // the exec-context scope on every call, so each round boundary runs a real

@@ -213,8 +213,8 @@ std::vector<SiteDriver> site_drivers() {
                  }
                }});
   d.push_back({"lis.round", FireKind::kFault, [a] {
-                 // The tournament's rounds directly: the Solver solves this
-                 // input (first frontier ~10) by patience sorting.
+                 // The tournament's rounds directly: the Solver solves
+                 // every LIS by patience sorting.
                  (void)lis_ranks(*a);
                }});
   d.push_back({"wlis.round", FireKind::kFault, [a, w] {
@@ -849,6 +849,66 @@ TEST(Cancellation, DeadlineStopsWlisPassWithin4096Elements) {
     return;
   }
   FAIL() << "no deadline landed inside the pass";
+}
+
+// The patience kernel's register tiers poll every 4096 elements as well;
+// the test above runs a comparator, so it reaches only the memory loop. A
+// deadline that runs out inside the tiers must stop them at the next poll:
+// the ranks written are a prefix whose length is a multiple of 4096,
+// strictly inside the input. The input keeps k near 10, so every element
+// runs in the 16-tail tier. The deadline is set from the measured time of
+// an unguarded solve, and re-picked when it expired before the kernel
+// started or after it ended.
+TEST(Cancellation, DeadlineStopsRegisterTiersWithin4096Elements) {
+  const int64_t n = int64_t{1} << 21;
+  std::vector<int64_t> a(n);
+  for (int64_t i = 0; i < n; i++) {
+    a[i] = 4 * (n - i) + static_cast<int64_t>(uniform(94, i, 40));
+  }
+  Solver s;
+  LisResult out;
+  s.solve_lis(a, out);
+  const std::vector<int32_t> ref = out.rank;
+  ASSERT_LE(out.k, 16);
+  double solve_ms = 1e30;
+  for (int r = 0; r < 3; r++) {
+    const auto t0 = std::chrono::steady_clock::now();
+    s.solve_lis(a, out);
+    solve_ms = std::min(
+        solve_ms, std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count());
+  }
+  double frac = 0.5;
+  for (int attempt = 0; attempt < 12; attempt++) {
+    const int64_t deadline =
+        std::max<int64_t>(1, std::llround(solve_ms * frac));
+    SCOPED_TRACE(testing::Message() << "deadline " << deadline
+                                    << " ms, solve " << solve_ms << " ms");
+    s.set_deadline_ms(deadline);
+    std::fill(out.rank.begin(), out.rank.end(), -1);  // ranks >= 1 once set
+    try {
+      s.solve_lis(a, out);
+      frac /= 2;  // the kernel beat the deadline
+      continue;
+    } catch (const Error& e) {
+      ASSERT_EQ(e.code(), ErrorCode::kDeadlineExceeded);
+    }
+    ASSERT_EQ(static_cast<int64_t>(out.rank.size()), n);
+    const int64_t written =
+        std::find(out.rank.begin(), out.rank.end(), -1) - out.rank.begin();
+    ASSERT_EQ(std::count(out.rank.begin() + written, out.rank.end(), -1),
+              n - written);  // a prefix
+    if (written == 0) {
+      frac = std::min(0.9, frac * 1.5);  // expired before the kernel
+      continue;
+    }
+    EXPECT_LT(written, n);
+    EXPECT_EQ(written % 4096, 0);
+    for (int64_t i = 0; i < written; i++) ASSERT_EQ(out.rank[i], ref[i]);
+    return;
+  }
+  FAIL() << "no deadline landed inside the kernel";
 }
 
 TEST(Cancellation, GenerousDeadlinePassesAndMatches) {

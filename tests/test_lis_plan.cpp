@@ -1,14 +1,15 @@
-// The Solver's LIS plan (Solver::run_lis, api/solver.hpp): patience sorting
-// on one thread, for first frontiers below kPatienceFrontier and under a
-// memory budget that fits only it; the tournament tree on the pool
-// otherwise. Whatever the path, the ranks, k and frontier layout must match
-// seq_bs_ranks, and the O(n^2) oracle at small n.
+// The Solver's LIS plan (Solver::run_lis, api/solver.hpp): every LIS entry
+// point solves by patience sorting on the calling thread. For int64 keys
+// under std::less (raw values and every rank image) the kernel starts in
+// the register tiers of util/simd.hpp (16, 32, 64 and 128 tails) and spills
+// to the memory loop at the 129th tail; other orders run the memory loop
+// alone. Whatever the path, the ranks, k and frontier layout must match
+// seq_bs_ranks, and the O(n^2) oracle at small n, with the SIMD toggle on
+// and off.
 //
 // The suite name puts it in the pinned-thread differential legs (1, 4 and
-// hw workers; at 1 worker every solve must take patience) and in the
-// forced-scalar leg. The path a solve took is read off a fresh Solver's
-// footprint: only the tournament tree sizes its storage, at least one word
-// per element.
+// hw workers), the forced-scalar leg (where the tiers' scalar twin runs)
+// and the avx512 leg (where the vector tiers run).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,14 +25,16 @@
 #include "parlis/lis/seq_lis.hpp"
 #include "parlis/parallel/random.hpp"
 #include "parlis/parallel/scheduler.hpp"
+#include "parlis/util/generators.hpp"
+#include "parlis/util/simd.hpp"
 #include "tests/frontier_inputs.hpp"
 
 namespace parlis {
 namespace {
 
-constexpr int64_t kT = kPatienceFrontier;
 constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
 constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+constexpr int64_t kBlock = 4096;  // the kernel's cancellation-poll stride
 
 // The frontier layout of ranks `want`: index-ascending per rank.
 LisFrontiers layout_of(const std::vector<int32_t>& want) {
@@ -58,55 +61,41 @@ void expect_frontiers(const LisFrontiers& got, const LisFrontiers& want) {
   EXPECT_EQ(got.frontier_flat, want.frontier_flat);
 }
 
-// Runs `solve` (which checks its own results) on a fresh Solver with
-// `opts`, then again under sequential mode, where the plan always takes
-// patience. Returns whether the first run took the tournament tree: only
-// that path adds storage beyond the patience run's, at least a word per
-// element.
+// Runs solve() with the SIMD toggle on (the vector tiers, where compiled)
+// and off (their scalar twin), restoring it.
 template <typename Solve>
-bool took_pool(const Options& opts, size_t n, const Solve& solve) {
-  Solver planned(opts);
-  solve(planned);
-  const bool prev = set_sequential_mode(true);
-  Solver patience(opts);
-  solve(patience);
-  set_sequential_mode(prev);
-  return planned.resident_bytes() >= patience.resident_bytes() + 8 * n;
+void on_both_toggles(const Solve& solve) {
+  for (const bool vector : {true, false}) {
+    SCOPED_TRACE(vector ? "simd on" : "simd off");
+    const bool prev = simd::set_enabled(vector);
+    solve();
+    simd::set_enabled(prev);
+  }
 }
 
 // solve_lis, solve_lis_frontiers and a one-query solve_many on `a`, each
-// checked against `want`. All three must take the same path; returns
-// whether it was the pool.
-bool check_plan(const std::vector<int64_t>& a,
+// checked against `want` with the toggle on and off.
+void check_plan(const std::vector<int64_t>& a,
                 const std::vector<int32_t>& want, const Options& opts = {}) {
   const std::span<const int64_t> as(a);
   const LisFrontiers want_fr = layout_of(want);
-  const bool pool = took_pool(opts, a.size(), [&](Solver& s) {
+  on_both_toggles([&] {
+    Solver s(opts);
     LisResult lr;
     s.solve_lis(as, lr);
     EXPECT_EQ(lr.rank, want);
     EXPECT_EQ(lr.k, want_fr.k);
+    LisFrontiers fr;
+    s.solve_lis_frontiers(as, fr);
+    expect_frontiers(fr, want_fr);
+    std::vector<int32_t> rank_out(a.size(), -1);
+    Query q{as};
+    q.rank_out = std::span<int32_t>(rank_out);
+    QueryResult r;
+    s.solve_many(std::span<const Query>(&q, 1), std::span<QueryResult>(&r, 1));
+    EXPECT_EQ(rank_out, want);
+    EXPECT_EQ(r.k, want_fr.k);
   });
-  EXPECT_EQ(took_pool(opts, a.size(),
-                      [&](Solver& s) {
-                        LisFrontiers fr;
-                        s.solve_lis_frontiers(as, fr);
-                        expect_frontiers(fr, want_fr);
-                      }),
-            pool);
-  EXPECT_EQ(took_pool(opts, a.size(),
-                      [&](Solver& s) {
-                        std::vector<int32_t> rank_out(a.size(), -1);
-                        Query q{as};
-                        q.rank_out = std::span<int32_t>(rank_out);
-                        QueryResult r;
-                        s.solve_many(std::span<const Query>(&q, 1),
-                                     std::span<QueryResult>(&r, 1));
-                        EXPECT_EQ(rank_out, want);
-                        EXPECT_EQ(r.k, want_fr.k);
-                      }),
-            pool);
-  return pool;
 }
 
 // An input of n ~ ff + 100 whose first frontier holds exactly ff objects.
@@ -114,32 +103,154 @@ std::vector<int64_t> first_frontier_input(int64_t ff, uint64_t seed) {
   return input_with_frontiers({ff, 40, 30, 20, 10}, seed);
 }
 
-bool pool_available() { return num_workers() > 1 && !sequential_mode(); }
+// An input of n elements whose patience tails number exactly e just before
+// index `at`. Before it, level l = i * e / at holds values falling with i
+// in (l * at, (l + 1) * at], so each level adds one tail and every element
+// lands on the last one. a[at] is `top` when `overflow` (above every
+// earlier value, so it makes tail e + 1), else it starts the tail. The
+// tail then falls by random steps through every value below it, so its
+// elements land at every position and never add a tail.
+std::vector<int64_t> tier_edge_input(int64_t e, int64_t at, int64_t n,
+                                     bool overflow, uint64_t seed,
+                                     int64_t top = -1) {
+  std::vector<int64_t> a(static_cast<size_t>(n));
+  for (int64_t i = 0; i < at; i++) a[i] = (i * e / at) * at + (at - i);
+  if (top < 0) top = (e + 1) * at;
+  // Without an overflow the fall starts below the last level's smallest
+  // value, the e-th tail, so it never adds a tail.
+  int64_t v = overflow ? top : (e - 1) * at;
+  const int64_t step = 2 * (e + 1) * at / std::max<int64_t>(1, n - at) + 1;
+  for (int64_t i = at; i < n; i++) {
+    a[i] = v;
+    v = std::max<int64_t>(0, v - 1 - static_cast<int64_t>(
+                                         uniform(seed, i, step)));
+  }
+  return a;
+}
 
-TEST(LisPlanDifferential, FirstFrontierAroundTheThreshold) {
-  for (const int64_t ff : {kT - 1, kT, kT + 1}) {
-    SCOPED_TRACE(testing::Message() << "first frontier " << ff);
-    const std::vector<int64_t> a = first_frontier_input(ff, 100 + ff);
-    ASSERT_EQ(first_frontier_size<int64_t>(a, kMax), ff);
-    const bool pool = check_plan(a, seq_bs_ranks(a));
-    EXPECT_EQ(pool, ff >= kT && pool_available());
+// The element that tips the tails past a tier: the first of a block, one in
+// the middle of a block, and the input's last.
+std::vector<int64_t> edge_positions(int64_t n) {
+  return {kBlock, kBlock + 1500, n - 1};
+}
+
+TEST(LisPlanDifferential, TierEdges) {
+  const int64_t n = 3 * kBlock + 77;
+  for (const int64_t e : {16, 32, 64, 128}) {
+    for (const int64_t at : edge_positions(n)) {
+      for (const bool overflow : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "tails " << e
+                                        << (overflow ? "+1" : "")
+                                        << ", edge at " << at);
+        const std::vector<int64_t> a =
+            tier_edge_input(e, at, n, overflow, 600 + e + at);
+        const std::vector<int32_t> want = seq_bs_ranks(a);
+        ASSERT_EQ(*std::max_element(want.begin(), want.end()),
+                  e + (overflow ? 1 : 0));
+        if (overflow) {
+          ASSERT_EQ(want[at], e + 1);
+        }
+        check_plan(a, want);
+      }
+    }
   }
 }
 
-TEST(LisPlanDifferential, OneThreadSolvesTakePatience) {
-  const std::vector<int64_t> a = first_frontier_input(kT + 1, 7);
+// INT64_MAX is the tiers' empty-lane filler: a tail equal to it must count
+// as a tail, alone, repeated, and as the element that tips a tier.
+TEST(LisPlanDifferential, Int64MaxAsTheFillerValue) {
+  check_plan({kMax}, {1});
+  check_plan(std::vector<int64_t>(300, kMax), std::vector<int32_t>(300, 1));
+  const int64_t n = 3 * kBlock + 77;
+  for (const int64_t e : {16, 32, 64, 128}) {
+    for (const int64_t at : edge_positions(n)) {
+      SCOPED_TRACE(testing::Message() << "INT64_MAX as tail " << e + 1
+                                      << " at " << at);
+      std::vector<int64_t> a = tier_edge_input(e, at, n, true, 700 + e, kMax);
+      // Repeats of INT64_MAX right after it never add a tail.
+      for (int64_t i = at + 1; i < std::min(n, at + 5); i++) a[i] = kMax;
+      const std::vector<int32_t> want = seq_bs_ranks(a);
+      ASSERT_EQ(want[at], e + 1);
+      check_plan(a, want);
+    }
+  }
+  // A strictly increasing run that ends in INT64_MAX at every tier edge.
+  for (const int64_t e : {16, 32, 64, 128}) {
+    std::vector<int64_t> a;
+    for (int64_t i = 0; i < e; i++) a.push_back(i);
+    for (int j = 0; j < 3; j++) a.push_back(kMax);
+    for (int64_t i = 0; i < e; i++) a.push_back(2 * i);
+    check_plan(a, brute_lis_ranks(a));
+  }
+}
+
+TEST(LisPlanDifferential, MinAllEqualAndIncreasing) {
+  std::vector<int64_t> inc(300);
+  for (int64_t i = 0; i < 300; i++) inc[i] = i;
+  check_plan(inc, brute_lis_ranks(inc));  // every tier, then the spill
+  check_plan(std::vector<int64_t>(300, 7), std::vector<int32_t>(300, 1));
+  check_plan(std::vector<int64_t>(300, kMin), std::vector<int32_t>(300, 1));
+  // INT64_MIN between rising runs: always rank 1.
+  std::vector<int64_t> a;
+  for (int r = 0; r < 6; r++) {
+    for (int64_t i = 0; i < 40; i++) a.push_back(i * (r + 1));
+    a.push_back(kMin);
+  }
+  check_plan(a, brute_lis_ranks(a));
+}
+
+// The vector tiers against their twin directly, on line inputs whose k
+// spans every tier and the spill.
+TEST(LisPlanDifferential, VectorTiersMatchTheirTwin) {
+  const int64_t n = 20000;
+  for (const int target_k : {8, 14, 20, 30, 45, 70, 110, 160, 400}) {
+    SCOPED_TRACE(testing::Message() << "target k " << target_k);
+    const std::vector<int64_t> a = line_pattern(n, target_k, 800 + target_k);
+    const std::span<const int64_t> as(a);
+    LisResult vec, twin;
+    LisFrontiers vec_fr, twin_fr;
+    std::vector<int64_t> tails;
+    const bool prev = simd::set_enabled(true);
+    seq_patience_ranks_into<int64_t>(as, vec, tails);
+    seq_patience_frontiers_into<int64_t>(as, vec_fr, tails);
+    simd::set_enabled(false);
+    seq_patience_ranks_into<int64_t>(as, twin, tails);
+    seq_patience_frontiers_into<int64_t>(as, twin_fr, tails);
+    simd::set_enabled(prev);
+    EXPECT_EQ(vec.rank, twin.rank);
+    EXPECT_EQ(vec.k, twin.k);
+    expect_frontiers(vec_fr, twin_fr);
+    EXPECT_EQ(vec.rank, seq_bs_ranks(a));
+  }
+}
+
+// First frontiers from a few thousand to tens of thousands of objects: the
+// inputs an earlier plan sent to the pool.
+TEST(LisPlanDifferential, WideFirstFrontiers) {
+  for (const int64_t ff : {kBlock - 1, kBlock + 1, 10 * kBlock}) {
+    SCOPED_TRACE(testing::Message() << "first frontier " << ff);
+    const std::vector<int64_t> a = first_frontier_input(ff, 100 + ff);
+    const std::vector<int32_t> want = seq_bs_ranks(a);
+    ASSERT_EQ(std::count(want.begin(), want.end(), 1), ff);
+    check_plan(a, want);
+  }
+}
+
+TEST(LisPlanDifferential, OneThreadAndPackedSolves) {
+  const std::vector<int64_t> a =
+      tier_edge_input(128, kBlock + 1500, 3 * kBlock, true, 7);
   const std::vector<int32_t> want = seq_bs_ranks(a);
   const int64_t n = static_cast<int64_t>(a.size());
   {
     SCOPED_TRACE("below sequential_cutoff");
     Options below;
     below.sequential_cutoff = n;
-    EXPECT_FALSE(check_plan(a, want, below));
+    check_plan(a, want, below);
   }
   {
     SCOPED_TRACE("sequential mode");
     const bool prev = set_sequential_mode(true);
-    EXPECT_FALSE(check_plan(a, want));
+    check_plan(a, want);
     set_sequential_mode(prev);
   }
   {
@@ -148,7 +259,8 @@ TEST(LisPlanDifferential, OneThreadSolvesTakePatience) {
     SCOPED_TRACE("packed solve_many queries");
     Options packed;
     packed.sequential_cutoff = n;
-    EXPECT_FALSE(took_pool(packed, a.size(), [&](Solver& s) {
+    on_both_toggles([&] {
+      Solver s(packed);
       std::vector<int32_t> r0(a.size()), r1(a.size());
       std::vector<Query> qs{Query{a}, Query{a}};
       qs[0].rank_out = std::span<int32_t>(r0);
@@ -157,30 +269,41 @@ TEST(LisPlanDifferential, OneThreadSolvesTakePatience) {
       s.solve_many(qs, rs);
       EXPECT_EQ(r0, want);
       EXPECT_EQ(r1, want);
-    }));
+    });
   }
-  // The same input on a default Solver takes the pool, except on a
-  // 1-worker pool (the PARLIS_NUM_THREADS=1 differential leg).
-  EXPECT_EQ(check_plan(a, want), pool_available());
 }
 
-TEST(LisPlanDifferential, BudgetFallbackTakesPatience) {
-  const std::vector<int64_t> a = first_frontier_input(kT + 1, 9);
-  const int64_t n = static_cast<int64_t>(a.size());
-  // Between the documented patience (~12 B/element) and tournament
-  // (~40 B/element) models.
-  Options tight;
-  tight.memory_budget_bytes = static_cast<uint64_t>(n) * 24 + (1 << 16);
-  EXPECT_FALSE(check_plan(a, seq_bs_ranks(a), tight));
+// The LIS plan has one path, so one budget model (README "Failure
+// semantics": patience, ~12 B/element): a budget at the model admits the
+// solve, one byte less throws before any work.
+TEST(LisPlanDifferential, BudgetAdmitsOnlyThePatienceModel) {
+  const std::vector<int64_t> a = first_frontier_input(3 * kBlock, 9);
+  const uint64_t n = a.size();
+  Options fits;
+  fits.memory_budget_bytes = n * 12 + (1 << 16);
+  check_plan(a, seq_bs_ranks(a), fits);
+  Options tight = fits;
+  tight.memory_budget_bytes -= 1;
+  Solver s(tight);
+  LisResult out;
+  try {
+    s.solve_lis(a, out);
+    ADD_FAILURE() << "a budget under the model was admitted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kBudgetExceeded) << e.what();
+  }
 }
 
-TEST(LisPlanDifferential, CustomOrderOnBothPaths) {
-  for (const int64_t ff : {kT - 1, kT + 100}) {
-    SCOPED_TRACE(testing::Message() << "first frontier " << ff);
-    // Under std::greater the negated input has the input's ranks. The last
-    // five values become INT64_MIN, the sentinel and the largest value
-    // under greater, so they leave the first frontier.
-    const std::vector<int64_t> a = first_frontier_input(ff, 200 + ff);
+// Custom orders run the memory loop alone; under std::greater the negated
+// input has the input's ranks. INT64_MIN, the largest value under greater,
+// mirrors INT64_MAX.
+TEST(LisPlanDifferential, CustomOrderRunsTheMemoryLoop) {
+  const int64_t n = 3 * kBlock + 77;
+  std::vector<std::vector<int64_t>> inputs = {first_frontier_input(2000, 201)};
+  for (const int64_t e : {16, 64, 128}) {
+    inputs.push_back(tier_edge_input(e, kBlock + 1500, n, true, 202 + e));
+  }
+  for (const std::vector<int64_t>& a : inputs) {
     std::vector<int64_t> neg(a.size());
     for (size_t i = 0; i < a.size(); i++) neg[i] = -a[i];
     for (size_t i = a.size() - 5; i < a.size(); i++) neg[i] = kMin;
@@ -189,51 +312,81 @@ TEST(LisPlanDifferential, CustomOrderOnBothPaths) {
       mirror[i] = neg[i] == kMin ? kMax : -neg[i];
     }
     const std::vector<int32_t> want = seq_bs_ranks(mirror);
-    const bool pool = took_pool(Options{}, a.size(), [&](Solver& s) {
+    on_both_toggles([&] {
+      Solver s;
       LisResult lr;
       s.solve_lis(std::span<const int64_t>(neg), lr, kMin,
                   std::greater<int64_t>{});
       EXPECT_EQ(lr.rank, want);
     });
-    const int64_t ff_now = std::count(want.begin(), want.end(), 1);
-    EXPECT_EQ(pool, ff_now >= kT && pool_available());
   }
 }
 
-TEST(LisPlanDifferential, NonDecreasingTiesOnBothPaths) {
+// kNonDecreasing solves run the tiers on the input's rank image. Halving
+// the values makes neighbours of one level equal, so they chain.
+TEST(LisPlanDifferential, NonDecreasingTies) {
   Options nd;
   nd.ties = TiesPolicy::kNonDecreasing;
-  for (const int64_t ff : {int64_t{200}, 3 * kT}) {
-    SCOPED_TRACE(testing::Message() << "strict first frontier " << ff);
-    // Halving the values makes neighbours of one rank equal, so they
-    // chain under kNonDecreasing.
-    std::vector<int64_t> a = first_frontier_input(ff, 300 + ff);
+  const int64_t n = 3 * kBlock + 77;
+  std::vector<std::vector<int64_t>> inputs = {first_frontier_input(200, 300)};
+  for (const int64_t e : {16, 32, 64, 128}) {
+    inputs.push_back(tier_edge_input(e, kBlock, n, true, 301 + e));
+  }
+  for (std::vector<int64_t>& a : inputs) {
     for (int64_t& v : a) v /= 2;
     std::vector<std::pair<int64_t, int64_t>> keyed(a.size());
     for (size_t i = 0; i < a.size(); i++) {
       keyed[i] = {a[i], static_cast<int64_t>(i)};
     }
-    const std::vector<int32_t> want = seq_bs_ranks(keyed);
-    const int64_t nd_ff = std::count(want.begin(), want.end(), 1);
-    const bool pool = check_plan(a, want, nd);
-    EXPECT_EQ(pool, nd_ff >= kT && pool_available());
+    check_plan(a, seq_bs_ranks(keyed), nd);
   }
 }
 
-TEST(LisPlanDifferential, ExtremeValuesOnBothPaths) {
-  for (const int64_t ff : {kT / 2, 2 * kT}) {
+// Typed keys reach the tiers through their rank image, under both ties
+// policies.
+TEST(LisPlanDifferential, DoubleKeysOnTheTiers) {
+  const int64_t n = 3 * kBlock + 77;
+  for (const int64_t e : {16, 32, 64, 128}) {
+    SCOPED_TRACE(testing::Message() << "tails " << e << "+1");
+    const std::vector<int64_t> a =
+        tier_edge_input(e, kBlock + 1500, n, true, 400 + e);
+    std::vector<double> d(a.size());
+    for (size_t i = 0; i < a.size(); i++) {
+      d[i] = 0.5 * static_cast<double>(a[i]);
+    }
+    const std::vector<int32_t> want = seq_bs_ranks(a);
+    std::vector<std::pair<int64_t, int64_t>> keyed(a.size());
+    for (size_t i = 0; i < a.size(); i++) {
+      keyed[i] = {a[i], static_cast<int64_t>(i)};
+    }
+    const std::vector<int32_t> want_nd = seq_bs_ranks(keyed);
+    Options nd;
+    nd.ties = TiesPolicy::kNonDecreasing;
+    on_both_toggles([&] {
+      Solver strict;
+      LisResult lr;
+      strict.solve_lis(std::span<const double>(d), lr);
+      EXPECT_EQ(lr.rank, want);
+      Solver nondec(nd);
+      LisFrontiers fr;
+      nondec.solve_lis_frontiers(std::span<const double>(d), fr);
+      expect_frontiers(fr, layout_of(want_nd));
+    });
+  }
+}
+
+TEST(LisPlanDifferential, ExtremeValues) {
+  for (const int64_t ff : {int64_t{500}, 5 * kBlock}) {
     SCOPED_TRACE(testing::Message() << "first frontier " << ff);
     std::vector<int64_t> a = first_frontier_input(ff, 400 + ff);
     const size_t n = a.size();
     // INT64_MAX anywhere; INT64_MIN (a new prefix minimum) only in the
-    // last tenth, so the first frontier keeps most of its objects.
+    // last tenth.
     for (size_t i = 0; i < n; i++) {
       if (uniform(41, i, 50) == 0) a[i] = kMax;
       if (i >= n - n / 10 && uniform(42, i, 200) == 0) a[i] = kMin;
     }
-    const std::vector<int32_t> want = seq_bs_ranks(a);
-    const int64_t ff_now = std::count(want.begin(), want.end(), 1);
-    EXPECT_EQ(check_plan(a, want), ff_now >= kT && pool_available());
+    check_plan(a, seq_bs_ranks(a));
   }
 }
 
@@ -251,18 +404,14 @@ TEST(LisPlanDifferential, KAroundTheSearchWindow) {
     const std::vector<int32_t> want = brute_lis_ranks(a);
     ASSERT_EQ(want, seq_bs_ranks(a));
     ASSERT_EQ(*std::max_element(want.begin(), want.end()), k);
-    EXPECT_FALSE(check_plan(a, want));  // a first frontier of a few objects
-    LisResult lr;
-    std::vector<int64_t> tails;
-    seq_patience_ranks_into<int64_t>(std::span<const int64_t>(a), lr, tails);
-    EXPECT_EQ(lr.rank, want);
+    check_plan(a, want);
   }
 }
 
 // The patience kernel alone against the O(n^2) oracle: random values from
 // narrow and wide ranges (ties and none), sorted, reversed and all-equal
-// runs, under std::less and std::greater, and with warm scratch reused
-// across sizes.
+// runs, under std::less (both toggles) and std::greater, and with warm
+// scratch reused across sizes.
 TEST(LisPlanDifferential, PatienceKernelMatchesBruteForce) {
   std::vector<int64_t> tails;
   LisResult lr;
@@ -282,10 +431,12 @@ TEST(LisPlanDifferential, PatienceKernelMatchesBruteForce) {
     SCOPED_TRACE(testing::Message() << "seed " << seed << ", n " << n);
     const std::span<const int64_t> as(a);
     const std::vector<int32_t> want = brute_lis_ranks(a);
-    seq_patience_ranks_into<int64_t>(as, lr, tails);
-    ASSERT_EQ(lr.rank, want);
-    seq_patience_frontiers_into<int64_t>(as, fr, tails);
-    expect_frontiers(fr, layout_of(want));
+    on_both_toggles([&] {
+      seq_patience_ranks_into<int64_t>(as, lr, tails);
+      ASSERT_EQ(lr.rank, want);
+      seq_patience_frontiers_into<int64_t>(as, fr, tails);
+      expect_frontiers(fr, layout_of(want));
+    });
 
     std::vector<int64_t> neg(a.size());
     for (size_t i = 0; i < a.size(); i++) neg[i] = -a[i];
