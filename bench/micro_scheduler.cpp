@@ -1,23 +1,25 @@
-// Before/after microbenchmark for the scheduler-core overhaul (the
+// Microbenchmark of the scheduler core against the seed scheduler (the
 // counterpart of micro_hotpath / micro_wlis for the runtime layer):
 //
 //   spawn          — scheduling overhead per unit of distributed work: a
 //                    parallel_for over `spawniters` trivial iterations at
-//                    grain 1, fully scheduling-bound. Seed: one task per
-//                    iteration through the eager binary spawn tree, each
-//                    paying a mutex acquire + std::deque push at the fork
-//                    and a second acquire at the join. Current: the lazy
-//                    range descriptor — one uncontended CAS block claim
-//                    per iteration, no task at all unless a thief splits
-//                    the range.
+//                    grain 1, fully scheduling-bound. Both sides halve the
+//                    range down to single iterations, one fork per split.
+//                    Seed: each fork pays a mutex acquire + std::deque
+//                    push and a second acquire at the join. Current: each
+//                    fork is a par_do on the lock-free deques.
 //   par_do         — round-trip cost of a single fork+join pair (push,
 //                    run left, pop-or-help) on an otherwise idle pool.
 //   forkjoin_tree  — a balanced binary par_do tree (fork-join latency with
 //                    real steal traffic), seed vs current.
 //   parallel_for_tasks — tasks spawned by one parallel_for over 2^20
-//                    indices. Seed: an eager binary spawn tree (~8·p
-//                    tasks). Current: one range advertisement plus one
-//                    re-advertisement per successful half-steal.
+//                    indices at the default grain. Seed: one per split of
+//                    its ~8·p eager chunks. Current: one per split of
+//                    leaves of at most 4096 iterations (255 at 2^20).
+//   parallel_for_compute — a compute-bound parallel_for over 2^16
+//                    iterations: sequential-mode time over pooled time
+//                    (medians of 11 interleaved runs) — the loop's
+//                    self-speedup on the current runtime.
 //   lis_ranks/wlis — end-to-end on the current runtime across a thread
 //                    sweep (the pool size is fixed per process, so the
 //                    parent re-executes itself per thread count via
@@ -286,6 +288,12 @@ Measurement measure(int reps, const std::function<void()>& seed_fn,
   return {seed_ts[(reps - 1) / 2], cur_ts[(reps - 1) / 2]};
 }
 
+// parallel_for_compute: iterations, hash64 calls per iteration (~0.25 µs
+// of work) and interleaved sequential-mode/pooled pairs.
+constexpr int64_t kComputeIters = 1 << 16;
+constexpr int kComputeChain = 64;
+constexpr int kComputeReps = 11;
+
 int64_t tree_cur(int64_t lo, int64_t hi) {
   if (hi - lo == 1) return lo;
   int64_t mid = lo + (hi - lo) / 2;
@@ -315,9 +323,8 @@ int run_child(int64_t n, int64_t nw, int64_t spawn_iters, int64_t tree_leaves,
     seedsched::SeedPool seed_pool(threads);
 
     volatile int64_t sink = 0;
-    // Scheduling-bound loop: grain 1 makes every iteration one unit of
-    // distributed work — a spawned task on the seed's eager tree, a CAS
-    // block claim on the lazy descriptor. The body is one plain store per
+    // Scheduling-bound loop: grain 1 makes every iteration a leaf of a
+    // binary fork tree on both sides. The body is one plain store per
     // distinct index, so elapsed time is almost pure scheduling overhead.
     std::vector<int64_t> units(spawn_iters);
     Measurement m_spawn = measure(
@@ -367,7 +374,26 @@ int run_child(int64_t n, int64_t nw, int64_t spawn_iters, int64_t tree_leaves,
     uint64_t cur_before = scheduler_stats().spawns;
     parallel_for(0, kPforN, [&](int64_t i) { acc[i] = i + 1; });
     pfor_cur_tasks = static_cast<double>(scheduler_stats().spawns - cur_before);
-  }  // seed pool torn down: its 1 ms pollers must not disturb end-to-end runs
+  }  // seed pool torn down: its 1 ms pollers must not disturb the rows below
+
+  // Compute-bound loop: a dependent hash chain per index and one store, so
+  // the loop's time is the body's and its self-speedup is the scheduler's.
+  std::vector<uint64_t> chain(kComputeIters);
+  auto compute_loop = [&] {
+    parallel_for(0, kComputeIters, [&](int64_t i) {
+      uint64_t x = static_cast<uint64_t>(i);
+      for (int r = 0; r < kComputeChain; r++) x = hash64(x);
+      chain[i] = x;
+    });
+  };
+  Measurement m_compute = measure(
+      kComputeReps,
+      [&] {
+        const bool prev = set_sequential_mode(true);
+        compute_loop();
+        set_sequential_mode(prev);
+      },
+      compute_loop);
 
   std::vector<int64_t> a(n), w(n);
   parallel_for(0, n, [&](int64_t i) {
@@ -393,6 +419,8 @@ int run_child(int64_t n, int64_t nw, int64_t spawn_iters, int64_t tree_leaves,
   std::printf("RESULT %.0f\n", pfor_cur_tasks);
   std::printf("RESULT %.6f\n", lis_ms);
   std::printf("RESULT %.6f\n", wlis_ms);
+  std::printf("RESULT %.6f\n", m_compute.seed * 1e3);
+  std::printf("RESULT %.6f\n", m_compute.cur * 1e3);
   return 0;
 }
 
@@ -430,12 +458,12 @@ int main(int argc, char** argv) {
 
   struct Row {
     int threads = 0;
-    std::vector<double> v;  // the 10 RESULT values
+    std::vector<double> v;  // the 12 RESULT values
   };
   std::vector<Row> rows;
   for (int t : threads) {
     std::vector<double> v = run_self_with_threads(argv[0], t, child_args);
-    if (v.size() != 10) {
+    if (v.size() != 12) {
       std::fprintf(stderr, "micro_scheduler: child at %d threads failed\n", t);
       continue;
     }
@@ -446,17 +474,18 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::printf("\n%-8s  %22s  %22s  %20s  %16s  %12s  %12s\n", "threads",
-              "spawn ns (seed/cur/x)", "pardo ns (seed/cur/x)",
-              "tree ms (seed/cur)", "pfor tasks (s/c)", "lis_ranks ms",
-              "wlis ms");
+  std::printf("\n%-8s  %22s  %22s  %20s  %16s  %22s  %12s  %12s\n",
+              "threads", "spawn ns (seed/cur/x)", "pardo ns (seed/cur/x)",
+              "tree ms (seed/cur)", "pfor tasks (s/c)",
+              "compute ms (seq/pool/x)", "lis_ranks ms", "wlis ms");
   for (const Row& r : rows) {
     std::printf(
         "%-8d  %9.1f %7.1f %4.1fx  %9.1f %7.1f %4.1fx  %10.3f %9.3f  "
-        "%9.0f %6.0f  %12.1f  %12.1f\n",
+        "%9.0f %6.0f  %8.2f %7.2f %5.2fx  %12.1f  %12.1f\n",
         r.threads, r.v[0], r.v[1], r.v[1] > 0 ? r.v[0] / r.v[1] : -1, r.v[2],
         r.v[3], r.v[3] > 0 ? r.v[2] / r.v[3] : -1, r.v[4], r.v[5], r.v[6],
-        r.v[7], r.v[8], r.v[9]);
+        r.v[7], r.v[10], r.v[11], r.v[11] > 0 ? r.v[10] / r.v[11] : -1,
+        r.v[8], r.v[9]);
   }
 
   double lis_t1 = -1, wlis_t1 = -1;
@@ -491,6 +520,11 @@ int main(int argc, char** argv) {
                  .field("speedup_x", r.v[5] > 0 ? r.v[4] / r.v[5] : -1));
     json.add(rec("parallel_for_tasks", "seed").field("tasks", r.v[6]));
     json.add(rec("parallel_for_tasks", "current").field("tasks", r.v[7]));
+    json.add(rec("parallel_for_compute", "current")
+                 .field("iters", kComputeIters)
+                 .field("seq_ms", r.v[10])
+                 .field("pooled_ms", r.v[11])
+                 .field("speedup_x", r.v[11] > 0 ? r.v[10] / r.v[11] : -1));
     json.add(rec("lis_ranks", "current")
                  .field("n", n)
                  .field("median_ms", r.v[8])
@@ -509,6 +543,8 @@ int main(int argc, char** argv) {
   std::printf("\nacceptance (spawn overhead >= 5x down at %d threads): %s (%.1fx)%s\n",
               top.threads, spawn_pass ? "PASS" : "FAIL", spawn_x,
               flags.has("strict") ? "" : " (advisory; --strict gates exit)");
+  std::printf("parallel_for_compute: %.2fx sequential mode at %d threads\n",
+              top.v[11] > 0 ? top.v[10] / top.v[11] : -1, top.threads);
   double lis_top = top.v[8];
   if (lis_t1 > 0 && lis_top > 0) {
     std::printf("lis_ranks scaling: %.2fx at %d threads vs 1 thread%s\n",

@@ -8,9 +8,11 @@
 // Round granularity: a round whose frontier is predicted below kRoundGrain
 // (tournament_tree.hpp) runs on the calling thread. The tree predicts from
 // the previous round's m; the per-round loops here (the rank fill of
-// lis_frontiers_into, the decisions of lis_decisions) use the round's exact
-// m. Work and the Thm. 3.2 visit count are unchanged; an inline round adds
-// at most O(kRoundGrain log n) span, so the O~(k) span bound still holds.
+// lis_frontiers_into, the decisions of lis_decisions) are parallel_fors at
+// grain kRoundGrain, so they run inline exactly when the round's m is at
+// most kRoundGrain. Work and the Thm. 3.2 visit count are unchanged; an
+// inline round adds at most O(kRoundGrain log n) span, so the O~(k) span
+// bound still holds.
 //
 // Sentinel-valued inputs: a value not below `inf` (INT64_MAX under the
 // default sentinel) would read as an already-removed leaf and never get a
@@ -75,17 +77,6 @@ struct LisFrontiers {
 };
 
 namespace internal {
-
-// A per-round loop over a frontier of m objects: a plain loop below
-// kRoundGrain, parallel_for above it.
-template <typename F>
-void round_for(int64_t m, const F& f) {
-  if (m < kRoundGrain) {
-    for (int64_t j = 0; j < m; j++) f(j);
-  } else {
-    parallel_for(0, m, f);
-  }
-}
 
 // Runs solve(ranks, storage, n) on the kStrict rank image of `a`: the
 // fallback for inputs holding a value not below the caller's sentinel.
@@ -375,7 +366,8 @@ void lis_frontiers_into(std::span<const T> a, LisFrontiers& res,
         const int64_t m =
             tree.extract_frontier_collect_into(res.frontier_flat.data() + off);
         const int64_t* f = res.frontier_flat.data() + off;
-        internal::round_for(m, [&](int64_t j) { res.rank[f[j]] = r; });
+        parallel_for(0, m, [&](int64_t j) { res.rank[f[j]] = r; },
+                     kRoundGrain);
         off += m;
         res.frontier_offset.push_back(off);
       }
@@ -448,11 +440,14 @@ std::vector<int64_t> lis_decisions(const std::vector<T>& a,
     int64_t prev_n = fr.frontier_offset[r - 1] - fr.frontier_offset[r - 2];
     const int64_t* cur = fr.frontier_flat.data() + fr.frontier_offset[r - 1];
     int64_t cur_n = fr.frontier_offset[r] - fr.frontier_offset[r - 1];
-    internal::round_for(cur_n, [&](int64_t j) {
-      // Last index of the previous frontier strictly before cur[j].
-      const int64_t* it = std::lower_bound(prev, prev + prev_n, cur[j]);
-      d[cur[j]] = *(it - 1);  // rank r-1 object before cur[j] always exists
-    });
+    parallel_for(
+        0, cur_n,
+        [&](int64_t j) {
+          // Last index of the previous frontier strictly before cur[j].
+          const int64_t* it = std::lower_bound(prev, prev + prev_n, cur[j]);
+          d[cur[j]] = *(it - 1);  // rank r-1 object before cur[j] exists
+        },
+        kRoundGrain);
   }
   return d;
 }

@@ -1,23 +1,20 @@
-// parallel_for with lazy range splitting, built on the scheduler.
+// parallel_for as a balanced binary fork tree over par_do.
 //
-// A parallel_for call advertises ONE stealable descriptor for its whole
-// [lo, hi) range instead of eagerly spawning a log-depth tree of ~8·p
-// tasks. The calling worker claims grain-sized blocks off the low end of
-// the descriptor (one CAS per block); a thief that takes the advertisement
-// CASes the upper half of whatever remains off for itself and processes it
-// the same lazily-split way, re-advertising its own half for further
-// thieves. An uncontended loop therefore runs as a plain sequential loop
-// with one atomic op per block, and task count scales with the number of
-// steals (O(p) in the steady state), not with the range length.
+// A parallel_for call halves [lo, hi) with par_do until a range fits the
+// grain, the shape of ParlayLib's parallel_for (Blelloch, Anderson and
+// Dhulipala, SPAA 2020). Both halves of every split stay splittable: a
+// thief that takes the upper half splits it again, and so does the worker
+// that kept the lower one, so a loop has O(log(n / grain)) span and forks
+// once per split (leaves − 1 times). Each fork is par_do's stack-resident
+// descriptor — no allocation.
 //
-// Exceptions: the first body exception to reach a frame wins; it trips a
-// cancel flag shared by every descriptor of the original loop (checked at
-// each block claim and before each thief split — one relaxed load per
-// grain-sized block), the siblings drain without starting new blocks, the
-// frame joins everything it advertised, and the exception rethrows from
-// parallel_for on the calling thread. Which iterations beyond the throwing
-// one ran is unspecified — same contract as a sequential loop, where
-// everything after the throw is skipped.
+// Exceptions: the first body exception to reach a frame wins; a leaf that
+// throws trips a cancel flag shared by every leaf of the loop, leaves that
+// start afterwards skip their block (one relaxed load per leaf), par_do
+// joins every fork, and the exception rethrows from parallel_for on the
+// calling thread. Which iterations beyond the throwing one ran is
+// unspecified — same contract as a sequential loop, where everything after
+// the throw is skipped.
 #pragma once
 
 #include <atomic>
@@ -29,121 +26,30 @@ namespace parlis {
 
 namespace internal {
 
-// Range offsets are packed (lo << 32 | hi) into one atomic word so block
-// claims and half-steals linearize on a single CAS; parallel_for pre-splits
-// ranges too long for 32-bit offsets.
-inline constexpr int64_t kMaxLazyRange = int64_t{1} << 31;
-
-// Lazy splitting makes small blocks cheap (one uncontended CAS each), so
-// the default grain is capped well below the eager scheduler's n/8p chunks
-// — the tail of a loop balances instead of serializing on one worker.
+// Caps the default grain well below n/8p so the tail of a long loop
+// balances across workers instead of serializing on one leaf.
 inline constexpr int64_t kDefaultMaxGrain = 4096;
 
-constexpr uint64_t pack_range(uint32_t lo, uint32_t hi) {
-  return (static_cast<uint64_t>(lo) << 32) | hi;
-}
-
-// Shared descriptor for one contiguous chunk of a parallel_for. Lives on
-// the advertising frame's stack (the frame joins before returning).
-// `cancel` is the one flag of the original top-level loop, threaded through
-// every re-advertised descriptor so a throw anywhere stops every sibling.
 template <typename F>
-struct RangeWork {
-  std::atomic<uint64_t> state;  // packed (lo, hi) offsets from base
-  int64_t base;
-  int64_t grain;
-  const F* f;
-  std::atomic<bool>* cancel;
-};
-
-template <typename F>
-void parallel_for_lazy(int64_t lo, int64_t hi, int64_t grain, const F& f,
-                       std::atomic<bool>* cancel);
-
-// Thief-side entry: split the upper half of whatever remains off the
-// victim's descriptor and process it as a new lazily-split range. The lo
-// field may legitimately sit past hi (an owner claim that overshot a
-// drained range), so the remainder is computed signed.
-template <typename F>
-void range_steal_entry(void* arg) {
-  auto& r = *static_cast<RangeWork<F>*>(arg);
-  if (r.cancel->load(std::memory_order_relaxed)) return;  // sibling threw
-  uint64_t s = r.state.load(std::memory_order_relaxed);
-  while (true) {
-    int64_t lo = static_cast<int64_t>(s >> 32);
-    int64_t hi = static_cast<int64_t>(s & 0xffffffffull);
-    if (hi - lo <= r.grain) return;  // not worth taking
-    int64_t mid = lo + (hi - lo) / 2;
-    if (r.state.compare_exchange_weak(
-            s, pack_range(static_cast<uint32_t>(lo), static_cast<uint32_t>(mid)),
-            std::memory_order_acq_rel, std::memory_order_relaxed)) {
-      parallel_for_lazy(r.base + mid, r.base + hi, r.grain, *r.f, r.cancel);
-      return;
+void parallel_for_rec(int64_t lo, int64_t hi, int64_t grain, const F& f,
+                      std::atomic<bool>& cancel) {
+  if (hi - lo <= grain) {
+    if (cancel.load(std::memory_order_relaxed)) return;  // a sibling threw
+    // Bounds copied to locals: lo and hi escape into the par_do closures,
+    // so the compiler would assume a body's int64 stores may change them
+    // and leave the loop unvectorized.
+    const int64_t b = lo, e = hi;
+    try {
+      for (int64_t i = b; i < e; i++) f(i);
+    } catch (...) {
+      cancel.store(true, std::memory_order_relaxed);
+      throw;
     }
-  }
-}
-
-template <typename F>
-void parallel_for_lazy(int64_t lo, int64_t hi, int64_t grain, const F& f,
-                       std::atomic<bool>* cancel) {
-  int64_t n = hi - lo;
-  if (n <= grain) {
-    for (int64_t i = lo; i < hi; i++) f(i);
     return;
   }
-  RangeWork<F> r{{pack_range(0, static_cast<uint32_t>(n))}, lo, grain, &f,
-                 cancel};
-  std::atomic<uint32_t> pending{1};
-  ExceptionSlot exc;
-  RawTask t;
-  t.fn = &range_steal_entry<F>;
-  t.arg = &r;
-  t.pending = &pending;
-  t.exc = &exc;
-  pool_push(&t);
-  // Owner loop: claim grain-sized blocks off the low end — one fetch_add
-  // per block. The returned word is a consistent snapshot (thief CASes on
-  // the whole word fail against a concurrent add and retry), and a thief's
-  // later split point lies at or above the advanced lo, so claims never
-  // overlap. The final add may overshoot a drained range by one block; the
-  // snapshot shows lo >= hi and the claim is empty.
-  const uint64_t step = static_cast<uint64_t>(grain) << 32;
-  try {
-    while (!cancel->load(std::memory_order_relaxed)) {
-      uint64_t s = r.state.fetch_add(step, std::memory_order_acq_rel);
-      int64_t clo = static_cast<int64_t>(s >> 32);
-      int64_t chi = static_cast<int64_t>(s & 0xffffffffull);
-      if (clo >= chi) break;
-      int64_t blo = lo + clo;
-      int64_t bhi = lo + (clo + grain < chi ? clo + grain : chi);
-      for (int64_t i = blo; i < bhi; i++) f(i);
-      if (clo + grain >= chi) break;  // this claim reached the snapshot's end
-    }
-  } catch (...) {
-    // First throw on this frame: stop every sibling, join whatever was
-    // stolen off this descriptor, and let this exception win the frame (a
-    // concurrently captured thief exception is dropped — first wins).
-    cancel->store(true, std::memory_order_relaxed);
-    if (!pool_pop_if(&t)) pool_wait(pending);
-    throw;
-  }
-  if (!pool_pop_if(&t)) pool_wait(pending);  // join any stolen upper halves
-  exc.rethrow_if_set();
-}
-
-// Pre-split recursion for ranges past the packed 32-bit descriptor limit;
-// every leaf shares the top-level cancel flag so an exception in one half
-// stops block claims in the other before the join rethrows.
-template <typename F>
-void parallel_for_presplit(int64_t lo, int64_t hi, int64_t grain, const F& f,
-                           std::atomic<bool>* cancel) {
-  if (hi - lo < kMaxLazyRange) {
-    parallel_for_lazy(lo, hi, grain, f, cancel);
-    return;
-  }
-  int64_t mid = lo + (hi - lo) / 2;
-  par_do([&] { parallel_for_presplit(lo, mid, grain, f, cancel); },
-         [&] { parallel_for_presplit(mid, hi, grain, f, cancel); });
+  const int64_t mid = lo + (hi - lo) / 2;
+  par_do([&] { parallel_for_rec(lo, mid, grain, f, cancel); },
+         [&] { parallel_for_rec(mid, hi, grain, f, cancel); });
 }
 
 }  // namespace internal
@@ -183,11 +89,7 @@ void parallel_for(int64_t lo, int64_t hi, const F& f, int64_t grain = 0) {
     return;
   }
   std::atomic<bool> cancelled{false};
-  if (n >= internal::kMaxLazyRange) {
-    internal::parallel_for_presplit(lo, hi, grain, f, &cancelled);
-    return;
-  }
-  internal::parallel_for_lazy(lo, hi, grain, f, &cancelled);
+  internal::parallel_for_rec(lo, hi, grain, f, cancelled);
 }
 
 }  // namespace parlis

@@ -10,8 +10,8 @@
 //   counting sort:    O(n + buckets) work (blocked histograms)
 //
 // Fork points cost a handful of atomic ops on the lock-free runtime: the
-// par_do recursions below keep their join counters on the stack and the
-// parallel_for loops run as lazily-split ranges, so an uncontended
+// par_do recursions below, and the parallel_for loops (par_do halving down
+// to the grain), keep their join counters on the stack, so an uncontended
 // primitive never allocates or locks inside the scheduler.
 #pragma once
 

@@ -5,6 +5,7 @@
 #include "parlis/util/failpoint.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
@@ -185,18 +186,13 @@ class Pool {
     // hits zero, so the decrement is the last access to either object.
     std::atomic<uint32_t>* pending = t->pending;
     ExceptionSlot* exc = t->exc;
+    assert(exc != nullptr);  // par_do, the one fork site, always attaches one
     try {
       t->fn(t->arg);
     } catch (...) {
       // Capture BEFORE the decrement: the joining frame, seeing pending ==
       // 0 with acquire, then sees the finished capture and rethrows on its
-      // own stack. Both fork sites (par_do, parallel_for_lazy) always
-      // attach a slot; a slotless descriptor rethrows and terminates, same
-      // as the pre-exception-safety scheduler — never a silent swallow.
-      if (exc == nullptr) {
-        pending->fetch_sub(1, std::memory_order_acq_rel);
-        throw;
-      }
+      // own stack.
       exc->capture(std::current_exception());
     }
     pending->fetch_sub(1, std::memory_order_acq_rel);

@@ -30,8 +30,8 @@
 // on the spawning thread rethrows it — so par_do / parallel_for propagate
 // exceptions exactly like their sequential equivalents would, across
 // nesting and the external submission queue alike. parallel_for
-// additionally trips a shared cancel flag so sibling block claims stop
-// early instead of finishing doomed work (parallel.hpp).
+// additionally trips a shared cancel flag so sibling leaves skip their
+// blocks instead of finishing doomed work (parallel.hpp).
 #pragma once
 
 #include <atomic>
@@ -76,7 +76,7 @@ bool thread_sequential();
 int pool_thread_id();
 
 /// Lifetime scheduler statistics: spawns = task descriptors pushed (par_do
-/// forks and parallel_for range advertisements), steals = tasks taken from
+/// forks, parallel_for's splits included), steals = tasks taken from
 /// another worker's deque or the external submission queue. Pool workers
 /// count contention-free (one slot per worker); threads outside the pool
 /// count on separate shared atomics, so totals stay exact even under
@@ -134,8 +134,8 @@ struct RawTask {
   ExceptionSlot* exc = nullptr;              // where a throwing fn lands
 };
 
-// Pool interface used by par_do / parallel_for. All functions are
-// thread-safe; push/pop pair up per forking frame.
+// Pool interface used by par_do. All functions are thread-safe; push/pop
+// pair up per forking frame.
 void pool_push(RawTask* t);
 // Pops the bottom task of the calling worker's deque if it is `t` (the
 // normal un-stolen join). Returns false if t was stolen.

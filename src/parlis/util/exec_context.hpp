@@ -11,8 +11,8 @@
 // failure chokepoint.
 //
 // The context is thread-local on purpose: a parallel solve's worker tasks
-// never poll it (block claims poll the scheduler's own cancel flag instead;
-// see parallel.hpp) — only the round loop, which always runs on the
+// never poll it (parallel_for's leaves poll the loop's own cancel flag
+// instead; see parallel.hpp) — only the round loop, which always runs on the
 // installing thread, does. solve_many's packed per-query tasks run on pool
 // threads and install their own scope inside the task.
 #pragma once

@@ -3,7 +3,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "parlis/parallel/parallel.hpp"
@@ -39,10 +41,16 @@ TEST(Scheduler, NestedParDo) {
 }
 
 TEST(ParallelFor, CoversEveryIndexOnce) {
-  constexpr int64_t n = 100000;
-  std::vector<std::atomic<int32_t>> hits(n);
-  parallel_for(0, n, [&](int64_t i) { hits[i].fetch_add(1); });
-  for (int64_t i = 0; i < n; i++) ASSERT_EQ(hits[i].load(), 1) << i;
+  // Bounds far from 0 too: the splits are int64 halvings of [lo, hi).
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kHalf = int64_t{1} << 16;
+  const std::pair<int64_t, int64_t> ranges[] = {
+      {0, 100000}, {-kHalf, kHalf}, {kMax - kHalf, kMax}};
+  for (const auto& [lo, hi] : ranges) {
+    std::vector<std::atomic<int32_t>> hits(hi - lo);
+    parallel_for(lo, hi, [&](int64_t i) { hits[i - lo].fetch_add(1); });
+    for (int64_t i = lo; i < hi; i++) ASSERT_EQ(hits[i - lo].load(), 1) << i;
+  }
 }
 
 TEST(ParallelFor, EmptyAndSingleton) {

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <numeric>
@@ -200,27 +201,59 @@ TEST(SchedulerStress, SpawnAccountingExactForParDo) {
   EXPECT_LE(stats.steals, stats.spawns);
 }
 
-TEST(SchedulerStress, LazyParallelForSpawnsFewTasks) {
-  // The lazy-splitting contract: one advertised descriptor per
-  // parallel_for plus one per successful range steal — not a task per
-  // grain-sized chunk like the eager spawn tree (~8p tasks).
+TEST(SchedulerStress, ParallelForForksOncePerSplit) {
+  // parallel_for halves its range with par_do down to the grain, so a 2^20
+  // loop at grain 4096 has 256 leaves and forks exactly 255 times, whether
+  // a pool worker or a thread outside the pool calls it.
   if (num_workers() == 1) GTEST_SKIP() << "parallel_for inlines with one worker";
-  reset_scheduler_stats();
   constexpr int64_t kN = 1 << 20;
-  constexpr int64_t kGrain = 4096;  // pinned so the spawn ceiling below holds
+  constexpr int64_t kGrain = 4096;
   std::vector<std::atomic<int32_t>> hits(kN);
-  parallel_for(0, kN, [&](int64_t i) { hits[i].fetch_add(1); }, kGrain);
-  SchedulerStats stats = scheduler_stats();
-  for (auto& h : hits) ASSERT_EQ(h.load(), 1);
-  // Exactly one root advertisement; every further spawn is a thief
-  // re-advertising a stolen half (a thief whose half fits one grain block
-  // spawns nothing), and every steal consumed a spawned task.
-  EXPECT_GE(stats.spawns, 1u);
-  EXPECT_LE(stats.spawns, 1 + stats.steals);
-  EXPECT_LE(stats.steals, stats.spawns);
-  // Structural ceiling: advertisements cannot outnumber grain blocks. The
-  // eager tree would have spawned ~8 tasks per worker unconditionally.
-  EXPECT_LE(stats.spawns, static_cast<uint64_t>(kN / kGrain));
+  // Runs the loop over zeroed hits and returns its spawns.
+  auto spawns_of_loop = [&] {
+    reset_scheduler_stats();
+    parallel_for(0, kN, [&](int64_t i) { hits[i].fetch_add(1); }, kGrain);
+    return scheduler_stats().spawns;
+  };
+  auto count_and_clear = [&] {
+    int64_t once = 0;
+    for (auto& h : hits) once += h.exchange(0) == 1;
+    return once;
+  };
+  constexpr uint64_t kForks = kN / kGrain - 1;
+  EXPECT_EQ(spawns_of_loop(), kForks);
+  EXPECT_EQ(count_and_clear(), kN);
+  uint64_t external = 0;
+  std::thread([&] { external = spawns_of_loop(); }).join();
+  EXPECT_EQ(external, kForks);
+  EXPECT_EQ(count_and_clear(), kN);
+}
+
+TEST(SchedulerStress, ParallelForLowerHalfIsStealable) {
+  // The caller blocks in its first iteration until a thread other than
+  // itself has run an index of [1, N/2): both halves of every split must
+  // stay open to thieves, not just the upper half of the whole range (a
+  // loop that hands out only upper halves runs at most 2x its one-thread
+  // speed).
+  if (num_workers() == 1) GTEST_SKIP() << "parallel_for inlines with one worker";
+  constexpr int64_t kN = 4096;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> stolen{false};
+  parallel_for(
+      0, kN,
+      [&](int64_t i) {
+        if (i == 0) {
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(10);
+          while (!stolen.load() && std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::yield();
+          }
+        } else if (i < kN / 2 && std::this_thread::get_id() != caller) {
+          stolen.store(true);
+        }
+      },
+      1);
+  EXPECT_TRUE(stolen.load());
 }
 
 TEST(SchedulerStress, GrainExtremes) {
