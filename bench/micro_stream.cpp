@@ -4,14 +4,16 @@
 //                  in blocks so the timer overhead stays off the tick. The
 //                  acceptance row: at n = 1e6 the per-tick median must be
 //                  >= 20x faster than re-solving per tick. Uniform 63-bit
-//                  values, i.e. the slack-rank dictionary path; the
-//                  append_dense row is the same measurement on a
-//                  random-walk feed, which rides the identity-rank dense
-//                  path (no dictionary).
+//                  values; append_dense is the same measurement on a
+//                  random-walk feed, and append_wide on a strictly
+//                  increasing feed (stride 1000) whose span crosses 2^27 at
+//                  n = 2e5 and whose LIS is the whole stream. --strict
+//                  gates append_wide's mean tick at <= 4x the append
+//                  row's (the grow rows report the mean beside the
+//                  median).
 //   resolve_tick — the baseline a per-tick workload pays without sessions:
 //                  one full Solver::lis_length re-solve of the n-element
-//                  history (median over reps). Per-op medians, so the
-//                  1-core-host caveat from EXPERIMENTS.md applies.
+//                  history (median over reps).
 //   sliding      — per-tick median with expiry on: kSlidingAmortized at
 //                  window n/10 and kSlidingExact at a small window (the
 //                  exact mode pays a survivor replay per tick at capacity —
@@ -19,9 +21,12 @@
 //   delta        — delta_resolve of a 1k-element middle edit vs a full
 //                  re-solve of the edited series (both medians reported).
 //
+// Every row checks its session's final LIS length against
+// Solver::lis_length of the same window and exits 1 on a mismatch.
+//
 // Flags: --n (default 1000000), --reps, --window (amortized window,
 // default n/10), --exactwindow (default 4096), --out FILE, --strict
-// (exit 2 unless the 20x acceptance holds; advisory otherwise).
+// (exit 2 unless the gates hold; advisory otherwise).
 #include <algorithm>
 #include <cstdio>
 #include <thread>
@@ -41,24 +46,43 @@ using namespace parlis::bench;
 
 constexpr int64_t kBlock = 1024;
 
-// Median per-tick seconds of `session.append` over the stream `a`,
-// timed in kBlock-sized blocks.
-double append_per_tick(LisSession& session, const std::vector<int64_t>& a) {
+struct TickTimes {
+  double median;  // per-tick seconds of the median block
+  double mean;    // per-tick seconds over the whole stream
+};
+
+// Per-tick seconds of `session.append` over the stream `a`, timed in
+// kBlock-sized blocks.
+TickTimes append_per_tick(LisSession& session, const std::vector<int64_t>& a) {
   std::vector<double> blocks;
+  double total = 0;
   int64_t n = static_cast<int64_t>(a.size());
   for (int64_t s = 0; s < n; s += kBlock) {
     int64_t e = std::min(n, s + kBlock);
     Timer t;
     for (int64_t i = s; i < e; i++) session.append(a[i]);
-    blocks.push_back(t.elapsed() / static_cast<double>(e - s));
+    const double el = t.elapsed();
+    total += el;
+    blocks.push_back(el / static_cast<double>(e - s));
   }
   std::sort(blocks.begin(), blocks.end());
-  return blocks[(blocks.size() - 1) / 2];
+  return {blocks[(blocks.size() - 1) / 2], total / static_cast<double>(n)};
 }
 
 double median(std::vector<double>& v) {
   std::sort(v.begin(), v.end());
   return v[(v.size() - 1) / 2];
+}
+
+// False (and a MISMATCH line) unless a session's final LIS length `got`
+// equals a from-scratch solve of its window.
+bool length_matches(const char* row, int64_t got, std::span<const int64_t> win,
+                    Solver& ref) {
+  const int64_t want = ref.lis_length(win);
+  if (got == want) return true;
+  std::printf("MISMATCH (%s): session LIS %lld vs batch %lld\n", row,
+              static_cast<long long>(got), static_cast<long long>(want));
+  return false;
 }
 
 // Block-interleaved guard delta measurement: the same stream feeds both
@@ -97,7 +121,7 @@ std::pair<double, double> append_per_tick_pair(LisSession& s1, LisSession& s2,
     if (t1 > 0) ratios.push_back(t2 / t1);
   }
   // The reported level is the block median (the same statistic as the
-  // append row — unit sums would absorb the rerank spikes the block median
+  // append row — unit sums would absorb the outlier blocks the median
   // deliberately excludes); only the overhead ratio uses the units.
   double base = median(b1);
   if (ratios.empty()) return {base, 1.0};
@@ -138,19 +162,44 @@ int main(int argc, char** argv) {
     json.add(rec);
   };
 
-  // ------------------------------------------------------------ append ---
+  // One grow-only feed through `reps` fresh sessions: the per-tick block
+  // median and mean (medians over reps), and the final LIS length.
   Options opts;
   Solver solver(opts);
-  std::vector<double> app_meds;
-  int64_t k_stream = 0;
-  for (int r = 0; r < reps; r++) {
-    LisSession s = solver.make_session();
-    app_meds.push_back(append_per_tick(s, a));
-    k_stream = s.length();
-  }
-  double append_ns = median(app_meds) * 1e9;
-  std::printf("%-14s per-tick median %8.0f ns   (final LIS %lld)\n", "append",
-              append_ns, static_cast<long long>(k_stream));
+  struct GrowRow {
+    double median_ns, mean_ns;
+    int64_t k;
+  };
+  auto grow_row = [&](const std::vector<int64_t>& feed) {
+    std::vector<double> meds, means;
+    int64_t k = 0;
+    for (int r = 0; r < reps; r++) {
+      LisSession s = solver.make_session();
+      const TickTimes t = append_per_tick(s, feed);
+      meds.push_back(t.median);
+      means.push_back(t.mean);
+      k = s.length();
+    }
+    return GrowRow{median(meds) * 1e9, median(means) * 1e9, k};
+  };
+  auto emit_grow = [&](const char* op, const GrowRow& g, double ratio) {
+    std::printf("%-14s per-tick median %8.0f ns, mean %8.0f ns   (final LIS "
+                "%lld)\n",
+                op, g.median_ns, g.mean_ns, static_cast<long long>(g.k));
+    JsonRecord rec;
+    rec.field("bench", "micro_stream")
+        .field("op", op)
+        .field("n", n)
+        .field("threads", num_workers())
+        .field("per_tick_ns", g.median_ns)
+        .field("mean_tick_ns", g.mean_ns);
+    if (ratio >= 0) rec.field("speedup_x", ratio);
+    json.add(rec);
+  };
+
+  // ------------------------------------------------------------ append ---
+  const GrowRow app = grow_row(a);
+  const double append_ns = app.median_ns;
 
   // ------------------------------------------------------ resolve_tick ---
   std::vector<double> res_ts;
@@ -162,20 +211,19 @@ int main(int argc, char** argv) {
   }
   double resolve_ms = median(res_ts) * 1e3;
   double ratio = resolve_ms * 1e6 / append_ns;
+  emit_grow("append", app, ratio);
   std::printf("%-14s per-tick median %8.3f ms   (%.0fx the append tick)\n",
               "resolve_tick", resolve_ms, ratio);
-  if (k_stream != k_batch) {
+  if (app.k != k_batch) {
     std::printf("MISMATCH: stream LIS %lld vs batch %lld\n",
-                static_cast<long long>(k_stream),
+                static_cast<long long>(app.k),
                 static_cast<long long>(k_batch));
     return 1;
   }
-  emit("append", n, -1, append_ns, -1, ratio);
   emit("resolve_tick", n, -1, -1, resolve_ms, -1);
 
   // ------------------------------------------------------ append_dense ---
-  // Random-walk values (a price-like feed): the observed span stays small,
-  // so ticks ride the identity-rank dense path — no dictionary at all.
+  // Random-walk values (a price-like feed).
   {
     std::vector<int64_t> walk(n);
     int64_t p = 100000;
@@ -183,17 +231,24 @@ int main(int argc, char** argv) {
       p += static_cast<int64_t>(hash64(7, i) % 401) - 200;
       walk[i] = p;
     }
-    std::vector<double> meds;
-    int64_t reranks = 0;
-    for (int r = 0; r < reps; r++) {
-      LisSession s = solver.make_session();
-      meds.push_back(append_per_tick(s, walk));
-      reranks = s.stats().reranks;
-    }
-    double ns = median(meds) * 1e9;
-    std::printf("%-14s per-tick median %8.0f ns   (%lld reranks)\n",
-                "append_dense", ns, static_cast<long long>(reranks));
-    emit("append_dense", n, -1, ns, -1, -1);
+    const GrowRow g = grow_row(walk);
+    emit_grow("append_dense", g, -1);
+    if (!length_matches("append_dense", g.k, walk, solver)) return 1;
+  }
+
+  // ------------------------------------------------------- append_wide ---
+  // Strictly increasing values, stride 1000: every tick opens a new pile,
+  // and the span crosses 2^27 after ~1.3e5 ticks. Gated on the mean, not
+  // the block median: a cost that starts part-way through the stream can
+  // sit in a minority of the blocks.
+  double wide_x = 0;
+  {
+    std::vector<int64_t> wide(n);
+    for (int64_t i = 0; i < n; i++) wide[i] = 1000 * i;
+    const GrowRow g = grow_row(wide);
+    emit_grow("append_wide", g, -1);
+    if (!length_matches("append_wide", g.k, wide, solver)) return 1;
+    wide_x = g.mean_ns / app.mean_ns;
   }
 
   // ------------------------------------------------------ append_guard ---
@@ -228,10 +283,10 @@ int main(int argc, char** argv) {
     std::printf("%-14s per-tick median %8.0f ns   (%+.2f%% vs %.0f ns "
                 "unguarded, interleaved)\n",
                 "append_guard", ns, guard_overhead_pct, guard_base_ns);
-    if (k_guard != k_stream || k_plain != k_stream) {
+    if (k_guard != app.k || k_plain != app.k) {
       std::printf("MISMATCH: guarded stream LIS %lld vs unguarded %lld\n",
                   static_cast<long long>(k_guard),
-                  static_cast<long long>(k_stream));
+                  static_cast<long long>(app.k));
       return 1;
     }
     JsonRecord rec;
@@ -253,10 +308,14 @@ int main(int argc, char** argv) {
     Solver ws(w);
     std::vector<double> meds;
     int64_t rebuilds = 0;
+    bool ok = true;
     for (int r = 0; r < reps; r++) {
       LisSession s = ws.make_session();
-      meds.push_back(append_per_tick(s, a));
+      meds.push_back(append_per_tick(s, a).median);
       rebuilds = s.stats().window_rebuilds;
+      if (r + 1 == reps) {
+        ok = length_matches("slide_amort", s.length(), s.window(), solver);
+      }
     }
     double ns = median(meds) * 1e9;
     std::printf("%-14s per-tick median %8.0f ns   (window %lld, %lld "
@@ -264,6 +323,7 @@ int main(int argc, char** argv) {
                 "slide_amort", ns, static_cast<long long>(window),
                 static_cast<long long>(rebuilds));
     emit("slide_amort", n, window, ns, -1, -1);
+    if (!ok) return 1;
   }
   {
     Options w;
@@ -273,15 +333,20 @@ int main(int argc, char** argv) {
     int64_t n_exact = std::min<int64_t>(n, 20 * exact_window);
     std::vector<int64_t> a_exact(a.begin(), a.begin() + n_exact);
     std::vector<double> meds;
+    bool ok = true;
     for (int r = 0; r < reps; r++) {
       LisSession s = ws.make_session();
-      meds.push_back(append_per_tick(s, a_exact));
+      meds.push_back(append_per_tick(s, a_exact).median);
+      if (r + 1 == reps) {
+        ok = length_matches("slide_exact", s.length(), s.window(), solver);
+      }
     }
     double ns = median(meds) * 1e9;
     std::printf("%-14s per-tick median %8.0f ns   (window %lld, replay per "
                 "tick at capacity)\n",
                 "slide_exact", ns, static_cast<long long>(exact_window));
     emit("slide_exact", n_exact, exact_window, ns, -1, -1);
+    if (!ok) return 1;
   }
 
   // ------------------------------------------------------------- delta ---
@@ -296,12 +361,13 @@ int main(int argc, char** argv) {
     std::vector<double> d_ts, f_ts;
     Solver fresh(opts);
     LisFrontiers fr;
+    int64_t k_delta = 0;
     for (int r = 0; r < reps; r++) {
       for (int64_t i = 0; i < kEdit; i++) {
         b[l + i] = static_cast<int64_t>(hash64(100 + r, i) >> 1);
       }
       Timer t;
-      s.delta_resolve(std::span<const int64_t>(b), l, n - l - kEdit);
+      k_delta = s.delta_resolve(std::span<const int64_t>(b), l, n - l - kEdit);
       d_ts.push_back(t.elapsed());
       t.reset();
       fresh.solve_lis_frontiers(std::span<const int64_t>(b), fr);
@@ -313,6 +379,7 @@ int main(int argc, char** argv) {
                 "delta_resolve", delta_ms, full_ms, full_ms / delta_ms);
     emit("delta_resolve", n, -1, -1, delta_ms, full_ms / delta_ms);
     emit("delta_full_resolve", n, -1, -1, full_ms, -1);
+    if (!length_matches("delta_resolve", k_delta, b, solver)) return 1;
   }
 
   bool pass = ratio >= 20.0;
@@ -328,5 +395,9 @@ int main(int argc, char** argv) {
               "(%+.2f%%)%s\n",
               guard_pass ? "PASS" : "FAIL", guard_overhead_pct,
               flags.has("strict") ? "" : " (advisory; --strict gates exit)");
-  return flags.has("strict") && !(pass && guard_pass) ? 2 : 0;
+  bool wide_pass = wide_x <= 4.0;
+  std::printf("append_wide mean tick (<= 4x the append mean): %s (%.2fx)%s\n",
+              wide_pass ? "PASS" : "FAIL", wide_x,
+              flags.has("strict") ? "" : " (advisory; --strict gates exit)");
+  return flags.has("strict") && !(pass && guard_pass && wide_pass) ? 2 : 0;
 }

@@ -36,8 +36,8 @@ int main(int argc, char** argv) {
   }
 
   // Size the budget off one MEASURED warm tenant (a fully streamed
-  // session), then grant ~2.5 of them: with more tenants than that live,
-  // the table must churn.
+  // session plus its warm weighted query), then grant ~2.5 of them: with
+  // more tenants than that live, the table must churn.
   uint64_t one = 0;
   {
     parlis::serve::SessionTable::Config probe;
@@ -46,6 +46,7 @@ int main(int argc, char** argv) {
     {
       auto lease = t.acquire(0);
       for (int64_t v : feed[0]) (void)lease.session().append(v);
+      lease.solver().solve_wlis(feed[0], weight[0], lease.wlis_out());
     }
     one = t.resident_bytes();
   }
@@ -84,6 +85,9 @@ int main(int argc, char** argv) {
     q.w = std::span<const int64_t>(weight[static_cast<size_t>(hot)])
               .first(static_cast<size_t>(appended[static_cast<size_t>(hot)]));
     auto r = engine.solve_warm(static_cast<uint64_t>(hot), q);
+    // A maintenance tick per round: the weighted state parked by the hot
+    // tenant's release is reclaimed here, not at the next admission.
+    engine.table().enforce_budget();
     auto st = engine.stats();
     std::printf(
         "round %d: tenant %d wlis best=%lld k=%d | resident %lld/%lld bytes, "

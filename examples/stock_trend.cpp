@@ -2,8 +2,8 @@
 // length measures how "trending" a window is (a sortedness/monotonicity
 // statistic, cf. the paper's applications [30, 60]), and the weighted LIS
 // picks the maximum-volume increasing run. Prices arrive one day at a time
-// through a LisSession — O(log log u) per tick instead of an O(n) re-solve
-// — and the windowed analyses run over span views (no window copies).
+// through a LisSession — O(log k) per tick instead of an O(n) re-solve —
+// and the windowed analyses run over span views (no window copies).
 //
 //   ./examples/stock_trend [days]
 #include <algorithm>
@@ -75,7 +75,8 @@ int main(int argc, char** argv) {
               price[rally.back()] / 100.0);
 
   // Trailing-window trend on a sliding session: amortized expiry keeps the
-  // per-tick cost polylog while the window tracks the last `window` days.
+  // per-tick cost O(log k) amortized while the window tracks the last
+  // `window` days.
   int64_t window = std::min<int64_t>(days, 200000);
   parlis::Options wopts;
   wopts.window = parlis::WindowMode::kSlidingAmortized;
@@ -87,11 +88,10 @@ int main(int argc, char** argv) {
   for (int64_t i = 0; i < days; i++) wk = wsession.append(price[i]);
   std::printf(
       "windowed trend (last %lld live days): LIS %lld, %.0f ns/tick "
-      "(%lld rebuilds, %lld reranks)\n",
+      "(%lld rebuilds)\n",
       static_cast<long long>(wsession.size()), static_cast<long long>(wk),
       t2.elapsed() * 1e9 / static_cast<double>(days),
-      static_cast<long long>(wsession.stats().window_rebuilds),
-      static_cast<long long>(wsession.stats().reranks));
+      static_cast<long long>(wsession.stats().window_rebuilds));
 
   // Maximum-volume increasing run (weighted LIS, volume as weight) over the
   // trailing window — span views straight into the series, no copies.

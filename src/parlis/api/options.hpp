@@ -18,14 +18,13 @@ enum class WindowMode : uint8_t {
   /// Exact fixed-capacity window: every append past capacity retires the
   /// oldest element first, so the reported LIS is always over exactly the
   /// trailing `window_capacity` elements. Expiry replays the surviving
-  /// window; consecutive expiries coalesce into one replay, so a pure
-  /// append stream pays one O(W log log u) rebuild per tick worst-case
-  /// but interleaved query-free streams amortize far below that.
+  /// window, so an append at capacity costs O(W log k); consecutive
+  /// pop_front calls coalesce into one replay.
   kSlidingExact,
   /// Amortized window: expiry retires half the window at once, so the live
   /// window size oscillates in (capacity/2, capacity]. Appends stay
-  /// amortized O(log log u) — capacity/2 ticks share each half-window
-  /// rebuild, the worst case the checkpointed-rebuild scheme admits.
+  /// amortized O(log k) — capacity/2 ticks share each half-window replay,
+  /// the worst case the checkpointed-rebuild scheme admits.
   kSlidingAmortized,
 };
 
@@ -70,13 +69,13 @@ struct Options {
   /// Upper bound on solver scratch memory in bytes; 0 means unlimited.
   /// Checked against the documented size estimates of what a solve would
   /// allocate (pinned at or above the real accounting by the fault tests),
-  /// before it allocates. An LIS solve whose tournament tree does not fit
-  /// takes patience sorting. A weighted solve needs the rank space plus
-  /// the Fenwick pass (~90 B/element); raw int64 values under kStrict
-  /// degrade to the Seq-AVL sweep (~64 B/element, no rank space), and
-  /// every other weighted solve has nothing smaller. When even the
-  /// smallest path exceeds the budget the call throws
-  /// Error{kBudgetExceeded}.
+  /// before it allocates. An LIS solve runs patience sorting (~12
+  /// B/element, plus the rank space for typed keys or kNonDecreasing) and
+  /// has nothing smaller. A weighted solve needs the rank space plus the
+  /// Fenwick pass (~90 B/element); raw int64 values under kStrict degrade
+  /// to the Seq-AVL sweep (~64 B/element, no rank space), and every other
+  /// weighted solve has nothing smaller. When even the smallest path
+  /// exceeds the budget the call throws Error{kBudgetExceeded}.
   uint64_t memory_budget_bytes = 0;
 };
 

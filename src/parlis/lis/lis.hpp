@@ -278,6 +278,23 @@ int32_t patience_ranks(std::span<const T> a, int32_t* rank,
   return static_cast<int32_t>(len);
 }
 
+// Lays the frontiers of res.rank (ranks 1..res.k) out flat, index-ascending
+// per frontier: the layout lis_frontiers_into produces. Counts rank r at
+// offset[r + 1] and prefix-sums, so offset[r] is where frontier r starts;
+// placing index i at offset[rank]++ in ascending i then leaves offset[r]
+// where frontier r ends, with no cursor array. The spare last slot (rank
+// k's count) is dropped afterwards. Allocation-free when warm.
+inline void lay_out_frontiers(LisFrontiers& res) {
+  const int64_t n = static_cast<int64_t>(res.rank.size());
+  res.frontier_flat.resize(res.rank.size());
+  std::vector<int64_t>& off = res.frontier_offset;
+  off.assign(static_cast<size_t>(res.k) + 2, 0);
+  for (int64_t i = 0; i < n; i++) off[res.rank[i] + 1]++;
+  for (int32_t r = 1; r <= res.k; r++) off[r + 1] += off[r];
+  for (int64_t i = 0; i < n; i++) res.frontier_flat[off[res.rank[i]]++] = i;
+  off.pop_back();
+}
+
 }  // namespace internal
 
 /// Sequential patience sorting (Seq-BS) with the same output contract as
@@ -299,21 +316,9 @@ void seq_patience_ranks_into(std::span<const T> a, LisResult& res,
 template <typename T, typename Less = std::less<T>>
 void seq_patience_frontiers_into(std::span<const T> a, LisFrontiers& res,
                                  std::vector<T>& tails, Less less = Less{}) {
-  const int64_t n = static_cast<int64_t>(a.size());
   res.rank.resize(a.size());
-  res.frontier_flat.resize(a.size());
   res.k = internal::patience_ranks<T, Less>(a, res.rank.data(), tails, less);
-  // Count rank r at offset[r + 1] and prefix-sum, so offset[r] is where
-  // frontier r starts. Placing index i at offset[rank]++ in ascending i
-  // sorts each frontier by index and leaves offset[r] where frontier r
-  // ends: the layout consumers expect, with no cursor array. The spare
-  // last slot (rank k's count) is dropped afterwards.
-  std::vector<int64_t>& off = res.frontier_offset;
-  off.assign(static_cast<size_t>(res.k) + 2, 0);
-  for (int64_t i = 0; i < n; i++) off[res.rank[i] + 1]++;
-  for (int32_t r = 1; r <= res.k; r++) off[r + 1] += off[r];
-  for (int64_t i = 0; i < n; i++) res.frontier_flat[off[res.rank[i]]++] = i;
-  off.pop_back();
+  internal::lay_out_frontiers(res);
 }
 
 /// One-shot form of lis_ranks_into.

@@ -2,9 +2,9 @@
 // eviction under an explicit, measured memory budget.
 //
 // A serving process holds many tenants' warm solver state at once: a
-// streaming tenant's LisSession (pile tops, rank dictionaries, window
-// buffer) and/or a batch tenant's per-series workspaces (tournament
-// storage, range-tree arena, the weighted value-sequence cache). All of it
+// streaming tenant's LisSession (window buffer, pile tops, cached
+// frontiers) and/or a batch tenant's per-series workspaces (patience
+// tails, rank space, the weighted value-sequence cache). All of it
 // is pure derived state — evicting a tenant loses time, never answers —
 // so the table treats warm state as a cache with an explicit byte budget:
 //
@@ -16,11 +16,11 @@
 //     is why the budget is partitioned per shard rather than pooled (a
 //     global pool is exactly what does not scale past one host).
 //   * Resident bytes are MEASURED, never estimated: every figure comes
-//     from resident_bytes() accessors that read real vector capacities,
-//     reserved arena chunks (tracked at the moment each chunk is
-//     malloc'd), and TrackingAllocator traffic for node containers
-//     (util/resident.hpp documents the contract). An entry is re-measured
-//     on every lease release, so the shard totals track actual growth.
+//     from resident_bytes() accessors that read real vector capacities
+//     and reserved arena chunks (tracked at the moment each chunk is
+//     malloc'd; util/resident.hpp documents the contract). An entry is
+//     re-measured on every lease release, so the shard totals track
+//     actual growth.
 //   * Admission reuses the Solver's budget_plan machinery: acquire() arms
 //     the tenant solver's memory budget with the shard's current headroom
 //     (the slice minus other PINNED tenants — idle warm entries are

@@ -2,21 +2,34 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 
 #include "parlis/api/solver.hpp"
 #include "parlis/util/error.hpp"
 #include "parlis/util/exec_context.hpp"
 #include "parlis/util/failpoint.hpp"
+#include "parlis/util/resident.hpp"
 
 namespace parlis {
 
 namespace {
 
-uint64_t next_pow2(uint64_t x) {
-  uint64_t p = 1;
-  while (p < x) p <<= 1;
-  return p;
+// One patience-sorting step on sorted pile tops: v replaces the first top
+// >= v (kStrict) / > v (kNonDecreasing), or starts a new pile. Returns the
+// pile's index, v's rank - 1. `replaced`, when given, receives the top v
+// replaced; it is left alone when v starts a pile.
+size_t tails_step(std::vector<int64_t>& tops, int64_t v, TiesPolicy ties,
+                  int64_t* replaced = nullptr) {
+  auto it = ties == TiesPolicy::kStrict
+                ? std::lower_bound(tops.begin(), tops.end(), v)
+                : std::upper_bound(tops.begin(), tops.end(), v);
+  const size_t s = static_cast<size_t>(it - tops.begin());
+  if (it == tops.end()) {
+    tops.push_back(v);
+  } else {
+    if (replaced != nullptr) *replaced = *it;
+    *it = v;
+  }
+  return s;
 }
 
 }  // namespace
@@ -31,7 +44,6 @@ LisSession::LisSession(Solver& solver)
                 "LisSession: sliding window modes need "
                 "Options::window_capacity >= 1");
   }
-  tops_.emplace(universe_);
 }
 
 // ------------------------------------------------------------ window upkeep
@@ -55,7 +67,7 @@ void LisSession::expire_for_append() {
                      ? size() - capacity_ + 1
                      : std::max(size() - capacity_ + 1, capacity_ / 2);
   head_ += std::min(drop, size());
-  tops_dirty_ = true;
+  tails_dirty_ = true;
   fr_valid_ = false;
   compact_if_needed();
 }
@@ -66,32 +78,29 @@ void LisSession::pop_front() {
                 "LisSession::pop_front: session is empty");
   }
   head_++;
-  tops_dirty_ = true;
+  tails_dirty_ = true;
   fr_valid_ = false;
   compact_if_needed();
 }
 
-void LisSession::ensure_tops() {
-  if (!tops_dirty_) return;
+void LisSession::ensure_tails() {
+  if (!tails_dirty_) return;
   // Clear the flag only after the replay lands: if rebuild_window throws
-  // (allocation, cancellation, an injected fault) the window stays marked
-  // dirty and the next use replays again from buf_, which the failure never
-  // touched — torn patience state can't be observed.
+  // (an allocation failure) the window stays marked dirty and the next use
+  // replays again from buf_, which the failure never touched — torn
+  // patience state can't be observed.
   rebuild_window();
-  tops_dirty_ = false;
+  tails_dirty_ = false;
 }
 
 void LisSession::rebuild_window() {
-  // Reset the patience state and replay the survivors. The rank dictionary
-  // is retained — replayed values are map hits — so this is O(m log log u)
-  // for m survivors.
-  top_at_.clear();
-  tops_.emplace(universe_);
-  piles_ = 0;
+  // Reset the pile tops and replay the survivors: O(m log k) for m
+  // survivors.
+  tails_.clear();
   hash_ = kContentHashSeed;
   for (int64_t v : window()) {
     hash_ = content_hash_append(hash_, v);
-    patience_push(v);
+    tails_step(tails_, v, ties_);
   }
   stats_.window_rebuilds++;
 }
@@ -113,208 +122,45 @@ int64_t LisSession::append(int64_t value) {
   guard_tick_ = (guard_tick_ + 1) & 63;
   PARLIS_FAILPOINT("stream.append");
   expire_for_append();
-  ensure_tops();
+  ensure_tails();
   buf_.push_back(value);
   try {
     hash_ = content_hash_append(hash_, value);
-    patience_push(value);
+    tails_step(tails_, value, ties_);
   } catch (...) {
     // Un-admit: a failed append leaves the session as if it was never
-    // called. The patience tops / rolling hash may be torn mid-push, so the
-    // window is marked dirty and replays (from the untouched buf_) lazily.
+    // called. The rolling hash already took the value, so the window is
+    // marked dirty and replays (from the untouched buf_) lazily.
     buf_.pop_back();
-    tops_dirty_ = true;
+    tails_dirty_ = true;
     fr_valid_ = false;
     throw;
   }
   fr_valid_ = false;
-  return piles_;
+  return static_cast<int64_t>(tails_.size());
 }
 
 int64_t LisSession::length() {
-  ensure_tops();
-  return piles_;
+  ensure_tails();
+  return static_cast<int64_t>(tails_.size());
 }
 
 uint64_t LisSession::content_hash() {
-  ensure_tops();  // pops recompute the hash during the replay
+  ensure_tails();  // pops recompute the hash during the replay
   return hash_;
-}
-
-// One patience-sorting step: v lands on the first pile whose top is >= v
-// (strict) / > v (non-decreasing), or starts a new pile. Both vEB point
-// queries and the replace are O(log log u).
-void LisSession::patience_push(int64_t v) {
-  uint64_t r = rank_of(v);
-  std::optional<uint64_t> hit =
-      ties_ == TiesPolicy::kStrict ? tops_->succ_geq(r) : tops_->succ_gt(r);
-  if (!hit) {
-    top_add(r, v);
-    piles_++;
-    return;
-  }
-  if (*hit == r) return;  // strict: v already tops that pile — no change
-  // Replace the hit pile's top with v: one count moves from rank *hit to
-  // rank r. Only when both the source entry dies and the target entry is
-  // born does the vEB see both keys — the fused replace_top path.
-  auto it = top_at_.find(*hit);
-  assert(it != top_at_.end());
-  bool out_dies = --(it->second.cnt) == 0;
-  if (out_dies) top_at_.erase(it);
-  auto [nit, fresh] = top_at_.try_emplace(r, TopEntry{v, 0});
-  nit->second.cnt++;
-  if (out_dies && fresh) {
-    tops_->replace_top(*hit, r);
-  } else if (out_dies) {
-    tops_->erase(*hit);
-  } else if (fresh) {
-    tops_->insert(r);
-  }
-}
-
-void LisSession::top_add(uint64_t r, int64_t v) {
-  auto [it, fresh] = top_at_.try_emplace(r, TopEntry{v, 0});
-  it->second.cnt++;
-  if (fresh) tops_->insert(r);
-}
-
-// -------------------------------------------------------------- rank spaces
-
-namespace {
-// Observed spans up to this stay on the identity-rank fast path (universe
-// caps at 2^29; cluster tables are lazy, so a sparse big universe is cheap).
-constexpr uint64_t kDenseSpanLimit = uint64_t{1} << 27;
-}  // namespace
-
-uint64_t LisSession::rank_of(int64_t v) {
-  if (dense_) {
-    // Identity ranks: the true difference of two int64s with v >= base
-    // always fits uint64, and the wrapped subtraction computes it.
-    uint64_t d = static_cast<uint64_t>(v) - static_cast<uint64_t>(dense_base_);
-    if (dense_seen_ && v >= dense_base_ && d < universe_) return d;
-    return dense_admit(v);
-  }
-  auto it = val_rank_.find(v);
-  if (it != val_rank_.end()) return it->second;
-  return assign_rank(v);
-}
-
-// A value outside the current dense image: regrow the universe around the
-// widened observed range (identity labels never exhaust, so this happens
-// only O(log span) times ever), or leave the dense path for good once the
-// span outgrows the limit.
-uint64_t LisSession::dense_admit(int64_t v) {
-  if (!dense_seen_) {
-    dense_seen_ = true;
-    dense_min_ = dense_max_ = v;
-    dense_base_ = v - static_cast<int64_t>(universe_ / 2);
-    return universe_ / 2;
-  }
-  int64_t lo = std::min(dense_min_, v), hi = std::max(dense_max_, v);
-  uint64_t span = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
-  if (span >= kDenseSpanLimit) {
-    dense_ = false;
-    rerank(v);
-    return val_rank_.find(v)->second;
-  }
-  dense_min_ = lo;
-  dense_max_ = hi;
-  universe_ = next_pow2(std::max<uint64_t>(64, 2 * (span + 1)));
-  // Center the observed range so both directions keep headroom (clamped
-  // against int64 underflow near the domain floor).
-  uint64_t headroom = (universe_ - (span + 1)) / 2;
-  dense_base_ =
-      lo >= std::numeric_limits<int64_t>::min() + static_cast<int64_t>(headroom)
-          ? lo - static_cast<int64_t>(headroom)
-          : lo;
-  rekey_tops();
-  return static_cast<uint64_t>(v) - static_cast<uint64_t>(dense_base_);
-}
-
-// A novel value takes the midpoint of the open rank interval between its
-// ordered neighbours; an exhausted interval forces a dictionary rebuild
-// with fresh slack everywhere.
-uint64_t LisSession::assign_rank(int64_t v) {
-  auto su = dict_.lower_bound(v);
-  uint64_t lo = su == dict_.begin() ? 0 : val_rank_.find(*std::prev(su))->second + 1;
-  uint64_t hi = su == dict_.end() ? universe_ : val_rank_.find(*su)->second;
-  if (hi > lo) {
-    uint64_t r = lo + (hi - lo) / 2;
-    val_rank_.emplace(v, r);
-    dict_.insert(v);
-    return r;
-  }
-  rerank(v);
-  return val_rank_.find(v)->second;
-}
-
-void LisSession::rerank(int64_t extra) {
-  // Rebuild the dictionary over the current window (dropping values that
-  // have expired) plus the value being inserted, with even slack: universe
-  // next_pow2(max(64, 4 * distinct)), ranks centered per stride.
-  scratch_vals_.assign(window().begin(), window().end());
-  scratch_vals_.push_back(extra);
-  std::sort(scratch_vals_.begin(), scratch_vals_.end());
-  scratch_vals_.erase(std::unique(scratch_vals_.begin(), scratch_vals_.end()),
-                      scratch_vals_.end());
-  uint64_t d = scratch_vals_.size();
-  universe_ = next_pow2(std::max<uint64_t>(64, 4 * d));
-  uint64_t stride = universe_ / d;
-  val_rank_.clear();
-  dict_.clear();
-  for (uint64_t i = 0; i < d; i++) {
-    val_rank_.emplace(scratch_vals_[i], i * stride + stride / 2);
-  }
-  dict_.insert(scratch_vals_.begin(), scratch_vals_.end());
-  rekey_tops();
-  stats_.reranks++;
-}
-
-// Re-key the live pile tops after a rank-space change. Every top value is
-// in the window, so rank_of resolves it under the new labels without
-// recursing back into a rebuild.
-void LisSession::rekey_tops() {
-  scratch_tops_.clear();
-  for (auto& [r, e] : top_at_) scratch_tops_.push_back(e);
-  top_at_.clear();
-  tops_.emplace(universe_);
-  for (const TopEntry& e : scratch_tops_) {
-    uint64_t r = rank_of(e.value);
-    top_at_.emplace(r, e);
-    tops_->insert(r);
-  }
 }
 
 // ------------------------------------------------------- frontiers / delta
 
 const LisFrontiers& LisSession::frontiers() {
-  ensure_tops();
+  ensure_tails();
   if (!fr_valid_) {
     solver_->solve_lis_frontiers(window(), cached_fr_);
     fr_valid_ = true;
   }
-  assert(cached_fr_.k == piles_ && "pile count must match the full solve");
+  assert(cached_fr_.k == static_cast<int32_t>(tails_.size()) &&
+         "pile count must match the full solve");
   return cached_fr_;
-}
-
-// Rebuilds frontier_flat/frontier_offset from cached_fr_.rank by counting
-// sort (stable in index order, which is the frontier sort contract).
-void LisSession::rebuild_frontier_arrays() {
-  LisFrontiers& fr = cached_fr_;
-  const int64_t n = static_cast<int64_t>(fr.rank.size());
-  fr.frontier_offset.assign(fr.k + 1, 0);
-  for (int64_t i = 0; i < n; i++) fr.frontier_offset[fr.rank[i]]++;
-  for (int32_t r = 1; r <= fr.k; r++) {
-    fr.frontier_offset[r] += fr.frontier_offset[r - 1];
-  }
-  // frontier_offset[r] is now the end of frontier r; fill forward off a
-  // cursor copy of the starts so each frontier stays sorted by index.
-  fr.frontier_flat.resize(n);
-  scratch_offsets_.assign(fr.frontier_offset.begin(),
-                          fr.frontier_offset.end() - 1);
-  for (int64_t i = 0; i < n; i++) {
-    fr.frontier_flat[scratch_offsets_[fr.rank[i] - 1]++] = i;
-  }
 }
 
 int64_t LisSession::delta_resolve(std::span<const int64_t> new_values,
@@ -334,9 +180,9 @@ int64_t LisSession::delta_resolve(std::span<const int64_t> new_values,
     return delta_resolve_body(new_values, prefix_keep, suffix_keep);
   } catch (...) {
     // Coherence chokepoint: whatever buf_ holds (the old window during the
-    // scratch phase, the new one once adoption started) is the source of
-    // truth; every derived structure is marked for lazy rebuild from it.
-    tops_dirty_ = true;
+    // replay, the new one once adoption started) is the source of truth;
+    // every derived structure is marked for lazy rebuild from it.
+    tails_dirty_ = true;
     fr_valid_ = false;
     throw;
   }
@@ -347,15 +193,15 @@ int64_t LisSession::delta_resolve_body(std::span<const int64_t> new_values,
                                        int64_t suffix_keep) {
   const int64_t n_new = static_cast<int64_t>(new_values.size());
   const int64_t n_old = size();
-  ensure_tops();
+  ensure_tails();
   if (!fr_valid_) {
     // Nothing cached to delta against: adopt wholesale and solve once.
     buf_.assign(new_values.begin(), new_values.end());
     head_ = 0;
-    tops_dirty_ = true;
-    ensure_tops();
+    tails_dirty_ = true;
+    ensure_tails();
     frontiers();
-    return piles_;
+    return static_cast<int64_t>(tails_.size());
   }
   std::span<const int64_t> old_win = window();
 #ifndef NDEBUG
@@ -371,11 +217,11 @@ int64_t LisSession::delta_resolve_body(std::span<const int64_t> new_values,
   const int64_t p = prefix_keep;
   const int64_t shift = n_new - n_old;
 
-  // Seed the patience tails after the untouched prefix straight from the
-  // cached frontiers: pile tops only ever decrease, so pile r's top at time
-  // p is the LAST frontier-r element with index < p (binary search); the
-  // first rank with no element before p ends the seed (ranks first appear
-  // in increasing order along any prefix).
+  // Seed the pile tops after the untouched prefix straight from the cached
+  // frontiers: pile tops only ever decrease, so pile r's top at time p is
+  // the LAST frontier-r element with index < p (binary search); the first
+  // rank with no element before p ends the seed (ranks first appear in
+  // increasing order along any prefix).
   tails_.clear();
   for (int32_t r = 1; r <= fr.k; r++) {
     const int64_t* f = fr.frontier_flat.data() + fr.frontier_offset[r - 1];
@@ -394,35 +240,31 @@ int64_t LisSession::delta_resolve_body(std::span<const int64_t> new_values,
   // zero inside the common suffix the two patience processes have converged
   // and the cached ranks carry over verbatim.
   int64_t ndiff = 0;
-  auto slot_diff = [&](size_t s) {
-    bool in_l = s < tails_.size(), in_c = s < tails_cached_.size();
-    return in_l != in_c || (in_l && tails_[s] != tails_cached_[s]);
+  auto slot_diff = [&](size_t s, bool in_l, int64_t live) {
+    bool in_c = s < tails_cached_.size();
+    return in_l != in_c || (in_l && live != tails_cached_[s]);
   };
   auto live_push = [&](int64_t v) -> int32_t {
-    auto pos = ties_ == TiesPolicy::kStrict
-                   ? std::lower_bound(tails_.begin(), tails_.end(), v)
-                   : std::upper_bound(tails_.begin(), tails_.end(), v);
-    size_t s = static_cast<size_t>(pos - tails_.begin());
-    ndiff -= slot_diff(s);
-    if (s == tails_.size()) {
-      tails_.push_back(v);
-    } else {
-      tails_[s] = v;
-    }
-    ndiff += slot_diff(s);
+    const size_t len = tails_.size();
+    int64_t old = v;
+    const size_t s = tails_step(tails_, v, ties_, &old);
+    ndiff += static_cast<int64_t>(slot_diff(s, true, v)) -
+             static_cast<int64_t>(slot_diff(s, s < len, old));
     return static_cast<int32_t>(s) + 1;
   };
   auto cached_push = [&](int64_t i_old) {
     // Replaying the cached solve needs no search: its rank is recorded.
     size_t s = static_cast<size_t>(fr.rank[i_old]) - 1;
     assert(s <= tails_cached_.size());
-    ndiff -= slot_diff(s);
+    const bool in_l = s < tails_.size();
+    const int64_t live = in_l ? tails_[s] : 0;
+    ndiff -= slot_diff(s, in_l, live);
     if (s == tails_cached_.size()) {
       tails_cached_.push_back(old_win[i_old]);
     } else {
       tails_cached_[s] = old_win[i_old];
     }
-    ndiff += slot_diff(s);
+    ndiff += slot_diff(s, in_l, live);
   };
 
   // Edited middle: the new one through the live process, the old one
@@ -451,43 +293,24 @@ int64_t LisSession::delta_resolve_body(std::span<const int64_t> new_values,
       new_rank_[i] = fr.rank[i - shift];
       cached_push(i - shift);  // finish the cheap replay for the final tails
     }
-    tails_ = tails_cached_;  // converged: the live process would match
+    tails_.swap(tails_cached_);  // converged: the live process would match
   }
 
-  // Adopt: window contents, rolling hash, cached solve, patience tops.
+  // Adopt: window contents, rolling hash, cached solve. tails_ already
+  // holds the new window's pile tops.
   buf_.assign(new_values.begin(), new_values.end());
   head_ = 0;
   hash_ = content_hash64(window());
-  cached_fr_.rank.assign(new_rank_.begin(), new_rank_.end());
+  cached_fr_.rank.swap(new_rank_);
   cached_fr_.k = static_cast<int32_t>(tails_.size());
-  rebuild_frontier_arrays();
+  internal::lay_out_frontiers(cached_fr_);
   fr_valid_ = true;
-  top_at_.clear();
-  tops_.emplace(universe_);
-  piles_ = 0;
-  tops_dirty_ = false;
-  for (int64_t v : tails_) {
-    top_add(rank_of(v), v);
-    piles_++;
-  }
-  return piles_;
+  return static_cast<int64_t>(tails_.size());
 }
 
 size_t LisSession::resident_bytes() const {
-  // Vector capacities + the pile vEB's reserved pool chunks + the node
-  // containers' measured allocator traffic (live bytes in the session's
-  // sink cover nodes and bucket arrays alike). sizeof(AllocStats) rides
-  // along because the sink itself is a heap allocation the session owns.
-  size_t b = vec_bytes(buf_) + vec_bytes(tails_) + vec_bytes(tails_cached_) +
-             vec_bytes(scratch_vals_) + vec_bytes(scratch_offsets_) +
-             vec_bytes(scratch_tops_) + vec_bytes(new_rank_) +
-             cached_fr_.resident_bytes() + sizeof(AllocStats);
-  if (tops_.has_value()) b += tops_->pool_reserved_bytes();
-  if (alloc_stats_) {
-    b += static_cast<size_t>(
-        alloc_stats_->live_bytes.load(std::memory_order_relaxed));
-  }
-  return b;
+  return vec_bytes(buf_) + vec_bytes(tails_) + vec_bytes(tails_cached_) +
+         vec_bytes(new_rank_) + cached_fr_.resident_bytes();
 }
 
 }  // namespace parlis

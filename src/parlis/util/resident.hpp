@@ -3,12 +3,12 @@
 // The serving layer (serve/session_table.hpp) evicts tenants against an
 // explicit memory budget, and its contract is that per-entry resident
 // bytes are MEASURED, never estimated: vector footprints come from the
-// real capacity() the allocator granted, arena-backed structures report
-// their reserved chunk bytes (tracked at the moment each chunk is
-// malloc'd), and node-based containers route through TrackingAllocator
-// into an AllocStats sink. This header holds the one helper everything
-// shares — the capacity-times-element-size footprint of a std::vector —
-// so every resident_bytes() accessor in the tree sums the same quantity.
+// real capacity() the allocator granted, and arena-backed structures
+// report their reserved chunk bytes (tracked at the moment each chunk is
+// malloc'd). Everything a tenant holds is one or the other. This header
+// holds the one helper everything shares — the capacity-times-element-
+// size footprint of a std::vector — so every resident_bytes() accessor in
+// the tree sums the same quantity.
 //
 // What "resident" means here: heap bytes the structure is currently
 // holding (capacity, not size; reserved arena chunks, not live payload).

@@ -230,28 +230,4 @@ inline void VebTree::erase(uint64_t x) {
   erase_slow(x);
 }
 
-inline void VebTree::replace_top(uint64_t out_key, uint64_t in_key) {
-  if (in_key >= universe_) [[unlikely]] {
-    throw_out_of_universe("VebTree::replace_top", in_key, universe_);
-  }
-  if (out_key == in_key) return;
-  if (out_key >= universe_) [[unlikely]] {  // never present: a plain insert
-    insert(in_key);
-    return;
-  }
-  Node* r = root_;
-  if (r->base() && (r->tiny() || r->words)) {
-    if (r->base_contains(out_key)) {
-      r->base_erase(out_key);
-      size_--;
-    }
-    if (!r->base_contains(in_key)) {
-      r->base_insert_ready(in_key);
-      size_++;
-    }
-    return;
-  }
-  replace_slow(out_key, in_key);
-}
-
 }  // namespace parlis

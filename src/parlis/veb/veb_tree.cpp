@@ -674,50 +674,6 @@ void VebTree::erase_slow(uint64_t x) {
   if (node_erase(root_, x)) size_--;
 }
 
-// replace_top continuation for internal roots: walk down while both keys
-// stay strictly interior to the same cluster of every node on the path.
-// Along that shared prefix, erase(out) + insert(in) each reduce to the same
-// child and the child never empties (it holds `in` afterwards), so neither
-// min/max nor the summary of any prefix node is touched — the two descents
-// collapse into one. The first node where the keys part ways (different
-// clusters, or one of them hits min/max) finishes with the generic fused
-// helpers rooted at that node.
-//
-// Safety of the generic tail: within the final subtree v, if erasing `o`
-// empties a cluster the summary is fixed by node_erase itself, and v as a
-// whole can transiently empty only when `o` was its sole key — but then
-// inserting `i` (which is absent: v contained o only, and o != i) refills it
-// before control returns, so the parent's untouched summary stays correct.
-void VebTree::replace_slow(uint64_t out_key, uint64_t in_key) {
-  Node* v = root_;
-  uint64_t o = out_key, i = in_key;
-  while (!v->base()) {
-    if (v->is_empty() || v->min == v->max) break;
-    if (o <= v->min || o >= v->max || i <= v->min || i >= v->max) break;
-    uint64_t h = v->high(o);
-    if (h != v->high(i)) break;
-    Node* c = v->cluster(h);
-    if (!c || c->is_empty()) break;  // o absent here: tail degrades to insert
-    uint64_t lo_o = v->low(o), lo_i = v->low(i);
-    v = c;
-    o = lo_o;
-    i = lo_i;
-  }
-  if (v->base()) {
-    if (v->base_contains(o)) {
-      v->base_erase(o);
-      size_--;
-    }
-    if (!v->base_contains(i)) {
-      v->base_insert(i, *arena_);
-      size_++;
-    }
-    return;
-  }
-  if (node_erase(v, o)) size_--;
-  if (node_insert(v, i, *arena_)) size_++;
-}
-
 int64_t VebTree::batch_insert(const std::vector<uint64_t>& batch) {
   check_sorted_unique(batch, "VebTree::batch_insert");
   if (!batch.empty() && batch.back() >= universe_) {

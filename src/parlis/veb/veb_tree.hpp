@@ -22,9 +22,9 @@
 //                                                O(log U log log U) span
 //
 // Contract, the same in every build mode: a universe outside [1, 2^63],
-// insert / replace_top of a key >= U, and a batch that is unsorted, holds
-// a duplicate, or (insert) holds a key >= U throw Error{kInvalidArgument}
-// before anything is mutated. Batch keys already present (insert) or absent
+// insert of a key >= U, and a batch that is unsorted, holds a duplicate,
+// or (insert) holds a key >= U throw Error{kInvalidArgument} before
+// anything is mutated. Batch keys already present (insert) or absent
 // (delete) are filtered out internally; erase and lookups of a key >= U
 // see an absent key.
 #pragma once
@@ -94,15 +94,6 @@ class VebTree {
   void insert(uint64_t x);
   void erase(uint64_t x);
 
-  /// Fused erase(out_key) + insert(in_key) — the patience-pile "replace the
-  /// top of one pile" step of streaming LIS sessions. Semantically identical
-  /// to the two point ops in sequence, but the traversals are fused: on a
-  /// base root it is two word updates, and on internal roots the descent is
-  /// shared while both keys stay interior to the same cluster (the cluster
-  /// never empties, so no summary fix-up is needed along the shared path).
-  /// Throws Error{kInvalidArgument} for in_key >= universe().
-  void replace_top(uint64_t out_key, uint64_t in_key);
-
   /// Alg. 4: inserts a sorted, duplicate-free batch of keys below the
   /// universe (Error{kInvalidArgument} otherwise, tree unchanged). Keys
   /// already present are ignored. Returns the number actually inserted.
@@ -142,7 +133,6 @@ class VebTree {
   std::optional<uint64_t> succ_gt_slow(uint64_t x) const;
   void insert_slow(uint64_t x);
   void erase_slow(uint64_t x);
-  void replace_slow(uint64_t out_key, uint64_t in_key);
 
   std::unique_ptr<Arena> own_arena_;  // null for shared-pool trees
   Arena* arena_;                      // never null while the tree is valid

@@ -4,10 +4,11 @@
 // the session API), on every path of the LIS plan's patience kernel: the
 // register tiers alone, the tiers spilling to the memory loop, the memory
 // loop alone (custom order) and the rank image (typed keys, kNonDecreasing
-// ties). A process-wide operator-new hook counts every
-// allocation on every thread, so a stray vector resize, stable_sort
-// temporary, arena chunk, or make_unique anywhere in the hot path fails
-// the run.
+// ties). Warm sliding-window session appends, direct and through the
+// serving engine, must allocate nothing either. A process-wide operator-new
+// hook counts every allocation on every thread, so a stray vector resize,
+// stable_sort temporary, arena chunk, or make_unique anywhere in the hot
+// path fails the run.
 //
 // Standalone binary (no gtest): the global new/delete replacement is kept
 // out of the main test binary so the sanitizer jobs keep their own
@@ -26,6 +27,7 @@
 #include "parlis/parallel/random.hpp"
 #include "parlis/parallel/scheduler.hpp"
 #include "parlis/serve/engine.hpp"
+#include "parlis/stream/lis_session.hpp"
 #include "parlis/util/simd.hpp"
 
 namespace {
@@ -252,14 +254,47 @@ int main() {
   }
   expect_zero("guarded solves (token + deadline)", g_allocs.load() - base);
 
+  // Session appends: a sliding session whose window buffer and pile tops
+  // have reached their peak size appends without allocating, in both
+  // sliding modes, on a random-walk feed and on the uniform 63-bit `a`.
+  // The warm-up covers the window buffer's first compaction (the exact
+  // mode compacts after 2 * kCap appends).
+  constexpr int64_t kCap = 4096;
+  std::vector<int64_t> walk(n);
+  for (int64_t i = 0, p = 100000; i < n; i++) {
+    p += static_cast<int64_t>(uniform(12, i, 401)) - 200;
+    walk[i] = p;
+  }
+  for (WindowMode mode :
+       {WindowMode::kSlidingAmortized, WindowMode::kSlidingExact}) {
+    const bool exact = mode == WindowMode::kSlidingExact;
+    for (const std::vector<int64_t>* feed : {&walk, &a}) {
+      Options o;
+      o.window = mode;
+      o.window_capacity = kCap;
+      Solver ss(o);
+      LisSession sess = ss.make_session();
+      // The exact mode replays its window on every append, so it measures
+      // fewer ticks.
+      const int64_t warm = 3 * kCap, end = exact ? warm + 1024 : n;
+      for (int64_t i = 0; i < warm; i++) sess.append((*feed)[i]);
+      base = g_allocs.load();
+      for (int64_t i = warm; i < end; i++) sess.append((*feed)[i]);
+      char what[64];
+      std::snprintf(what, sizeof what, "session append %s, %s",
+                    exact ? "exact" : "amortized",
+                    feed == &walk ? "walk" : "uniform");
+      expect_zero(what, g_allocs.load() - base);
+    }
+  }
+
   // Serving-engine steady state: a warm tenant served through the Engine's
   // admission queue — submit-time lease acquire (table hit: an LRU splice,
   // no alloc), caller-stack request, ring enqueue, dispatcher execution on
   // the tenant's warm workspaces, release re-measure — plus a coalesced
-  // stateless solve through the batch solver. Zero allocations once the
-  // ring, the tenant, and both solvers are warm. (Appends are excluded by
-  // design: the session's rank dictionaries are node containers and churn
-  // is their job.)
+  // stateless solve through the batch solver, and appends to a warm
+  // windowed tenant. Zero allocations once the ring, the tenants, and both
+  // solvers are warm.
   {
     serve::Engine engine{serve::EngineConfig{}};
     const uint64_t kSeries = 7;
@@ -291,6 +326,19 @@ int main() {
       std::printf("FAIL engine returned an empty result\n");
       failures++;
     }
+  }
+  {
+    serve::EngineConfig cfg;
+    cfg.table.solver.window = WindowMode::kSlidingAmortized;
+    cfg.table.solver.window_capacity = kCap;
+    serve::Engine engine{cfg};
+    const uint64_t kSeries = 9;
+    for (int64_t i = 0; i < 3 * kCap; i++) (void)engine.append(kSeries, a[i]);
+    base = g_allocs.load();
+    for (int64_t i = 3 * kCap; i < 5 * kCap; i++) {
+      (void)engine.append(kSeries, a[i]);
+    }
+    expect_zero("engine append (windowed tenant)", g_allocs.load() - base);
   }
 
   // Sanity: the results are still right (vs a fresh one-shot call, which

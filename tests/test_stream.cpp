@@ -1,16 +1,19 @@
 // Streaming-session tests: differential legs (LisSession vs from-scratch
-// Solver solves, random + adversarial inputs, both ties policies — the
-// Stream*Differential suites also run under the pinned 1/4/hw-thread ctest
-// legs via the *Differential* filter), erase-heavy VebTree churn against a
-// std::set oracle, and the cache-invariant regression interleaving session
-// appends with warm solve_wlis on the same solver.
+// Solver solves, random + adversarial inputs over the whole int64 domain,
+// both ties policies, every window mode — the Stream*Differential suites
+// also run under the pinned 1/4/hw-thread ctest legs via the *Differential*
+// filter), erase-heavy VebTree churn against a std::set oracle, and the
+// cache-invariant regression interleaving session appends with warm
+// solve_wlis on the same solver.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <set>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "parlis/api/solver.hpp"
@@ -161,7 +164,7 @@ TEST(StreamDifferential, SlidingAmortizedMatchesItsOwnWindow) {
     std::mt19937_64 rng(19);
     for (int64_t i = 0; i < kN; i++) {
       int64_t got = s.append(gen_random(i, rng));
-      // Amortized mode trades window exactness for amortized O(log log u):
+      // Amortized mode trades window exactness for amortized O(log k):
       // the size oscillates in (kCap/2, kCap], and the reported length must
       // always be the LIS of the window it actually holds.
       ASSERT_LE(s.size(), kCap);
@@ -271,14 +274,174 @@ TEST(StreamDifferential, DeltaResolveEdgeShapes) {
   ASSERT_EQ(s.delta_resolve(std::span<const int64_t>(empty), 0, 0), 0);
   ASSERT_EQ(s.size(), 0);
   ASSERT_EQ(s.length(), 0);
+  // Convergence: an increasing run below every earlier value rewrites the
+  // pile tops one by one, so after an edit just before it the live and
+  // cached replays agree within ~k + 1 elements, and the rest of the
+  // suffix is copied, not replayed.
+  std::mt19937_64 rng(37);
+  std::vector<int64_t> e;
+  for (int64_t i = 0; i < 500; i++) e.push_back(gen_random(i, rng));
+  for (int64_t i = 0; i < 200; i++) e.push_back(-1000000 + i);
+  for (int64_t i = 0; i < 300; i++) e.push_back(gen_random(i, rng));
+  for (int64_t v : e) s.append(v);
+  s.frontiers();
+  std::vector<int64_t> f = e;
+  f[499] = 12345;
+  const int64_t replayed = s.stats().delta_replayed;
+  got = s.delta_resolve(std::span<const int64_t>(f), 499, 500);
+  ASSERT_LT(s.stats().delta_replayed - replayed, 200);
+  fresh.solve_lis_frontiers(std::span<const int64_t>(f), want);
+  ASSERT_EQ(got, want.k);
+  expect_frontiers_equal(s.frontiers(), want, "converged");
+}
+
+// ------------------------------------------------------ int64 domain ---
+
+// Feeds over the whole int64 domain: the extremes themselves, zig-zags
+// between them, monotone runs ending at an extreme whose span crosses 2^27
+// part-way, full-width uniform values, a drifting noisy series, and a feed
+// that keeps landing between its two latest values.
+constexpr int64_t kMin64 = std::numeric_limits<int64_t>::min();
+constexpr int64_t kMax64 = std::numeric_limits<int64_t>::max();
+constexpr int64_t kDomainN = 600;
+constexpr int64_t kWideStride = (int64_t{1} << 27) / 300 + 1;
+
+int64_t gen_min_max(int64_t, std::mt19937_64& rng) {
+  return rng() % 2 ? kMin64 : kMax64;
+}
+int64_t gen_zigzag(int64_t i, std::mt19937_64&) {
+  return i % 2 ? kMax64 - i / 2 : kMin64 + i / 2;
+}
+int64_t gen_up_to_max(int64_t i, std::mt19937_64&) {
+  return kMax64 - (kDomainN - 1 - i) * kWideStride;
+}
+int64_t gen_down_to_min(int64_t i, std::mt19937_64&) {
+  return kMin64 + (kDomainN - 1 - i) * kWideStride;
+}
+int64_t gen_uniform64(int64_t, std::mt19937_64& rng) {
+  return static_cast<int64_t>(rng());
+}
+int64_t gen_drift(int64_t i, std::mt19937_64& rng) {
+  return -50000 + 2 * i + static_cast<int64_t>(rng() % 401) - 200;
+}
+int64_t gen_between(int64_t i, std::mt19937_64& rng) {
+  if (i < 2) return i * 1000000;
+  return rng() % 2 ? gen_random(i, rng) * 100000 : kMax64 / 2 - i;
+}
+
+constexpr StreamPattern kDomainPatterns[] = {
+    {"min_max", gen_min_max},       {"zigzag", gen_zigzag},
+    {"up_to_max", gen_up_to_max},   {"down_to_min", gen_down_to_min},
+    {"uniform64", gen_uniform64},   {"drift", gen_drift},
+    {"between", gen_between},
+};
+
+TEST(StreamDifferential, Int64DomainEveryModeAndTies) {
+  constexpr int64_t kCheckEvery = 37;
+  struct Mode {
+    WindowMode mode;
+    int64_t capacity;
+  };
+  constexpr Mode kModes[] = {{WindowMode::kGrowOnly, 0},
+                             {WindowMode::kSlidingExact, 64},
+                             {WindowMode::kSlidingAmortized, 100}};
+  for (TiesPolicy ties : kPolicies) {
+    for (const Mode& m : kModes) {
+      for (const StreamPattern& pat : kDomainPatterns) {
+        SCOPED_TRACE(std::string(pat.name) + " mode " +
+                     std::to_string(static_cast<int>(m.mode)) + " ties " +
+                     (ties == TiesPolicy::kStrict ? "strict" : "nondec"));
+        Options opts;
+        opts.ties = ties;
+        opts.window = m.mode;
+        opts.window_capacity = m.capacity;
+        Solver solver(opts);
+        Solver fresh(opts);
+        LisSession s = solver.make_session();
+        PatienceOracle grow(ties);
+        std::mt19937_64 rng(101);
+        std::vector<int64_t> a;
+        LisFrontiers want;
+        for (int64_t i = 0; i < kDomainN; i++) {
+          const int64_t v = pat.gen(i, rng);
+          a.push_back(v);
+          const int64_t got = s.append(v);
+          std::span<const int64_t> win(a);
+          win = win.subspan(a.size() - static_cast<size_t>(s.size()));
+          ASSERT_TRUE(std::equal(win.begin(), win.end(), s.window().begin()))
+              << "tick " << i;
+          const int64_t k = m.mode == WindowMode::kGrowOnly
+                                ? grow.push(v)
+                                : PatienceOracle::length_of(win, ties);
+          ASSERT_EQ(got, k) << "tick " << i;
+          if (i % kCheckEvery == 0 || i == kDomainN - 1) {
+            fresh.solve_lis_frontiers(win, want);
+            expect_frontiers_equal(s.frontiers(), want, pat.name);
+            ASSERT_EQ(s.content_hash(), content_hash64(win));
+          }
+        }
+        if (m.mode == WindowMode::kSlidingExact) {
+          ASSERT_EQ(s.size(), m.capacity);
+        }
+        // An edit that writes the extremes into the middle of the window.
+        std::vector<int64_t> b(s.window().begin(), s.window().end());
+        const int64_t n = static_cast<int64_t>(b.size());
+        const int64_t l = n / 3, r = std::min(n, l + 40);
+        for (int64_t i = l; i < r; i++) b[i] = gen_zigzag(i, rng);
+        const int64_t got = s.delta_resolve(b, l, n - r);
+        fresh.solve_lis_frontiers(std::span<const int64_t>(b), want);
+        ASSERT_EQ(got, want.k);
+        expect_frontiers_equal(s.frontiers(), want, "delta");
+        const int64_t after = s.append(kMax64);
+        ASSERT_EQ(after, PatienceOracle::length_of(s.window(), ties));
+      }
+    }
+  }
+}
+
+TEST(StreamSession, MoveAssignOverLiveSessionKeepsAppending) {
+  constexpr int64_t kCap = 50;
+  for (TiesPolicy ties : kPolicies) {
+    Options grow_opts;
+    grow_opts.ties = ties;
+    Options exact_opts = grow_opts;
+    exact_opts.window = WindowMode::kSlidingExact;
+    exact_opts.window_capacity = kCap;
+    Solver grow_solver(grow_opts), exact_solver(exact_opts), fresh(grow_opts);
+    std::mt19937_64 rng(31);
+    LisSession live = grow_solver.make_session();
+    for (int64_t i = 0; i < 300; i++) live.append(gen_random(i, rng));
+    live.frontiers();  // a cached solve the assignment must replace
+    LisSession other = exact_solver.make_session();
+    std::vector<int64_t> a;
+    for (int64_t i = 0; i < 120; i++) {
+      a.push_back(gen_uniform64(i, rng));
+      other.append(a.back());
+    }
+    live = std::move(other);
+    ASSERT_EQ(live.mode(), WindowMode::kSlidingExact);
+    ASSERT_EQ(live.size(), kCap);
+    for (int64_t i = 0; i < 200; i++) {
+      a.push_back(i % 3 ? gen_uniform64(i, rng) : gen_random(i, rng));
+      const int64_t got = live.append(a.back());
+      std::span<const int64_t> win(a);
+      win = win.subspan(a.size() - kCap);
+      ASSERT_TRUE(std::equal(win.begin(), win.end(), live.window().begin()));
+      ASSERT_EQ(got, PatienceOracle::length_of(win, ties)) << "tick " << i;
+    }
+    LisFrontiers want;
+    fresh.solve_lis_frontiers(live.window(), want);
+    expect_frontiers_equal(live.frontiers(), want, "moved");
+    ASSERT_EQ(live.content_hash(), content_hash64(live.window()));
+  }
 }
 
 // ---------------------------------------------------------- vEB churn ---
 
 TEST(StreamVebChurn, EraseInsertChurnVsSetOracle) {
-  // Erase-heavy word-block churn at fixed occupancy — the access shape a
-  // session's tops structure produces, which batch-oriented tests miss.
-  // 2^16 is one internal level over word blocks, 2^32 two.
+  // Erase-heavy word-block churn at fixed occupancy — a point-op access
+  // shape that batch-oriented tests miss. 2^16 is one internal level over
+  // word blocks, 2^32 two.
   for (uint64_t kU : {uint64_t{1} << 16, uint64_t{1} << 32}) {
     constexpr int64_t kOccupancy = 2000, kOps = 20000;
     VebTree t(kU);
@@ -298,12 +461,8 @@ TEST(StreamVebChurn, EraseInsertChurnVsSetOracle) {
       uint64_t out = members[idx];
       uint64_t in = rng() % kU;
       while (oracle.count(in)) in = rng() % kU;
-      if (op % 2 == 0) {
-        t.erase(out);
-        t.insert(in);
-      } else {
-        t.replace_top(out, in);  // fused form must behave identically
-      }
+      t.erase(out);
+      t.insert(in);
       oracle.erase(out);
       oracle.insert(in);
       members[idx] = in;
@@ -330,43 +489,6 @@ TEST(StreamVebChurn, EraseInsertChurnVsSetOracle) {
       }
     }
     ASSERT_EQ(t.check_invariants(), kOccupancy);
-  }
-}
-
-TEST(StreamVebChurn, ReplaceTopPointCases) {
-  for (uint64_t universe : {uint64_t{1} << 20, uint64_t{1} << 32}) {
-    VebTree t(universe);
-    t.insert(100);
-    t.insert(5000);
-    t.insert(900000);
-    // Same-cluster fused path, boundary keys, absent out, present in.
-    t.replace_top(5000, 5001);  // interior shared-prefix
-    ASSERT_FALSE(t.contains(5000));
-    ASSERT_TRUE(t.contains(5001));
-    t.replace_top(100, 200);  // out == tree min
-    ASSERT_EQ(*t.min(), 200);
-    t.replace_top(900000, 1);  // out == tree max, in becomes min
-    ASSERT_EQ(*t.min(), 1);
-    ASSERT_EQ(*t.max(), 5001);
-    t.replace_top(12345, 777);  // out absent: degrades to insert
-    ASSERT_TRUE(t.contains(777));
-    ASSERT_EQ(t.size(), 4);
-    t.replace_top(777, 200);  // in present: degrades to erase
-    ASSERT_EQ(t.size(), 3);
-    t.replace_top(200, 200);  // no-op
-    ASSERT_EQ(t.size(), 3);
-    t.check_invariants();
-    // Single-key and two-key trees (min==max edge).
-    VebTree u(universe >> 6);
-    u.insert(42);
-    u.replace_top(42, 43);
-    ASSERT_EQ(*u.min(), 43);
-    ASSERT_EQ(u.size(), 1);
-    u.insert(44);
-    u.replace_top(43, 45);
-    ASSERT_EQ(*u.min(), 44);
-    ASSERT_EQ(*u.max(), 45);
-    u.check_invariants();
   }
 }
 
@@ -485,55 +607,6 @@ TEST(StreamSession, EdgeCases) {
   Solver snd(nd);
   LisSession u = snd.make_session();
   for (int64_t i = 1; i <= 50; i++) ASSERT_EQ(u.append(7), i);
-  // Extreme values exercise the slack-rank midpoints and reranks.
-  Options ex;
-  Solver sex(ex);
-  LisSession x = sex.make_session();
-  PatienceOracle o(TiesPolicy::kStrict);
-  std::mt19937_64 rng(17);
-  for (int64_t i = 0; i < 400; i++) {
-    // Adversarial for midpoint ranking: always between the two most recent.
-    int64_t v = i < 2 ? i * 1000000
-                      : static_cast<int64_t>(rng()) % 2 == 0
-                            ? gen_random(i, rng) * 100000
-                            : INT64_MAX / 2 - i;
-    ASSERT_EQ(x.append(v), o.push(v)) << i;
-  }
-  ASSERT_GE(x.stats().reranks, 0);
-}
-
-TEST(StreamSession, DenseDomainNeverReranks) {
-  // A random walk revisits a narrow value neighbourhood constantly — the
-  // exact shape that exhausts midpoint slack labels. The identity-rank
-  // dense path must absorb it with zero dictionary rebuilds.
-  for (TiesPolicy ties : kPolicies) {
-    Options opts;
-    opts.ties = ties;
-    Solver solver(opts);
-    LisSession s = solver.make_session();
-    PatienceOracle o(ties);
-    std::mt19937_64 rng(23);
-    int64_t p = 100000;
-    for (int64_t i = 0; i < 4000; i++) {
-      p += static_cast<int64_t>(rng() % 401) - 198;
-      ASSERT_EQ(s.append(p), o.push(p)) << i;
-    }
-    ASSERT_EQ(s.stats().reranks, 0);
-  }
-  // Same walk under a sliding window: expiry replays must stay dense too.
-  Options w;
-  w.window = WindowMode::kSlidingAmortized;
-  w.window_capacity = 500;
-  Solver ws(w);
-  LisSession s = ws.make_session();
-  std::mt19937_64 rng(29);
-  int64_t p = -50000;  // negative domain exercises the signed base math
-  for (int64_t i = 0; i < 4000; i++) {
-    p += static_cast<int64_t>(rng() % 401) - 203;
-    int64_t got = s.append(p);
-    ASSERT_EQ(got, PatienceOracle::length_of(s.window(), TiesPolicy::kStrict));
-  }
-  ASSERT_EQ(s.stats().reranks, 0);
 }
 
 }  // namespace

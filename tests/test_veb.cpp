@@ -365,7 +365,6 @@ TEST(VebContract, OutOfUniverseInsertFailsAndEdgesReturnNone) {
     const std::vector<uint64_t> keys = keys_of(t);
     for (uint64_t x : {u, u + 6, ~uint64_t{0}}) {
       expect_invalid([&] { t.insert(x); });
-      expect_invalid([&] { t.replace_top(0, x); });
       t.erase(x);  // never present: a no-op
       EXPECT_FALSE(t.contains(x));
     }
@@ -383,10 +382,6 @@ TEST(VebContract, OutOfUniverseInsertFailsAndEdgesReturnNone) {
     if (u > 1) {
       EXPECT_EQ(t.succ_gt(0), u - 1);
       EXPECT_EQ(t.pred_lt(u - 1), uint64_t{0});
-      // An out-of-universe key never leaves: replace_top is a plain insert.
-      t.erase(u - 1);
-      t.replace_top(~uint64_t{0}, u - 1);
-      EXPECT_EQ(keys_of(t), keys);
     }
   }
 }
