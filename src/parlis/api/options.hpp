@@ -1,13 +1,15 @@
 // Unified per-solver configuration: one struct carries every knob the
 // Solver entry points consult, replacing the per-function parameter
 // sprawl the one-shot API grew (ties policies, worker counts via a global).
+// What is not here is fixed: an input of at most kPoolGateGrain (2048)
+// elements solves in thread-sequential mode, and solve_many packs queries
+// of that size across the pool (api/solver.hpp).
 #pragma once
 
 #include <cstdint>
 
-#include "parlis/parallel/parallel.hpp"  // kPoolGateGrain
-#include "parlis/util/cancel.hpp"        // CancelToken
-#include "parlis/util/rank_space.hpp"    // TiesPolicy
+#include "parlis/util/cancel.hpp"      // CancelToken
+#include "parlis/util/rank_space.hpp"  // TiesPolicy
 
 namespace parlis {
 
@@ -42,11 +44,6 @@ struct Options {
   /// the current / default pool.
   int num_workers = 0;
 
-  /// Inputs of at most this many elements solve sequentially on the calling
-  /// thread (no fork-join overhead), and solve_many packs queries up to this
-  /// size across the pool one-per-task instead of parallelizing inside them.
-  int64_t sequential_cutoff = kPoolGateGrain;
-
   /// Streaming-session window policy (Solver::make_session). kGrowOnly
   /// ignores window_capacity; the sliding modes require capacity >= 1.
   WindowMode window = WindowMode::kGrowOnly;
@@ -70,12 +67,13 @@ struct Options {
   /// Checked against the documented size estimates of what a solve would
   /// allocate (pinned at or above the real accounting by the fault tests),
   /// before it allocates. An LIS solve runs patience sorting (~12
-  /// B/element, plus the rank space for typed keys or kNonDecreasing) and
-  /// has nothing smaller. A weighted solve needs the rank space plus the
-  /// Fenwick pass (~90 B/element); raw int64 values under kStrict degrade
-  /// to the Seq-AVL sweep (~64 B/element, no rank space), and every other
-  /// weighted solve has nothing smaller. When even the smallest path
-  /// exceeds the budget the call throws Error{kBudgetExceeded}.
+  /// B/element, plus the rank space for keys other than int64 or under
+  /// kNonDecreasing) and has nothing smaller. A weighted solve needs the
+  /// rank space plus the Fenwick pass (~90 B/element); raw int64 values
+  /// under std::less and kStrict degrade to the Seq-AVL sweep (~64
+  /// B/element, no rank space), and every other weighted solve has nothing
+  /// smaller. When even the smallest path exceeds the budget the call
+  /// throws Error{kBudgetExceeded}.
   uint64_t memory_budget_bytes = 0;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <string>
 
 #include "parlis/parallel/parallel.hpp"
@@ -32,20 +33,13 @@ Solver::Solver(Solver&&) noexcept = default;
 Solver& Solver::operator=(Solver&&) noexcept = default;
 
 size_t Solver::resident_bytes() const {
-  // Measured footprint of one ThreadCtx: every vector's real capacity plus
-  // the workspace accounting (which reaches the arenas' reserved chunks).
-  auto ctx_bytes = [](const ThreadCtx& c) {
-    return sizeof(ThreadCtx) + c.lis.resident_bytes() +
-           c.wlis.resident_bytes() + c.lis_res.resident_bytes() +
-           c.wlis_res.resident_bytes();
-  };
   // Heap bytes only — the object header itself is whoever embeds us (the
   // table counts it once via sizeof(TenantEntry)).
   size_t b = vec_bytes(small_idx_);
-  if (main_ctx_) b += ctx_bytes(*main_ctx_);
+  if (main_ctx_) b += main_ctx_->resident_bytes();
   for (size_t i = 0; i < ctx_n_; i++) {
     b += sizeof(CtxSlot);
-    if (ctx_[i].ctx) b += ctx_bytes(*ctx_[i].ctx);
+    if (ctx_[i].ctx) b += ctx_[i].ctx->resident_bytes();
   }
   return b;
 }
@@ -53,10 +47,9 @@ size_t Solver::resident_bytes() const {
 // ---- Memory-budget admission ------------------------------------------
 //
 // Documented scratch-size models, per element, deliberately generous (the
-// fault tests pin each against the structures' real accounting — e.g. the
-// range tree's arena reserved_bytes). They exist so a budget decision can
-// be made *before* the structures allocate; exactness is not the goal,
-// never-under-estimating is.
+// fault tests pin each against the structures' real accounting). They
+// exist so a budget decision can be made *before* the structures allocate;
+// exactness is not the goal, never-under-estimating is.
 
 size_t Solver::rank_space_bytes(int64_t n) {
   // order/pos/rank/qpos (4 x int64) + sort scratch, per-block carries, and
@@ -118,70 +111,48 @@ void Solver::wlis_fallback(std::span<const int64_t> a,
   seq_avl_wlis_into(a, w, out.dp);
   out.best = 0;
   for (int64_t v : out.dp) out.best = std::max(out.best, v);
-  seq_patience_ranks_into<int64_t>(a, ctx.lis_res, ctx.lis.tails);
+  seq_patience_ranks_into<int64_t>(a, ctx.lis_res, ctx.tails);
   out.k = ctx.lis_res.k;
 }
 
 void Solver::solve_lis(std::span<const int64_t> a, LisResult& out) {
-  if (opts_.ties == TiesPolicy::kNonDecreasing) {
-    solve_lis<int64_t>(a, out);  // ties matter: go through rank space
-    return;
-  }
-  solve_lis(a, out, std::numeric_limits<int64_t>::max(), std::less<int64_t>{});
+  solve_lis<int64_t>(a, out);
 }
 
 void Solver::solve_lis_frontiers(std::span<const int64_t> a,
                                  LisFrontiers& out) {
-  if (opts_.ties == TiesPolicy::kNonDecreasing) {
-    solve_lis_frontiers<int64_t>(a, out);
-    return;
-  }
-  EntryGuard guard(*this, a.size());
-  run_lis(static_cast<int64_t>(a.size()), 0, "solve_lis_frontiers",
-          main_ctx_->lis, out, [a] { return a; });
+  solve_lis_frontiers<int64_t>(a, out);
 }
 
 int64_t Solver::lis_length(std::span<const int64_t> a) {
-  solve_lis(a, main_ctx_->lis_res);
-  return main_ctx_->lis_res.k;
+  return lis_length<int64_t>(a);
 }
 
-void Solver::solve_wlis(std::span<const int64_t> a,
+bool Solver::solve_wlis(std::span<const int64_t> a,
                         std::span<const int64_t> w, WlisResult& out) {
-  solve_wlis(a, w, out, std::less<int64_t>{});
+  return solve_wlis<int64_t>(a, w, out);
 }
 
-// Validates one Query's shape; shared by solve_many's fail-fast pre-pass
-// and solve_query's own defensive check (the pre-pass means a malformed
-// batch surfaces before any query runs; the in-query check covers direct
-// callers of solve_query added later).
-static void validate_query(const Query& q) {
+void validate_query(const Query& q) {
   const size_t n = q.a.size();
   if (!q.w.empty() && q.w.size() != n) {
     throw Error(ErrorCode::kInvalidArgument,
-                "solve_many: weighted query needs |w| == |a|");
+                "Query: weighted query needs |w| == |a|");
   }
   if (!q.rank_out.empty() && q.rank_out.size() < n) {
     throw Error(ErrorCode::kInvalidArgument,
-                "solve_many: rank_out smaller than |a|");
+                "Query: rank_out smaller than |a|");
   }
   if (!q.dp_out.empty() && q.dp_out.size() < n) {
-    throw Error(ErrorCode::kInvalidArgument,
-                "solve_many: dp_out smaller than |a|");
+    throw Error(ErrorCode::kInvalidArgument, "Query: dp_out smaller than |a|");
   }
 }
 
+// One query of a batch, already validated by solve_many.
 void Solver::solve_query(const Query& q, QueryResult& r, ThreadCtx& ctx) {
-  validate_query(q);
   const int64_t n = static_cast<int64_t>(q.a.size());
-  const bool nondec = opts_.ties == TiesPolicy::kNonDecreasing;
   if (q.w.empty()) {
-    if (nondec) {
-      run_lis(n, rank_space_bytes(n), "solve_many", ctx.lis, ctx.lis_res,
-              [&] { return rank_image(q.a, ctx.lis, std::less<int64_t>{}); });
-    } else {
-      run_lis(n, 0, "solve_many", ctx.lis, ctx.lis_res, [&] { return q.a; });
-    }
+    run_lis(q.a, "solve_many", ctx, ctx.lis_res, std::less<int64_t>{});
     r.k = ctx.lis_res.k;
     r.best = ctx.lis_res.k;
     if (!q.rank_out.empty()) {
@@ -223,10 +194,10 @@ void Solver::solve_many(std::span<const Query> queries,
   // thread), then the packed phase.
   small_idx_.clear();
   for (int64_t i = 0; i < nq; i++) {
-    if (static_cast<int64_t>(queries[i].a.size()) > opts_.sequential_cutoff) {
-      solve_query(queries[i], results[i], *main_ctx_);
-    } else {
+    if (is_small(queries[i].a.size())) {
       small_idx_.push_back(i);
+    } else {
+      solve_query(queries[i], results[i], *main_ctx_);
     }
   }
   if (small_idx_.empty()) return;

@@ -1,32 +1,38 @@
 // parlis::Solver — the session-style public API.
 //
 // The free functions (lis_ranks, wlis, swgs_*) are one-shot: every call
-// rebuilds the tournament tree, reallocates frontier buffers and result
-// vectors, and re-carves the range-structure arenas. A Solver instead owns
-// all of its scratch — patience tails, rank-space arrays, the weighted
-// pass's Fenwick tree, per-worker slots for batched serving — and writes
+// rebuilds its scratch. A Solver instead owns all of the scratch its two
+// plans touch — patience tails, one rank space, the weighted pass's
+// Fenwick tree, per-worker contexts for batched serving — and writes
 // results into caller-reusable output structs, so in the amortized-serving
 // steady state (many queries through one session) repeated same-size
 // solves allocate nothing.
 //
+// Two plans serve every entry point. LIS: patience sorting on the calling
+// thread (lis/lis.hpp). Weighted LIS: the rank space, then one Fenwick
+// pass (wlis/wlis_sweep.hpp). The paper's Alg. 1 and Alg. 2 stay behind
+// the free functions (lis_ranks, lis_frontiers, wlis, wlis_into) as the
+// reference the differential tests hold these plans to.
+//
 // Key types: every solve_* entry point has a typed overload — any `Key`
 // with a strict-weak-order comparator (doubles, timestamps, pairs/tuples
-// under std::less, custom comparators) is first reduced to its dense rank
-// image by the shared rank-space pass (util/rank_space.hpp) and then runs
-// the one int64 solver core; no backend is instantiated per key type. The
+// under std::less, custom comparators). int64 keys under kStrict solve as
+// they are; every other key, and every key under kNonDecreasing, is first
+// reduced to its dense rank image by the shared rank-space pass
+// (util/rank_space.hpp), so no backend is instantiated per key type. The
 // Options::ties policy picks what "increasing" means for equal keys
-// (kStrict vs kNonDecreasing) and is honored by the int64 overloads too.
-// The generic paths keep the zero-allocation warm steady state: the
-// compression workspace is part of the session scratch.
+// (kStrict vs kNonDecreasing) and is honored by every entry point, custom
+// orders included. The rank image lives in the session scratch, so the
+// typed paths keep the zero-allocation warm steady state.
 //
 // Thread-safety: one Solver per thread. The solve_* methods may use the
 // shared worker pool internally (the rank-space pass, result copies), but
 // two threads must not call into the same Solver concurrently. solve_many
 // is the batched entry point: it fans independent queries out across the
-// pool itself — small queries are packed one-per-task and solved
-// sequentially in place (per-worker workspaces, no nested fork-join), large
-// queries run one at a time on the caller's context — which is the serving
-// shape for high query traffic.
+// pool itself — queries of at most kPoolGateGrain elements are packed
+// one-per-task and solved sequentially in place (per-worker contexts, no
+// nested fork-join), larger ones run one at a time on the caller's
+// context — which is the serving shape for high query traffic.
 //
 // Buffer-reuse semantics: output structs (LisResult, WlisResult, ...) are
 // plain vectors-of-results; pass the same instance back in and its capacity
@@ -37,19 +43,16 @@
 // output spans, n of 2^31 or more, weighted dp sums past INT64_MAX) throw
 // parlis::Error{kInvalidArgument} in every build mode — never UB.
 // Options.cancel / Options.deadline_ms are polled every 4096 elements by
-// the patience kernel and the weighted pass (and at frontier-round
-// boundaries by the one-shot rounds) and unwind as Error{kCancelled} /
-// Error{kDeadlineExceeded}; Options.memory_budget_bytes degrades a
-// too-large weighted solve to the Seq-AVL fallback or throws
-// Error{kBudgetExceeded}.
-// Any failure unwinds through the workspace cache-invalidation chokepoints,
-// so a post-failure solve on the same Solver is bit-identical to a cold one.
+// the patience kernel and the weighted pass and unwind as
+// Error{kCancelled} / Error{kDeadlineExceeded}; Options.memory_budget_bytes
+// degrades a too-large weighted solve to the Seq-AVL fallback or throws
+// Error{kBudgetExceeded}. A failure leaves the value cache keyed only to
+// a rank space that is complete, so a post-failure solve on the same
+// Solver is bit-identical to a cold one.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <span>
 #include <type_traits>
@@ -57,6 +60,7 @@
 
 #include "parlis/api/options.hpp"
 #include "parlis/lis/lis.hpp"
+#include "parlis/parallel/parallel.hpp"
 #include "parlis/parallel/scheduler.hpp"
 #include "parlis/util/content_hash.hpp"
 #include "parlis/util/error.hpp"
@@ -64,7 +68,6 @@
 #include "parlis/util/rank_space.hpp"
 #include "parlis/wlis/wlis.hpp"
 #include "parlis/wlis/wlis_sweep.hpp"
-#include "parlis/wlis/wlis_workspace.hpp"
 
 namespace parlis {
 
@@ -83,6 +86,12 @@ struct QueryResult {
   int32_t k = 0;     // LIS length (rounds)
   int64_t best = 0;  // weighted: max dp; unweighted: k
 };
+
+/// Throws Error{kInvalidArgument} unless `q` is well formed: `w` empty or
+/// |w| == |a|, and each non-empty output span at least |a| long. The one
+/// shape check every runner of a Query makes before any work: solve_many
+/// for its whole batch, serve::Engine at submit.
+void validate_query(const Query& q);
 
 class LisSession;  // stream/lis_session.hpp
 
@@ -116,10 +125,9 @@ class Solver {
     opts_.memory_budget_bytes = bytes;
   }
 
-  /// Measured heap bytes this solver currently holds across every
-  /// workspace it owns (the caller-thread context, the solve_many
-  /// per-runner slots, and the batch scratch): vector capacities plus any
-  /// range structure's reserved arena chunks. The serving layer's
+  /// Measured heap bytes this solver currently holds across every context
+  /// it owns (the caller-thread context, the solve_many per-runner slots,
+  /// and the batch scratch): vector capacities. The serving layer's
   /// per-tenant eviction accounting; never an estimate.
   size_t resident_bytes() const;
 
@@ -132,26 +140,15 @@ class Solver {
   /// one-shot lis_ranks / lis_frontiers still do.
   void solve_lis(std::span<const int64_t> a, LisResult& out);
 
-  /// Typed overload: compresses `a` to rank space under options().ties and
-  /// `less` (a strict weak ordering), then runs the shared int64 kernel.
-  /// Works for any ordered key type — doubles, pairs, tuples, custom
-  /// comparators — with zero steady-state allocations when warm.
+  /// Typed overload: "increasing" means increasing under `less` (a strict
+  /// weak ordering; std::greater<int64_t> gives decreasing runs) and
+  /// options().ties. int64 keys under kStrict solve as they are; any other
+  /// key or policy solves on its rank image. Zero steady-state
+  /// allocations when warm.
   template <typename Key, typename Less = std::less<Key>>
   void solve_lis(std::span<const Key> a, LisResult& out, Less less = Less{}) {
-    solve_keys(a, out, less, "solve_lis");
-  }
-
-  /// Custom-order form over raw int64 values (no rank reduction):
-  /// "increasing" means strictly increasing under `less` (e.g. std::greater
-  /// for longest decreasing runs). `inf`, the sentinel Alg. 1's tournament
-  /// tree needs, is unused: patience sorting has none.
-  template <typename Less>
-  void solve_lis(std::span<const int64_t> a, LisResult& out, int64_t inf,
-                 Less less) {
-    (void)inf;
     EntryGuard guard(*this, a.size());
-    run_lis(static_cast<int64_t>(a.size()), 0, "solve_lis", main_ctx_->lis,
-            out, [a] { return a; }, less);
+    run_lis(a, "solve_lis", *main_ctx_, out, less);
   }
 
   /// Ranks plus the per-round frontiers (what WLIS and the reconstruction
@@ -163,7 +160,8 @@ class Solver {
   template <typename Key, typename Less = std::less<Key>>
   void solve_lis_frontiers(std::span<const Key> a, LisFrontiers& out,
                            Less less = Less{}) {
-    solve_keys(a, out, less, "solve_lis_frontiers");
+    EntryGuard guard(*this, a.size());
+    run_lis(a, "solve_lis_frontiers", *main_ctx_, out, less);
   }
 
   /// LIS length only.
@@ -183,32 +181,36 @@ class Solver {
   /// then one sequential Fenwick pass over it (wlis/wlis_sweep.hpp), which
   /// does O(n log n) work against the O(n log^2 n) of Alg. 2's range-tree
   /// rounds (wlis(), wlis_into()) and beats them at every size measured.
-  /// Raw int64 values under kStrict keep the rank space in the workspace's
-  /// value cache, so re-weighting a hot series runs the pass alone. A dp
-  /// sum past INT64_MAX throws Error{kInvalidArgument}.
-  void solve_wlis(std::span<const int64_t> a, std::span<const int64_t> w,
+  /// Raw int64 values under kStrict keep their rank space in a value cache,
+  /// so re-weighting a hot series runs the pass alone; any other solve
+  /// needing a rank space overwrites it. Returns true when the cache
+  /// supplied the rank space. A dp sum past INT64_MAX throws
+  /// Error{kInvalidArgument}.
+  bool solve_wlis(std::span<const int64_t> a, std::span<const int64_t> w,
                   WlisResult& out);
 
   /// Typed overload: the same plan on the rank image of `a` under `less`
-  /// (one rank-space pass per call); weights stay int64.
+  /// (one rank-space pass per call); weights stay int64. Only int64 keys
+  /// under std::less use the value cache.
   template <typename Key, typename Less = std::less<Key>>
-  void solve_wlis(std::span<const Key> a, std::span<const int64_t> w,
+  bool solve_wlis(std::span<const Key> a, std::span<const int64_t> w,
                   WlisResult& out, Less less = Less{}) {
     if (a.size() != w.size()) {
       throw Error(ErrorCode::kInvalidArgument,
                   "solve_wlis: |w| must equal |a|");
     }
     EntryGuard guard(*this, a.size());
-    run_wlis(a, w, "solve_wlis", *main_ctx_, out, less);
+    return run_wlis(a, w, "solve_wlis", *main_ctx_, out, less);
   }
 
   /// Batched serving: solves queries[i] into results[i] for every i.
-  /// Queries are independent; |results| >= |queries|. Queries with
-  /// |a| <= options().sequential_cutoff are packed across the worker pool
-  /// (one task each, solved sequentially on per-worker workspaces); larger
-  /// ones run one at a time on the caller's context (a weighted query's
-  /// rank-space pass uses the pool; an unweighted one runs on one thread).
-  /// Honors options().ties like every other entry point.
+  /// Queries are independent; |results| >= |queries|; every query is
+  /// validated (validate_query) before any runs. Queries with |a| <=
+  /// kPoolGateGrain are packed across the worker pool (one task each,
+  /// solved sequentially on per-worker contexts); larger ones run one at
+  /// a time on the caller's context (a weighted query's rank-space pass
+  /// uses the pool; an unweighted one runs on one thread). Honors
+  /// options().ties like every other entry point.
   void solve_many(std::span<const Query> queries,
                   std::span<QueryResult> results);
 
@@ -220,6 +222,12 @@ class Solver {
 
  private:
   struct CtxSlot;
+
+  // Inputs of at most kPoolGateGrain elements solve in thread-sequential
+  // mode, and solve_many packs them one per task.
+  static bool is_small(size_t n) {
+    return static_cast<int64_t>(n) <= kPoolGateGrain;
+  }
 
   // RAII: while `active`, par_do/parallel_for on this thread run inline
   // (restores the previous flag even if the body throws). Used both to run
@@ -241,17 +249,13 @@ class Solver {
     bool prev_ = false;
   };
 
-  bool below_cutoff(size_t n) const {
-    return static_cast<int64_t>(n) <= opts_.sequential_cutoff;
-  }
-
   // What every entry point installs first: the call's cancel/deadline
   // scope, one poll (a pre-tripped token fails fast), and thread-sequential
-  // mode below sequential_cutoff.
+  // mode for small inputs.
   struct EntryGuard {
     EntryGuard(const Solver& s, size_t n)
         : scope(s.opts_.cancel, s.opts_.deadline_ms),
-          seq((internal::poll_cancellation(), s.below_cutoff(n))) {}
+          seq((internal::poll_cancellation(), is_small(n))) {}
     internal::CancelScope scope;
     ThreadSequentialGuard seq;
   };
@@ -270,27 +274,27 @@ class Solver {
   static size_t lis_scratch_bytes(int64_t n);
   static size_t wlis_scratch_bytes(int64_t n);
   static size_t wlis_fallback_bytes(int64_t n);
-  // One context's LIS scratch: the rank image of keys that need one (kept
-  // apart from the WLIS workspace's rank space, whose contents back the
-  // value-sequence cache) and the patience tails.
-  struct LisScratch {
-    RankSpace rs;
-    RankSpaceScratch rs_scratch;
-    std::vector<int64_t> tails;
 
-    size_t resident_bytes() const {
-      return rs.resident_bytes() + rs_scratch.resident_bytes() +
-             vec_bytes(tails);
-    }
-  };
-
-  // Everything one thread needs to solve any query shape end to end: the
+  // Everything one thread needs to run either plan end to end: the
   // caller's (main_ctx_), and one per solve_many runner.
   struct ThreadCtx {
-    LisScratch lis;
-    WlisWorkspace wlis;
+    // One rank space: the rank image of the last solve that needed one,
+    // or, while `values` is valid, the value cache's rank space of the raw
+    // int64 values `values` holds. A rank image drops the key first.
+    RankSpace rs;
+    RankSpaceScratch rs_scratch;
+    ValueCacheKey values;
+    std::vector<int64_t> tails;  // patience pile tops
+    WlisSweepScratch sweep;      // the weighted pass's Fenwick tree
     LisResult lis_res;
     WlisResult wlis_res;
+
+    size_t resident_bytes() const {
+      return sizeof(ThreadCtx) + rs.resident_bytes() +
+             rs_scratch.resident_bytes() + values.resident_bytes() +
+             vec_bytes(tails) + sweep.resident_bytes() +
+             lis_res.resident_bytes() + wlis_res.resident_bytes();
+    }
   };
 
   // The WLIS budget fallback: Seq-AVL dp + patience length on `ctx`'s
@@ -298,40 +302,60 @@ class Solver {
   void wlis_fallback(std::span<const int64_t> a, std::span<const int64_t> w,
                      WlisResult& out, ThreadCtx& ctx);
 
-  // Compresses `a` into s.rs under options().ties and `less`; returns the
-  // rank image, whose values all lie below |a|.
+  // Compresses `a` into ctx.rs under options().ties and `less`, dropping
+  // the value cache's key first; returns the rank image, whose values all
+  // lie below |a|.
   template <typename Key, typename Less>
-  std::span<const int64_t> rank_image(std::span<const Key> a, LisScratch& s,
+  std::span<const int64_t> rank_image(std::span<const Key> a, ThreadCtx& ctx,
                                       Less less) {
-    rank_space_into<Key, Less>(a, opts_.ties, s.rs, s.rs_scratch, less);
-    return s.rs.rank;
+    ctx.values.valid = false;
+    rank_space_into<Key, Less>(a, opts_.ties, ctx.rs, ctx.rs_scratch, less);
+    return ctx.rs.rank;
   }
 
-  // The one LIS plan, behind every LIS entry point and solve_many's
-  // unweighted queries: admits n elements (with `rank_bytes` for a
-  // rank-space pass), takes the sequence to solve from `prepare()` (the
-  // input or its rank image), and solves it into `out`, a LisResult or
-  // LisFrontiers, by patience sorting (see solve_lis).
-  template <typename Out, typename Prepare, typename Less = std::less<int64_t>>
-  void run_lis(int64_t n, size_t rank_bytes, const char* what, LisScratch& s,
-               Out& out, const Prepare& prepare, Less less = Less{}) {
-    budget_plan(n, rank_bytes + lis_scratch_bytes(n), 0, what);
-    const std::span<const int64_t> a = prepare();
+  // Patience sorting of int64 keys under `less` into `out`, a LisResult or
+  // LisFrontiers.
+  template <typename Out, typename Less>
+  static void patience(std::span<const int64_t> a, ThreadCtx& ctx, Out& out,
+                       Less less) {
     if constexpr (std::is_same_v<Out, LisResult>) {
-      seq_patience_ranks_into<int64_t, Less>(a, out, s.tails, less);
+      seq_patience_ranks_into<int64_t, Less>(a, out, ctx.tails, less);
     } else {
-      seq_patience_frontiers_into<int64_t, Less>(a, out, s.tails, less);
+      seq_patience_frontiers_into<int64_t, Less>(a, out, ctx.tails, less);
     }
   }
 
-  // The one WLIS plan (see solve_wlis): admits n elements, gets the rank
+  // The LIS plan, behind every LIS entry point and solve_many's unweighted
+  // queries: admits |a| elements, then solves `a` into `out` by patience
+  // sorting (see solve_lis). int64 keys under kStrict solve as they are,
+  // under any `less`; every other key or ties policy solves on its rank
+  // image.
+  template <typename Out, typename Key, typename Less>
+  void run_lis(std::span<const Key> a, const char* what, ThreadCtx& ctx,
+               Out& out, Less less) {
+    const int64_t n = static_cast<int64_t>(a.size());
+    const bool raw = std::is_same_v<Key, int64_t> &&
+                     opts_.ties == TiesPolicy::kStrict;
+    budget_plan(n, (raw ? 0 : rank_space_bytes(n)) + lis_scratch_bytes(n), 0,
+                what);
+    if constexpr (std::is_same_v<Key, int64_t>) {
+      if (raw) {
+        patience(a, ctx, out, less);
+        return;
+      }
+    }
+    patience(rank_image(a, ctx, less), ctx, out, std::less<int64_t>{});
+  }
+
+  // The WLIS plan (see solve_wlis): admits |a| elements, gets the rank
   // space of `a`, and runs the Fenwick pass over it into `out`. Raw int64
-  // values under the strict order compare as they are: their rank space
-  // comes from ctx's value cache, and the Seq-AVL fallback, which needs no
-  // rank space, is what a budget too small for the pass degrades to. Any
-  // other key, order or ties policy solves on its rank image in ctx.lis.
+  // values under std::less and kStrict take their rank space from ctx's
+  // value cache, and a budget too small for the pass degrades them to
+  // Seq-AVL, which needs no rank space; every other key, order or ties
+  // policy solves on its rank image. Returns whether the cache supplied
+  // the rank space.
   template <typename Key, typename Less>
-  void run_wlis(std::span<const Key> a, std::span<const int64_t> w,
+  bool run_wlis(std::span<const Key> a, std::span<const int64_t> w,
                 const char* what, ThreadCtx& ctx, WlisResult& out,
                 Less less) {
     const int64_t n = static_cast<int64_t>(a.size());
@@ -341,30 +365,22 @@ class Solver {
     const BudgetPlan plan =
         budget_plan(n, rank_space_bytes(n) + wlis_scratch_bytes(n),
                     raw ? wlis_fallback_bytes(n) : 0, what);
-    const RankSpace* rs = &ctx.lis.rs;
+    bool hit = false;
     if constexpr (kInt64) {
       if (plan == BudgetPlan::kFallback) {
         wlis_fallback(a, w, out, ctx);
-        return;
+        return false;
       }
       if (raw) {
-        ctx.wlis.cache_values(a, content_hash64(a));
-        rs = &ctx.wlis.rank_space;
+        hit = ctx.values.match_or_rebuild(a, [&] {
+          rank_space_into<int64_t>(a, TiesPolicy::kStrict, ctx.rs,
+                                   ctx.rs_scratch);
+        });
       }
     }
-    if (!raw) rank_image(a, ctx.lis, less);
-    wlis_sweep_into(rs->rank, rs->n_distinct, w, ctx.wlis.sweep, out);
-  }
-
-  // The typed entry points: the plan on the rank image of `a`.
-  template <typename Out, typename Key, typename Less>
-  void solve_keys(std::span<const Key> a, Out& out, Less less,
-                  const char* what) {
-    EntryGuard guard(*this, a.size());
-    const int64_t n = static_cast<int64_t>(a.size());
-    LisScratch& s = main_ctx_->lis;
-    run_lis(n, rank_space_bytes(n), what, s, out,
-            [&] { return rank_image(a, s, less); });
+    if (!raw) rank_image(a, ctx, less);
+    wlis_sweep_into(ctx.rs.rank, ctx.rs.n_distinct, w, ctx.sweep, out);
+    return hit;
   }
 
   void solve_query(const Query& q, QueryResult& r, ThreadCtx& ctx);

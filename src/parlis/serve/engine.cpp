@@ -4,7 +4,6 @@
 #include <exception>
 #include <utility>
 
-#include "parlis/util/content_hash.hpp"
 #include "parlis/util/error.hpp"
 #include "parlis/util/failpoint.hpp"
 
@@ -182,12 +181,10 @@ void Engine::execute_solo(Request& r) {
             std::copy(out.rank.begin(), out.rank.end(), q.rank_out.begin());
           }
         } else {
-          // Value-cache observability mirrors the workspace guard's
-          // first-stage hash check (the solve itself still confirms with
-          // a full compare before trusting the cache).
-          r.lease->note_values(content_hash64(q.a));
           WlisResult& out = r.lease->wlis_out();
-          s.solve_wlis(q.a, q.w, out);
+          const bool hit = s.solve_wlis(q.a, q.w, out);
+          (hit ? value_cache_hits_ : value_cache_misses_)
+              .fetch_add(1, std::memory_order_relaxed);
           r.result->k = out.k;
           r.result->best = out.best;
           if (!q.dp_out.empty()) {
@@ -338,6 +335,9 @@ void Engine::solve(std::span<const Query> queries,
                 "Engine::solve: |results| must be >= |queries|");
   }
   if (queries.empty()) return;
+  // Checked here, not in the batch: a malformed query would otherwise fail
+  // every request coalesced with it.
+  for (const Query& q : queries) validate_query(q);
   Request r;
   r.kind = Request::Kind::kSolve;
   r.queries = queries;
@@ -370,6 +370,7 @@ int64_t Engine::append(uint64_t series, int64_t value,
 
 QueryResult Engine::solve_warm(uint64_t series, const Query& q,
                                const RequestGuard& guard) {
+  validate_query(q);  // execute_solo copies |a| results into the spans
   QueryResult res;
   Request r;
   r.kind = Request::Kind::kWarm;
@@ -395,6 +396,8 @@ Stats Engine::stats() const {
   st.coalesced_batch_max =
       coalesced_batch_max_.load(std::memory_order_relaxed);
   st.queue_depth_hwm = queue_depth_hwm_.load(std::memory_order_relaxed);
+  st.value_cache_hits = value_cache_hits_.load(std::memory_order_relaxed);
+  st.value_cache_misses = value_cache_misses_.load(std::memory_order_relaxed);
   return st;
 }
 

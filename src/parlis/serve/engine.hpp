@@ -20,9 +20,12 @@
 //     serve.coalesce failpoint fires before the batch runs). solve_many
 //     itself packs small queries one-per-task across the pool and runs
 //     large ones with intra-query parallelism, so the engine inherits the
-//     library's large/small split instead of re-implementing it. A
-//     structured failure inside the batch fails every request in it
-//     (documented shared fate: the batch is one solver call);
+//     library's large/small split instead of re-implementing it. Every
+//     query is shape-checked at submit (validate_query), so a malformed
+//     one fails only its own caller; a structured failure inside the batch
+//     (cancellation, an injected fault, a dp sum past INT64_MAX) fails
+//     every request in it (documented shared fate: the batch is one solver
+//     call);
 //   * executes guarded requests (live CancelToken / deadline) solo, with
 //     the batch solver re-armed per request (set_cancel /
 //     set_deadline_ms), because a coalesced batch can only carry one
@@ -91,9 +94,11 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
 
   /// Batched solve: queries[i] answered into results[i]
-  /// (|results| >= |queries|). Guard-free calls are coalesced with other
-  /// queued guard-free solves into one solve_many. Blocks until done;
-  /// rethrows the operation's failure.
+  /// (|results| >= |queries|). Each query is validated (validate_query)
+  /// before it is queued: a malformed one throws Error{kInvalidArgument}
+  /// here. Guard-free calls are coalesced with other queued guard-free
+  /// solves into one solve_many. Blocks until done; rethrows the
+  /// operation's failure.
   void solve(std::span<const Query> queries, std::span<QueryResult> results,
              const RequestGuard& guard = {});
 
@@ -106,10 +111,11 @@ class Engine {
                  const RequestGuard& guard = {});
 
   /// Warm per-series solve on the tenant's own solver: weighted queries
-  /// run solve_wlis against the tenant's value-sequence cache (repeated
-  /// queries over a hot series skip frontier/rank/tree recomputation —
-  /// stats count the hits), unweighted ones keep the tenant's tournament
-  /// warm. Large inputs get intra-query parallelism via the solver.
+  /// run solve_wlis against the tenant's value-sequence cache (a repeated
+  /// series of raw values under kStrict skips the rank space; stats count
+  /// the solves the cache served), unweighted ones run the LIS plan on the
+  /// tenant's warm scratch. `q` is validated (validate_query) before the
+  /// tenant is leased; a malformed query throws Error{kInvalidArgument}.
   QueryResult solve_warm(uint64_t series, const Query& q,
                          const RequestGuard& guard = {});
 
@@ -190,6 +196,8 @@ class Engine {
   mutable std::atomic<int64_t> coalesced_queries_{0};
   mutable std::atomic<int64_t> coalesced_batch_max_{0};
   mutable std::atomic<int64_t> queue_depth_hwm_{0};
+  mutable std::atomic<int64_t> value_cache_hits_{0};
+  mutable std::atomic<int64_t> value_cache_misses_{0};
 
   std::thread dispatcher_;  // last member: joins before state tears down
 };

@@ -20,9 +20,6 @@ struct Stats {
   int64_t budget_rejections = 0;  // admissions refused (kBudgetExceeded)
   int64_t table_hits = 0;         // acquire() found the tenant resident
   int64_t table_misses = 0;       // acquire() had to admit
-  int64_t value_cache_hits = 0;   // warm solves whose values matched the
-                                  // tenant's cached sequence
-  int64_t value_cache_misses = 0;
   int64_t tenants = 0;            // currently resident entries
   int64_t resident_bytes = 0;     // measured bytes across all shards
   int64_t budget_bytes = 0;       // configured global budget (0 = none)
@@ -36,6 +33,11 @@ struct Stats {
   int64_t coalesced_queries = 0;   // queries inside those batches
   int64_t coalesced_batch_max = 0; // largest batch so far
   int64_t queue_depth_hwm = 0;     // admission-queue high-water mark
+  int64_t value_cache_hits = 0;    // warm weighted solves whose rank space
+                                   // came from the tenant's value cache
+                                   // (Solver::solve_wlis returned true)
+  int64_t value_cache_misses = 0;  // the other warm weighted solves that
+                                   // completed
 };
 
 }  // namespace parlis::serve

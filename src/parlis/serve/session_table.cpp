@@ -180,8 +180,6 @@ Stats SessionTable::stats() const {
   st.budget_rejections = budget_rejections_.load(std::memory_order_relaxed);
   st.table_hits = hits_.load(std::memory_order_relaxed);
   st.table_misses = misses_.load(std::memory_order_relaxed);
-  st.value_cache_hits = value_cache_hits_.load(std::memory_order_relaxed);
-  st.value_cache_misses = value_cache_misses_.load(std::memory_order_relaxed);
   st.tenants = tenant_count();
   st.resident_bytes = static_cast<int64_t>(resident_bytes());
   st.budget_bytes = static_cast<int64_t>(budget_total_);

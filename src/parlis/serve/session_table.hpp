@@ -3,10 +3,11 @@
 //
 // A serving process holds many tenants' warm solver state at once: a
 // streaming tenant's LisSession (window buffer, pile tops, cached
-// frontiers) and/or a batch tenant's per-series workspaces (patience
-// tails, rank space, the weighted value-sequence cache). All of it
-// is pure derived state — evicting a tenant loses time, never answers —
-// so the table treats warm state as a cache with an explicit byte budget:
+// frontiers) and/or a batch tenant's Solver scratch (patience tails, the
+// one rank space that doubles as the weighted value cache, the Fenwick
+// pass's nodes, result buffers). All of it is pure derived state —
+// evicting a tenant loses time, never answers — so the table treats warm
+// state as a cache with an explicit byte budget:
 //
 //   * Sharded by key from day one: series id hashes to one of
 //     Config::shards independent shards (own mutex, own LRU list, own
@@ -17,10 +18,8 @@
 //     global pool is exactly what does not scale past one host).
 //   * Resident bytes are MEASURED, never estimated: every figure comes
 //     from resident_bytes() accessors that read real vector capacities
-//     and reserved arena chunks (tracked at the moment each chunk is
-//     malloc'd; util/resident.hpp documents the contract). An entry is
-//     re-measured on every lease release, so the shard totals track
-//     actual growth.
+//     (util/resident.hpp documents the contract). An entry is re-measured
+//     on every lease release, so the shard totals track actual growth.
 //   * Admission reuses the Solver's budget_plan machinery: acquire() arms
 //     the tenant solver's memory budget with the shard's current headroom
 //     (the slice minus other PINNED tenants — idle warm entries are
@@ -71,9 +70,9 @@ class SessionTable {
     uint64_t memory_budget_bytes = 0;
     /// Independent shards; clamped to >= 1. Fixed at construction.
     int shards = 8;
-    /// Per-tenant solver configuration (ties policy, range structure,
-    /// window mode for streaming tenants, ...). The memory_budget_bytes
-    /// field inside is overwritten per acquire with the shard headroom.
+    /// Per-tenant solver configuration (ties policy, window mode for
+    /// streaming tenants, ...). The memory_budget_bytes field inside is
+    /// overwritten per acquire with the shard headroom.
     Options solver{};
   };
 
@@ -107,8 +106,9 @@ class SessionTable {
   uint64_t budget_bytes() const { return budget_total_; }
   int shard_count() const { return static_cast<int>(shards_.size()); }
 
-  /// Table-side counters folded into a Stats snapshot (Engine fields stay
-  /// zero; the Engine overlays its own).
+  /// Table-side counters folded into a Stats snapshot (Engine fields,
+  /// the value-cache counts among them, stay zero; the Engine overlays its
+  /// own).
   Stats stats() const;
 
  private:
@@ -123,12 +123,6 @@ class SessionTable {
     // tenant-owned capacity instead of allocating per request.
     WlisResult wlis_out;
     LisResult lis_out;
-    // Value-cache observability: rolling hash of the last warm-solved
-    // value sequence (hash equality is what the workspace guard checks
-    // first, so this mirrors its hit condition without reaching into the
-    // private workspace).
-    uint64_t last_value_hash = 0;
-    bool has_value_hash = false;
     uint64_t resident = 0;  // measured at admission and on each release
     int32_t pins = 0;       // live leases; guarded by the shard mutex
 
@@ -169,8 +163,6 @@ class SessionTable {
   mutable std::atomic<int64_t> budget_rejections_{0};
   mutable std::atomic<int64_t> hits_{0};
   mutable std::atomic<int64_t> misses_{0};
-  mutable std::atomic<int64_t> value_cache_hits_{0};
-  mutable std::atomic<int64_t> value_cache_misses_{0};
 };
 
 /// RAII pin on a tenant entry. While alive, the entry cannot be evicted;
@@ -215,18 +207,6 @@ class SessionTable::Lease {
   void refresh_budget() {
     std::lock_guard<std::mutex> lk(shard_->mu);
     table_->arm_budget(*shard_, *entry_);
-  }
-
-  /// Value-cache hit bookkeeping for warm weighted solves: true (and a
-  /// hit is counted) when `hash` matches the last sequence this tenant
-  /// warm-solved; records `hash` either way.
-  bool note_values(uint64_t hash) {
-    const bool hit = entry_->has_value_hash && entry_->last_value_hash == hash;
-    entry_->last_value_hash = hash;
-    entry_->has_value_hash = true;
-    (hit ? table_->value_cache_hits_ : table_->value_cache_misses_)
-        .fetch_add(1, std::memory_order_relaxed);
-    return hit;
   }
 
   /// The entry's measured footprint as of its last release.

@@ -97,11 +97,7 @@ void LisSession::rebuild_window() {
   // Reset the pile tops and replay the survivors: O(m log k) for m
   // survivors.
   tails_.clear();
-  hash_ = kContentHashSeed;
-  for (int64_t v : window()) {
-    hash_ = content_hash_append(hash_, v);
-    tails_step(tails_, v, ties_);
-  }
+  for (int64_t v : window()) tails_step(tails_, v, ties_);
   stats_.window_rebuilds++;
 }
 
@@ -125,12 +121,11 @@ int64_t LisSession::append(int64_t value) {
   ensure_tails();
   buf_.push_back(value);
   try {
-    hash_ = content_hash_append(hash_, value);
     tails_step(tails_, value, ties_);
   } catch (...) {
     // Un-admit: a failed append leaves the session as if it was never
-    // called. The rolling hash already took the value, so the window is
-    // marked dirty and replays (from the untouched buf_) lazily.
+    // called. The window is marked dirty and replays (from buf_, back to
+    // its old contents) lazily.
     buf_.pop_back();
     tails_dirty_ = true;
     fr_valid_ = false;
@@ -143,11 +138,6 @@ int64_t LisSession::append(int64_t value) {
 int64_t LisSession::length() {
   ensure_tails();
   return static_cast<int64_t>(tails_.size());
-}
-
-uint64_t LisSession::content_hash() {
-  ensure_tails();  // pops recompute the hash during the replay
-  return hash_;
 }
 
 // ------------------------------------------------------- frontiers / delta
@@ -296,11 +286,10 @@ int64_t LisSession::delta_resolve_body(std::span<const int64_t> new_values,
     tails_.swap(tails_cached_);  // converged: the live process would match
   }
 
-  // Adopt: window contents, rolling hash, cached solve. tails_ already
-  // holds the new window's pile tops.
+  // Adopt: window contents, cached solve. tails_ already holds the new
+  // window's pile tops.
   buf_.assign(new_values.begin(), new_values.end());
   head_ = 0;
-  hash_ = content_hash64(window());
   cached_fr_.rank.swap(new_rank_);
   cached_fr_.k = static_cast<int32_t>(tails_.size());
   internal::lay_out_frontiers(cached_fr_);

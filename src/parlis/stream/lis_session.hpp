@@ -30,16 +30,15 @@
 // states converge in the common suffix — from that point the cached
 // per-element ranks are carried over verbatim instead of re-derived. The
 // search work is O(k log n + (middle + convergence distance) log k); the
-// adoption copies, rehashes and re-lays out the whole new window, so the
-// call is O(n) plus that replay.
+// adoption copies and re-lays out the whole new window, so the call is
+// O(n) plus that replay.
 //
-// Cache interplay: a session deliberately does NOT touch its Solver's
-// WlisWorkspace — appends never invalidate the weighted value-sequence
-// cache (its invariant, "each built level describes cached_a", survives any
-// interleaving of session ops and warm solve_wlis calls). The only solver
-// state a session uses are the LIS-side
-// buffers behind the public solve_lis_frontiers, plus the rolling window
-// content hash it maintains for the wlis_into fast-guard overload.
+// Cache interplay: appends touch no Solver state. frontiers() (and
+// delta_resolve's first solve) go through the public solve_lis_frontiers,
+// which under kStrict solves the raw values and leaves the Solver's
+// weighted value cache keyed; under kNonDecreasing it overwrites the rank
+// space with a rank image, which no weighted solve of that Solver caches
+// anyway. Either way a warm solve_wlis after any session op is exact.
 //
 // Thread-safety: a session parallelizes nothing itself; like its Solver,
 // one thread at a time.
@@ -51,7 +50,6 @@
 
 #include "parlis/api/options.hpp"
 #include "parlis/lis/lis.hpp"
-#include "parlis/util/content_hash.hpp"
 
 namespace parlis {
 
@@ -98,11 +96,6 @@ class LisSession {
   std::span<const int64_t> window() const {
     return std::span<const int64_t>(buf_).subspan(static_cast<size_t>(head_));
   }
-
-  /// Rolling content_hash64(window()) — maintained at O(1) per append; pass
-  /// it to the hashed wlis_into overload to make warm weighted solves over
-  /// the window skip the O(n) guard.
-  uint64_t content_hash();
 
   /// Full per-element LIS ranks + frontiers of the live window, solved
   /// through the bound Solver (its patience plan, O(n log k) — this is the
@@ -154,7 +147,6 @@ class LisSession {
   // Live window: buf_[head_..); compacted when the dead prefix dominates.
   std::vector<int64_t> buf_;
   int64_t head_ = 0;
-  uint64_t hash_ = kContentHashSeed;
 
   // Patience pile tops of the live window, sorted; tails_.size() is the
   // LIS length.

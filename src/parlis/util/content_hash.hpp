@@ -1,35 +1,61 @@
-// Rolling 64-bit content hash over int64 sequences.
+// 64-bit content hash over int64 sequences, and the key of a cache derived
+// from one such sequence.
 //
-// Used as a cheap first-stage guard for the value-sequence cache (wlis) and
-// maintained incrementally by streaming sessions: appending one element is
-// one multiply + rotate + xor, so a session can keep the hash of its live
-// window at O(1) per tick and hand it to the warm-solve guard instead of
-// forcing an O(n) compare (or a wholesale cache invalidation).
-//
-// The hash is order-dependent (rotate before mixing) but NOT collision-free;
-// every consumer must confirm a hash match with a full std::equal before
-// trusting it. Equal hashes never substitute for equality — they only let
-// the guard reject mismatches without touching the cached copy.
+// The value-sequence caches (the Solver's rank space of raw int64 values,
+// WlisWorkspace's levels) describe the sequence they were built from.
+// ValueCacheKey holds a copy of it and its hash, and checks a candidate in
+// three steps: the size, then the hash, then (only on a hash match) a full
+// std::equal. The hash is order-dependent but NOT collision-free, so a
+// hash match never substitutes for equality; it only lets the check
+// reject a same-size mismatch without touching the copy.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
+#include <vector>
+
+#include "parlis/util/resident.hpp"
 
 namespace parlis {
 
-inline constexpr uint64_t kContentHashSeed = 0x9e3779b97f4a7c15ull;
-
-/// One appended element: h' = rotl(h, 5) ^ mix(v).
-inline uint64_t content_hash_append(uint64_t h, int64_t v) {
-  uint64_t x = static_cast<uint64_t>(v) * 0x2545f4914f6cdd1dull;
-  return ((h << 5) | (h >> 59)) ^ x;
-}
-
-/// Hash of a whole sequence, seeded so the empty span is nonzero.
+/// Hash of a whole sequence: h' = rotl(h, 5) ^ mix(v) per element, seeded
+/// so the empty span is nonzero.
 inline uint64_t content_hash64(std::span<const int64_t> a) {
-  uint64_t h = kContentHashSeed;
-  for (int64_t v : a) h = content_hash_append(h, v);
+  uint64_t h = 0x9e3779b97f4a7c15ull;
+  for (int64_t v : a) {
+    h = ((h << 5) | (h >> 59)) ^
+        (static_cast<uint64_t>(v) * 0x2545f4914f6cdd1dull);
+  }
   return h;
 }
+
+/// The key of a cache derived from one int64 sequence.
+struct ValueCacheKey {
+  std::vector<int64_t> values;  // the sequence the cache describes
+  uint64_t hash = 0;            // content_hash64(values) while valid
+  bool valid = false;
+
+  /// Keys the cache to `a`. Returns true when it already described `a`.
+  /// Otherwise drops the key, runs `rebuild()` to derive the cached state
+  /// from `a`, and keys it to `a`; a throw out of rebuild (or out of the
+  /// copy) leaves the key dropped.
+  template <typename Rebuild>
+  bool match_or_rebuild(std::span<const int64_t> a, const Rebuild& rebuild) {
+    const uint64_t h = content_hash64(a);
+    if (valid && values.size() == a.size() && hash == h &&
+        std::equal(a.begin(), a.end(), values.begin())) {
+      return true;
+    }
+    valid = false;
+    rebuild();
+    values.assign(a.begin(), a.end());
+    hash = h;
+    valid = true;
+    return false;
+  }
+
+  size_t resident_bytes() const { return vec_bytes(values); }
+};
 
 }  // namespace parlis

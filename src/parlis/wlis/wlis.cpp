@@ -6,7 +6,6 @@
 #include "parlis/lis/lis.hpp"
 #include "parlis/parallel/parallel.hpp"
 #include "parlis/parallel/primitives.hpp"
-#include "parlis/util/content_hash.hpp"
 #include "parlis/util/exec_context.hpp"
 #include "parlis/util/failpoint.hpp"
 #include "parlis/util/rank_space.hpp"
@@ -63,10 +62,9 @@ struct VebTabulatedAdapter {
 // compressed the original keys) and a cache miss skips re-deriving it.
 template <typename Adapter>
 void run_wlis(std::span<const int64_t> a, std::span<const int64_t> w,
-              WlisWorkspace& ws, WlisResult& res, bool rank_space_ready,
-              uint64_t content_hash) {
+              WlisWorkspace& ws, WlisResult& res, bool rank_space_ready) {
   int64_t n = static_cast<int64_t>(a.size());
-  ws.cache_values(a, content_hash, rank_space_ready);
+  ws.cache_values(a, rank_space_ready);
   if (!ws.frontiers_ready) {
     // The frontiers run on the rank image: it orders like `a`, and its
     // values all lie below n, so n is a sentinel no input can reach (raw
@@ -134,7 +132,7 @@ void run_wlis(std::span<const int64_t> a, std::span<const int64_t> w,
 
 void wlis_dispatch(std::span<const int64_t> a, std::span<const int64_t> w,
                    WlisWorkspace& ws, WlisResult& out, WlisStructure structure,
-                   bool rank_space_ready, uint64_t content_hash) {
+                   bool rank_space_ready) {
   assert(a.size() == w.size());
   out.dp.clear();
   out.best = 0;
@@ -147,14 +145,13 @@ void wlis_dispatch(std::span<const int64_t> a, std::span<const int64_t> w,
   try {
     switch (structure) {
       case WlisStructure::kRangeTree:
-        run_wlis<TreeAdapter>(a, w, ws, out, rank_space_ready, content_hash);
+        run_wlis<TreeAdapter>(a, w, ws, out, rank_space_ready);
         return;
       case WlisStructure::kRangeVeb:
-        run_wlis<VebAdapter>(a, w, ws, out, rank_space_ready, content_hash);
+        run_wlis<VebAdapter>(a, w, ws, out, rank_space_ready);
         return;
       case WlisStructure::kRangeVebTabulated:
-        run_wlis<VebTabulatedAdapter>(a, w, ws, out, rank_space_ready,
-                                      content_hash);
+        run_wlis<VebTabulatedAdapter>(a, w, ws, out, rank_space_ready);
         return;
     }
   } catch (...) {
@@ -165,37 +162,20 @@ void wlis_dispatch(std::span<const int64_t> a, std::span<const int64_t> w,
 
 }  // namespace
 
-bool WlisWorkspace::cache_values(std::span<const int64_t> a, uint64_t hash,
+bool WlisWorkspace::cache_values(std::span<const int64_t> a,
                                  bool rank_space_ready) {
-  // The rolling hash runs first so a miss rejects in O(1) after the size
-  // check; a hash match still confirms with std::equal.
-  if (cache_valid && cached_a.size() == a.size() && cached_hash == hash &&
-      std::equal(a.begin(), a.end(), cached_a.begin())) {
-    return true;
-  }
-  invalidate_cache();
-  if (!rank_space_ready) {
-    rank_space_into<int64_t>(a, TiesPolicy::kStrict, rank_space, rank_scratch);
-  }
-  cached_a.assign(a.begin(), a.end());
-  cached_hash = hash;
-  cache_valid = true;
-  return false;
+  return key.match_or_rebuild(a, [&] {
+    invalidate_cache();
+    if (!rank_space_ready) {
+      rank_space_into<int64_t>(a, TiesPolicy::kStrict, rank_space,
+                               rank_scratch);
+    }
+  });
 }
 
 void wlis_into(std::span<const int64_t> a, std::span<const int64_t> w,
                WlisWorkspace& ws, WlisResult& out, WlisStructure structure) {
-  wlis_dispatch(a, w, ws, out, structure, /*rank_space_ready=*/false,
-                content_hash64(a));
-}
-
-void wlis_into(std::span<const int64_t> a, std::span<const int64_t> w,
-               uint64_t content_hash, WlisWorkspace& ws, WlisResult& out,
-               WlisStructure structure) {
-  assert(content_hash == content_hash64(a) &&
-         "precomputed hash must describe a");
-  wlis_dispatch(a, w, ws, out, structure, /*rank_space_ready=*/false,
-                content_hash);
+  wlis_dispatch(a, w, ws, out, structure, /*rank_space_ready=*/false);
 }
 
 void wlis_compressed_into(std::span<const int64_t> ranks,
@@ -207,8 +187,7 @@ void wlis_compressed_into(std::span<const int64_t> ranks,
   assert(ranks.data() == ws.rank_space.rank.data() &&
          ranks.size() == ws.rank_space.rank.size() &&
          "ws.rank_space must be the rank_space_into output describing ranks");
-  wlis_dispatch(ranks, w, ws, out, structure, /*rank_space_ready=*/true,
-                content_hash64(ranks));
+  wlis_dispatch(ranks, w, ws, out, structure, /*rank_space_ready=*/true);
 }
 
 WlisResult wlis(std::span<const int64_t> a, std::span<const int64_t> w,

@@ -11,7 +11,9 @@
 //
 // Entry points: `wlis` is the one-shot form (fresh workspace per call);
 // `wlis_into` injects a caller-owned WlisWorkspace and result buffers so a
-// warm same-size solve allocates nothing (the path parlis::Solver drives).
+// warm same-size solve allocates nothing. parlis::Solver runs neither: its
+// weighted plan is the Fenwick pass of wlis_sweep.hpp, and these rounds are
+// the reference the differential tests hold it to.
 #pragma once
 
 #include <cstdint>
@@ -52,16 +54,8 @@ void wlis_into(std::span<const int64_t> a, std::span<const int64_t> w,
                WlisWorkspace& ws, WlisResult& out,
                WlisStructure structure = WlisStructure::kRangeTree);
 
-/// Like wlis_into, but the caller supplies content_hash64(a) — for callers
-/// that maintain the hash incrementally (LisSession keeps its window's hash
-/// rolling at O(1) per append), so the warm-path guard needs no O(n) pass
-/// of its own. The hash must describe `a` exactly (debug-asserted).
-void wlis_into(std::span<const int64_t> a, std::span<const int64_t> w,
-               uint64_t content_hash, WlisWorkspace& ws, WlisResult& out,
-               WlisStructure structure = WlisStructure::kRangeTree);
-
-/// Rank-space entry point (what the Solver's generic-key overloads drive):
-/// the caller ran rank_space_into over the original keys into
+/// Rank-space entry point, for keys other than raw int64 values: the caller
+/// ran rank_space_into over the original keys into
 /// ws.rank_space and passes ws.rank_space.rank itself here (asserted —
 /// a rank span from any other RankSpace would pair the rounds with stale
 /// pos/qpos). Skips re-deriving the value order from the rank array;

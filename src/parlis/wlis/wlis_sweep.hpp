@@ -11,7 +11,8 @@
 // but O(n log^2 n) work; on a 4-core host the pass wins at every k
 // measured (EXPERIMENTS.md, "WLIS plan methodology"), so parlis::Solver
 // runs this and the rounds remain the paper's algorithm behind wlis() /
-// wlis_into().
+// wlis_into(). This header is all of the weighted side the Solver
+// includes: none of the rounds' workspace, range structures or vEB trees.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +26,8 @@ namespace parlis {
 
 /// Reusable scratch of wlis_sweep_into: one Fenwick node per rank, holding
 /// the prefix maxima of dp and of the LIS length. A warm call over at most
-/// as many ranks as the last allocates nothing.
+/// as many ranks as the last allocates nothing. The Solver keeps one in
+/// each thread context, beside its rank space (api/solver.hpp).
 struct WlisSweepScratch {
   struct Node {
     int64_t dp;

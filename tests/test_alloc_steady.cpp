@@ -18,7 +18,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
-#include <limits>
 #include <new>
 #include <vector>
 
@@ -165,17 +164,16 @@ int main() {
   expect_zero("solve_lis[_frontiers] tiers + spill", g_allocs.load() - base);
 
   // A custom order runs the memory loop alone.
-  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
   for (int r = 0; r < 3; r++) {
     for (const std::vector<int64_t>* in : {&a, &bulk}) {
-      solver.solve_lis(std::span<const int64_t>(*in), lis_out, kMin,
+      solver.solve_lis(std::span<const int64_t>(*in), lis_out,
                        std::greater<int64_t>{});
     }
   }
   base = g_allocs.load();
   for (int r = 0; r < 5; r++) {
     solver.solve_lis(std::span<const int64_t>(r % 2 ? a : bulk), lis_out,
-                     kMin, std::greater<int64_t>{});
+                     std::greater<int64_t>{});
   }
   expect_zero("solve_lis custom order", g_allocs.load() - base);
 
@@ -213,6 +211,20 @@ int main() {
   }
   expect_zero("solve_lis<double>", g_allocs.load() - base);
 
+  // One rank space serves the value cache and every rank image: a typed
+  // solve between two weighted solves of the same values overwrites it, so
+  // each weighted solve misses and rebuilds it, on warm buffers.
+  for (int r = 0; r < 3; r++) {
+    solver.solve_wlis(a, w, wlis_out);
+    solver.solve_lis(std::span<const double>(da), lis_out);
+  }
+  base = g_allocs.load();
+  for (int r = 0; r < 5; r++) {
+    solver.solve_wlis(a, w, wlis_out);
+    solver.solve_lis(std::span<const double>(da), lis_out);
+  }
+  expect_zero("solve_wlis / typed solve_lis turns", g_allocs.load() - base);
+
   // Non-decreasing ties on int64 inputs route through the same compression
   // (kNonDecreasing ranking) inside the int64 overloads.
   Options nd_opts;
@@ -232,6 +244,19 @@ int main() {
   base = g_allocs.load();
   for (int r = 0; r < 5; r++) nd_solver.solve_lis(r % 2 ? bulk : a, lis_out);
   expect_zero("solve_lis nondec ties", g_allocs.load() - base);
+  // A custom order under kNonDecreasing solves on its rank image too.
+  for (int r = 0; r < 3; r++) {
+    for (const std::vector<int64_t>* in : {&a, &bulk}) {
+      nd_solver.solve_lis(std::span<const int64_t>(*in), lis_out,
+                          std::greater<int64_t>{});
+    }
+  }
+  base = g_allocs.load();
+  for (int r = 0; r < 5; r++) {
+    nd_solver.solve_lis(std::span<const int64_t>(r % 2 ? bulk : a), lis_out,
+                        std::greater<int64_t>{});
+  }
+  expect_zero("solve_lis nondec custom order", g_allocs.load() - base);
 
   // Guarded steady state: a live cancel token plus a (far) deadline install
   // the exec-context scope on every call, so each round boundary runs a real

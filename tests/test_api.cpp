@@ -13,6 +13,7 @@
 
 #include "parlis/api/solver.hpp"
 #include "parlis/lis/lis.hpp"
+#include "parlis/parallel/parallel.hpp"
 #include "parlis/parallel/random.hpp"
 #include "parlis/util/generators.hpp"
 #include "parlis/wlis/wlis.hpp"
@@ -93,7 +94,7 @@ TEST(Solver, CustomComparatorSharesTheWorkspace) {
     auto a = random_values(n, 91 + n, 10 * n);
     std::vector<int64_t> neg(n);
     for (int64_t i = 0; i < n; i++) neg[i] = -a[i];
-    solver.solve_lis(a, dec_out, std::numeric_limits<int64_t>::min(),
+    solver.solve_lis(std::span<const int64_t>(a), dec_out,
                      std::greater<int64_t>{});
     solver.solve_lis(neg, ref_out);
     EXPECT_EQ(dec_out.rank, ref_out.rank) << "n=" << n;
@@ -147,8 +148,9 @@ TEST(Solver, ValueCacheFastPathMatchesReference) {
 TEST(Solver, SolveManyMixedBatch) {
   Solver solver;
   // A batch mixing tiny and large, weighted and unweighted queries. Sizes
-  // straddle the sequential cutoff so both execution paths run.
-  const int64_t cutoff = solver.options().sequential_cutoff;
+  // straddle kPoolGateGrain, the packing cutoff, so both execution paths
+  // run.
+  const int64_t cutoff = kPoolGateGrain;
   std::vector<std::vector<int64_t>> as, ws;
   std::vector<Query> queries;
   const int64_t sizes[] = {1,  17,         300,        cutoff,
@@ -224,16 +226,25 @@ TEST(Solver, SolveManyEmptyAndAllSmall) {
   }
 }
 
+// A Solver holds only what its two plans touch: fresh, that is one thread
+// context of empty vectors.
+TEST(Solver, FreshSolverHoldsOnlyThePlansScratch) {
+  EXPECT_LE(Solver().resident_bytes(), 512u);
+}
+
 // lis_length and options plumbing.
 TEST(Solver, OptionsAndLength) {
   Options opts;
-  opts.sequential_cutoff = 100;
+  opts.ties = TiesPolicy::kNonDecreasing;
   Solver solver(opts);
-  EXPECT_EQ(solver.options().sequential_cutoff, 100);
+  EXPECT_EQ(solver.options().ties, TiesPolicy::kNonDecreasing);
+  Solver strict;
   auto a = random_values(5000, 3, 5000);
-  EXPECT_EQ(solver.lis_length(a), lis_length(a));
-  auto tiny = random_values(50, 4, 50);  // below cutoff: inline path
-  EXPECT_EQ(solver.lis_length(tiny), lis_length(tiny));
+  EXPECT_EQ(strict.lis_length(a), lis_length(a));
+  EXPECT_EQ(solver.lis_length(a), longest_nondecreasing_length(a));
+  auto tiny = random_values(50, 4, 50);  // thread-sequential entry mode
+  EXPECT_EQ(strict.lis_length(tiny), lis_length(tiny));
+  EXPECT_EQ(solver.lis_length(tiny), longest_nondecreasing_length(tiny));
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <functional>
 #include <limits>
+#include <numeric>
 #include <span>
 #include <utility>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "parlis/api/solver.hpp"
 #include "parlis/lis/lis.hpp"
 #include "parlis/lis/seq_lis.hpp"
+#include "parlis/parallel/parallel.hpp"
 #include "parlis/parallel/random.hpp"
 #include "parlis/swgs/swgs.hpp"
 #include "parlis/util/error.hpp"
@@ -332,15 +334,15 @@ TEST(EdgeCases, Int64MaxAcrossBlocks) {
   expect_entry_points_match_seq_bs(a);
 }
 
-// The custom-order overload's sentinel is reachable too: INT64_MIN under
-// std::greater (longest strictly decreasing run).
+// INT64_MIN, the largest value under std::greater (longest strictly
+// decreasing run) and the sentinel a one-shot lis_ranks would take for that
+// order, is an ordinary value to the Solver.
 TEST(EdgeCases, CustomOrderSentinelIsAnOrdinaryValue) {
   const int64_t kMin = std::numeric_limits<int64_t>::min();
   std::vector<int64_t> a = {5, kMin, 3, kMin, 1};
   Solver solver;
   LisResult lr;
-  solver.solve_lis(std::span<const int64_t>(a), lr, kMin,
-                   std::greater<int64_t>{});
+  solver.solve_lis(std::span<const int64_t>(a), lr, std::greater<int64_t>{});
   EXPECT_EQ(lr.rank, (std::vector<int32_t>{1, 2, 2, 3, 3}));
   EXPECT_EQ(lr.k, 3);
 }
@@ -382,14 +384,24 @@ TEST(EdgeCases, WlisWeightOverflowThrows) {
         solver.solve_wlis(std::span<const double>(da), w, out);
       });
     }
-    // solve_many: one query on the caller's context, then packed ones.
-    for (const int64_t cutoff : {int64_t{0}, int64_t{64}}) {
-      Options o = opts;
-      o.sequential_cutoff = cutoff;
-      Solver batch(o);
+    // solve_many: packed queries, and one above kPoolGateGrain on the
+    // caller's context (the tight budget admits only the small ones).
+    {
+      Solver batch(opts);
       std::vector<Query> qs(2, Query{a, w});
       std::vector<QueryResult> rs(2);
       expect_overflow([&] { batch.solve_many(qs, rs); });
+      if (opts.memory_budget_bytes == 0) {
+        std::vector<int64_t> big(kPoolGateGrain + 1), big_w(big.size(), 1);
+        std::iota(big.begin(), big.end(), int64_t{0});
+        big_w[0] = big_w[1] = kMax;
+        const Query q{big, big_w};
+        QueryResult r;
+        expect_overflow([&] {
+          batch.solve_many(std::span<const Query>(&q, 1),
+                           std::span<QueryResult>(&r, 1));
+        });
+      }
     }
     // The solver stays usable, and the edges of the domain hold.
     solver.solve_wlis(a, std::vector<int64_t>{kMax - 2, 1, 1}, out);

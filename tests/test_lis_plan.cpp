@@ -2,8 +2,8 @@
 // point solves by patience sorting on the calling thread. For int64 keys
 // under std::less (raw values and every rank image) the kernel starts in
 // the register tiers of util/simd.hpp (16, 32, 64 and 128 tails) and spills
-// to the memory loop at the 129th tail; other orders run the memory loop
-// alone. Whatever the path, the ranks, k and frontier layout must match
+// to the memory loop at the 129th tail; other orders on raw values (int64
+// keys under kStrict) run the memory loop alone. Whatever the path, the ranks, k and frontier layout must match
 // seq_bs_ranks, and the O(n^2) oracle at small n, with the SIMD toggle on
 // and off.
 //
@@ -23,6 +23,7 @@
 #include "parlis/api/solver.hpp"
 #include "parlis/lis/lis.hpp"
 #include "parlis/lis/seq_lis.hpp"
+#include "parlis/parallel/parallel.hpp"
 #include "parlis/parallel/random.hpp"
 #include "parlis/parallel/scheduler.hpp"
 #include "parlis/util/generators.hpp"
@@ -239,30 +240,29 @@ TEST(LisPlanDifferential, WideFirstFrontiers) {
 TEST(LisPlanDifferential, OneThreadAndPackedSolves) {
   const std::vector<int64_t> a =
       tier_edge_input(128, kBlock + 1500, 3 * kBlock, true, 7);
-  const std::vector<int32_t> want = seq_bs_ranks(a);
-  const int64_t n = static_cast<int64_t>(a.size());
-  {
-    SCOPED_TRACE("below sequential_cutoff");
-    Options below;
-    below.sequential_cutoff = n;
-    check_plan(a, want, below);
-  }
   {
     SCOPED_TRACE("sequential mode");
     const bool prev = set_sequential_mode(true);
-    check_plan(a, want);
+    check_plan(a, seq_bs_ranks(a));
     set_sequential_mode(prev);
   }
+  // Inputs of at most kPoolGateGrain elements solve in thread-sequential
+  // mode, and solve_many packs them onto the pool's per-runner contexts,
+  // one thread each.
+  const std::vector<int64_t> small =
+      tier_edge_input(128, 1500, kPoolGateGrain, true, 7);
+  const std::vector<int32_t> want = seq_bs_ranks(small);
+  ASSERT_EQ(want[1500], 129);
   {
-    // Below the cutoff, solve_many packs queries onto the pool's
-    // per-runner contexts, one thread each.
+    SCOPED_TRACE("at most kPoolGateGrain elements");
+    check_plan(small, want);
+  }
+  {
     SCOPED_TRACE("packed solve_many queries");
-    Options packed;
-    packed.sequential_cutoff = n;
     on_both_toggles([&] {
-      Solver s(packed);
-      std::vector<int32_t> r0(a.size()), r1(a.size());
-      std::vector<Query> qs{Query{a}, Query{a}};
+      Solver s;
+      std::vector<int32_t> r0(small.size()), r1(small.size());
+      std::vector<Query> qs{Query{small}, Query{small}};
       qs[0].rank_out = std::span<int32_t>(r0);
       qs[1].rank_out = std::span<int32_t>(r1);
       std::vector<QueryResult> rs(2);
@@ -315,10 +315,48 @@ TEST(LisPlanDifferential, CustomOrderRunsTheMemoryLoop) {
     on_both_toggles([&] {
       Solver s;
       LisResult lr;
-      s.solve_lis(std::span<const int64_t>(neg), lr, kMin,
-                  std::greater<int64_t>{});
+      s.solve_lis(std::span<const int64_t>(neg), lr, std::greater<int64_t>{});
       EXPECT_EQ(lr.rank, want);
     });
+  }
+}
+
+// A custom order honors kNonDecreasing: under std::greater equal keys
+// chain, so the ranks are those of the longest non-increasing subsequence.
+// Duplicate-heavy inputs with the int64 extremes, through every LIS entry
+// point, against the O(n^2) recurrence.
+TEST(LisPlanDifferential, CustomOrderHonorsNonDecreasingTies) {
+  Options nd;
+  nd.ties = TiesPolicy::kNonDecreasing;
+  const std::greater<int64_t> greater;
+  for (uint64_t seed = 0; seed < 41; seed++) {
+    const int64_t n = seed == 40 ? kPoolGateGrain + 500
+                                 : 1 + static_cast<int64_t>(uniform(seed, 0, 600));
+    const uint64_t range = seed % 2 == 0 ? 6 : 200;
+    std::vector<int64_t> a(static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; i++) {
+      const uint64_t u = uniform(seed, i + 1, range + 2);
+      a[i] = u == range       ? kMin
+             : u == range + 1 ? kMax
+                              : static_cast<int64_t>(u);
+    }
+    std::vector<int32_t> want(a.size(), 1);
+    for (int64_t i = 0; i < n; i++) {
+      for (int64_t j = 0; j < i; j++) {
+        if (a[j] >= a[i]) want[i] = std::max(want[i], want[j] + 1);
+      }
+    }
+    SCOPED_TRACE(testing::Message() << "seed " << seed << ", n " << n);
+    const std::span<const int64_t> as(a);
+    Solver s(nd);
+    LisResult lr;
+    s.solve_lis(as, lr, greater);
+    EXPECT_EQ(lr.rank, want);
+    LisFrontiers fr;
+    s.solve_lis_frontiers(as, fr, greater);
+    expect_frontiers(fr, layout_of(want));
+    EXPECT_EQ(s.lis_length(as, greater),
+              *std::max_element(want.begin(), want.end()));
   }
 }
 

@@ -208,12 +208,12 @@ TEST(ServeTable, StreamingChurnReplayIsBitIdentical) {
   cfg.memory_budget_bytes = one + one / 2;
   SessionTable table(cfg);
 
-  std::vector<int64_t> warm_lengths;
-  uint64_t warm_hash = 0;
+  std::vector<int64_t> warm_lengths, warm_window;
   {
     auto lease = table.acquire(1);
     for (int64_t v : vals) warm_lengths.push_back(lease.session().append(v));
-    warm_hash = lease.session().content_hash();
+    const std::span<const int64_t> win = lease.session().window();
+    warm_window.assign(win.begin(), win.end());
   }
   for (uint64_t s = 2; s < 10 && table.contains(1); s++) {
     auto lease = table.acquire(s);
@@ -227,7 +227,7 @@ TEST(ServeTable, StreamingChurnReplayIsBitIdentical) {
     std::vector<int64_t> cold_lengths;
     for (int64_t v : vals) cold_lengths.push_back(lease.session().append(v));
     EXPECT_EQ(cold_lengths, warm_lengths);
-    EXPECT_EQ(lease.session().content_hash(), warm_hash);
+    EXPECT_TRUE(std::ranges::equal(lease.session().window(), warm_window));
   }
 }
 
@@ -492,6 +492,107 @@ TEST(ServeEngine, AppendAndWarmSolveMatchDirect) {
   EXPECT_EQ(st.value_cache_hits, 1);
   EXPECT_EQ(st.value_cache_misses, 1);
   EXPECT_EQ(st.tenants, 1);
+}
+
+// The value-cache counters count what the tenant's Solver reports: a
+// kNonDecreasing tenant solves on a rank image every time, so repeated
+// warm weighted solves of one series are all misses.
+TEST(ServeEngine, NonDecreasingTenantCountsNoValueCacheHits) {
+  const int64_t n = 1200;
+  const auto vals = make_vals(n, 53);
+  const auto wts = make_weights(n, 54);
+  EngineConfig cfg;
+  cfg.table.solver.ties = TiesPolicy::kNonDecreasing;
+  WlisResult want;
+  Solver(cfg.table.solver).solve_wlis(vals, wts, want);
+  Engine engine(cfg);
+  Query q;
+  q.a = vals;
+  q.w = wts;
+  for (int r = 0; r < 3; r++) {
+    const QueryResult got = engine.solve_warm(42, q);
+    EXPECT_EQ(got.k, want.k);
+    EXPECT_EQ(got.best, want.best);
+  }
+  const auto st = engine.stats();
+  EXPECT_EQ(st.value_cache_hits, 0);
+  EXPECT_EQ(st.value_cache_misses, 3);
+}
+
+// A warm query whose output span is shorter than |a| must fail at submit,
+// before the tenant is leased: the solve would copy |a| results into it.
+TEST(ServeEngine, WarmSolveRejectsUndersizedOutputSpans) {
+  const int64_t n = 4096;
+  const auto vals = make_vals(n, 55);
+  const auto wts = make_weights(n, 56);
+  Engine engine(EngineConfig{});
+  std::vector<int32_t> rank(16, -7);
+  std::vector<int64_t> dp(16, -7);
+  Query lq;
+  lq.a = vals;
+  lq.rank_out = rank;
+  expect_error(ErrorCode::kInvalidArgument,
+               [&] { (void)engine.solve_warm(1, lq); });
+  Query wq;
+  wq.a = vals;
+  wq.w = wts;
+  wq.dp_out = dp;
+  expect_error(ErrorCode::kInvalidArgument,
+               [&] { (void)engine.solve_warm(1, wq); });
+  EXPECT_FALSE(engine.table().contains(1));
+  EXPECT_TRUE(std::all_of(rank.begin(), rank.end(),
+                          [](int32_t r) { return r == -7; }));
+  EXPECT_TRUE(std::all_of(dp.begin(), dp.end(),
+                          [](int64_t d) { return d == -7; }));
+  // A well-formed query on the same series still solves.
+  WlisResult want;
+  Solver().solve_wlis(vals, wts, want);
+  wq.dp_out = {};
+  EXPECT_EQ(engine.solve_warm(1, wq).best, want.best);
+}
+
+// A malformed query fails at submit, so it never joins a coalesced batch:
+// the well-formed request queued beside it still succeeds. (Were the bad
+// one queued too, the two would coalesce on resume and both fail.)
+TEST(ServeEngine, MalformedQueryFailsOnlyItsOwnRequest) {
+  const auto vals = make_vals(64, 57);
+  LisResult want;
+  Solver().solve_lis(vals, want);
+  EngineConfig cfg;
+  cfg.start_paused = true;
+  Engine engine(cfg);
+  Query good;
+  good.a = vals;
+  QueryResult got;
+  std::thread good_client([&] {
+    try {
+      got = engine.solve_one(good);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "the well-formed request failed: " << e.what();
+    }
+  });
+  while (engine.queue_depth() < 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::vector<int32_t> rank(4);
+  Query bad;
+  bad.a = vals;
+  bad.rank_out = rank;
+  std::atomic<bool> bad_done{false};
+  std::thread bad_client([&] {
+    expect_error(ErrorCode::kInvalidArgument,
+                 [&] { (void)engine.solve_one(bad); });
+    bad_done = true;
+  });
+  while (!bad_done && engine.queue_depth() < 2) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(bad_done) << "the malformed request was queued";
+  engine.resume();
+  good_client.join();
+  bad_client.join();
+  EXPECT_EQ(got.k, want.k);
+  EXPECT_EQ(got.best, want.k);
 }
 
 TEST(ServeEngine, MultiClientStress) {

@@ -151,7 +151,8 @@ TEST(Umbrella, EveryPublicEntryPointIsReachable) {
   LisResult s_lis;
   solver.solve_lis(a, s_lis);
   EXPECT_EQ(s_lis.rank, lr.rank);
-  solver.solve_lis(a, s_lis, INT64_MIN, std::greater<int64_t>{});
+  solver.solve_lis(std::span<const int64_t>(a), s_lis,
+                   std::greater<int64_t>{});
   EXPECT_EQ(s_lis.k, 4);  // longest decreasing run of `a`
   LisFrontiers s_fr;
   solver.solve_lis_frontiers(a, s_fr);

@@ -1,5 +1,5 @@
 // The Solver's WLIS plan (Solver::run_wlis, api/solver.hpp): the rank space
-// of the keys, from the workspace's value cache or a rank-space pass, then
+// of the keys, from the Solver's value cache or a rank-space pass, then
 // one sequential Fenwick pass (wlis/wlis_sweep.hpp); Seq-AVL when the
 // memory budget fits only that. Whatever the path, dp, best and k must
 // match seq_avl_wlis / seq_bs_ranks and Alg. 2's rounds (wlis()).
@@ -21,8 +21,8 @@
 #include "parlis/lis/seq_lis.hpp"
 #include "parlis/parallel/random.hpp"
 #include "parlis/swgs/swgs.hpp"
-#include "parlis/util/content_hash.hpp"
 #include "parlis/util/error.hpp"
+#include "parlis/util/failpoint.hpp"
 #include "parlis/util/rank_space.hpp"
 #include "parlis/wlis/seq_avl.hpp"
 #include "parlis/wlis/wlis.hpp"
@@ -99,7 +99,7 @@ std::vector<std::pair<std::string, Vec>> weightings(int64_t n, uint64_t seed) {
   return {{"positive", pos}, {"zero", zero}, {"mixed sign", mixed}};
 }
 
-// Every shape and weighting at sizes below and above sequential_cutoff,
+// Every shape and weighting at sizes up to and above kPoolGateGrain,
 // under both ties policies, through the int64 and typed overloads.
 TEST(WlisPlanDifferential, SolverMatchesSeqAvlAndTheRounds) {
   for (const int64_t n : {int64_t{1}, int64_t{300}, kPoolGateGrain,
@@ -160,15 +160,15 @@ TEST(WlisPlanDifferential, TypedKeysMatchTheirIntegerTwins) {
   }
 }
 
-// solve_many: packed queries (one thread each) and large ones (rank space
-// on the pool) in one batch, both ties policies, dp_out spans filled.
+// solve_many: packed queries (at most kPoolGateGrain elements, one thread
+// each) and large ones (rank space on the pool) in one batch, both ties
+// policies, dp_out spans filled.
 TEST(WlisPlanDifferential, SolveManyPackedAndLargeQueries) {
   for (const TiesPolicy ties :
        {TiesPolicy::kStrict, TiesPolicy::kNonDecreasing}) {
     SCOPED_TRACE(ties == TiesPolicy::kStrict ? "strict" : "nondec");
     Options o;
     o.ties = ties;
-    o.sequential_cutoff = 1000;
     Solver solver(o);
     std::vector<Shape> inputs = shapes(600, 41);  // packed
     for (Shape& s : shapes(5000, 42)) inputs.push_back(std::move(s));
@@ -257,9 +257,88 @@ TEST(WlisPlanDifferential, WarmSolverAlternatesHitsAndMisses) {
   }
 }
 
-// A workspace whose value cache the pass warmed (rank space only: no
-// frontiers, no tree tables) must still give Alg. 2's rounds and the SWGS
-// baseline their correct answers, and the pass agrees with both.
+// One rank space serves a Solver's value cache and every rank image. Raw
+// weighted solves take turns with typed (double) LIS and weighted solves,
+// so the rank space is overwritten between value-cache uses; under
+// kNonDecreasing the int64 LIS solves run on rank images too. Then the same
+// turns with an injected wlis.sweep fault on a value-cache hit and on a
+// miss (where failpoints are compiled in). Every answer must match
+// seq_avl_wlis / seq_bs_ranks, and only raw kStrict solves may hit.
+TEST(WlisPlanDifferential, SharedRankSpaceAcrossInterleavedSolves) {
+  const int64_t n = 5000;
+  const std::vector<Shape> sh = shapes(n, 81);
+  const Vec& a = sh[0].a;     // duplicates
+  const Vec& b = sh[1].a;     // int64 extremes
+  const Vec& deep = sh[4].a;  // exact as doubles
+  std::vector<double> da(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; i++) da[i] = 0.25 * static_cast<double>(deep[i]);
+  const std::span<const double> ds(da);
+  const Vec w = weightings(n, 82)[2].second;  // mixed sign
+  for (const TiesPolicy ties :
+       {TiesPolicy::kStrict, TiesPolicy::kNonDecreasing}) {
+    const bool strict = ties == TiesPolicy::kStrict;
+    SCOPED_TRACE(strict ? "strict" : "nondec");
+    auto image = [&](const Vec& v) { return strict ? v : nondec_image(v); };
+    const WlisResult want_a = oracle(image(a), w);
+    const WlisResult want_b = oracle(image(b), w);
+    const WlisResult want_d = oracle(image(deep), w);
+    const std::vector<int32_t> lis_a = seq_bs_ranks(image(a));
+    const std::vector<int32_t> lis_d = seq_bs_ranks(image(deep));
+    Options o;
+    o.ties = ties;
+    Solver s(o);
+    WlisResult out;
+    LisResult lr;
+    LisFrontiers fr;
+    auto wlis_of = [&](const Vec& v, const WlisResult& want, bool hit) {
+      EXPECT_EQ(s.solve_wlis(v, w, out), strict && hit);
+      expect_same(out, want);
+    };
+    auto typed_lis = [&] {
+      s.solve_lis(ds, lr);
+      EXPECT_EQ(lr.rank, lis_d);
+    };
+    wlis_of(a, want_a, false);
+    wlis_of(a, want_a, true);
+    typed_lis();
+    wlis_of(a, want_a, false);  // the rank image dropped the key
+    s.solve_lis(a, lr);         // kStrict: the raw values, no rank space
+    EXPECT_EQ(lr.rank, lis_a);
+    wlis_of(a, want_a, true);
+    s.solve_wlis(ds, w, out);
+    expect_same(out, want_d);
+    wlis_of(b, want_b, false);
+    s.solve_lis_frontiers(ds, fr);
+    EXPECT_EQ(fr.rank, lis_d);
+    wlis_of(b, want_b, false);
+    wlis_of(b, want_b, true);
+
+    if (!failpoints::enabled()) continue;
+    // A fault in the pass leaves the key on a complete rank space.
+    auto sweep_fault = [&](const Vec& v) {
+      failpoints::arm_nth("wlis.sweep", 1);
+      try {
+        s.solve_wlis(v, w, out);
+        ADD_FAILURE() << "wlis.sweep did not fire";
+      } catch (const Error& e) {
+        EXPECT_EQ(e.code(), ErrorCode::kFaultInjected) << e.what();
+      }
+      failpoints::disarm_all();
+    };
+    sweep_fault(b);  // on a hit
+    typed_lis();
+    sweep_fault(a);  // on a miss
+    wlis_of(a, want_a, true);
+    typed_lis();
+    wlis_of(b, want_b, false);
+    wlis_of(b, want_b, true);
+  }
+}
+
+// A workspace whose value cache holds the rank space only (no frontiers,
+// no tree tables) must still give Alg. 2's rounds and the SWGS baseline
+// their correct answers, and the pass over that rank space agrees with
+// both.
 TEST(WlisPlanDifferential, PassWarmedWorkspaceServesTheRounds) {
   const Vec a = shapes(6000, 71)[0].a;
   const Vec a2 = shapes(6000, 72)[4].a;
@@ -269,11 +348,11 @@ TEST(WlisPlanDifferential, PassWarmedWorkspaceServesTheRounds) {
         WlisStructure::kRangeVebTabulated}) {
     SCOPED_TRACE(static_cast<int>(st));
     WlisWorkspace ws;
+    WlisSweepScratch sweep;
     WlisResult out;
-    // Warm the workspace the way the Solver's plan does.
-    EXPECT_FALSE(ws.cache_values(a, content_hash64(a)));
-    wlis_sweep_into(ws.rank_space.rank, ws.rank_space.n_distinct, w,
-                    ws.sweep, out);
+    EXPECT_FALSE(ws.cache_values(a));  // the rank space alone
+    wlis_sweep_into(ws.rank_space.rank, ws.rank_space.n_distinct, w, sweep,
+                    out);
     expect_same(out, oracle(a, w));
     EXPECT_FALSE(ws.frontiers_ready);
     EXPECT_FALSE(ws.tree_ready);
@@ -281,17 +360,17 @@ TEST(WlisPlanDifferential, PassWarmedWorkspaceServesTheRounds) {
     expect_same(out, oracle(a, w));
     wlis_into(a, w, ws, out, st);  // every level cached
     expect_same(out, oracle(a, w));
-    // The pass re-keys the cache to a2; the rounds must notice.
-    EXPECT_FALSE(ws.cache_values(a2, content_hash64(a2)));
+    // Re-keying the cache to a2 drops every level; the rounds must notice.
+    EXPECT_FALSE(ws.cache_values(a2));
     wlis_into(a2, w, ws, out, st);
     expect_same(out, oracle(a2, w));
     // SWGS clobbers the workspace, and the next hit rebuilds.
-    EXPECT_TRUE(ws.cache_values(a2, content_hash64(a2)));
+    EXPECT_TRUE(ws.cache_values(a2));
     swgs_wlis_into(a2, w, 5, ws, out);
     expect_same(out, oracle(a2, w));
-    EXPECT_FALSE(ws.cache_values(a2, content_hash64(a2)));
-    wlis_sweep_into(ws.rank_space.rank, ws.rank_space.n_distinct, w,
-                    ws.sweep, out);
+    EXPECT_FALSE(ws.cache_values(a2));
+    wlis_sweep_into(ws.rank_space.rank, ws.rank_space.n_distinct, w, sweep,
+                    out);
     expect_same(out, oracle(a2, w));
   }
 }
