@@ -9,7 +9,7 @@
 //                  sequence: repeated queries over the same values (the
 //                  serving shape — one series, many weightings) hit the
 //                  workspace's value-sequence cache, so the warm solve
-//                  checks the values (hash, then equality), skips the rank
+//                  checks the values (size, then equality), skips the rank
 //                  space, and runs only the sequential Fenwick pass; the
 //                  one-shot call runs all of Alg. 2 (rank space, frontiers,
 //                  range-tree build and rounds). Acceptance: the warm path
@@ -17,7 +17,12 @@
 //   wlis_newvals — the same comparison with a DIFFERENT value sequence
 //                  every call (cache misses by construction): the warm
 //                  solve pays the rank space on reused buffers before the
-//                  pass, so the committed JSON states both numbers.
+//                  pass, so the committed JSON states both numbers. The
+//                  values are 63-bit hashes, so the rank space is the
+//                  pooled sort.
+//   wlis_newvals_line — the same on line-pattern values (falling trend plus
+//                  noise, target k = 100, span ~n^2/2500): small spans
+//                  rank through rank_only_into's one-thread bitmap.
 //   wlis_double  — the generic-key pipeline: Solver::solve_wlis<double>
 //                  (rank-space compression + the pass) vs the int64 warm
 //                  path on the same cache-missing alternation.
@@ -27,15 +32,23 @@
 //   solve_many   — a batch of small mixed LIS/WLIS queries: a loop of
 //                  one-shot free functions vs one warm Solver::solve_many
 //                  call (queries packed one-per-task across the pool).
+//   rank_only    — kStrict ranks of line-pattern values whose span is 2n,
+//                  100n, exactly rank_only_max_words(n) words (128n) and
+//                  one value past that: rank_space_into on the pool
+//                  ("sort") vs rank_only_into ("rank_only": the one-thread
+//                  bitmap up to the cap, the same sort past it, after a
+//                  min/max pass). Exits 1 if any rank or n_distinct
+//                  differs. Sizes from --ranknlist.
 //
 // Runs are interleaved (one-shot, warm, one-shot, ...) so machine drift
 // cancels; medians are reported per query. Records carry host_hw_threads:
 // on a single-core host the per-op medians are the signal, not wall-clock
 // scaling (see EXPERIMENTS.md).
 //
-// Flags: --nlist 1000,100000,1000000, --reps, --batchq, --batchn,
-// --threads, --out FILE (BENCH_*.json records), --strict (exit 2 unless
-// warm wlis @ n=1e5 clears 20%; advisory otherwise).
+// Flags: --nlist 1000,100000,1000000, --ranknlist 65536,262144,1048576,
+// --reps, --batchq, --batchn, --threads, --out FILE (BENCH_*.json
+// records), --strict (exit 2 unless warm wlis @ n=1e5 clears 20%;
+// advisory otherwise).
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
@@ -50,6 +63,8 @@
 #include "parlis/lis/lis.hpp"
 #include "parlis/parallel/parallel.hpp"
 #include "parlis/parallel/random.hpp"
+#include "parlis/util/generators.hpp"
+#include "parlis/util/rank_space.hpp"
 #include "parlis/wlis/wlis.hpp"
 
 namespace {
@@ -81,6 +96,21 @@ Measurement measure(int reps, const std::function<void()>& oneshot_fn,
   return {a_ts[(reps - 1) / 2] * 1e3, b_ts[(reps - 1) / 2] * 1e3};
 }
 
+// The line pattern with an exact span: a falling trend from span - n down
+// to 0 plus noise in [0, n), with the ends pinned to span - 1 and 0.
+std::vector<int64_t> line_with_span(int64_t n, int64_t span, uint64_t seed) {
+  std::vector<int64_t> a(n);
+  const long double slope = static_cast<long double>(span - n) /
+                            static_cast<long double>(std::max<int64_t>(1, n - 1));
+  parallel_for(0, n, [&](int64_t i) {
+    a[i] = static_cast<int64_t>(slope * static_cast<long double>(n - 1 - i)) +
+           static_cast<int64_t>(uniform(seed, i, n));
+  });
+  a[0] = span - 1;
+  a[n - 1] = 0;
+  return a;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -88,6 +118,11 @@ int main(int argc, char** argv) {
   std::vector<int64_t> ns;
   for (int v : parse_int_list(flags.get_str("nlist", "1000,100000,1000000"))) {
     ns.push_back(v);
+  }
+  std::vector<int64_t> rank_ns;
+  for (int v : parse_int_list(
+           flags.get_str("ranknlist", "65536,262144,1048576"))) {
+    rank_ns.push_back(v);
   }
   int reps = static_cast<int>(flags.get("reps", 7));
   int64_t batchq = flags.get("batchq", 2048);
@@ -180,6 +215,28 @@ int main(int argc, char** argv) {
           sink = sink + wlis_out.best;
         });
     report("wlis_newvals", n, m_nv);
+
+    // The same alternation on line-pattern values, which the warm solve
+    // ranks through the bitmap.
+    const std::vector<int64_t> l1 = line_pattern(n, 100, 45);
+    const std::vector<int64_t> l2 = line_pattern(n, 100, 46);
+    const std::vector<int64_t>* lalt[2] = {&l1, &l2};
+    solver.solve_wlis(l1, w, wlis_out);  // sizes the bitmap
+    int flip_line_oneshot = 0, flip_line_warm = 1;
+    Measurement m_line = measure(
+        r,
+        [&] { sink = sink + wlis(*lalt[flip_line_oneshot++ & 1], w).best; },
+        [&] {
+          solver.solve_wlis(*lalt[flip_line_warm++ & 1], w, wlis_out);
+          sink = sink + wlis_out.best;
+        });
+    report("wlis_newvals_line", n, m_line);
+    solver.solve_wlis(l1, w, wlis_out);
+    if (wlis_out.best != wlis(l1, w).best) {
+      std::printf("MISMATCH (line pattern) at n=%lld\n",
+                  static_cast<long long>(n));
+      return 1;
+    }
 
     // Generic-key leg: double keys through the typed overload, against the
     // int64 warm path on an identical cache-missing alternation. Both legs
@@ -305,6 +362,67 @@ int main(int argc, char** argv) {
   }
   std::printf("\ncross-check (warm and one-shot agree): %s\n",
               ok ? "OK" : "MISMATCH");
+
+  // ------------------------------------------------------- rank_only ---
+  std::printf("\n%-9s %8s %6s %-6s %13s %13s %7s\n", "op", "n", "span",
+              "path", "sort med(ms)", "only med(ms)", "ratio");
+  bool ranks_ok = true;
+  for (int64_t n : rank_ns) {
+    const int64_t cap = 64 * static_cast<int64_t>(rank_only_max_words(n));
+    const struct {
+      const char* name;
+      int64_t span;
+    } spans[] = {{"2n", 2 * n}, {"100n", 100 * n}, {"cap", cap},
+                 {"cap+1", cap + 1}};
+    for (const auto& sp : spans) {
+      const std::vector<int64_t> a = line_with_span(n, sp.span, 47 + n);
+      const std::span<const int64_t> keys(a);
+      RankSpace sort_rs, only_rs;
+      RankSpaceScratch sort_scratch, only_scratch;
+      for (const TiesPolicy ties :
+           {TiesPolicy::kNonDecreasing, TiesPolicy::kStrict}) {
+        rank_space_into<int64_t>(keys, ties, sort_rs, sort_scratch);
+        rank_only_into<int64_t>(keys, ties, only_rs, only_scratch);
+        ranks_ok = ranks_ok && only_rs.rank == sort_rs.rank &&
+                   only_rs.n_distinct == sort_rs.n_distinct;
+      }
+      const bool bitmap = only_rs.order.empty();
+      Measurement m = measure(
+          reps,
+          [&] {
+            rank_space_into<int64_t>(keys, TiesPolicy::kStrict, sort_rs,
+                                     sort_scratch);
+          },
+          [&] {
+            rank_only_into<int64_t>(keys, TiesPolicy::kStrict, only_rs,
+                                    only_scratch);
+          });
+      ranks_ok = ranks_ok && only_rs.rank == sort_rs.rank &&
+                 only_rs.n_distinct == sort_rs.n_distinct;
+      const double ratio = m.warm_ms / m.oneshot_ms;
+      std::printf("%-9s %8lld %6s %-6s %13.3f %13.3f %7.3f\n", "rank_only",
+                  static_cast<long long>(n), sp.name,
+                  bitmap ? "bitmap" : "sort", m.oneshot_ms, m.warm_ms, ratio);
+      for (const bool only : {false, true}) {
+        JsonRecord rec;
+        rec.field("bench", "micro_api")
+            .field("op", "rank_only")
+            .field("variant", only ? "rank_only" : "sort")
+            .field("n", n)
+            .field("span", sp.name)
+            .field("span_per_n", static_cast<double>(sp.span) /
+                                     static_cast<double>(n))
+            .field("path", only ? (bitmap ? "bitmap" : "sort") : "sort")
+            .field("threads", num_workers())
+            .field("median_ms", only ? m.warm_ms : m.oneshot_ms);
+        if (only) rec.field("ratio", ratio);
+        json.add(rec);
+      }
+    }
+  }
+  std::printf("rank_only cross-check (rank, n_distinct): %s\n",
+              ranks_ok ? "OK" : "MISMATCH");
+  ok = ok && ranks_ok;
   bool pass = wlis_1e5_speedup < 0 || wlis_1e5_speedup >= 20.0;
   if (wlis_1e5_speedup >= 0) {
     std::printf("acceptance (warm wlis >= 20%% @ n=1e5): %s (%.1f%%)%s\n",

@@ -51,16 +51,37 @@ int main(int argc, char** argv) {
     one = t.resident_bytes();
   }
 
+  // The grant must also admit the largest weighted solve the run makes
+  // (a whole feed): the Solver prices it with a static model before it
+  // allocates, and the model is generous at small n (README "Memory
+  // budgets"), so a warm tenant can measure less than one solve's model.
+  // Grow the grant until a probe solve under it is admitted.
+  uint64_t budget = one * 5 / 2;
+  for (bool admitted = false; !admitted;) {
+    parlis::Options o;
+    o.memory_budget_bytes = budget;
+    parlis::Solver probe(o);
+    parlis::WlisResult out;
+    try {
+      probe.solve_wlis(feed[0], weight[0], out);
+      admitted = true;
+    } catch (const parlis::Error& e) {
+      if (e.code() != parlis::ErrorCode::kBudgetExceeded) throw;
+      budget += one / 2;
+    }
+  }
+
   parlis::serve::EngineConfig cfg;
   cfg.table.shards = 1;  // one shard makes the LRU story easy to watch
-  cfg.table.memory_budget_bytes = one * 5 / 2;
+  cfg.table.memory_budget_bytes = budget;
   parlis::serve::Engine engine(cfg);
   std::printf(
       "multi_tenant: %d tenants x %lld ticks, one warm tenant ~%llu bytes, "
-      "budget %llu bytes (~2.5 tenants)\n\n",
+      "budget %llu bytes (~%.1f tenants)\n\n",
       tenants, static_cast<long long>(ticks),
       static_cast<unsigned long long>(one),
-      static_cast<unsigned long long>(cfg.table.memory_budget_bytes));
+      static_cast<unsigned long long>(budget),
+      static_cast<double>(budget) / static_cast<double>(one));
 
   // Interleave: each round streams a chunk of every tenant's feed, then
   // runs one tenant's warm weighted query. Tenants take turns being hot;

@@ -52,8 +52,12 @@ size_t Solver::resident_bytes() const {
 // exactness is not the goal, never-under-estimating is.
 
 size_t Solver::rank_space_bytes(int64_t n) {
-  // order/pos/rank/qpos (4 x int64) + sort scratch, per-block carries, and
-  // the vector run scan's sorted-key image (8B) + run-start masks (~0.13B).
+  // The sort path: order/pos/rank/qpos (4 x int64) + sort scratch,
+  // per-block carries, and the vector run scan's sorted-key image (8B) +
+  // run-start masks (~0.13B). rank_only_into's bitmap path stays under it:
+  // rank (8B), at most rank_only_max_words(n) = 2n presence words and
+  // their popcount prefix (32B), and under kNonDecreasing one count per
+  // distinct key (8B).
   return static_cast<size_t>(n) * 58 + (size_t{1} << 16);
 }
 
@@ -190,8 +194,8 @@ void Solver::solve_many(std::span<const Query> queries,
   internal::CancelScope scope(batch_ctx);
   internal::poll_cancellation();
   // Large queries first, one at a time on the caller's context (a weighted
-  // query's rank-space pass uses the pool; an unweighted one runs on this
-  // thread), then the packed phase.
+  // query whose span is too wide for the bitmap sorts on the pool; the rest
+  // run on this thread), then the packed phase.
   small_idx_.clear();
   for (int64_t i = 0; i < nq; i++) {
     if (is_small(queries[i].a.size())) {

@@ -18,15 +18,16 @@
 // with a strict-weak-order comparator (doubles, timestamps, pairs/tuples
 // under std::less, custom comparators). int64 keys under kStrict solve as
 // they are; every other key, and every key under kNonDecreasing, is first
-// reduced to its dense rank image by the shared rank-space pass
-// (util/rank_space.hpp), so no backend is instantiated per key type. The
-// Options::ties policy picks what "increasing" means for equal keys
-// (kStrict vs kNonDecreasing) and is honored by every entry point, custom
-// orders included. The rank image lives in the session scratch, so the
+// reduced to its dense rank image by rank_only_into (util/rank_space.hpp:
+// a one-thread presence bitmap for int64 keys under std::less with a span
+// of at most 128 n, the pooled rank-space sort otherwise), so no backend
+// is instantiated per key type. The Options::ties policy picks what
+// "increasing" means for equal keys (kStrict vs kNonDecreasing) and is
+// honored by every entry point, custom orders included. The rank image lives in the session scratch, so the
 // typed paths keep the zero-allocation warm steady state.
 //
 // Thread-safety: one Solver per thread. The solve_* methods may use the
-// shared worker pool internally (the rank-space pass, result copies), but
+// shared worker pool internally (the rank-space sort, result copies), but
 // two threads must not call into the same Solver concurrently. solve_many
 // is the batched entry point: it fans independent queries out across the
 // pool itself — queries of at most kPoolGateGrain elements are packed
@@ -62,10 +63,10 @@
 #include "parlis/lis/lis.hpp"
 #include "parlis/parallel/parallel.hpp"
 #include "parlis/parallel/scheduler.hpp"
-#include "parlis/util/content_hash.hpp"
 #include "parlis/util/error.hpp"
 #include "parlis/util/exec_context.hpp"
 #include "parlis/util/rank_space.hpp"
+#include "parlis/util/value_cache_key.hpp"
 #include "parlis/wlis/wlis.hpp"
 #include "parlis/wlis/wlis_sweep.hpp"
 
@@ -181,16 +182,18 @@ class Solver {
   /// then one sequential Fenwick pass over it (wlis/wlis_sweep.hpp), which
   /// does O(n log n) work against the O(n log^2 n) of Alg. 2's range-tree
   /// rounds (wlis(), wlis_into()) and beats them at every size measured.
-  /// Raw int64 values under kStrict keep their rank space in a value cache,
-  /// so re-weighting a hot series runs the pass alone; any other solve
+  /// The ranks come from rank_only_into: int64 values whose span is at
+  /// most 128 n take its one-thread bitmap, wider spans the pooled sort.
+  /// Raw int64 values under kStrict keep their ranks in a value cache, so
+  /// re-weighting a hot series runs the pass alone; any other solve
   /// needing a rank space overwrites it. Returns true when the cache
-  /// supplied the rank space. A dp sum past INT64_MAX throws
+  /// supplied the ranks. A dp sum past INT64_MAX throws
   /// Error{kInvalidArgument}.
   bool solve_wlis(std::span<const int64_t> a, std::span<const int64_t> w,
                   WlisResult& out);
 
   /// Typed overload: the same plan on the rank image of `a` under `less`
-  /// (one rank-space pass per call); weights stay int64. Only int64 keys
+  /// (one ranking per call); weights stay int64. Only int64 keys
   /// under std::less use the value cache.
   template <typename Key, typename Less = std::less<Key>>
   bool solve_wlis(std::span<const Key> a, std::span<const int64_t> w,
@@ -208,9 +211,9 @@ class Solver {
   /// validated (validate_query) before any runs. Queries with |a| <=
   /// kPoolGateGrain are packed across the worker pool (one task each,
   /// solved sequentially on per-worker contexts); larger ones run one at
-  /// a time on the caller's context (a weighted query's rank-space pass
-  /// uses the pool; an unweighted one runs on one thread). Honors
-  /// options().ties like every other entry point.
+  /// a time on the caller's context (a weighted query whose span is too
+  /// wide for rank_only_into's bitmap sorts on the pool; the rest run on
+  /// one thread). Honors options().ties like every other entry point.
   void solve_many(std::span<const Query> queries,
                   std::span<QueryResult> results);
 
@@ -280,7 +283,9 @@ class Solver {
   struct ThreadCtx {
     // One rank space: the rank image of the last solve that needed one,
     // or, while `values` is valid, the value cache's rank space of the raw
-    // int64 values `values` holds. A rank image drops the key first.
+    // int64 values `values` holds. A rank image drops the key first. Both
+    // are built by rank_only_into, and the plans read only `rank` and
+    // `n_distinct`.
     RankSpace rs;
     RankSpaceScratch rs_scratch;
     ValueCacheKey values;
@@ -302,14 +307,16 @@ class Solver {
   void wlis_fallback(std::span<const int64_t> a, std::span<const int64_t> w,
                      WlisResult& out, ThreadCtx& ctx);
 
-  // Compresses `a` into ctx.rs under options().ties and `less`, dropping
-  // the value cache's key first; returns the rank image, whose values all
-  // lie below |a|.
+  // Ranks `a` into ctx.rs under options().ties and `less`, dropping the
+  // value cache's key first; returns the rank image, whose values all lie
+  // below |a|. rank_only_into ranks int64 keys under std::less with a small
+  // span through its one-thread bitmap, and everything else by the pooled
+  // sort.
   template <typename Key, typename Less>
   std::span<const int64_t> rank_image(std::span<const Key> a, ThreadCtx& ctx,
                                       Less less) {
     ctx.values.valid = false;
-    rank_space_into<Key, Less>(a, opts_.ties, ctx.rs, ctx.rs_scratch, less);
+    rank_only_into<Key, Less>(a, opts_.ties, ctx.rs, ctx.rs_scratch, less);
     return ctx.rs.rank;
   }
 
@@ -347,13 +354,14 @@ class Solver {
     patience(rank_image(a, ctx, less), ctx, out, std::less<int64_t>{});
   }
 
-  // The WLIS plan (see solve_wlis): admits |a| elements, gets the rank
-  // space of `a`, and runs the Fenwick pass over it into `out`. Raw int64
-  // values under std::less and kStrict take their rank space from ctx's
-  // value cache, and a budget too small for the pass degrades them to
-  // Seq-AVL, which needs no rank space; every other key, order or ties
-  // policy solves on its rank image. Returns whether the cache supplied
-  // the rank space.
+  // The WLIS plan (see solve_wlis): admits |a| elements, gets the ranks of
+  // `a`, and runs the Fenwick pass over them into `out`. Raw int64 values
+  // under std::less and kStrict take their ranks from ctx's value cache,
+  // which a miss rebuilds with rank_only_into (the one-thread bitmap while
+  // the span fits, otherwise the pooled sort), and a budget too small for
+  // the pass degrades them to Seq-AVL, which needs no rank space; every
+  // other key, order or ties policy solves on its rank image. Returns
+  // whether the cache supplied the ranks.
   template <typename Key, typename Less>
   bool run_wlis(std::span<const Key> a, std::span<const int64_t> w,
                 const char* what, ThreadCtx& ctx, WlisResult& out,
@@ -373,8 +381,8 @@ class Solver {
       }
       if (raw) {
         hit = ctx.values.match_or_rebuild(a, [&] {
-          rank_space_into<int64_t>(a, TiesPolicy::kStrict, ctx.rs,
-                                   ctx.rs_scratch);
+          rank_only_into<int64_t>(a, TiesPolicy::kStrict, ctx.rs,
+                                  ctx.rs_scratch);
         });
       }
     }

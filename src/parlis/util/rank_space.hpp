@@ -25,6 +25,11 @@
 //    subsequence of ranks is a *non-decreasing* subsequence of keys.
 // Either way the downstream solvers run the strict algorithm on the rank
 // image and never learn which policy (or key type) produced it.
+//
+// rank_only_into is the cheaper form for callers that read only `rank` and
+// `n_distinct` (the Solver's plans): int64 keys under std::less whose span
+// is small enough are ranked through a presence bitmap on one thread, and
+// every other input takes rank_space_into.
 #pragma once
 
 #include <algorithm>
@@ -45,7 +50,9 @@ namespace parlis {
 /// How equal keys interact in an "increasing" subsequence (see above).
 enum class TiesPolicy { kStrict, kNonDecreasing };
 
-/// The rank image of a key sequence. All arrays have the input length n.
+/// The rank image of a key sequence. After rank_space_into all arrays have
+/// the input length n; after rank_only_into's bitmap path only `rank` does,
+/// and `order`, `pos` and `qpos` are empty.
 struct RankSpace {
   /// Indices sorted by (key, index): order[p] is the index of the p-th
   /// smallest key (ties by input position). This is the y_by_pos
@@ -73,8 +80,10 @@ struct RankSpace {
 
 /// Reusable scratch for rank_space_into (merge buffer + per-block run
 /// carries; the int64 vector scan adds a contiguous sorted-key image and
-/// per-block run-start bit masks). Same-size re-compressions through one
-/// scratch allocate nothing.
+/// per-block run-start bit masks). rank_only_into's bitmap path borrows
+/// `run_masks` for its presence words and `sort_buf` for their popcount
+/// prefix, then for its kNonDecreasing counts. Same-size re-compressions
+/// through one scratch allocate nothing.
 struct RankSpaceScratch {
   std::vector<int64_t> sort_buf;
   std::vector<int64_t> carry_qpos;  // incoming run start per block
@@ -247,6 +256,115 @@ void rank_space_into(std::span<const Key> keys, TiesPolicy ties,
     return;
   }
   rank_space_rescan_strict<Key, Less>(keys, rs, scratch, less);
+}
+
+/// The most presence words rank_only_into's bitmap path uses for n keys.
+/// A word and its popcount prefix take 16 B, and the sort path holds 32 B
+/// per element besides `rank` (order, pos, qpos and the merge buffer), so
+/// the bitmap never holds more than the arrays it replaces.
+inline uint64_t rank_only_max_words(int64_t n) {
+  return 2 * static_cast<uint64_t>(n);
+}
+
+namespace internal {
+
+// Sets `v` to `need` zeros. When it must grow, its capacity becomes exactly
+// `need` (resize would double it).
+template <typename T>
+void assign_zeros(std::vector<T>& v, size_t need) {
+  v.clear();
+  v.reserve(need);
+  v.resize(need);
+}
+
+// rank_only_into's bitmap path. Returns false, having written nothing, when
+// the keys' span needs more than rank_only_max_words(n) words.
+inline bool rank_by_bitmap(std::span<const int64_t> keys, TiesPolicy ties,
+                           RankSpace& rs, RankSpaceScratch& scratch) {
+  const int64_t n = static_cast<int64_t>(keys.size());
+  if (n == 0) return false;
+  // In uint64: INT64_MIN with INT64_MAX spans 2^64 - 1, past int64.
+  auto words_over = [](int64_t lo, int64_t hi) {
+    return (static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo)) / 64 + 1;
+  };
+  int64_t lo = keys[0], hi = keys[0];
+  // Checked every 4096 keys, so a wide span leaves for the sort early.
+  for (int64_t b = 0; b < n; b += 4096) {
+    for (int64_t i = b, e = std::min(n, b + 4096); i < e; i++) {
+      lo = std::min(lo, keys[i]);
+      hi = std::max(hi, keys[i]);
+    }
+    if (words_over(lo, hi) > rank_only_max_words(n)) return false;
+  }
+  const uint64_t base = static_cast<uint64_t>(lo);
+  const uint64_t words = words_over(lo, hi);
+  rs.order.clear();
+  rs.pos.clear();
+  rs.qpos.clear();
+  rs.rank.resize(n);
+  int64_t* rank = rs.rank.data();
+  assign_zeros(scratch.run_masks, words);
+  uint64_t* bits = scratch.run_masks.data();
+  for (const int64_t v : keys) {
+    const uint64_t off = static_cast<uint64_t>(v) - base;
+    bits[off >> 6] |= uint64_t{1} << (off & 63);
+  }
+  // prefix[w]: the present keys in words before w.
+  assign_zeros(scratch.sort_buf, words);
+  int64_t* prefix = scratch.sort_buf.data();
+  int64_t distinct = 0;
+  for (uint64_t w = 0; w < words; w++) {
+    prefix[w] = distinct;
+    distinct += std::popcount(bits[w]);
+  }
+  for (int64_t i = 0; i < n; i++) {
+    const uint64_t off = static_cast<uint64_t>(keys[i]) - base;
+    const uint64_t below = bits[off >> 6] & ((uint64_t{1} << (off & 63)) - 1);
+    rank[i] = prefix[off >> 6] + std::popcount(below);
+  }
+  rs.n_distinct = distinct;
+  if (ties == TiesPolicy::kNonDecreasing) {
+    // The stable (key, index) position: a key's slots start after every
+    // smaller key's occurrences, and equal keys take them in input order.
+    // The counts reuse the prefix's buffer.
+    assign_zeros(scratch.sort_buf, static_cast<size_t>(distinct));
+    int64_t* next = scratch.sort_buf.data();
+    for (int64_t i = 0; i < n; i++) next[rank[i]]++;
+    for (int64_t r = 0, start = 0; r < distinct; r++) {
+      const int64_t count = next[r];
+      next[r] = start;
+      start += count;
+    }
+    for (int64_t i = 0; i < n; i++) rank[i] = next[rank[i]]++;
+    rs.n_distinct = n;
+  }
+  // Empty, so a later rank_space_into grows them to exactly its need.
+  scratch.run_masks.clear();
+  scratch.sort_buf.clear();
+  return true;
+}
+
+}  // namespace internal
+
+/// Fills `rs.rank` and `rs.n_distinct` exactly as rank_space_into would
+/// under `ties`, for callers that read nothing else. int64 keys under
+/// std::less whose span [min, max] fits in rank_only_max_words(n) words
+/// take a bitmap path on the calling thread, O(n + span/64): one bit per
+/// present key, a popcount prefix over the words, and rank = prefix +
+/// popcount of the key's word below its bit; under kNonDecreasing it then
+/// counts each dense rank's occurrences and hands out positions in input
+/// order. That path leaves `order`, `pos` and `qpos` empty. Every other
+/// input (other key types or orders, wider spans, n = 0) runs
+/// rank_space_into, which fills all four arrays. Warm same-size calls
+/// allocate nothing on either path.
+template <typename Key, typename Less = std::less<Key>>
+void rank_only_into(std::span<const Key> keys, TiesPolicy ties, RankSpace& rs,
+                    RankSpaceScratch& scratch, Less less = Less{}) {
+  if constexpr (std::is_same_v<Key, int64_t> &&
+                std::is_same_v<Less, std::less<int64_t>>) {
+    if (internal::rank_by_bitmap(keys, ties, rs, scratch)) return;
+  }
+  rank_space_into<Key, Less>(keys, ties, rs, scratch, less);
 }
 
 /// One-shot convenience form (fresh buffers per call).

@@ -20,8 +20,8 @@
 
 #include "parlis/lis/lis.hpp"
 #include "parlis/lis/tournament_tree.hpp"
-#include "parlis/util/content_hash.hpp"
 #include "parlis/util/rank_space.hpp"
+#include "parlis/util/value_cache_key.hpp"
 #include "parlis/wlis/range_structure.hpp"
 #include "parlis/wlis/range_tree.hpp"
 #include "parlis/wlis/range_veb.hpp"
@@ -60,8 +60,8 @@ struct WlisWorkspace {
   // the weights only enter the dp. Repeated solves over a hot value
   // sequence (same series, different weight models) therefore skip
   // whatever preparation the cache holds: cache_values checks `a` against
-  // the key (util/content_hash.hpp). Each level is built on demand and
-  // promises only itself:
+  // the key (util/value_cache_key.hpp: the size, then equality). Each level
+  // is built on demand and promises only itself:
   //  * key.valid:       rank_space describes key.values;
   //  * frontiers_ready: so do the frontiers (built by wlis_into);
   //  * tree_ready:      so do the tree's tables (built by wlis_into).

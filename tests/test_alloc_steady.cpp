@@ -4,15 +4,19 @@
 // the session API), on every path of the LIS plan's patience kernel: the
 // register tiers alone, the tiers spilling to the memory loop, the memory
 // loop alone (custom order) and the rank image (typed keys, kNonDecreasing
-// ties). Warm sliding-window session appends, direct and through the
-// serving engine, must allocate nothing either. A process-wide operator-new
-// hook counts every allocation on every thread, so a stray vector resize,
-// stable_sort temporary, arena chunk, or make_unique anywhere in the hot
-// path fails the run.
+// ties), whose ranks come from the pooled sort or, for int64 keys with a
+// small span, the one-thread bitmap. Warm sliding-window session appends,
+// direct and through the serving engine, must allocate nothing either. A
+// process-wide operator-new hook counts every allocation on every thread,
+// so a stray vector resize, stable_sort temporary, arena chunk, or
+// make_unique anywhere in the hot path fails the run; it also records the
+// size and thread of a window's first few allocations, printed when a leg
+// fails.
 //
 // Standalone binary (no gtest): the global new/delete replacement is kept
 // out of the main test binary so the sanitizer jobs keep their own
 // allocator interposition intact there.
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -33,8 +37,29 @@ namespace {
 
 std::atomic<uint64_t> g_allocs{0};
 
+// The first kSites allocations since begin_window(): the size asked for and
+// the allocating thread's pool_thread_id() (-1 outside the pool; the thread
+// that started the pool, here main, is 0).
+struct AllocSite {
+  std::atomic<std::size_t> size{0};
+  std::atomic<int> worker{0};
+};
+constexpr uint64_t kSites = 8;
+AllocSite g_sites[kSites];
+std::atomic<uint64_t> g_nsites{0};
+
+void note_site(std::size_t sz) {
+  const uint64_t i = g_nsites.fetch_add(1, std::memory_order_relaxed);
+  if (i < kSites) {
+    g_sites[i].size.store(sz, std::memory_order_relaxed);
+    g_sites[i].worker.store(parlis::pool_thread_id(),
+                            std::memory_order_relaxed);
+  }
+}
+
 void* counted_alloc(std::size_t sz) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
+  note_site(sz);
   void* p = std::malloc(sz ? sz : 1);
   if (p == nullptr) throw std::bad_alloc();
   return p;
@@ -42,6 +67,7 @@ void* counted_alloc(std::size_t sz) {
 
 void* counted_alloc_aligned(std::size_t sz, std::size_t al) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
+  note_site(sz);
   void* p = std::aligned_alloc(al, (sz + al - 1) / al * al);
   if (p == nullptr) throw std::bad_alloc();
   return p;
@@ -74,13 +100,27 @@ namespace {
 
 int failures = 0;
 
+// Starts a measured window: returns the allocation count and restarts the
+// site record.
+uint64_t begin_window() {
+  g_nsites.store(0, std::memory_order_relaxed);
+  return g_allocs.load();
+}
+
 void expect_zero(const char* what, uint64_t count) {
   if (count == 0) {
     std::printf("OK   %-34s 0 allocations\n", what);
-  } else {
-    std::printf("FAIL %-34s %llu allocations (expected 0)\n", what,
-                static_cast<unsigned long long>(count));
-    failures++;
+    return;
+  }
+  std::printf("FAIL %-34s %llu allocations (expected 0)\n", what,
+              static_cast<unsigned long long>(count));
+  failures++;
+  const uint64_t shown = std::min(g_nsites.load(), kSites);
+  for (uint64_t i = 0; i < shown; i++) {
+    const int worker = g_sites[i].worker.load(std::memory_order_relaxed);
+    std::printf("     allocation %llu: %zu bytes, pool_thread_id %d\n",
+                static_cast<unsigned long long>(i + 1),
+                g_sites[i].size.load(std::memory_order_relaxed), worker);
   }
 }
 
@@ -135,28 +175,28 @@ int main() {
   // Alternating same-size inputs: every solve misses the value cache and
   // runs the full pipeline (frontiers, value order, tree rebuild, rounds)
   // on recycled buffers — still zero allocations.
-  uint64_t base = g_allocs.load();
+  uint64_t base = begin_window();
   for (int r = 0; r < 5; r++) {
     solver.solve_wlis(r % 2 ? a2 : a, w, wlis_out);
   }
   expect_zero("solve_wlis full path (n=50000)", g_allocs.load() - base);
 
   // Repeated identical values: the score-reset fast path.
-  base = g_allocs.load();
+  base = begin_window();
   for (int r = 0; r < 5; r++) solver.solve_wlis(a, w, wlis_out);
   expect_zero("solve_wlis cached values (n=50000)", g_allocs.load() - base);
 
-  base = g_allocs.load();
+  base = begin_window();
   for (int r = 0; r < 5; r++) solver.solve_lis(a, lis_out);
   expect_zero("solve_lis (n=50000)", g_allocs.load() - base);
 
-  base = g_allocs.load();
+  base = begin_window();
   for (int r = 0; r < 5; r++) solver.solve_lis_frontiers(a, fr_out);
   expect_zero("solve_lis_frontiers (n=50000)", g_allocs.load() - base);
 
   // The same two entry points on an input that stays in the register
   // tiers, alternating with the spilling one above.
-  base = g_allocs.load();
+  base = begin_window();
   for (int r = 0; r < 5; r++) {
     solver.solve_lis(r % 2 ? bulk : a, lis_out);
     solver.solve_lis_frontiers(r % 2 ? a : bulk, fr_out);
@@ -170,7 +210,7 @@ int main() {
                        std::greater<int64_t>{});
     }
   }
-  base = g_allocs.load();
+  base = begin_window();
   for (int r = 0; r < 5; r++) {
     solver.solve_lis(std::span<const int64_t>(r % 2 ? a : bulk), lis_out,
                      std::greater<int64_t>{});
@@ -196,14 +236,14 @@ int main() {
     dsolver.solve_lis(std::span<const double>(da), lis_out);
     dsolver.solve_lis(std::span<const double>(da2), lis_out);
   }
-  base = g_allocs.load();
+  base = begin_window();
   for (int r = 0; r < 5; r++) {
     dsolver.solve_wlis(r % 2 ? std::span<const double>(da2)
                              : std::span<const double>(da),
                        w, wlis_out);
   }
   expect_zero("solve_wlis<double> full path", g_allocs.load() - base);
-  base = g_allocs.load();
+  base = begin_window();
   for (int r = 0; r < 5; r++) {
     dsolver.solve_lis(r % 2 ? std::span<const double>(da2)
                             : std::span<const double>(da),
@@ -218,12 +258,30 @@ int main() {
     solver.solve_wlis(a, w, wlis_out);
     solver.solve_lis(std::span<const double>(da), lis_out);
   }
-  base = g_allocs.load();
+  base = begin_window();
   for (int r = 0; r < 5; r++) {
     solver.solve_wlis(a, w, wlis_out);
     solver.solve_lis(std::span<const double>(da), lis_out);
   }
   expect_zero("solve_wlis / typed solve_lis turns", g_allocs.load() - base);
+
+  // Small spans take rank_only_into's bitmap: `bulk` spans ~2n and `steep`
+  // ~41n, so the alternating misses need different bitmaps, and the warm
+  // buffers hold the wider one. (The hashed 63-bit inputs above take the
+  // sort.)
+  std::vector<int64_t> steep(n);
+  for (int64_t i = 0; i < n; i++) {
+    steep[i] = -40 * i + static_cast<int64_t>(uniform(13, i, n));
+  }
+  for (int r = 0; r < 3; r++) {
+    solver.solve_wlis(bulk, w, wlis_out);
+    solver.solve_wlis(steep, w, wlis_out);
+  }
+  base = begin_window();
+  for (int r = 0; r < 5; r++) {
+    solver.solve_wlis(r % 2 ? steep : bulk, w, wlis_out);
+  }
+  expect_zero("solve_wlis bitmap ranks, two spans", g_allocs.load() - base);
 
   // Non-decreasing ties on int64 inputs route through the same compression
   // (kNonDecreasing ranking) inside the int64 overloads.
@@ -234,16 +292,26 @@ int main() {
     nd_solver.solve_wlis(a, w, wlis_out);
     nd_solver.solve_wlis(a2, w, wlis_out);
   }
-  base = g_allocs.load();
+  base = begin_window();
   for (int r = 0; r < 5; r++) nd_solver.solve_wlis(r % 2 ? a2 : a, w, wlis_out);
   expect_zero("solve_wlis nondec ties", g_allocs.load() - base);
   for (int r = 0; r < 3; r++) {
     nd_solver.solve_lis(a, lis_out);
     nd_solver.solve_lis(bulk, lis_out);
   }
-  base = g_allocs.load();
+  base = begin_window();
   for (int r = 0; r < 5; r++) nd_solver.solve_lis(r % 2 ? bulk : a, lis_out);
   expect_zero("solve_lis nondec ties", g_allocs.load() - base);
+  // Both inputs on the bitmap path, which adds the per-rank counts.
+  for (int r = 0; r < 3; r++) {
+    nd_solver.solve_lis(bulk, lis_out);
+    nd_solver.solve_lis(steep, lis_out);
+  }
+  base = begin_window();
+  for (int r = 0; r < 5; r++) {
+    nd_solver.solve_lis(r % 2 ? steep : bulk, lis_out);
+  }
+  expect_zero("solve_lis nondec bitmap ranks", g_allocs.load() - base);
   // A custom order under kNonDecreasing solves on its rank image too.
   for (int r = 0; r < 3; r++) {
     for (const std::vector<int64_t>* in : {&a, &bulk}) {
@@ -251,7 +319,7 @@ int main() {
                           std::greater<int64_t>{});
     }
   }
-  base = g_allocs.load();
+  base = begin_window();
   for (int r = 0; r < 5; r++) {
     nd_solver.solve_lis(std::span<const int64_t>(r % 2 ? bulk : a), lis_out,
                         std::greater<int64_t>{});
@@ -272,7 +340,7 @@ int main() {
     guarded.solve_wlis(a2, w, wlis_out);
     guarded.solve_lis(a, lis_out);
   }
-  base = g_allocs.load();
+  base = begin_window();
   for (int r = 0; r < 5; r++) {
     guarded.solve_wlis(r % 2 ? a2 : a, w, wlis_out);
     guarded.solve_lis(a, lis_out);
@@ -303,7 +371,7 @@ int main() {
       // fewer ticks.
       const int64_t warm = 3 * kCap, end = exact ? warm + 1024 : n;
       for (int64_t i = 0; i < warm; i++) sess.append((*feed)[i]);
-      base = g_allocs.load();
+      base = begin_window();
       for (int64_t i = warm; i < end; i++) sess.append((*feed)[i]);
       char what[64];
       std::snprintf(what, sizeof what, "session append %s, %s",
@@ -339,7 +407,7 @@ int main() {
       engine.solve(std::span<const Query>(&lq, 1),
                    std::span<QueryResult>(&qr, 1));
     }
-    base = g_allocs.load();
+    base = begin_window();
     for (int r = 0; r < 5; r++) {
       (void)engine.solve_warm(kSeries, r % 2 ? wq2 : wq);
       engine.solve(std::span<const Query>(&lq, 1),
@@ -359,7 +427,7 @@ int main() {
     serve::Engine engine{cfg};
     const uint64_t kSeries = 9;
     for (int64_t i = 0; i < 3 * kCap; i++) (void)engine.append(kSeries, a[i]);
-    base = g_allocs.load();
+    base = begin_window();
     for (int64_t i = 3 * kCap; i < 5 * kCap; i++) {
       (void)engine.append(kSeries, a[i]);
     }

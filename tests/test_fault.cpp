@@ -47,6 +47,7 @@
 #include "parlis/util/cancel.hpp"
 #include "parlis/util/error.hpp"
 #include "parlis/util/failpoint.hpp"
+#include "parlis/util/rank_space.hpp"
 #include "parlis/util/tracking_allocator.hpp"
 #include "parlis/wlis/range_tree.hpp"
 #include "parlis/wlis/wlis.hpp"
@@ -1144,6 +1145,26 @@ TEST(MemoryBudget, WlisPassEstimateCoversRealAccounting) {
       } else {
         s.solve_wlis(a, w, out);
       }
+      EXPECT_LE(s.resident_bytes() + out.resident_bytes(), hi);
+    }
+    // rank_only_into's largest bitmap: a span of exactly
+    // rank_only_max_words(n) words, under both ties policies.
+    const uint64_t top = 64 * rank_only_max_words(n) - 1;
+    std::vector<int64_t> at_cap(static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; i++) {
+      at_cap[i] = static_cast<int64_t>(uniform(113 + n, i, top + 1));
+    }
+    at_cap[0] = 0;
+    at_cap[n - 1] = static_cast<int64_t>(top);
+    for (const TiesPolicy ties :
+         {TiesPolicy::kStrict, TiesPolicy::kNonDecreasing}) {
+      SCOPED_TRACE(ties == TiesPolicy::kStrict ? "bitmap, value cache"
+                                               : "bitmap, nondec rank image");
+      Options o;
+      o.ties = ties;
+      Solver s(o);
+      WlisResult out;
+      s.solve_wlis(at_cap, w, out);
       EXPECT_LE(s.resident_bytes() + out.resident_bytes(), hi);
     }
   }
