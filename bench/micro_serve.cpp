@@ -318,7 +318,6 @@ int main(int argc, char** argv) {
   uint64_t one_tenant = 0;
   {
     serve::SessionTable::Config probe;
-    probe.shards = 1;
     serve::SessionTable t(probe);
     {
       auto lease = t.acquire(1);
@@ -331,7 +330,6 @@ int main(int argc, char** argv) {
     one_tenant = t.resident_bytes();
   }
   serve::EngineConfig bcfg;
-  bcfg.table.shards = 1;  // one slice: the budget story in one number
   // ~2.5 warm tenants: headroom keeps the hot tenant on the full plan
   // (the admission estimate runs ahead of the measured bytes), while two
   // grown tenants already exceed the budget — guaranteed churn.
@@ -351,7 +349,7 @@ int main(int argc, char** argv) {
       q.w = tw;
       (void)budgeted.solve_warm(static_cast<uint64_t>(s), q);
     } catch (const Error&) {
-      rejected++;  // a shard slice tighter than one tenant: legal
+      rejected++;  // a budget tighter than one tenant: legal
     }
     // Settled (unpinned) residency is the governed figure; growth parked by
     // a release is reclaimed here, exactly like a maintenance tick.

@@ -41,7 +41,6 @@ int main(int argc, char** argv) {
   uint64_t one = 0;
   {
     parlis::serve::SessionTable::Config probe;
-    probe.shards = 1;
     parlis::serve::SessionTable t(probe);
     {
       auto lease = t.acquire(0);
@@ -72,7 +71,6 @@ int main(int argc, char** argv) {
   }
 
   parlis::serve::EngineConfig cfg;
-  cfg.table.shards = 1;  // one shard makes the LRU story easy to watch
   cfg.table.memory_budget_bytes = budget;
   parlis::serve::Engine engine(cfg);
   std::printf(

@@ -1,6 +1,7 @@
 // Unified per-solver configuration: one struct carries every knob the
 // Solver entry points consult, replacing the per-function parameter
-// sprawl the one-shot API grew (ties policies, worker counts via a global).
+// sprawl the one-shot API grew. The worker pool is sized globally
+// (set_num_workers / PARLIS_NUM_THREADS, parallel/scheduler.hpp).
 // What is not here is fixed: an input of at most kPoolGateGrain (2048)
 // elements solves in thread-sequential mode, and solve_many packs queries
 // of that size across the pool (api/solver.hpp).
@@ -38,12 +39,6 @@ struct Options {
   /// and the int64 overloads.
   TiesPolicy ties = TiesPolicy::kStrict;
 
-  /// Requested worker-pool size. Best effort: the pool size is fixed at
-  /// first use, so this takes effect only when the Solver is constructed
-  /// before any parallel call (same contract as set_num_workers). 0 keeps
-  /// the current / default pool.
-  int num_workers = 0;
-
   /// Streaming-session window policy (Solver::make_session). kGrowOnly
   /// ignores window_capacity; the sliding modes require capacity >= 1.
   WindowMode window = WindowMode::kGrowOnly;
@@ -66,14 +61,15 @@ struct Options {
   /// Upper bound on solver scratch memory in bytes; 0 means unlimited.
   /// Checked against the documented size estimates of what a solve would
   /// allocate (pinned at or above the real accounting by the fault tests),
-  /// before it allocates. An LIS solve runs patience sorting (~12
-  /// B/element, plus the rank space for keys other than int64 or under
-  /// kNonDecreasing) and has nothing smaller. A weighted solve needs the
-  /// rank space plus the Fenwick pass (~90 B/element); raw int64 values
-  /// under std::less and kStrict degrade to the Seq-AVL sweep (~64
-  /// B/element, no rank space), and every other weighted solve has nothing
-  /// smaller. When even the smallest path exceeds the budget the call
-  /// throws Error{kBudgetExceeded}.
+  /// before it allocates. Each path is priced per element plus 4 KiB once.
+  /// An LIS solve runs patience sorting (~12 B/element, plus the rank space
+  /// for keys other than int64 or under kNonDecreasing) and has nothing
+  /// smaller. A weighted solve needs the rank space plus the Fenwick pass
+  /// (~105 B/element); raw int64 values under std::less and kStrict
+  /// degrade to the Seq-AVL sweep (~64 B/element, no rank space), and
+  /// every other weighted solve has nothing smaller. When even the
+  /// smallest path exceeds the budget the call throws
+  /// Error{kBudgetExceeded}.
   uint64_t memory_budget_bytes = 0;
 };
 

@@ -22,11 +22,7 @@ struct Solver::CtxSlot {
 };
 
 Solver::Solver(const Options& opts)
-    : opts_(opts), main_ctx_(std::make_unique<ThreadCtx>()) {
-  if (opts_.num_workers > 0) {
-    set_num_workers(opts_.num_workers);  // best effort: no-op once pool is up
-  }
-}
+    : opts_(opts), main_ctx_(std::make_unique<ThreadCtx>()) {}
 
 Solver::~Solver() = default;
 Solver::Solver(Solver&&) noexcept = default;
@@ -47,35 +43,45 @@ size_t Solver::resident_bytes() const {
 // ---- Memory-budget admission ------------------------------------------
 //
 // Documented scratch-size models, per element, deliberately generous (the
-// fault tests pin each against the structures' real accounting). They
-// exist so a budget decision can be made *before* the structures allocate;
-// exactness is not the goal, never-under-estimating is.
+// fault tests pin each against the structures' real accounting, from n = 0
+// up). They exist so a budget decision can be made *before* the structures
+// allocate; exactness is not the goal, never-under-estimating is. The
+// per-element terms carry no constant: budget_plan adds kPlanFixedBytes
+// once per plan.
+
+// What a Solver holds at any n beyond the per-element terms: its thread
+// context (376 bytes on x86-64), the sort's first block of run-start masks
+// (512 bytes) and the one-element remainders (an extra Fenwick node, an
+// extra patience tail).
+constexpr size_t kPlanFixedBytes = size_t{4} << 10;
 
 size_t Solver::rank_space_bytes(int64_t n) {
-  // The sort path: order/pos/rank/qpos (4 x int64) + sort scratch,
-  // per-block carries, and the vector run scan's sorted-key image (8B) +
-  // run-start masks (~0.13B). rank_only_into's bitmap path stays under it:
-  // rank (8B), at most rank_only_max_words(n) = 2n presence words and
-  // their popcount prefix (32B), and under kNonDecreasing one count per
-  // distinct key (8B).
-  return static_cast<size_t>(n) * 58 + (size_t{1} << 16);
+  // A Solver whose solves take both of rank_only_into's paths keeps both
+  // paths' buffers, so this prices their union. The sort holds
+  // order/pos/rank/qpos (4 x 8B), its merge buffer (8B), the vector run
+  // scan's sorted-key image (8B), run-start masks (1/8 B) and per-block
+  // carries. The bitmap holds rank, at most rank_only_max_words(n) = 2n
+  // presence words in the masks' buffer (16B) and their popcount prefix in
+  // the merge buffer's (16B), which kNonDecreasing reuses for its counts.
+  // Union: 72B, plus 1B of slack for the carries.
+  return static_cast<size_t>(n) * 73;
 }
 
 size_t Solver::lis_scratch_bytes(int64_t n) {
   // Patience tails (at most n + 1 int64) + the rank output.
-  return static_cast<size_t>(n) * 12 + (size_t{1} << 16);
+  return static_cast<size_t>(n) * 12;
 }
 
 size_t Solver::wlis_scratch_bytes(int64_t n) {
   // The Fenwick pass beyond the rank space: a 16-byte node per rank (at
   // most n + 1), the value cache's copy of raw int64 input, and the dp
   // output.
-  return static_cast<size_t>(n) * 32 + (size_t{1} << 16);
+  return static_cast<size_t>(n) * 32;
 }
 
 size_t Solver::wlis_fallback_bytes(int64_t n) {
   // Seq-AVL node pool (48B/node) + dp output, then patience tails + ranks.
-  return static_cast<size_t>(n) * 64 + (size_t{1} << 16);
+  return static_cast<size_t>(n) * 64;
 }
 
 // LisResult::rank, LisFrontiers::rank and every round counter are int32.
@@ -92,6 +98,7 @@ Solver::BudgetPlan Solver::budget_plan(int64_t n, size_t full_bytes,
                                        const char* what) const {
   check_rank_limit(n, what);
   const uint64_t budget = opts_.memory_budget_bytes;
+  full_bytes += kPlanFixedBytes;
   if (budget == 0 || full_bytes <= budget) return BudgetPlan::kFull;
   if (fallback_bytes == 0) {
     throw Error(ErrorCode::kBudgetExceeded,
@@ -100,6 +107,7 @@ Solver::BudgetPlan Solver::budget_plan(int64_t n, size_t full_bytes,
                     " bytes exceed Options::memory_budget_bytes = " +
                     std::to_string(budget) + " (no sequential fallback)");
   }
+  fallback_bytes += kPlanFixedBytes;
   if (fallback_bytes <= budget) return BudgetPlan::kFallback;
   throw Error(ErrorCode::kBudgetExceeded,
               std::string(what) + ": estimated " +

@@ -118,8 +118,8 @@ class Solver {
 
   /// Re-arm the memory budget between solves (same contract as set_cancel:
   /// workspaces stay warm, not safe concurrently with a running solve).
-  /// The serving layer points this at its remaining budget headroom before
-  /// each tenant operation, so budget_plan's admission decision — degrade
+  /// The serving layer points this at its remaining budget headroom when a
+  /// lease takes the tenant, so budget_plan's admission decision — degrade
   /// to the sequential fallback or throw Error{kBudgetExceeded} before
   /// allocating — governs tenant growth too. 0 means unlimited.
   void set_memory_budget_bytes(uint64_t bytes) {
@@ -267,9 +267,11 @@ class Solver {
   // otherwise), then Options::memory_budget_bytes. The byte figures are
   // documented scratch-size models (README "Failure semantics"),
   // deliberately generous; the fault tests pin each one >= the structures'
-  // real accounting. budget_plan picks the full path when it fits, the
-  // fallback when only that fits (fallback_bytes 0: there is none), and
-  // throws Error{kBudgetExceeded} otherwise.
+  // real accounting. The per-element terms below carry no constant:
+  // budget_plan adds one fixed term to each path it prices. It picks the
+  // full path when it fits, the fallback when only that fits
+  // (fallback_bytes 0: there is none), and throws Error{kBudgetExceeded}
+  // otherwise.
   enum class BudgetPlan { kFull, kFallback };
   BudgetPlan budget_plan(int64_t n, size_t full_bytes, size_t fallback_bytes,
                          const char* what) const;

@@ -70,10 +70,11 @@ int64_t Engine::queue_depth() const {
   return static_cast<int64_t>(q_size_);
 }
 
-int64_t Engine::remaining_deadline_ms(const Request& r) {
-  if (r.deadline_ms <= 0) return 0;
-  const int64_t left = r.deadline_ms - elapsed_ms_since(r.submitted);
-  // The queued wait already consumed the slack: hand the solver a minimal
+int64_t Engine::remaining_deadline_ms(
+    int64_t deadline_ms, std::chrono::steady_clock::time_point start) {
+  if (deadline_ms <= 0) return 0;
+  const int64_t left = deadline_ms - elapsed_ms_since(start);
+  // The wait already consumed the slack: hand the solver a minimal
   // nonzero remainder (0 would disarm the deadline), so it trips at its
   // first poll point.
   return left > 1 ? left : 1;
@@ -148,60 +149,15 @@ bool Engine::finish_if_dead(Request& r) {
 }
 
 void Engine::execute_solo(Request& r) {
+  // Guarded batch: one guard per solve_many call, so it runs alone.
   std::exception_ptr err;
   try {
-    switch (r.kind) {
-      case Request::Kind::kSolve: {
-        // Guarded batch: one guard per solve_many call, so it runs alone.
-        batch_solver_.set_cancel(r.cancel);
-        batch_solver_.set_deadline_ms(remaining_deadline_ms(r));
-        batch_solver_.solve_many(r.queries, r.results);
-        break;
-      }
-      case Request::Kind::kAppend: {
-        Solver& s = r.lease->solver();
-        r.lease->refresh_budget();
-        s.set_cancel(r.cancel);
-        s.set_deadline_ms(remaining_deadline_ms(r));
-        r.append_result = r.lease->session().append(r.value);
-        break;
-      }
-      case Request::Kind::kWarm: {
-        Solver& s = r.lease->solver();
-        r.lease->refresh_budget();
-        s.set_cancel(r.cancel);
-        s.set_deadline_ms(remaining_deadline_ms(r));
-        const Query& q = *r.query;
-        if (q.w.empty()) {
-          LisResult& out = r.lease->lis_out();
-          s.solve_lis(q.a, out);
-          r.result->k = out.k;
-          r.result->best = out.k;
-          if (!q.rank_out.empty()) {
-            std::copy(out.rank.begin(), out.rank.end(), q.rank_out.begin());
-          }
-        } else {
-          WlisResult& out = r.lease->wlis_out();
-          const bool hit = s.solve_wlis(q.a, q.w, out);
-          (hit ? value_cache_hits_ : value_cache_misses_)
-              .fetch_add(1, std::memory_order_relaxed);
-          r.result->k = out.k;
-          r.result->best = out.best;
-          if (!q.dp_out.empty()) {
-            std::copy(out.dp.begin(), out.dp.end(), q.dp_out.begin());
-          }
-        }
-        break;
-      }
-    }
+    batch_solver_.set_cancel(r.cancel);
+    batch_solver_.set_deadline_ms(
+        remaining_deadline_ms(r.deadline_ms, r.submitted));
+    batch_solver_.solve_many(r.queries, r.results);
   } catch (...) {
     err = std::current_exception();
-  }
-  // Disarm tenant-solver guards so the next (possibly guard-free) op on
-  // this tenant does not inherit a stale token or deadline.
-  if (r.kind != Request::Kind::kSolve && r.lease.has_value()) {
-    r.lease->solver().set_cancel(CancelToken{});
-    r.lease->solver().set_deadline_ms(0);
   }
   complete(r, std::move(err));
 }
@@ -310,7 +266,7 @@ void Engine::dispatcher_loop() {
     for (Request* r : drained_) {
       if (finish_if_dead(*r)) continue;
       const bool coalescable =
-          r->kind == Request::Kind::kSolve && !r->guarded &&
+          !r->guarded &&
           static_cast<int64_t>(r->queries.size()) <= cfg_.coalesce_max_queries;
       if (coalescable) {
         if (static_cast<int64_t>(batch_queries_.size() + r->queries.size()) >
@@ -339,7 +295,6 @@ void Engine::solve(std::span<const Query> queries,
   // every request coalesced with it.
   for (const Query& q : queries) validate_query(q);
   Request r;
-  r.kind = Request::Kind::kSolve;
   r.queries = queries;
   r.results = results;
   r.cancel = guard.cancel;
@@ -353,34 +308,50 @@ QueryResult Engine::solve_one(const Query& q, const RequestGuard& guard) {
   return res;
 }
 
+SessionTable::Lease Engine::lease_tenant(uint64_t series,
+                                         const RequestGuard& guard) {
+  // The guard's clock starts before the acquire, so waiting for the
+  // tenant's current holder counts against the deadline.
+  const auto start = std::chrono::steady_clock::now();
+  SessionTable::Lease lease = table_.acquire(series);
+  requests_.fetch_add(1, std::memory_order_relaxed);
+  lease.solver().set_cancel(guard.cancel);
+  lease.solver().set_deadline_ms(
+      remaining_deadline_ms(guard.deadline_ms, start));
+  return lease;
+}
+
 int64_t Engine::append(uint64_t series, int64_t value,
                        const RequestGuard& guard) {
-  Request r;
-  r.kind = Request::Kind::kAppend;
-  r.series = series;
-  r.value = value;
-  r.cancel = guard.cancel;
-  r.deadline_ms = guard.deadline_ms;
-  // Submit-time acquire: admission faults and kBudgetExceeded surface
-  // synchronously, and the pin keeps the tenant unevictable while queued.
-  r.lease.emplace(table_.acquire(series));
-  submit_and_wait(r);
-  return r.append_result;
+  SessionTable::Lease lease = lease_tenant(series, guard);
+  return lease.session().append(value);
 }
 
 QueryResult Engine::solve_warm(uint64_t series, const Query& q,
                                const RequestGuard& guard) {
-  validate_query(q);  // execute_solo copies |a| results into the spans
+  validate_query(q);  // the results below copy |a| values into the spans
+  SessionTable::Lease lease = lease_tenant(series, guard);
+  Solver& s = lease.solver();
   QueryResult res;
-  Request r;
-  r.kind = Request::Kind::kWarm;
-  r.series = series;
-  r.query = &q;
-  r.result = &res;
-  r.cancel = guard.cancel;
-  r.deadline_ms = guard.deadline_ms;
-  r.lease.emplace(table_.acquire(series));
-  submit_and_wait(r);
+  if (q.w.empty()) {
+    LisResult& out = lease.lis_out();
+    s.solve_lis(q.a, out);
+    res.k = out.k;
+    res.best = out.k;
+    if (!q.rank_out.empty()) {
+      std::copy(out.rank.begin(), out.rank.end(), q.rank_out.begin());
+    }
+  } else {
+    WlisResult& out = lease.wlis_out();
+    const bool hit = s.solve_wlis(q.a, q.w, out);
+    (hit ? value_cache_hits_ : value_cache_misses_)
+        .fetch_add(1, std::memory_order_relaxed);
+    res.k = out.k;
+    res.best = out.best;
+    if (!q.dp_out.empty()) {
+      std::copy(out.dp.begin(), out.dp.end(), q.dp_out.begin());
+    }
+  }
   return res;
 }
 

@@ -1,10 +1,12 @@
-// parlis::serve::Engine — the admission queue that turns the solver
-// library into a service.
+// parlis::serve::Engine — the service front of the solver library: an
+// admission queue for stateless solves, and tenant verbs that run on the
+// caller's thread under an exclusive SessionTable lease.
 //
-// One dispatcher thread owns execution; callers submit operations and
-// block until their result is ready (requests live on the CALLER's stack,
-// so the warm submit path allocates nothing). The queue is a fixed ring
-// of request pointers with two backpressure modes:
+// Stateless solves (solve, solve_one) go through the queue. One dispatcher
+// thread owns their execution; callers submit and block until their
+// result is ready (requests live on the CALLER's stack, so the warm submit
+// path allocates nothing). The queue is a fixed ring of request pointers
+// with two backpressure modes:
 //
 //   kBlock  — a full queue blocks the submitting thread until a slot
 //             frees (cancellation is honored while blocked);
@@ -29,15 +31,20 @@
 //   * executes guarded requests (live CancelToken / deadline) solo, with
 //     the batch solver re-armed per request (set_cancel /
 //     set_deadline_ms), because a coalesced batch can only carry one
-//     guard;
-//   * executes tenant operations — streaming appends, warm per-series
-//     solves — on the tenant's own solver under a SessionTable lease
-//     acquired at submit time (admission faults and kBudgetExceeded
-//     surface synchronously to the caller), with the budget headroom
-//     refreshed just before execution.
+//     guard.
 //
-// Deadlines are end to end: the clock starts at submit, the queued wait
-// counts against it, and the solver sees only the remainder.
+// Tenant verbs (append, solve_warm) never queue: there is nothing to
+// coalesce across tenants, and the SessionTable already serializes each
+// tenant. The calling thread acquires the tenant's lease (admission
+// faults and kBudgetExceeded surface there), waits while another caller
+// holds it, arms the tenant solver with its guard, and runs the op.
+// Backpressure, pause/resume, the linger window and the queued
+// cancel/expiry counters apply to the queue, so only to the stateless
+// solves.
+//
+// Deadlines are end to end: the clock starts at the call, so a queued
+// wait or a wait for a busy tenant counts against it, and the solver sees
+// only the remainder.
 #pragma once
 
 #include <atomic>
@@ -45,7 +52,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <thread>
 #include <vector>
@@ -106,7 +112,8 @@ class Engine {
   QueryResult solve_one(const Query& q, const RequestGuard& guard = {});
 
   /// Streaming append to `series`' session (created on first append);
-  /// returns the new LIS length of the tenant's live window.
+  /// returns the new LIS length of the tenant's live window. Runs on the
+  /// calling thread under the tenant's lease.
   int64_t append(uint64_t series, int64_t value,
                  const RequestGuard& guard = {});
 
@@ -124,27 +131,19 @@ class Engine {
 
   SessionTable& table() { return table_; }
 
-  /// Test/maintenance seam: a paused engine admits (and backpressures)
-  /// normally but executes nothing until resume().
+  /// Test/maintenance seam: a paused engine queues (and backpressures)
+  /// solves normally but executes none until resume(). Tenant verbs do
+  /// not queue and run regardless.
   void pause();
   void resume();
 
-  /// Requests currently queued (snapshot).
+  /// Solve requests currently queued (snapshot).
   int64_t queue_depth() const;
 
  private:
   struct Request {
-    enum class Kind : uint8_t { kSolve, kAppend, kWarm } kind;
-    // kSolve
     std::span<const Query> queries{};
     std::span<QueryResult> results{};
-    // kAppend / kWarm
-    uint64_t series = 0;
-    int64_t value = 0;
-    int64_t append_result = 0;
-    const Query* query = nullptr;
-    QueryResult* result = nullptr;
-    std::optional<SessionTable::Lease> lease;  // pinned at submit
     // Guard, anchored at submit time so the queued wait counts.
     CancelToken cancel{};
     int64_t deadline_ms = 0;
@@ -166,8 +165,12 @@ class Engine {
   void execute_solo(Request& r);
   void run_coalesced(std::vector<Request*>& batch);
   static void complete(Request& r, std::exception_ptr err);
-  // Remaining milliseconds of r's deadline (>=1), or 0 for "none".
-  static int64_t remaining_deadline_ms(const Request& r);
+  // Remaining milliseconds of a deadline anchored at `start` (>= 1), or 0
+  // for "none".
+  static int64_t remaining_deadline_ms(
+      int64_t deadline_ms, std::chrono::steady_clock::time_point start);
+  // Leases `series` and arms its solver with `guard`, anchored at entry.
+  SessionTable::Lease lease_tenant(uint64_t series, const RequestGuard& guard);
 
   SessionTable table_;
   Solver batch_solver_;

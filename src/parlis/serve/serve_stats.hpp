@@ -2,7 +2,7 @@
 // SessionTable and the Engine.
 //
 // The live counters are relaxed atomics inside their owners (the
-// SessionTable's shard-level events, the Engine's queue events); stats()
+// SessionTable's table events, the Engine's request events); stats()
 // materializes them into this struct so callers — the micro_serve bench,
 // the multi_tenant example, capacity dashboards — read one coherent-enough
 // snapshot (each field is exact; cross-field skew is bounded by whatever
@@ -21,11 +21,12 @@ struct Stats {
   int64_t table_hits = 0;         // acquire() found the tenant resident
   int64_t table_misses = 0;       // acquire() had to admit
   int64_t tenants = 0;            // currently resident entries
-  int64_t resident_bytes = 0;     // measured bytes across all shards
-  int64_t budget_bytes = 0;       // configured global budget (0 = none)
+  int64_t resident_bytes = 0;     // measured bytes across all tenants
+  int64_t budget_bytes = 0;       // configured table budget (0 = none)
 
   // --- Engine ---
-  int64_t requests = 0;            // ops submitted (incl. rejected)
+  int64_t requests = 0;            // solves submitted (incl. overload
+                                   // rejections) and tenant ops leased
   int64_t overload_rejections = 0; // kOverloaded fail-fast refusals
   int64_t cancelled_queued = 0;    // completed without running: cancel
   int64_t expired_queued = 0;      // completed without running: deadline

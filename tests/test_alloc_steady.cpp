@@ -282,6 +282,17 @@ int main() {
     solver.solve_wlis(r % 2 ? steep : bulk, w, wlis_out);
   }
   expect_zero("solve_wlis bitmap ranks, two spans", g_allocs.load() - base);
+  // Misses that alternate between the sort (the hashed `a`) and the bitmap
+  // (`steep`) find both paths' buffers warm.
+  for (int r = 0; r < 3; r++) {
+    solver.solve_wlis(a, w, wlis_out);
+    solver.solve_wlis(steep, w, wlis_out);
+  }
+  base = begin_window();
+  for (int r = 0; r < 5; r++) {
+    solver.solve_wlis(r % 2 ? steep : a, w, wlis_out);
+  }
+  expect_zero("solve_wlis sort/bitmap alternation", g_allocs.load() - base);
 
   // Non-decreasing ties on int64 inputs route through the same compression
   // (kNonDecreasing ranking) inside the int64 overloads.

@@ -368,10 +368,10 @@ TEST(EdgeCases, WlisWeightOverflowThrows) {
   const std::vector<double> da = {1.0, 2.0, 3.0};
   Options nd;
   nd.ties = TiesPolicy::kNonDecreasing;
-  // Between the documented Seq-AVL fallback (64 B/element + 64 KiB) and
-  // the rank space plus the pass (90 B/element + 128 KiB).
+  // Between the documented Seq-AVL fallback (64 B/element) and the rank
+  // space plus the pass (105 B/element), each plus 4 KiB once, at n = 3.
   Options tight;
-  tight.memory_budget_bytes = 100000;
+  tight.memory_budget_bytes = 4096 + 3 * 80;
   for (const Options& opts : {Options{}, nd, tight}) {
     SCOPED_TRACE(testing::Message()
                  << "nondec " << (opts.ties == TiesPolicy::kNonDecreasing)

@@ -15,8 +15,8 @@
 //    post-cancellation warm-state coherence contract.
 //  * MemoryBudget    — memory_budget_bytes admission: budget sweeps where
 //    every admitted solve must match the unlimited reference exactly,
-//    kBudgetExceeded on the rest, the SWGS no-fallback rule, and the
-//    estimate >= real-accounting pin for the range tree.
+//    kBudgetExceeded on the rest, and the estimate >= real-accounting
+//    pins for the range tree and for each of the Solver's plans.
 #include <gtest/gtest.h>
 #include <sys/mman.h>
 
@@ -255,7 +255,6 @@ std::vector<SiteDriver> site_drivers() {
                  uint64_t one = 0;
                  {
                    serve::SessionTable::Config probe;
-                   probe.shards = 1;
                    serve::SessionTable t(probe);
                    {
                      auto lease = t.acquire(1);
@@ -264,7 +263,6 @@ std::vector<SiteDriver> site_drivers() {
                    one = t.resident_bytes();
                  }
                  serve::SessionTable::Config cfg;
-                 cfg.shards = 1;
                  cfg.memory_budget_bytes = one + one / 2;
                  serve::SessionTable t(cfg);
                  // Grow two tenants past the budget (idle residue is legal
@@ -361,7 +359,6 @@ TEST_F(FaultInjection, TableSurvivesEvictFault) {
   uint64_t one = 0;
   {
     serve::SessionTable::Config probe;
-    probe.shards = 1;
     serve::SessionTable t(probe);
     {
       auto lease = t.acquire(1);
@@ -370,10 +367,9 @@ TEST_F(FaultInjection, TableSurvivesEvictFault) {
     one = t.resident_bytes();
   }
   serve::SessionTable::Config cfg;
-  cfg.shards = 1;
   cfg.memory_budget_bytes = one + one / 2;
   serve::SessionTable t(cfg);
-  // Two grown tenants put the shard over its slice (legal idle residue);
+  // Two grown tenants put the table over its budget (legal idle residue);
   // the next admission must evict and therefore hits the armed site.
   for (uint64_t series = 1; series <= 2; series++) {
     auto lease = t.acquire(series);
@@ -1036,7 +1032,7 @@ TEST(MemoryBudget, WlisSweepDegradesExactly) {
   EXPECT_GE(rejected, 1);
   EXPECT_GE(admitted, 2);
   // The 4 MiB point sits between the documented fallback (~64 B/elem) and
-  // full (~90 B/elem) footprints at n = 60000, so the sweep provably
+  // full (~105 B/elem) footprints at n = 60000, so the sweep provably
   // crossed the degradation regime, not just reject/full. Seq-AVL leaves
   // only the patience scratch behind (~12 B/elem); the pass keeps the rank
   // space (32+ B/elem).
@@ -1103,38 +1099,51 @@ TEST(MemoryBudget, RangeTreeEstimateCoversRealAccounting) {
   }
 }
 
+// The smallest memory budget under which `solve` (run on a fresh Solver
+// built from `o`) is admitted, found by bisection: over-budget calls throw
+// kBudgetExceeded before they allocate, so the answer is the model's price
+// of the path taken.
+template <typename Solve>
+uint64_t admitting_budget(Options o, int64_t n, Solve&& solve) {
+  auto admits = [&](uint64_t budget) {
+    o.memory_budget_bytes = budget;
+    Solver s(o);
+    try {
+      solve(s);
+      return true;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kBudgetExceeded);
+      return false;
+    }
+  };
+  // lo rejects, hi admits.
+  uint64_t lo = 1, hi = 256 * static_cast<uint64_t>(n) + (uint64_t{1} << 20);
+  EXPECT_TRUE(admits(hi));
+  while (hi - lo > 1) {
+    const uint64_t mid = lo + (hi - lo) / 2;
+    (admits(mid) ? hi : lo) = mid;
+  }
+  return hi;
+}
+
 // The weighted plan's estimate (rank space + the pass) bounds what a solve
-// really holds. The smallest budget that admits a solve with no fallback
-// (a custom order) is found by bisection, since over-budget calls throw
-// before they allocate; a fresh Solver's measured footprint plus the dp
-// output must fit in it on both the rank-image and the value-cache paths.
+// really holds, from n = 0 up. The admitting budget of a solve with no
+// fallback (a custom order) is the plan's price; a fresh Solver's measured
+// footprint plus the dp output must fit in it on the rank-image and the
+// value-cache paths, on a bitmap at its cap, and on one Solver whose
+// solves alternate between the sort and the bitmap and so hold both
+// paths' buffers.
 TEST(MemoryBudget, WlisPassEstimateCoversRealAccounting) {
-  for (int64_t n : {int64_t{1}, int64_t{17}, int64_t{1000}, int64_t{65536},
-                    int64_t{100000}}) {
+  for (int64_t n : {int64_t{0}, int64_t{1}, int64_t{17}, int64_t{560},
+                    int64_t{1000}, int64_t{65536}, int64_t{100000}}) {
     SCOPED_TRACE("n=" + std::to_string(n));
     const std::vector<int64_t> a = make_vals(n, 111 + n);
     const std::vector<int64_t> w = make_weights(n, 112 + n);
-    auto admits = [&](uint64_t budget) {
-      Options o;
-      o.memory_budget_bytes = budget;
-      Solver s(o);
+    const uint64_t hi = admitting_budget(Options{}, n, [&](Solver& s) {
       WlisResult out;
-      try {
-        s.solve_wlis(std::span<const int64_t>(a), w, out,
-                     std::greater<int64_t>{});
-        return true;
-      } catch (const Error& e) {
-        EXPECT_EQ(e.code(), ErrorCode::kBudgetExceeded);
-        return false;
-      }
-    };
-    // lo rejects, hi admits.
-    uint64_t lo = 1, hi = 256 * static_cast<uint64_t>(n) + (uint64_t{1} << 20);
-    ASSERT_TRUE(admits(hi));
-    while (hi - lo > 1) {
-      const uint64_t mid = lo + (hi - lo) / 2;
-      (admits(mid) ? hi : lo) = mid;
-    }
+      s.solve_wlis(std::span<const int64_t>(a), w, out,
+                   std::greater<int64_t>{});
+    });
     for (const bool custom : {true, false}) {
       SCOPED_TRACE(custom ? "rank image" : "value cache");
       Solver s;
@@ -1147,8 +1156,10 @@ TEST(MemoryBudget, WlisPassEstimateCoversRealAccounting) {
       }
       EXPECT_LE(s.resident_bytes() + out.resident_bytes(), hi);
     }
+    if (n == 0) continue;
     // rank_only_into's largest bitmap: a span of exactly
-    // rank_only_max_words(n) words, under both ties policies.
+    // rank_only_max_words(n) words, under both ties policies. The hashed
+    // 63-bit `a` takes the sort.
     const uint64_t top = 64 * rank_only_max_words(n) - 1;
     std::vector<int64_t> at_cap(static_cast<size_t>(n));
     for (int64_t i = 0; i < n; i++) {
@@ -1158,15 +1169,78 @@ TEST(MemoryBudget, WlisPassEstimateCoversRealAccounting) {
     at_cap[n - 1] = static_cast<int64_t>(top);
     for (const TiesPolicy ties :
          {TiesPolicy::kStrict, TiesPolicy::kNonDecreasing}) {
-      SCOPED_TRACE(ties == TiesPolicy::kStrict ? "bitmap, value cache"
-                                               : "bitmap, nondec rank image");
+      SCOPED_TRACE(ties == TiesPolicy::kStrict ? "value cache"
+                                               : "nondec rank image");
       Options o;
       o.ties = ties;
+      {
+        SCOPED_TRACE("bitmap at the cap");
+        Solver s(o);
+        WlisResult out;
+        s.solve_wlis(at_cap, w, out);
+        EXPECT_LE(s.resident_bytes() + out.resident_bytes(), hi);
+      }
+      for (const bool sort_first : {true, false}) {
+        SCOPED_TRACE(sort_first ? "sort, bitmap, sort"
+                                : "bitmap, sort, bitmap");
+        Solver s(o);
+        WlisResult out;
+        for (int r = 0; r < 3; r++) {
+          s.solve_wlis((r % 2 == 0) == sort_first ? a : at_cap, w, out);
+          EXPECT_LE(s.resident_bytes() + out.resident_bytes(), hi);
+        }
+      }
+    }
+  }
+}
+
+// The LIS plan's estimate (patience, plus the rank space for a rank image)
+// and the Seq-AVL fallback's bound what a solve really holds, from n = 0
+// up. The fallback's node pool (48 B per node) is freed before the solve
+// returns, so it is added to the measured figure.
+TEST(MemoryBudget, LisAndFallbackEstimatesCoverRealAccounting) {
+  for (int64_t n : {int64_t{0}, int64_t{1}, int64_t{17}, int64_t{300},
+                    int64_t{560}, int64_t{5000}}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const std::vector<int64_t> a = make_vals(n, 121 + n);
+    const std::vector<int64_t> w = make_weights(n, 122 + n);
+    std::vector<double> da(a.begin(), a.end());
+    Options nd;
+    nd.ties = TiesPolicy::kNonDecreasing;
+    // Raw keys, a typed rank image, and an int64 nondec rank image.
+    for (int path = 0; path < 3; path++) {
+      SCOPED_TRACE("lis path " + std::to_string(path));
+      auto solve = [&](Solver& s, LisResult& out) {
+        if (path == 1) {
+          s.solve_lis(std::span<const double>(da), out);
+        } else {
+          s.solve_lis(a, out);
+        }
+      };
+      const Options o = path == 2 ? nd : Options{};
+      const uint64_t hi = admitting_budget(o, n, [&](Solver& s) {
+        LisResult out;
+        solve(s, out);
+      });
       Solver s(o);
-      WlisResult out;
-      s.solve_wlis(at_cap, w, out);
+      LisResult out;
+      solve(s, out);
       EXPECT_LE(s.resident_bytes() + out.resident_bytes(), hi);
     }
+    // The fallback's price: the smallest budget admitting a raw weighted
+    // solve lies below the full plan's, so the solve under it degrades.
+    const uint64_t lo = admitting_budget(Options{}, n, [&](Solver& s) {
+      WlisResult out;
+      s.solve_wlis(a, w, out);
+    });
+    Options o;
+    o.memory_budget_bytes = lo;
+    Solver s(o);
+    WlisResult out;
+    s.solve_wlis(a, w, out);
+    EXPECT_LE(s.resident_bytes() + out.resident_bytes() +
+                  48 * static_cast<uint64_t>(n),
+              lo);
   }
 }
 

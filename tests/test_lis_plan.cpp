@@ -274,13 +274,13 @@ TEST(LisPlanDifferential, OneThreadAndPackedSolves) {
 }
 
 // The LIS plan has one path, so one budget model (README "Failure
-// semantics": patience, ~12 B/element): a budget at the model admits the
-// solve, one byte less throws before any work.
+// semantics": patience, 12 B/element plus 4 KiB once): a budget at the
+// model admits the solve, one byte less throws before any work.
 TEST(LisPlanDifferential, BudgetAdmitsOnlyThePatienceModel) {
   const std::vector<int64_t> a = first_frontier_input(3 * kBlock, 9);
   const uint64_t n = a.size();
   Options fits;
-  fits.memory_budget_bytes = n * 12 + (1 << 16);
+  fits.memory_budget_bytes = n * 12 + 4096;
   check_plan(a, seq_bs_ranks(a), fits);
   Options tight = fits;
   tight.memory_budget_bytes -= 1;

@@ -2,15 +2,17 @@
 // the TSan leg):
 //
 //  * ServeTable  — SessionTable semantics: hit/miss accounting, LRU
-//    eviction under a measured byte budget, the pin contract, budget
-//    rejection, and the churn pin: a tenant evicted and re-admitted
-//    answers bit-identically to its pre-eviction warm self (both the
-//    weighted dp vector and a streaming replay).
+//    eviction under a measured byte budget, the pin contract, exclusive
+//    leases, one budget a tenant may use whole, budget rejection, and the
+//    churn pin: a tenant evicted and re-admitted answers bit-identically
+//    to its pre-eviction warm self (both the weighted dp vector and a
+//    streaming replay).
 //  * ServeEngine — admission-queue behavior end to end: coalesced batches
 //    match direct solves, a request cancelled (or expired) while queued
 //    never reaches a worker, kReject overload fail-fast vs kBlock
 //    backpressure, tenant ops (append / solve_warm) against direct
-//    references, and a multi-client stress leg for the TSan build.
+//    references, threads sharing one series, and a multi-client stress
+//    leg for the TSan build.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +20,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <thread>
 #include <vector>
@@ -29,6 +32,7 @@
 #include "parlis/stream/lis_session.hpp"
 #include "parlis/util/cancel.hpp"
 #include "parlis/util/error.hpp"
+#include "parlis/wlis/seq_avl.hpp"
 
 namespace parlis {
 namespace {
@@ -74,7 +78,6 @@ void expect_error(ErrorCode want, Fn&& fn) {
 template <typename WarmFn>
 uint64_t warm_tenant_bytes(WarmFn&& warm) {
   SessionTable::Config cfg;
-  cfg.shards = 1;
   SessionTable table(cfg);
   {
     auto lease = table.acquire(1);
@@ -87,7 +90,6 @@ uint64_t warm_tenant_bytes(WarmFn&& warm) {
 
 TEST(ServeTable, HitMissAndLruAccounting) {
   SessionTable::Config cfg;
-  cfg.shards = 4;
   SessionTable table(cfg);
   EXPECT_FALSE(table.contains(7));
   { auto lease = table.acquire(7); EXPECT_EQ(lease.series(), 7u); }
@@ -105,7 +107,6 @@ TEST(ServeTable, HitMissAndLruAccounting) {
 
 TEST(ServeTable, FreshTenantTooBigForBudgetIsRejected) {
   SessionTable::Config cfg;
-  cfg.shards = 1;
   cfg.memory_budget_bytes = 16;  // smaller than any entry
   SessionTable table(cfg);
   expect_error(ErrorCode::kBudgetExceeded, [&] { table.acquire(1); });
@@ -125,7 +126,6 @@ TEST(ServeTable, PinnedEntryIsNeverEvicted) {
   });
 
   SessionTable::Config cfg;
-  cfg.shards = 1;
   cfg.memory_budget_bytes = one + one / 2;  // room for ~1.5 warm tenants
   SessionTable table(cfg);
   auto pinned = table.acquire(1);
@@ -150,11 +150,10 @@ TEST(ServeTable, ChurnEvictReAdmitIsBitIdentical) {
   });
 
   SessionTable::Config cfg;
-  cfg.shards = 1;
   // ~2.5 warm tenants: enough headroom that the solver's conservative
   // admission ESTIMATE (which runs ahead of the measured footprint) still
   // picks the full plan for the hot tenant, while two grown tenants put
-  // the shard over budget.
+  // the table over budget.
   cfg.memory_budget_bytes = 5 * one / 2;
   SessionTable table(cfg);
 
@@ -173,7 +172,7 @@ TEST(ServeTable, ChurnEvictReAdmitIsBitIdentical) {
     ASSERT_EQ(out.dp, warm_dp);
   }
 
-  // Churn other tenants through the same shard until tenant 1 is evicted.
+  // Churn other tenants through the table until tenant 1 is evicted.
   // Each churn tenant grows by solve AND by session appends (the latter is
   // never estimate-gated), so the pressure builds regardless of which plan
   // the budgeted solves pick.
@@ -204,7 +203,6 @@ TEST(ServeTable, StreamingChurnReplayIsBitIdentical) {
   });
 
   SessionTable::Config cfg;
-  cfg.shards = 1;
   cfg.memory_budget_bytes = one + one / 2;
   SessionTable table(cfg);
 
@@ -239,7 +237,6 @@ TEST(ServeTable, ResidentStaysWithinBudgetAcrossChurn) {
   });
 
   SessionTable::Config cfg;
-  cfg.shards = 2;
   cfg.memory_budget_bytes = 3 * one;
   SessionTable table(cfg);
   for (uint64_t s = 1; s <= 24; s++) {
@@ -247,18 +244,100 @@ TEST(ServeTable, ResidentStaysWithinBudgetAcrossChurn) {
       auto lease = table.acquire(s);
       for (int64_t v : vals) lease.session().append(v);
     } catch (const Error& e) {
-      // A shard slice can be tighter than one warm tenant; rejection is a
+      // The budget can be tighter than one warm tenant; rejection is a
       // legal answer, silently blowing the budget is not.
       ASSERT_EQ(e.code(), ErrorCode::kBudgetExceeded) << e.what();
     }
     // Idle-state invariant: with no lease live, measured residency never
-    // exceeds the configured budget once the table has settled the shard.
+    // exceeds the configured budget once the table has settled.
     table.enforce_budget();
     EXPECT_LE(table.resident_bytes(), table.budget_bytes());
   }
   auto st = table.stats();
   EXPECT_GT(st.evictions, 0);
   EXPECT_GT(st.admissions, 3);
+}
+
+// Leases are exclusive: threads leasing one series take turns, so no two
+// are ever inside a lease at once, and every append lands. The threads
+// start together and yield inside the lease, so without the lock they
+// would overlap.
+TEST(ServeTable, LeasesOnOneSeriesNeverOverlap) {
+  SessionTable table(SessionTable::Config{});
+  const int kThreads = 4, kRounds = 200;
+  std::atomic<int> ready{0}, inside{0}, most{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([&, t] {
+      ready++;
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (int r = 0; r < kRounds; r++) {
+        auto lease = table.acquire(9);
+        const int now = inside.fetch_add(1) + 1;
+        int seen = most.load();
+        while (now > seen && !most.compare_exchange_weak(seen, now)) {
+        }
+        std::this_thread::yield();
+        lease.session().append(t * kRounds + r);
+        inside.fetch_sub(1);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(most.load(), 1);
+  auto lease = table.acquire(9);
+  EXPECT_EQ(lease.session().size(), kThreads * kRounds);
+}
+
+// A second acquire of a leased series returns only after the first lease
+// is released; meanwhile the rest of the table stays available.
+TEST(ServeTable, SecondAcquireWaitsForRelease) {
+  SessionTable table(SessionTable::Config{});
+  std::optional<SessionTable::Lease> first;
+  first.emplace(table.acquire(3));
+  std::atomic<bool> released{false}, acquired{false};
+  std::thread second([&] {
+    auto lease = table.acquire(3);
+    acquired = true;
+    EXPECT_TRUE(released.load()) << "the second lease overlapped the first";
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  EXPECT_FALSE(acquired.load());
+  { auto other = table.acquire(4); }  // another series does not wait
+  EXPECT_TRUE(table.contains(3));
+  released = true;
+  first.reset();
+  second.join();
+  EXPECT_TRUE(acquired.load());
+}
+
+// One table, one budget: a lone tenant may use all of it. A kNonDecreasing
+// weighted solve has no smaller path, and this one is priced above an
+// eighth of the budget (a bare Solver under budget/8 rejects it) and
+// below the whole budget, so it solves.
+TEST(ServeTable, OneTenantMayUseTheWholeBudget) {
+  const int64_t n = 4096;
+  const auto vals = make_vals(n, 81);
+  const auto wts = make_weights(n, 82);
+  SessionTable::Config cfg;
+  cfg.memory_budget_bytes = uint64_t{1} << 20;
+  cfg.solver.ties = TiesPolicy::kNonDecreasing;
+  WlisResult want;
+  Solver(cfg.solver).solve_wlis(vals, wts, want);
+  Options eighth = cfg.solver;
+  eighth.memory_budget_bytes = cfg.memory_budget_bytes / 8;
+  expect_error(ErrorCode::kBudgetExceeded, [&] {
+    WlisResult out;
+    Solver(eighth).solve_wlis(vals, wts, out);
+  });
+
+  SessionTable table(cfg);
+  auto lease = table.acquire(1);
+  WlisResult& out = lease.wlis_out();
+  lease.solver().solve_wlis(vals, wts, out);
+  EXPECT_EQ(out.dp, want.dp);
+  EXPECT_EQ(out.best, want.best);
+  EXPECT_EQ(out.k, want.k);
 }
 
 // ------------------------------------------------------------- ServeEngine
@@ -595,6 +674,85 @@ TEST(ServeEngine, MalformedQueryFailsOnlyItsOwnRequest) {
   EXPECT_EQ(got.best, want.k);
 }
 
+// The cancel token and deadline a tenant verb arms end with its call: a
+// later lease on the tenant (here a direct one) starts unguarded.
+TEST(ServeEngine, TenantGuardEndsWithItsCall) {
+  Engine engine(EngineConfig{});
+  auto token = CancelToken::make();
+  engine.append(1, 5, {token, 40});
+  token.request_cancel();
+  auto lease = engine.table().acquire(1);
+  EXPECT_FALSE(lease.solver().options().cancel.valid());
+  EXPECT_EQ(lease.solver().options().deadline_ms, 0);
+  const std::vector<int64_t> a = {3, 1, 2};
+  LisResult out;
+  lease.solver().solve_lis(a, out);
+  EXPECT_EQ(out.k, 2);
+}
+
+// Tenant verbs run on their callers' threads, serialized by the table's
+// exclusive lease: four threads append to one series and interleave warm
+// weighted solves on it. Every append lands (the grow-only window holds
+// exactly the appended values), no thread sees the length shrink, the
+// final length is the window's LIS, and every warm dp matches Seq-AVL.
+// Under TSan this races each lease's release-time measure against the
+// next holder's op.
+TEST(ServeEngine, SharedSeriesVerbsSerialize) {
+  const int kThreads = 4, kAppends = 300, kSolveEvery = 50;
+  const int64_t n = 600;
+  const auto shared_vals = make_vals(n, 71);
+  const uint64_t kSeries = 5;
+  Engine engine(EngineConfig{});
+  std::vector<std::vector<int64_t>> fed(kThreads);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kThreads; t++) {
+    clients.emplace_back([&, t] {
+      fed[t] = make_vals(kAppends, 200 + static_cast<uint64_t>(t));
+      const auto own_vals = make_vals(n, 300 + static_cast<uint64_t>(t));
+      int64_t last = 0;
+      for (int i = 0; i < kAppends; i++) {
+        const int64_t len = engine.append(kSeries, fed[t][i]);
+        if (len < last || len < 1) failures++;
+        last = len;
+        if (i % kSolveEvery != 0) continue;
+        // Alternate a value-cache hit candidate with this thread's own
+        // values, so the tenant's cache flips between callers.
+        const auto& vals = (i / kSolveEvery) % 2 == 0 ? shared_vals : own_vals;
+        const auto wts =
+            make_weights(n, 400 + static_cast<uint64_t>(t * kAppends + i));
+        std::vector<int64_t> dp(static_cast<size_t>(n));
+        Query q;
+        q.a = vals;
+        q.w = wts;
+        q.dp_out = dp;
+        const QueryResult r = engine.solve_warm(kSeries, q);
+        const std::vector<int64_t> want = seq_avl_wlis(vals, wts);
+        if (dp != want) failures++;
+        if (r.best != *std::max_element(want.begin(), want.end())) failures++;
+      }
+    });
+  }
+  for (auto& th : clients) th.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  auto lease = engine.table().acquire(kSeries);
+  const std::span<const int64_t> win = lease.session().window();
+  const std::vector<int64_t> window(win.begin(), win.end());
+  Solver fresh;
+  auto ref = fresh.make_session();
+  for (int64_t v : window) ref.append(v);
+  EXPECT_EQ(lease.session().length(), ref.length());
+  std::vector<int64_t> got = window, all;
+  for (const auto& f : fed) all.insert(all.end(), f.begin(), f.end());
+  std::sort(got.begin(), got.end());
+  std::sort(all.begin(), all.end());
+  EXPECT_EQ(got, all);
+  const auto st = engine.stats();
+  EXPECT_EQ(st.value_cache_hits + st.value_cache_misses,
+            kThreads * (kAppends / kSolveEvery));
+}
+
 TEST(ServeEngine, MultiClientStress) {
   // TSan target: concurrent clients mixing coalescable solves with tenant
   // ops on a budget small enough to force eviction churn underneath them.
@@ -606,7 +764,6 @@ TEST(ServeEngine, MultiClientStress) {
   });
 
   EngineConfig cfg;
-  cfg.table.shards = 2;
   cfg.table.memory_budget_bytes = 4 * one;
   cfg.queue_capacity = 16;
   Engine engine(cfg);

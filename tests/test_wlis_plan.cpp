@@ -202,9 +202,9 @@ TEST(WlisPlanDifferential, SolveManyPackedAndLargeQueries) {
   }
 }
 
-// A budget between Seq-AVL (64 B/element + 64 KiB) and the rank space plus
-// the pass (90 B/element + 128 KiB): raw int64 values under kStrict degrade
-// to Seq-AVL; a solve that needs a rank image has no smaller path.
+// A budget between Seq-AVL (64 B/element) and the rank space plus the pass
+// (105 B/element), each plus 4 KiB once: raw int64 values under kStrict
+// degrade to Seq-AVL; a solve that needs a rank image has no smaller path.
 TEST(WlisPlanDifferential, BudgetFallbackMatches) {
   const int64_t n = 12000;
   Options tight;
