@@ -7,7 +7,7 @@
 //                  drift cancels): one direct warm solve_many call, then
 //                  closed-loop through the Engine (`clients` threads, each
 //                  submitting `burst` queries per solve() call; the
-//                  dispatcher lingers briefly, then coalesces the
+//                  combining pass lingers briefly, then coalesces the
 //                  concurrent bursts back into one solve_many batch).
 //                  Acceptance: the PAIRED per-rep ratio engine/direct stays
 //                  within a 2% queue-tax bound — coalescing must amortize

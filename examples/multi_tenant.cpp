@@ -45,7 +45,10 @@ int main(int argc, char** argv) {
     {
       auto lease = t.acquire(0);
       for (int64_t v : feed[0]) (void)lease.session().append(v);
-      lease.solver().solve_wlis(feed[0], weight[0], lease.wlis_out());
+      // The query as solve_warm runs it, into the tenant solver's own
+      // result buffers.
+      parlis::QueryResult r;
+      (void)lease.solver().solve_query({feed[0], weight[0]}, r);
     }
     one = t.resident_bytes();
   }

@@ -140,8 +140,10 @@ int64_t Solver::lis_length(std::span<const int64_t> a) {
   return lis_length<int64_t>(a);
 }
 
-bool Solver::solve_wlis(std::span<const int64_t> a,
-                        std::span<const int64_t> w, WlisResult& out) {
+// Cache-line aligned like internal::patience_ranks: rank_only_into's
+// bitmap loops inline here.
+[[gnu::aligned(64)]] bool Solver::solve_wlis(
+    std::span<const int64_t> a, std::span<const int64_t> w, WlisResult& out) {
   return solve_wlis<int64_t>(a, w, out);
 }
 
@@ -160,28 +162,32 @@ void validate_query(const Query& q) {
   }
 }
 
-// One query of a batch, already validated by solve_many.
-void Solver::solve_query(const Query& q, QueryResult& r, ThreadCtx& ctx) {
-  const int64_t n = static_cast<int64_t>(q.a.size());
+bool Solver::run_query(const Query& q, QueryResult& r, const char* what,
+                       ThreadCtx& ctx) {
+  const size_t n = q.a.size();
   if (q.w.empty()) {
-    run_lis(q.a, "solve_many", ctx, ctx.lis_res, std::less<int64_t>{});
+    run_lis(q.a, what, ctx, ctx.lis_res, std::less<int64_t>{});
     r.k = ctx.lis_res.k;
     r.best = ctx.lis_res.k;
     if (!q.rank_out.empty()) {
-      const int32_t* src = ctx.lis_res.rank.data();
-      int32_t* dst = q.rank_out.data();
-      parallel_for(0, n, [&](int64_t i) { dst[i] = src[i]; });
+      std::copy_n(ctx.lis_res.rank.begin(), n, q.rank_out.begin());
     }
-  } else {
-    run_wlis(q.a, q.w, "solve_many", ctx, ctx.wlis_res, std::less<int64_t>{});
-    r.k = ctx.wlis_res.k;
-    r.best = ctx.wlis_res.best;
-    if (!q.dp_out.empty()) {
-      const int64_t* src = ctx.wlis_res.dp.data();
-      int64_t* dst = q.dp_out.data();
-      parallel_for(0, n, [&](int64_t i) { dst[i] = src[i]; });
-    }
+    return false;
   }
+  const bool hit =
+      run_wlis(q.a, q.w, what, ctx, ctx.wlis_res, std::less<int64_t>{});
+  r.k = ctx.wlis_res.k;
+  r.best = ctx.wlis_res.best;
+  if (!q.dp_out.empty()) {
+    std::copy_n(ctx.wlis_res.dp.begin(), n, q.dp_out.begin());
+  }
+  return hit;
+}
+
+bool Solver::solve_query(const Query& q, QueryResult& r) {
+  validate_query(q);
+  EntryGuard guard(*this, q.a.size());
+  return run_query(q, r, "solve_query", *main_ctx_);
 }
 
 LisSession Solver::make_session() { return LisSession(*this); }
@@ -209,7 +215,7 @@ void Solver::solve_many(std::span<const Query> queries,
     if (is_small(queries[i].a.size())) {
       small_idx_.push_back(i);
     } else {
-      solve_query(queries[i], results[i], *main_ctx_);
+      run_query(queries[i], results[i], "solve_many", *main_ctx_);
     }
   }
   if (small_idx_.empty()) return;
@@ -260,7 +266,8 @@ void Solver::solve_many(std::span<const Query> queries,
         // slot for every later batch.
         try {
           ThreadSequentialGuard seq(true);
-          solve_query(queries[small_idx_[t]], results[small_idx_[t]], *ctx);
+          run_query(queries[small_idx_[t]], results[small_idx_[t]],
+                    "solve_many", *ctx);
         } catch (...) {
           if (held != nullptr) {
             held->busy.store(false, std::memory_order_release);

@@ -90,8 +90,8 @@ struct QueryResult {
 
 /// Throws Error{kInvalidArgument} unless `q` is well formed: `w` empty or
 /// |w| == |a|, and each non-empty output span at least |a| long. The one
-/// shape check every runner of a Query makes before any work: solve_many
-/// for its whole batch, serve::Engine at submit.
+/// shape check every runner of a Query makes before any work: solve_query,
+/// solve_many for its whole batch, serve::Engine at submit.
 void validate_query(const Query& q);
 
 class LisSession;  // stream/lis_session.hpp
@@ -205,6 +205,12 @@ class Solver {
     EntryGuard guard(*this, a.size());
     return run_wlis(a, w, "solve_wlis", *main_ctx_, out, less);
   }
+
+  /// One query on the caller's warm scratch, by the plan solve_many runs
+  /// for it (solve_wlis's or solve_lis's): validates `q`, writes the
+  /// summary into `r` and the per-element results into q's non-empty
+  /// spans. Returns true when the value cache supplied the ranks.
+  bool solve_query(const Query& q, QueryResult& r);
 
   /// Batched serving: solves queries[i] into results[i] for every i.
   /// Queries are independent; |results| >= |queries|; every query is
@@ -393,7 +399,11 @@ class Solver {
     return hit;
   }
 
-  void solve_query(const Query& q, QueryResult& r, ThreadCtx& ctx);
+  // The one query runner, behind solve_query and solve_many: the plan of
+  // q's kind on `ctx`, results into `r` and q's spans (`q` is validated).
+  // Returns run_wlis's value-cache flag (false for an unweighted query).
+  bool run_query(const Query& q, QueryResult& r, const char* what,
+                 ThreadCtx& ctx);
 
   Options opts_;
   std::unique_ptr<ThreadCtx> main_ctx_; // caller-thread workspaces

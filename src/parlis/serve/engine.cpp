@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <exception>
-#include <utility>
 
 #include "parlis/util/error.hpp"
 #include "parlis/util/failpoint.hpp"
@@ -32,24 +31,30 @@ Engine::Engine(const EngineConfig& cfg)
   if (cfg_.coalesce_max_queries < 1) cfg_.coalesce_max_queries = 1;
   if (cfg_.coalesce_linger_us < 0) cfg_.coalesce_linger_us = 0;
   ring_.resize(static_cast<size_t>(cfg_.queue_capacity));
-  // Dispatcher scratch sized up front, so warm drains never allocate.
+  // Pass scratch sized up front, so warm passes never allocate.
   // 2x: a linger window can top the first drain up with a second full ring.
   drained_.reserve(2 * ring_.size());
   batch_reqs_.reserve(ring_.size());
   batch_queries_.reserve(static_cast<size_t>(cfg_.coalesce_max_queries));
   batch_results_.reserve(static_cast<size_t>(cfg_.coalesce_max_queries));
   paused_ = cfg_.start_paused;
-  dispatcher_ = std::thread([this] { dispatcher_loop(); });
 }
 
 Engine::~Engine() {
-  {
-    std::lock_guard<std::mutex> lk(qmu_);
-    stopping_ = true;
-  }
-  not_empty_.notify_all();
+  std::unique_lock<std::mutex> lk(qmu_);
+  stopping_ = true;  // no pass starts and no request queues from here on
   not_full_.notify_all();
-  dispatcher_.join();
+  cv_.notify_all();  // a lingering pass stops lingering
+  cv_.wait(lk, [&] { return !combining_; });
+  drain_queue();
+  for (Request* r : drained_) {
+    r->error = std::make_exception_ptr(
+        Error(ErrorCode::kCancelled, "Engine: stopping"));
+    r->done = true;
+  }
+  cv_.notify_all();
+  // The waiters still touch qmu_ and cv_ on their way out.
+  cv_.wait(lk, [&] { return callers_ == 0; });
 }
 
 void Engine::pause() {
@@ -58,11 +63,9 @@ void Engine::pause() {
 }
 
 void Engine::resume() {
-  {
-    std::lock_guard<std::mutex> lk(qmu_);
-    paused_ = false;
-  }
-  not_empty_.notify_all();
+  std::lock_guard<std::mutex> lk(qmu_);
+  paused_ = false;
+  cv_.notify_all();
 }
 
 int64_t Engine::queue_depth() const {
@@ -80,23 +83,12 @@ int64_t Engine::remaining_deadline_ms(
   return left > 1 ? left : 1;
 }
 
-void Engine::complete(Request& r, std::exception_ptr err) {
-  // Notify UNDER the lock: the Request (and its cv) lives on the caller's
-  // stack and is destroyed the moment the caller observes done — which it
-  // cannot do before this lock is released, so the signal always lands on
-  // a live condition variable.
-  std::lock_guard<std::mutex> lk(r.mu);
-  r.error = std::move(err);
-  r.done = true;
-  r.cv.notify_one();
-}
-
-void Engine::enqueue(Request& r) {
-  std::unique_lock<std::mutex> lk(qmu_);
-  while (q_size_ >= ring_.size()) {
+void Engine::enqueue(Request& r, std::unique_lock<std::mutex>& lk) {
+  for (;;) {
     if (stopping_) {
       throw Error(ErrorCode::kCancelled, "Engine: stopping");
     }
+    if (q_size_ < ring_.size()) break;
     if (cfg_.backpressure == BackpressureMode::kReject) {
       overload_rejections_.fetch_add(1, std::memory_order_relaxed);
       throw Error(ErrorCode::kOverloaded,
@@ -117,32 +109,47 @@ void Engine::enqueue(Request& r) {
   ring_[(q_head_ + q_size_) % ring_.size()] = &r;
   q_size_++;
   bump_hwm(queue_depth_hwm_, static_cast<int64_t>(q_size_));
-  lk.unlock();
-  not_empty_.notify_one();
+  // Only a lingering pass waits for arrivals.
+  if (combining_ && cfg_.coalesce_linger_us > 0) cv_.notify_all();
 }
 
 void Engine::submit_and_wait(Request& r) {
   requests_.fetch_add(1, std::memory_order_relaxed);
   r.submitted = std::chrono::steady_clock::now();
   r.guarded = r.cancel.valid() || r.deadline_ms > 0;
-  enqueue(r);
-  std::unique_lock<std::mutex> lk(r.mu);
-  r.cv.wait(lk, [&] { return r.done; });
+  std::unique_lock<std::mutex> lk(qmu_);
+  callers_++;
+  try {
+    enqueue(r, lk);
+  } catch (...) {
+    r.error = std::current_exception();
+    r.done = true;
+  }
+  // A request that is not done and not in a running pass is still queued,
+  // so a pass this caller starts serves it.
+  while (!r.done) {
+    if (combining_ || paused_ || stopping_) {
+      cv_.wait(lk);
+    } else {
+      run_pass(lk);
+    }
+  }
+  if (--callers_ == 0 && stopping_) cv_.notify_all();
+  lk.unlock();  // the engine may be destroyed from here on
   if (r.error) std::rethrow_exception(r.error);
 }
 
 bool Engine::finish_if_dead(Request& r) {
   if (r.cancel.valid() && r.cancel.cancel_requested()) {
     cancelled_queued_.fetch_add(1, std::memory_order_relaxed);
-    complete(r, std::make_exception_ptr(Error(
-                    ErrorCode::kCancelled, "Engine: cancelled while queued")));
+    r.error = std::make_exception_ptr(
+        Error(ErrorCode::kCancelled, "Engine: cancelled while queued"));
     return true;
   }
   if (r.deadline_ms > 0 && elapsed_ms_since(r.submitted) >= r.deadline_ms) {
     expired_queued_.fetch_add(1, std::memory_order_relaxed);
-    complete(r, std::make_exception_ptr(
-                    Error(ErrorCode::kDeadlineExceeded,
-                          "Engine: deadline expired while queued")));
+    r.error = std::make_exception_ptr(Error(
+        ErrorCode::kDeadlineExceeded, "Engine: deadline expired while queued"));
     return true;
   }
   return false;
@@ -150,16 +157,14 @@ bool Engine::finish_if_dead(Request& r) {
 
 void Engine::execute_solo(Request& r) {
   // Guarded batch: one guard per solve_many call, so it runs alone.
-  std::exception_ptr err;
   try {
     batch_solver_.set_cancel(r.cancel);
     batch_solver_.set_deadline_ms(
         remaining_deadline_ms(r.deadline_ms, r.submitted));
     batch_solver_.solve_many(r.queries, r.results);
   } catch (...) {
-    err = std::current_exception();
+    r.error = std::current_exception();
   }
-  complete(r, std::move(err));
 }
 
 void Engine::run_coalesced(std::vector<Request*>& batch) {
@@ -199,89 +204,70 @@ void Engine::run_coalesced(std::vector<Request*>& batch) {
                 r->results.begin());
     }
     off += r->queries.size();
-    complete(*r, err);
+    r->error = err;
   }
   batch.clear();
   batch_queries_.clear();
 }
 
-void Engine::dispatcher_loop() {
-  for (;;) {
-    bool stop_after_drain = false;
-    {
-      std::unique_lock<std::mutex> lk(qmu_);
-      not_empty_.wait(lk, [&] {
-        return stopping_ || (q_size_ > 0 && !paused_);
-      });
-      stop_after_drain = stopping_;
-      drained_.clear();
-      while (q_size_ > 0) {
-        drained_.push_back(ring_[q_head_]);
-        q_head_ = (q_head_ + 1) % ring_.size();
-        q_size_--;
-      }
-      // Batch linger: hold the drain open briefly so concurrent clients'
-      // bursts land in ONE coalesced solve_many instead of a ragged split
-      // decided by wake-up order. Off by default (zero added latency);
-      // when on, a lone request still pays at most the linger once.
-      if (!stop_after_drain && cfg_.coalesce_linger_us > 0) {
-        const auto linger_end =
-            std::chrono::steady_clock::now() +
-            std::chrono::microseconds(cfg_.coalesce_linger_us);
-        int64_t batchable = 0;
-        for (const Request* r : drained_) {
-          batchable += static_cast<int64_t>(r->queries.size());
-        }
-        while (batchable < cfg_.coalesce_max_queries &&
-               drained_.size() < ring_.size()) {
-          if (!not_empty_.wait_until(lk, linger_end,
-                                     [&] { return stopping_ || q_size_ > 0; })) {
-            break;  // window expired with no new arrivals
-          }
-          if (stopping_) {
-            stop_after_drain = true;
-            break;
-          }
-          while (q_size_ > 0) {
-            batchable += static_cast<int64_t>(ring_[q_head_]->queries.size());
-            drained_.push_back(ring_[q_head_]);
-            q_head_ = (q_head_ + 1) % ring_.size();
-            q_size_--;
-          }
-        }
-      }
-    }
-    not_full_.notify_all();
-    if (stop_after_drain) {
-      // Fail whatever was still queued; enqueue() refuses new work once
-      // stopping_ is up, so this is the final sweep.
-      for (Request* r : drained_) {
-        complete(*r, std::make_exception_ptr(
-                         Error(ErrorCode::kCancelled, "Engine: stopping")));
-      }
-      return;
-    }
-    batch_reqs_.clear();
-    batch_queries_.clear();
-    for (Request* r : drained_) {
-      if (finish_if_dead(*r)) continue;
-      const bool coalescable =
-          !r->guarded &&
-          static_cast<int64_t>(r->queries.size()) <= cfg_.coalesce_max_queries;
-      if (coalescable) {
-        if (static_cast<int64_t>(batch_queries_.size() + r->queries.size()) >
-            cfg_.coalesce_max_queries) {
-          run_coalesced(batch_reqs_);  // full: flush, then start anew
-        }
-        batch_reqs_.push_back(r);
-        batch_queries_.insert(batch_queries_.end(), r->queries.begin(),
-                              r->queries.end());
-      } else {
-        execute_solo(*r);
-      }
-    }
-    run_coalesced(batch_reqs_);
+int64_t Engine::drain_queue() {
+  int64_t queries = 0;
+  for (; q_size_ > 0; q_size_--) {
+    Request* r = ring_[q_head_];
+    q_head_ = (q_head_ + 1) % ring_.size();
+    queries += static_cast<int64_t>(r->queries.size());
+    drained_.push_back(r);
   }
+  return queries;
+}
+
+void Engine::run_pass(std::unique_lock<std::mutex>& lk) {
+  combining_ = true;
+  int64_t batchable = drain_queue();
+  // Batch linger: hold the drain open briefly so concurrent clients'
+  // bursts land in ONE coalesced solve_many instead of a ragged split
+  // decided by arrival order. Off by default (zero added latency); when
+  // on, a lone request still pays at most the linger once.
+  if (cfg_.coalesce_linger_us > 0) {
+    const auto linger_end = std::chrono::steady_clock::now() +
+                            std::chrono::microseconds(cfg_.coalesce_linger_us);
+    while (batchable < cfg_.coalesce_max_queries &&
+           drained_.size() < ring_.size()) {
+      if (!cv_.wait_until(lk, linger_end,
+                          [&] { return stopping_ || q_size_ > 0; }) ||
+          stopping_) {
+        break;  // window expired with no new arrivals, or the engine stops
+      }
+      batchable += drain_queue();
+    }
+  }
+  lk.unlock();
+  not_full_.notify_all();
+  batch_reqs_.clear();
+  batch_queries_.clear();
+  for (Request* r : drained_) {
+    if (finish_if_dead(*r)) continue;
+    const bool coalescable =
+        !r->guarded &&
+        static_cast<int64_t>(r->queries.size()) <= cfg_.coalesce_max_queries;
+    if (coalescable) {
+      if (static_cast<int64_t>(batch_queries_.size() + r->queries.size()) >
+          cfg_.coalesce_max_queries) {
+        run_coalesced(batch_reqs_);  // full: flush, then start anew
+      }
+      batch_reqs_.push_back(r);
+      batch_queries_.insert(batch_queries_.end(), r->queries.begin(),
+                            r->queries.end());
+    } else {
+      execute_solo(*r);
+    }
+  }
+  run_coalesced(batch_reqs_);
+  lk.lock();
+  for (Request* r : drained_) r->done = true;
+  drained_.clear();
+  combining_ = false;
+  cv_.notify_all();
 }
 
 void Engine::solve(std::span<const Query> queries,
@@ -329,28 +315,13 @@ int64_t Engine::append(uint64_t series, int64_t value,
 
 QueryResult Engine::solve_warm(uint64_t series, const Query& q,
                                const RequestGuard& guard) {
-  validate_query(q);  // the results below copy |a| values into the spans
+  validate_query(q);  // a malformed query admits no tenant
   SessionTable::Lease lease = lease_tenant(series, guard);
-  Solver& s = lease.solver();
   QueryResult res;
-  if (q.w.empty()) {
-    LisResult& out = lease.lis_out();
-    s.solve_lis(q.a, out);
-    res.k = out.k;
-    res.best = out.k;
-    if (!q.rank_out.empty()) {
-      std::copy(out.rank.begin(), out.rank.end(), q.rank_out.begin());
-    }
-  } else {
-    WlisResult& out = lease.wlis_out();
-    const bool hit = s.solve_wlis(q.a, q.w, out);
+  const bool hit = lease.solver().solve_query(q, res);
+  if (!q.w.empty()) {
     (hit ? value_cache_hits_ : value_cache_misses_)
         .fetch_add(1, std::memory_order_relaxed);
-    res.k = out.k;
-    res.best = out.best;
-    if (!q.dp_out.empty()) {
-      std::copy(out.dp.begin(), out.dp.end(), q.dp_out.begin());
-    }
   }
   return res;
 }

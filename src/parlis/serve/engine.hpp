@@ -1,30 +1,32 @@
 // parlis::serve::Engine — the service front of the solver library: an
 // admission queue for stateless solves, and tenant verbs that run on the
-// caller's thread under an exclusive SessionTable lease.
+// caller's thread under an exclusive SessionTable lease. The Engine owns
+// no thread.
 //
-// Stateless solves (solve, solve_one) go through the queue. One dispatcher
-// thread owns their execution; callers submit and block until their
-// result is ready (requests live on the CALLER's stack, so the warm submit
-// path allocates nothing). The queue is a fixed ring of request pointers
-// with two backpressure modes:
+// Stateless solves (solve, solve_one) go through the queue, and their
+// callers run them by combining: a caller enqueues its request (requests
+// live on the CALLER's stack, so the warm submit path allocates nothing)
+// and waits until it is done, or, while no pass runs and the engine is
+// neither paused nor stopping, runs one pass itself. The queue is a fixed
+// ring of request pointers with two backpressure modes:
 //
 //   kBlock  — a full queue blocks the submitting thread until a slot
 //             frees (cancellation is honored while blocked);
 //   kReject — a full queue throws Error{kOverloaded} immediately, the
 //             fail-fast shape for callers with their own retry budget.
 //
-// The dispatcher drains the queue in FIFO order and:
+// A pass drains everything queued, so a combiner's own request is in it,
+// and in FIFO order:
 //   * completes requests whose CancelToken tripped or whose deadline
 //     expired while queued WITHOUT executing them — a request cancelled
 //     in the queue never reaches a worker;
 //   * COALESCES the queries of adjacent guard-free solve requests into
 //     one Solver::solve_many batch on the engine's batch solver (the
 //     serve.coalesce failpoint fires before the batch runs). solve_many
-//     itself packs small queries one-per-task across the pool and runs
-//     large ones with intra-query parallelism, so the engine inherits the
-//     library's large/small split instead of re-implementing it. Every
-//     query is shape-checked at submit (validate_query), so a malformed
-//     one fails only its own caller; a structured failure inside the batch
+//     itself packs small queries one per task across the pool, so the
+//     engine inherits the library's large/small split. Every query is
+//     shape-checked at submit (validate_query), so a malformed one fails
+//     only its own caller; a structured failure inside the batch
 //     (cancellation, an injected fault, a dp sum past INT64_MAX) fails
 //     every request in it (documented shared fate: the batch is one solver
 //     call);
@@ -32,6 +34,9 @@
 //     the batch solver re-armed per request (set_cancel /
 //     set_deadline_ms), because a coalesced batch can only carry one
 //     guard.
+// It then marks its requests done and wakes their callers. A pass starts
+// at once, so concurrent bursts coalesce into one batch only under the
+// linger window (coalesce_linger_us).
 //
 // Tenant verbs (append, solve_warm) never queue: there is nothing to
 // coalesce across tenants, and the SessionTable already serializes each
@@ -53,7 +58,6 @@
 #include <cstdint>
 #include <mutex>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "parlis/api/solver.hpp"
@@ -71,15 +75,15 @@ struct EngineConfig {
   int64_t queue_capacity = 256;
   /// Upper bound on queries merged into one coalesced solve_many batch.
   int64_t coalesce_max_queries = 1024;
-  /// Batch linger window: after draining, the dispatcher holds the batch
-  /// open up to this long (or until coalesce_max_queries) for concurrent
-  /// clients' bursts to land in one solve_many. 0 = dispatch immediately;
-  /// a lone client pays at most one window per batch, so keep it well
-  /// under the per-batch compute time it amortizes.
+  /// Batch linger window: after draining, a pass holds the batch open up
+  /// to this long (or until coalesce_max_queries) for concurrent clients'
+  /// bursts to land in one solve_many. 0 = none: a pass takes only what
+  /// was queued when it started. A lone client pays at most one window per
+  /// batch, so keep it well under the per-batch compute time it amortizes.
   int64_t coalesce_linger_us = 0;
   BackpressureMode backpressure = BackpressureMode::kBlock;
-  /// Construction-time pause (tests): the dispatcher starts idle until
-  /// resume(), making queued-state assertions deterministic.
+  /// Construction-time pause (tests): solves queue, but no caller runs a
+  /// pass until resume(), making queued-state assertions deterministic.
   bool start_paused = false;
 };
 
@@ -93,8 +97,8 @@ struct RequestGuard {
 class Engine {
  public:
   explicit Engine(const EngineConfig& cfg);
-  /// Stops accepting work, fails anything still queued with
-  /// Error{kCancelled}, and joins the dispatcher.
+  /// Stops accepting work, waits out a running pass, fails anything still
+  /// queued with Error{kCancelled}, and returns once no caller is in solve.
   ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -132,8 +136,8 @@ class Engine {
   SessionTable& table() { return table_; }
 
   /// Test/maintenance seam: a paused engine queues (and backpressures)
-  /// solves normally but executes none until resume(). Tenant verbs do
-  /// not queue and run regardless.
+  /// solves normally, but no caller runs a pass until resume() wakes the
+  /// waiters. Tenant verbs do not queue and run regardless.
   void pause();
   void resume();
 
@@ -141,6 +145,8 @@ class Engine {
   int64_t queue_depth() const;
 
  private:
+  // A caller's solve, on the caller's stack. `done` is guarded by qmu_;
+  // the pass that runs the request writes its results and `error` first.
   struct Request {
     std::span<const Query> queries{};
     std::span<QueryResult> results{};
@@ -149,22 +155,23 @@ class Engine {
     int64_t deadline_ms = 0;
     std::chrono::steady_clock::time_point submitted{};
     bool guarded = false;
-    // Completion (the caller waits here; the request is caller-owned).
-    std::mutex mu;
-    std::condition_variable cv;
     bool done = false;
     std::exception_ptr error;
   };
 
   void submit_and_wait(Request& r);
-  void enqueue(Request& r);  // backpressure lives here
-  void dispatcher_loop();
-  // Pre-execution guard check; completes the request and returns true when
+  // Backpressure lives here; `lk` holds qmu_.
+  void enqueue(Request& r, std::unique_lock<std::mutex>& lk);
+  // Moves the queue into drained_ and returns its query count (qmu_ held).
+  int64_t drain_queue();
+  // One pass: drains (and lingers) under `lk`, runs the drained requests
+  // with qmu_ released, then marks them done under `lk`.
+  void run_pass(std::unique_lock<std::mutex>& lk);
+  // Pre-execution guard check; fails the request and returns true when
   // it must not run.
   bool finish_if_dead(Request& r);
   void execute_solo(Request& r);
   void run_coalesced(std::vector<Request*>& batch);
-  static void complete(Request& r, std::exception_ptr err);
   // Remaining milliseconds of a deadline anchored at `start` (>= 1), or 0
   // for "none".
   static int64_t remaining_deadline_ms(
@@ -178,14 +185,18 @@ class Engine {
 
   // Ring of caller-owned request pointers, fixed capacity.
   mutable std::mutex qmu_;
-  std::condition_variable not_empty_;
+  // Signalled when a pass ends, on resume(), on an arrival while a pass
+  // lingers, and when the engine stops or its last caller leaves.
+  std::condition_variable cv_;
   std::condition_variable not_full_;
   std::vector<Request*> ring_;
   size_t q_head_ = 0, q_size_ = 0;
   bool paused_ = false;
   bool stopping_ = false;
+  bool combining_ = false;  // a pass is running
+  int64_t callers_ = 0;     // callers inside solve()
 
-  // Dispatcher scratch, reused across drains.
+  // Pass scratch, reused across passes; only the running pass touches it.
   std::vector<Request*> drained_;
   std::vector<Request*> batch_reqs_;
   std::vector<Query> batch_queries_;
@@ -201,8 +212,6 @@ class Engine {
   mutable std::atomic<int64_t> queue_depth_hwm_{0};
   mutable std::atomic<int64_t> value_cache_hits_{0};
   mutable std::atomic<int64_t> value_cache_misses_{0};
-
-  std::thread dispatcher_;  // last member: joins before state tears down
 };
 
 }  // namespace parlis::serve

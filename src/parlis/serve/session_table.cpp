@@ -11,8 +11,7 @@ SessionTable::SessionTable(const Config& cfg)
     : budget_(cfg.memory_budget_bytes), solver_opts_(cfg.solver) {}
 
 uint64_t SessionTable::measure(const TenantEntry& e) {
-  uint64_t b = sizeof(TenantEntry) + e.solver.resident_bytes() +
-               e.wlis_out.resident_bytes() + e.lis_out.resident_bytes();
+  uint64_t b = sizeof(TenantEntry) + e.solver.resident_bytes();
   if (e.session.has_value()) b += e.session->resident_bytes();
   return b;
 }

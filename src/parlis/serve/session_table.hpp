@@ -120,10 +120,6 @@ class SessionTable {
     // behind the entry's stable list-node address, so the session's
     // Solver* binding survives LRU splices.
     std::optional<LisSession> session;
-    // Reusable per-tenant result buffers, so warm engine ops write into
-    // tenant-owned capacity instead of allocating per request.
-    WlisResult wlis_out;
-    LisResult lis_out;
     uint64_t resident = 0;  // measured at admission and on each release
     int32_t pins = 0;       // live and waiting leases; guarded by mu_
     bool leased = false;    // a live Lease holds the entry; guarded by mu_
@@ -195,10 +191,6 @@ class SessionTable::Lease {
     }
     return *entry_->session;
   }
-
-  /// Tenant-owned result buffers for allocation-free warm serving.
-  WlisResult& wlis_out() { return entry_->wlis_out; }
-  LisResult& lis_out() { return entry_->lis_out; }
 
   /// The entry's measured footprint as of its last release.
   uint64_t resident_bytes() const { return entry_->resident; }

@@ -20,9 +20,10 @@ namespace {
 
 }  // namespace
 
-void wlis_sweep_into(std::span<const int64_t> rank, int64_t universe,
-                     std::span<const int64_t> w, WlisSweepScratch& s,
-                     WlisResult& out) {
+// Cache-line aligned, like internal::patience_ranks.
+[[gnu::aligned(64)]] void wlis_sweep_into(
+    std::span<const int64_t> rank, int64_t universe,
+    std::span<const int64_t> w, WlisSweepScratch& s, WlisResult& out) {
   assert(rank.size() == w.size());
   const int64_t n = static_cast<int64_t>(rank.size());
   constexpr int64_t kPoll = 4096;

@@ -392,13 +392,13 @@ int main() {
     }
   }
 
-  // Serving-engine steady state: a warm tenant served through the Engine's
-  // admission queue — submit-time lease acquire (table hit: an LRU splice,
-  // no alloc), caller-stack request, ring enqueue, dispatcher execution on
-  // the tenant's warm workspaces, release re-measure — plus a coalesced
-  // stateless solve through the batch solver, and appends to a warm
-  // windowed tenant. Zero allocations once the ring, the tenants, and both
-  // solvers are warm.
+  // Serving-engine steady state: a warm tenant served on the caller's
+  // thread — lease acquire (table hit: an LRU splice, no alloc), the
+  // solve on the tenant's warm workspaces, release re-measure — plus a
+  // coalesced stateless solve (caller-stack request, ring enqueue, a pass
+  // this caller runs on the batch solver), and appends to a warm windowed
+  // tenant. Zero allocations once the ring, the tenants, and both solvers
+  // are warm.
   {
     serve::Engine engine{serve::EngineConfig{}};
     const uint64_t kSeries = 7;

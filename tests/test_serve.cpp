@@ -11,14 +11,16 @@
 //    match direct solves, a request cancelled (or expired) while queued
 //    never reaches a worker, kReject overload fail-fast vs kBlock
 //    backpressure, tenant ops (append / solve_warm) against direct
-//    references, threads sharing one series, and a multi-client stress
-//    leg for the TSan build.
+//    references, threads sharing one series, an engine that starts no
+//    thread, and multi-client stress legs for the TSan build (one races
+//    the hand-over of combining passes between callers).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <optional>
 #include <span>
@@ -26,7 +28,9 @@
 #include <vector>
 
 #include "parlis/api/solver.hpp"
+#include "parlis/lis/seq_lis.hpp"
 #include "parlis/parallel/random.hpp"
+#include "parlis/parallel/scheduler.hpp"
 #include "parlis/serve/engine.hpp"
 #include "parlis/serve/session_table.hpp"
 #include "parlis/stream/lis_session.hpp"
@@ -84,6 +88,15 @@ uint64_t warm_tenant_bytes(WarmFn&& warm) {
     warm(lease);
   }
   return table.resident_bytes();
+}
+
+// Threads of this process, or -1 where /proc/self/task cannot be read.
+int64_t thread_count() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec), end;
+  int64_t n = 0;
+  for (; !ec && it != end; it.increment(ec)) n++;
+  return ec ? -1 : n;
 }
 
 // -------------------------------------------------------------- ServeTable
@@ -162,7 +175,7 @@ TEST(ServeTable, ChurnEvictReAdmitIsBitIdentical) {
   int64_t warm_best = 0;
   {
     auto lease = table.acquire(1);
-    WlisResult& out = lease.wlis_out();
+    WlisResult out;
     lease.solver().solve_wlis(vals, wts, out);
     warm_dp = out.dp;
     warm_best = out.best;
@@ -188,7 +201,7 @@ TEST(ServeTable, ChurnEvictReAdmitIsBitIdentical) {
   // Re-admit: the cold solve must reproduce the warm answer bit for bit.
   {
     auto lease = table.acquire(1);
-    WlisResult& out = lease.wlis_out();
+    WlisResult out;
     lease.solver().solve_wlis(vals, wts, out);
     EXPECT_EQ(out.best, warm_best);
     EXPECT_EQ(out.dp, warm_dp);
@@ -333,7 +346,7 @@ TEST(ServeTable, OneTenantMayUseTheWholeBudget) {
 
   SessionTable table(cfg);
   auto lease = table.acquire(1);
-  WlisResult& out = lease.wlis_out();
+  WlisResult out;
   lease.solver().solve_wlis(vals, wts, out);
   EXPECT_EQ(out.dp, want.dp);
   EXPECT_EQ(out.best, want.best);
@@ -512,6 +525,10 @@ TEST(ServeEngine, CancelWhileBlockedOnAdmission) {
   filler.join();
 }
 
+// Three callers wait on a paused engine; destroying it fails each queued
+// request with kCancelled, and the destructor returns only after every
+// caller has left solve() (under ASan, a caller touching the engine after
+// that is a use after free).
 TEST(ServeEngine, DestructorFailsQueuedRequests) {
   const auto vals = make_vals(512, 13);
   EngineConfig cfg;
@@ -519,14 +536,40 @@ TEST(ServeEngine, DestructorFailsQueuedRequests) {
   auto engine = std::make_unique<Engine>(cfg);
   Query q;
   q.a = vals;
-  std::thread client([&] {
-    expect_error(ErrorCode::kCancelled, [&] { engine->solve_one(q); });
-  });
-  while (engine->queue_depth() < 1) {
+  const int kCallers = 3;
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kCallers; c++) {
+    clients.emplace_back([&] {
+      expect_error(ErrorCode::kCancelled, [&] { engine->solve_one(q); });
+    });
+  }
+  while (engine->queue_depth() < kCallers) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  engine.reset();  // stop: queued request completes with kCancelled
-  client.join();
+  engine.reset();  // stop: queued requests complete with kCancelled
+  for (auto& t : clients) t.join();
+}
+
+// The Engine owns no thread: with the pool already running, constructing
+// one and serving each verb on it leaves the process's thread count as it
+// was. Every verb runs on its caller.
+TEST(ServeEngine, EngineOwnsNoThread) {
+  if (thread_count() < 0) GTEST_SKIP() << "/proc/self/task is not readable";
+  (void)num_workers();  // starts the pool
+  const int64_t n = 512;
+  const auto vals = make_vals(n, 91);
+  const auto wts = make_weights(n, 92);
+  const int64_t before = thread_count();
+  Engine engine(EngineConfig{});
+  Query q;
+  q.a = vals;
+  EXPECT_EQ(engine.solve_one(q).k, seq_bs_length(vals));
+  EXPECT_EQ(engine.append(1, 5), 1);
+  Query wq;
+  wq.a = vals;
+  wq.w = wts;
+  EXPECT_GT(engine.solve_warm(2, wq).best, 0);
+  EXPECT_EQ(thread_count(), before);
 }
 
 TEST(ServeEngine, AppendAndWarmSolveMatchDirect) {
@@ -751,6 +794,44 @@ TEST(ServeEngine, SharedSeriesVerbsSerialize) {
   const auto st = engine.stats();
   EXPECT_EQ(st.value_cache_hits + st.value_cache_misses,
             kThreads * (kAppends / kSolveEvery));
+}
+
+// Four threads each send kCalls solve_one calls; every fourth carries a
+// token that never trips, so guarded solo passes interleave with coalesced
+// ones. Every k matches Seq-BS, every unguarded query went through a
+// coalesced batch, and every call counts as a request. Under TSan this
+// races the hand-over of the pass between callers.
+TEST(ServeEngine, CombiningStress) {
+  const int kThreads = 4, kCalls = 1000, kInputs = 16;
+  std::vector<std::vector<int64_t>> inputs;
+  std::vector<int64_t> want;
+  for (int i = 0; i < kInputs; i++) {
+    inputs.push_back(make_vals(32 + 24 * i, 500 + static_cast<uint64_t>(i)));
+    want.push_back(seq_bs_length(inputs.back()));
+  }
+  EngineConfig cfg;
+  cfg.queue_capacity = 2;  // callers also wait on admission
+  Engine engine(cfg);
+  const auto token = CancelToken::make();
+  std::atomic<int> failures{0};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kThreads; t++) {
+    clients.emplace_back([&, t] {
+      for (int i = 0; i < kCalls; i++) {
+        const auto in = static_cast<size_t>((7 * t + i) % kInputs);
+        Query q;
+        q.a = inputs[in];
+        const RequestGuard guard =
+            i % 4 == 0 ? RequestGuard{token, 0} : RequestGuard{};
+        if (engine.solve_one(q, guard).k != want[in]) failures++;
+      }
+    });
+  }
+  for (auto& th : clients) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  const auto st = engine.stats();
+  EXPECT_EQ(st.requests, kThreads * kCalls);
+  EXPECT_EQ(st.coalesced_queries, kThreads * kCalls * 3 / 4);
 }
 
 TEST(ServeEngine, MultiClientStress) {
