@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_json.hpp"
 #include "parlis/parallel/scheduler.hpp"
 #include "parlis/util/timer.hpp"
 
@@ -28,6 +29,8 @@ class Flags {
  public:
   Flags(int argc, char** argv) {
     for (int i = 1; i < argc; i++) args_.push_back(argv[i]);
+    // --git-sha SHA: stamped on every JSON record (bench_json.hpp).
+    if (has("git-sha")) git_sha() = get_str("git-sha", "unknown");
   }
   int64_t get(const std::string& key, int64_t def) const {
     const std::string* v = find(key);

@@ -13,19 +13,48 @@
 #include <thread>
 #include <vector>
 
+#include "parlis/util/failpoint.hpp"
+#include "parlis/util/simd.hpp"
+
+// Build provenance: CMake defines these for the bench targets.
+#ifndef PARLIS_BENCH_COMPILER
+#define PARLIS_BENCH_COMPILER "unknown"
+#endif
+#ifndef PARLIS_BENCH_FLAGS
+#define PARLIS_BENCH_FLAGS "unknown"
+#endif
+#ifndef PARLIS_BENCH_BUILD_TYPE
+#define PARLIS_BENCH_BUILD_TYPE "unknown"
+#endif
+
 namespace parlis::bench {
 
+/// The git sha every record carries: "unknown" unless the harness ran with
+/// --git-sha SHA (Flags, bench_common.hpp, sets it).
+inline std::string& git_sha() {
+  static std::string sha = "unknown";
+  return sha;
+}
+
 /// One flat JSON object, built field-by-field in insertion order. Every
-/// record opens with a host_hw_threads field (std::thread::
-/// hardware_concurrency) stamped by the constructor: on a small-core or
-/// single-core host the per-op medians are the signal, not wall-clock
-/// scaling, and a committed BENCH_*.json without the host context is
-/// uninterpretable later. Emitters therefore never add the field by hand.
+/// record opens with the provenance the constructor stamps, the fields
+/// perfbench prints too: host_hw_threads (std::thread::
+/// hardware_concurrency), git_sha, compiler (id and version), flags,
+/// build_type, simd_backend and failpoints ("on" or "off"). On a small-core
+/// or single-core host the per-op medians are the signal, not wall-clock
+/// scaling, and a committed BENCH_*.json without its host and build is
+/// uninterpretable later. Emitters therefore never add these by hand.
 class JsonRecord {
  public:
   JsonRecord() {
     field("host_hw_threads",
           static_cast<int>(std::thread::hardware_concurrency()));
+    field("git_sha", git_sha());
+    field("compiler", PARLIS_BENCH_COMPILER);
+    field("flags", PARLIS_BENCH_FLAGS);
+    field("build_type", PARLIS_BENCH_BUILD_TYPE);
+    field("simd_backend", simd::backend_name());
+    field("failpoints", failpoints::enabled() ? "on" : "off");
   }
 
   JsonRecord& field(const char* key, int64_t v) {

@@ -2,10 +2,13 @@
 // weights. Series: Seq-AVL, SWGS, Ours-W (Alg. 2 + range tree). Paper
 // setup: n = 10^8, k in [1, 3000]; scaled default n = 2*10^5.
 // Extra columns: Ours-W with the Range-vEB structure (Sec. 4.2); `solver`,
-// a warm Solver::solve_wlis (rank space + the sequential Fenwick pass) on
-// a value-cache miss: a second input of the same shape alternates with the
-// first, as in a serving loop over fresh series; and `solver_hit`, the
-// same values solved again (a value-cache hit: the pass alone).
+// a warm Solver::solve_wlis (rank space + the Fenwick pass, which the plan
+// runs as a wavefront of index-chunk x rank-block cells on the pool where
+// that pays, and as one cell on the calling thread otherwise and under
+// --threads 1) on a value-cache miss: a second input of the same shape
+// alternates with the first, as in a serving loop over fresh series; and
+// `solver_hit`, the same values solved again (a value-cache hit: the pass
+// alone).
 // Flags: --n, --maxk, --klist (target ks, replacing the maxk sweep),
 // --swgsmaxk, --veb (0 skips Range-vEB), --threads, --reps, --out FILE
 // (JSON records).

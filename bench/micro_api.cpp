@@ -32,6 +32,19 @@
 //   solve_many   — a batch of small mixed LIS/WLIS queries: a loop of
 //                  one-shot free functions vs one warm Solver::solve_many
 //                  call (queries packed one-per-task across the pool).
+//   wlis_pass    — the weighted pass alone: a warm Solver's value-cache-hit
+//                  solve_wlis under set_sequential_mode(true) (the one-cell
+//                  pass on the calling thread, "one_cell") and false (the
+//                  plan: the wavefront on the pool where it pays, "plan"),
+//                  paired per rep with the order alternating; the row's
+//                  ratio is the median of the per-rep plan / one_cell
+//                  ratios, and `path` says which schedule the plan ran.
+//                  Shapes of the WlisWavefrontDifferential suite: the line
+//                  pattern at k ~ 10, 60, 500, 3,500 and 25,000 (targets
+//                  10, 100, 1000, 3500 and 25000), the range pattern
+//                  at u = 1, 8 and 100, random 63-bit, sorted, reversed and
+//                  all-equal values. Exits 1 if dp, best or k differ
+//                  between the modes. Sizes from --passnlist.
 //   rank_only    — kStrict ranks of line-pattern values whose span is 2n,
 //                  100n, exactly rank_only_max_words(n) words (128n) and
 //                  one value past that: rank_space_into on the pool
@@ -46,9 +59,10 @@
 // scaling (see EXPERIMENTS.md).
 //
 // Flags: --nlist 1000,100000,1000000, --ranknlist 65536,262144,1048576,
-// --reps, --batchq, --batchn, --threads, --out FILE (BENCH_*.json
-// records), --strict (exit 2 unless warm wlis @ n=1e5 clears 20%;
-// advisory otherwise).
+// --passnlist 65536,262144,1000000, --reps, --batchq, --batchn, --threads,
+// --out FILE (BENCH_*.json records), --git-sha SHA (stamped on every
+// record), --strict (exit 2 unless warm wlis @ n=1e5 clears 20%; advisory
+// otherwise).
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
@@ -123,6 +137,11 @@ int main(int argc, char** argv) {
   for (int v : parse_int_list(
            flags.get_str("ranknlist", "65536,262144,1048576"))) {
     rank_ns.push_back(v);
+  }
+  std::vector<int64_t> pass_ns;
+  for (int v : parse_int_list(
+           flags.get_str("passnlist", "65536,262144,1000000"))) {
+    pass_ns.push_back(v);
   }
   int reps = static_cast<int>(flags.get("reps", 7));
   int64_t batchq = flags.get("batchq", 2048);
@@ -362,6 +381,90 @@ int main(int argc, char** argv) {
   }
   std::printf("\ncross-check (warm and one-shot agree): %s\n",
               ok ? "OK" : "MISMATCH");
+
+  // ------------------------------------------------------- wlis_pass ---
+  std::printf("\n%-9s %8s %-11s %6s %-9s %12s %12s %7s\n", "op", "n",
+              "shape", "k", "path", "one(ms)", "plan(ms)", "ratio");
+  bool pass_ok = true;
+  for (int64_t n : pass_ns) {
+    struct Shape {
+      std::string name;
+      std::vector<int64_t> a;
+    };
+    std::vector<Shape> shapes;
+    // Targets whose realized k reads ~10, ~60, ~500, ~3,500 and ~25,000.
+    for (const int64_t k : {10, 100, 1000, 3500, 25000}) {
+      shapes.push_back({"line" + std::to_string(k), line_pattern(n, k, 48)});
+    }
+    for (const int64_t u : {1, 8, 100}) {
+      shapes.push_back({"range" + std::to_string(u), range_pattern(n, u, 49)});
+    }
+    std::vector<int64_t> random(n), sorted(n), reversed(n), equal(n, 7);
+    parallel_for(0, n, [&](int64_t i) {
+      random[i] = static_cast<int64_t>(hash64(50, i) >> 1);
+      sorted[i] = i;
+      reversed[i] = n - i;
+    });
+    shapes.push_back({"random", random});
+    shapes.push_back({"sorted", sorted});
+    shapes.push_back({"reversed", reversed});
+    shapes.push_back({"equal", equal});
+    std::vector<int64_t> w(n);
+    parallel_for(0, n, [&](int64_t i) {
+      w[i] = 1 + static_cast<int64_t>(uniform(51, i, 1000));
+    });
+    // Twice the reps plus one: the pairs' ratios spread by a few percent
+    // on a shared host, and a row's median must resolve 3%.
+    const int r = 2 * reps + 1;
+    for (const Shape& sh : shapes) {
+      Solver ps;
+      WlisResult one_out, plan_out;
+      ps.solve_wlis(sh.a, w, plan_out);  // caches the ranks
+      std::vector<double> one_ts(r), plan_ts(r), ratios(r);
+      uint64_t plan_spawns = 0;
+      for (int rep = 0; rep < r; rep++) {
+        for (int leg = 0; leg < 2; leg++) {
+          const bool one = (leg == 0) == (rep % 2 == 0);
+          set_sequential_mode(one);
+          const uint64_t spawned = scheduler_stats().spawns;
+          Timer t;
+          ps.solve_wlis(sh.a, w, one ? one_out : plan_out);
+          (one ? one_ts : plan_ts)[rep] = t.elapsed() * 1e3;
+          if (!one) plan_spawns += scheduler_stats().spawns - spawned;
+        }
+        set_sequential_mode(false);
+        ratios[rep] = plan_ts[rep] / one_ts[rep];
+        pass_ok = pass_ok && one_out.dp == plan_out.dp &&
+                  one_out.best == plan_out.best && one_out.k == plan_out.k;
+      }
+      std::sort(one_ts.begin(), one_ts.end());
+      std::sort(plan_ts.begin(), plan_ts.end());
+      std::sort(ratios.begin(), ratios.end());
+      const double one_ms = one_ts[(r - 1) / 2], plan_ms = plan_ts[(r - 1) / 2];
+      const double ratio = ratios[(r - 1) / 2];
+      const char* path = plan_spawns > 0 ? "wavefront" : "one_cell";
+      std::printf("%-9s %8lld %-11s %6d %-9s %12.3f %12.3f %7.3f\n",
+                  "wlis_pass", static_cast<long long>(n), sh.name.c_str(),
+                  plan_out.k, path, one_ms, plan_ms, ratio);
+      for (const bool plan : {false, true}) {
+        JsonRecord rec;
+        rec.field("bench", "micro_api")
+            .field("op", "wlis_pass")
+            .field("variant", plan ? "plan" : "one_cell")
+            .field("n", n)
+            .field("shape", sh.name)
+            .field("k", static_cast<int64_t>(plan_out.k))
+            .field("path", plan ? path : "one_cell")
+            .field("threads", num_workers())
+            .field("median_ms", plan ? plan_ms : one_ms);
+        if (plan) rec.field("ratio", ratio);
+        json.add(rec);
+      }
+    }
+  }
+  std::printf("wlis_pass cross-check (dp, best, k): %s\n",
+              pass_ok ? "OK" : "MISMATCH");
+  ok = ok && pass_ok;
 
   // ------------------------------------------------------- rank_only ---
   std::printf("\n%-9s %8s %6s %-6s %13s %13s %7s\n", "op", "n", "span",

@@ -632,8 +632,7 @@ int main(int argc, char** argv) {
           .field("threads", num_workers())
           .field("median_ms", variant == 0 ? mm.seed_ms : mm.cur_ms);
       if (variant == 1) {
-        rec.field("simd_backend", simd::backend_name())
-            .field("speedup_pct", mm.speedup_pct());
+        rec.field("speedup_pct", mm.speedup_pct());
       }
       json.add(rec);
     }

@@ -156,7 +156,6 @@ int main(int argc, char** argv) {
                  .field("k", static_cast<int64_t>(k))
                  .field("round_grain", kRoundGrain)
                  .field("threads", num_workers())
-                 .field("simd_backend", simd::backend_name())
                  .field("tournament_pooled_ms", med[kPooled])
                  .field("tournament_one_thread_ms", med[kOneThread])
                  .field("regs_ms", med[kRegs])

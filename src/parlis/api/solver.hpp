@@ -9,8 +9,9 @@
 // solves allocate nothing.
 //
 // Two plans serve every entry point. LIS: patience sorting on the calling
-// thread (lis/lis.hpp). Weighted LIS: the rank space, then one Fenwick
-// pass (wlis/wlis_sweep.hpp). The paper's Alg. 1 and Alg. 2 stay behind
+// thread (lis/lis.hpp). Weighted LIS: the rank space, then the Fenwick pass
+// (wlis/wlis_sweep.hpp), run as a wavefront of index-chunk x rank-block
+// cells on the pool where that pays. The paper's Alg. 1 and Alg. 2 stay behind
 // the free functions (lis_ranks, lis_frontiers, wlis, wlis_into) as the
 // reference the differential tests hold these plans to.
 //
@@ -27,8 +28,9 @@
 // typed paths keep the zero-allocation warm steady state.
 //
 // Thread-safety: one Solver per thread. The solve_* methods may use the
-// shared worker pool internally (the rank-space sort, result copies), but
-// two threads must not call into the same Solver concurrently. solve_many
+// shared worker pool internally (the rank-space sort, the weighted pass's
+// wavefront), but two threads must not call into the same Solver
+// concurrently. solve_many
 // is the batched entry point: it fans independent queries out across the
 // pool itself — queries of at most kPoolGateGrain elements are packed
 // one-per-task and solved sequentially in place (per-worker contexts, no
@@ -179,16 +181,22 @@ class Solver {
   /// over earlier j that `a[i]` may follow), best = max(0, max dp), k = the
   /// LIS length. Every weighted entry point (both overloads and
   /// solve_many's weighted queries) runs one plan: the rank space of `a`,
-  /// then one sequential Fenwick pass over it (wlis/wlis_sweep.hpp), which
-  /// does O(n log n) work against the O(n log^2 n) of Alg. 2's range-tree
-  /// rounds (wlis(), wlis_into()) and beats them at every size measured.
+  /// then the Fenwick pass over it (wlis/wlis_sweep.hpp), which does
+  /// O(n log n) work against the O(n log^2 n) of Alg. 2's range-tree rounds
+  /// (wlis(), wlis_into()) and beats them at every size measured. The pass
+  /// runs as one cell on the calling thread, or, from kWavefrontMinN
+  /// elements up on a pool of 2 or more workers and outside thread-
+  /// sequential mode, as a wavefront of index-chunk x rank-block cells on
+  /// the pool when its sampled and then counted schedule prices below
+  /// that; either way dp, best and k are the same bits.
   /// The ranks come from rank_only_into: int64 values whose span is at
   /// most 128 n take its one-thread bitmap, wider spans the pooled sort.
   /// Raw int64 values under kStrict keep their ranks in a value cache, so
   /// re-weighting a hot series runs the pass alone; any other solve
   /// needing a rank space overwrites it. Returns true when the cache
   /// supplied the ranks. A dp sum past INT64_MAX throws
-  /// Error{kInvalidArgument}.
+  /// Error{kInvalidArgument}; when the wavefront runs, which overflowing
+  /// element its message names is unspecified.
   bool solve_wlis(std::span<const int64_t> a, std::span<const int64_t> w,
                   WlisResult& out);
 
@@ -363,7 +371,8 @@ class Solver {
   }
 
   // The WLIS plan (see solve_wlis): admits |a| elements, gets the ranks of
-  // `a`, and runs the Fenwick pass over them into `out`. Raw int64 values
+  // `a`, and runs the Fenwick pass over them into `out`, lending it the
+  // rank space's sort buffer, which holds nothing once the ranks exist. Raw int64 values
   // under std::less and kStrict take their ranks from ctx's value cache,
   // which a miss rebuilds with rank_only_into (the one-thread bitmap while
   // the span fits, otherwise the pooled sort), and a budget too small for
@@ -395,7 +404,8 @@ class Solver {
       }
     }
     if (!raw) rank_image(a, ctx, less);
-    wlis_sweep_into(ctx.rs.rank, ctx.rs.n_distinct, w, ctx.sweep, out);
+    wlis_sweep_into(ctx.rs.rank, ctx.rs.n_distinct, w, ctx.sweep,
+                    ctx.rs_scratch.sort_buf, out);
     return hit;
   }
 

@@ -145,6 +145,10 @@ class Pool {
 
  private:
   static constexpr int kSpinsBeforeYield = 64;
+  // An external thread has at most its fork depth (a few dozen) of tasks
+  // queued at once; reserving room for many such threads keeps their pushes
+  // from allocating.
+  static constexpr size_t kExternalReserve = 1024;
   static constexpr int kYieldsBeforePark = 128;
 
   Pool() {
@@ -164,6 +168,7 @@ class Pool {
     if (p <= 0) p = 1;
     p_ = p;
     deques_ = std::make_unique<ChaseLevDeque[]>(p);
+    external_.reserve(kExternalReserve);
     tl_worker_id = 0;  // the creating thread is worker 0
     threads_.reserve(p - 1);
     for (int i = 1; i < p; i++) {

@@ -23,6 +23,7 @@
 #include <cstdlib>
 #include <functional>
 #include <new>
+#include <thread>
 #include <vector>
 
 #include "parlis/api/solver.hpp"
@@ -31,7 +32,9 @@
 #include "parlis/parallel/scheduler.hpp"
 #include "parlis/serve/engine.hpp"
 #include "parlis/stream/lis_session.hpp"
+#include "parlis/util/generators.hpp"
 #include "parlis/util/simd.hpp"
+#include "parlis/wlis/wlis_sweep.hpp"
 
 namespace {
 
@@ -293,6 +296,42 @@ int main() {
     solver.solve_wlis(r % 2 ? steep : a, w, wlis_out);
   }
   expect_zero("solve_wlis sort/bitmap alternation", g_allocs.load() - base);
+
+  // The wavefront: line-pattern values (k ~ 60) whose alternating misses
+  // rank through the bitmap and run the pass as a wavefront on the pool,
+  // its length array and cell tables in the rank space's sort buffer.
+  // Once from the main thread (a pool worker: it started the pool) and
+  // once from a std::thread outside the pool, whose forks go through the
+  // scheduler's external queue. Each leg checks that the wavefront ran.
+  {
+    const int64_t wn = 2 * kWavefrontMinN;
+    const std::vector<int64_t> l1 = line_pattern(wn, 100, 21);
+    const std::vector<int64_t> l2 = line_pattern(wn, 100, 22);
+    std::vector<int64_t> lw(wn);
+    for (int64_t i = 0; i < wn; i++) {
+      lw[i] = 1 + static_cast<int64_t>(uniform(23, i, 1000));
+    }
+    auto leg = [&](const char* what) {
+      Solver ws;
+      WlisResult wout;
+      for (int r = 0; r < 3; r++) {
+        ws.solve_wlis(l1, lw, wout);
+        ws.solve_wlis(l2, lw, wout);
+      }
+      const uint64_t spawned = scheduler_stats().spawns;
+      const uint64_t start = begin_window();
+      for (int r = 0; r < 5; r++) ws.solve_wlis(r % 2 ? l2 : l1, lw, wout);
+      const uint64_t allocs = g_allocs.load() - start;
+      if (num_workers() > 1 && scheduler_stats().spawns == spawned) {
+        std::printf("FAIL %-34s the wavefront did not run\n", what);
+        failures++;
+      }
+      expect_zero(what, allocs);
+    };
+    leg("solve_wlis wavefront, main thread");
+    std::thread outside([&] { leg("solve_wlis wavefront, outside pool"); });
+    outside.join();
+  }
 
   // Non-decreasing ties on int64 inputs route through the same compression
   // (kNonDecreasing ranking) inside the int64 overloads.

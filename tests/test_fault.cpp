@@ -47,6 +47,7 @@
 #include "parlis/util/cancel.hpp"
 #include "parlis/util/error.hpp"
 #include "parlis/util/failpoint.hpp"
+#include "parlis/util/generators.hpp"
 #include "parlis/util/rank_space.hpp"
 #include "parlis/util/tracking_allocator.hpp"
 #include "parlis/wlis/range_tree.hpp"
@@ -148,6 +149,36 @@ TEST(FaultTriggers, RegistryIsStableAndCountsPerArm) {
   EXPECT_EQ(failpoints::hit_count("test.stable"), 0u);
   EXPECT_EQ(failpoints::fire_count("test.stable"), 0u);
   failpoints::disarm("test.stable");
+}
+
+// The weighted pass's site sits in its cell kernel. Armed nth:3 on a banded
+// input, which the plan runs as a wavefront on a pool of 2 or more
+// workers, it fires inside a cell task, surfaces as Error{kFaultInjected}
+// from the solve, and the next solve equals a cold one.
+TEST(FaultTriggers, WlisSweepFiresInsideACellTask) {
+  if (!failpoints::enabled()) {
+    GTEST_SKIP() << "failpoint sites compiled out (PARLIS_FAILPOINTS=OFF)";
+  }
+  const int64_t n = int64_t{1} << 16;
+  const std::vector<int64_t> a = line_pattern(n, 100, 5);
+  const std::vector<int64_t> w = make_weights(n, 36);
+  failpoints::disarm_all();
+  Solver s;
+  WlisResult want, out;
+  s.solve_wlis(a, w, want);  // the failing solve below is a cache hit
+  const uint64_t before = scheduler_stats().spawns;
+  failpoints::arm_nth("wlis.sweep", 3);
+  expect_error(ErrorCode::kFaultInjected, [&] { s.solve_wlis(a, w, out); });
+  EXPECT_EQ(failpoints::fire_count("wlis.sweep"), 1u);
+  failpoints::disarm_all();
+  EXPECT_EQ(scheduler_stats().spawns > before, num_workers() > 1);
+  s.solve_wlis(a, w, out);
+  EXPECT_EQ(out.dp, want.dp);
+  EXPECT_EQ(out.best, want.best);
+  EXPECT_EQ(out.k, want.k);
+  Solver cold;
+  cold.solve_wlis(a, w, out);
+  EXPECT_EQ(out.dp, want.dp);
 }
 
 // ----------------------------------------------------------- FaultInjection
@@ -1190,6 +1221,37 @@ TEST(MemoryBudget, WlisPassEstimateCoversRealAccounting) {
           EXPECT_LE(s.resident_bytes() + out.resident_bytes(), hi);
         }
       }
+    }
+  }
+}
+
+// The wavefront borrows the rank space's sort buffer for its per-element
+// lengths and cell tables, and the weighted model prices that buffer at 2n
+// words, so a fresh Solver after one wavefront solve still fits the
+// admitting budget. On the banded line the bitmap already left the buffer
+// larger than n words; on a dense span (a falling run over 2n values) the
+// bitmap is small, and the borrowed array grows the buffer.
+TEST(MemoryBudget, WavefrontSolveFitsTheWeightedModel) {
+  for (const int64_t n : {int64_t{1} << 15, int64_t{1} << 18}) {
+    const std::vector<int64_t> w = make_weights(n, 140 + n);
+    std::vector<int64_t> dense(static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; i++) dense[i] = 2 * (n - i);
+    for (const bool is_dense : {false, true}) {
+      SCOPED_TRACE(testing::Message()
+                   << "n=" << n << (is_dense ? ", dense span" : ", banded"));
+      const std::vector<int64_t> a =
+          is_dense ? dense : line_pattern(n, 100, 142 + n);
+      const uint64_t hi = admitting_budget(Options{}, n, [&](Solver& s) {
+        WlisResult out;
+        s.solve_wlis(std::span<const int64_t>(a), w, out,
+                     std::greater<int64_t>{});
+      });
+      Solver s;
+      WlisResult out;
+      const uint64_t before = scheduler_stats().spawns;
+      s.solve_wlis(a, w, out);
+      EXPECT_EQ(scheduler_stats().spawns > before, num_workers() > 1);
+      EXPECT_LE(s.resident_bytes() + out.resident_bytes(), hi);
     }
   }
 }

@@ -349,10 +349,11 @@ TEST(WlisPlanDifferential, PassWarmedWorkspaceServesTheRounds) {
     SCOPED_TRACE(static_cast<int>(st));
     WlisWorkspace ws;
     WlisSweepScratch sweep;
+    std::vector<int64_t> borrowed;
     WlisResult out;
     EXPECT_FALSE(ws.cache_values(a));  // the rank space alone
     wlis_sweep_into(ws.rank_space.rank, ws.rank_space.n_distinct, w, sweep,
-                    out);
+                    borrowed, out);
     expect_same(out, oracle(a, w));
     EXPECT_FALSE(ws.frontiers_ready);
     EXPECT_FALSE(ws.tree_ready);
@@ -370,7 +371,7 @@ TEST(WlisPlanDifferential, PassWarmedWorkspaceServesTheRounds) {
     expect_same(out, oracle(a2, w));
     EXPECT_FALSE(ws.cache_values(a2));
     wlis_sweep_into(ws.rank_space.rank, ws.rank_space.n_distinct, w, sweep,
-                    out);
+                    borrowed, out);
     expect_same(out, oracle(a2, w));
   }
 }
@@ -378,6 +379,7 @@ TEST(WlisPlanDifferential, PassWarmedWorkspaceServesTheRounds) {
 // The kernel on its own against the O(n^2) recurrence at small n.
 TEST(WlisPlanDifferential, PassMatchesBruteForce) {
   WlisSweepScratch scratch;
+  std::vector<int64_t> borrowed;
   WlisResult out;
   for (uint64_t seed = 0; seed < 80; seed++) {
     const int64_t n = static_cast<int64_t>(uniform(seed, 0, 200));
@@ -405,7 +407,7 @@ TEST(WlisPlanDifferential, PassMatchesBruteForce) {
       want.best = std::max(want.best, want.dp[i]);
       want.k = std::max(want.k, len[i]);
     }
-    wlis_sweep_into(rank, u, w, scratch, out);
+    wlis_sweep_into(rank, u, w, scratch, borrowed, out);
     expect_same(out, want);
   }
 }
