@@ -30,25 +30,36 @@ struct Pass {
   const int64_t* rank;
   const int64_t* w;
   int64_t* dp;
-  int64_t* len;   // per-element LIS length; nullptr in the one-cell schedule
+  int64_t* len;   // per-element LIS length; unused by the one-cell schedule
   Node* fenwick;  // u + 1 nodes; block b's tree is nodes [blo + 1, bhi]
   int64_t u;
   int shift;  // block b holds the ranks [b << shift, (b + 1) << shift)
 };
 
+// The kernel's three compile-time forms: the one-cell schedule (every
+// element is the cell's, and nothing reads its length), a cell whose chunk
+// has no earlier element in a lower block, and one that has (the row).
+enum class Cell { kOne, kNoRow, kRow };
+
 // Cell (chunk, b): the elements of positions [lo, hi) whose rank lies in
 // block b, in index order. An element's predecessor max is the max of
 // `corner` (earlier chunks, lower blocks), block b's Fenwick tree (earlier
-// chunks and this cell, lower ranks) and, with kRow, the running max of the
+// chunks and this cell, lower ranks) and, for kRow, the running max of the
 // chunk's earlier elements in lower blocks, whose dp and len are already
 // written (so [lo, hi) starts at or before the first of them). `zero`
 // clears the block's tree first: the block's first non-empty cell sets it.
-// Returns the cell's max (dp, len), floored at 0.
-template <bool kRow>
-Node run_cell(const Pass& p, int64_t lo, int64_t hi, int64_t b, Node corner,
-              bool zero) {
-  const int64_t blo = b << p.shift;
-  const int64_t bsize = std::min(p.u - blo, int64_t{1} << p.shift);
+// Returns the cell's max (dp, len), floored at 0. Cache-line aligned, like
+// internal::patience_ranks.
+template <Cell kKind>
+[[gnu::aligned(64)]] Node run_cell(const Pass& p, int64_t lo, int64_t hi,
+                                   int64_t b, Node corner, bool zero) {
+  const int64_t* rank = p.rank;
+  const int64_t* w = p.w;
+  int64_t* dp = p.dp;
+  int64_t* lens = p.len;
+  const int shift = p.shift;
+  const int64_t blo = b << shift;
+  const int64_t bsize = std::min(p.u - blo, int64_t{1} << shift);
   Node* f = p.fenwick + blo;  // the block's node x is f[x], x in [1, bsize]
   if (zero) std::fill(f + 1, f + bsize + 1, Node{0, 0});
   Node row{0, 0}, mx{0, 0};
@@ -57,32 +68,31 @@ Node run_cell(const Pass& p, int64_t lo, int64_t hi, int64_t b, Node corner,
     PARLIS_FAILPOINT("wlis.sweep");
     const int64_t phi = std::min(hi, plo + kPoll);
     for (int64_t i = plo; i < phi; i++) {
-      const int64_t r = p.rank[i];
+      const int64_t r = rank[i];
       assert(r >= 0 && r < p.u);
-      const int64_t rb = r >> p.shift;
-      if constexpr (kRow) {
-        if (rb < b) {
-          row.dp = std::max(row.dp, p.dp[i]);
-          row.len = std::max(row.len, p.len[i]);
-          continue;
+      if constexpr (kKind != Cell::kOne) {
+        const int64_t rb = r >> shift;
+        if constexpr (kKind == Cell::kRow) {
+          if (rb < b) {
+            row.dp = std::max(row.dp, dp[i]);
+            row.len = std::max(row.len, lens[i]);
+            continue;
+          }
         }
+        if (rb != b) continue;
       }
-      if (rb != b) continue;
-      int64_t q = corner.dp, len = corner.len;
-      if constexpr (kRow) {
-        q = std::max(q, row.dp);
-        len = std::max(len, row.len);
-      }
+      int64_t q = std::max(corner.dp, row.dp);
+      int64_t len = std::max(corner.len, row.len);
       const int64_t x = r - blo;
       for (int64_t j = x; j > 0; j &= j - 1) {
         q = std::max(q, f[j].dp);
         len = std::max(len, f[j].len);
       }
       int64_t d;
-      if (__builtin_add_overflow(p.w[i], q, &d)) [[unlikely]] throw_overflow(i);
+      if (__builtin_add_overflow(w[i], q, &d)) [[unlikely]] throw_overflow(i);
       len++;
-      p.dp[i] = d;
-      if (p.len != nullptr) p.len[i] = len;
+      dp[i] = d;
+      if constexpr (kKind != Cell::kOne) lens[i] = len;
       mx.dp = std::max(mx.dp, d);
       mx.len = std::max(mx.len, len);
       for (int64_t j = x + 1; j <= bsize; j += j & -j) {
@@ -198,11 +208,10 @@ Grid plan(std::span<const int64_t> rank, int64_t u) {
 // Per-cell tables of the wavefront, g x nb row-major arrays carved from the
 // borrowed buffer after the per-element length array.
 struct Tables {
-  static constexpr int kFields = 8;
+  static constexpr int kFields = 7;
   int64_t* cnt;    // elements in the cell
   int64_t* first;  // first and last position of the cell's elements
   int64_t* last;
-  int64_t* row;    // first position of a lower block's element in the chunk
   int64_t* cdp;    // corner: max (dp, len) over earlier chunks, lower blocks
   int64_t* clen;
   int64_t* mdp;    // the cell's own max (dp, len), 0 while empty
@@ -210,8 +219,8 @@ struct Tables {
 
   Tables(int64_t* at, int64_t cells)
       : cnt(at), first(at + cells), last(at + 2 * cells),
-        row(at + 3 * cells), cdp(at + 4 * cells), clen(at + 5 * cells),
-        mdp(at + 6 * cells), mlen(at + 7 * cells) {}
+        cdp(at + 3 * cells), clen(at + 4 * cells), mdp(at + 5 * cells),
+        mlen(at + 6 * cells) {}
 };
 
 // Counts every cell of `gr` (one task per chunk), then runs its diagonals
@@ -252,13 +261,6 @@ bool run_wave(Pass& pass, const Grid& gr, std::vector<int64_t>& borrowed,
       /*grain=*/1);
   if (priced && !wave_pays(gr, t.cnt, 1, pass.u, num_workers())) {
     return false;
-  }
-  for (int64_t c = 0; c < gr.g; c++) {
-    int64_t lower = gr.n;  // no lower block yet
-    for (int64_t i = c * nb; i < (c + 1) * nb; i++) {
-      t.row[i] = lower;
-      if (t.cnt[i] != 0) lower = std::min(lower, t.first[i]);
-    }
   }
   std::fill(t.mdp, t.mdp + cells, 0);
   std::fill(t.mlen, t.mlen + cells, 0);
@@ -301,13 +303,19 @@ bool run_wave(Pass& pass, const Grid& gr, std::vector<int64_t>& borrowed,
           internal::CancelScope scope(ec);
           const int64_t i = todo[k];
           const int64_t b = i % nb;
+          // The chunk's first element in a lower block, if any.
+          int64_t lower = gr.n;
+          for (int64_t j = i - b; j < i; j++) {
+            if (t.cnt[j] != 0) lower = std::min(lower, t.first[j]);
+          }
           const Node corner{t.cdp[i], t.clen[i]};
           const int64_t hi = t.last[i] + 1;
           const Node mx =
-              t.row[i] < t.last[i]
-                  ? run_cell<true>(pass, std::min(t.row[i], t.first[i]), hi,
-                                   b, corner, zero[k])
-                  : run_cell<false>(pass, t.first[i], hi, b, corner, zero[k]);
+              lower < t.last[i]
+                  ? run_cell<Cell::kRow>(pass, std::min(lower, t.first[i]),
+                                         hi, b, corner, zero[k])
+                  : run_cell<Cell::kNoRow>(pass, t.first[i], hi, b, corner,
+                                           zero[k]);
           t.mdp[i] = mx.dp;
           t.mlen[i] = mx.len;
         },
@@ -327,24 +335,32 @@ void run_pass(std::span<const int64_t> rank, int64_t universe,
   assert(rank.size() == w.size());
   const int64_t n = static_cast<int64_t>(rank.size());
   out.dp.resize(static_cast<size_t>(n));
-  // Sized exactly like assign(u + 1); each block's first cell zeroes its
-  // nodes. Node 0 is unused: rank r lives at node r + 1 of its block's
-  // tree, so the ranks below r are the prefix [1, r].
-  const size_t nodes = static_cast<size_t>(universe) + 1;
-  if (s.fenwick.capacity() < nodes) {
-    s.fenwick.clear();
-    s.fenwick.reserve(nodes);
-  }
-  s.fenwick.resize(nodes);
   out.best = 0;
   out.k = 0;
-  if (n == 0) return;
+  const size_t nodes = static_cast<size_t>(universe) + 1;
   Pass pass{rank.data(), w.data(), out.dp.data(), nullptr,
-            s.fenwick.data(), universe, gr.shift};
-  if (gr.g > 1 && run_wave(pass, gr, borrowed, out, priced)) return;
+            nullptr, universe, gr.shift};
+  if (gr.g > 1 && n > 0) {
+    // Sized exactly like assign(u + 1); each block's first cell zeroes its
+    // nodes.
+    if (s.fenwick.capacity() < nodes) {
+      s.fenwick.clear();
+      s.fenwick.reserve(nodes);
+    }
+    s.fenwick.resize(nodes);
+    pass.fenwick = s.fenwick.data();
+    if (run_wave(pass, gr, borrowed, out, priced)) return;
+  }
+  // Node 0 is unused: rank r lives at node r + 1, so the ranks below r are
+  // the prefix [1, r]. Zeroed up front: inside the kernel the one-cell
+  // pass at 10^6 read 5-10% slower.
+  s.fenwick.assign(nodes, Node{0, 0});
+  if (n == 0) return;
   pass.len = nullptr;
+  pass.fenwick = s.fenwick.data();
   pass.shift = Grid(n, universe, 1).shift;
-  const Node mx = run_cell<false>(pass, 0, n, 0, Node{0, 0}, /*zero=*/true);
+  const Node mx =
+      run_cell<Cell::kOne>(pass, 0, n, 0, Node{0, 0}, /*zero=*/false);
   out.best = mx.dp;
   out.k = static_cast<int32_t>(mx.len);
 }

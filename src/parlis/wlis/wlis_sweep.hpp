@@ -65,7 +65,7 @@ inline constexpr int64_t kWavefrontMinN = int64_t{1} << 15;
 /// 32) chunks on a strided sample, then on exact cell counts (one parallel
 /// pass), and runs it on the pool when it prices well below the one-cell
 /// pass. The wavefront borrows `borrowed` for a per-element length array
-/// and its cell tables, n + 8 G^2 words, growing it to exactly that when
+/// and its cell tables, n + 7 G^2 words, growing it to exactly that when
 /// it is smaller; what it leaves there is scratch.
 ///
 /// Polls cancellation (the caller's scope, re-installed in each pool task)
