@@ -11,9 +11,9 @@
 // Two plans serve every entry point. LIS: patience sorting on the calling
 // thread (lis/lis.hpp). Weighted LIS: the rank space, then the Fenwick pass
 // (wlis/wlis_sweep.hpp), run as a wavefront of index-chunk x rank-block
-// cells on the pool where that pays. The paper's Alg. 1 and Alg. 2 stay behind
-// the free functions (lis_ranks, lis_frontiers, wlis, wlis_into) as the
-// reference the differential tests hold these plans to.
+// cells on the pool where that pays. The paper's Alg. 1 and Alg. 2 stay
+// behind the free functions (lis_ranks, lis_frontiers, wlis, wlis_into) as
+// the reference the differential tests hold these plans to.
 //
 // Key types: every solve_* entry point has a typed overload — any `Key`
 // with a strict-weak-order comparator (doubles, timestamps, pairs/tuples
@@ -30,12 +30,12 @@
 // Thread-safety: one Solver per thread. The solve_* methods may use the
 // shared worker pool internally (the rank-space sort, the weighted pass's
 // wavefront), but two threads must not call into the same Solver
-// concurrently. solve_many
-// is the batched entry point: it fans independent queries out across the
-// pool itself — queries of at most kPoolGateGrain elements are packed
-// one-per-task and solved sequentially in place (per-worker contexts, no
-// nested fork-join), larger ones run one at a time on the caller's
-// context — which is the serving shape for high query traffic.
+// concurrently. solve_many is the batched entry point: it fans independent
+// queries out across the pool itself — queries of at most kPoolGateGrain
+// elements are packed one-per-task and solved sequentially in place
+// (per-worker contexts, no nested fork-join), larger ones run one at a
+// time on the caller's context — which is the serving shape for high
+// query traffic.
 //
 // Buffer-reuse semantics: output structs (LisResult, WlisResult, ...) are
 // plain vectors-of-results; pass the same instance back in and its capacity
@@ -372,13 +372,13 @@ class Solver {
 
   // The WLIS plan (see solve_wlis): admits |a| elements, gets the ranks of
   // `a`, and runs the Fenwick pass over them into `out`, lending it the
-  // rank space's sort buffer, which holds nothing once the ranks exist. Raw int64 values
-  // under std::less and kStrict take their ranks from ctx's value cache,
-  // which a miss rebuilds with rank_only_into (the one-thread bitmap while
-  // the span fits, otherwise the pooled sort), and a budget too small for
-  // the pass degrades them to Seq-AVL, which needs no rank space; every
-  // other key, order or ties policy solves on its rank image. Returns
-  // whether the cache supplied the ranks.
+  // rank space's sort buffer, which holds nothing once the ranks exist.
+  // Raw int64 values under std::less and kStrict take their ranks from
+  // ctx's value cache, which a miss rebuilds with rank_only_into (the
+  // one-thread bitmap while the span fits, otherwise the pooled sort), and
+  // a budget too small for the pass degrades them to Seq-AVL, which needs
+  // no rank space; every other key, order or ties policy solves on its
+  // rank image. Returns whether the cache supplied the ranks.
   template <typename Key, typename Less>
   bool run_wlis(std::span<const Key> a, std::span<const int64_t> w,
                 const char* what, ThreadCtx& ctx, WlisResult& out,

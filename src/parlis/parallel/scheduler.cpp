@@ -145,11 +145,11 @@ class Pool {
 
  private:
   static constexpr int kSpinsBeforeYield = 64;
+  static constexpr int kYieldsBeforePark = 128;
   // An external thread has at most its fork depth (a few dozen) of tasks
   // queued at once; reserving room for many such threads keeps their pushes
   // from allocating.
   static constexpr size_t kExternalReserve = 1024;
-  static constexpr int kYieldsBeforePark = 128;
 
   Pool() {
     int p;

@@ -141,9 +141,9 @@ double elem_price(int64_t nodes) {
 }
 
 struct Grid {
-  int64_t n = 0;
-  int g = 1;      // chunks: chunk c is [c n / g, (c + 1) n / g)
-  int nb = 1;     // blocks
+  int64_t n;
+  int g;          // chunks: chunk c is [c n / g, (c + 1) n / g)
+  int nb;         // blocks
   int shift = 0;  // block b holds the ranks [b << shift, (b + 1) << shift)
 
   // g chunks over n elements, and the fewest blocks of 2^shift ranks, at

@@ -302,7 +302,8 @@ int main() {
   // its length array and cell tables in the rank space's sort buffer.
   // Once from the main thread (a pool worker: it started the pool) and
   // once from a std::thread outside the pool, whose forks go through the
-  // scheduler's external queue. Each leg checks that the wavefront ran.
+  // scheduler's external queue. Each leg checks that the wavefront ran on
+  // a pool of 4 or more workers, where the plan picks it for these values.
   {
     const int64_t wn = 2 * kWavefrontMinN;
     const std::vector<int64_t> l1 = line_pattern(wn, 100, 21);
@@ -322,7 +323,7 @@ int main() {
       const uint64_t start = begin_window();
       for (int r = 0; r < 5; r++) ws.solve_wlis(r % 2 ? l2 : l1, lw, wout);
       const uint64_t allocs = g_allocs.load() - start;
-      if (num_workers() > 1 && scheduler_stats().spawns == spawned) {
+      if (num_workers() >= 4 && scheduler_stats().spawns == spawned) {
         std::printf("FAIL %-34s the wavefront did not run\n", what);
         failures++;
       }

@@ -198,9 +198,11 @@ TEST(WlisWavefrontDifferential, TiesKeysAndWeights) {
 }
 
 // The plan, by the spawn delta of one solve: the banded input runs the
-// wavefront on a pool of 2 or more workers; a sorted input (every cell on
-// the main diagonal), sequential mode and thread-sequential mode run one
-// cell; solve_many's packed queries fork only the packing loop.
+// wavefront on a pool of 4 or more workers (the plan's constants come from
+// 4; on 2 or 3 it may keep one cell) and one cell on 1; a sorted input
+// (every cell on the main diagonal), sequential mode and thread-sequential
+// mode run one cell; solve_many's packed queries fork only the packing
+// loop.
 TEST(WlisWavefrontDifferential, PlanPicksTheWavefrontWhereItPays) {
   const int64_t n = int64_t{1} << 16;
   const Vec line = banded(n);
@@ -213,7 +215,9 @@ TEST(WlisWavefrontDifferential, PlanPicksTheWavefrontWhereItPays) {
   s.solve_wlis(line, w, out);  // warm
   uint64_t before = spawns();
   s.solve_wlis(line, w, out);
-  EXPECT_EQ(spawns() > before, pool) << "banded input";
+  if (num_workers() >= 4 || !pool) {
+    EXPECT_EQ(spawns() > before, pool) << "banded input";
+  }
 
   s.solve_wlis(sorted, w, out);
   before = spawns();
@@ -291,7 +295,7 @@ TEST(WlisWavefrontDifferential, OverflowInALateCellThrowsAndRecovers) {
 // A token tripped from another thread while the wavefront runs: the solve
 // throws kCancelled, from a cell task's poll or the entry's, and the
 // re-armed Solver's next solve equals a cold one.
-TEST(WlisWavefrontDifferential, CancellationFromAnotherThreadLeavesSolverCoherent) {
+TEST(WlisWavefrontDifferential, CancelFromAnotherThreadLeavesSolverCoherent) {
   const int64_t n = int64_t{1} << 18;
   const Vec a = banded(n);
   const Vec w = positive_weights(n, 17);
