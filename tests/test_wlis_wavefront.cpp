@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <limits>
@@ -303,17 +302,13 @@ TEST(WlisWavefrontDifferential, CancelFromAnotherThreadLeavesSolverCoherent) {
   WlisResult out;
   s.solve_wlis(a, w, out);  // the cache hit below is the pass alone
   const WlisResult want = out;
-  Options o;
-  o.cancel = CancelToken::make();
-  s.set_cancel(o.cancel);
-  std::atomic<bool> started{false};
+  const CancelToken token = CancelToken::make();
+  s.set_cancel(token);
   std::thread canceller([&] {
-    while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
     std::this_thread::sleep_for(std::chrono::microseconds(500));
-    o.cancel.request_cancel();
+    token.request_cancel();
   });
   bool cancelled = false;
-  started.store(true, std::memory_order_release);
   for (int r = 0; r < 10000 && !cancelled; r++) {
     try {
       s.solve_wlis(a, w, out);
