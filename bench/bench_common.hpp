@@ -165,6 +165,35 @@ inline double time_median_of(int reps, const std::function<void()>& fn) {
   return ts[(ts.size() - 1) / 2];
 }
 
+/// Interleaved medians of two runners, in seconds: each rep times `a_fn`
+/// and then `b_fn`, so drift hits both sides, and each side reports the
+/// lower middle of its reps (for even rep counts, so a 2-rep smoke reports
+/// the warmer run rather than the cold-cache one).
+struct PairMedians {
+  double a = 0;  // a_fn's median
+  double b = 0;  // b_fn's median
+  double a_ms() const { return a * 1e3; }
+  double b_ms() const { return b * 1e3; }
+  /// How much less time b took than a, in percent of a.
+  double speedup_pct() const { return 100.0 * (1.0 - b_ms() / a_ms()); }
+};
+
+inline PairMedians measure_pair(int reps, const std::function<void()>& a_fn,
+                                const std::function<void()>& b_fn) {
+  std::vector<double> a_ts(reps), b_ts(reps);
+  for (int r = 0; r < reps; r++) {
+    Timer t;
+    a_fn();
+    a_ts[r] = t.elapsed();
+    t.reset();
+    b_fn();
+    b_ts[r] = t.elapsed();
+  }
+  std::sort(a_ts.begin(), a_ts.end());
+  std::sort(b_ts.begin(), b_ts.end());
+  return {a_ts[(reps - 1) / 2], b_ts[(reps - 1) / 2]};
+}
+
 /// Accumulates and prints a "k, series..." table + CSV (the paper's plots
 /// are time-vs-k line series; the rows here regenerate one figure).
 class SeriesTable {

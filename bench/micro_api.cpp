@@ -86,30 +86,6 @@ namespace {
 using namespace parlis;
 using namespace parlis::bench;
 
-struct Measurement {
-  double oneshot_ms = 0;
-  double warm_ms = 0;
-  double speedup_pct() const { return 100.0 * (1.0 - warm_ms / oneshot_ms); }
-};
-
-// Interleaved medians: (one-shot, warm) pairs per rep so drift hits both.
-Measurement measure(int reps, const std::function<void()>& oneshot_fn,
-                    const std::function<void()>& warm_fn) {
-  std::vector<double> a_ts(reps), b_ts(reps);
-  for (int r = 0; r < reps; r++) {
-    Timer t;
-    oneshot_fn();
-    a_ts[r] = t.elapsed();
-    t.reset();
-    warm_fn();
-    b_ts[r] = t.elapsed();
-  }
-  std::sort(a_ts.begin(), a_ts.end());
-  std::sort(b_ts.begin(), b_ts.end());
-  // Lower middle for even rep counts: don't report the cold-cache run.
-  return {a_ts[(reps - 1) / 2] * 1e3, b_ts[(reps - 1) / 2] * 1e3};
-}
-
 // The line pattern with an exact span: a falling trend from span - n down
 // to 0 plus noise in [0, n), with the ends pinned to span - 1 and 0.
 std::vector<int64_t> line_with_span(int64_t n, int64_t span, uint64_t seed) {
@@ -175,12 +151,12 @@ int main(int argc, char** argv) {
 
   std::printf("%-12s %10s  %14s  %14s  %9s\n", "op", "n", "oneshot med(ms)",
               "warm med(ms)", "speedup");
-  auto report = [&](const char* op, int64_t n, const Measurement& mm) {
+  auto report = [&](const char* op, int64_t n, const PairMedians& mm) {
     std::printf("%-12s %10lld  %14.3f  %14.3f  %8.1f%%\n", op,
-                static_cast<long long>(n), mm.oneshot_ms, mm.warm_ms,
+                static_cast<long long>(n), mm.a_ms(), mm.b_ms(),
                 mm.speedup_pct());
-    emit(op, "oneshot", n, mm.oneshot_ms, 0, false);
-    emit(op, "warm", n, mm.warm_ms, mm.speedup_pct(), true);
+    emit(op, "oneshot", n, mm.a_ms(), 0, false);
+    emit(op, "warm", n, mm.b_ms(), mm.speedup_pct(), true);
   };
 
   double wlis_1e5_speedup = -1;
@@ -196,7 +172,7 @@ int main(int argc, char** argv) {
 
     LisResult lis_out;
     solver.solve_lis(a, lis_out);  // warm the solver for this size
-    Measurement m_lis = measure(
+    PairMedians m_lis = measure_pair(
         r, [&] { sink = sink + lis_ranks(a).k; },
         [&] {
           solver.solve_lis(a, lis_out);
@@ -206,7 +182,7 @@ int main(int argc, char** argv) {
 
     WlisResult wlis_out;
     solver.solve_wlis(a, w, wlis_out);
-    Measurement m_wlis = measure(
+    PairMedians m_wlis = measure_pair(
         r, [&] { sink = sink + wlis(a, w).best; },
         [&] {
           solver.solve_wlis(a, w, wlis_out);
@@ -226,7 +202,7 @@ int main(int argc, char** argv) {
     // The warm leg starts on a2: the preceding measurement left `a` cached
     // in the solver, and every rep must miss the value cache.
     int flip_oneshot = 0, flip_warm = 1;
-    Measurement m_nv = measure(
+    PairMedians m_nv = measure_pair(
         r,
         [&] { sink = sink + wlis(*alt[flip_oneshot++ & 1], w).best; },
         [&] {
@@ -242,7 +218,7 @@ int main(int argc, char** argv) {
     const std::vector<int64_t>* lalt[2] = {&l1, &l2};
     solver.solve_wlis(l1, w, wlis_out);  // sizes the bitmap
     int flip_line_oneshot = 0, flip_line_warm = 1;
-    Measurement m_line = measure(
+    PairMedians m_line = measure_pair(
         r,
         [&] { sink = sink + wlis(*lalt[flip_line_oneshot++ & 1], w).best; },
         [&] {
@@ -279,7 +255,7 @@ int main(int argc, char** argv) {
     const std::vector<int64_t>* ialt[2] = {&am1, &am2};
     const std::vector<double>* dalt[2] = {&d1, &d2};
     int flip_i64 = 1, flip_dbl = 1;
-    Measurement m_dbl = measure(
+    PairMedians m_dbl = measure_pair(
         r,
         [&] {
           solver.solve_wlis(*ialt[flip_i64++ & 1], w, wlis_out);
@@ -291,10 +267,10 @@ int main(int argc, char** argv) {
           sink = sink + wlis_out.best;
         });
     std::printf("%-12s %10lld  %14.3f  %14.3f  %8.1f%%\n", "wlis_double",
-                static_cast<long long>(n), m_dbl.oneshot_ms, m_dbl.warm_ms,
+                static_cast<long long>(n), m_dbl.a_ms(), m_dbl.b_ms(),
                 m_dbl.speedup_pct());
-    emit("wlis_double", "int64_warm", n, m_dbl.oneshot_ms, 0, false);
-    emit("wlis_double", "double_warm", n, m_dbl.warm_ms, m_dbl.speedup_pct(),
+    emit("wlis_double", "int64_warm", n, m_dbl.a_ms(), 0, false);
+    emit("wlis_double", "double_warm", n, m_dbl.b_ms(), m_dbl.speedup_pct(),
          true);
 
     // Cross-check while everything is in scope.
@@ -331,7 +307,7 @@ int main(int argc, char** argv) {
   std::vector<QueryResult> results(batchq);
   solver.solve_many(queries, results);  // warm the per-worker contexts
   int batch_reps = std::max(3, reps / 2);
-  Measurement m_batch = measure(
+  PairMedians m_batch = measure_pair(
       batch_reps,
       [&] {
         int64_t acc = 0;
@@ -348,13 +324,13 @@ int main(int argc, char** argv) {
         solver.solve_many(queries, results);
         sink = sink + results[0].k;
       });
-  double loop_qps = 1e3 * static_cast<double>(batchq) / m_batch.oneshot_ms;
-  double batch_qps = 1e3 * static_cast<double>(batchq) / m_batch.warm_ms;
+  double loop_qps = 1e3 * static_cast<double>(batchq) / m_batch.a_ms();
+  double batch_qps = 1e3 * static_cast<double>(batchq) / m_batch.b_ms();
   std::printf("%-12s %10lld  %14.3f  %14.3f  %8.1f%%   (%.0f -> %.0f q/s)\n",
               "solve_many", static_cast<long long>(batchq * batchn),
-              m_batch.oneshot_ms, m_batch.warm_ms, m_batch.speedup_pct(),
+              m_batch.a_ms(), m_batch.b_ms(), m_batch.speedup_pct(),
               loop_qps, batch_qps);
-  emit("solve_many", "oneshot_loop", batchq * batchn, m_batch.oneshot_ms, 0,
+  emit("solve_many", "oneshot_loop", batchq * batchn, m_batch.a_ms(), 0,
        false);
   {
     JsonRecord rec;
@@ -364,7 +340,7 @@ int main(int argc, char** argv) {
         .field("n", batchq * batchn)
         .field("queries", batchq)
         .field("threads", num_workers())
-        .field("median_ms", m_batch.warm_ms)
+        .field("median_ms", m_batch.b_ms())
         .field("queries_per_sec", batch_qps)
         .field("speedup_pct", m_batch.speedup_pct());
     json.add(rec);
@@ -490,7 +466,7 @@ int main(int argc, char** argv) {
                    only_rs.n_distinct == sort_rs.n_distinct;
       }
       const bool bitmap = only_rs.order.empty();
-      Measurement m = measure(
+      PairMedians m = measure_pair(
           reps,
           [&] {
             rank_space_into<int64_t>(keys, TiesPolicy::kStrict, sort_rs,
@@ -502,10 +478,10 @@ int main(int argc, char** argv) {
           });
       ranks_ok = ranks_ok && only_rs.rank == sort_rs.rank &&
                  only_rs.n_distinct == sort_rs.n_distinct;
-      const double ratio = m.warm_ms / m.oneshot_ms;
+      const double ratio = m.b_ms() / m.a_ms();
       std::printf("%-9s %8lld %6s %-6s %13.3f %13.3f %7.3f\n", "rank_only",
                   static_cast<long long>(n), sp.name,
-                  bitmap ? "bitmap" : "sort", m.oneshot_ms, m.warm_ms, ratio);
+                  bitmap ? "bitmap" : "sort", m.a_ms(), m.b_ms(), ratio);
       for (const bool only : {false, true}) {
         JsonRecord rec;
         rec.field("bench", "micro_api")
@@ -517,7 +493,7 @@ int main(int argc, char** argv) {
                                      static_cast<double>(n))
             .field("path", only ? (bitmap ? "bitmap" : "sort") : "sort")
             .field("threads", num_workers())
-            .field("median_ms", only ? m.warm_ms : m.oneshot_ms);
+            .field("median_ms", only ? m.b_ms() : m.a_ms());
         if (only) rec.field("ratio", ratio);
         json.add(rec);
       }

@@ -18,8 +18,9 @@
 // m = 10^6 keys into universe 2^24.
 //
 // A fourth pair of rows (simd_tournament_block, simd_rank_scan) measures
-// the vectorized comparison kernels (util/simd.hpp) against their scalar
-// twins by flipping the runtime toggle between interleaved runs of the
+// the vectorized comparison kernels (the tree's sweeps and the rank-space
+// run scan, each beside its caller) against their scalar twins by flipping
+// the runtime toggle (util/simd.hpp) between interleaved runs of the
 // same binary: the standalone tournament counting pass over a duplicate-
 // heavy tree, and the blocked run scan of rank-space re-derivation.
 //
@@ -371,35 +372,11 @@ namespace {
 using namespace parlis;
 using namespace parlis::bench;
 
-struct Measurement {
-  double seed_ms = 0;
-  double cur_ms = 0;
-  double speedup_pct() const { return 100.0 * (1.0 - cur_ms / seed_ms); }
-};
-
-// Interleaved medians: (seed, current) pairs per rep so drift hits both.
-Measurement measure(int reps, const std::function<void()>& seed_fn,
-                    const std::function<void()>& cur_fn) {
-  std::vector<double> seed_ts(reps), cur_ts(reps);
-  for (int r = 0; r < reps; r++) {
-    Timer t;
-    seed_fn();
-    seed_ts[r] = t.elapsed();
-    t.reset();
-    cur_fn();
-    cur_ts[r] = t.elapsed();
-  }
-  std::sort(seed_ts.begin(), seed_ts.end());
-  std::sort(cur_ts.begin(), cur_ts.end());
-  // Lower middle for even rep counts: don't let a 2-rep smoke report the
-  // cold-cache run.
-  return {seed_ts[(reps - 1) / 2] * 1e3, cur_ts[(reps - 1) / 2] * 1e3};
-}
-
-// Paired-ratio measurement for sub-2% deltas, which measure()'s independent
-// side medians cannot resolve on this host: the runner order alternates per
-// rep, consecutive rep pairs (one base-first, one test-first) form a unit,
-// and the reported ratio is the median of per-unit test/base time ratios.
+// Paired-ratio measurement for sub-2% deltas, which measure_pair()'s
+// independent side medians cannot resolve on this host: the runner order
+// alternates per rep, consecutive rep pairs (one base-first, one
+// test-first) form a unit, and the reported ratio is the median of
+// per-unit test/base time ratios.
 // Cache-warm order bias and slow frequency drift both cancel within a unit.
 struct RatioMeasurement {
   double base_ms = 0;
@@ -486,9 +463,9 @@ int main(int argc, char** argv) {
 
   std::printf("\n%-14s  %14s  %16s  %9s\n", "op", "seed med(ms)",
               "current med(ms)", "speedup");
-  auto report = [&](const char* op, int64_t size, const Measurement& mm,
+  auto report = [&](const char* op, int64_t size, const PairMedians& mm,
                     uint64_t seed_visits, uint64_t cur_visits) {
-    std::printf("%-14s  %14.1f  %16.1f  %8.1f%%\n", op, mm.seed_ms, mm.cur_ms,
+    std::printf("%-14s  %14.1f  %16.1f  %8.1f%%\n", op, mm.a_ms(), mm.b_ms(),
                 mm.speedup_pct());
     for (int variant = 0; variant < 2; variant++) {
       JsonRecord rec;
@@ -497,7 +474,7 @@ int main(int argc, char** argv) {
           .field("variant", variant == 0 ? "seed" : "current")
           .field("n", size)
           .field("threads", num_workers())
-          .field("median_ms", variant == 0 ? mm.seed_ms : mm.cur_ms);
+          .field("median_ms", variant == 0 ? mm.a_ms() : mm.b_ms());
       uint64_t v = variant == 0 ? seed_visits : cur_visits;
       if (v > 0) rec.field("nodes_visited", v);
       if (variant == 1) rec.field("speedup_pct", mm.speedup_pct());
@@ -509,7 +486,7 @@ int main(int argc, char** argv) {
   std::vector<int32_t> seed_rank;
   int32_t seed_k = 0;
   volatile int32_t cur_k = 0;
-  Measurement lis = measure(
+  PairMedians lis = measure_pair(
       reps, [&] { seed_k = seedref::lis_ranks(a, seed_rank); },
       [&] { cur_k = lis_ranks(a).k; });
   // One instrumented pass per side for the visit counts (not timed).
@@ -528,7 +505,7 @@ int main(int argc, char** argv) {
   std::vector<int64_t> seed_flat;
   int32_t seed_fk = 0;
   volatile int64_t cur_flat_size = 0;
-  Measurement fro = measure(
+  PairMedians fro = measure_pair(
       reps, [&] { seed_fk = seedref::lis_frontiers(a, seed_flat); },
       [&] {
         // frontier_flat is preallocated at n, so its size is vacuous — the
@@ -539,7 +516,7 @@ int main(int argc, char** argv) {
 
   // --------------------------------------------------------- batch_insert
   volatile int64_t inserted = 0;
-  Measurement veb = measure(
+  PairMedians veb = measure_pair(
       reps,
       [&] {
         seedref::VebTree t(kUniverse);
@@ -620,9 +597,9 @@ int main(int argc, char** argv) {
   // structure. On scalar-only builds the toggle is inert (both sides run
   // the twins) and the gate below is skipped.
   const int64_t sn = flags.get("simdn", n);
-  auto report_simd = [&](const char* op, int64_t size, const Measurement& mm) {
-    std::printf("%-14s  %14.1f  %16.1f  %8.1f%%  [%s]\n", op, mm.seed_ms,
-                mm.cur_ms, mm.speedup_pct(), simd::backend_name());
+  auto report_simd = [&](const char* op, int64_t size, const PairMedians& mm) {
+    std::printf("%-14s  %14.1f  %16.1f  %8.1f%%  [%s]\n", op, mm.a_ms(),
+                mm.b_ms(), mm.speedup_pct(), simd::backend_name());
     for (int variant = 0; variant < 2; variant++) {
       JsonRecord rec;
       rec.field("bench", "micro_hotpath")
@@ -630,7 +607,7 @@ int main(int argc, char** argv) {
           .field("variant", variant == 0 ? "scalar" : "simd")
           .field("n", size)
           .field("threads", num_workers())
-          .field("median_ms", variant == 0 ? mm.seed_ms : mm.cur_ms);
+          .field("median_ms", variant == 0 ? mm.a_ms() : mm.b_ms());
       if (variant == 1) {
         rec.field("speedup_pct", mm.speedup_pct());
       }
@@ -650,7 +627,7 @@ int main(int argc, char** argv) {
   TournamentTree<int64_t> sim_tree(std::span<const int64_t>(dup), INT64_MAX,
                                    sim_ws);
   int64_t m_scal = 0, m_simd = 0;
-  Measurement tb = measure(
+  PairMedians tb = measure_pair(
       reps,
       [&] {
         simd::set_enabled(false);
@@ -677,7 +654,7 @@ int main(int argc, char** argv) {
   simd::set_enabled(false);
   rank_space_rescan_strict<int64_t>(skeys_span, srs, srs_scratch);
   std::vector<int64_t> scal_rank = srs.rank;  // scalar image, cross-checked
-  Measurement rsc = measure(
+  PairMedians rsc = measure_pair(
       reps,
       [&] {
         simd::set_enabled(false);

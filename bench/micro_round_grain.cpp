@@ -4,7 +4,7 @@
 //    (set_sequential_mode). Pooled ÷ one-thread per k is what kRoundGrain
 //    (lis/tournament_tree.hpp) is set from;
 //  - the patience kernel (seq_patience_ranks_into) with the SIMD toggle on
-//    (regs: the register tiers up to 128 tails, util/simd.hpp) and off
+//    (regs: the register tiers up to 128 tails, lis/patience.hpp) and off
 //    (twin: their scalar twin, the memory loop), the SIMD rule's paired row
 //    at the kernel's call site;
 //  - Seq-BS (seq_bs_ranks, the paper's std::lower_bound baseline);

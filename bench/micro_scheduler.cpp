@@ -265,29 +265,6 @@ namespace {
 using namespace parlis;
 using namespace parlis::bench;
 
-struct Measurement {
-  double seed = 0;
-  double cur = 0;
-  double speedup_x() const { return cur > 0 ? seed / cur : -1; }
-};
-
-// Interleaved medians: (seed, current) pairs per rep so drift hits both.
-Measurement measure(int reps, const std::function<void()>& seed_fn,
-                    const std::function<void()>& cur_fn) {
-  std::vector<double> seed_ts(reps), cur_ts(reps);
-  for (int r = 0; r < reps; r++) {
-    Timer t;
-    seed_fn();
-    seed_ts[r] = t.elapsed();
-    t.reset();
-    cur_fn();
-    cur_ts[r] = t.elapsed();
-  }
-  std::sort(seed_ts.begin(), seed_ts.end());
-  std::sort(cur_ts.begin(), cur_ts.end());
-  return {seed_ts[(reps - 1) / 2], cur_ts[(reps - 1) / 2]};
-}
-
 // parallel_for_compute: iterations, hash64 calls per iteration (~0.25 µs
 // of work) and interleaved sequential-mode/pooled pairs.
 constexpr int64_t kComputeIters = 1 << 16;
@@ -327,7 +304,7 @@ int run_child(int64_t n, int64_t nw, int64_t spawn_iters, int64_t tree_leaves,
     // binary fork tree on both sides. The body is one plain store per
     // distinct index, so elapsed time is almost pure scheduling overhead.
     std::vector<int64_t> units(spawn_iters);
-    Measurement m_spawn = measure(
+    PairMedians m_spawn = measure_pair(
         reps,
         [&] {
           seedsched::parallel_for_rec(seed_pool, 0, spawn_iters, 1,
@@ -337,13 +314,13 @@ int run_child(int64_t n, int64_t nw, int64_t spawn_iters, int64_t tree_leaves,
           parallel_for(0, spawn_iters, [&](int64_t i) { units[i] = i; },
                        /*grain=*/1);
         });
-    spawn_seed_ns = m_spawn.seed * 1e9 / spawn_iters;
-    spawn_cur_ns = m_spawn.cur * 1e9 / spawn_iters;
+    spawn_seed_ns = m_spawn.a * 1e9 / spawn_iters;
+    spawn_cur_ns = m_spawn.b * 1e9 / spawn_iters;
 
     // Per-branch sinks: the right branch may run on a thief, so the two
     // bodies must not touch the same (non-atomic) cell.
     volatile int64_t sink_l = 0, sink_r = 0;
-    Measurement m_pardo = measure(
+    PairMedians m_pardo = measure_pair(
         reps,
         [&] {
           for (int64_t i = 0; i < spawn_iters; i++) {
@@ -356,14 +333,14 @@ int run_child(int64_t n, int64_t nw, int64_t spawn_iters, int64_t tree_leaves,
             par_do([&] { sink_l = sink_l + 1; }, [&] { sink_r = sink_r + 1; });
           }
         });
-    pardo_seed_ns = m_pardo.seed * 1e9 / spawn_iters;
-    pardo_cur_ns = m_pardo.cur * 1e9 / spawn_iters;
+    pardo_seed_ns = m_pardo.a * 1e9 / spawn_iters;
+    pardo_cur_ns = m_pardo.b * 1e9 / spawn_iters;
 
-    Measurement m_tree = measure(
+    PairMedians m_tree = measure_pair(
         reps, [&] { sink = sink + tree_seed(seed_pool, 0, tree_leaves); },
         [&] { sink = sink + tree_cur(0, tree_leaves); });
-    tree_seed_ms = m_tree.seed * 1e3;
-    tree_cur_ms = m_tree.cur * 1e3;
+    tree_seed_ms = m_tree.a * 1e3;
+    tree_cur_ms = m_tree.b * 1e3;
 
     constexpr int64_t kPforN = 1 << 20;
     std::vector<int64_t> acc(kPforN);
@@ -386,7 +363,7 @@ int run_child(int64_t n, int64_t nw, int64_t spawn_iters, int64_t tree_leaves,
       chain[i] = x;
     });
   };
-  Measurement m_compute = measure(
+  PairMedians m_compute = measure_pair(
       kComputeReps,
       [&] {
         const bool prev = set_sequential_mode(true);
@@ -419,8 +396,8 @@ int run_child(int64_t n, int64_t nw, int64_t spawn_iters, int64_t tree_leaves,
   std::printf("RESULT %.0f\n", pfor_cur_tasks);
   std::printf("RESULT %.6f\n", lis_ms);
   std::printf("RESULT %.6f\n", wlis_ms);
-  std::printf("RESULT %.6f\n", m_compute.seed * 1e3);
-  std::printf("RESULT %.6f\n", m_compute.cur * 1e3);
+  std::printf("RESULT %.6f\n", m_compute.a * 1e3);
+  std::printf("RESULT %.6f\n", m_compute.b * 1e3);
   return 0;
 }
 

@@ -408,30 +408,6 @@ namespace {
 using namespace parlis;
 using namespace parlis::bench;
 
-struct Measurement {
-  double seed_ms = 0;
-  double cur_ms = 0;
-  double speedup_pct() const { return 100.0 * (1.0 - cur_ms / seed_ms); }
-};
-
-// Interleaved medians: (seed, current) pairs per rep so drift hits both.
-Measurement measure(int reps, const std::function<void()>& seed_fn,
-                    const std::function<void()>& cur_fn) {
-  std::vector<double> seed_ts(reps), cur_ts(reps);
-  for (int r = 0; r < reps; r++) {
-    Timer t;
-    seed_fn();
-    seed_ts[r] = t.elapsed();
-    t.reset();
-    cur_fn();
-    cur_ts[r] = t.elapsed();
-  }
-  std::sort(seed_ts.begin(), seed_ts.end());
-  std::sort(cur_ts.begin(), cur_ts.end());
-  // Lower middle for even rep counts: don't report the cold-cache run.
-  return {seed_ts[(reps - 1) / 2] * 1e3, cur_ts[(reps - 1) / 2] * 1e3};
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -462,11 +438,11 @@ int main(int argc, char** argv) {
 
   std::printf("\n%-14s  %14s  %16s  %9s\n", "op", "seed med(ms)",
               "current med(ms)", "speedup");
-  auto report = [&](const char* op, int64_t size, const Measurement& mm) {
-    std::printf("%-14s  %14.1f  %16.1f  %8.1f%%\n", op, mm.seed_ms, mm.cur_ms,
+  auto report = [&](const char* op, int64_t size, const PairMedians& mm) {
+    std::printf("%-14s  %14.1f  %16.1f  %8.1f%%\n", op, mm.a_ms(), mm.b_ms(),
                 mm.speedup_pct());
     for (int variant = 0; variant < 2; variant++) {
-      double ms = variant == 0 ? mm.seed_ms : mm.cur_ms;
+      double ms = variant == 0 ? mm.a_ms() : mm.b_ms();
       JsonRecord rec;
       rec.field("bench", "micro_wlis")
           .field("op", op)
@@ -482,7 +458,7 @@ int main(int argc, char** argv) {
 
   // ----------------------------------------------------------- wlis (tree)
   WlisResult seed_tree, cur_tree;
-  Measurement m_tree = measure(
+  PairMedians m_tree = measure_pair(
       reps, [&] { seed_tree = seedref::wlis_tree(a, w); },
       [&] { cur_tree = wlis(a, w, WlisStructure::kRangeTree); });
   report("wlis", n, m_tree);
@@ -512,7 +488,7 @@ int main(int argc, char** argv) {
 
   // --------------------------------------------------------- oracle_build
   volatile int64_t sink = 0;
-  Measurement m_orcl = measure(
+  PairMedians m_orcl = measure_pair(
       reps,
       [&] {
         seedref::SeedDominanceOracle o(ao);

@@ -9,11 +9,12 @@
 // solves allocate nothing.
 //
 // Two plans serve every entry point. LIS: patience sorting on the calling
-// thread (lis/lis.hpp). Weighted LIS: the rank space, then the Fenwick pass
-// (wlis/wlis_sweep.hpp), run as a wavefront of index-chunk x rank-block
-// cells on the pool where that pays. The paper's Alg. 1 and Alg. 2 stay
-// behind the free functions (lis_ranks, lis_frontiers, wlis, wlis_into) as
-// the reference the differential tests hold these plans to.
+// thread (lis/patience.hpp). Weighted LIS: the rank space, then the
+// Fenwick pass (wlis/wlis_sweep.hpp), run as a wavefront of index-chunk x
+// rank-block cells on the pool where that pays. The paper's Alg. 1 and
+// Alg. 2 stay behind the free functions (lis_ranks, lis_frontiers, wlis,
+// wlis_into; lis/lis.hpp and wlis/wlis.hpp, which this header does not
+// include) as the reference the differential tests hold these plans to.
 //
 // Key types: every solve_* entry point has a typed overload — any `Key`
 // with a strict-weak-order comparator (doubles, timestamps, pairs/tuples
@@ -62,14 +63,13 @@
 #include <vector>
 
 #include "parlis/api/options.hpp"
-#include "parlis/lis/lis.hpp"
+#include "parlis/lis/patience.hpp"
 #include "parlis/parallel/parallel.hpp"
 #include "parlis/parallel/scheduler.hpp"
 #include "parlis/util/error.hpp"
 #include "parlis/util/exec_context.hpp"
 #include "parlis/util/rank_space.hpp"
 #include "parlis/util/value_cache_key.hpp"
-#include "parlis/wlis/wlis.hpp"
 #include "parlis/wlis/wlis_sweep.hpp"
 
 namespace parlis {
@@ -136,8 +136,8 @@ class Solver {
 
   /// Unweighted LIS ranks (dp values) of `a` into `out`, under
   /// options().ties. Every LIS entry point solves by patience sorting on
-  /// the calling thread (lis/lis.hpp, internal::patience_ranks: register
-  /// tiers while k <= 128, then the memory loop). On the sweep in
+  /// the calling thread (lis/patience.hpp, internal::patience_ranks:
+  /// register tiers while k <= 128, then the memory loop). On the sweep in
   /// EXPERIMENTS.md ("Register tiers") it beat Alg. 1's rounds on a
   /// 4-worker pool at every k, so the Solver no longer runs them; the
   /// one-shot lis_ranks / lis_frontiers still do.

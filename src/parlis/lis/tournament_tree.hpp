@@ -57,20 +57,23 @@
 // holds.
 //
 // Storage lives in a TournamentStorage<T>, either owned by the tree (the
-// one-shot free functions) or injected by the caller (the Solver warm path:
-// the vectors' capacity survives the tree object, so rebuilding a tree of
-// the same size performs zero heap allocations).
+// one-shot free functions) or injected by the caller (lis_ranks_into,
+// lis_frontiers_into, WlisWorkspace: the vectors' capacity survives the
+// tree object, so rebuilding a tree of the same size performs zero heap
+// allocations).
 //
 // The element type T needs operator< and a user-supplied +inf sentinel. An
 // input value not below inf would read as an already-removed leaf; the
 // build pass flags it (has_inf_input()) so callers can rerun on a rank image.
+//
+// SIMD: for int64 keys under std::less the block sweeps run the AVX-512
+// kernels below (this tree is their only caller); min8 is scalar.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <bit>
 #include <functional>
-#include <cassert>
 #include <cstdint>
 #include <span>
 #include <type_traits>
@@ -82,6 +85,147 @@
 #include "parlis/util/simd.hpp"
 
 namespace parlis {
+
+// ------------------------------------------------------- level sweeps ---
+// The blocks' 8-entry sweeps for int64 keys under std::less ("Vector form"
+// below), each with its scalar twin and dispatch (toggle: util/simd.hpp).
+
+namespace simd {
+
+/// Candidate mask of an 8-ary tournament level: bit j set iff
+/// p[j] <= bound && p[j] < inf. The prefix-min sweep only ever enters or
+/// absorbs children in this set (any child with p[j] > bound can neither
+/// qualify against the running bound, which starts at `bound` and only
+/// decreases, nor lower it), so the caller walks just these bits.
+inline uint32_t cand_mask8_i64_scalar(const int64_t* p, int64_t bound,
+                                      int64_t inf) {
+  uint32_t m = 0;
+  for (int j = 0; j < 8; j++) {
+    if (p[j] <= bound && p[j] < inf) m |= uint32_t{1} << j;
+  }
+  return m;
+}
+
+/// Leaf-level prefix-min extraction sweep: exactly the scalar loop
+///
+///   cur = bound;
+///   for j in 0..8: x = p[j];
+///     if (x <= cur && x < inf) { extracted |= 1 << j; p[j] = inf; }
+///     if (x < cur) cur = x;
+///
+/// i.e. lane j is extracted iff p[j] <= min(bound, p[0..j-1]) (the running
+/// bound is exactly the exclusive prefix-min) and p[j] < inf. Extracted
+/// lanes are overwritten with inf, `*new_min` receives the post-sweep
+/// min-of-8, and the extracted-lane mask is returned. The vector form
+/// computes the exclusive prefix-min across lanes, so the whole sweep —
+/// including the level-min refresh — runs branchless out of registers.
+inline uint32_t sweep8_extract_i64_scalar(int64_t* p, int64_t bound,
+                                          int64_t inf, int64_t* new_min) {
+  int64_t cur = bound;
+  uint32_t extracted = 0;
+  for (int j = 0; j < 8; j++) {
+    const int64_t x = p[j];
+    if (x <= cur && x < inf) {
+      extracted |= uint32_t{1} << j;
+      p[j] = inf;
+    }
+    if (x < cur) cur = x;
+  }
+  *new_min = *std::min_element(p, p + 8);
+  return extracted;
+}
+
+/// Counting twin of sweep8_extract: the same sweep without mutation, i.e.
+/// #lanes with p[j] <= min(bound, p[0..j-1]) && p[j] < inf.
+inline int64_t sweep8_count_i64_scalar(const int64_t* p, int64_t bound,
+                                       int64_t inf) {
+  int64_t cur = bound;
+  int64_t c = 0;
+  for (int j = 0; j < 8; j++) {
+    const int64_t x = p[j];
+    if (x <= cur && x < inf) c++;
+    if (x < cur) cur = x;
+  }
+  return c;
+}
+
+#if PARLIS_SIMD_BACKEND == 4
+namespace detail {
+
+// Lane shift toward higher indices by (8 - imm) quadwords, vacated low
+// lanes filled from the top of `fill`: valignr concatenates [v | fill] and
+// takes quadwords imm..imm+7.
+#define PARLIS_SHIFT_UP_512(v, fill, by) _mm512_alignr_epi64(v, fill, 8 - (by))
+
+// Exclusive prefix-min over the 8 lanes of v seeded with `bound`:
+// e[j] = min(bound, v[0..j-1]). Three shift+min steps build the inclusive
+// prefix, one more shifts it to exclusive and folds the seed in.
+inline __m512i eprefix_min8_512(__m512i v, __m512i bound, __m512i inf) {
+  __m512i i = _mm512_min_epi64(v, PARLIS_SHIFT_UP_512(v, inf, 1));
+  i = _mm512_min_epi64(i, PARLIS_SHIFT_UP_512(i, inf, 2));
+  i = _mm512_min_epi64(i, PARLIS_SHIFT_UP_512(i, inf, 4));
+  return _mm512_min_epi64(bound, PARLIS_SHIFT_UP_512(i, inf, 1));
+}
+
+inline uint32_t cand_mask8_i64_vec(const int64_t* p, int64_t bound,
+                                   int64_t inf) {
+  __m512i v = _mm512_loadu_si512(p);
+  return static_cast<uint32_t>(
+      _mm512_cmple_epi64_mask(v, _mm512_set1_epi64(bound)) &
+      _mm512_cmplt_epi64_mask(v, _mm512_set1_epi64(inf)));
+}
+
+inline uint32_t sweep8_extract_i64_vec(int64_t* p, int64_t bound, int64_t inf,
+                                       int64_t* new_min) {
+  __m512i I = _mm512_set1_epi64(inf);
+  __m512i v = _mm512_loadu_si512(p);
+  __m512i e = eprefix_min8_512(v, _mm512_set1_epi64(bound), I);
+  // Lane j extracted iff p[j] <= e[j] && p[j] < inf.
+  __mmask8 ext = _mm512_cmple_epi64_mask(v, e) & _mm512_cmplt_epi64_mask(v, I);
+  __m512i nv = _mm512_mask_mov_epi64(v, ext, I);
+  _mm512_storeu_si512(p, nv);
+  *new_min = _mm512_reduce_min_epi64(nv);
+  return ext;
+}
+
+inline int64_t sweep8_count_i64_vec(const int64_t* p, int64_t bound,
+                                    int64_t inf) {
+  __m512i I = _mm512_set1_epi64(inf);
+  __m512i v = _mm512_loadu_si512(p);
+  __m512i e = eprefix_min8_512(v, _mm512_set1_epi64(bound), I);
+  return std::popcount(static_cast<uint32_t>(
+      _mm512_cmple_epi64_mask(v, e) & _mm512_cmplt_epi64_mask(v, I)));
+}
+
+}  // namespace detail
+#endif  // PARLIS_SIMD_BACKEND == 4
+
+// Dispatch: each reads the runtime toggle once; on scalar-only builds the
+// toggle is constant-false and the wrapper inlines to the twin.
+
+inline uint32_t cand_mask8_i64(const int64_t* p, int64_t bound, int64_t inf) {
+#if PARLIS_SIMD_BACKEND == 4
+  if (enabled()) return detail::cand_mask8_i64_vec(p, bound, inf);
+#endif
+  return cand_mask8_i64_scalar(p, bound, inf);
+}
+
+inline uint32_t sweep8_extract_i64(int64_t* p, int64_t bound, int64_t inf,
+                                   int64_t* new_min) {
+#if PARLIS_SIMD_BACKEND == 4
+  if (enabled()) return detail::sweep8_extract_i64_vec(p, bound, inf, new_min);
+#endif
+  return sweep8_extract_i64_scalar(p, bound, inf, new_min);
+}
+
+inline int64_t sweep8_count_i64(const int64_t* p, int64_t bound, int64_t inf) {
+#if PARLIS_SIMD_BACKEND == 4
+  if (enabled()) return detail::sweep8_count_i64_vec(p, bound, inf);
+#endif
+  return sweep8_count_i64_scalar(p, bound, inf);
+}
+
+}  // namespace simd
 
 /// Frontier size below which a round runs inline on the calling thread
 /// (see "Round granularity" above). Set from the interleaved pooled vs
@@ -206,7 +350,7 @@ class TournamentTree {
   static constexpr int64_t kLeafOff = 8 + 64;  // 512 leaves
   static constexpr int64_t kBlockStride = kLeafOff + kBlockLeaves;
 
-  // The vector kernels (util/simd.hpp) speak the int64 total order, which
+  // The level sweeps (top of this header) speak the int64 total order, which
   // is exactly the rank image every public entry point feeds this tree
   // after rank-space reduction. Generic keys / custom comparators keep the
   // scalar sweeps — the discarded if-constexpr branches below never
@@ -262,32 +406,16 @@ class TournamentTree {
 
   T* block(int64_t b) { return blocks_ + kBlockStride * b; }
 
+  // Minimum of the 8 entries at p, scalar for every key: the sweeps re-read
+  // entries they just stored one at a time (a vector reload would not
+  // store-forward), and at the build a vector body paid under the SIMD bar
+  // (EXPERIMENTS.md, "SIMD-kernel methodology").
   T min8(const T* p) const {
-    if constexpr (kSimdKernels) {
-      return simd::min8_i64(p);
-    } else {
-      return min8_post(p);
+    T m = p[0];
+    for (int j = 1; j < 8; j++) {
+      if (less_(p[j], m)) m = p[j];
     }
-  }
-
-  // Post-sweep level refresh. Extraction sweeps store individual 8-byte
-  // entries (removed leaves -> inf, refreshed child minima) and immediately
-  // re-reduce the same 8 entries; a 32-byte vector reload there cannot
-  // store-to-load forward from the pending narrow stores and stalls on
-  // every extracted leaf, which costs more than the reduction itself. The
-  // refresh therefore always uses the scalar chain (8-byte loads forward
-  // fine); the vector min8 is kept for construction, where the fill loop's
-  // stores are vector-wide.
-  T min8_post(const T* p) const {
-    if constexpr (kSimdKernels) {
-      return simd::min8_i64_scalar(p);
-    } else {
-      T m = p[0];
-      for (int j = 1; j < 8; j++) {
-        if (less_(p[j], m)) m = p[j];
-      }
-      return m;
-    }
+    return m;
   }
 
   // Recomputes internal top-tree nodes below node i (`sub` = leaf slots
@@ -379,7 +507,7 @@ class TournamentTree {
       const Swept sw =
           block_extract(blk, (i - top_leaves_) * kBlockLeaves, lmin, visit);
       st_->visits.add(sw.visits);
-      top_[i] = min8_post(blk);
+      top_[i] = min8(blk);
       charge_inline(sw.removed);
       return sw.removed;
     }
@@ -435,7 +563,7 @@ class TournamentTree {
           block_extract(blk, (i - top_leaves_) * kBlockLeaves, lmin,
                         [&](int64_t idx) { *cursor++ = idx; });
       st_->visits.add(sw.visits);
-      top_[i] = min8_post(blk);
+      top_[i] = min8(blk);
       return;
     }
     st_->visits.add(1);
@@ -533,7 +661,7 @@ class TournamentTree {
           if (!(cur < w)) acc += group_extract(blk, 8 * s + j, base, cur, visit);
           if (w < cur) cur = w;
         }
-        blk[s] = min8_post(l2);
+        blk[s] = min8(l2);
         return acc;
       }
     }
@@ -546,7 +674,7 @@ class TournamentTree {
       }
       if (less_(w, cur)) cur = w;
     }
-    blk[s] = min8_post(l2);
+    blk[s] = min8(l2);
     return acc;
   }
 
@@ -584,7 +712,7 @@ class TournamentTree {
       }
       if (less_(x, cur)) cur = x;
     }
-    blk[kL2Off + g] = min8_post(leaf);
+    blk[kL2Off + g] = min8(leaf);
     return acc;
   }
 

@@ -11,6 +11,7 @@
 #include "parlis/parallel/worker_counter.hpp"  // contention-free counters
 #include "parlis/parallel/worker_slots.hpp"    // lazy per-worker slot arrays
 #include "parlis/lis/lis.hpp"               // lis_ranks/lis_sequence (Alg. 1)
+#include "parlis/lis/patience.hpp"          // patience kernel (Solver LIS plan)
 #include "parlis/lis/seq_lis.hpp"           // Seq-BS baseline
 #include "parlis/lis/tournament_tree.hpp"   // TournamentTree
 #include "parlis/veb/veb_tree.hpp"          // parallel vEB tree (Thm. 1.3)
@@ -28,6 +29,6 @@
 #include "parlis/util/error.hpp"            // parlis::Error + ErrorCode
 #include "parlis/util/failpoint.hpp"        // deterministic fault injection
 #include "parlis/util/rank_space.hpp"       // TiesPolicy + rank compression
-#include "parlis/util/simd.hpp"             // vector comparison kernels
+#include "parlis/util/simd.hpp"             // SIMD backend switch + toggle
 #include "parlis/util/generators.hpp"       // paper input generators
 #include "parlis/util/timer.hpp"

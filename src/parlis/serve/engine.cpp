@@ -37,7 +37,6 @@ Engine::Engine(const EngineConfig& cfg)
   batch_reqs_.reserve(ring_.size());
   batch_queries_.reserve(static_cast<size_t>(cfg_.coalesce_max_queries));
   batch_results_.reserve(static_cast<size_t>(cfg_.coalesce_max_queries));
-  paused_ = cfg_.start_paused;
 }
 
 Engine::~Engine() {

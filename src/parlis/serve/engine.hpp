@@ -82,9 +82,6 @@ struct EngineConfig {
   /// batch, so keep it well under the per-batch compute time it amortizes.
   int64_t coalesce_linger_us = 0;
   BackpressureMode backpressure = BackpressureMode::kBlock;
-  /// Construction-time pause (tests): solves queue, but no caller runs a
-  /// pass until resume(), making queued-state assertions deterministic.
-  bool start_paused = false;
 };
 
 /// Per-request guard: both default (invalid token, 0 deadline) means the
@@ -137,7 +134,9 @@ class Engine {
 
   /// Test/maintenance seam: a paused engine queues (and backpressures)
   /// solves normally, but no caller runs a pass until resume() wakes the
-  /// waiters. Tenant verbs do not queue and run regardless.
+  /// waiters. Tenant verbs do not queue and run regardless. An engine
+  /// paused right after construction has run no pass: no caller can
+  /// submit before the constructor returns.
   void pause();
   void resume();
 

@@ -49,7 +49,7 @@
 #include <vector>
 
 #include "parlis/api/options.hpp"
-#include "parlis/lis/lis.hpp"
+#include "parlis/lis/patience.hpp"
 
 namespace parlis {
 

@@ -29,7 +29,8 @@
 // rank_only_into is the cheaper form for callers that read only `rank` and
 // `n_distinct` (the Solver's plans): int64 keys under std::less whose span
 // is small enough are ranked through a presence bitmap on one thread, and
-// every other input takes rank_space_into.
+// every other input takes rank_space_into. For int64 keys under std::less
+// the run scan finds run starts with an AVX-512 kernel (run_masks, below).
 #pragma once
 
 #include <algorithm>
@@ -97,6 +98,78 @@ struct RankSpaceScratch {
            vec_bytes(run_masks);
   }
 };
+
+// ------------------------------------------------------------ run scan ---
+// rank_space_rescan_strict's kernel, with its scalar twin and dispatch
+// (toggle: util/simd.hpp).
+
+namespace simd {
+
+/// Run-start bit masks over a contiguous ascending-sorted key image:
+/// bit (p - lo) of out[(p - lo) / 64] is set iff position p starts a run,
+/// i.e. s[p] != s[p - 1] (for p == lo, compared against the previous
+/// block's last key; `force_first` marks p == 0, which always starts a
+/// run). Requires hi > lo, s[lo - 1] readable when !force_first, and out
+/// zero-filled for ceil((hi - lo) / 64) words by the kernel itself.
+inline void run_masks_i64_scalar(const int64_t* s, int64_t lo, int64_t hi,
+                                 bool force_first, uint64_t* out) {
+  const int64_t n = hi - lo;
+  for (int64_t w = 0; w < (n + 63) / 64; w++) out[w] = 0;
+  if (force_first || s[lo] != s[lo - 1]) out[0] |= 1;
+  for (int64_t p = lo + 1; p < hi; p++) {
+    if (s[p] != s[p - 1]) {
+      const int64_t off = p - lo;
+      out[off >> 6] |= uint64_t{1} << (off & 63);
+    }
+  }
+}
+
+#if PARLIS_SIMD_BACKEND == 4
+namespace detail {
+
+// ORs `nbits` bits at bit offset `off` of the mask array (may straddle one
+// word boundary).
+inline void or_bits(uint64_t* out, int64_t off, uint64_t bits, int nbits) {
+  out[off >> 6] |= bits << (off & 63);
+  int spill = static_cast<int>(off & 63) + nbits - 64;
+  if (spill > 0) out[(off >> 6) + 1] |= bits >> (nbits - spill);
+}
+
+inline void run_masks_i64_vec(const int64_t* s, int64_t lo, int64_t hi,
+                              bool force_first, uint64_t* out) {
+  const int64_t n = hi - lo;
+  for (int64_t w = 0; w < (n + 63) / 64; w++) out[w] = 0;
+  if (force_first || s[lo] != s[lo - 1]) out[0] |= 1;
+  int64_t p = lo + 1;
+  for (; p + 8 <= hi; p += 8) {
+    __m512i a = _mm512_loadu_si512(s + p);
+    __m512i b = _mm512_loadu_si512(s + p - 1);
+    uint64_t neq = _mm512_cmpneq_epi64_mask(a, b);
+    if (neq) or_bits(out, p - lo, neq, 8);
+  }
+  for (; p < hi; p++) {
+    if (s[p] != s[p - 1]) {
+      const int64_t off = p - lo;
+      out[off >> 6] |= uint64_t{1} << (off & 63);
+    }
+  }
+}
+
+}  // namespace detail
+#endif  // PARLIS_SIMD_BACKEND == 4
+
+inline void run_masks_i64(const int64_t* s, int64_t lo, int64_t hi,
+                          bool force_first, uint64_t* out) {
+#if PARLIS_SIMD_BACKEND == 4
+  if (enabled()) {
+    detail::run_masks_i64_vec(s, lo, hi, force_first, out);
+    return;
+  }
+#endif
+  run_masks_i64_scalar(s, lo, hi, force_first, out);
+}
+
+}  // namespace simd
 
 /// Recomputes the kStrict run-scan outputs (qpos, rank, n_distinct) from an
 /// already-sorted `rs.order`. This is the scan half of rank_space_into,

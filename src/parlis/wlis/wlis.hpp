@@ -12,15 +12,15 @@
 // Entry points: `wlis` is the one-shot form (fresh workspace per call);
 // `wlis_into` injects a caller-owned WlisWorkspace and result buffers so a
 // warm same-size solve allocates nothing. parlis::Solver runs neither: its
-// weighted plan is the Fenwick pass of wlis_sweep.hpp, and these rounds are
-// the reference the differential tests hold it to.
+// weighted plan is the Fenwick pass of wlis_sweep.hpp (home of WlisResult),
+// and these rounds are the reference the differential tests hold it to.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "parlis/util/resident.hpp"
+#include "parlis/wlis/wlis_sweep.hpp"  // WlisResult
 
 namespace parlis {
 
@@ -31,15 +31,6 @@ namespace parlis {
 ///  kRangeVebTabulated  Sec. 4.2 + Appendix E per-point label tables
 ///                      (O(log n log log n) queries, extra O(n log n) space)
 enum class WlisStructure { kRangeTree, kRangeVeb, kRangeVebTabulated };
-
-struct WlisResult {
-  std::vector<int64_t> dp;  // dp[i] per Eq. (2)
-  int64_t best = 0;         // max weighted increasing subsequence sum
-  int32_t k = 0;            // LIS length (number of rounds)
-
-  /// Measured heap bytes held — the serving layer's eviction accounting.
-  size_t resident_bytes() const { return vec_bytes(dp); }
-};
 
 struct WlisWorkspace;  // wlis_workspace.hpp
 

@@ -23,8 +23,9 @@
 // but O(n log^2 n) work; on a 4-core host the pass wins at every k
 // measured (EXPERIMENTS.md, "WLIS plan methodology"), so parlis::Solver
 // runs this and the rounds remain the paper's algorithm behind wlis() /
-// wlis_into(). This header is all of the weighted side the Solver
-// includes: none of the rounds' workspace, range structures or vEB trees.
+// wlis_into(). This header, which also defines WlisResult, is all of the
+// weighted side the Solver includes: none of the rounds' entry points,
+// workspace, range structures or vEB trees.
 #pragma once
 
 #include <cstdint>
@@ -32,9 +33,18 @@
 #include <vector>
 
 #include "parlis/util/resident.hpp"
-#include "parlis/wlis/wlis.hpp"
 
 namespace parlis {
+
+/// Result of a weighted LIS solve (this pass, and Alg. 2's rounds in wlis.hpp).
+struct WlisResult {
+  std::vector<int64_t> dp;  // dp[i] per Eq. (2)
+  int64_t best = 0;         // max weighted increasing subsequence sum
+  int32_t k = 0;            // LIS length (number of rounds)
+
+  /// Measured heap bytes held — the serving layer's eviction accounting.
+  size_t resident_bytes() const { return vec_bytes(dp); }
+};
 
 /// Reusable scratch of wlis_sweep_into: one Fenwick node per rank, holding
 /// the prefix maxima of dp and of the LIS length. A warm call over at most

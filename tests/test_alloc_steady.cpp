@@ -34,6 +34,7 @@
 #include "parlis/stream/lis_session.hpp"
 #include "parlis/util/generators.hpp"
 #include "parlis/util/simd.hpp"
+#include "parlis/wlis/wlis.hpp"
 #include "parlis/wlis/wlis_sweep.hpp"
 
 namespace {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <mutex>
 #include <vector>
 
@@ -194,8 +195,9 @@ TEST(Lis, FrontierValuesNonIncreasing) {
 
 // ---------------------------------------------------------- reconstruction ---
 
-void check_valid_lis(const std::vector<int64_t>& a,
-                     const std::vector<int64_t>& seq, int64_t k) {
+template <typename T>
+void check_valid_lis(const std::vector<T>& a, const std::vector<int64_t>& seq,
+                     int64_t k) {
   ASSERT_EQ(static_cast<int64_t>(seq.size()), k);
   for (size_t j = 1; j < seq.size(); j++) {
     ASSERT_LT(seq[j - 1], seq[j]);
@@ -212,6 +214,25 @@ TEST(LisSequence, ValidAndMaximal) {
     auto seq = lis_sequence(a);
     check_valid_lis(a, seq, k);
   }
+  // The int64 extremes: INT64_MAX is the register tiers' empty-lane filler.
+  std::vector<int64_t> ext(600);
+  for (int64_t i = 0; i < 600; i++) {
+    ext[i] = static_cast<int64_t>(hash64(24, i) % 300) - 150;
+  }
+  for (int64_t i : {17, 310}) ext[i] = std::numeric_limits<int64_t>::min();
+  for (int64_t i : {50, 400, 599}) ext[i] = std::numeric_limits<int64_t>::max();
+  check_valid_lis(ext, lis_sequence(ext), seq_bs_length(ext));
+  // k past the tiers' kTierTails tails: the kernel spills to its memory loop.
+  const std::vector<int64_t> deep = line_pattern(20000, 1000, 25);
+  const int64_t deep_k = seq_bs_length(deep);
+  ASSERT_GT(deep_k, simd::kTierTails);
+  check_valid_lis(deep, lis_sequence(deep), deep_k);
+  // A key type other than int64.
+  std::vector<double> dbl(1500);
+  for (int64_t i = 0; i < 1500; i++) {
+    dbl[i] = static_cast<double>(hash64(26, i) % 5000) / 7.0;
+  }
+  check_valid_lis(dbl, lis_sequence(dbl), seq_bs_length(dbl));
 }
 
 TEST(LisSequence, DecisionsPointToPreviousRank) {

@@ -1,7 +1,7 @@
 // The Solver's LIS plan (Solver::run_lis, api/solver.hpp): every LIS entry
 // point solves by patience sorting on the calling thread. For int64 keys
 // under std::less (raw values and every rank image) the kernel starts in
-// the register tiers of util/simd.hpp (16, 32, 64 and 128 tails) and spills
+// the register tiers of lis/patience.hpp (16, 32, 64 and 128 tails) and spills
 // to the memory loop at the 129th tail; other orders on raw values (int64
 // keys under kStrict) run the memory loop alone. Whatever the path, the ranks, k and frontier layout must match
 // seq_bs_ranks, and the O(n^2) oracle at small n, with the SIMD toggle on

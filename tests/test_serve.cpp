@@ -371,8 +371,8 @@ TEST(ServeEngine, CoalescedSolvesMatchDirect) {
   }
 
   EngineConfig cfg;
-  cfg.start_paused = true;  // everything queues, so one drain coalesces all
   Engine engine(cfg);
+  engine.pause();  // everything queues, so one drain coalesces all
   std::vector<std::thread> clients;
   std::vector<std::vector<QueryResult>> got(kClients);
   for (int c = 0; c < kClients; c++) {
@@ -409,8 +409,8 @@ TEST(ServeEngine, CoalescedSolvesMatchDirect) {
 TEST(ServeEngine, CancelledWhileQueuedNeverReachesAWorker) {
   const auto vals = make_vals(512, 7);
   EngineConfig cfg;
-  cfg.start_paused = true;
   Engine engine(cfg);
+  engine.pause();
   auto token = CancelToken::make();
   std::vector<int32_t> rank(vals.size(), -7);  // sentinel: must stay put
   Query q;
@@ -435,8 +435,8 @@ TEST(ServeEngine, CancelledWhileQueuedNeverReachesAWorker) {
 TEST(ServeEngine, DeadlineExpiredWhileQueuedNeverReachesAWorker) {
   const auto vals = make_vals(512, 8);
   EngineConfig cfg;
-  cfg.start_paused = true;
   Engine engine(cfg);
+  engine.pause();
   Query q;
   q.a = vals;
   std::thread client([&] {
@@ -457,8 +457,8 @@ TEST(ServeEngine, RejectModeThrowsOverloadedWhenFull) {
   EngineConfig cfg;
   cfg.queue_capacity = 2;
   cfg.backpressure = BackpressureMode::kReject;
-  cfg.start_paused = true;
   Engine engine(cfg);
+  engine.pause();
   Query q;
   q.a = vals;
   std::vector<std::thread> fillers;
@@ -481,8 +481,8 @@ TEST(ServeEngine, BlockModeWaitsForASlot) {
   EngineConfig cfg;
   cfg.queue_capacity = 1;
   cfg.backpressure = BackpressureMode::kBlock;
-  cfg.start_paused = true;
   Engine engine(cfg);
+  engine.pause();
   Query q;
   q.a = vals;
   std::atomic<int> done{0};
@@ -505,8 +505,8 @@ TEST(ServeEngine, CancelWhileBlockedOnAdmission) {
   EngineConfig cfg;
   cfg.queue_capacity = 1;
   cfg.backpressure = BackpressureMode::kBlock;
-  cfg.start_paused = true;
   Engine engine(cfg);
+  engine.pause();
   Query q;
   q.a = vals;
   std::thread filler([&] { engine.solve_one(q); });
@@ -532,8 +532,8 @@ TEST(ServeEngine, CancelWhileBlockedOnAdmission) {
 TEST(ServeEngine, DestructorFailsQueuedRequests) {
   const auto vals = make_vals(512, 13);
   EngineConfig cfg;
-  cfg.start_paused = true;
   auto engine = std::make_unique<Engine>(cfg);
+  engine->pause();
   Query q;
   q.a = vals;
   const int kCallers = 3;
@@ -681,8 +681,8 @@ TEST(ServeEngine, MalformedQueryFailsOnlyItsOwnRequest) {
   LisResult want;
   Solver().solve_lis(vals, want);
   EngineConfig cfg;
-  cfg.start_paused = true;
   Engine engine(cfg);
+  engine.pause();
   Query good;
   good.a = vals;
   QueryResult got;

@@ -1,4 +1,6 @@
-// The SIMD comparison-kernel layer (util/simd.hpp), two angles:
+// The SIMD comparison kernels (the switch in util/simd.hpp; each kernel
+// beside its one caller: the tree's sweeps in lis/tournament_tree.hpp, the
+// run scan in util/rank_space.hpp), two angles:
 //
 //  * SimdKernels — every vector kernel against its scalar twin on the
 //    shapes vector code gets wrong: tail/remainder lanes, all-equal
@@ -63,23 +65,6 @@ void expect_toggle_agreement(const F& f, const R& scalar_ref) {
 }
 
 // --------------------------------------------------------- lane kernels ---
-
-TEST(SimdKernels, Min8MatchesScalarOnRandomAndEdges) {
-  for (uint64_t seed = 0; seed < 200; seed++) {
-    int64_t p[8];
-    for (int j = 0; j < 8; j++) {
-      p[j] = static_cast<int64_t>(uniform(seed, j, 1000)) - 500;
-    }
-    // Edge injections: sentinels and extremes in rotating lanes.
-    if (seed % 3 == 0) p[seed % 8] = kInf;
-    if (seed % 5 == 0) p[(seed + 3) % 8] = std::numeric_limits<int64_t>::min();
-    if (seed % 7 == 0) {
-      for (int j = 0; j < 8; j++) p[j] = 42;  // all equal
-    }
-    expect_toggle_agreement([&] { return simd::min8_i64(p); },
-                            simd::min8_i64_scalar(p));
-  }
-}
 
 TEST(SimdKernels, CandMask8MatchesScalarAcrossBoundsAndSentinels) {
   for (uint64_t seed = 0; seed < 100; seed++) {
