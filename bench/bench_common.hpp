@@ -140,21 +140,16 @@ inline std::vector<double> run_self_with_threads(
   return results;
 }
 
-/// Best-of-reps wall-clock time of fn (warm-up excluded when reps > 1).
-inline double time_best_of(int reps, const std::function<void()>& fn) {
-  double best = 1e100;
-  for (int r = 0; r < reps; r++) {
-    Timer t;
-    fn();
-    best = std::min(best, t.elapsed());
-  }
-  return best;
-}
-
 /// Median-of-reps wall-clock time of fn — the robust statistic the
-/// BENCH_*.json records report. Uses the lower middle for even rep counts,
-/// so a 2-rep smoke reports the warmer run rather than the cold-cache one.
+/// BENCH_*.json records report; the lower middle for even rep counts. The
+/// first calls of an op in a process run 2–5× slower than later ones (fresh
+/// allocations fault their pages in, pool workers wake), so the timed reps
+/// follow untimed calls of fn until kWarmupSeconds have passed, and at
+/// least one.
+inline constexpr double kWarmupSeconds = 1.0;
+
 inline double time_median_of(int reps, const std::function<void()>& fn) {
+  for (Timer warm; warm.elapsed() < kWarmupSeconds;) fn();
   std::vector<double> ts(reps > 0 ? reps : 1, 0.0);
   for (double& t : ts) {
     Timer timer;
@@ -243,7 +238,8 @@ class SeriesTable {
 };
 
 /// Runs fn with the pool forced into sequential (one-thread) execution
-/// (median of reps, like the parallel series it is compared against).
+/// (warm-up and median of reps, like the parallel series it is compared
+/// against).
 inline double timed_sequential(int reps, const std::function<void()>& fn) {
   bool prev = set_sequential_mode(true);
   double t = time_median_of(reps, fn);

@@ -1,371 +1,50 @@
-// Before/after microbenchmark for the three hot paths this repo optimized:
+// Hot-path microbenchmark of Alg. 1's rounds and the vEB batch insert,
+// plus the paired rows that gate the guard and SIMD machinery:
 //
-//   lis_ranks       — blocked tournament-tree layout + batched visit
-//                     counting (vs. scattered implicit layout + one shared
-//                     atomic RMW per node visit),
-//   lis_frontiers   — rounds writing straight into a preallocated flat
-//                     frontier region + cursor-based in-block placement
-//                     (vs. a fresh std::vector per round, serially
-//                     insert()-ed, and a full-tree count scratch),
-//   batch_insert    — arena-pooled vEB nodes and in-place span recursion
-//                     (vs. make_unique per cluster and per-node vectors).
+//   lis_ranks       — lis_ranks on the blocked tournament tree, checked
+//                     against seq_bs_ranks; the tree's visit count must stay
+//                     inside the Thm. 3.2 bound,
+//   lis_frontiers   — lis_frontiers (the rounds writing a flat frontier
+//                     region), checked against seq_patience_frontiers_into,
+//   batch_insert    — VebTree::batch_insert of m sorted keys into an empty
+//                     tree, checked by its size and by range(0, 2^24 − 1).
 //
-// The *seed* implementations are embedded below (namespace seedref) exactly
-// as they shipped, so one binary measures both sides back to back under
-// identical conditions; runs are interleaved (seed, current, seed, ...) so
-// machine drift cancels, and medians are reported. Defaults match the
-// acceptance setup: lis over n = 10^7 uniform-random keys, batch_insert of
-// m = 10^6 keys into universe 2^24.
+// Each of these rows is the median of --reps calls after a warm-up
+// (time_median_of). Defaults: lis over n = 10^7 uniform-random keys,
+// batch_insert of m = 10^6 keys into universe 2^24. Whether a change made a
+// row slower is bench_compare's verdict against the committed rows
+// (README, "Benchmarks").
 //
-// A fourth pair of rows (simd_tournament_block, simd_rank_scan) measures
-// the vectorized comparison kernels (the tree's sweeps and the rank-space
-// run scan, each beside its caller) against their scalar twins by flipping
-// the runtime toggle (util/simd.hpp) between interleaved runs of the
-// same binary: the standalone tournament counting pass over a duplicate-
-// heavy tree, and the blocked run scan of rank-space re-derivation.
+// solve_guarded pairs a warm Solver without and with a live cancel token
+// and deadline. simd_tournament_block and simd_rank_scan measure the
+// vectorized comparison kernels (the tree's sweeps and the rank-space run
+// scan, each beside its caller) against their scalar twins by flipping the
+// runtime toggle (util/simd.hpp) between interleaved runs of the same
+// binary: the standalone tournament counting pass over a duplicate-heavy
+// tree, and the blocked run scan of rank-space re-derivation.
 //
 // Flags: --n, --m, --reps, --threads, --simdn (input size for the paired
 // SIMD rows; defaults to --n), --out FILE (BENCH_*.json records),
-// --strict (exit 2 unless the acceptance speedups clear 20%; off by
-// default so tiny CI smoke sizes don't fail on noise).
-#include <atomic>
-#include <bit>
-#include <cinttypes>
+// --strict (exit 2 unless the guard overhead stays within 2% and, on a
+// vectorized build, both SIMD rows clear 20%; off by default so tiny CI
+// smoke sizes don't fail on noise). Exits 1 if any check fails.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <memory>
+#include <span>
 #include <vector>
 
 #include "bench/bench_common.hpp"
 #include "bench/bench_json.hpp"
 #include "parlis/api/solver.hpp"
 #include "parlis/lis/lis.hpp"
+#include "parlis/lis/seq_lis.hpp"
 #include "parlis/lis/tournament_tree.hpp"
 #include "parlis/parallel/parallel.hpp"
-#include "parlis/parallel/primitives.hpp"
 #include "parlis/parallel/random.hpp"
 #include "parlis/util/rank_space.hpp"
 #include "parlis/util/simd.hpp"
 #include "parlis/veb/veb_tree.hpp"
-
-namespace seedref {
-
-using parlis::par_do;
-using parlis::parallel_for;
-
-// ------------------------------------------------- seed tournament tree ---
-// Verbatim seed behaviour: single flat implicit array, a shared atomic
-// incremented on every node visit, fork at every internal node, and a
-// 2L-sized count scratch for the two-pass collect.
-
-template <typename T>
-class TournamentTree {
- public:
-  TournamentTree(const std::vector<T>& xs, T inf)
-      : n_(static_cast<int64_t>(xs.size())),
-        leaves_(static_cast<int64_t>(std::bit_ceil(
-            static_cast<uint64_t>(n_ > 0 ? n_ : 1)))),
-        inf_(inf),
-        t_(2 * leaves_) {
-    parallel_for(0, leaves_,
-                 [&](int64_t i) { t_[leaves_ + i] = i < n_ ? xs[i] : inf_; });
-    build(1);
-  }
-
-  bool empty() const { return !(t_[1] < inf_); }
-  uint64_t nodes_visited() const {
-    return visits_.load(std::memory_order_relaxed);
-  }
-
-  template <typename Visit>
-  void extract_frontier(const Visit& visit) {
-    if (empty()) return;
-    prefix_min_extract(1, inf_, visit);
-  }
-
-  std::vector<int64_t> extract_frontier_collect() {
-    if (empty()) return {};
-    if (count_.empty()) count_.assign(2 * leaves_, 0);
-    int64_t m = count_pass(1, inf_);
-    std::vector<int64_t> out(m);
-    place_pass(1, inf_, out.data());
-    return out;
-  }
-
- private:
-  void build(int64_t i) {
-    if (i >= leaves_) return;
-    if (leaves_ / largest_pow2_le(i) <= 2048) {
-      build_seq(i);
-      return;
-    }
-    par_do([&] { build(2 * i); }, [&] { build(2 * i + 1); });
-    t_[i] = t_[2 * i + 1] < t_[2 * i] ? t_[2 * i + 1] : t_[2 * i];
-  }
-  void build_seq(int64_t i) {
-    if (i >= leaves_) return;
-    build_seq(2 * i);
-    build_seq(2 * i + 1);
-    t_[i] = t_[2 * i + 1] < t_[2 * i] ? t_[2 * i + 1] : t_[2 * i];
-  }
-  static int64_t largest_pow2_le(int64_t i) {
-    return int64_t{1} << (63 - std::countl_zero(static_cast<uint64_t>(i)));
-  }
-
-  template <typename Visit>
-  void prefix_min_extract(int64_t i, const T& lmin, const Visit& visit) {
-    visits_.fetch_add(1, std::memory_order_relaxed);
-    if (lmin < t_[i] || !(t_[i] < inf_)) return;
-    if (i >= leaves_) {
-      visit(i - leaves_);
-      t_[i] = inf_;
-      return;
-    }
-    T left_min = t_[2 * i];
-    par_do([&] { prefix_min_extract(2 * i, lmin, visit); },
-           [&] {
-             const T& rmin = left_min < lmin ? left_min : lmin;
-             prefix_min_extract(2 * i + 1, rmin, visit);
-           });
-    t_[i] = t_[2 * i + 1] < t_[2 * i] ? t_[2 * i + 1] : t_[2 * i];
-  }
-
-  int64_t count_pass(int64_t i, const T& lmin) {
-    visits_.fetch_add(1, std::memory_order_relaxed);
-    if (lmin < t_[i] || !(t_[i] < inf_)) {
-      count_[i] = 0;
-      return 0;
-    }
-    if (i >= leaves_) {
-      count_[i] = 1;
-      return 1;
-    }
-    int64_t cl = 0, cr = 0;
-    T left_min = t_[2 * i];
-    par_do([&] { cl = count_pass(2 * i, lmin); },
-           [&] {
-             const T& rmin = left_min < lmin ? left_min : lmin;
-             cr = count_pass(2 * i + 1, rmin);
-           });
-    count_[i] = cl + cr;
-    return count_[i];
-  }
-
-  void place_pass(int64_t i, const T& lmin, int64_t* out) {
-    visits_.fetch_add(1, std::memory_order_relaxed);
-    if (lmin < t_[i] || !(t_[i] < inf_)) return;
-    if (i >= leaves_) {
-      *out = i - leaves_;
-      t_[i] = inf_;
-      return;
-    }
-    T left_min = t_[2 * i];
-    int64_t skip = count_[2 * i];
-    par_do([&] { place_pass(2 * i, lmin, out); },
-           [&] {
-             const T& rmin = left_min < lmin ? left_min : lmin;
-             place_pass(2 * i + 1, rmin, out + skip);
-           });
-    t_[i] = t_[2 * i + 1] < t_[2 * i] ? t_[2 * i + 1] : t_[2 * i];
-  }
-
-  std::atomic<uint64_t> visits_{0};
-  int64_t n_;
-  int64_t leaves_;
-  T inf_;
-  std::vector<T> t_;
-  std::vector<int64_t> count_;
-};
-
-int32_t lis_ranks(const std::vector<int64_t>& a, std::vector<int32_t>& rank) {
-  rank.assign(a.size(), 0);
-  if (a.empty()) return 0;
-  TournamentTree<int64_t> tree(a, INT64_MAX);
-  int32_t r = 0;
-  while (!tree.empty()) {
-    ++r;
-    tree.extract_frontier([&](int64_t i) { rank[i] = r; });
-  }
-  return r;
-}
-
-// Seed lis_frontiers: one vector allocated per round, serially appended.
-int32_t lis_frontiers(const std::vector<int64_t>& a,
-                      std::vector<int64_t>& frontier_flat) {
-  std::vector<int32_t> rank(a.size(), 0);
-  frontier_flat.clear();
-  if (a.empty()) return 0;
-  TournamentTree<int64_t> tree(a, INT64_MAX);
-  int32_t r = 0;
-  while (!tree.empty()) {
-    ++r;
-    std::vector<int64_t> f = tree.extract_frontier_collect();
-    parallel_for(0, static_cast<int64_t>(f.size()),
-                 [&](int64_t j) { rank[f[j]] = r; });
-    frontier_flat.insert(frontier_flat.end(), f.begin(), f.end());
-  }
-  return r;
-}
-
-// ------------------------------------------------------- seed vEB insert ---
-// Verbatim seed allocation behaviour: make_unique per lazily-created
-// cluster, a vector of unique_ptrs per cluster table, and per-node batch
-// vectors in the recursion.
-
-constexpr uint64_t kNone = ~uint64_t{0};
-constexpr int kBaseBits = 6;
-
-struct Node {
-  uint8_t bits, lo_bits, hi_bits;
-  uint64_t min = kNone, max = kNone, mask = 0;
-  std::unique_ptr<Node> summary;
-  std::vector<std::unique_ptr<Node>> clusters;
-
-  explicit Node(int b)
-      : bits(static_cast<uint8_t>(b)),
-        lo_bits(static_cast<uint8_t>(b / 2)),
-        hi_bits(static_cast<uint8_t>(b - b / 2)) {}
-
-  bool base() const { return bits <= kBaseBits; }
-  bool is_empty() const { return min == kNone; }
-  uint64_t high(uint64_t x) const { return x >> lo_bits; }
-  uint64_t low(uint64_t x) const { return x & ((uint64_t{1} << lo_bits) - 1); }
-  Node* cluster(uint64_t h) const {
-    return clusters.empty() ? nullptr : clusters[h].get();
-  }
-  Node* ensure_cluster(uint64_t h) {
-    if (clusters.empty()) clusters.resize(uint64_t{1} << hi_bits);
-    if (!clusters[h]) clusters[h] = std::make_unique<Node>(lo_bits);
-    return clusters[h].get();
-  }
-  Node* ensure_summary() {
-    if (!summary) summary = std::make_unique<Node>(hi_bits);
-    return summary.get();
-  }
-  void base_sync_minmax() {
-    if (mask == 0) {
-      min = max = kNone;
-    } else {
-      min = static_cast<uint64_t>(std::countr_zero(mask));
-      max = static_cast<uint64_t>(63 - std::countl_zero(mask));
-    }
-  }
-  void make_singleton(uint64_t x) {
-    if (base()) {
-      mask |= uint64_t{1} << x;
-      base_sync_minmax();
-    } else {
-      min = max = x;
-    }
-  }
-};
-
-bool node_contains(const Node* v, uint64_t x) {
-  while (true) {
-    if (!v || v->is_empty()) return false;
-    if (v->base()) return (v->mask >> x) & 1;
-    if (x == v->min || x == v->max) return true;
-    const Node* c = v->cluster(v->high(x));
-    if (!c) return false;
-    uint64_t l = v->low(x);
-    v = c;
-    x = l;
-  }
-}
-
-std::vector<int64_t> group_starts(const Node* v,
-                                  const std::vector<uint64_t>& b) {
-  int64_t m = static_cast<int64_t>(b.size());
-  auto starts = parlis::pack_index(m, [&](int64_t i) {
-    return i == 0 || v->high(b[i]) != v->high(b[i - 1]);
-  });
-  starts.push_back(m);
-  return starts;
-}
-
-void batch_insert_rec(Node* v, std::vector<uint64_t> b) {
-  if (b.empty()) return;
-  if (v->base()) {
-    for (uint64_t x : b) v->mask |= uint64_t{1} << x;
-    v->base_sync_minmax();
-    return;
-  }
-  if (v->is_empty()) {
-    v->min = b.front();
-    v->max = b.back();
-    b.erase(b.begin());
-    if (!b.empty()) b.pop_back();
-  } else {
-    uint64_t old_min = v->min, old_max = v->max;
-    uint64_t new_min = std::min(old_min, b.front());
-    uint64_t new_max = std::max(old_max, b.back());
-    if (b.front() == new_min) b.erase(b.begin());
-    if (!b.empty() && b.back() == new_max) b.pop_back();
-    auto push_back_key = [&](uint64_t x) {
-      b.insert(std::lower_bound(b.begin(), b.end(), x), x);
-    };
-    if (old_min != new_min && old_min != new_max) push_back_key(old_min);
-    if (old_max != new_max && old_max != new_min && old_max != old_min) {
-      push_back_key(old_max);
-    }
-    v->min = new_min;
-    v->max = new_max;
-  }
-  if (b.empty()) return;
-
-  auto starts = group_starts(v, b);
-  int64_t ngroups = static_cast<int64_t>(starts.size()) - 1;
-  std::vector<uint64_t> new_high;
-  std::vector<std::vector<uint64_t>> lows(ngroups);
-  for (int64_t g = 0; g < ngroups; g++) {
-    int64_t s = starts[g], e = starts[g + 1];
-    uint64_t h = v->high(b[s]);
-    Node* c = v->ensure_cluster(h);
-    if (c->is_empty()) {
-      new_high.push_back(h);
-      c->make_singleton(v->low(b[s]));
-      s++;
-    }
-    lows[g].reserve(e - s);
-    for (int64_t i = s; i < e; i++) lows[g].push_back(v->low(b[i]));
-  }
-  par_do(
-      [&] {
-        if (!new_high.empty()) {
-          batch_insert_rec(v->ensure_summary(), std::move(new_high));
-        }
-      },
-      [&] {
-        parallel_for(0, ngroups, [&](int64_t g) {
-          if (lows[g].empty()) return;
-          Node* c = v->cluster(v->high(b[starts[g]]));
-          batch_insert_rec(c, std::move(lows[g]));
-        });
-      });
-}
-
-// Seed VebTree::batch_insert entry, including its unconditional filter.
-struct VebTree {
-  std::unique_ptr<Node> root;
-  int64_t size = 0;
-
-  explicit VebTree(uint64_t universe) {
-    int bits = 1;
-    while ((uint64_t{1} << bits) < universe && bits < 63) bits++;
-    root = std::make_unique<Node>(bits);
-  }
-  int64_t batch_insert(const std::vector<uint64_t>& batch) {
-    std::vector<uint64_t> b = parlis::filter(
-        batch, [&](uint64_t x) { return !node_contains(root.get(), x); });
-    int64_t inserted = static_cast<int64_t>(b.size());
-    if (inserted == 0) return 0;
-    batch_insert_rec(root.get(), std::move(b));
-    size += inserted;
-    return inserted;
-  }
-};
-
-}  // namespace seedref
 
 namespace {
 
@@ -461,72 +140,48 @@ int main(int argc, char** argv) {
   }
   keys.resize(m);
 
-  std::printf("\n%-14s  %14s  %16s  %9s\n", "op", "seed med(ms)",
-              "current med(ms)", "speedup");
-  auto report = [&](const char* op, int64_t size, const PairMedians& mm,
-                    uint64_t seed_visits, uint64_t cur_visits) {
-    std::printf("%-14s  %14.1f  %16.1f  %8.1f%%\n", op, mm.a_ms(), mm.b_ms(),
-                mm.speedup_pct());
-    for (int variant = 0; variant < 2; variant++) {
-      JsonRecord rec;
-      rec.field("bench", "micro_hotpath")
-          .field("op", op)
-          .field("variant", variant == 0 ? "seed" : "current")
-          .field("n", size)
-          .field("threads", num_workers())
-          .field("median_ms", variant == 0 ? mm.a_ms() : mm.b_ms());
-      uint64_t v = variant == 0 ? seed_visits : cur_visits;
-      if (v > 0) rec.field("nodes_visited", v);
-      if (variant == 1) rec.field("speedup_pct", mm.speedup_pct());
-      json.add(rec);
-    }
+  std::printf("\n%-21s  %14s\n", "op", "median(ms)");
+  auto report = [&](const char* op, int64_t size, double ms, uint64_t visits) {
+    std::printf("%-21s  %14.1f\n", op, ms);
+    JsonRecord rec;
+    rec.field("bench", "micro_hotpath")
+        .field("op", op)
+        .field("variant", "current")
+        .field("n", size)
+        .field("threads", num_workers())
+        .field("median_ms", ms);
+    if (visits > 0) rec.field("nodes_visited", visits);
+    json.add(rec);
   };
 
   // ------------------------------------------------------------ lis_ranks
-  std::vector<int32_t> seed_rank;
-  int32_t seed_k = 0;
-  volatile int32_t cur_k = 0;
-  PairMedians lis = measure_pair(
-      reps, [&] { seed_k = seedref::lis_ranks(a, seed_rank); },
-      [&] { cur_k = lis_ranks(a).k; });
-  // One instrumented pass per side for the visit counts (not timed).
-  uint64_t seed_visits, cur_visits;
+  LisResult cur;
+  const double lis_ms = time_median_of(reps, [&] { cur = lis_ranks(a); }) * 1e3;
+  // One instrumented pass for the visit count (not timed).
+  uint64_t visits;
   {
-    seedref::TournamentTree<int64_t> st(a, INT64_MAX);
-    while (!st.empty()) st.extract_frontier([](int64_t) {});
-    seed_visits = st.nodes_visited();
-    TournamentTree<int64_t> ct(a, INT64_MAX);
-    while (!ct.empty()) ct.extract_frontier([](int64_t) {});
-    cur_visits = ct.nodes_visited();
+    TournamentTree<int64_t> tree(a, INT64_MAX);
+    while (!tree.empty()) tree.extract_frontier([](int64_t) {});
+    visits = tree.nodes_visited();
   }
-  report("lis_ranks", n, lis, seed_visits, cur_visits);
+  report("lis_ranks", n, lis_ms, visits);
 
   // -------------------------------------------------------- lis_frontiers
-  std::vector<int64_t> seed_flat;
-  int32_t seed_fk = 0;
-  volatile int64_t cur_flat_size = 0;
-  PairMedians fro = measure_pair(
-      reps, [&] { seed_fk = seedref::lis_frontiers(a, seed_flat); },
-      [&] {
-        // frontier_flat is preallocated at n, so its size is vacuous — the
-        // final offset is the real write cursor across all rounds.
-        cur_flat_size = lis_frontiers(a).frontier_offset.back();
-      });
-  report("lis_frontiers", n, fro, 0, 0);
+  LisFrontiers fro;
+  const double fro_ms =
+      time_median_of(reps, [&] { fro = lis_frontiers(a); }) * 1e3;
+  report("lis_frontiers", n, fro_ms, 0);
 
   // --------------------------------------------------------- batch_insert
-  volatile int64_t inserted = 0;
-  PairMedians veb = measure_pair(
-      reps,
-      [&] {
-        seedref::VebTree t(kUniverse);
-        inserted = inserted + t.batch_insert(keys);
-      },
-      [&] {
-        VebTree t(kUniverse);
-        inserted = inserted + t.batch_insert(keys);
-      });
-  report("batch_insert", m, veb, 0, 0);
+  int64_t inserted = 0;
+  const double veb_ms = time_median_of(reps, [&] {
+                          VebTree t(kUniverse);
+                          inserted = t.batch_insert(keys);
+                        }) * 1e3;
+  report("batch_insert", m, veb_ms, 0);
+
+  std::printf("\n%-21s  %14s  %16s  %9s\n", "op", "base med(ms)",
+              "test med(ms)", "delta");
 
   // ------------------------------------------------------- guard_overhead
   // Failure-semantics delta row: one warm Solver with default Options
@@ -557,7 +212,7 @@ int main(int argc, char** argv) {
   guard_solver.solve_lis(a_span, plain_out);  // warm the workspaces
   arm();
   guard_solver.solve_lis(a_span, guard_out);
-  // 24 reps = 12 ratio units: the headline rows get away with fewer because
+  // 24 reps = 12 ratio units: the SIMD rows get away with fewer because
   // their margins are 20%+, but resolving a 2% gate on this host needs the
   // larger unit pool (3 units swing +/-5%, 8 still flake past 2%).
   RatioMeasurement grd = measure_ratio(
@@ -572,7 +227,7 @@ int main(int argc, char** argv) {
       });
   double guard_overhead_pct = grd.overhead_pct();
   double guard_ms = grd.base_ms * grd.ratio;
-  std::printf("%-14s  %14.1f  %16.1f  %+8.2f%% (overhead)\n", "solve_guarded",
+  std::printf("%-21s  %14.1f  %16.1f  %+8.2f%% (overhead)\n", "solve_guarded",
               grd.base_ms, guard_ms, guard_overhead_pct);
   for (int variant = 0; variant < 2; variant++) {
     JsonRecord rec;
@@ -590,15 +245,15 @@ int main(int argc, char** argv) {
   // Paired scalar-vs-SIMD medians for the comparison kernels, same binary
   // and same memory on both sides: each rep runs the op once with the
   // runtime toggle off and once with it on (util/simd.hpp routes every
-  // kernel to its scalar twin when off), so drift cancels exactly like the
-  // seed/current pairs above. Inputs are duplicate-heavy — dense frontiers
-  // keep the tournament counting pass inside the in-block sweep kernels
-  // instead of DRAM latency, and repeated keys give the run scan real run
-  // structure. On scalar-only builds the toggle is inert (both sides run
-  // the twins) and the gate below is skipped.
+  // kernel to its scalar twin when off), so drift cancels. Inputs are
+  // duplicate-heavy — dense frontiers keep the tournament counting pass
+  // inside the in-block sweep kernels instead of DRAM latency, and repeated
+  // keys give the run scan real run structure. On scalar-only builds the
+  // toggle is inert (both sides run the twins) and the gate below is
+  // skipped.
   const int64_t sn = flags.get("simdn", n);
   auto report_simd = [&](const char* op, int64_t size, const PairMedians& mm) {
-    std::printf("%-14s  %14.1f  %16.1f  %8.1f%%  [%s]\n", op, mm.a_ms(),
+    std::printf("%-21s  %14.1f  %16.1f  %8.1f%%  [%s]\n", op, mm.a_ms(),
                 mm.b_ms(), mm.speedup_pct(), simd::backend_name());
     for (int variant = 0; variant < 2; variant++) {
       JsonRecord rec;
@@ -667,31 +322,41 @@ int main(int argc, char** argv) {
   simd::set_enabled(prev_simd);
   report_simd("simd_rank_scan", sn, rsc);
 
-  // Cross-checks: identical results, and both visit counters inside the
-  // Thm. 3.2 bound (the 8-ary layout counts considered entries, so the
-  // absolute numbers differ from the seed's per-node counts).
-  LisResult cur = lis_ranks(a);
-  double visit_bound = 8.0 * static_cast<double>(n) *
-                       std::log2(static_cast<double>(cur.k) + 2.0);
-  bool ok = seed_k == cur.k && seed_rank == cur.rank && seed_fk == cur.k &&
-            cur_flat_size == static_cast<int64_t>(a.size()) &&
-            plain_out.k == cur.k && guard_out.k == cur.k &&
-            seed_visits > 0 && static_cast<double>(seed_visits) <= visit_bound &&
-            cur_visits > 0 && static_cast<double>(cur_visits) <= visit_bound &&
-            m_scal == m_simd && m_scal > 0 && srs.rank == scal_rank;
-  std::printf("\ncross-check (identical results & visits within bound): %s\n",
+  // Checks against the library's oracles: seq_bs_ranks for the ranks, the
+  // patience kernel's frontier layout for the frontiers (frontier_flat is
+  // preallocated at n, so the final offset is the real write cursor), the
+  // tree's contents for the batch, and Thm. 3.2's bound for the visits (the
+  // 8-ary layout counts considered entries).
+  std::vector<int64_t> tails;
+  LisFrontiers want_fro;
+  seq_patience_frontiers_into<int64_t>(std::span<const int64_t>(a), want_fro,
+                                       tails);
+  const bool fro_ok =
+      fro.rank == want_fro.rank && fro.k == want_fro.k &&
+      fro.frontier_offset == want_fro.frontier_offset &&
+      std::equal(fro.frontier_flat.begin(),
+                 fro.frontier_flat.begin() + fro.frontier_offset.back(),
+                 want_fro.frontier_flat.begin());
+  VebTree veb_check(kUniverse);
+  veb_check.batch_insert(keys);
+  const double visit_bound = 8.0 * static_cast<double>(n) *
+                             std::log2(static_cast<double>(cur.k) + 2.0);
+  bool ok = cur.rank == seq_bs_ranks(a) && fro_ok && inserted == m &&
+            veb_check.size() == m &&
+            veb_check.range(0, kUniverse - 1) == keys && visits > 0 &&
+            static_cast<double>(visits) <= visit_bound &&
+            plain_out.k == cur.k && guard_out.k == cur.k && m_scal == m_simd &&
+            m_scal > 0 && srs.rank == scal_rank;
+  std::printf("\ncross-check (oracles agree, visits within bound): %s\n",
               ok ? "OK" : "MISMATCH");
-  bool pass = lis.speedup_pct() >= 20.0 && veb.speedup_pct() >= 20.0;
-  std::printf("acceptance (>=20%% on lis_ranks and batch_insert): %s%s\n",
-              pass ? "PASS" : "FAIL",
-              flags.has("strict") ? "" : " (advisory; --strict gates exit)");
+  bool pass = true;
   if (simd::kVectorized) {
     bool simd_pass = tb.speedup_pct() >= 20.0 && rsc.speedup_pct() >= 20.0;
     std::printf(
         "simd acceptance (>=20%% on tournament-block and rank-scan): %s%s\n",
         simd_pass ? "PASS" : "FAIL",
         flags.has("strict") ? "" : " (advisory; --strict gates exit)");
-    pass = pass && simd_pass;
+    pass = simd_pass;
   } else {
     std::printf(
         "simd acceptance: SKIPPED (scalar-only build; paired rows ran the "
@@ -708,8 +373,8 @@ int main(int argc, char** argv) {
               100.0 * (grd.min_ratio - 1.0),
               flags.has("strict") ? "" : " (advisory; --strict gates exit)");
   pass = pass && guard_pass;
-  // The speedup gate only affects the exit code under --strict: at reduced
-  // sizes (CI smoke) the margins are noise-dominated, so correctness alone
+  // The gates only affect the exit code under --strict: at reduced sizes
+  // (CI smoke) the margins are noise-dominated, so correctness alone
   // decides by default.
   if (!ok) return 1;
   return flags.has("strict") && !pass ? 2 : 0;

@@ -171,7 +171,9 @@ TEST(FaultTriggers, WlisSweepFiresInsideACellTask) {
   expect_error(ErrorCode::kFaultInjected, [&] { s.solve_wlis(a, w, out); });
   EXPECT_EQ(failpoints::fire_count("wlis.sweep"), 1u);
   failpoints::disarm_all();
-  if (num_workers() >= 4) EXPECT_GT(scheduler_stats().spawns, before);
+  if (num_workers() >= 4) {
+    EXPECT_GT(scheduler_stats().spawns, before);
+  }
   s.solve_wlis(a, w, out);
   EXPECT_EQ(out.dp, want.dp);
   EXPECT_EQ(out.best, want.best);
@@ -1251,7 +1253,9 @@ TEST(MemoryBudget, WavefrontSolveFitsTheWeightedModel) {
       WlisResult out;
       const uint64_t before = scheduler_stats().spawns;
       s.solve_wlis(a, w, out);
-      if (num_workers() >= 4) EXPECT_GT(scheduler_stats().spawns, before);
+      if (num_workers() >= 4) {
+        EXPECT_GT(scheduler_stats().spawns, before);
+      }
       EXPECT_LE(s.resident_bytes() + out.resident_bytes(), hi);
     }
   }
