@@ -30,9 +30,9 @@
 
 namespace {
 
-/// The least band a row gets: the A/A calibration in EXPERIMENTS.md
-/// ("bench_compare") puts every gated row's median A/A ratio inside it.
-constexpr double kFloor = 0.25;
+/// The least band a row gets: in the A/A calibration (EXPERIMENTS.md,
+/// "bench_compare") every row's median A/A ratio lies inside it.
+constexpr double kFloor = 0.5;
 
 /// The fields that name a row: what was run, on what sizes, on how many
 /// workers.
