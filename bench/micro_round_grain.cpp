@@ -8,9 +8,10 @@
 //    (twin: their scalar twin, the memory loop), the SIMD rule's paired row
 //    at the kernel's call site;
 //  - Seq-BS (seq_bs_ranks, the paper's std::lower_bound baseline);
-//  - Solver::solve_lis, which runs the kernel (api/solver.hpp). Solver ÷
-//    min(pool, regs) is the plan's check: the pool never won by 10%
-//    (EXPERIMENTS.md, "Register tiers").
+//  - Solver::solve_lis, which runs the kernel, as speculative chunks on the
+//    pool from kSpeculateMinN elements up (api/solver.hpp). Solver ÷
+//    min(pool, regs) is the plan's check (EXPERIMENTS.md, "Register tiers"
+//    and "Speculative chunked patience").
 // Exits 1 if any series' ranks differ from seq_bs_ranks. See EXPERIMENTS.md,
 // "Round-granularity methodology", "Plan methodology" and "Register tiers".
 //

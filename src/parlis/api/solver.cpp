@@ -207,9 +207,9 @@ void Solver::solve_many(std::span<const Query> queries,
       internal::make_exec_context(opts_.cancel, opts_.deadline_ms);
   internal::CancelScope scope(batch_ctx);
   internal::poll_cancellation();
-  // Large queries first, one at a time on the caller's context (a weighted
-  // query whose span is too wide for the bitmap sorts on the pool; the rest
-  // run on this thread), then the packed phase.
+  // Large queries first, one at a time on the caller's context (by the
+  // plans of solve_lis and solve_wlis, which may use the pool), then the
+  // packed phase.
   small_idx_.clear();
   for (int64_t i = 0; i < nq; i++) {
     if (is_small(queries[i].a.size())) {

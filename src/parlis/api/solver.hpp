@@ -8,13 +8,16 @@
 // steady state (many queries through one session) repeated same-size
 // solves allocate nothing.
 //
-// Two plans serve every entry point. LIS: patience sorting on the calling
-// thread (lis/patience.hpp). Weighted LIS: the rank space, then the
-// Fenwick pass (wlis/wlis_sweep.hpp), run as a wavefront of index-chunk x
-// rank-block cells on the pool where that pays. The paper's Alg. 1 and
-// Alg. 2 stay behind the free functions (lis_ranks, lis_frontiers, wlis,
-// wlis_into; lis/lis.hpp and wlis/wlis.hpp, which this header does not
-// include) as the reference the differential tests hold these plans to.
+// Two plans serve every entry point. LIS: patience sorting
+// (lis/patience.hpp), on the calling thread for small or deep inputs and
+// as speculative chunked patience on the pool for int64 keys under
+// std::less from kSpeculateMinN elements up. Weighted LIS: the rank space,
+// then the Fenwick pass (wlis/wlis_sweep.hpp), run as a wavefront of
+// index-chunk x rank-block cells on the pool where that pays. The paper's
+// Alg. 1 and Alg. 2 stay behind the free functions (lis_ranks,
+// lis_frontiers, wlis, wlis_into; lis/lis.hpp and wlis/wlis.hpp, which
+// this header does not include) as the reference the differential tests
+// hold these plans to.
 //
 // Key types: every solve_* entry point has a typed overload — any `Key`
 // with a strict-weak-order comparator (doubles, timestamps, pairs/tuples
@@ -29,14 +32,14 @@
 // typed paths keep the zero-allocation warm steady state.
 //
 // Thread-safety: one Solver per thread. The solve_* methods may use the
-// shared worker pool internally (the rank-space sort, the weighted pass's
-// wavefront), but two threads must not call into the same Solver
-// concurrently. solve_many is the batched entry point: it fans independent
-// queries out across the pool itself — queries of at most kPoolGateGrain
-// elements are packed one-per-task and solved sequentially in place
-// (per-worker contexts, no nested fork-join), larger ones run one at a
-// time on the caller's context — which is the serving shape for high
-// query traffic.
+// shared worker pool internally (speculative patience, the rank-space
+// sort, the weighted pass's wavefront), but two threads must not call
+// into the same Solver concurrently. solve_many is the batched entry
+// point: it fans independent queries out across the pool itself — queries
+// of at most kPoolGateGrain elements are packed one-per-task and solved
+// sequentially in place (per-worker contexts, no nested fork-join), larger
+// ones run one at a time on the caller's context — which is the serving
+// shape for high query traffic.
 //
 // Buffer-reuse semantics: output structs (LisResult, WlisResult, ...) are
 // plain vectors-of-results; pass the same instance back in and its capacity
@@ -47,9 +50,10 @@
 // output spans, n of 2^31 or more, weighted dp sums past INT64_MAX) throw
 // parlis::Error{kInvalidArgument} in every build mode — never UB.
 // Options.cancel / Options.deadline_ms are polled every 4096 elements by
-// the patience kernel and the weighted pass and unwind as
-// Error{kCancelled} / Error{kDeadlineExceeded}; Options.memory_budget_bytes
-// degrades a too-large weighted solve to the Seq-AVL fallback or throws
+// the patience kernel (in every speculative chunk task too) and the
+// weighted pass and unwind as Error{kCancelled} /
+// Error{kDeadlineExceeded}; Options.memory_budget_bytes degrades a
+// too-large weighted solve to the Seq-AVL fallback or throws
 // Error{kBudgetExceeded}. A failure leaves the value cache keyed only to
 // a rank space that is complete, so a post-failure solve on the same
 // Solver is bit-identical to a cold one.
@@ -135,12 +139,19 @@ class Solver {
   size_t resident_bytes() const;
 
   /// Unweighted LIS ranks (dp values) of `a` into `out`, under
-  /// options().ties. Every LIS entry point solves by patience sorting on
-  /// the calling thread (lis/patience.hpp, internal::patience_ranks:
-  /// register tiers while k <= 128, then the memory loop). On the sweep in
-  /// EXPERIMENTS.md ("Register tiers") it beat Alg. 1's rounds on a
-  /// 4-worker pool at every k, so the Solver no longer runs them; the
-  /// one-shot lis_ranks / lis_frontiers still do.
+  /// options().ties. Every LIS entry point solves by patience sorting
+  /// (lis/patience.hpp, internal::patience_ranks: register tiers while
+  /// k <= 128, then the memory loop). On the sweep in EXPERIMENTS.md
+  /// ("Register tiers") it beat Alg. 1's rounds on a 4-worker pool at every
+  /// k, so the Solver no longer runs them; the one-shot lis_ranks /
+  /// lis_frontiers still do. int64 keys under std::less (raw values under
+  /// kStrict and every rank image) of at least kSpeculateMinN elements
+  /// take speculative chunked patience: index chunks run the tiers on the
+  /// pool, and the caller replays only where a chunk's run and the true
+  /// one disagree (internal::speculative_patience_ranks_into). It runs on
+  /// the calling thread in sequential or thread-sequential mode, on a
+  /// 1-worker pool, and on inputs whose tiers spill within the first 4096
+  /// elements; the ranks are the same bits either way.
   void solve_lis(std::span<const int64_t> a, LisResult& out);
 
   /// Typed overload: "increasing" means increasing under `less` (a strict
@@ -225,9 +236,11 @@ class Solver {
   /// validated (validate_query) before any runs. Queries with |a| <=
   /// kPoolGateGrain are packed across the worker pool (one task each,
   /// solved sequentially on per-worker contexts); larger ones run one at
-  /// a time on the caller's context (a weighted query whose span is too
-  /// wide for rank_only_into's bitmap sorts on the pool; the rest run on
-  /// one thread). Honors options().ties like every other entry point.
+  /// a time on the caller's context, by solve_lis's or solve_wlis's plan
+  /// (an unweighted one of kSpeculateMinN elements or more speculates on
+  /// the pool, a weighted one whose span is too wide for rank_only_into's
+  /// bitmap sorts on it). Honors options().ties like every other entry
+  /// point.
   void solve_many(std::span<const Query> queries,
                   std::span<QueryResult> results);
 
@@ -337,10 +350,21 @@ class Solver {
   }
 
   // Patience sorting of int64 keys under `less` into `out`, a LisResult or
-  // LisFrontiers.
+  // LisFrontiers. Under std::less, inputs of kSpeculateMinN elements or
+  // more take the pooled kernel, whose plan decides whether to speculate.
   template <typename Out, typename Less>
   static void patience(std::span<const int64_t> a, ThreadCtx& ctx, Out& out,
                        Less less) {
+    if constexpr (std::is_same_v<Less, std::less<int64_t>>) {
+      if (static_cast<int64_t>(a.size()) >= internal::kSpeculateMinN) {
+        if constexpr (std::is_same_v<Out, LisResult>) {
+          internal::speculative_patience_ranks_into(a, out, ctx.tails);
+        } else {
+          internal::speculative_patience_frontiers_into(a, out, ctx.tails);
+        }
+        return;
+      }
+    }
     if constexpr (std::is_same_v<Out, LisResult>) {
       seq_patience_ranks_into<int64_t, Less>(a, out, ctx.tails, less);
     } else {

@@ -3,8 +3,14 @@
 // beside its scalar twin and the dispatch under the SIMD toggle
 // (util/simd.hpp). On a 4-core AVX-512 Xeon it beat Alg. 1's rounds on the
 // pool at every k measured (EXPERIMENTS.md, "Register tiers"), so
-// parlis::Solver and LisSession run it. Alg. 1 and the reconstruction stay
-// in lis/lis.hpp, which includes this header; the result structs live
+// parlis::Solver and LisSession run it. Its pooled form, speculative
+// chunked patience (declared at the end, defined in lis/speculative.cpp),
+// runs index chunks of the tiers on the pool and replays only where a
+// chunk's run disagrees with the true one; the Solver runs it from
+// kSpeculateMinN elements up. seq_patience_ranks_into and
+// seq_patience_frontiers_into stay on one thread: they are the figures'
+// Seq-BS baseline and the tests' reference. Alg. 1 and the reconstruction
+// stay in lis/lis.hpp, which includes this header; the result structs live
 // here, so the Solver's headers include none of Alg. 1's tournament tree.
 #pragma once
 
@@ -277,6 +283,17 @@ inline int64_t patience_tiers(const int64_t* a, int64_t i, int64_t hi,
   return patience_tiers_scalar(a, i, hi, rank, t, len);
 }
 
+// Where patience_ranks starts: element `at`, with the `len` tails
+// tails[0, len) of a[0, at) (len <= kTierTails). The default is the start
+// of the input. Only int64 keys under std::less resume; the pooled form
+// (speculative_patience_ranks_into below) hands its true tails over this
+// way.
+struct PatienceResume {
+  int64_t at = 0;
+  const int64_t* tails = nullptr;
+  int64_t len = 0;
+};
+
 // Patience sorting (Seq-BS): rank[i] is one more than the number of tails
 // below a[i], and a[i] then becomes that tail (or a new last one). Returns
 // k. int64 keys under std::less (raw values and every rank image) start in
@@ -289,7 +306,8 @@ inline int64_t patience_tiers(const int64_t* a, int64_t i, int64_t hi,
 // its link address.
 template <typename T, typename Less>
 [[gnu::aligned(64)]] int32_t patience_ranks(std::span<const T> a, int32_t* rank,
-                                            std::vector<T>& tails, Less less) {
+                                            std::vector<T>& tails, Less less,
+                                            const PatienceResume& from = {}) {
   constexpr bool kTiers = std::is_same_v<T, int64_t> &&
                           std::is_same_v<Less, std::less<int64_t>>;
   const int64_t n = static_cast<int64_t>(a.size());
@@ -309,10 +327,13 @@ template <typename T, typename Less>
   if constexpr (kTiers) {
     std::fill(tier, tier + simd::kTierTails,
               std::numeric_limits<int64_t>::max());
+    std::copy_n(from.tails, from.len, tier);
+    len = from.len;
+    i = from.at;
   } else {
     hold_tails(2 * kPatienceWindow);
   }
-  for (int64_t lo = 0; lo < n; lo += 4096) {
+  for (int64_t lo = i; lo < n; lo += 4096) {
     poll_cancellation();
     const int64_t hi = std::min(n, lo + 4096);
     if constexpr (kTiers) {
@@ -355,6 +376,66 @@ inline void lay_out_frontiers(LisFrontiers& res) {
   for (int64_t i = 0; i < n; i++) res.frontier_flat[off[res.rank[i]]++] = i;
   off.pop_back();
 }
+
+// ------------------------------------------- speculative chunked patience --
+//
+// The pooled form of patience_ranks<int64_t, std::less>, defined in
+// lis/speculative.cpp. Phase 1 runs G index chunks in parallel, each in
+// the register tiers from empty tails, and records each chunk's end tails
+// and the first index of each of its ranks (its extension events). Phase
+// 2, on the caller, walks the chunks in order against the true tails T.
+// While a chunk's tails B are a prefix of T, the next element gets the
+// same rank in both runs and B stays a prefix, except when it extends B to
+// length L while T[L - 1] is below it; so only those events are checked,
+// against T's suffix, which the chunk has not touched. At the first event
+// that fails, the caller rebuilds B's prefix from the chunk's ranks and
+// replays the two runs side by side, counting the slots where they
+// differ, until the count is 0 again. Only replayed elements get a new
+// rank; a chunk that ends in agreement leaves T = B ++ T's suffix.
+//
+// The one-thread kernel takes the true tails and runs the rest of the
+// input when a chunk or T passes kTierTails tails or a chunk replays more
+// than a quarter of its elements. Every chunk's state lives on the
+// caller's stack, so a warm solve allocates nothing beyond what
+// patience_ranks would.
+
+/// The fewest elements the Solver's LIS speculates on; smaller inputs run
+/// patience_ranks on the calling thread.
+inline constexpr int64_t kSpeculateMinN = int64_t{1} << 16;
+
+/// seq_patience_ranks_into for int64 keys under std::less, on the pool:
+/// the same bits. The plan runs the one-thread kernel in sequential or
+/// thread-sequential mode, on a 1-worker pool, below kSpeculateMinN
+/// elements, and when the tiers spill within the first 4096 elements (deep
+/// inputs); otherwise it speculates over G = num_workers() chunks (at most
+/// 16). Chunk tasks re-install the caller's cancellation scope and poll it
+/// every 4096 elements, as does the replay; on a throw the contents of
+/// `res` are unspecified. Allocation-free when warm.
+void speculative_patience_ranks_into(std::span<const int64_t> a,
+                                     LisResult& res,
+                                     std::vector<int64_t>& tails);
+
+/// The frontier-materializing form: the ranks as above, then
+/// lay_out_frontiers on the calling thread.
+void speculative_patience_frontiers_into(std::span<const int64_t> a,
+                                         LisFrontiers& res,
+                                         std::vector<int64_t>& tails);
+
+/// What one speculative solve did: the elements phase 2 replayed, and
+/// where the one-thread kernel took over (-1 when it did not).
+struct SpeculationTrace {
+  int64_t replayed = 0;
+  int64_t resumed_at = -1;
+};
+
+/// The ranks of speculative_patience_ranks_into over `chunks` index chunks
+/// (clamped to [1, 16]) into rank[0, |a|), run whether or not the plan
+/// would pick it; returns k. For the differential tests.
+int32_t speculative_patience_ranks_forced(std::span<const int64_t> a,
+                                          int32_t* rank,
+                                          std::vector<int64_t>& tails,
+                                          int chunks,
+                                          SpeculationTrace* trace = nullptr);
 
 }  // namespace internal
 

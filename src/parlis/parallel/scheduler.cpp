@@ -14,6 +14,12 @@
 #include <thread>
 #include <vector>
 
+#if defined(__linux__)
+#include <linux/membarrier.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+#endif
+
 namespace parlis {
 namespace internal {
 namespace {
@@ -45,6 +51,27 @@ WorkerCounter& steal_counter() {
 // external submission.
 std::atomic<uint64_t> g_external_spawns{0};
 std::atomic<uint64_t> g_external_steals{0};
+
+// The store-load barrier pair of the push/park handshake, asymmetric where
+// Linux's membarrier(2) offers it: the parker, which is about to sleep
+// anyway, makes every running thread of the process execute a full
+// barrier, so a push needs only a compiler barrier. Elsewhere each push
+// runs a seq_cst fence, which measured 2.2x a par_do round trip at 4
+// workers (EXPERIMENTS.md, "Speculative chunked patience").
+bool register_membarrier() {
+#if defined(__linux__) && defined(SYS_membarrier)
+  return syscall(SYS_membarrier, MEMBARRIER_CMD_REGISTER_PRIVATE_EXPEDITED,
+                 0, 0) == 0;
+#else
+  return false;
+#endif
+}
+
+void membarrier_all_threads() {
+#if defined(__linux__) && defined(SYS_membarrier)
+  syscall(SYS_membarrier, MEMBARRIER_CMD_PRIVATE_EXPEDITED, 0, 0);
+#endif
+}
 
 inline void cpu_relax() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -167,6 +194,7 @@ class Pool {
     if (p <= 0) p = static_cast<int>(std::thread::hardware_concurrency());
     if (p <= 0) p = 1;
     p_ = p;
+    asymmetric_ = p > 1 && register_membarrier();
     deques_ = std::make_unique<ChaseLevDeque[]>(p);
     external_.reserve(kExternalReserve);
     tl_worker_id = 0;  // the creating thread is worker 0
@@ -283,12 +311,12 @@ class Pool {
     PARLIS_FAILPOINT_YIELD("scheduler.park");
     // Register as a sleeper *before* the final work re-check (seq_cst RMW,
     // so the re-check cannot be hoisted above it), then sleep with a long
-    // timeout. The pusher side deliberately reads sleepers_ without a
-    // fence — see wake_one_if_parked(); the timeout bounds the downside of
-    // the one store-buffer interleaving that can miss a just-registering
-    // parker to added latency on an idle worker, never a lost task (the
-    // pushing frame itself pops or helps at its join regardless).
+    // timeout. The barrier between a pusher's push and its read of
+    // sleepers_ (wake_one_if_parked) pairs with this RMW, or with the
+    // membarrier after it: either the re-check sees the pushed task or the
+    // pusher sees this sleeper. The timeout is a backstop only.
     sleepers_.fetch_add(1, std::memory_order_seq_cst);
+    if (asymmetric_) membarrier_all_threads();
     uint64_t epoch = wake_epoch_.load(std::memory_order_seq_cst);
     if (work_might_exist() || stop_.load(std::memory_order_acquire)) {
       sleepers_.fetch_sub(1, std::memory_order_relaxed);
@@ -305,9 +333,18 @@ class Pool {
   }
 
   void wake_one_if_parked() {
-    // Cheap probe on the spawn hot path: no fence, no lock unless a worker
-    // is actually parked. The epoch bump happens under sleep_mu_ so it
-    // cannot land between a parker's predicate evaluation and its sleep.
+    // The barrier orders the caller's push before the read of sleepers_.
+    // Without it the read may pass the push's store (x86 lets a load pass
+    // an earlier store), miss a worker that is registering to park, and
+    // leave that worker asleep until the 50 ms backstop while the forked
+    // task waits for its frame's join. No lock unless a worker is parked.
+    // The epoch bump happens under sleep_mu_ so it cannot land between a
+    // parker's predicate evaluation and its sleep.
+    if (asymmetric_) {
+      std::atomic_signal_fence(std::memory_order_seq_cst);
+    } else {
+      std::atomic_thread_fence(std::memory_order_seq_cst);
+    }
     if (sleepers_.load(std::memory_order_relaxed) > 0) {
       {
         std::lock_guard<std::mutex> lk(sleep_mu_);
@@ -318,6 +355,7 @@ class Pool {
   }
 
   int p_ = 1;
+  bool asymmetric_ = false;  // parkers run membarrier; pushes need none
   std::unique_ptr<ChaseLevDeque[]> deques_;
   std::vector<std::thread> threads_;
   std::atomic<bool> stop_{false};

@@ -26,6 +26,7 @@ constexpr const char* kKnownSites[] = {
     "scheduler.steal",      // Pool::try_steal_one (delay)
     "scheduler.park",       // Pool::park (delay)
     "lis.round",            // lis_ranks/frontiers round loop (fault)
+    "lis.speculate",        // speculative patience chunk task (fault)
     "wlis.round",           // Alg. 2 round loop (fault)
     "wlis.sweep",           // Solver's WLIS pass, every 4096 elements (fault)
     "swgs.round",           // SWGS wake-up round loop (fault)

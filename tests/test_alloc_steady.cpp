@@ -3,9 +3,9 @@
 // Solver must perform ZERO heap allocations (the acceptance criterion of
 // the session API), on every path of the LIS plan's patience kernel: the
 // register tiers alone, the tiers spilling to the memory loop, the memory
-// loop alone (custom order) and the rank image (typed keys, kNonDecreasing
-// ties), whose ranks come from the pooled sort or, for int64 keys with a
-// small span, the one-thread bitmap. Warm sliding-window session appends,
+// loop alone (custom order), speculative chunks on the pool, and the rank
+// image (typed keys, kNonDecreasing ties), whose ranks come from the
+// pooled sort or, for int64 keys with a small span, the one-thread bitmap. Warm sliding-window session appends,
 // direct and through the serving engine, must allocate nothing either. A
 // process-wide operator-new hook counts every allocation on every thread,
 // so a stray vector resize, stable_sort temporary, arena chunk, or
@@ -332,6 +332,37 @@ int main() {
     };
     leg("solve_wlis wavefront, main thread");
     std::thread outside([&] { leg("solve_wlis wavefront, outside pool"); });
+    outside.join();
+  }
+
+  // Speculative patience: line-pattern values (k ~ 60) of twice
+  // kSpeculateMinN elements, which the plan runs as index chunks on the
+  // pool; every chunk's state lives on the caller's stack. Once from the
+  // main thread and once from a std::thread outside the pool, each leg
+  // checking that the solves forked on a pool of 2 or more workers.
+  {
+    const int64_t sn = 2 * internal::kSpeculateMinN;
+    const std::vector<int64_t> s1 = line_pattern(sn, 100, 24);
+    const std::vector<int64_t> s2 = line_pattern(sn, 100, 25);
+    auto leg = [&](const char* what) {
+      Solver ss;
+      LisResult sout;
+      for (int r = 0; r < 3; r++) {
+        ss.solve_lis(s1, sout);
+        ss.solve_lis(s2, sout);
+      }
+      const uint64_t spawned = scheduler_stats().spawns;
+      const uint64_t start = begin_window();
+      for (int r = 0; r < 5; r++) ss.solve_lis(r % 2 ? s2 : s1, sout);
+      const uint64_t allocs = g_allocs.load() - start;
+      if (num_workers() >= 2 && scheduler_stats().spawns == spawned) {
+        std::printf("FAIL %-34s the speculation did not run\n", what);
+        failures++;
+      }
+      expect_zero(what, allocs);
+    };
+    leg("solve_lis speculative, main thread");
+    std::thread outside([&] { leg("solve_lis speculative, outside pool"); });
     outside.join();
   }
 

@@ -183,6 +183,33 @@ TEST(FaultTriggers, WlisSweepFiresInsideACellTask) {
   EXPECT_EQ(out.dp, want.dp);
 }
 
+// The speculative kernel's site sits in its chunk tasks, once per 4096
+// elements. Armed nth:3 on a banded input, which the Solver speculates on
+// over a pool of 2 or more workers, it fires inside a chunk task, surfaces
+// as Error{kFaultInjected} from the solve, and the next solve equals a
+// cold one.
+TEST(FaultTriggers, LisSpeculateFiresInsideAChunkTask) {
+  if (!failpoints::enabled()) {
+    GTEST_SKIP() << "failpoint sites compiled out (PARLIS_FAILPOINTS=OFF)";
+  }
+  if (num_workers() < 2) GTEST_SKIP() << "a 1-worker pool never speculates";
+  const std::vector<int64_t> a = line_pattern(int64_t{1} << 18, 100, 37);
+  failpoints::disarm_all();
+  Solver s;
+  LisResult want, out;
+  s.solve_lis(a, want);
+  failpoints::arm_nth("lis.speculate", 3);
+  expect_error(ErrorCode::kFaultInjected, [&] { s.solve_lis(a, out); });
+  EXPECT_EQ(failpoints::fire_count("lis.speculate"), 1u);
+  failpoints::disarm_all();
+  s.solve_lis(a, out);
+  EXPECT_EQ(out.rank, want.rank);
+  EXPECT_EQ(out.k, want.k);
+  Solver cold;
+  cold.solve_lis(a, out);
+  EXPECT_EQ(out.rank, want.rank);
+}
+
 // ----------------------------------------------------------- FaultInjection
 
 class FaultInjection : public ::testing::Test {
@@ -261,6 +288,16 @@ std::vector<SiteDriver> site_drivers() {
                  Solver s;
                  WlisResult out;
                  s.solve_wlis(*a, *w, out);
+               }});
+  d.push_back({"lis.speculate", FireKind::kFault, [] {
+                 // The forced entry runs its chunk tasks on any pool,
+                 // inline on a 1-worker one.
+                 const std::vector<int64_t> line =
+                     line_pattern(int64_t{1} << 15, 100, 23);
+                 std::vector<int32_t> rank(line.size());
+                 std::vector<int64_t> tails;
+                 internal::speculative_patience_ranks_forced(
+                     line, rank.data(), tails, 4);
                }});
   d.push_back({"swgs.round", FireKind::kFault, [a] {
                  (void)swgs_lis_ranks(*a);
@@ -885,13 +922,19 @@ TEST(Cancellation, DeadlineStopsWlisPassWithin4096Elements) {
 // strictly inside the input. The input keeps k near 10, so every element
 // runs in the 16-tail tier. The deadline is set from the measured time of
 // an unguarded solve, and re-picked when it expired before the kernel
-// started or after it ended.
+// started or after it ended. Thread-sequential mode keeps the solve on the
+// one-thread kernel: on the pool this input speculates, and its chunks
+// write ranks all over the input (the two tests below cover that path).
 TEST(Cancellation, DeadlineStopsRegisterTiersWithin4096Elements) {
   const int64_t n = int64_t{1} << 21;
   std::vector<int64_t> a(n);
   for (int64_t i = 0; i < n; i++) {
     a[i] = 4 * (n - i) + static_cast<int64_t>(uniform(94, i, 40));
   }
+  struct OneThread {
+    bool prev = set_thread_sequential(true);
+    ~OneThread() { set_thread_sequential(prev); }
+  } one_thread;
   Solver s;
   LisResult out;
   s.solve_lis(a, out);
@@ -936,6 +979,83 @@ TEST(Cancellation, DeadlineStopsRegisterTiersWithin4096Elements) {
     return;
   }
   FAIL() << "no deadline landed inside the kernel";
+}
+
+// Speculative solves poll in every chunk task and in the replay. A token
+// tripped from another thread while they run stops one with kCancelled,
+// and a deadline shorter than one solve stops it with kDeadlineExceeded;
+// either way the next solve on the same Solver equals a cold one. The
+// banded input speculates on a pool of 2 or more workers.
+std::vector<int64_t> speculative_input() {
+  return line_pattern(int64_t{1} << 21, 100, 95);
+}
+
+TEST(Cancellation, SpeculativeSolveCancelledFromAnotherThread) {
+  const std::vector<int64_t> a = speculative_input();
+  Solver s;
+  LisResult out, want;
+  s.solve_lis(a, want);
+  s.solve_lis(a, out);  // sizes `out`, so a solve forks within one block
+  const uint64_t before = scheduler_stats().spawns;
+  const CancelToken token = CancelToken::make();
+  s.set_cancel(token);
+  // Trips once a solve has forked (a 1-worker pool never forks).
+  std::thread canceller([&] {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (num_workers() > 1 && scheduler_stats().spawns == before &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(300));
+    token.request_cancel();
+  });
+  bool cancelled = false;
+  for (int r = 0; r < 10000 && !cancelled; r++) {
+    try {
+      s.solve_lis(a, out);
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kCancelled) << e.what();
+      cancelled = true;
+    }
+  }
+  canceller.join();
+  EXPECT_TRUE(cancelled);
+  if (num_workers() > 1) EXPECT_GT(scheduler_stats().spawns, before);
+  s.set_cancel(CancelToken{});
+  s.solve_lis(a, out);
+  EXPECT_EQ(out.rank, want.rank);
+  EXPECT_EQ(out.k, want.k);
+  Solver cold;
+  cold.solve_lis(a, out);
+  EXPECT_EQ(out.rank, want.rank);
+}
+
+TEST(Cancellation, SpeculativeSolveDeadlineExceeded) {
+  const std::vector<int64_t> a = speculative_input();
+  Solver s;
+  LisResult out, want;
+  s.solve_lis(a, want);
+  bool expired = false;
+  for (int r = 0; r < 50 && !expired; r++) {
+    // A 1 ms deadline passes the entry's poll; one solve of 2^21 elements
+    // takes longer, so a chunk's, the replay's or the kernel's poll trips.
+    s.set_deadline_ms(1);
+    try {
+      s.solve_lis(a, out);
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kDeadlineExceeded) << e.what();
+      expired = true;
+    }
+  }
+  EXPECT_TRUE(expired);
+  s.set_deadline_ms(0);
+  s.solve_lis(a, out);
+  EXPECT_EQ(out.rank, want.rank);
+  EXPECT_EQ(out.k, want.k);
+  Solver cold;
+  cold.solve_lis(a, out);
+  EXPECT_EQ(out.rank, want.rank);
 }
 
 TEST(Cancellation, GenerousDeadlinePassesAndMatches) {
