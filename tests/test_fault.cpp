@@ -1021,7 +1021,9 @@ TEST(Cancellation, SpeculativeSolveCancelledFromAnotherThread) {
   }
   canceller.join();
   EXPECT_TRUE(cancelled);
-  if (num_workers() > 1) EXPECT_GT(scheduler_stats().spawns, before);
+  if (num_workers() > 1) {
+    EXPECT_GT(scheduler_stats().spawns, before);
+  }
   s.set_cancel(CancelToken{});
   s.solve_lis(a, out);
   EXPECT_EQ(out.rank, want.rank);
