@@ -41,7 +41,7 @@ const char* const kIdentity[] = {
     "shape",  "density", "span",    "n",           "m",
     "k",      "universe", "leaves", "iters",       "window",
     "queries", "ops",    "clients", "burst",       "round_grain",
-    "tenants_offered",   "threads"};
+    "tenants_offered",   "ties",    "threads"};
 
 /// Provenance both files of a pair must share.
 const char* const kSameHost[] = {"host_hw_threads", "simd_backend",

@@ -22,7 +22,8 @@
 //                  pooled sort.
 //   wlis_newvals_line — the same on line-pattern values (falling trend plus
 //                  noise, target k = 100, span ~n^2/2500): small spans
-//                  rank through rank_only_into's one-thread bitmap.
+//                  rank through rank_only_into's bitmap, on the pool from
+//                  internal::kRankPoolMinN elements up.
 //   wlis_double  — the generic-key pipeline: Solver::solve_wlis<double>
 //                  (rank-space compression + the pass) vs the int64 warm
 //                  path on the same cache-missing alternation.
@@ -45,13 +46,22 @@
 //                  at u = 1, 8 and 100, random 63-bit, sorted, reversed and
 //                  all-equal values. Exits 1 if dp, best or k differ
 //                  between the modes. Sizes from --passnlist.
-//   rank_only    — kStrict ranks of line-pattern values whose span is 2n,
-//                  100n, exactly rank_only_max_words(n) words (128n) and
-//                  one value past that: rank_space_into on the pool
-//                  ("sort") vs rank_only_into ("rank_only": the one-thread
-//                  bitmap up to the cap, the same sort past it, after a
-//                  min/max pass). Exits 1 if any rank or n_distinct
-//                  differs. Sizes from --ranknlist.
+//   rank_only    — ranks under both ties policies of line-pattern values
+//                  whose span is 2n, 100n, exactly rank_only_max_words(n)
+//                  words (128n) and one value past that, of uniform values
+//                  one word below the cap, and of all-equal values:
+//                  rank_space_into on the pool ("sort"), rank_only_into
+//                  under set_thread_sequential(true) ("one_thread": the
+//                  bitmap's phases on the calling thread, or the sort on
+//                  it past the cap) and rank_only_into ("rank_only": the
+//                  bitmap's plan, pooled from internal::kRankPoolMinN keys
+//                  up, or the pooled sort past the cap): per rep the sort,
+//                  then the other two twice each, in ABBA or BAAB order.
+//                  `path` names the plan's set phase (caller, segments,
+//                  fetch_or, set_on_caller) or "sort"; the row's ratio is
+//                  the median of the per-rep rank_only / one_thread
+//                  ratios. Exits 1 if any rank or n_distinct differs from
+//                  rank_space_into's. Sizes from --ranknlist.
 //
 // Runs are interleaved (one-shot, warm, one-shot, ...) so machine drift
 // cancels; medians are reported per query. Records carry host_hw_threads:
@@ -85,6 +95,46 @@ namespace {
 
 using namespace parlis;
 using namespace parlis::bench;
+
+// Uniform values in [0, span), with the ends pinned to span - 1 and 0.
+std::vector<int64_t> uniform_with_span(int64_t n, int64_t span, uint64_t seed) {
+  std::vector<int64_t> a(n);
+  parallel_for(0, n, [&](int64_t i) {
+    a[i] = static_cast<int64_t>(uniform(seed, i, static_cast<uint64_t>(span)));
+  });
+  a[0] = span - 1;
+  a[n - 1] = 0;
+  return a;
+}
+
+// fn's wall time in ms.
+template <typename F>
+double ms_of(const F& fn) {
+  Timer t;
+  fn();
+  return t.elapsed() * 1e3;
+}
+
+double median_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[(v.size() - 1) / 2];
+}
+
+const char* path_name(internal::BitmapPath p) {
+  switch (p) {
+    case internal::BitmapPath::kTooWide:
+      return "sort";
+    case internal::BitmapPath::kCaller:
+      return "caller";
+    case internal::BitmapPath::kSegments:
+      return "segments";
+    case internal::BitmapPath::kFetchOr:
+      return "fetch_or";
+    case internal::BitmapPath::kSetOnCaller:
+      return "set_on_caller";
+  }
+  return "?";
+}
 
 // The line pattern with an exact span: a falling trend from span - n down
 // to 0 plus noise in [0, n), with the ends pinned to span - 1 and 0.
@@ -443,59 +493,100 @@ int main(int argc, char** argv) {
   ok = ok && pass_ok;
 
   // ------------------------------------------------------- rank_only ---
-  std::printf("\n%-9s %8s %6s %-6s %13s %13s %7s\n", "op", "n", "span",
-              "path", "sort med(ms)", "only med(ms)", "ratio");
+  std::printf("\n%-9s %8s %7s %-6s %-13s %9s %11s %9s %7s\n", "op", "n",
+              "span", "ties", "path", "sort(ms)", "one_thr(ms)", "plan(ms)",
+              "ratio");
   bool ranks_ok = true;
   for (int64_t n : rank_ns) {
     const int64_t cap = 64 * static_cast<int64_t>(rank_only_max_words(n));
     const struct {
       const char* name;
       int64_t span;
-    } spans[] = {{"2n", 2 * n}, {"100n", 100 * n}, {"cap", cap},
-                 {"cap+1", cap + 1}};
-    for (const auto& sp : spans) {
-      const std::vector<int64_t> a = line_with_span(n, sp.span, 47 + n);
-      const std::span<const int64_t> keys(a);
-      RankSpace sort_rs, only_rs;
-      RankSpaceScratch sort_scratch, only_scratch;
+      std::vector<int64_t> a;
+    } shapes[] = {
+        {"2n", 2 * n, line_with_span(n, 2 * n, 47 + n)},
+        {"100n", 100 * n, line_with_span(n, 100 * n, 47 + n)},
+        {"cap", cap, line_with_span(n, cap, 47 + n)},
+        {"cap+1", cap + 1, line_with_span(n, cap + 1, 47 + n)},
+        {"uniform", cap - 64, uniform_with_span(n, cap - 64, 48 + n)},
+        {"equal", 1, std::vector<int64_t>(n, 7)}};
+    for (const auto& sh : shapes) {
+      const std::span<const int64_t> keys(sh.a);
       for (const TiesPolicy ties :
-           {TiesPolicy::kNonDecreasing, TiesPolicy::kStrict}) {
+           {TiesPolicy::kStrict, TiesPolicy::kNonDecreasing}) {
+        const char* ties_name =
+            ties == TiesPolicy::kStrict ? "strict" : "nondec";
+        RankSpace sort_rs, one_rs, plan_rs;
+        RankSpaceScratch sort_scratch, one_scratch, plan_scratch;
+        auto one_thread = [&] {
+          const bool prev = set_thread_sequential(true);
+          rank_only_into<int64_t>(keys, ties, one_rs, one_scratch);
+          set_thread_sequential(prev);
+        };
+        auto same = [&](const RankSpace& rs) {
+          return rs.rank == sort_rs.rank && rs.n_distinct == sort_rs.n_distinct;
+        };
         rank_space_into<int64_t>(keys, ties, sort_rs, sort_scratch);
-        rank_only_into<int64_t>(keys, ties, only_rs, only_scratch);
-        ranks_ok = ranks_ok && only_rs.rank == sort_rs.rank &&
-                   only_rs.n_distinct == sort_rs.n_distinct;
-      }
-      const bool bitmap = only_rs.order.empty();
-      PairMedians m = measure_pair(
-          reps,
-          [&] {
-            rank_space_into<int64_t>(keys, TiesPolicy::kStrict, sort_rs,
-                                     sort_scratch);
-          },
-          [&] {
-            rank_only_into<int64_t>(keys, TiesPolicy::kStrict, only_rs,
-                                    only_scratch);
-          });
-      ranks_ok = ranks_ok && only_rs.rank == sort_rs.rank &&
-                 only_rs.n_distinct == sort_rs.n_distinct;
-      const double ratio = m.b_ms() / m.a_ms();
-      std::printf("%-9s %8lld %6s %-6s %13.3f %13.3f %7.3f\n", "rank_only",
-                  static_cast<long long>(n), sp.name,
-                  bitmap ? "bitmap" : "sort", m.a_ms(), m.b_ms(), ratio);
-      for (const bool only : {false, true}) {
-        JsonRecord rec;
-        rec.field("bench", "micro_api")
-            .field("op", "rank_only")
-            .field("variant", only ? "rank_only" : "sort")
-            .field("n", n)
-            .field("span", sp.name)
-            .field("span_per_n", static_cast<double>(sp.span) /
-                                     static_cast<double>(n))
-            .field("path", only ? (bitmap ? "bitmap" : "sort") : "sort")
-            .field("threads", num_workers())
-            .field("median_ms", only ? m.b_ms() : m.a_ms());
-        if (only) rec.field("ratio", ratio);
-        json.add(rec);
+        const char* path = path_name(internal::rank_by_bitmap(
+            keys, ties, plan_rs, plan_scratch, nullptr));
+        rank_only_into<int64_t>(keys, ties, plan_rs, plan_scratch);
+        one_thread();
+        ranks_ok = ranks_ok && same(plan_rs) && same(one_rs);
+        auto plan = [&] {
+          rank_only_into<int64_t>(keys, ties, plan_rs, plan_scratch);
+        };
+        // As wlis_pass: twice the reps plus one. The paired legs run twice
+        // each, ABBA on even reps and BAAB on odd ones, so each leg runs
+        // first after the sort, whose buffers evict theirs, equally often:
+        // a leg that ran first in 11 of 21 reps read 1.2x against itself
+        // at 4096 keys (EXPERIMENTS.md, "Rank on the pool").
+        const int r = 2 * reps + 1;
+        std::vector<double> sort_ms, one_ms, plan_ms, ratios;
+        for (int rep = 0; rep < r; rep++) {
+          sort_ms.push_back(ms_of([&] {
+            rank_space_into<int64_t>(keys, ties, sort_rs, sort_scratch);
+          }));
+          double p = 0, o = 0;
+          for (int k = 0; k < 4; k++) {
+            if ((k == 0 || k == 3) == (rep % 2 == 0)) {
+              p += ms_of(plan);
+            } else {
+              o += ms_of(one_thread);
+            }
+          }
+          plan_ms.push_back(p / 2);
+          one_ms.push_back(o / 2);
+          ratios.push_back(p / o);
+        }
+        ranks_ok = ranks_ok && same(plan_rs) && same(one_rs);
+        const double ratio = median_of(ratios);
+        std::printf("%-9s %8lld %7s %-6s %-13s %9.3f %11.3f %9.3f %7.3f\n",
+                    "rank_only", static_cast<long long>(n), sh.name,
+                    ties_name, path, median_of(sort_ms), median_of(one_ms),
+                    median_of(plan_ms), ratio);
+        const struct {
+          const char* variant;
+          const char* path;
+          const std::vector<double>& ms;
+        } legs[] = {{"sort", "sort", sort_ms},
+                    {"one_thread", path, one_ms},
+                    {"rank_only", path, plan_ms}};
+        for (const auto& leg : legs) {
+          JsonRecord rec;
+          rec.field("bench", "micro_api")
+              .field("op", "rank_only")
+              .field("variant", leg.variant)
+              .field("n", n)
+              .field("span", sh.name)
+              .field("span_per_n", static_cast<double>(sh.span) /
+                                       static_cast<double>(n))
+              .field("ties", ties_name)
+              .field("path", leg.path)
+              .field("threads", num_workers())
+              .field("median_ms", median_of(leg.ms));
+          if (&leg == &legs[2]) rec.field("ratio", ratio);
+          json.add(rec);
+        }
       }
     }
   }

@@ -63,7 +63,8 @@ size_t Solver::rank_space_bytes(int64_t n) {
   // carries. The bitmap holds rank, at most rank_only_max_words(n) = 2n
   // presence words in the masks' buffer (16B) and their popcount prefix in
   // the merge buffer's (16B), which kNonDecreasing reuses for its counts.
-  // Union: 72B, plus 1B of slack for the carries.
+  // Union: 72B, plus 1B of slack for the carries, where both paths keep
+  // 16 B per 4096 elements (the bitmap its blocks' min and max).
   return static_cast<size_t>(n) * 73;
 }
 
@@ -140,8 +141,8 @@ int64_t Solver::lis_length(std::span<const int64_t> a) {
   return lis_length<int64_t>(a);
 }
 
-// Cache-line aligned like internal::patience_ranks: rank_only_into's
-// bitmap loops inline here.
+// Cache-line aligned like internal::patience_ranks: the value cache's
+// check loops inline here.
 [[gnu::aligned(64)]] bool Solver::solve_wlis(
     std::span<const int64_t> a, std::span<const int64_t> w, WlisResult& out) {
   return solve_wlis<int64_t>(a, w, out);

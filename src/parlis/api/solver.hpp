@@ -24,16 +24,16 @@
 // under std::less, custom comparators). int64 keys under kStrict solve as
 // they are; every other key, and every key under kNonDecreasing, is first
 // reduced to its dense rank image by rank_only_into (util/rank_space.hpp:
-// a one-thread presence bitmap for int64 keys under std::less with a span
-// of at most 128 n, the pooled rank-space sort otherwise), so no backend
-// is instantiated per key type. The Options::ties policy picks what
+// a presence bitmap for int64 keys under std::less with a span of at most
+// 128 n, pooled from internal::kRankPoolMinN keys up, and the pooled
+// rank-space sort otherwise), so no backend is instantiated per key type. The Options::ties policy picks what
 // "increasing" means for equal keys (kStrict vs kNonDecreasing) and is
 // honored by every entry point, custom orders included. The rank image lives in the session scratch, so the
 // typed paths keep the zero-allocation warm steady state.
 //
 // Thread-safety: one Solver per thread. The solve_* methods may use the
 // shared worker pool internally (speculative patience, the rank-space
-// sort, the weighted pass's wavefront), but two threads must not call
+// bitmap and sort, the weighted pass's wavefront), but two threads must not call
 // into the same Solver concurrently. solve_many is the batched entry
 // point: it fans independent queries out across the pool itself — queries
 // of at most kPoolGateGrain elements are packed one-per-task and solved
@@ -201,10 +201,13 @@ class Solver {
   /// the pool when its sampled and then counted schedule prices below
   /// that; either way dp, best and k are the same bits.
   /// The ranks come from rank_only_into: int64 values whose span is at
-  /// most 128 n take its one-thread bitmap, wider spans the pooled sort.
-  /// Raw int64 values under kStrict keep their ranks in a value cache, so
-  /// re-weighting a hot series runs the pass alone; any other solve
-  /// needing a rank space overwrites it. Returns true when the cache
+  /// most 128 n take its bitmap, whose phases run on the pool from
+  /// internal::kRankPoolMinN elements up under the same conditions as the
+  /// wavefront, and wider spans the pooled sort. Raw int64 values under
+  /// kStrict keep their ranks in a value cache, whose copy of the values a
+  /// miss fills in the bitmap's min/max pass, so re-weighting a hot series
+  /// runs the pass alone; any other solve needing a rank space overwrites
+  /// it. Returns true when the cache
   /// supplied the ranks. A dp sum past INT64_MAX throws
   /// Error{kInvalidArgument}; when the wavefront runs, which overflowing
   /// element its message names is unspecified.
@@ -238,8 +241,9 @@ class Solver {
   /// solved sequentially on per-worker contexts); larger ones run one at
   /// a time on the caller's context, by solve_lis's or solve_wlis's plan
   /// (an unweighted one of kSpeculateMinN elements or more speculates on
-  /// the pool, a weighted one whose span is too wide for rank_only_into's
-  /// bitmap sorts on it). Honors options().ties like every other entry
+  /// the pool, a weighted one ranks on it from internal::kRankPoolMinN
+  /// elements up or, when its span is too wide for rank_only_into's
+  /// bitmap, sorts on it). Honors options().ties like every other entry
   /// point.
   void solve_many(std::span<const Query> queries,
                   std::span<QueryResult> results);
@@ -339,8 +343,8 @@ class Solver {
   // Ranks `a` into ctx.rs under options().ties and `less`, dropping the
   // value cache's key first; returns the rank image, whose values all lie
   // below |a|. rank_only_into ranks int64 keys under std::less with a small
-  // span through its one-thread bitmap, and everything else by the pooled
-  // sort.
+  // span through its bitmap (on the pool for large inputs), and everything
+  // else by the pooled sort.
   template <typename Key, typename Less>
   std::span<const int64_t> rank_image(std::span<const Key> a, ThreadCtx& ctx,
                                       Less less) {
@@ -398,11 +402,12 @@ class Solver {
   // `a`, and runs the Fenwick pass over them into `out`, lending it the
   // rank space's sort buffer, which holds nothing once the ranks exist.
   // Raw int64 values under std::less and kStrict take their ranks from
-  // ctx's value cache, which a miss rebuilds with rank_only_into (the
-  // one-thread bitmap while the span fits, otherwise the pooled sort), and
-  // a budget too small for the pass degrades them to Seq-AVL, which needs
-  // no rank space; every other key, order or ties policy solves on its
-  // rank image. Returns whether the cache supplied the ranks.
+  // ctx's value cache, which a miss rebuilds with rank_only_copy_into (the
+  // bitmap while the span fits, otherwise the pooled sort), copying the
+  // values into the cache's key on the way, and a budget too small for the
+  // pass degrades them to Seq-AVL, which needs no rank space; every other
+  // key, order or ties policy solves on its rank image. Returns whether
+  // the cache supplied the ranks.
   template <typename Key, typename Less>
   bool run_wlis(std::span<const Key> a, std::span<const int64_t> w,
                 const char* what, ThreadCtx& ctx, WlisResult& out,
@@ -421,9 +426,9 @@ class Solver {
         return false;
       }
       if (raw) {
-        hit = ctx.values.match_or_rebuild(a, [&] {
-          rank_only_into<int64_t>(a, TiesPolicy::kStrict, ctx.rs,
-                                  ctx.rs_scratch);
+        hit = ctx.values.match_or_rebuild(a, [&](std::span<int64_t> copy) {
+          rank_only_copy_into(a, TiesPolicy::kStrict, ctx.rs, ctx.rs_scratch,
+                              copy);
         });
       }
     }

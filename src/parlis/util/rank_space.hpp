@@ -28,9 +28,10 @@
 //
 // rank_only_into is the cheaper form for callers that read only `rank` and
 // `n_distinct` (the Solver's plans): int64 keys under std::less whose span
-// is small enough are ranked through a presence bitmap on one thread, and
-// every other input takes rank_space_into. For int64 keys under std::less
-// the run scan finds run starts with an AVX-512 kernel (run_masks, below).
+// is small enough are ranked through a presence bitmap, whose phases run on
+// the pool from kRankPoolMinN keys up (util/rank_space.cpp), and every
+// other input takes rank_space_into. For int64 keys under std::less the run
+// scan finds run starts with an AVX-512 kernel (run_masks, below).
 #pragma once
 
 #include <algorithm>
@@ -82,9 +83,10 @@ struct RankSpace {
 /// Reusable scratch for rank_space_into (merge buffer + per-block run
 /// carries; the int64 vector scan adds a contiguous sorted-key image and
 /// per-block run-start bit masks). rank_only_into's bitmap path borrows
-/// `run_masks` for its presence words and `sort_buf` for their popcount
-/// prefix, then for its kNonDecreasing counts. Same-size re-compressions
-/// through one scratch allocate nothing.
+/// `run_masks` for its presence words, `sort_buf` for their popcount
+/// prefix, then for its kNonDecreasing counts, and the carries for each
+/// 4096-key block's min and max. Same-size re-compressions through one
+/// scratch allocate nothing.
 struct RankSpaceScratch {
   std::vector<int64_t> sort_buf;
   std::vector<int64_t> carry_qpos;  // incoming run start per block
@@ -341,103 +343,69 @@ inline uint64_t rank_only_max_words(int64_t n) {
 
 namespace internal {
 
-// Sets `v` to `need` zeros. When it must grow, its capacity becomes exactly
-// `need` (resize would double it).
-template <typename T>
-void assign_zeros(std::vector<T>& v, size_t need) {
-  v.clear();
-  v.reserve(need);
-  v.resize(need);
-}
+/// From this many keys up, rank_only_into's bitmap runs its phases on the
+/// pool (EXPERIMENTS.md, "Rank on the pool"); below it the pool's forks cost
+/// more than they save.
+inline constexpr int64_t kRankPoolMinN = int64_t{1} << 17;
 
-// rank_only_into's bitmap path. Returns false, having written nothing, when
-// the keys' span needs more than rank_only_max_words(n) words.
-inline bool rank_by_bitmap(std::span<const int64_t> keys, TiesPolicy ties,
-                           RankSpace& rs, RankSpaceScratch& scratch) {
-  const int64_t n = static_cast<int64_t>(keys.size());
-  if (n == 0) return false;
-  // In uint64: INT64_MIN with INT64_MAX spans 2^64 - 1, past int64.
-  auto words_over = [](int64_t lo, int64_t hi) {
-    return (static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo)) / 64 + 1;
-  };
-  int64_t lo = keys[0], hi = keys[0];
-  // Checked every 4096 keys, so a wide span leaves for the sort early.
-  for (int64_t b = 0; b < n; b += 4096) {
-    for (int64_t i = b, e = std::min(n, b + 4096); i < e; i++) {
-      lo = std::min(lo, keys[i]);
-      hi = std::max(hi, keys[i]);
-    }
-    if (words_over(lo, hi) > rank_only_max_words(n)) return false;
-  }
-  const uint64_t base = static_cast<uint64_t>(lo);
-  const uint64_t words = words_over(lo, hi);
-  rs.order.clear();
-  rs.pos.clear();
-  rs.qpos.clear();
-  rs.rank.resize(n);
-  int64_t* rank = rs.rank.data();
-  assign_zeros(scratch.run_masks, words);
-  uint64_t* bits = scratch.run_masks.data();
-  for (const int64_t v : keys) {
-    const uint64_t off = static_cast<uint64_t>(v) - base;
-    bits[off >> 6] |= uint64_t{1} << (off & 63);
-  }
-  // prefix[w]: the present keys in words before w.
-  assign_zeros(scratch.sort_buf, words);
-  int64_t* prefix = scratch.sort_buf.data();
-  int64_t distinct = 0;
-  for (uint64_t w = 0; w < words; w++) {
-    prefix[w] = distinct;
-    distinct += std::popcount(bits[w]);
-  }
-  for (int64_t i = 0; i < n; i++) {
-    const uint64_t off = static_cast<uint64_t>(keys[i]) - base;
-    const uint64_t below = bits[off >> 6] & ((uint64_t{1} << (off & 63)) - 1);
-    rank[i] = prefix[off >> 6] + std::popcount(below);
-  }
-  rs.n_distinct = distinct;
-  if (ties == TiesPolicy::kNonDecreasing) {
-    // The stable (key, index) position: a key's slots start after every
-    // smaller key's occurrences, and equal keys take them in input order.
-    // The counts reuse the prefix's buffer.
-    assign_zeros(scratch.sort_buf, static_cast<size_t>(distinct));
-    int64_t* next = scratch.sort_buf.data();
-    for (int64_t i = 0; i < n; i++) next[rank[i]]++;
-    for (int64_t r = 0, start = 0; r < distinct; r++) {
-      const int64_t count = next[r];
-      next[r] = start;
-      start += count;
-    }
-    for (int64_t i = 0; i < n; i++) rank[i] = next[rank[i]]++;
-    rs.n_distinct = n;
-  }
-  // Empty, so a later rank_space_into grows them to exactly its need.
-  scratch.run_masks.clear();
-  scratch.sort_buf.clear();
-  return true;
-}
+/// How rank_by_bitmap ranked: not at all (kTooWide: n = 0, or the span needs
+/// more than rank_only_max_words(n) words), every phase on the calling
+/// thread (kCaller), or on the pool with the bit set by word segments that
+/// each task owns (kSegments), by relaxed fetch_or (kFetchOr) or on the
+/// calling thread (kSetOnCaller).
+enum class BitmapPath { kTooWide, kCaller, kSegments, kFetchOr, kSetOnCaller };
+
+/// rank_only_into's bitmap path (util/rank_space.cpp). When `copy` is not
+/// null it also copies the keys there from its first pass; after kTooWide
+/// the copy is incomplete and nothing else is written.
+BitmapPath rank_by_bitmap(std::span<const int64_t> keys, TiesPolicy ties,
+                          RankSpace& rs, RankSpaceScratch& scratch,
+                          int64_t* copy);
 
 }  // namespace internal
 
 /// Fills `rs.rank` and `rs.n_distinct` exactly as rank_space_into would
 /// under `ties`, for callers that read nothing else. int64 keys under
 /// std::less whose span [min, max] fits in rank_only_max_words(n) words
-/// take a bitmap path on the calling thread, O(n + span/64): one bit per
-/// present key, a popcount prefix over the words, and rank = prefix +
-/// popcount of the key's word below its bit; under kNonDecreasing it then
-/// counts each dense rank's occurrences and hands out positions in input
-/// order. That path leaves `order`, `pos` and `qpos` empty. Every other
-/// input (other key types or orders, wider spans, n = 0) runs
-/// rank_space_into, which fills all four arrays. Warm same-size calls
-/// allocate nothing on either path.
+/// take a bitmap path, O(n + span/64): one bit per present key, a popcount
+/// prefix over the words, and rank = prefix + popcount of the key's word
+/// below its bit; under kNonDecreasing it then counts each dense rank's
+/// occurrences and hands out positions in input order. The bitmap's
+/// min/max, bit set, prefix and rank passes run on the pool from
+/// internal::kRankPoolMinN keys up, outside sequential and
+/// thread-sequential mode and on 2 or more workers; the set phase picks
+/// word segments that each task owns, relaxed fetch_or or the calling
+/// thread from the blocks' word ranges, and the kNonDecreasing counts stay
+/// on the calling thread. That path leaves `order`, `pos` and `qpos` empty.
+/// Every other input (other key types or orders, wider spans, n = 0) runs
+/// rank_space_into, which fills all four arrays. The ranks are the same
+/// bits on every path, and warm same-size calls allocate nothing.
 template <typename Key, typename Less = std::less<Key>>
 void rank_only_into(std::span<const Key> keys, TiesPolicy ties, RankSpace& rs,
                     RankSpaceScratch& scratch, Less less = Less{}) {
   if constexpr (std::is_same_v<Key, int64_t> &&
                 std::is_same_v<Less, std::less<int64_t>>) {
-    if (internal::rank_by_bitmap(keys, ties, rs, scratch)) return;
+    if (internal::rank_by_bitmap(keys, ties, rs, scratch, nullptr) !=
+        internal::BitmapPath::kTooWide) {
+      return;
+    }
   }
   rank_space_into<Key, Less>(keys, ties, rs, scratch, less);
+}
+
+/// rank_only_into over int64 keys under std::less that also copies `keys`
+/// into `copy` (|copy| == |keys|), the key of a value cache: the bitmap
+/// copies them in its min/max pass, and the sort path copies them after
+/// the sort.
+inline void rank_only_copy_into(std::span<const int64_t> keys,
+                                TiesPolicy ties, RankSpace& rs,
+                                RankSpaceScratch& scratch,
+                                std::span<int64_t> copy) {
+  if (internal::rank_by_bitmap(keys, ties, rs, scratch, copy.data()) ==
+      internal::BitmapPath::kTooWide) {
+    rank_space_into<int64_t>(keys, ties, rs, scratch);
+    std::copy(keys.begin(), keys.end(), copy.begin());
+  }
 }
 
 /// One-shot convenience form (fresh buffers per call).

@@ -5,7 +5,9 @@
 // register tiers alone, the tiers spilling to the memory loop, the memory
 // loop alone (custom order), speculative chunks on the pool, and the rank
 // image (typed keys, kNonDecreasing ties), whose ranks come from the
-// pooled sort or, for int64 keys with a small span, the one-thread bitmap. Warm sliding-window session appends,
+// pooled sort or, for int64 keys with a small span, the bitmap, on the
+// calling thread or, from internal::kRankPoolMinN keys up, on the pool.
+// Warm sliding-window session appends,
 // direct and through the serving engine, must allocate nothing either. A
 // process-wide operator-new hook counts every allocation on every thread,
 // so a stray vector resize, stable_sort temporary, arena chunk, or
@@ -332,6 +334,53 @@ int main() {
     };
     leg("solve_wlis wavefront, main thread");
     std::thread outside([&] { leg("solve_wlis wavefront, outside pool"); });
+    outside.join();
+  }
+
+  // The bitmap's plan on the pool: value-cache misses of twice
+  // kRankPoolMinN elements that alternate a banded line (the owned word
+  // segments) with uniform values one word below the bitmap's cap (the
+  // relaxed fetch_or on 4 or more workers, the caller's set on fewer), the
+  // min/max pass filling the cache's copy. Once from the main thread and
+  // once from a std::thread outside the pool, each leg checking that the
+  // plan ran on the pool on 2 or more workers.
+  {
+    const int64_t rn = 2 * internal::kRankPoolMinN;
+    const std::vector<int64_t> banded = line_pattern(rn, 100, 26);
+    const uint64_t span = 64 * (rank_only_max_words(rn) - 1);
+    std::vector<int64_t> spread(rn), rw(rn);
+    for (int64_t i = 0; i < rn; i++) {
+      spread[i] = static_cast<int64_t>(uniform(27, i, span));
+      rw[i] = 1 + static_cast<int64_t>(uniform(28, i, 1000));
+    }
+    auto leg = [&](const char* what) {
+      Solver rs;
+      WlisResult rout;
+      for (int r = 0; r < 3; r++) {
+        rs.solve_wlis(banded, rw, rout);
+        rs.solve_wlis(spread, rw, rout);
+      }
+      const uint64_t start = begin_window();
+      for (int r = 0; r < 6; r++) {
+        rs.solve_wlis(r % 2 ? spread : banded, rw, rout);
+      }
+      const uint64_t allocs = g_allocs.load() - start;
+      RankSpace probe;
+      RankSpaceScratch probe_scratch;
+      const std::vector<int64_t>* inputs[] = {&banded, &spread};
+      for (const std::vector<int64_t>* in : inputs) {
+        if (num_workers() >= 2 &&
+            internal::rank_by_bitmap(*in, TiesPolicy::kStrict, probe,
+                                     probe_scratch, nullptr) ==
+                internal::BitmapPath::kCaller) {
+          std::printf("FAIL %-34s the plan ran on the caller\n", what);
+          failures++;
+        }
+      }
+      expect_zero(what, allocs);
+    };
+    leg("solve_wlis pooled ranks, main thread");
+    std::thread outside([&] { leg("solve_wlis pooled ranks, outside pool"); });
     outside.join();
   }
 

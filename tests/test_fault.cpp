@@ -1289,8 +1289,10 @@ uint64_t admitting_budget(Options o, int64_t n, Solve&& solve) {
 // solves alternate between the sort and the bitmap and so hold both
 // paths' buffers.
 TEST(MemoryBudget, WlisPassEstimateCoversRealAccounting) {
+  // 2 * kRankPoolMinN: the bitmap's plan runs on the pool.
   for (int64_t n : {int64_t{0}, int64_t{1}, int64_t{17}, int64_t{560},
-                    int64_t{1000}, int64_t{65536}, int64_t{100000}}) {
+                    int64_t{1000}, int64_t{65536}, int64_t{100000},
+                    2 * internal::kRankPoolMinN}) {
     SCOPED_TRACE("n=" + std::to_string(n));
     const std::vector<int64_t> a = make_vals(n, 111 + n);
     const std::vector<int64_t> w = make_weights(n, 112 + n);

@@ -1,14 +1,18 @@
 // rank_only_into (util/rank_space.hpp) against rank_space_into: every case
 // must give the same `rank` and `n_distinct` under both ties policies,
 // whichever path it takes. int64 keys under std::less whose span fits in
-// rank_only_max_words(n) words take the one-thread bitmap (order, pos and
-// qpos left empty); everything else takes the sort (all four arrays
-// filled), so each case also checks which path it took. The Solver cases
-// run the plans that call it (the value cache, kNonDecreasing rank images)
-// against seq_avl_wlis / seq_bs_ranks.
+// rank_only_max_words(n) words take the bitmap (order, pos and qpos left
+// empty); everything else takes the sort (all four arrays filled), so each
+// case also checks which path it took. From internal::kRankPoolMinN keys
+// up the bitmap's phases run on the pool: those cases check the set phase
+// the plan picked, the value cache's copy (rank_only_copy_into), and by
+// the scheduler's spawn count that nothing forks where the plan must stay
+// on the caller. The Solver cases run the plans that call it (the value
+// cache, kNonDecreasing rank images) against seq_avl_wlis / seq_bs_ranks.
 //
 // The suite name puts it in the pinned-thread differential legs (1, 4 and
-// hw workers) and in the forced-scalar leg.
+// hw workers), in the forced-scalar leg and in the TSan job, which races
+// the owned word segments and the relaxed fetch_or at 4 workers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +25,7 @@
 #include "parlis/api/solver.hpp"
 #include "parlis/lis/seq_lis.hpp"
 #include "parlis/parallel/random.hpp"
+#include "parlis/parallel/scheduler.hpp"
 #include "parlis/util/rank_space.hpp"
 #include "parlis/wlis/seq_avl.hpp"
 
@@ -306,6 +311,234 @@ TEST(RankOnlyDifferential, SolverAlternatesBitmapAndSortSolves) {
       expect_same(out, want_n);
     }
   }
+}
+
+// ---- The bitmap's plan on the pool ------------------------------------
+
+using internal::BitmapPath;
+constexpr int64_t kPoolN = internal::kRankPoolMinN;
+
+// Scheduler spawns during f().
+template <typename F>
+uint64_t spawns_of(const F& f) {
+  const uint64_t before = scheduler_stats().spawns;
+  f();
+  return scheduler_stats().spawns - before;
+}
+
+// rank_only_copy_into on `keys` under both policies, against
+// rank_space_into, with the value cache's copy; then the same keys again
+// through internal::rank_by_bitmap on the warm pair. Returns the path the
+// plan took (the same under both policies).
+BitmapPath expect_plan(const Vec& keys) {
+  BitmapPath path = BitmapPath::kTooWide;
+  for (const TiesPolicy ties : kPolicies) {
+    SCOPED_TRACE(name(ties));
+    const std::span<const int64_t> s(keys);
+    RankSpace want, rs;
+    RankSpaceScratch want_scratch, scratch;
+    rank_space_into<int64_t>(s, ties, want, want_scratch);
+    Vec copy(keys.size(), 1);
+    rank_only_copy_into(s, ties, rs, scratch, copy);
+    EXPECT_EQ(rs.rank, want.rank);
+    EXPECT_EQ(rs.n_distinct, want.n_distinct);
+    EXPECT_TRUE(copy == keys);
+    path = internal::rank_by_bitmap(s, ties, rs, scratch, nullptr);
+    EXPECT_EQ(rs.order.empty(), path != BitmapPath::kTooWide);
+    EXPECT_EQ(rs.rank, want.rank);
+    EXPECT_EQ(rs.n_distinct, want.n_distinct);
+  }
+  return path;
+}
+
+// The plan's path at n >= kPoolN: every phase on the caller on 1 worker,
+// `on4` on 4 workers (the suite's own pin, the 4-worker differential leg
+// and the TSan job). Other pool sizes check the ranks only.
+void expect_path(BitmapPath got, BitmapPath on4) {
+  if (num_workers() == 1) {
+    EXPECT_EQ(got, on4 == BitmapPath::kTooWide ? on4 : BitmapPath::kCaller);
+  } else if (num_workers() == 4) {
+    EXPECT_EQ(got, on4);
+  }
+}
+
+// Line-pattern values over exactly `span` values: a falling trend plus
+// noise in [0, n), with the ends pinned to span - 1 and 0.
+Vec line_with_span(int64_t n, int64_t span, uint64_t seed) {
+  Vec a(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; i++) {
+    a[i] = (span - n) / (n - 1) * (n - 1 - i) +
+           static_cast<int64_t>(uniform(seed, i, n));
+  }
+  a[0] = span - 1;
+  a[n - 1] = 0;
+  return a;
+}
+
+// At the size threshold and one below it, on the sweep's shapes: falling
+// lines over 2n and 100n values, a line over exactly rank_only_max_words(n)
+// words and one word past it, uniform keys one word below the cap, and
+// all-equal keys.
+TEST(RankOnlyDifferential, PooledPlanAtTheThreshold) {
+  for (const int64_t n : {kPoolN - 1, kPoolN}) {
+    SCOPED_TRACE(testing::Message() << "n " << n);
+    const int64_t cap = 64 * static_cast<int64_t>(rank_only_max_words(n));
+    auto on4 = [&](BitmapPath p) {
+      return n < kPoolN ? BitmapPath::kCaller : p;
+    };
+    // The 2n line's blocks each meet most segments, the 100n line's one or
+    // two.
+    expect_path(expect_plan(line_with_span(n, 2 * n, 50)),
+                on4(BitmapPath::kSetOnCaller));
+    expect_path(expect_plan(line_with_span(n, 100 * n, 51)),
+                on4(BitmapPath::kSegments));
+    expect_path(expect_plan(spanning(n, -7, cap / 64, 52)),
+                on4(BitmapPath::kFetchOr));
+    expect_path(expect_plan(spanning(n, -7, cap / 64 + 1, 53)),
+                BitmapPath::kTooWide);
+    expect_path(expect_plan(spanning(n, 1000, cap / 64 - 1, 54)),
+                on4(BitmapPath::kFetchOr));
+    expect_path(expect_plan(Vec(static_cast<size_t>(n), -3)),
+                on4(BitmapPath::kSegments));
+  }
+}
+
+// Keys on the first and last bit of every word that starts or ends a
+// 16-word run, which includes each segment's first and last word for every
+// pool size up to 32 workers: sorted (banded: the owned segments) and
+// shuffled (the fetch_or).
+TEST(RankOnlyDifferential, PooledPlanSegmentEdges) {
+  const int64_t n = kPoolN;
+  const int64_t words = 100 * n / 64;
+  Vec edges;
+  for (int64_t w = 0; w < words; w++) {
+    if (w % 16 == 0 || w % 16 == 15) {
+      edges.push_back(64 * w);
+      edges.push_back(64 * w + 63);
+    }
+  }
+  ASSERT_LT(static_cast<int64_t>(edges.size()), n);
+  Vec a(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; i++) {
+    a[i] = i < static_cast<int64_t>(edges.size())
+               ? edges[i]
+               : static_cast<int64_t>(uniform(55, i, 64 * words));
+  }
+  std::sort(a.begin(), a.end());
+  expect_path(expect_plan(a), BitmapPath::kSegments);
+  for (int64_t i = n - 1; i > 0; i--) {
+    std::swap(a[i], a[uniform(56, i, i + 1)]);
+  }
+  expect_path(expect_plan(a), BitmapPath::kFetchOr);
+}
+
+// Spans at the cap that end on INT64_MIN and INT64_MAX, where the offsets
+// and word counts must be taken in uint64.
+TEST(RankOnlyDifferential, PooledPlanAtTheInt64Ends) {
+  const int64_t n = kPoolN;
+  const int64_t cap_words = static_cast<int64_t>(rank_only_max_words(n));
+  expect_path(expect_plan(spanning(n, kMin, cap_words, 57)),
+              BitmapPath::kFetchOr);
+  const int64_t top_lo = kMax - 64 * cap_words + 1;
+  expect_path(expect_plan(spanning(n, top_lo, cap_words, 58)),
+              BitmapPath::kFetchOr);
+  expect_path(expect_plan(spanning(n, kMin, cap_words + 1, 59)),
+              BitmapPath::kTooWide);
+}
+
+// One block whose own span passes the cap ends the min/max pass early and
+// takes the sort; narrow blocks far apart pass it only together.
+TEST(RankOnlyDifferential, PooledPlanWideSpansTakeTheSort) {
+  const int64_t n = kPoolN;
+  Vec one_wide = line_with_span(n, 2 * n, 60);
+  one_wide[5 * 4096 + 7] = kMin;
+  one_wide[5 * 4096 + 9] = kMax;
+  expect_path(expect_plan(one_wide), BitmapPath::kTooWide);
+  Vec apart = line_with_span(n, 2 * n, 61);
+  for (int64_t i = n / 2; i < n; i++) apart[i] += int64_t{1} << 50;
+  expect_path(expect_plan(apart), BitmapPath::kTooWide);
+}
+
+// Nothing forks below the threshold, in sequential or thread-sequential
+// mode, inside a packed solve_many query, or on a pool of one worker; at
+// the threshold on 2 or more workers the plan forks.
+TEST(RankOnlyDifferential, PooledPlanForksOnlyWhereItMay) {
+  const Vec below = line_with_span(kPoolN - 1, 100 * kPoolN, 62);
+  const Vec at = line_with_span(kPoolN, 100 * kPoolN, 63);
+  RankSpace rs;
+  RankSpaceScratch scratch;
+  auto rank = [&](const Vec& keys) {
+    return spawns_of([&] {
+      rank_only_into<int64_t>(keys, TiesPolicy::kStrict, rs, scratch);
+    });
+  };
+  EXPECT_EQ(rank(below), 0u);
+  const bool seq = set_sequential_mode(true);
+  EXPECT_EQ(rank(at), 0u);
+  set_sequential_mode(seq);
+  const bool tseq = set_thread_sequential(true);
+  EXPECT_EQ(rank(at), 0u);
+  set_thread_sequential(tseq);
+  if (num_workers() == 1) {
+    EXPECT_EQ(rank(at), 0u);
+  } else {
+    EXPECT_GT(rank(at), 0u);
+  }
+  // Packed queries: the batch forks once per query past the first and
+  // nothing inside them does.
+  constexpr int64_t kQueries = 8;
+  const Vec w = weights(kPoolGateGrain, 64);
+  std::vector<Vec> values;
+  std::vector<Query> queries(kQueries);
+  std::vector<QueryResult> results(kQueries);
+  for (int64_t q = 0; q < kQueries; q++) {
+    values.push_back(line_with_span(kPoolGateGrain, 100 * kPoolGateGrain,
+                                    65 + q));
+  }
+  for (int64_t q = 0; q < kQueries; q++) {
+    queries[q].a = values[q];
+    queries[q].w = w;
+  }
+  Solver s;
+  s.solve_many(queries, results);
+  for (int64_t q = 0; q < kQueries; q++) values[q][0]++;  // fresh misses
+  EXPECT_LE(spawns_of([&] { s.solve_many(queries, results); }),
+            static_cast<uint64_t>(kQueries - 1));
+}
+
+// The pooled plan behind the Solver: misses fill the value cache's copy in
+// the min/max pass, and a pooled miss holds what a thread-sequential one
+// holds, give or take its blocks' min and max (16 B per 4096 keys).
+TEST(RankOnlyDifferential, PooledSolverMissesAndResidentBytes) {
+  const int64_t n = 2 * kPoolN;
+  const Vec a = line_with_span(n, 100 * n, 70);
+  const int64_t cap_words = static_cast<int64_t>(rank_only_max_words(n));
+  const Vec b = spanning(n, 3, cap_words, 71);
+  const Vec w1 = weights(n, 72), w2 = weights(n, 73);
+  Solver s;
+  WlisResult out;
+  EXPECT_FALSE(s.solve_wlis(a, w1, out));
+  expect_same(out, oracle(a, w1));
+  EXPECT_TRUE(s.solve_wlis(a, w2, out));
+  expect_same(out, oracle(a, w2));
+  EXPECT_FALSE(s.solve_wlis(b, w2, out));
+  expect_same(out, oracle(b, w2));
+  EXPECT_TRUE(s.solve_wlis(b, w1, out));
+  expect_same(out, oracle(b, w1));
+  EXPECT_FALSE(s.solve_wlis(a, w1, out));
+  expect_same(out, oracle(a, w1));
+
+  Solver pooled, one;
+  WlisResult pooled_out, one_out;
+  pooled.solve_wlis(a, w1, pooled_out);
+  const bool tseq = set_thread_sequential(true);
+  one.solve_wlis(a, w1, one_out);
+  set_thread_sequential(tseq);
+  expect_same(pooled_out, one_out);
+  const size_t carries = 16 * static_cast<size_t>((n + 4095) / 4096);
+  const size_t hi = std::max(pooled.resident_bytes(), one.resident_bytes());
+  const size_t lo = std::min(pooled.resident_bytes(), one.resident_bytes());
+  EXPECT_LE(hi - lo, carries);
 }
 
 }  // namespace

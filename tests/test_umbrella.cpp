@@ -5,6 +5,8 @@
 // the build instead of letting the drift land silently.
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "parlis/parlis.hpp"  // the ONLY parlis include, by design
 
 namespace parlis {
@@ -23,9 +25,10 @@ TEST(Umbrella, EveryPublicEntryPointIsReachable) {
   EXPECT_TRUE(sequential_mode());
   set_thread_sequential(seq);
   par_do([] {}, [] {});
-  int64_t sum = 0;
+  // Atomic: once the pool runs, the ten iterations are ten tasks.
+  std::atomic<int64_t> sum{0};
   parallel_for(0, 10, [&](int64_t i) { sum += i; });
-  EXPECT_EQ(sum, 45);
+  EXPECT_EQ(sum.load(), 45);
 
   // --- primitives -------------------------------------------------------
   EXPECT_EQ(reduce_sum(a), 45);
@@ -124,6 +127,13 @@ TEST(Umbrella, EveryPublicEntryPointIsReachable) {
   WlisResult sw3;
   swgs_wlis_into(a, w, 42, ws, sw3);
   EXPECT_EQ(sw3.dp, wr.dp);
+  std::vector<int64_t> a_copy(a.size());
+  rank_only_copy_into(a, TiesPolicy::kStrict, ws.rank_space, ws.rank_scratch,
+                      a_copy);
+  EXPECT_EQ(a_copy, a);
+  rank_only_into<int64_t>(std::span<const int64_t>(a), TiesPolicy::kStrict,
+                          ws.rank_space, ws.rank_scratch);
+  EXPECT_EQ(ws.rank_space.n_distinct, 10);
   rank_space_into<int64_t>(std::span<const int64_t>(a), TiesPolicy::kStrict,
                            ws.rank_space, ws.rank_scratch);
   swgs_wlis_compressed_into(ws.rank_space.rank, w, 42, ws, sw3);
