@@ -26,20 +26,21 @@
 // reduced to its dense rank image by rank_only_into (util/rank_space.hpp:
 // a presence bitmap for int64 keys under std::less with a span of at most
 // 128 n, pooled from internal::kRankPoolMinN keys up, and the pooled
-// rank-space sort otherwise), so no backend is instantiated per key type. The Options::ties policy picks what
+// rank-space sort otherwise), so no backend is instantiated per key type.
+// The Options::ties policy picks what
 // "increasing" means for equal keys (kStrict vs kNonDecreasing) and is
 // honored by every entry point, custom orders included. The rank image lives in the session scratch, so the
 // typed paths keep the zero-allocation warm steady state.
 //
 // Thread-safety: one Solver per thread. The solve_* methods may use the
 // shared worker pool internally (speculative patience, the rank-space
-// bitmap and sort, the weighted pass's wavefront), but two threads must not call
-// into the same Solver concurrently. solve_many is the batched entry
-// point: it fans independent queries out across the pool itself — queries
-// of at most kPoolGateGrain elements are packed one-per-task and solved
-// sequentially in place (per-worker contexts, no nested fork-join), larger
-// ones run one at a time on the caller's context — which is the serving
-// shape for high query traffic.
+// bitmap and sort, the weighted pass's wavefront), but two threads must
+// not call into the same Solver concurrently. solve_many is the batched
+// entry point: it fans independent queries out across the pool itself —
+// queries of at most kPoolGateGrain elements are packed one-per-task and
+// solved sequentially in place (per-worker contexts, no nested fork-join),
+// larger ones run one at a time on the caller's context — which is the
+// serving shape for high query traffic.
 //
 // Buffer-reuse semantics: output structs (LisResult, WlisResult, ...) are
 // plain vectors-of-results; pass the same instance back in and its capacity
@@ -207,10 +208,9 @@ class Solver {
   /// kStrict keep their ranks in a value cache, whose copy of the values a
   /// miss fills in the bitmap's min/max pass, so re-weighting a hot series
   /// runs the pass alone; any other solve needing a rank space overwrites
-  /// it. Returns true when the cache
-  /// supplied the ranks. A dp sum past INT64_MAX throws
-  /// Error{kInvalidArgument}; when the wavefront runs, which overflowing
-  /// element its message names is unspecified.
+  /// it. Returns true when the cache supplied the ranks. A dp sum past
+  /// INT64_MAX throws Error{kInvalidArgument}; when the wavefront runs,
+  /// which overflowing element its message names is unspecified.
   bool solve_wlis(std::span<const int64_t> a, std::span<const int64_t> w,
                   WlisResult& out);
 

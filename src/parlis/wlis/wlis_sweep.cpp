@@ -231,13 +231,15 @@ bool run_wave(Pass& pass, const Grid& gr, std::vector<int64_t>& borrowed,
               WlisResult& out, bool priced) {
   const int nb = gr.nb;
   const int64_t cells = int64_t{gr.g} * nb;
-  // Sized exactly: a buffer that must grow allocates what it needs.
+  // Sized exactly: a buffer that must grow allocates what it needs. Never
+  // shrunk: the rank space's bitmap, which lends it, keeps its words at
+  // size between calls, and a shrunk buffer would be zero-filled again.
   const size_t need = static_cast<size_t>(gr.n + Tables::kFields * cells);
   if (borrowed.capacity() < need) {
     borrowed.clear();
     borrowed.reserve(need);
   }
-  borrowed.resize(need);
+  if (borrowed.size() < need) borrowed.resize(need);
   pass.len = borrowed.data();
   const Tables t(borrowed.data() + gr.n, cells);
   const int64_t* rank = pass.rank;

@@ -7,8 +7,8 @@
 // image (typed keys, kNonDecreasing ties), whose ranks come from the
 // pooled sort or, for int64 keys with a small span, the bitmap, on the
 // calling thread or, from internal::kRankPoolMinN keys up, on the pool.
-// Warm sliding-window session appends,
-// direct and through the serving engine, must allocate nothing either. A
+// Warm sliding-window session appends, direct and through the serving
+// engine, must allocate nothing either. A
 // process-wide operator-new hook counts every allocation on every thread,
 // so a stray vector resize, stable_sort temporary, arena chunk, or
 // make_unique anywhere in the hot path fails the run; it also records the

@@ -376,9 +376,9 @@ Vec line_with_span(int64_t n, int64_t span, uint64_t seed) {
 }
 
 // At the size threshold and one below it, on the sweep's shapes: falling
-// lines over 2n and 100n values, a line over exactly rank_only_max_words(n)
-// words and one word past it, uniform keys one word below the cap, and
-// all-equal keys.
+// lines over 2n, 100n and exactly rank_only_max_words(n) words, uniform
+// keys over exactly that many words, one word past it and one word below
+// it, and all-equal keys.
 TEST(RankOnlyDifferential, PooledPlanAtTheThreshold) {
   for (const int64_t n : {kPoolN - 1, kPoolN}) {
     SCOPED_TRACE(testing::Message() << "n " << n);
@@ -391,6 +391,8 @@ TEST(RankOnlyDifferential, PooledPlanAtTheThreshold) {
     expect_path(expect_plan(line_with_span(n, 2 * n, 50)),
                 on4(BitmapPath::kSetOnCaller));
     expect_path(expect_plan(line_with_span(n, 100 * n, 51)),
+                on4(BitmapPath::kSegments));
+    expect_path(expect_plan(line_with_span(n, cap, 49)),
                 on4(BitmapPath::kSegments));
     expect_path(expect_plan(spanning(n, -7, cap / 64, 52)),
                 on4(BitmapPath::kFetchOr));
