@@ -6,15 +6,16 @@
 // per word segment, a short scan of the segments' totals, and the rank
 // pass. From kRankPoolMinN keys up, outside (thread-)sequential mode and on
 // 2 or more workers, every phase but the segments' scan runs on the pool,
-// where the word range is cut into about 4p segments of 2^shift words. The
+// where the word range is cut into 2p to 4p segments of 2^shift words. The
 // bit set then has three forms, picked from the blocks' word ranges:
 //   - kSegments: each segment zeroes, sets and popcounts only its own
 //     words, reading only the blocks whose [min, max] meets it. No two
 //     tasks write one word, so it needs no atomics, but the reads add up
 //     to n times the segments a block meets, which is small only on banded
 //     inputs.
-//   - kFetchOr: one relaxed fetch_or per key, from tasks over the keys. On
-//     a small bitmap the tasks contend for its cache lines.
+//   - kFetchOr: one relaxed fetch_or per key, from tasks over the keys.
+//     Where the keys lie densely in the words, the tasks contend for the
+//     same cache lines.
 //   - kSetOnCaller: one plain loop on the calling thread.
 // Under kNonDecreasing the per-rank counts run on the calling thread.
 #include "parlis/util/rank_space.hpp"
@@ -60,12 +61,12 @@ T* hold(std::vector<T>& v, size_t need) {
   return v.data();
 }
 
-// f(i) for every i in [0, m): on the pool when `pooled`, else in order on
-// the calling thread.
+// f(i) for every i in [0, m): one task each on the pool when `pooled`,
+// else in order on the calling thread.
 template <typename F>
-void each(bool pooled, int64_t m, const F& f, int64_t grain = 0) {
+void each(bool pooled, int64_t m, const F& f) {
   if (pooled) {
-    parallel_for(0, m, f, grain);
+    parallel_for(0, m, f, /*grain=*/1);
   } else {
     for (int64_t i = 0; i < m; i++) f(i);
   }
@@ -239,9 +240,9 @@ BitmapPath rank_by_bitmap(std::span<const int64_t> keys, TiesPolicy ties,
       parallel_for(0, nseg, count, /*grain=*/1);
       break;
     default:
-      each(pooled, nseg, zero, /*grain=*/1);
+      each(pooled, nseg, zero);
       for (const int64_t v : keys) bits[word_of(v)] |= bit_of(v);
-      each(pooled, nseg, count, /*grain=*/1);
+      each(pooled, nseg, count);
   }
   int64_t distinct = 0;
   for (int64_t s = 0; s < nseg; s++) {
