@@ -54,14 +54,17 @@
 //                  under set_thread_sequential(true) ("one_thread": the
 //                  bitmap's phases on the calling thread, or the sort on
 //                  it past the cap) and rank_only_into ("rank_only": the
-//                  bitmap's plan, pooled from internal::kRankPoolMinN keys
-//                  up, or the pooled sort past the cap): per rep the sort,
-//                  then the other two twice each, in ABBA or BAAB order.
-//                  `path` names the plan's set phase (caller, segments,
-//                  fetch_or, set_on_caller) or "sort"; the row's ratio is
-//                  the median of the per-rep rank_only / one_thread
-//                  ratios. Exits 1 if any rank or n_distinct differs from
-//                  rank_space_into's. Sizes from --ranknlist.
+//                  bitmap's plan, whose min/max pass runs on the pool from
+//                  internal::kRankPoolMinN keys up and the rest there too
+//                  on banded keys, or the pooled sort past the cap): per
+//                  rep the sort, then the other two twice each, in ABBA or
+//                  BAAB order. Each record's `path` names the path its leg
+//                  ran: "caller" (the set, prefix and rank on the calling
+//                  thread), "segments" (on the pool, by owned word
+//                  segments) or "sort"; the row's ratio is the median of
+//                  the per-rep rank_only / one_thread ratios. Exits 1 if
+//                  any rank or n_distinct differs from rank_space_into's.
+//                  Sizes from --ranknlist.
 //
 // Runs are interleaved (one-shot, warm, one-shot, ...) so machine drift
 // cancels; medians are reported per query. Records carry host_hw_threads:
@@ -128,10 +131,6 @@ const char* path_name(internal::BitmapPath p) {
       return "caller";
     case internal::BitmapPath::kSegments:
       return "segments";
-    case internal::BitmapPath::kFetchOr:
-      return "fetch_or";
-    case internal::BitmapPath::kSetOnCaller:
-      return "set_on_caller";
   }
   return "?";
 }
@@ -527,8 +526,12 @@ int main(int argc, char** argv) {
           return rs.rank == sort_rs.rank && rs.n_distinct == sort_rs.n_distinct;
         };
         rank_space_into<int64_t>(keys, ties, sort_rs, sort_scratch);
-        const char* path = path_name(internal::rank_by_bitmap(
-            keys, ties, plan_rs, plan_scratch, nullptr));
+        const char* path = path_name(
+            internal::rank_by_bitmap(keys, ties, plan_rs, plan_scratch));
+        const bool prev = set_thread_sequential(true);
+        const char* one_path = path_name(
+            internal::rank_by_bitmap(keys, ties, one_rs, one_scratch));
+        set_thread_sequential(prev);
         rank_only_into<int64_t>(keys, ties, plan_rs, plan_scratch);
         one_thread();
         ranks_ok = ranks_ok && same(plan_rs) && same(one_rs);
@@ -569,7 +572,7 @@ int main(int argc, char** argv) {
           const char* path;
           const std::vector<double>& ms;
         } legs[] = {{"sort", "sort", sort_ms},
-                    {"one_thread", path, one_ms},
+                    {"one_thread", one_path, one_ms},
                     {"rank_only", path, plan_ms}};
         for (const auto& leg : legs) {
           JsonRecord rec;

@@ -25,8 +25,8 @@
 // they are; every other key, and every key under kNonDecreasing, is first
 // reduced to its dense rank image by rank_only_into (util/rank_space.hpp:
 // a presence bitmap for int64 keys under std::less with a span of at most
-// 128 n, pooled from internal::kRankPoolMinN keys up, and the pooled
-// rank-space sort otherwise), so no backend is instantiated per key type.
+// 128 n, on the pool from internal::kRankPoolMinN banded keys up, and the
+// pooled rank-space sort otherwise), so no backend is instantiated per key type.
 // The Options::ties policy picks what
 // "increasing" means for equal keys (kStrict vs kNonDecreasing) and is
 // honored by every entry point, custom orders included. The rank image lives in the session scratch, so the
@@ -202,15 +202,15 @@ class Solver {
   /// the pool when its sampled and then counted schedule prices below
   /// that; either way dp, best and k are the same bits.
   /// The ranks come from rank_only_into: int64 values whose span is at
-  /// most 128 n take its bitmap, whose phases run on the pool from
-  /// internal::kRankPoolMinN elements up under the same conditions as the
-  /// wavefront, and wider spans the pooled sort. Raw int64 values under
-  /// kStrict keep their ranks in a value cache, whose copy of the values a
-  /// miss fills in the bitmap's min/max pass, so re-weighting a hot series
-  /// runs the pass alone; any other solve needing a rank space overwrites
-  /// it. Returns true when the cache supplied the ranks. A dp sum past
-  /// INT64_MAX throws Error{kInvalidArgument}; when the wavefront runs,
-  /// which overflowing element its message names is unspecified.
+  /// most 128 n take its bitmap, which runs on the pool from
+  /// internal::kRankPoolMinN elements up when they are banded (outside
+  /// sequential and thread-sequential mode, on 2 or more workers), and
+  /// wider spans the pooled sort. Raw int64 values under kStrict keep their
+  /// ranks in a value cache, so re-weighting a hot series runs the pass
+  /// alone; any other solve needing a rank space overwrites it. Returns
+  /// true when the cache supplied the ranks. A dp sum past INT64_MAX throws
+  /// Error{kInvalidArgument}; when the wavefront runs, which overflowing
+  /// element its message names is unspecified.
   bool solve_wlis(std::span<const int64_t> a, std::span<const int64_t> w,
                   WlisResult& out);
 
@@ -343,8 +343,8 @@ class Solver {
   // Ranks `a` into ctx.rs under options().ties and `less`, dropping the
   // value cache's key first; returns the rank image, whose values all lie
   // below |a|. rank_only_into ranks int64 keys under std::less with a small
-  // span through its bitmap (on the pool for large inputs), and everything
-  // else by the pooled sort.
+  // span through its bitmap (on the pool for large banded ones), and
+  // everything else by the pooled sort.
   template <typename Key, typename Less>
   std::span<const int64_t> rank_image(std::span<const Key> a, ThreadCtx& ctx,
                                       Less less) {
@@ -402,12 +402,11 @@ class Solver {
   // `a`, and runs the Fenwick pass over them into `out`, lending it the
   // rank space's sort buffer, which holds nothing once the ranks exist.
   // Raw int64 values under std::less and kStrict take their ranks from
-  // ctx's value cache, which a miss rebuilds with rank_only_copy_into (the
-  // bitmap while the span fits, otherwise the pooled sort), copying the
-  // values into the cache's key on the way, and a budget too small for the
-  // pass degrades them to Seq-AVL, which needs no rank space; every other
-  // key, order or ties policy solves on its rank image. Returns whether
-  // the cache supplied the ranks.
+  // ctx's value cache, which a miss rebuilds with rank_only_into (the
+  // bitmap while the span fits, otherwise the pooled sort), and a budget
+  // too small for the pass degrades them to Seq-AVL, which needs no rank
+  // space; every other key, order or ties policy solves on its rank image.
+  // Returns whether the cache supplied the ranks.
   template <typename Key, typename Less>
   bool run_wlis(std::span<const Key> a, std::span<const int64_t> w,
                 const char* what, ThreadCtx& ctx, WlisResult& out,
@@ -426,9 +425,9 @@ class Solver {
         return false;
       }
       if (raw) {
-        hit = ctx.values.match_or_rebuild(a, [&](std::span<int64_t> copy) {
-          rank_only_copy_into(a, TiesPolicy::kStrict, ctx.rs, ctx.rs_scratch,
-                              copy);
+        hit = ctx.values.match_or_rebuild(a, [&] {
+          rank_only_into<int64_t>(a, TiesPolicy::kStrict, ctx.rs,
+                                  ctx.rs_scratch);
         });
       }
     }

@@ -1,30 +1,25 @@
 // rank_only_into's bitmap path (util/rank_space.hpp), compiled once here
 // rather than inline into each caller.
 //
-// The plan runs five phases: a min/max pass per 4096-key block (which also
-// fills a value cache's copy of the keys), the bit set, a popcount prefix
-// per word segment, a short scan of the segments' totals, and the rank
-// pass. From kRankPoolMinN keys up, outside (thread-)sequential mode and on
-// 2 or more workers, every phase but the segments' scan runs on the pool,
-// where the word range is cut into 2p to 4p segments of 2^shift words. The
-// bit set then has three forms, picked from the blocks' word ranges:
-//   - kSegments: each segment zeroes, sets and popcounts only its own
-//     words, reading only the blocks whose [min, max] meets it. No two
-//     tasks write one word, so it needs no atomics, but the reads add up
-//     to n times the segments a block meets, which is small only on banded
-//     inputs.
-//   - kFetchOr: one relaxed fetch_or per key, from tasks over the keys.
-//     Where the keys lie densely in the words, the tasks contend for the
-//     same cache lines.
-//   - kSetOnCaller: one plain loop on the calling thread.
-// Under kNonDecreasing the per-rank counts run on the calling thread.
+// The plan runs a min/max pass per 4096-key block, the bit set with a
+// popcount prefix over the words, and the rank pass. From kRankPoolMinN
+// keys up, outside (thread-)sequential mode and on 2 or more workers, the
+// min/max pass runs on the pool. The word range is then cut into 2p to 4p
+// segments of 2^shift words, and where the keys are banded (kSegments)
+// each segment zeroes, sets and popcounts only its own words, reading only
+// the blocks whose [min, max] meets it: no two tasks write one word, so it
+// needs no atomics. A short scan of the segments' totals on the caller and
+// a pooled rank pass follow. The segments' reads add up to n times the
+// segments a block meets, so when they pass 2n (keys spread over the whole
+// range) the set, prefix and rank run on the calling thread (kCaller), as
+// they do below the threshold. Under kNonDecreasing the per-rank counts
+// run on the calling thread.
 #include "parlis/util/rank_space.hpp"
 
 #include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
-#include <utility>
 
 #include "parlis/parallel/parallel.hpp"
 #include "parlis/parallel/scheduler.hpp"
@@ -35,53 +30,21 @@ namespace {
 constexpr int64_t kBlock = 4096;  // keys per min/max block
 constexpr int kMaxSegments = 128;
 // kSegments while the keys its segments read number at most this many
-// times n. Otherwise kFetchOr on this many workers or more when the bitmap
-// has at least 3 words per 2 keys (spans from 96n), so that tasks rarely
-// share a cache line; a relaxed fetch_or costs about two plain ors, so
-// fewer workers, or denser keys, run kSetOnCaller (EXPERIMENTS.md, "Rank
-// on the pool").
+// times n (EXPERIMENTS.md, "Rank on the pool").
 constexpr int64_t kSegmentReadsPerKey = 2;
-constexpr int kFetchOrMinWorkers = 4;
 
 // In uint64: INT64_MIN with INT64_MAX spans 2^64 - 1, past int64.
 uint64_t words_over(int64_t lo, int64_t hi) {
   return (static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo)) / 64 + 1;
 }
 
-// Makes `v` hold at least `need` elements, growing its capacity to exactly
-// `need` when it must (resize would double it). It never shrinks, so a warm
-// call neither allocates nor fills; the phases zero what they read.
-template <typename T>
-T* hold(std::vector<T>& v, size_t need) {
-  if (v.capacity() < need) {
-    v.clear();
-    v.reserve(need);
-  }
-  if (v.size() < need) v.resize(need);
-  return v.data();
-}
-
-// f(i) for every i in [0, m): one task each on the pool when `pooled`,
-// else in order on the calling thread.
-template <typename F>
-void each(bool pooled, int64_t m, const F& f) {
-  if (pooled) {
-    parallel_for(0, m, f, /*grain=*/1);
-  } else {
-    for (int64_t i = 0; i < m; i++) f(i);
-  }
-}
-
-// The min and max of keys [lo, hi) into *mn and *mx, copying the keys to
-// `copy` on the way when kCopy. Plain loops over locals: GCC vectorizes
-// neither a lambda's loop that tests `copy` nor std::min/std::max here.
-template <bool kCopy>
-void block_min_max(const int64_t* keys, int64_t lo, int64_t hi, int64_t* copy,
-                   int64_t* mn, int64_t* mx) {
+// The min and max of keys [lo, hi) into *mn and *mx. A plain loop over
+// locals: GCC vectorizes no std::min/std::max form of it.
+void block_min_max(const int64_t* keys, int64_t lo, int64_t hi, int64_t* mn,
+                   int64_t* mx) {
   int64_t a = keys[lo], b = keys[lo];
   for (int64_t i = lo; i < hi; i++) {
     const int64_t v = keys[i];
-    if constexpr (kCopy) copy[i] = v;
     a = v < a ? v : a;
     b = v > b ? v : b;
   }
@@ -91,8 +54,8 @@ void block_min_max(const int64_t* keys, int64_t lo, int64_t hi, int64_t* copy,
 
 // rank[i] for keys [lo, hi): the present keys below key i's bit in its
 // word, plus prefix[w], plus (kSegments) the keys of the segments before
-// w's. One segment needs no lookup, which keeps the caller's loop as fast
-// as one that reads a global prefix.
+// w's. The caller's instance reads no segment offset, which keeps it as
+// fast as one loop over a global prefix.
 template <bool kSegments>
 void rank_keys(const int64_t* keys, int64_t lo, int64_t hi, uint64_t base,
                const uint64_t* bits, const int64_t* prefix,
@@ -110,8 +73,7 @@ void rank_keys(const int64_t* keys, int64_t lo, int64_t hi, uint64_t base,
 }  // namespace
 
 BitmapPath rank_by_bitmap(std::span<const int64_t> keys, TiesPolicy ties,
-                          RankSpace& rs, RankSpaceScratch& scratch,
-                          int64_t* copy) {
+                          RankSpace& rs, RankSpaceScratch& scratch) {
   const int64_t n = static_cast<int64_t>(keys.size());
   if (n == 0) return BitmapPath::kTooWide;
   const uint64_t cap = rank_only_max_words(n);
@@ -123,12 +85,8 @@ BitmapPath rank_by_bitmap(std::span<const int64_t> keys, TiesPolicy ties,
   int64_t* bmax = hold(scratch.carry_rank, static_cast<size_t>(nblocks));
   const int64_t* kp = keys.data();
   auto scan_block = [&](int64_t b) {
-    const int64_t lo = b * kBlock, hi = std::min(n, lo + kBlock);
-    if (copy != nullptr) {
-      block_min_max<true>(kp, lo, hi, copy, bmin + b, bmax + b);
-    } else {
-      block_min_max<false>(kp, lo, hi, nullptr, bmin + b, bmax + b);
-    }
+    block_min_max(kp, b * kBlock, std::min(n, (b + 1) * kBlock), bmin + b,
+                  bmax + b);
   };
   // A wide span leaves for the sort early: on the caller after the first
   // block that takes the running span past the cap, on the pool once a
@@ -156,16 +114,16 @@ BitmapPath rank_by_bitmap(std::span<const int64_t> keys, TiesPolicy ties,
   auto word_of = [base](int64_t v) {
     return (static_cast<uint64_t>(v) - base) >> 6;
   };
+  auto bit_of = [base](int64_t v) {
+    return uint64_t{1} << ((static_cast<uint64_t>(v) - base) & 63);
+  };
 
-  // Segment s owns words [s << shift, (s + 1) << shift): one segment on
-  // the caller, 2p to 4p on the pool.
-  const uint64_t most =
-      pooled ? static_cast<uint64_t>(std::min(kMaxSegments, 4 * p)) : 1;
+  // Segment s owns words [s << shift, (s + 1) << shift), 2p to 4p of them.
   int shift = 0;
-  while (((words - 1) >> shift) + 1 > most) shift++;
-  const int64_t nseg = static_cast<int64_t>(((words - 1) >> shift) + 1);
-  BitmapPath path = BitmapPath::kCaller;
+  bool segments = false;
   if (pooled) {
+    const uint64_t most = static_cast<uint64_t>(std::min(kMaxSegments, 4 * p));
+    while (((words - 1) >> shift) + 1 > most) shift++;
     int64_t reads = 0;
     for (int64_t b = 0; b < nblocks; b++) {
       const int64_t met = static_cast<int64_t>((word_of(bmax[b]) >> shift) -
@@ -173,89 +131,65 @@ BitmapPath rank_by_bitmap(std::span<const int64_t> keys, TiesPolicy ties,
                           1;
       reads += (std::min(n, (b + 1) * kBlock) - b * kBlock) * met;
     }
-    const bool sparse = 2 * words >= 3 * static_cast<uint64_t>(n);
-    path = reads <= kSegmentReadsPerKey * n      ? BitmapPath::kSegments
-           : p >= kFetchOrMinWorkers && sparse ? BitmapPath::kFetchOr
-                                               : BitmapPath::kSetOnCaller;
+    segments = reads <= kSegmentReadsPerKey * n;
   }
 
   rs.order.clear();
   rs.pos.clear();
   rs.qpos.clear();
-  rs.rank.resize(n);
+  resize_exact(rs.rank, static_cast<size_t>(n));
   int64_t* rank = rs.rank.data();
   uint64_t* bits = hold(scratch.run_masks, words);
-  // prefix[w]: the present keys in w's segment, in words before w.
   int64_t* prefix = hold(scratch.sort_buf, words);
-  // Each segment's present keys, then the present keys before it.
-  std::array<int64_t, kMaxSegments> seg{};
-  auto seg_words = [&](int64_t s) {
-    const uint64_t w0 = static_cast<uint64_t>(s) << shift;
-    return std::pair(w0, std::min(words, w0 + (uint64_t{1} << shift)));
-  };
-  auto zero = [&](int64_t s) {
-    const auto [w0, w1] = seg_words(s);
-    std::fill(bits + w0, bits + w1, 0);
-  };
-  auto count = [&](int64_t s) {
-    const auto [w0, w1] = seg_words(s);
-    int64_t c = 0;
-    for (uint64_t w = w0; w < w1; w++) {
-      prefix[w] = c;
-      c += std::popcount(bits[w]);
-    }
-    seg[s] = c;
-  };
-  auto bit_of = [base](int64_t v) {
-    return uint64_t{1} << ((static_cast<uint64_t>(v) - base) & 63);
-  };
-  switch (path) {
-    case BitmapPath::kSegments:
-      parallel_for(
-          0, nseg,
-          [&](int64_t s) {
-            zero(s);
-            const uint64_t us = static_cast<uint64_t>(s);
-            for (int64_t b = 0; b < nblocks; b++) {
-              if ((word_of(bmin[b]) >> shift) > us ||
-                  (word_of(bmax[b]) >> shift) < us) {
-                continue;
-              }
-              for (int64_t i = b * kBlock, e = std::min(n, i + kBlock); i < e;
-                   i++) {
-                const uint64_t w = word_of(keys[i]);
-                if ((w >> shift) == us) bits[w] |= bit_of(keys[i]);
-              }
-            }
-            count(s);
-          },
-          /*grain=*/1);
-      break;
-    case BitmapPath::kFetchOr:
-      parallel_for(0, nseg, zero, /*grain=*/1);
-      parallel_for(0, n, [&](int64_t i) {
-        std::atomic_ref<uint64_t>(bits[word_of(keys[i])])
-            .fetch_or(bit_of(keys[i]), std::memory_order_relaxed);
-      });
-      parallel_for(0, nseg, count, /*grain=*/1);
-      break;
-    default:
-      each(pooled, nseg, zero);
-      for (const int64_t v : keys) bits[word_of(v)] |= bit_of(v);
-      each(pooled, nseg, count);
-  }
   int64_t distinct = 0;
-  for (int64_t s = 0; s < nseg; s++) {
-    const int64_t c = seg[s];
-    seg[s] = distinct;
-    distinct += c;
-  }
-  if (pooled) {
+  if (segments) {
+    // prefix[w]: the present keys in w's segment, in words before w.
+    const int64_t nseg = static_cast<int64_t>(((words - 1) >> shift) + 1);
+    // Each segment's present keys, then the present keys before it.
+    std::array<int64_t, kMaxSegments> seg{};
+    parallel_for(
+        0, nseg,
+        [&](int64_t s) {
+          const uint64_t us = static_cast<uint64_t>(s);
+          const uint64_t w0 = us << shift;
+          const uint64_t w1 = std::min(words, w0 + (uint64_t{1} << shift));
+          std::fill(bits + w0, bits + w1, 0);
+          for (int64_t b = 0; b < nblocks; b++) {
+            if ((word_of(bmin[b]) >> shift) > us ||
+                (word_of(bmax[b]) >> shift) < us) {
+              continue;
+            }
+            for (int64_t i = b * kBlock, e = std::min(n, i + kBlock); i < e;
+                 i++) {
+              const uint64_t w = word_of(kp[i]);
+              if ((w >> shift) == us) bits[w] |= bit_of(kp[i]);
+            }
+          }
+          int64_t c = 0;
+          for (uint64_t w = w0; w < w1; w++) {
+            prefix[w] = c;
+            c += std::popcount(bits[w]);
+          }
+          seg[s] = c;
+        },
+        /*grain=*/1);
+    for (int64_t s = 0; s < nseg; s++) {
+      const int64_t c = seg[s];
+      seg[s] = distinct;
+      distinct += c;
+    }
     parallel_for(0, nblocks, [&](int64_t b) {
       rank_keys<true>(kp, b * kBlock, std::min(n, (b + 1) * kBlock), base,
                       bits, prefix, seg.data(), shift, rank);
     });
   } else {
+    // prefix[w]: the present keys in words before w.
+    std::fill(bits, bits + words, 0);
+    for (const int64_t v : keys) bits[word_of(v)] |= bit_of(v);
+    for (uint64_t w = 0; w < words; w++) {
+      prefix[w] = distinct;
+      distinct += std::popcount(bits[w]);
+    }
     rank_keys<false>(kp, 0, n, base, bits, prefix, nullptr, 0, rank);
   }
   rs.n_distinct = distinct;
@@ -274,7 +208,7 @@ BitmapPath rank_by_bitmap(std::span<const int64_t> keys, TiesPolicy ties,
     for (int64_t i = 0; i < n; i++) rank[i] = next[rank[i]]++;
     rs.n_distinct = n;
   }
-  return path;
+  return segments ? BitmapPath::kSegments : BitmapPath::kCaller;
 }
 
 }  // namespace parlis::internal

@@ -28,10 +28,11 @@
 //
 // rank_only_into is the cheaper form for callers that read only `rank` and
 // `n_distinct` (the Solver's plans): int64 keys under std::less whose span
-// is small enough are ranked through a presence bitmap, whose phases run on
-// the pool from kRankPoolMinN keys up (util/rank_space.cpp), and every
-// other input takes rank_space_into. For int64 keys under std::less the run
-// scan finds run starts with an AVX-512 kernel (run_masks, below).
+// is small enough are ranked through a presence bitmap (util/rank_space.cpp),
+// which runs on the pool from kRankPoolMinN keys up when the keys are
+// banded, and every other input takes rank_space_into. For int64 keys under
+// std::less the run scan finds run starts with an AVX-512 kernel
+// (run_masks, below).
 #pragma once
 
 #include <algorithm>
@@ -100,6 +101,35 @@ struct RankSpaceScratch {
            vec_bytes(run_masks);
   }
 };
+
+namespace internal {
+
+/// Makes `v` hold at least `need` elements, growing its capacity to exactly
+/// `need` when it must (resize alone may double it). It never shrinks, so a
+/// warm call neither allocates nor refills: for scratch that its user
+/// writes before it reads. Returns v.data().
+template <typename T>
+T* hold(std::vector<T>& v, size_t need) {
+  if (v.capacity() < need) {
+    v.clear();
+    v.reserve(need);
+  }
+  if (v.size() < need) v.resize(need);
+  return v.data();
+}
+
+/// Resizes `v` to `need` elements, growing its capacity to exactly `need`
+/// when it must: for the rank space's arrays, whose size is n.
+template <typename T>
+void resize_exact(std::vector<T>& v, size_t need) {
+  if (v.capacity() < need) {
+    v.clear();
+    v.reserve(need);
+  }
+  v.resize(need);
+}
+
+}  // namespace internal
 
 // ------------------------------------------------------------ run scan ---
 // rank_space_rescan_strict's kernel, with its scalar twin and dispatch
@@ -202,14 +232,15 @@ void rank_space_rescan_strict(std::span<const Key> keys, RankSpace& rs,
   constexpr int64_t kBlock = 4096;
   constexpr int64_t kMaskWords = kBlock / 64;
   const int64_t nblocks = (n + kBlock - 1) / kBlock;
-  scratch.carry_qpos.resize(nblocks);
-  scratch.carry_rank.resize(nblocks);
+  internal::hold(scratch.carry_qpos, static_cast<size_t>(nblocks));
+  internal::hold(scratch.carry_rank, static_cast<size_t>(nblocks));
   [[maybe_unused]] constexpr bool kSimdKeys =
       std::is_same_v<Key, int64_t> && std::is_same_v<Less, std::less<int64_t>>;
   if constexpr (kSimdKeys) {
     if (simd::enabled()) {
-      scratch.sorted_keys.resize(n);
-      scratch.run_masks.resize(nblocks * kMaskWords);
+      internal::hold(scratch.sorted_keys, static_cast<size_t>(n));
+      internal::hold(scratch.run_masks,
+                     static_cast<size_t>(nblocks * kMaskWords));
       const int64_t* order = rs.order.data();
       int64_t* sorted = scratch.sorted_keys.data();
       parallel_for(0, n, [&](int64_t p) { sorted[p] = keys[order[p]]; });
@@ -303,13 +334,14 @@ void rank_space_into(std::span<const Key> keys, TiesPolicy ties,
                      RankSpace& rs, RankSpaceScratch& scratch,
                      Less less = Less{}) {
   const int64_t n = static_cast<int64_t>(keys.size());
-  rs.order.resize(n);
-  rs.pos.resize(n);
-  rs.rank.resize(n);
-  rs.qpos.resize(n);
+  // Exact growth, so that after rank_only_into's bitmap at a smaller n the
+  // arrays hold what a fresh pair would.
+  for (std::vector<int64_t>* v : {&rs.order, &rs.pos, &rs.rank, &rs.qpos}) {
+    internal::resize_exact(*v, static_cast<size_t>(n));
+  }
   rs.n_distinct = 0;
   if (n == 0) return;
-  scratch.sort_buf.resize(n);
+  internal::hold(scratch.sort_buf, static_cast<size_t>(n));
   parallel_for(0, n, [&](int64_t i) { rs.order[i] = i; });
   // (key, index) is a total order, so the allocation-free std::sort base
   // case applies.
@@ -349,18 +381,15 @@ namespace internal {
 inline constexpr int64_t kRankPoolMinN = int64_t{1} << 17;
 
 /// How rank_by_bitmap ranked: not at all (kTooWide: n = 0, or the span needs
-/// more than rank_only_max_words(n) words), every phase on the calling
-/// thread (kCaller), or on the pool with the bit set by word segments that
-/// each task owns (kSegments), by relaxed fetch_or (kFetchOr) or on the
-/// calling thread (kSetOnCaller).
-enum class BitmapPath { kTooWide, kCaller, kSegments, kFetchOr, kSetOnCaller };
+/// more than rank_only_max_words(n) words), with the bit set, prefix and
+/// rank on the calling thread (kCaller), or on the pool by word segments
+/// that each task owns (kSegments).
+enum class BitmapPath { kTooWide, kCaller, kSegments };
 
-/// rank_only_into's bitmap path (util/rank_space.cpp). When `copy` is not
-/// null it also copies the keys there from its first pass; after kTooWide
-/// the copy is incomplete and nothing else is written.
+/// rank_only_into's bitmap path (util/rank_space.cpp). After kTooWide
+/// nothing but the scratch's carries is written.
 BitmapPath rank_by_bitmap(std::span<const int64_t> keys, TiesPolicy ties,
-                          RankSpace& rs, RankSpaceScratch& scratch,
-                          int64_t* copy);
+                          RankSpace& rs, RankSpaceScratch& scratch);
 
 }  // namespace internal
 
@@ -370,42 +399,27 @@ BitmapPath rank_by_bitmap(std::span<const int64_t> keys, TiesPolicy ties,
 /// take a bitmap path, O(n + span/64): one bit per present key, a popcount
 /// prefix over the words, and rank = prefix + popcount of the key's word
 /// below its bit; under kNonDecreasing it then counts each dense rank's
-/// occurrences and hands out positions in input order. The bitmap's
-/// min/max, bit set, prefix and rank passes run on the pool from
+/// occurrences and hands out positions in input order. From
 /// internal::kRankPoolMinN keys up, outside sequential and
-/// thread-sequential mode and on 2 or more workers; the set phase picks
-/// word segments that each task owns, relaxed fetch_or or the calling
-/// thread from the blocks' word ranges, and the kNonDecreasing counts stay
-/// on the calling thread. That path leaves `order`, `pos` and `qpos` empty.
-/// Every other input (other key types or orders, wider spans, n = 0) runs
-/// rank_space_into, which fills all four arrays. The ranks are the same
-/// bits on every path, and warm same-size calls allocate nothing.
+/// thread-sequential mode and on 2 or more workers, its min/max pass runs
+/// on the pool, and so do the bit set, prefix and rank when the keys are
+/// banded (each task then owns a segment of the words); otherwise, and
+/// for the kNonDecreasing counts, the calling thread runs them. That path
+/// leaves `order`, `pos` and `qpos` empty. Every other input (other key
+/// types or orders, wider spans, n = 0) runs rank_space_into, which fills
+/// all four arrays. The ranks are the same bits on every path, and warm
+/// same-size calls allocate nothing.
 template <typename Key, typename Less = std::less<Key>>
 void rank_only_into(std::span<const Key> keys, TiesPolicy ties, RankSpace& rs,
                     RankSpaceScratch& scratch, Less less = Less{}) {
   if constexpr (std::is_same_v<Key, int64_t> &&
                 std::is_same_v<Less, std::less<int64_t>>) {
-    if (internal::rank_by_bitmap(keys, ties, rs, scratch, nullptr) !=
+    if (internal::rank_by_bitmap(keys, ties, rs, scratch) !=
         internal::BitmapPath::kTooWide) {
       return;
     }
   }
   rank_space_into<Key, Less>(keys, ties, rs, scratch, less);
-}
-
-/// rank_only_into over int64 keys under std::less that also copies `keys`
-/// into `copy` (|copy| == |keys|), the key of a value cache: the bitmap
-/// copies them in its min/max pass, and the sort path copies them after
-/// the sort.
-inline void rank_only_copy_into(std::span<const int64_t> keys,
-                                TiesPolicy ties, RankSpace& rs,
-                                RankSpaceScratch& scratch,
-                                std::span<int64_t> copy) {
-  if (internal::rank_by_bitmap(keys, ties, rs, scratch, copy.data()) ==
-      internal::BitmapPath::kTooWide) {
-    rank_space_into<int64_t>(keys, ties, rs, scratch);
-    std::copy(keys.begin(), keys.end(), copy.begin());
-  }
 }
 
 /// One-shot convenience form (fresh buffers per call).

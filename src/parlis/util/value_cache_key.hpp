@@ -4,10 +4,7 @@
 // WlisWorkspace's levels) describe the sequence they were built from.
 // ValueCacheKey holds a copy of it and checks a candidate in two steps: the
 // size, then std::equal, which stops at the first difference, so a
-// same-size miss usually costs a few elements and a hit one pass. A miss
-// hands the copy to the rebuild, which fills it while it reads the
-// sequence anyway (the Solver's rank_only_copy_into does so in its
-// min/max pass).
+// same-size miss usually costs a few elements and a hit one pass.
 #pragma once
 
 #include <algorithm>
@@ -24,10 +21,9 @@ struct ValueCacheKey {
   bool valid = false;
 
   /// Keys the cache to `a`. Returns true when it already described `a`.
-  /// Otherwise drops the key, sizes the copy to |a| (growing its capacity
-  /// to exactly |a| when it must), runs `rebuild(copy)`, which derives the
-  /// cached state from `a` and copies `a` into `copy`, and keys the cache
-  /// once it returns; a throw out of rebuild leaves the key dropped.
+  /// Otherwise drops the key, runs `rebuild()` to derive the cached state
+  /// from `a`, and keys it to `a`; a throw out of rebuild (or out of the
+  /// copy) leaves the key dropped.
   template <typename Rebuild>
   bool match_or_rebuild(std::span<const int64_t> a, const Rebuild& rebuild) {
     if (valid && values.size() == a.size() &&
@@ -35,9 +31,8 @@ struct ValueCacheKey {
       return true;
     }
     valid = false;
-    if (values.capacity() < a.size()) values.clear();
-    values.resize(a.size());
-    rebuild(std::span<int64_t>(values));
+    rebuild();
+    values.assign(a.begin(), a.end());
     valid = true;
     return false;
   }

@@ -164,13 +164,12 @@ void wlis_dispatch(std::span<const int64_t> a, std::span<const int64_t> w,
 
 bool WlisWorkspace::cache_values(std::span<const int64_t> a,
                                  bool rank_space_ready) {
-  return key.match_or_rebuild(a, [&](std::span<int64_t> copy) {
+  return key.match_or_rebuild(a, [&] {
     invalidate_cache();
     if (!rank_space_ready) {
       rank_space_into<int64_t>(a, TiesPolicy::kStrict, rank_space,
                                rank_scratch);
     }
-    std::copy(a.begin(), a.end(), copy.begin());
   });
 }
 

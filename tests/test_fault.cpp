@@ -1351,6 +1351,41 @@ TEST(MemoryBudget, WlisPassEstimateCoversRealAccounting) {
   }
 }
 
+// A bitmap at n leaves the scratch's buffers at its own sizes; a sort of
+// a wider span at 2n that follows grows each of them, and the rank
+// space's arrays, to exactly its need, as a fresh pair does (resize alone
+// would grow the presence words' prefix, about 1.6n words here, to twice
+// that rather than to 2n).
+TEST(MemoryBudget, SortAfterABitmapGrowsExactly) {
+  const int64_t n = 2 * internal::kRankPoolMinN;
+  const std::vector<int64_t> banded = line_pattern(n, 100, 150);
+  const std::vector<int64_t> wide = make_vals(2 * n, 151);
+  for (const TiesPolicy ties :
+       {TiesPolicy::kStrict, TiesPolicy::kNonDecreasing}) {
+    SCOPED_TRACE(ties == TiesPolicy::kStrict ? "strict" : "nondec");
+    RankSpace rs, fresh;
+    RankSpaceScratch scratch, fresh_scratch;
+    rank_only_into<int64_t>(banded, ties, rs, scratch);
+    ASSERT_TRUE(rs.order.empty());  // the bitmap
+    const size_t words = scratch.run_masks.size();
+    ASSERT_GT(2 * words, static_cast<size_t>(2 * n));
+    ASSERT_LT(words, static_cast<size_t>(2 * n));
+    rank_only_into<int64_t>(wide, ties, rs, scratch);
+    rank_only_into<int64_t>(wide, ties, fresh, fresh_scratch);
+    ASSERT_FALSE(rs.order.empty());  // the sort
+    EXPECT_EQ(rs.resident_bytes(), fresh.resident_bytes());
+    EXPECT_EQ(scratch.sort_buf.capacity(), fresh_scratch.sort_buf.capacity());
+    EXPECT_EQ(scratch.carry_qpos.capacity(),
+              fresh_scratch.carry_qpos.capacity());
+    EXPECT_EQ(scratch.carry_rank.capacity(),
+              fresh_scratch.carry_rank.capacity());
+    EXPECT_EQ(scratch.sorted_keys.capacity(),
+              fresh_scratch.sorted_keys.capacity());
+    EXPECT_EQ(scratch.run_masks.capacity(),
+              std::max(words, fresh_scratch.run_masks.capacity()));
+  }
+}
+
 // The wavefront borrows the rank space's sort buffer for its per-element
 // lengths and cell tables, and the weighted model prices that buffer at 2n
 // words, so a fresh Solver after one wavefront solve still fits the

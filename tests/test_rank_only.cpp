@@ -4,15 +4,16 @@
 // rank_only_max_words(n) words take the bitmap (order, pos and qpos left
 // empty); everything else takes the sort (all four arrays filled), so each
 // case also checks which path it took. From internal::kRankPoolMinN keys
-// up the bitmap's phases run on the pool: those cases check the set phase
-// the plan picked, the value cache's copy (rank_only_copy_into), and by
-// the scheduler's spawn count that nothing forks where the plan must stay
-// on the caller. The Solver cases run the plans that call it (the value
-// cache, kNonDecreasing rank images) against seq_avl_wlis / seq_bs_ranks.
+// up the bitmap's plan runs on the pool: those cases check the path it
+// picked (word segments on banded keys, the caller's set elsewhere) and,
+// by the scheduler's spawn count, that nothing forks where the plan must
+// stay on the caller. The Solver cases run the plans that call it (the
+// value cache, kNonDecreasing rank images) against seq_avl_wlis /
+// seq_bs_ranks.
 //
 // The suite name puts it in the pinned-thread differential legs (1, 4 and
 // hw workers), in the forced-scalar leg and in the TSan job, which races
-// the owned word segments and the relaxed fetch_or at 4 workers.
+// the pooled min/max pass and the owned word segments at 4 workers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -326,10 +327,9 @@ uint64_t spawns_of(const F& f) {
   return scheduler_stats().spawns - before;
 }
 
-// rank_only_copy_into on `keys` under both policies, against
-// rank_space_into, with the value cache's copy; then the same keys again
-// through internal::rank_by_bitmap on the warm pair. Returns the path the
-// plan took (the same under both policies).
+// rank_only_into on `keys` under both policies, against rank_space_into;
+// then the same keys again through internal::rank_by_bitmap on the warm
+// pair. Returns the path the plan took (the same under both policies).
 BitmapPath expect_plan(const Vec& keys) {
   BitmapPath path = BitmapPath::kTooWide;
   for (const TiesPolicy ties : kPolicies) {
@@ -338,12 +338,10 @@ BitmapPath expect_plan(const Vec& keys) {
     RankSpace want, rs;
     RankSpaceScratch want_scratch, scratch;
     rank_space_into<int64_t>(s, ties, want, want_scratch);
-    Vec copy(keys.size(), 1);
-    rank_only_copy_into(s, ties, rs, scratch, copy);
+    rank_only_into<int64_t>(s, ties, rs, scratch);
     EXPECT_EQ(rs.rank, want.rank);
     EXPECT_EQ(rs.n_distinct, want.n_distinct);
-    EXPECT_TRUE(copy == keys);
-    path = internal::rank_by_bitmap(s, ties, rs, scratch, nullptr);
+    path = internal::rank_by_bitmap(s, ties, rs, scratch);
     EXPECT_EQ(rs.order.empty(), path != BitmapPath::kTooWide);
     EXPECT_EQ(rs.rank, want.rank);
     EXPECT_EQ(rs.n_distinct, want.n_distinct);
@@ -351,9 +349,10 @@ BitmapPath expect_plan(const Vec& keys) {
   return path;
 }
 
-// The plan's path at n >= kPoolN: every phase on the caller on 1 worker,
-// `on4` on 4 workers (the suite's own pin, the 4-worker differential leg
-// and the TSan job). Other pool sizes check the ranks only.
+// The plan's path at n >= kPoolN: the caller's on 1 worker, `on4` on 4
+// workers (the suite's own pin, the 4-worker differential leg and the TSan
+// job). The segments' width, and so their reads, depend on the pool's
+// size: other sizes check the ranks only.
 void expect_path(BitmapPath got, BitmapPath on4) {
   if (num_workers() == 1) {
     EXPECT_EQ(got, on4 == BitmapPath::kTooWide ? on4 : BitmapPath::kCaller);
@@ -387,19 +386,19 @@ TEST(RankOnlyDifferential, PooledPlanAtTheThreshold) {
       return n < kPoolN ? BitmapPath::kCaller : p;
     };
     // The 2n line's blocks each meet most segments, the 100n line's one or
-    // two.
+    // two; uniform keys meet them all.
     expect_path(expect_plan(line_with_span(n, 2 * n, 50)),
-                on4(BitmapPath::kSetOnCaller));
+                on4(BitmapPath::kCaller));
     expect_path(expect_plan(line_with_span(n, 100 * n, 51)),
                 on4(BitmapPath::kSegments));
     expect_path(expect_plan(line_with_span(n, cap, 49)),
                 on4(BitmapPath::kSegments));
     expect_path(expect_plan(spanning(n, -7, cap / 64, 52)),
-                on4(BitmapPath::kFetchOr));
+                on4(BitmapPath::kCaller));
     expect_path(expect_plan(spanning(n, -7, cap / 64 + 1, 53)),
                 BitmapPath::kTooWide);
     expect_path(expect_plan(spanning(n, 1000, cap / 64 - 1, 54)),
-                on4(BitmapPath::kFetchOr));
+                on4(BitmapPath::kCaller));
     expect_path(expect_plan(Vec(static_cast<size_t>(n), -3)),
                 on4(BitmapPath::kSegments));
   }
@@ -408,7 +407,7 @@ TEST(RankOnlyDifferential, PooledPlanAtTheThreshold) {
 // Keys on the first and last bit of every word that starts or ends a
 // 16-word run, which includes each segment's first and last word for every
 // pool size up to 32 workers: sorted (banded: the owned segments) and
-// shuffled (the fetch_or).
+// shuffled (the caller's set).
 TEST(RankOnlyDifferential, PooledPlanSegmentEdges) {
   const int64_t n = kPoolN;
   const int64_t words = 100 * n / 64;
@@ -431,19 +430,23 @@ TEST(RankOnlyDifferential, PooledPlanSegmentEdges) {
   for (int64_t i = n - 1; i > 0; i--) {
     std::swap(a[i], a[uniform(56, i, i + 1)]);
   }
-  expect_path(expect_plan(a), BitmapPath::kFetchOr);
+  expect_path(expect_plan(a), BitmapPath::kCaller);
 }
 
 // Spans at the cap that end on INT64_MIN and INT64_MAX, where the offsets
-// and word counts must be taken in uint64.
+// and word counts must be taken in uint64: shuffled (the caller's set) and
+// sorted (the owned segments).
 TEST(RankOnlyDifferential, PooledPlanAtTheInt64Ends) {
   const int64_t n = kPoolN;
   const int64_t cap_words = static_cast<int64_t>(rank_only_max_words(n));
-  expect_path(expect_plan(spanning(n, kMin, cap_words, 57)),
-              BitmapPath::kFetchOr);
   const int64_t top_lo = kMax - 64 * cap_words + 1;
-  expect_path(expect_plan(spanning(n, top_lo, cap_words, 58)),
-              BitmapPath::kFetchOr);
+  for (const int64_t lo : {kMin, top_lo}) {
+    SCOPED_TRACE(testing::Message() << "lo " << lo);
+    Vec a = spanning(n, lo, cap_words, lo == kMin ? 57 : 58);
+    expect_path(expect_plan(a), BitmapPath::kCaller);
+    std::sort(a.begin(), a.end());
+    expect_path(expect_plan(a), BitmapPath::kSegments);
+  }
   expect_path(expect_plan(spanning(n, kMin, cap_words + 1, 59)),
               BitmapPath::kTooWide);
 }
@@ -508,9 +511,10 @@ TEST(RankOnlyDifferential, PooledPlanForksOnlyWhereItMay) {
             static_cast<uint64_t>(kQueries - 1));
 }
 
-// The pooled plan behind the Solver: misses fill the value cache's copy in
-// the min/max pass, and a pooled miss holds what a thread-sequential one
-// holds, give or take its blocks' min and max (16 B per 4096 keys).
+// The pooled plan behind the Solver: misses and hits of the value cache
+// on a banded line and on uniform keys at the cap, and a pooled miss
+// holds what a thread-sequential one holds, give or take its blocks' min
+// and max (16 B per 4096 keys).
 TEST(RankOnlyDifferential, PooledSolverMissesAndResidentBytes) {
   const int64_t n = 2 * kPoolN;
   const Vec a = line_with_span(n, 100 * n, 70);

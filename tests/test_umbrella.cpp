@@ -127,10 +127,6 @@ TEST(Umbrella, EveryPublicEntryPointIsReachable) {
   WlisResult sw3;
   swgs_wlis_into(a, w, 42, ws, sw3);
   EXPECT_EQ(sw3.dp, wr.dp);
-  std::vector<int64_t> a_copy(a.size());
-  rank_only_copy_into(a, TiesPolicy::kStrict, ws.rank_space, ws.rank_scratch,
-                      a_copy);
-  EXPECT_EQ(a_copy, a);
   rank_only_into<int64_t>(std::span<const int64_t>(a), TiesPolicy::kStrict,
                           ws.rank_space, ws.rank_scratch);
   EXPECT_EQ(ws.rank_space.n_distinct, 10);
