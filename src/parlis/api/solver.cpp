@@ -202,11 +202,9 @@ void Solver::solve_many(std::span<const Query> queries,
   const int64_t nq = static_cast<int64_t>(queries.size());
   // Fail fast: surface any malformed query before the batch does any work.
   for (int64_t i = 0; i < nq; i++) validate_query(queries[i]);
-  // One context for the whole batch — the deadline is anchored here and
-  // shared by the packed tasks (each re-installs it on its own thread).
-  const internal::ExecContext batch_ctx =
-      internal::make_exec_context(opts_.cancel, opts_.deadline_ms);
-  internal::CancelScope scope(batch_ctx);
+  // One scope for the whole batch, its deadline anchored here; the
+  // scheduler runs each packed task under it, whichever thread runs it.
+  internal::CancelScope scope(opts_.cancel, opts_.deadline_ms);
   internal::poll_cancellation();
   // Large queries first, one at a time on the caller's context (by the
   // plans of solve_lis and solve_wlis, which may use the pool), then the
@@ -238,10 +236,6 @@ void Solver::solve_many(std::span<const Query> queries,
   parallel_for(
       0, static_cast<int64_t>(small_idx_.size()),
       [&](int64_t t) {
-        // Packed tasks run on pool threads, outside the caller's
-        // thread-local scope: re-install the batch context (same token,
-        // same entry-anchored deadline) so the query's round loops poll it.
-        internal::CancelScope task_scope(batch_ctx);
         internal::poll_cancellation();
         PARLIS_FAILPOINT("solver.packed_query");
         CtxSlot* held = nullptr;

@@ -408,9 +408,9 @@ inline constexpr int64_t kSpeculateMinN = int64_t{1} << 16;
 /// thread-sequential mode, on a 1-worker pool, below kSpeculateMinN
 /// elements, and when the tiers spill within the first 4096 elements (deep
 /// inputs); otherwise it speculates over G = num_workers() chunks (at most
-/// 16). Chunk tasks re-install the caller's cancellation scope and poll it
-/// every 4096 elements, as does the replay; on a throw the contents of
-/// `res` are unspecified. Allocation-free when warm.
+/// 16). Chunk tasks poll the caller's cancellation scope (the scheduler
+/// runs them under it) every 4096 elements, as does the replay; on a throw
+/// the contents of `res` are unspecified. Allocation-free when warm.
 void speculative_patience_ranks_into(std::span<const int64_t> a,
                                      LisResult& res,
                                      std::vector<int64_t>& tails);

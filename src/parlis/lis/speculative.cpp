@@ -129,12 +129,9 @@ int32_t speculate(std::span<const int64_t> a, int32_t* rank,
 
   // Phase 1.
   std::atomic<int> spilled{g};
-  const ExecContext ec =
-      tl_exec_context != nullptr ? *tl_exec_context : ExecContext{};
   parallel_for(
       0, g,
       [&](int64_t c) {
-        CancelScope scope(ec);
         Chunk& ch = chunks[c];
         if (c > 0) ch.start(c * n / g, (c + 1) * n / g);
         run_chunk(x, rank, ch, static_cast<int>(c), spilled);

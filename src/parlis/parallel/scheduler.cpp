@@ -2,6 +2,7 @@
 
 #include "parlis/parallel/chase_lev_deque.hpp"
 #include "parlis/parallel/worker_counter.hpp"
+#include "parlis/util/exec_context.hpp"
 #include "parlis/util/failpoint.hpp"
 
 #include <algorithm>
@@ -94,6 +95,7 @@ class Pool {
 
   void push(RawTask* t) {
     PARLIS_FAILPOINT_YIELD("scheduler.spawn");
+    t->scope = tl_exec_context;
     int id = tl_worker_id;
     if (id >= 0) {
       // Pool worker (or the creating thread): lock-free single-owner push.
@@ -220,6 +222,9 @@ class Pool {
     std::atomic<uint32_t>* pending = t->pending;
     ExceptionSlot* exc = t->exc;
     assert(exc != nullptr);  // par_do, the one fork site, always attaches one
+    // The task polls its forker's scope, not the runner's.
+    const ExecContext* own = tl_exec_context;
+    tl_exec_context = t->scope;
     try {
       t->fn(t->arg);
     } catch (...) {
@@ -228,6 +233,7 @@ class Pool {
       // own stack.
       exc->capture(std::current_exception());
     }
+    tl_exec_context = own;
     pending->fetch_sub(1, std::memory_order_acq_rel);
   }
 

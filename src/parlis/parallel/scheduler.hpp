@@ -24,6 +24,11 @@
 // programmatically with set_num_workers() *before* first use (tests use 4
 // to exercise concurrency even on single-core machines).
 //
+// Cancellation: a task runs under the scope of the call that forked it.
+// Each push records the forker's ExecContext pointer (null included), and
+// Pool::run installs it around the body and restores the runner's own
+// before the join counter drops, so a stolen task never polls its thief's.
+//
 // Exception safety: a task body that throws does NOT take the process down.
 // Pool::run captures the exception into the forking frame's ExceptionSlot
 // (first capture wins) before decrementing the join counter, and the join
@@ -91,6 +96,8 @@ void reset_scheduler_stats();
 
 namespace internal {
 
+struct ExecContext;  // util/exec_context.hpp
+
 // First-exception-wins capture slot for one join frame. A throwing task
 // body is caught by Pool::run, which captures here *before* decrementing
 // the frame's pending counter; the joining thread, having observed pending
@@ -126,12 +133,13 @@ struct ExceptionSlot {
 
 // A task descriptor. Lives on the stack of the forking frame, which always
 // joins (pop or pending == 0) before returning, so the pointer pushed into
-// the scheduler outlives every access.
+// the scheduler outlives every access, and so does the forker's scope.
 struct RawTask {
   void (*fn)(void*) = nullptr;
   void* arg = nullptr;
   std::atomic<uint32_t>* pending = nullptr;  // decremented after fn runs
   ExceptionSlot* exc = nullptr;              // where a throwing fn lands
+  const ExecContext* scope = nullptr;        // the forker's, set by push
 };
 
 // Pool interface used by par_do. All functions are thread-safe; push/pop

@@ -295,14 +295,29 @@ QueryResult Engine::solve_one(const Query& q, const RequestGuard& guard) {
 
 SessionTable::Lease Engine::lease_tenant(uint64_t series,
                                          const RequestGuard& guard) {
-  // The guard's clock starts before the acquire, so waiting for the
-  // tenant's current holder counts against the deadline.
-  const auto start = std::chrono::steady_clock::now();
+  // The deadline's clock starts before the acquire, so waiting for the
+  // tenant's current holder counts against it. A guard that trips during
+  // that wait fails the verb here, before its op runs; the lease goes back
+  // as the error unwinds. Guard-free verbs read no clock.
+  const bool timed = guard.deadline_ms > 0;
+  const auto start = timed ? std::chrono::steady_clock::now()
+                           : std::chrono::steady_clock::time_point{};
   SessionTable::Lease lease = table_.acquire(series);
   requests_.fetch_add(1, std::memory_order_relaxed);
+  if (guard.cancel.cancel_requested()) {
+    throw Error(ErrorCode::kCancelled,
+                "Engine: cancelled while waiting for the tenant");
+  }
+  int64_t left = 0;
+  if (timed) {
+    left = guard.deadline_ms - elapsed_ms_since(start);
+    if (left <= 0) {
+      throw Error(ErrorCode::kDeadlineExceeded,
+                  "Engine: deadline expired while waiting for the tenant");
+    }
+  }
   lease.solver().set_cancel(guard.cancel);
-  lease.solver().set_deadline_ms(
-      remaining_deadline_ms(guard.deadline_ms, start));
+  lease.solver().set_deadline_ms(left);
   return lease;
 }
 

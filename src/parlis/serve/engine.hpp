@@ -49,7 +49,10 @@
 //
 // Deadlines are end to end: the clock starts at the call, so a queued
 // wait or a wait for a busy tenant counts against it, and the solver sees
-// only the remainder.
+// only the remainder. Like a queued request that expires, a tenant verb
+// whose guard trips while it waits for the lease never runs its op: it
+// throws Error{kCancelled} or Error{kDeadlineExceeded} with the lease
+// released, and an append admits nothing.
 #pragma once
 
 #include <atomic>
@@ -175,7 +178,8 @@ class Engine {
   // for "none".
   static int64_t remaining_deadline_ms(
       int64_t deadline_ms, std::chrono::steady_clock::time_point start);
-  // Leases `series` and arms its solver with `guard`, anchored at entry.
+  // Leases `series` and arms its solver with `guard`, anchored at entry;
+  // throws, lease released, when the guard tripped during the wait.
   SessionTable::Lease lease_tenant(uint64_t series, const RequestGuard& guard);
 
   SessionTable table_;

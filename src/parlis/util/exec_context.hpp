@@ -10,11 +10,11 @@
 // Error (kCancelled / kDeadlineExceeded) that unwinds to the entry point's
 // failure chokepoint.
 //
-// The context is thread-local on purpose: a parallel solve's worker tasks
-// never poll it (parallel_for's leaves poll the loop's own cancel flag
-// instead; see parallel.hpp) — only the round loop, which always runs on the
-// installing thread, does. solve_many's packed per-query tasks run on pool
-// threads and install their own scope inside the task.
+// The context is thread-local, and the scheduler carries it into the pool:
+// every task runs under the scope of the call that forked it, whichever
+// thread runs it (parallel/scheduler.hpp), so a speculative chunk, a
+// wavefront cell or a packed solve_many query polls its caller's token and
+// deadline, and a task forked with no scope polls none.
 #pragma once
 
 #include <chrono>
@@ -48,35 +48,22 @@ inline void poll_cancellation() {
   if (c != nullptr) c->check();
 }
 
-/// Builds the context an entry point runs under: the deadline is anchored
-/// at the moment of the call (now + deadline_ms).
-inline ExecContext make_exec_context(const CancelToken& token,
-                                     int64_t deadline_ms) noexcept {
-  ExecContext ctx;
-  if (token.valid()) ctx.cancel = &token;
-  if (deadline_ms > 0) {
-    ctx.deadline = std::chrono::steady_clock::now() +
-                   std::chrono::milliseconds(deadline_ms);
-    ctx.has_deadline = true;
-  }
-  return ctx;
-}
-
-/// RAII installer. Installs only when there is something to check (a live
-/// token or a positive deadline), otherwise leaves any outer scope — e.g.
-/// solve_many's — visible to the polls. The token reference must outlive
-/// the scope (it lives in the Solver's Options). Construction never throws;
-/// entry points that want fail-fast semantics call poll_cancellation()
-/// right after installing.
+/// RAII installer of the context an entry point runs under; the deadline
+/// is anchored at construction (now + deadline_ms). Installs only when
+/// there is something to check (a live token or a positive deadline),
+/// otherwise leaves any outer scope visible to the polls. The token
+/// reference must outlive the scope (it lives in the Solver's Options).
+/// Construction never throws; entry points that want fail-fast semantics
+/// call poll_cancellation() right after installing.
 class CancelScope {
  public:
-  CancelScope(const CancelToken& token, int64_t deadline_ms) noexcept
-      : CancelScope(make_exec_context(token, deadline_ms)) {}
-
-  /// Installs a copy of a precomputed context — how solve_many's packed
-  /// pool tasks inherit the batch's entry-time deadline instead of
-  /// restarting the clock per task.
-  explicit CancelScope(const ExecContext& ctx) noexcept : ctx_(ctx) {
+  CancelScope(const CancelToken& token, int64_t deadline_ms) noexcept {
+    if (token.valid()) ctx_.cancel = &token;
+    if (deadline_ms > 0) {
+      ctx_.deadline = std::chrono::steady_clock::now() +
+                      std::chrono::milliseconds(deadline_ms);
+      ctx_.has_deadline = true;
+    }
     if (ctx_.cancel != nullptr || ctx_.has_deadline) {
       prev_ = tl_exec_context;
       tl_exec_context = &ctx_;

@@ -266,10 +266,6 @@ bool run_wave(Pass& pass, const Grid& gr, std::vector<int64_t>& borrowed,
   }
   std::fill(t.mdp, t.mdp + cells, 0);
   std::fill(t.mlen, t.mlen + cells, 0);
-  // Cell tasks poll the caller's cancel token and deadline on pool threads.
-  const internal::ExecContext ec = internal::tl_exec_context != nullptr
-                                       ? *internal::tl_exec_context
-                                       : internal::ExecContext{};
   std::array<bool, kMaxChunks> column_started{};
   for (int d = 0; d <= gr.g + nb - 2; d++) {
     std::array<int64_t, kMaxChunks> todo;
@@ -302,7 +298,6 @@ bool run_wave(Pass& pass, const Grid& gr, std::vector<int64_t>& borrowed,
     parallel_for(
         0, m,
         [&](int64_t k) {
-          internal::CancelScope scope(ec);
           const int64_t i = todo[k];
           const int64_t b = i % nb;
           // The chunk's first element in a lower block, if any.

@@ -78,11 +78,12 @@ inline constexpr int64_t kWavefrontMinN = int64_t{1} << 15;
 /// and its cell tables, n + 7 G^2 words, growing it to exactly that when
 /// it is smaller; what it leaves there is scratch.
 ///
-/// Polls cancellation (the caller's scope, re-installed in each pool task)
-/// on entry to every cell and every 4096 positions it scans. A sum that
-/// overflows int64 throws Error{kInvalidArgument}; the prefix maximum is
-/// never negative, so only a positive weight can overflow. When cells run
-/// in parallel, which overflowing element the error names is unspecified.
+/// Polls cancellation (the caller's scope, under which the scheduler runs
+/// each pool task) on entry to every cell and every 4096 positions it
+/// scans. A sum that overflows int64 throws Error{kInvalidArgument}; the
+/// prefix maximum is never negative, so only a positive weight can
+/// overflow. When cells run in parallel, which overflowing element the
+/// error names is unspecified.
 /// On any throw the contents of `out` are unspecified.
 void wlis_sweep_into(std::span<const int64_t> rank, int64_t universe,
                      std::span<const int64_t> w, WlisSweepScratch& s,

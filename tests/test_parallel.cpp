@@ -3,8 +3,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <limits>
 #include <numeric>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -12,10 +14,19 @@
 #include "parlis/parallel/primitives.hpp"
 #include "parlis/parallel/random.hpp"
 #include "parlis/parallel/scheduler.hpp"
+#include "parlis/util/cancel.hpp"
+#include "parlis/util/exec_context.hpp"
 #include "parlis/util/generators.hpp"
 
 namespace parlis {
 namespace {
+
+void spin_us(int64_t us) {
+  const auto end =
+      std::chrono::steady_clock::now() + std::chrono::microseconds(us);
+  while (std::chrono::steady_clock::now() < end) {
+  }
+}
 
 TEST(Scheduler, HasWorkers) { EXPECT_GE(num_workers(), 1); }
 
@@ -38,6 +49,67 @@ TEST(Scheduler, NestedParDo) {
   };
   rec(0, 1 << 12);
   EXPECT_EQ(sum.load(), (int64_t{1} << 11) * ((1 << 12) - 1));
+}
+
+// A task polls the scope of the call that forked it, on whichever thread
+// runs it: every index of a loop whose tasks are stolen sees the caller's.
+TEST(Scheduler, TaskRunsUnderItsForkersScope) {
+  if (num_workers() < 2) GTEST_SKIP() << "one worker steals nothing";
+  const CancelToken token = CancelToken::make();
+  internal::CancelScope scope(token, 0);
+  const internal::ExecContext* caller = internal::tl_exec_context;
+  ASSERT_NE(caller, nullptr);
+  std::vector<const internal::ExecContext*> seen(256, nullptr);
+  const uint64_t steals = scheduler_stats().steals;
+  parallel_for(
+      0, 256,
+      [&](int64_t i) {
+        spin_us(20);
+        seen[i] = internal::tl_exec_context;
+      },
+      1);
+  EXPECT_GT(scheduler_stats().steals, steals);
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), caller), 256);
+  EXPECT_EQ(internal::tl_exec_context, caller);
+}
+
+thread_local bool tl_thief = false;
+
+// A thread that joins its own loop steals other callers' tasks while it
+// waits. Such a task polls its forker's scope (here none), never the
+// thief's tripped one.
+TEST(Scheduler, StolenTaskIgnoresTheRunnersScope) {
+  if (num_workers() < 2) GTEST_SKIP() << "one worker steals nothing";
+  std::atomic<bool> stop{false};
+  std::atomic<int64_t> stolen{0}, scoped{0};
+  std::thread thief([&] {
+    tl_thief = true;
+    const CancelToken token = CancelToken::make();
+    token.request_cancel();
+    internal::CancelScope scope(token, 0);
+    while (!stop.load()) {
+      parallel_for(0, 64, [](int64_t) { spin_us(5); }, 1);
+    }
+  });
+  std::thread caller([&] {
+    const auto cap = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (stolen.load() == 0 && std::chrono::steady_clock::now() < cap) {
+      parallel_for(
+          0, 64,
+          [&](int64_t) {
+            spin_us(5);
+            if (!tl_thief) return;
+            stolen.fetch_add(1);
+            if (internal::tl_exec_context != nullptr) scoped.fetch_add(1);
+          },
+          1);
+    }
+    stop = true;
+  });
+  caller.join();
+  thief.join();
+  ASSERT_GT(stolen.load(), 0) << "the thief stole no task within 5 s";
+  EXPECT_EQ(scoped.load(), 0) << "of " << stolen.load() << " stolen tasks";
 }
 
 TEST(ParallelFor, CoversEveryIndexOnce) {

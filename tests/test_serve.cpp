@@ -11,7 +11,8 @@
 //    match direct solves, a request cancelled (or expired) while queued
 //    never reaches a worker, kReject overload fail-fast vs kBlock
 //    backpressure, tenant ops (append / solve_warm) against direct
-//    references, threads sharing one series, an engine that starts no
+//    references, tenant ops whose guard trips while they wait for the
+//    lease, threads sharing one series, an engine that starts no
 //    thread, and multi-client stress legs for the TSan build (one races
 //    the hand-over of combining passes between callers).
 #include <gtest/gtest.h>
@@ -731,6 +732,68 @@ TEST(ServeEngine, TenantGuardEndsWithItsCall) {
   LisResult out;
   lease.solver().solve_lis(a, out);
   EXPECT_EQ(out.k, 2);
+}
+
+// Runs one tenant verb (0: append, 1: solve_warm) with `guard` on another
+// thread while this one holds the tenant's lease; `wait_ms` into the verb's
+// wait, runs `trip`, then releases the lease. The verb must throw `want`
+// and run nothing: the append admits no value, the warm solve writes no
+// rank.
+template <typename Trip>
+void expect_fails_in_lease_wait(int verb, ErrorCode want,
+                                const RequestGuard& guard, int64_t wait_ms,
+                                Trip&& trip) {
+  const auto vals = make_vals(512, 93);
+  Engine engine(EngineConfig{});
+  engine.append(1, 7);
+  std::vector<int32_t> rank(vals.size(), -7);  // sentinel: must stay put
+  Query q;
+  q.a = vals;
+  q.rank_out = rank;
+  std::optional<SessionTable::Lease> holder;
+  holder.emplace(engine.table().acquire(1));
+  const int64_t hits = engine.stats().table_hits;
+  std::thread client([&] {
+    expect_error(want, [&] {
+      if (verb == 0) {
+        engine.append(1, 9, guard);
+      } else {
+        engine.solve_warm(1, q, guard);
+      }
+    });
+  });
+  // The verb's acquire counts a hit before it waits, and after the verb
+  // started its deadline's clock.
+  while (engine.stats().table_hits == hits) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(wait_ms));
+  trip();
+  holder.reset();
+  client.join();
+  EXPECT_TRUE(std::all_of(rank.begin(), rank.end(),
+                          [](int32_t r) { return r == -7; }))
+      << "verb " << verb << " wrote its output";
+  EXPECT_EQ(engine.table().acquire(1).session().size(), 1) << "verb " << verb;
+}
+
+// A tenant verb's deadline runs from its call, so its wait for a busy
+// tenant counts: one whose deadline passes in that wait throws
+// kDeadlineExceeded before its op runs, and releases the lease.
+TEST(ServeEngine, TenantVerbFailsWhenItsDeadlinePassesInTheLeaseWait) {
+  for (int verb = 0; verb < 2; verb++) {
+    expect_fails_in_lease_wait(verb, ErrorCode::kDeadlineExceeded,
+                               {CancelToken{}, 5}, 25, [] {});
+  }
+}
+
+// The same for a token tripped during the wait: kCancelled. An append
+// polls its guard one tick in 64, so without the check after the wait it
+// would run.
+TEST(ServeEngine, TenantVerbFailsWhenCancelledInTheLeaseWait) {
+  for (int verb = 0; verb < 2; verb++) {
+    const auto token = CancelToken::make();
+    expect_fails_in_lease_wait(verb, ErrorCode::kCancelled, {token, 0}, 5,
+                               [&] { token.request_cancel(); });
+  }
 }
 
 // Tenant verbs run on their callers' threads, serialized by the table's
