@@ -222,18 +222,18 @@ class Pool {
     std::atomic<uint32_t>* pending = t->pending;
     ExceptionSlot* exc = t->exc;
     assert(exc != nullptr);  // par_do, the one fork site, always attaches one
-    // The task polls its forker's scope, not the runner's.
-    const ExecContext* own = tl_exec_context;
-    tl_exec_context = t->scope;
-    try {
-      t->fn(t->arg);
-    } catch (...) {
-      // Capture BEFORE the decrement: the joining frame, seeing pending ==
-      // 0 with acquire, then sees the finished capture and rethrows on its
-      // own stack.
-      exc->capture(std::current_exception());
+    {
+      // The task polls its forker's scope, not the runner's.
+      ScopeSwap scope(t->scope);
+      try {
+        t->fn(t->arg);
+      } catch (...) {
+        // Capture BEFORE the decrement: the joining frame, seeing pending
+        // == 0 with acquire, then sees the finished capture and rethrows on
+        // its own stack.
+        exc->capture(std::current_exception());
+      }
     }
-    tl_exec_context = own;
     pending->fetch_sub(1, std::memory_order_acq_rel);
   }
 

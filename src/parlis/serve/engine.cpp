@@ -1,19 +1,23 @@
 #include "parlis/serve/engine.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <exception>
 
 #include "parlis/util/error.hpp"
+#include "parlis/util/exec_context.hpp"
 #include "parlis/util/failpoint.hpp"
 
 namespace parlis::serve {
 
 namespace {
 
-int64_t elapsed_ms_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
+// The batch solver carries no guard of its own: each request brings its
+// caller's scope.
+Options unguarded(Options o) {
+  o.cancel = CancelToken{};
+  o.deadline_ms = 0;
+  return o;
 }
 
 void bump_hwm(std::atomic<int64_t>& hwm, int64_t v) {
@@ -26,7 +30,9 @@ void bump_hwm(std::atomic<int64_t>& hwm, int64_t v) {
 }  // namespace
 
 Engine::Engine(const EngineConfig& cfg)
-    : table_(cfg.table), batch_solver_(cfg.table.solver), cfg_(cfg) {
+    : table_(cfg.table),
+      batch_solver_(unguarded(cfg.table.solver)),
+      cfg_(cfg) {
   if (cfg_.queue_capacity < 1) cfg_.queue_capacity = 1;
   if (cfg_.coalesce_max_queries < 1) cfg_.coalesce_max_queries = 1;
   if (cfg_.coalesce_linger_us < 0) cfg_.coalesce_linger_us = 0;
@@ -72,16 +78,6 @@ int64_t Engine::queue_depth() const {
   return static_cast<int64_t>(q_size_);
 }
 
-int64_t Engine::remaining_deadline_ms(
-    int64_t deadline_ms, std::chrono::steady_clock::time_point start) {
-  if (deadline_ms <= 0) return 0;
-  const int64_t left = deadline_ms - elapsed_ms_since(start);
-  // The wait already consumed the slack: hand the solver a minimal
-  // nonzero remainder (0 would disarm the deadline), so it trips at its
-  // first poll point.
-  return left > 1 ? left : 1;
-}
-
 void Engine::enqueue(Request& r, std::unique_lock<std::mutex>& lk) {
   for (;;) {
     if (stopping_) {
@@ -94,15 +90,8 @@ void Engine::enqueue(Request& r, std::unique_lock<std::mutex>& lk) {
                   "Engine: admission queue full (capacity " +
                       std::to_string(ring_.size()) + ")");
     }
-    // kBlock: the guard still applies while we wait for a slot.
-    if (r.cancel.valid() && r.cancel.cancel_requested()) {
-      throw Error(ErrorCode::kCancelled,
-                  "Engine: cancelled while blocked on admission");
-    }
-    if (r.deadline_ms > 0 && elapsed_ms_since(r.submitted) >= r.deadline_ms) {
-      throw Error(ErrorCode::kDeadlineExceeded,
-                  "Engine: deadline expired while blocked on admission");
-    }
+    // kBlock: the caller's scope still applies while it waits for a slot.
+    internal::poll_cancellation();
     not_full_.wait_for(lk, std::chrono::milliseconds(1));
   }
   ring_[(q_head_ + q_size_) % ring_.size()] = &r;
@@ -114,8 +103,7 @@ void Engine::enqueue(Request& r, std::unique_lock<std::mutex>& lk) {
 
 void Engine::submit_and_wait(Request& r) {
   requests_.fetch_add(1, std::memory_order_relaxed);
-  r.submitted = std::chrono::steady_clock::now();
-  r.guarded = r.cancel.valid() || r.deadline_ms > 0;
+  r.scope = internal::tl_exec_context;
   std::unique_lock<std::mutex> lk(qmu_);
   callers_++;
   try {
@@ -139,27 +127,23 @@ void Engine::submit_and_wait(Request& r) {
 }
 
 bool Engine::finish_if_dead(Request& r) {
-  if (r.cancel.valid() && r.cancel.cancel_requested()) {
-    cancelled_queued_.fetch_add(1, std::memory_order_relaxed);
-    r.error = std::make_exception_ptr(
-        Error(ErrorCode::kCancelled, "Engine: cancelled while queued"));
+  if (r.scope == nullptr) return false;
+  try {
+    r.scope->check();
+    return false;
+  } catch (const Error& e) {
+    (e.code() == ErrorCode::kCancelled ? cancelled_queued_ : expired_queued_)
+        .fetch_add(1, std::memory_order_relaxed);
+    r.error = std::current_exception();
     return true;
   }
-  if (r.deadline_ms > 0 && elapsed_ms_since(r.submitted) >= r.deadline_ms) {
-    expired_queued_.fetch_add(1, std::memory_order_relaxed);
-    r.error = std::make_exception_ptr(Error(
-        ErrorCode::kDeadlineExceeded, "Engine: deadline expired while queued"));
-    return true;
-  }
-  return false;
 }
 
 void Engine::execute_solo(Request& r) {
-  // Guarded batch: one guard per solve_many call, so it runs alone.
+  // One scope per solve_many call, so a request with one runs alone, under
+  // it; the batch solver's own (empty) scope leaves it visible.
+  internal::ScopeSwap scope(r.scope);
   try {
-    batch_solver_.set_cancel(r.cancel);
-    batch_solver_.set_deadline_ms(
-        remaining_deadline_ms(r.deadline_ms, r.submitted));
     batch_solver_.solve_many(r.queries, r.results);
   } catch (...) {
     r.error = std::current_exception();
@@ -178,12 +162,11 @@ void Engine::run_coalesced(std::vector<Request*>& batch) {
   const bool merged = batch.size() > 1;
   if (merged) batch_results_.resize(batch_queries_.size());
   std::exception_ptr err;
+  // Every member is guard-free, so the batch runs under no scope: the
+  // combiner's own never reaches the requests it serves.
+  internal::ScopeSwap scope(nullptr);
   try {
     PARLIS_FAILPOINT("serve.coalesce");
-    // All members are guard-free by construction; make sure the shared
-    // solver is too.
-    batch_solver_.set_cancel(CancelToken{});
-    batch_solver_.set_deadline_ms(0);
     if (merged) {
       batch_solver_.solve_many(batch_queries_, batch_results_);
     } else {
@@ -247,7 +230,7 @@ void Engine::run_pass(std::unique_lock<std::mutex>& lk) {
   for (Request* r : drained_) {
     if (finish_if_dead(*r)) continue;
     const bool coalescable =
-        !r->guarded &&
+        r->scope == nullptr &&
         static_cast<int64_t>(r->queries.size()) <= cfg_.coalesce_max_queries;
     if (coalescable) {
       if (static_cast<int64_t>(batch_queries_.size() + r->queries.size()) >
@@ -271,6 +254,7 @@ void Engine::run_pass(std::unique_lock<std::mutex>& lk) {
 
 void Engine::solve(std::span<const Query> queries,
                    std::span<QueryResult> results, const RequestGuard& guard) {
+  internal::CancelScope scope(guard.cancel, guard.deadline_ms);
   if (results.size() < queries.size()) {
     throw Error(ErrorCode::kInvalidArgument,
                 "Engine::solve: |results| must be >= |queries|");
@@ -282,8 +266,6 @@ void Engine::solve(std::span<const Query> queries,
   Request r;
   r.queries = queries;
   r.results = results;
-  r.cancel = guard.cancel;
-  r.deadline_ms = guard.deadline_ms;
   submit_and_wait(r);
 }
 
@@ -293,44 +275,28 @@ QueryResult Engine::solve_one(const Query& q, const RequestGuard& guard) {
   return res;
 }
 
-SessionTable::Lease Engine::lease_tenant(uint64_t series,
-                                         const RequestGuard& guard) {
-  // The deadline's clock starts before the acquire, so waiting for the
-  // tenant's current holder counts against it. A guard that trips during
-  // that wait fails the verb here, before its op runs; the lease goes back
-  // as the error unwinds. Guard-free verbs read no clock.
-  const bool timed = guard.deadline_ms > 0;
-  const auto start = timed ? std::chrono::steady_clock::now()
-                           : std::chrono::steady_clock::time_point{};
+SessionTable::Lease Engine::lease_tenant(uint64_t series) {
+  // The acquire's wait polls the verb's scope. One that trips between the
+  // wait and here fails the verb before its op runs; the lease goes back
+  // as the error unwinds.
   SessionTable::Lease lease = table_.acquire(series);
   requests_.fetch_add(1, std::memory_order_relaxed);
-  if (guard.cancel.cancel_requested()) {
-    throw Error(ErrorCode::kCancelled,
-                "Engine: cancelled while waiting for the tenant");
-  }
-  int64_t left = 0;
-  if (timed) {
-    left = guard.deadline_ms - elapsed_ms_since(start);
-    if (left <= 0) {
-      throw Error(ErrorCode::kDeadlineExceeded,
-                  "Engine: deadline expired while waiting for the tenant");
-    }
-  }
-  lease.solver().set_cancel(guard.cancel);
-  lease.solver().set_deadline_ms(left);
+  internal::poll_cancellation();
   return lease;
 }
 
 int64_t Engine::append(uint64_t series, int64_t value,
                        const RequestGuard& guard) {
-  SessionTable::Lease lease = lease_tenant(series, guard);
+  internal::CancelScope scope(guard.cancel, guard.deadline_ms);
+  SessionTable::Lease lease = lease_tenant(series);
   return lease.session().append(value);
 }
 
 QueryResult Engine::solve_warm(uint64_t series, const Query& q,
                                const RequestGuard& guard) {
+  internal::CancelScope scope(guard.cancel, guard.deadline_ms);
   validate_query(q);  // a malformed query admits no tenant
-  SessionTable::Lease lease = lease_tenant(series, guard);
+  SessionTable::Lease lease = lease_tenant(series);
   QueryResult res;
   const bool hit = lease.solver().solve_query(q, res);
   if (!q.w.empty()) {

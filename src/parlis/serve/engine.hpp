@@ -11,29 +11,35 @@
 // ring of request pointers with two backpressure modes:
 //
 //   kBlock  — a full queue blocks the submitting thread until a slot
-//             frees (cancellation is honored while blocked);
+//             frees (the call's guard is polled while blocked);
 //   kReject — a full queue throws Error{kOverloaded} immediately, the
 //             fail-fast shape for callers with their own retry budget.
 //
+// Every verb installs its RequestGuard as one cancellation scope on its
+// caller (util/exec_context.hpp): the deadline is anchored once, at the
+// call, and the kBlock wait, the queue, the lease wait and the solver all
+// poll that scope. A request carries its caller's scope; one with none is
+// guard-free. A guard-free call made under an outer scope (say, from a
+// pool task of a guarded call) carries the outer one and runs solo under
+// it, as a Solver entry point would.
+//
 // A pass drains everything queued, so a combiner's own request is in it,
 // and in FIFO order:
-//   * completes requests whose CancelToken tripped or whose deadline
-//     expired while queued WITHOUT executing them — a request cancelled
-//     in the queue never reaches a worker;
+//   * completes requests whose scope tripped while queued WITHOUT
+//     executing them — a request cancelled in the queue never reaches a
+//     worker;
 //   * COALESCES the queries of adjacent guard-free solve requests into
-//     one Solver::solve_many batch on the engine's batch solver (the
+//     one Solver::solve_many batch on the engine's batch solver, run under
+//     no scope, so the combiner's own guard never reaches it (the
 //     serve.coalesce failpoint fires before the batch runs). solve_many
 //     itself packs small queries one per task across the pool, so the
 //     engine inherits the library's large/small split. Every query is
 //     shape-checked at submit (validate_query), so a malformed one fails
-//     only its own caller; a structured failure inside the batch
-//     (cancellation, an injected fault, a dp sum past INT64_MAX) fails
-//     every request in it (documented shared fate: the batch is one solver
-//     call);
-//   * executes guarded requests (live CancelToken / deadline) solo, with
-//     the batch solver re-armed per request (set_cancel /
-//     set_deadline_ms), because a coalesced batch can only carry one
-//     guard.
+//     only its own caller; a structured failure inside the batch (an
+//     injected fault, a dp sum past INT64_MAX) fails every request in it
+//     (documented shared fate: the batch is one solver call);
+//   * executes each request that carries a scope solo, under that scope,
+//     because a coalesced batch can only carry one guard.
 // It then marks its requests done and wakes their callers. A pass starts
 // at once, so concurrent bursts coalesce into one batch only under the
 // linger window (coalesce_linger_us).
@@ -42,21 +48,20 @@
 // coalesce across tenants, and the SessionTable already serializes each
 // tenant. The calling thread acquires the tenant's lease (admission
 // faults and kBudgetExceeded surface there), waits while another caller
-// holds it, arms the tenant solver with its guard, and runs the op.
-// Backpressure, pause/resume, the linger window and the queued
-// cancel/expiry counters apply to the queue, so only to the stateless
-// solves.
+// holds it, and runs the op on the tenant's unguarded solver, whose polls
+// see the verb's scope. Backpressure, pause/resume, the linger window and
+// the queued cancel/expiry counters apply to the queue, so only to the
+// stateless solves.
 //
-// Deadlines are end to end: the clock starts at the call, so a queued
-// wait or a wait for a busy tenant counts against it, and the solver sees
-// only the remainder. Like a queued request that expires, a tenant verb
-// whose guard trips while it waits for the lease never runs its op: it
-// throws Error{kCancelled} or Error{kDeadlineExceeded} with the lease
-// released, and an append admits nothing.
+// Deadlines are end to end: a queued wait or a wait for a busy tenant
+// counts against them. A tenant verb whose guard trips in the lease wait
+// fails there, while the holder still holds the lease; one that trips
+// after it fails before its op. Neither runs its op, and an append admits
+// nothing. The errors are the scope's: Error{kCancelled, "cancellation
+// requested"} and Error{kDeadlineExceeded, "deadline exceeded"}.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -67,6 +72,10 @@
 #include "parlis/serve/serve_stats.hpp"
 #include "parlis/serve/session_table.hpp"
 #include "parlis/util/cancel.hpp"
+
+namespace parlis::internal {
+struct ExecContext;  // util/exec_context.hpp
+}  // namespace parlis::internal
 
 namespace parlis::serve {
 
@@ -87,8 +96,9 @@ struct EngineConfig {
   BackpressureMode backpressure = BackpressureMode::kBlock;
 };
 
-/// Per-request guard: both default (invalid token, 0 deadline) means the
-/// request is coalescable.
+/// Per-call guard, installed as one cancellation scope on the caller. Both
+/// default (invalid token, 0 deadline): the call adds no scope, and a solve
+/// made under none is coalescable.
 struct RequestGuard {
   CancelToken cancel{};
   int64_t deadline_ms = 0;
@@ -152,11 +162,8 @@ class Engine {
   struct Request {
     std::span<const Query> queries{};
     std::span<QueryResult> results{};
-    // Guard, anchored at submit time so the queued wait counts.
-    CancelToken cancel{};
-    int64_t deadline_ms = 0;
-    std::chrono::steady_clock::time_point submitted{};
-    bool guarded = false;
+    // The caller's scope, alive while the caller waits; null: guard-free.
+    const internal::ExecContext* scope = nullptr;
     bool done = false;
     std::exception_ptr error;
   };
@@ -169,18 +176,14 @@ class Engine {
   // One pass: drains (and lingers) under `lk`, runs the drained requests
   // with qmu_ released, then marks them done under `lk`.
   void run_pass(std::unique_lock<std::mutex>& lk);
-  // Pre-execution guard check; fails the request and returns true when
-  // it must not run.
+  // Pre-execution check of the request's scope; fails the request and
+  // returns true when it must not run.
   bool finish_if_dead(Request& r);
   void execute_solo(Request& r);
   void run_coalesced(std::vector<Request*>& batch);
-  // Remaining milliseconds of a deadline anchored at `start` (>= 1), or 0
-  // for "none".
-  static int64_t remaining_deadline_ms(
-      int64_t deadline_ms, std::chrono::steady_clock::time_point start);
-  // Leases `series` and arms its solver with `guard`, anchored at entry;
-  // throws, lease released, when the guard tripped during the wait.
-  SessionTable::Lease lease_tenant(uint64_t series, const RequestGuard& guard);
+  // Leases `series` for a verb whose scope is installed; throws, lease
+  // released, when that scope tripped during the wait.
+  SessionTable::Lease lease_tenant(uint64_t series);
 
   SessionTable table_;
   Solver batch_solver_;

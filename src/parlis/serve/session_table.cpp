@@ -1,8 +1,10 @@
 #include "parlis/serve/session_table.hpp"
 
+#include <chrono>
 #include <string>
 
 #include "parlis/util/error.hpp"
+#include "parlis/util/exec_context.hpp"
 #include "parlis/util/failpoint.hpp"
 
 namespace parlis::serve {
@@ -106,8 +108,18 @@ SessionTable::Lease SessionTable::acquire(uint64_t series) {
   std::unique_lock<std::mutex> lk(mu_);
   TenantEntry& e = pin(series);
   // The pin keeps the entry alive while this thread waits (with mu_
-  // released) for the current holder's release.
-  released_.wait(lk, [&] { return !e.leased; });
+  // released) for the current holder's release. The wait polls the
+  // calling thread's scope: when it trips, the entry is unpinned and the
+  // error thrown while the holder still holds the lease.
+  while (e.leased) {
+    try {
+      internal::poll_cancellation();
+    } catch (...) {
+      e.pins--;
+      throw;
+    }
+    released_.wait_for(lk, std::chrono::milliseconds(1));
+  }
   e.leased = true;
   // Every lease starts unguarded: a token or deadline the previous holder
   // set for its own operation must not reach this one.

@@ -91,6 +91,10 @@ class SessionTable {
   /// admission — evicts idle LRU entries until the newcomer fits, throwing
   /// Error{kBudgetExceeded} when even a fresh entry cannot fit. Fires the
   /// serve.admit failpoint on entry and serve.evict before each eviction.
+  /// The wait polls the calling thread's cancellation scope (an Engine
+  /// verb's guard, util/exec_context.hpp) every millisecond: when it trips,
+  /// acquire unpins the entry and throws its Error{kCancelled} or
+  /// Error{kDeadlineExceeded} while the holder still holds the lease.
   Lease acquire(uint64_t series);
 
   /// Evicts idle LRU entries while the table is over budget. Admission

@@ -163,6 +163,15 @@ int64_t LisSession::delta_resolve(std::span<const int64_t> new_values,
                 "LisSession::delta_resolve: prefix_keep/suffix_keep out of "
                 "range for the old and new windows");
   }
+  const std::span<const int64_t> old_win = window();
+  if (!std::equal(new_values.begin(), new_values.begin() + prefix_keep,
+                  old_win.begin()) ||
+      !std::equal(new_values.end() - suffix_keep, new_values.end(),
+                  old_win.end() - suffix_keep)) {
+    throw Error(ErrorCode::kInvalidArgument,
+                "LisSession::delta_resolve: the kept prefix or suffix "
+                "differs from the current window");
+  }
   internal::CancelScope scope(solver_->options().cancel,
                               solver_->options().deadline_ms);
   internal::poll_cancellation();
@@ -194,15 +203,6 @@ int64_t LisSession::delta_resolve_body(std::span<const int64_t> new_values,
     return static_cast<int64_t>(tails_.size());
   }
   std::span<const int64_t> old_win = window();
-#ifndef NDEBUG
-  for (int64_t i = 0; i < prefix_keep; i++) {
-    assert(new_values[i] == old_win[i] && "prefix_keep region changed");
-  }
-  for (int64_t i = 0; i < suffix_keep; i++) {
-    assert(new_values[n_new - 1 - i] == old_win[n_old - 1 - i] &&
-           "suffix_keep region changed");
-  }
-#endif
   const LisFrontiers& fr = cached_fr_;
   const int64_t p = prefix_keep;
   const int64_t shift = n_new - n_old;

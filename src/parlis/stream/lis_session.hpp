@@ -105,11 +105,12 @@ class LisSession {
 
   /// Replaces the window with `new_values`, of which the first prefix_keep
   /// and the last suffix_keep elements are unchanged from the current
-  /// window (debug-asserted). Reuses the cached frontiers for the prefix
-  /// and the convergence trick for the suffix; falls back to a plain
-  /// re-solve when no solve is cached. Returns the new LIS length, leaves
-  /// frontiers() primed. Out-of-range prefix_keep/suffix_keep throw
-  /// Error{kInvalidArgument}; honors the Solver's cancellation/deadline. On
+  /// window. Reuses the cached frontiers for the prefix and the convergence
+  /// trick for the suffix; falls back to a plain re-solve when no solve is
+  /// cached. Returns the new LIS length, leaves frontiers() primed.
+  /// Out-of-range prefix_keep/suffix_keep, and kept regions that differ
+  /// from the current window, throw Error{kInvalidArgument} before any
+  /// state changes; honors the Solver's cancellation/deadline. On
   /// any throw the derived state is marked dirty and lazily rebuilt from
   /// the window buffer, which holds either the old or the new values.
   int64_t delta_resolve(std::span<const int64_t> new_values,

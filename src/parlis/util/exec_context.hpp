@@ -10,11 +10,13 @@
 // Error (kCancelled / kDeadlineExceeded) that unwinds to the entry point's
 // failure chokepoint.
 //
-// The context is thread-local, and the scheduler carries it into the pool:
-// every task runs under the scope of the call that forked it, whichever
-// thread runs it (parallel/scheduler.hpp), so a speculative chunk, a
-// wavefront cell or a packed solve_many query polls its caller's token and
-// deadline, and a task forked with no scope polls none.
+// The context is thread-local; a deadline is anchored once, where the
+// scope is installed. A thread running another call's work swaps that
+// call's scope in (ScopeSwap): the scheduler does so for every task, so a
+// speculative chunk, a wavefront cell or a packed solve_many query polls
+// the scope of the call that forked it (parallel/scheduler.hpp), and the
+// serving engine's combiner runs each request under its caller's
+// (serve/engine.hpp).
 #pragma once
 
 #include <chrono>
@@ -48,38 +50,45 @@ inline void poll_cancellation() {
   if (c != nullptr) c->check();
 }
 
+/// RAII swap of the calling thread's scope for `scope`, null included, and
+/// back on destruction: what a thread running another call's work installs,
+/// so the work polls that call's guard and not its runner's.
+class ScopeSwap {
+ public:
+  explicit ScopeSwap(const ExecContext* scope) noexcept
+      : prev_(tl_exec_context) {
+    tl_exec_context = scope;
+  }
+  ~ScopeSwap() { tl_exec_context = prev_; }
+  ScopeSwap(const ScopeSwap&) = delete;
+  ScopeSwap& operator=(const ScopeSwap&) = delete;
+
+ private:
+  const ExecContext* prev_;
+};
+
 /// RAII installer of the context an entry point runs under; the deadline
 /// is anchored at construction (now + deadline_ms). Installs only when
 /// there is something to check (a live token or a positive deadline),
 /// otherwise leaves any outer scope visible to the polls. The token
-/// reference must outlive the scope (it lives in the Solver's Options).
+/// reference must outlive the scope (it lives in the Solver's Options, or
+/// in the RequestGuard of an Engine call).
 /// Construction never throws; entry points that want fail-fast semantics
 /// call poll_cancellation() right after installing.
 class CancelScope {
  public:
-  CancelScope(const CancelToken& token, int64_t deadline_ms) noexcept {
-    if (token.valid()) ctx_.cancel = &token;
-    if (deadline_ms > 0) {
-      ctx_.deadline = std::chrono::steady_clock::now() +
-                      std::chrono::milliseconds(deadline_ms);
-      ctx_.has_deadline = true;
-    }
-    if (ctx_.cancel != nullptr || ctx_.has_deadline) {
-      prev_ = tl_exec_context;
-      tl_exec_context = &ctx_;
-      installed_ = true;
-    }
-  }
-  ~CancelScope() {
-    if (installed_) tl_exec_context = prev_;
-  }
-  CancelScope(const CancelScope&) = delete;
-  CancelScope& operator=(const CancelScope&) = delete;
+  CancelScope(const CancelToken& token, int64_t deadline_ms) noexcept
+      : ctx_{token.valid() ? &token : nullptr,
+             deadline_ms > 0 ? std::chrono::steady_clock::now() +
+                                   std::chrono::milliseconds(deadline_ms)
+                             : std::chrono::steady_clock::time_point{},
+             deadline_ms > 0},
+        swap_(ctx_.cancel != nullptr || ctx_.has_deadline ? &ctx_
+                                                          : tl_exec_context) {}
 
  private:
   ExecContext ctx_;
-  const ExecContext* prev_ = nullptr;
-  bool installed_ = false;
+  ScopeSwap swap_;
 };
 
 }  // namespace internal

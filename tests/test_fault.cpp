@@ -675,8 +675,20 @@ TEST(ErrorHandling, DeltaResolveValidatesKeepRanges) {
                [&] { sess.delta_resolve(nv, 0, -2); });
   expect_error(ErrorCode::kInvalidArgument,
                [&] { sess.delta_resolve(nv, 4, 4); });
+  // Kept regions must equal the current window's, in every build: a
+  // changed prefix and a changed suffix throw, with frontiers cached (the
+  // delta path), and leave the session as it was.
+  EXPECT_EQ(sess.frontiers().k, 3);
+  const std::vector<int64_t> new_prefix{3, 2, 9, 1, 5};
+  const std::vector<int64_t> new_suffix{3, 1, 9, 1, 6};
+  expect_error(ErrorCode::kInvalidArgument,
+               [&] { sess.delta_resolve(new_prefix, 2, 2); });
+  expect_error(ErrorCode::kInvalidArgument,
+               [&] { sess.delta_resolve(new_suffix, 2, 2); });
+  EXPECT_EQ(sess.length(), 3);
   // Valid keeps succeed: LIS of {3, 1, 9, 1, 5} is 2 (e.g. {3, 9}).
   EXPECT_EQ(sess.delta_resolve(nv, 2, 2), 2);
+  EXPECT_EQ(sess.frontiers().k, 2);
 }
 
 TEST(ErrorHandling, SolverUsableAfterInvalidArgument) {

@@ -37,6 +37,7 @@
 #include "parlis/stream/lis_session.hpp"
 #include "parlis/util/cancel.hpp"
 #include "parlis/util/error.hpp"
+#include "parlis/util/exec_context.hpp"
 #include "parlis/wlis/seq_avl.hpp"
 
 namespace parlis {
@@ -551,6 +552,37 @@ TEST(ServeEngine, DestructorFailsQueuedRequests) {
   for (auto& t : clients) t.join();
 }
 
+// A combiner serves the requests it drains under their scopes, not its own.
+// A thread under a tripped outer scope makes a guard-free solve: its
+// request carries that scope, so it runs alone and fails. It becomes the
+// combiner and lingers until this thread's guard-free solve fills the
+// ring; that solve runs in a batch under no scope and must succeed.
+TEST(ServeEngine, CombinersScopeFailsOnlyItsOwnRequest) {
+  const auto vals = make_vals(512, 14);
+  EngineConfig cfg;
+  cfg.queue_capacity = 2;
+  cfg.coalesce_linger_us = 2'000'000;
+  Engine engine(cfg);
+  Query q;
+  q.a = vals;
+  std::thread combiner([&] {
+    const auto token = CancelToken::make();
+    token.request_cancel();
+    internal::CancelScope scope(token, 0);
+    expect_error(ErrorCode::kCancelled, [&] { (void)engine.solve_one(q); });
+  });
+  while (engine.stats().requests < 1) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  QueryResult got{};
+  try {
+    got = engine.solve_one(q);
+  } catch (const Error& e) {
+    ADD_FAILURE() << "the combiner's scope failed this caller: " << e.what();
+  }
+  combiner.join();
+  EXPECT_EQ(got.k, seq_bs_length(vals));
+}
+
 // The Engine owns no thread: with the pool already running, constructing
 // one and serving each verb on it leaves the process's thread count as it
 // was. Every verb runs on its caller.
@@ -718,8 +750,8 @@ TEST(ServeEngine, MalformedQueryFailsOnlyItsOwnRequest) {
   EXPECT_EQ(got.best, want.k);
 }
 
-// The cancel token and deadline a tenant verb arms end with its call: a
-// later lease on the tenant (here a direct one) starts unguarded.
+// A tenant verb's guard ends with its call: a later lease on the tenant
+// (here a direct one) starts unguarded.
 TEST(ServeEngine, TenantGuardEndsWithItsCall) {
   Engine engine(EngineConfig{});
   auto token = CancelToken::make();
@@ -734,11 +766,28 @@ TEST(ServeEngine, TenantGuardEndsWithItsCall) {
   EXPECT_EQ(out.k, 2);
 }
 
+// The engine's solvers carry no guard of their own: a tripped token in the
+// configured solver options fails no call, stateless or tenant.
+TEST(ServeEngine, ConfiguredSolverTokenFailsNoCall) {
+  EngineConfig cfg;
+  cfg.table.solver.cancel = CancelToken::make();
+  cfg.table.solver.cancel.request_cancel();
+  Engine engine(cfg);
+  const auto vals = make_vals(512, 15);
+  Query q;
+  q.a = vals;
+  EXPECT_EQ(engine.solve_one(q).k, seq_bs_length(vals));
+  EXPECT_EQ(engine.solve_one(q, {CancelToken{}, 1000}).k, seq_bs_length(vals));
+  EXPECT_EQ(engine.solve_warm(1, q).k, seq_bs_length(vals));
+  EXPECT_EQ(engine.append(2, 5), 1);
+}
+
 // Runs one tenant verb (0: append, 1: solve_warm) with `guard` on another
 // thread while this one holds the tenant's lease; `wait_ms` into the verb's
-// wait, runs `trip`, then releases the lease. The verb must throw `want`
-// and run nothing: the append admits no value, the warm solve writes no
-// rank.
+// wait, runs `trip`, then keeps the lease until the verb has thrown (at
+// most 2 s) before releasing it. The verb must throw `want` in the wait,
+// while the lease is still held, and run nothing: the append admits no
+// value, the warm solve writes no rank.
 template <typename Trip>
 void expect_fails_in_lease_wait(int verb, ErrorCode want,
                                 const RequestGuard& guard, int64_t wait_ms,
@@ -753,6 +802,7 @@ void expect_fails_in_lease_wait(int verb, ErrorCode want,
   std::optional<SessionTable::Lease> holder;
   holder.emplace(engine.table().acquire(1));
   const int64_t hits = engine.stats().table_hits;
+  std::atomic<bool> thrown{false};
   std::thread client([&] {
     expect_error(want, [&] {
       if (verb == 0) {
@@ -761,12 +811,19 @@ void expect_fails_in_lease_wait(int verb, ErrorCode want,
         engine.solve_warm(1, q, guard);
       }
     });
+    thrown = true;
   });
   // The verb's acquire counts a hit before it waits, and after the verb
   // started its deadline's clock.
   while (engine.stats().table_hits == hits) std::this_thread::yield();
   std::this_thread::sleep_for(std::chrono::milliseconds(wait_ms));
   trip();
+  const auto cap = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (!thrown && std::chrono::steady_clock::now() < cap) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(thrown) << "verb " << verb
+                      << " still waited 2 s after its guard tripped";
   holder.reset();
   client.join();
   EXPECT_TRUE(std::all_of(rank.begin(), rank.end(),
@@ -777,7 +834,8 @@ void expect_fails_in_lease_wait(int verb, ErrorCode want,
 
 // A tenant verb's deadline runs from its call, so its wait for a busy
 // tenant counts: one whose deadline passes in that wait throws
-// kDeadlineExceeded before its op runs, and releases the lease.
+// kDeadlineExceeded there, before its op runs, while the holder still
+// holds the lease.
 TEST(ServeEngine, TenantVerbFailsWhenItsDeadlinePassesInTheLeaseWait) {
   for (int verb = 0; verb < 2; verb++) {
     expect_fails_in_lease_wait(verb, ErrorCode::kDeadlineExceeded,
@@ -785,9 +843,7 @@ TEST(ServeEngine, TenantVerbFailsWhenItsDeadlinePassesInTheLeaseWait) {
   }
 }
 
-// The same for a token tripped during the wait: kCancelled. An append
-// polls its guard one tick in 64, so without the check after the wait it
-// would run.
+// The same for a token tripped during the wait: kCancelled.
 TEST(ServeEngine, TenantVerbFailsWhenCancelledInTheLeaseWait) {
   for (int verb = 0; verb < 2; verb++) {
     const auto token = CancelToken::make();
