@@ -32,7 +32,7 @@
 //                  typed pipeline relative to int64.
 //   solve_many   — a batch of small mixed LIS/WLIS queries: a loop of
 //                  one-shot free functions vs one warm Solver::solve_many
-//                  call (queries packed one-per-task across the pool).
+//                  call (queries packed onto one task per worker).
 //   wlis_pass    — the weighted pass alone: a warm Solver's value-cache-hit
 //                  solve_wlis under set_sequential_mode(true) (the one-cell
 //                  pass on the calling thread, "one_cell") and false (the
@@ -354,7 +354,7 @@ int main(int argc, char** argv) {
     }
   }
   std::vector<QueryResult> results(batchq);
-  solver.solve_many(queries, results);  // warm the per-worker contexts
+  solver.solve_many(queries, results);  // warm the task contexts
   int batch_reps = std::max(3, reps / 2);
   PairMedians m_batch = measure_pair(
       batch_reps,

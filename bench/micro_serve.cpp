@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
   std::vector<QueryResult> direct_res(batchq), engine_res(batchq);
 
   Solver direct;
-  direct.solve_many(queries, direct_res);  // warm the per-worker contexts
+  direct.solve_many(queries, direct_res);  // warm the task contexts
 
   serve::EngineConfig ecfg;
   ecfg.queue_capacity = 2 * clients;

@@ -18,8 +18,11 @@
 //                  window n/10 and kSlidingExact at a small window (the
 //                  exact mode pays a survivor replay per tick at capacity —
 //                  reported honestly as its own row).
-//   delta        — delta_resolve of a 1k-element middle edit vs a full
-//                  re-solve of the edited series (both medians reported).
+//   delta        — delta_resolve of a 1k-element head, middle and tail
+//                  edit of the uniform feed and of a deep line
+//                  (line_pattern(n, 500): k ~ 259 at n = 1e6) vs a full
+//                  re-solve of the edited series (both medians reported;
+//                  advisory, nothing gates them).
 //
 // Every row checks its session's final LIS length against
 // Solver::lis_length of the same window and exits 1 on a mismatch.
@@ -30,6 +33,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.hpp"
@@ -38,6 +42,7 @@
 #include "parlis/parallel/parallel.hpp"
 #include "parlis/parallel/random.hpp"
 #include "parlis/stream/lis_session.hpp"
+#include "parlis/util/generators.hpp"
 
 namespace {
 
@@ -350,36 +355,67 @@ int main(int argc, char** argv) {
   }
 
   // ------------------------------------------------------------- delta ---
+  // A kEdit-element edit at the head, the middle and the tail of two
+  // feeds: the uniform `a` (k ~ 2 sqrt(n)) and a deep line (k ~ 259 at
+  // n = 1e6). Each rep edits the same positions again, with values unlike
+  // the current ones (fresh hashes; the line's two alternates in turn).
   {
-    Solver ds(opts);
-    LisSession s = ds.make_session();
-    for (int64_t v : a) s.append(v);
-    s.frontiers();
     constexpr int64_t kEdit = 1000;
-    int64_t l = n / 2;
-    std::vector<int64_t> b = a;
-    std::vector<double> d_ts, f_ts;
-    Solver fresh(opts);
-    LisFrontiers fr;
-    int64_t k_delta = 0;
-    for (int r = 0; r < reps; r++) {
-      for (int64_t i = 0; i < kEdit; i++) {
-        b[l + i] = static_cast<int64_t>(hash64(100 + r, i) >> 1);
+    const std::vector<int64_t> line = line_pattern(n, 500, 43);
+    const std::vector<int64_t> alt[2] = {line_pattern(n, 500, 44),
+                                         line_pattern(n, 500, 45)};
+    const std::pair<const char*, int64_t> edits[] = {
+        {"head", 0}, {"middle", n / 2}, {"tail", n - kEdit}};
+    const std::vector<int64_t>* feeds[] = {&a, &line};
+    for (const std::vector<int64_t>* feed : feeds) {
+      const char* pattern = feed == &a ? "uniform" : "line";
+      for (const auto& [where, l] : edits) {
+        Solver ds(opts);
+        LisSession s = ds.make_session();
+        for (int64_t v : *feed) s.append(v);
+        s.frontiers();
+        std::vector<int64_t> b = *feed;
+        std::vector<double> d_ts, f_ts;
+        Solver fresh(opts);
+        LisFrontiers fr;
+        int64_t k_delta = 0;
+        for (int r = 0; r < reps; r++) {
+          for (int64_t i = 0; i < kEdit; i++) {
+            b[l + i] = feed == &a
+                           ? static_cast<int64_t>(hash64(100 + r, i) >> 1)
+                           : alt[r % 2][l + i];
+          }
+          Timer t;
+          k_delta =
+              s.delta_resolve(std::span<const int64_t>(b), l, n - l - kEdit);
+          d_ts.push_back(t.elapsed());
+          t.reset();
+          fresh.solve_lis_frontiers(std::span<const int64_t>(b), fr);
+          f_ts.push_back(t.elapsed());
+        }
+        const double delta_ms = median(d_ts) * 1e3;
+        const double full_ms = median(f_ts) * 1e3;
+        std::printf("%-14s %-7s %-6s median %8.3f ms vs full re-solve %8.3f "
+                    "ms (%.2fx, k %lld)\n",
+                    "delta_resolve", pattern, where, delta_ms, full_ms,
+                    full_ms / delta_ms, static_cast<long long>(k_delta));
+        for (const bool full : {false, true}) {
+          JsonRecord rec;
+          rec.field("bench", "micro_stream")
+              .field("op", full ? "delta_full_resolve" : "delta_resolve")
+              .field("pattern", pattern)
+              .field("variant", where)
+              .field("n", n)
+              .field("threads", num_workers())
+              .field("median_ms", full ? full_ms : delta_ms);
+          if (!full) rec.field("speedup_x", full_ms / delta_ms);
+          json.add(rec);
+        }
+        char row[48];
+        std::snprintf(row, sizeof row, "delta_resolve %s %s", pattern, where);
+        if (!length_matches(row, k_delta, b, solver)) return 1;
       }
-      Timer t;
-      k_delta = s.delta_resolve(std::span<const int64_t>(b), l, n - l - kEdit);
-      d_ts.push_back(t.elapsed());
-      t.reset();
-      fresh.solve_lis_frontiers(std::span<const int64_t>(b), fr);
-      f_ts.push_back(t.elapsed());
     }
-    double delta_ms = median(d_ts) * 1e3;
-    double full_ms = median(f_ts) * 1e3;
-    std::printf("%-14s median %8.3f ms vs full re-solve %8.3f ms (%.1fx)\n",
-                "delta_resolve", delta_ms, full_ms, full_ms / delta_ms);
-    emit("delta_resolve", n, -1, -1, delta_ms, full_ms / delta_ms);
-    emit("delta_full_resolve", n, -1, -1, full_ms, -1);
-    if (!length_matches("delta_resolve", k_delta, b, solver)) return 1;
   }
 
   bool pass = ratio >= 20.0;

@@ -54,7 +54,8 @@ int main() {
 
   // --- Batched serving (solve_many) --------------------------------------
   // Independent queries fan out across the worker pool: small ones are
-  // packed one per task, large ones parallelize internally.
+  // packed onto at most one task per worker, large ones parallelize
+  // internally.
   std::vector<int64_t> b = {3, 1, 4, 1, 5, 9, 2, 6};
   parlis::Query queries[3];
   queries[0].a = a;           // unweighted LIS of a

@@ -13,14 +13,6 @@
 
 namespace parlis {
 
-// A claimable context: `busy` is taken for the duration of one packed
-// query (acquire on claim, release on return, so workspace state synchronizes
-// between successive holders).
-struct Solver::CtxSlot {
-  std::atomic<bool> busy{false};
-  std::unique_ptr<ThreadCtx> ctx;
-};
-
 Solver::Solver(const Options& opts)
     : opts_(opts), main_ctx_(std::make_unique<ThreadCtx>()) {}
 
@@ -33,9 +25,9 @@ size_t Solver::resident_bytes() const {
   // table counts it once via sizeof(TenantEntry)).
   size_t b = vec_bytes(small_idx_);
   if (main_ctx_) b += main_ctx_->resident_bytes();
-  for (size_t i = 0; i < ctx_n_; i++) {
-    b += sizeof(CtxSlot);
-    if (ctx_[i].ctx) b += ctx_[i].ctx->resident_bytes();
+  for (size_t t = 0; t < task_ctx_n_; t++) {
+    b += sizeof(task_ctx_[t]);
+    if (task_ctx_[t]) b += task_ctx_[t]->resident_bytes();
   }
   return b;
 }
@@ -218,59 +210,33 @@ void Solver::solve_many(std::span<const Query> queries,
     }
   }
   if (small_idx_.empty()) return;
-  // Small queries: one task per query across the pool, each solved
-  // sequentially (thread-sequential mode) on a claimed per-runner context.
-  // A runner probes from its preferred slot (pool_thread_id() + 1: the
-  // external caller prefers slot 0, pool workers their own slot — warm in
-  // the steady state) to the first free one. The busy flag is load-bearing:
-  // besides the caller and the pool workers, any OTHER external thread
-  // joining its own parallel work can steal packed tasks from the shared
-  // submission queue, and all external threads report pool_thread_id() ==
-  // -1 — without the claim they would race on one context. If every slot
-  // is somehow held (more simultaneous runners than the pool has workers),
-  // the query solves on a throwaway context rather than blocking.
-  if (ctx_n_ == 0) {
-    ctx_n_ = static_cast<size_t>(num_workers()) + 1;
-    ctx_ = std::make_unique<CtxSlot[]>(ctx_n_);
+  // Small queries: min(m, num_workers()) tasks, each taking queries from
+  // one shared cursor and solving them sequentially (thread-sequential
+  // mode) on its own context, task t on context t. A query that throws
+  // moves the cursor past the end, so the other tasks stop after their
+  // current one, and parallel_for rethrows the first exception here.
+  if (task_ctx_n_ == 0) {
+    task_ctx_n_ = static_cast<size_t>(num_workers());
+    task_ctx_ = std::make_unique<std::unique_ptr<ThreadCtx>[]>(task_ctx_n_);
   }
+  const int64_t m = static_cast<int64_t>(small_idx_.size());
+  std::atomic<int64_t> next{0};
   parallel_for(
-      0, static_cast<int64_t>(small_idx_.size()),
+      0, std::min(m, static_cast<int64_t>(task_ctx_n_)),
       [&](int64_t t) {
-        internal::poll_cancellation();
-        PARLIS_FAILPOINT("solver.packed_query");
-        CtxSlot* held = nullptr;
-        const size_t start = static_cast<size_t>(pool_thread_id() + 1);
-        for (size_t k = 0; k < ctx_n_; k++) {
-          CtxSlot& s = ctx_[(start + k) % ctx_n_];
-          if (!s.busy.exchange(true, std::memory_order_acquire)) {
-            held = &s;
-            break;
+        ThreadSequentialGuard seq(true);
+        int64_t i;
+        while ((i = next.fetch_add(1)) < m) {
+          try {
+            internal::poll_cancellation();
+            PARLIS_FAILPOINT("solver.packed_query");
+            if (!task_ctx_[t]) task_ctx_[t] = std::make_unique<ThreadCtx>();
+            run_query(queries[small_idx_[i]], results[small_idx_[i]],
+                      "solve_many", *task_ctx_[t]);
+          } catch (...) {
+            next.store(m);
+            throw;
           }
-        }
-        std::unique_ptr<ThreadCtx> overflow;
-        ThreadCtx* ctx;
-        if (held != nullptr) {
-          if (!held->ctx) held->ctx = std::make_unique<ThreadCtx>();
-          ctx = held->ctx.get();
-        } else {
-          overflow = std::make_unique<ThreadCtx>();
-          ctx = overflow.get();
-        }
-        // The claimed slot must come back even when the query throws
-        // (cancellation, injected fault): a stuck busy flag would leak the
-        // slot for every later batch.
-        try {
-          ThreadSequentialGuard seq(true);
-          run_query(queries[small_idx_[t]], results[small_idx_[t]],
-                    "solve_many", *ctx);
-        } catch (...) {
-          if (held != nullptr) {
-            held->busy.store(false, std::memory_order_release);
-          }
-          throw;
-        }
-        if (held != nullptr) {
-          held->busy.store(false, std::memory_order_release);
         }
       },
       /*grain=*/1);

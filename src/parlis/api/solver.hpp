@@ -3,7 +3,7 @@
 // The free functions (lis_ranks, wlis, swgs_*) are one-shot: every call
 // rebuilds its scratch. A Solver instead owns all of the scratch its two
 // plans touch — patience tails, one rank space, the weighted pass's
-// Fenwick tree, per-worker contexts for batched serving — and writes
+// Fenwick tree, one context per solve_many task — and writes
 // results into caller-reusable output structs, so in the amortized-serving
 // steady state (many queries through one session) repeated same-size
 // solves allocate nothing.
@@ -37,10 +37,11 @@
 // bitmap and sort, the weighted pass's wavefront), but two threads must
 // not call into the same Solver concurrently. solve_many is the batched
 // entry point: it fans independent queries out across the pool itself —
-// queries of at most kPoolGateGrain elements are packed one-per-task and
-// solved sequentially in place (per-worker contexts, no nested fork-join),
-// larger ones run one at a time on the caller's context — which is the
-// serving shape for high query traffic.
+// queries of at most kPoolGateGrain elements are packed onto at most one
+// task per worker, each solving the queries it takes sequentially on its
+// own context (no nested fork-join), and larger ones run one at a time on
+// the caller's context — which is the serving shape for high query
+// traffic.
 //
 // Buffer-reuse semantics: output structs (LisResult, WlisResult, ...) are
 // plain vectors-of-results; pass the same instance back in and its capacity
@@ -134,7 +135,7 @@ class Solver {
   }
 
   /// Measured heap bytes this solver currently holds across every context
-  /// it owns (the caller-thread context, the solve_many per-runner slots,
+  /// it owns (the caller-thread context, the solve_many task contexts,
   /// and the batch scratch): vector capacities. The serving layer's
   /// per-tenant eviction accounting; never an estimate.
   size_t resident_bytes() const;
@@ -209,8 +210,8 @@ class Solver {
   /// ranks in a value cache, so re-weighting a hot series runs the pass
   /// alone; any other solve needing a rank space overwrites it. Returns
   /// true when the cache supplied the ranks. A dp sum past INT64_MAX throws
-  /// Error{kInvalidArgument}; when the wavefront runs, which overflowing
-  /// element its message names is unspecified.
+  /// Error{kInvalidArgument}; when the wavefront runs, which element's sum
+  /// its message names is unspecified.
   bool solve_wlis(std::span<const int64_t> a, std::span<const int64_t> w,
                   WlisResult& out);
 
@@ -237,9 +238,10 @@ class Solver {
   /// Batched serving: solves queries[i] into results[i] for every i.
   /// Queries are independent; |results| >= |queries|; every query is
   /// validated (validate_query) before any runs. Queries with |a| <=
-  /// kPoolGateGrain are packed across the worker pool (one task each,
-  /// solved sequentially on per-worker contexts); larger ones run one at
-  /// a time on the caller's context, by solve_lis's or solve_wlis's plan
+  /// kPoolGateGrain are packed onto min(their count, num_workers()) pool
+  /// tasks, each solving the queries it takes sequentially on its own
+  /// context; larger ones run first, one at a time on the caller's
+  /// context, by solve_lis's or solve_wlis's plan
   /// (an unweighted one of kSpeculateMinN elements or more speculates on
   /// the pool, a weighted one ranks on it from internal::kRankPoolMinN
   /// elements up or, when its span is too wide for rank_only_into's
@@ -255,10 +257,8 @@ class Solver {
   LisSession make_session();
 
  private:
-  struct CtxSlot;
-
   // Inputs of at most kPoolGateGrain elements solve in thread-sequential
-  // mode, and solve_many packs them one per task.
+  // mode, and solve_many packs them onto its tasks.
   static bool is_small(size_t n) {
     return static_cast<int64_t>(n) <= kPoolGateGrain;
   }
@@ -312,7 +312,7 @@ class Solver {
   static size_t wlis_fallback_bytes(int64_t n);
 
   // Everything one thread needs to run either plan end to end: the
-  // caller's (main_ctx_), and one per solve_many runner.
+  // caller's (main_ctx_), and one per solve_many task.
   struct ThreadCtx {
     // One rank space: the rank image of the last solve that needed one,
     // or, while `values` is valid, the value cache's rank space of the raw
@@ -445,13 +445,10 @@ class Solver {
 
   Options opts_;
   std::unique_ptr<ThreadCtx> main_ctx_; // caller-thread workspaces
-  // solve_many per-runner contexts, claimed through a busy flag: a runner
-  // probes from slot pool_thread_id() + 1 (so the external calling thread
-  // prefers slot 0 and pool workers their own slot) to the first free one.
-  // The flag matters because any externally-joining thread can help run
-  // packed tasks and every such thread reports pool_thread_id() == -1.
-  std::unique_ptr<CtxSlot[]> ctx_;
-  size_t ctx_n_ = 0;
+  // solve_many's packed task t owns task_ctx_[t], made on its first query,
+  // whichever thread runs the task; num_workers() entries once sized.
+  std::unique_ptr<std::unique_ptr<ThreadCtx>[]> task_ctx_;
+  size_t task_ctx_n_ = 0;
   std::vector<int64_t> small_idx_;  // batch partition scratch
 };
 

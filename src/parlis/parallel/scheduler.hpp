@@ -76,8 +76,10 @@ bool thread_sequential();
 
 /// Pool-internal id of the calling thread: 0..num_workers()-1 for pool
 /// workers, -1 for threads outside the pool. Unlike worker_id(), external
-/// threads are distinguishable from worker 0 — per-thread workspace arrays
-/// index on this (+1) so an external caller never aliases a worker's slot.
+/// threads are distinguishable from worker 0, but not from each other:
+/// any of them may run a task it steals while joining, so scratch a task
+/// needs alone belongs to the task (as solve_many's contexts do), not to
+/// this id.
 int pool_thread_id();
 
 /// Lifetime scheduler statistics: spawns = task descriptors pushed (par_do

@@ -157,35 +157,24 @@ void Engine::run_coalesced(std::vector<Request*>& batch) {
                                std::memory_order_relaxed);
   bump_hwm(coalesced_batch_max_,
            static_cast<int64_t>(batch_queries_.size()));
-  // Single-request batch: solve straight into the caller's spans — the
-  // gather/scatter copy only pays for itself when it merges requests.
-  const bool merged = batch.size() > 1;
-  if (merged) batch_results_.resize(batch_queries_.size());
+  batch_results_.resize(batch_queries_.size());
   std::exception_ptr err;
   // Every member is guard-free, so the batch runs under no scope: the
   // combiner's own never reaches the requests it serves.
   internal::ScopeSwap scope(nullptr);
   try {
     PARLIS_FAILPOINT("serve.coalesce");
-    if (merged) {
-      batch_solver_.solve_many(batch_queries_, batch_results_);
-    } else {
-      batch_solver_.solve_many(batch[0]->queries, batch[0]->results);
-    }
+    batch_solver_.solve_many(batch_queries_, batch_results_);
   } catch (...) {
     // Shared fate: the batch is one solver call, so a structured failure
     // inside it fails every request it carried.
     err = std::current_exception();
   }
-  size_t off = 0;
+  auto from = batch_results_.begin();
   for (Request* r : batch) {
-    if (merged && !err) {
-      std::copy(batch_results_.begin() + static_cast<ptrdiff_t>(off),
-                batch_results_.begin() +
-                    static_cast<ptrdiff_t>(off + r->queries.size()),
-                r->results.begin());
-    }
-    off += r->queries.size();
+    const auto to = from + static_cast<ptrdiff_t>(r->queries.size());
+    if (!err) std::copy(from, to, r->results.begin());
+    from = to;
     r->error = err;
   }
   batch.clear();

@@ -32,7 +32,7 @@
 //     one Solver::solve_many batch on the engine's batch solver, run under
 //     no scope, so the combiner's own guard never reaches it (the
 //     serve.coalesce failpoint fires before the batch runs). solve_many
-//     itself packs small queries one per task across the pool, so the
+//     itself packs small queries onto at most one task per worker, so the
 //     engine inherits the library's large/small split. Every query is
 //     shape-checked at submit (validate_query), so a malformed one fails
 //     only its own caller; a structured failure inside the batch (an

@@ -32,7 +32,7 @@ constexpr const char* kKnownSites[] = {
     "swgs.round",           // SWGS wake-up round loop (fault)
     "rangetree.rebuild",    // RangeTreeMax::rebuild level carve (OOM)
     "stream.append",        // LisSession::append patience step (fault)
-    "solver.packed_query",  // solve_many packed per-query task (fault)
+    "solver.packed_query",  // solve_many packed query, before it runs (fault)
     "serve.admit",          // SessionTable::acquire entry (fault)
     "serve.evict",          // SessionTable eviction, pre-mutation (fault)
     "serve.coalesce",       // Engine coalesced solve_many dispatch (fault)

@@ -6,7 +6,8 @@
 // loop alone (custom order), speculative chunks on the pool, and the rank
 // image (typed keys, kNonDecreasing ties), whose ranks come from the
 // pooled sort or, for int64 keys with a small span, the bitmap, on the
-// calling thread or, from internal::kRankPoolMinN keys up, on the pool.
+// calling thread or, from internal::kRankPoolMinN keys up, on the pool,
+// and solve_many's packed queries on the pool tasks' own contexts.
 // Warm sliding-window session appends, direct and through the serving
 // engine, must allocate nothing either. A
 // process-wide operator-new hook counts every allocation on every thread,
@@ -25,6 +26,7 @@
 #include <cstdlib>
 #include <functional>
 #include <new>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -410,6 +412,51 @@ int main() {
     };
     leg("solve_lis speculative, main thread");
     std::thread outside([&] { leg("solve_lis speculative, outside pool"); });
+    outside.join();
+  }
+
+  // Packed solve_many: a batch of 64 queries of 512 elements, unweighted
+  // and weighted, solved by min(64, num_workers()) pool tasks, each on the
+  // context it owns. Which task takes which query changes from batch to
+  // batch, and a context's scratch grows exactly to the largest query it
+  // has met, so every query here needs the same scratch: 512 distinct
+  // values, 63-bit (the hashed `a`, whose ranks come from the sort) or a
+  // shuffle of 0..511 (the bitmap), each with k under the patience tiers'
+  // 128 tails. Once from the main thread and once from a std::thread
+  // outside the pool, each leg checking that the batch forked on a pool of
+  // 2 or more workers.
+  {
+    constexpr int64_t kPacked = 64, pn = 512;
+    std::vector<int64_t> shuffled(kPacked * pn);
+    for (int64_t q = 0; q < kPacked; q++) {
+      int64_t* v = shuffled.data() + q * pn;
+      std::iota(v, v + pn, int64_t{0});
+      for (int64_t i = pn - 1; i > 0; i--) {
+        std::swap(v[i], v[uniform(30 + q, i, i + 1)]);
+      }
+    }
+    std::vector<Query> pq(kPacked);
+    for (int64_t q = 0; q < kPacked; q++) {
+      const std::vector<int64_t>& in = q % 4 < 2 ? a : shuffled;
+      pq[q].a = std::span<const int64_t>(in).subspan(q * pn, pn);
+      if (q % 2 == 1) pq[q].w = std::span<const int64_t>(w).subspan(q * pn, pn);
+    }
+    auto leg = [&](const char* what) {
+      Solver ps;
+      std::vector<QueryResult> pr(kPacked);
+      for (int r = 0; r < 10; r++) ps.solve_many(pq, pr);
+      const uint64_t spawned = scheduler_stats().spawns;
+      const uint64_t start = begin_window();
+      for (int r = 0; r < 5; r++) ps.solve_many(pq, pr);
+      const uint64_t allocs = g_allocs.load() - start;
+      if (num_workers() >= 2 && scheduler_stats().spawns == spawned) {
+        std::printf("FAIL %-34s the batch did not fork\n", what);
+        failures++;
+      }
+      expect_zero(what, allocs);
+    };
+    leg("solve_many packed, main thread");
+    std::thread outside([&] { leg("solve_many packed, outside pool"); });
     outside.join();
   }
 

@@ -247,8 +247,8 @@ TEST(LisPlanDifferential, OneThreadAndPackedSolves) {
     set_sequential_mode(prev);
   }
   // Inputs of at most kPoolGateGrain elements solve in thread-sequential
-  // mode, and solve_many packs them onto the pool's per-runner contexts,
-  // one thread each.
+  // mode, and solve_many packs them onto its pool tasks, each solving on
+  // its own context on one thread.
   const std::vector<int64_t> small =
       tier_edge_input(128, 1500, kPoolGateGrain, true, 7);
   const std::vector<int32_t> want = seq_bs_ranks(small);

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "parlis/api/solver.hpp"
 #include "parlis/parallel/parallel.hpp"
 #include "parlis/parallel/primitives.hpp"
 #include "parlis/parallel/random.hpp"
@@ -117,6 +118,82 @@ TEST(Scheduler, StolenTaskIgnoresTheRunnersScope) {
   thief.join();
   ASSERT_GT(stolen.load(), 0) << "the thief stole no task within 5 s";
   EXPECT_EQ(scoped.load(), 0) << "of " << stolen.load() << " stolen tasks";
+}
+
+// Any thread may run a packed solve_many task: here an outside thread
+// joining its own loops takes them from the shared submission queue while
+// another outside thread solves. A task solves every query it takes on the
+// context it owns, so each result equals a thread-sequential solve_query.
+TEST(Scheduler, SolveManyTaskStolenByAnOutsideThread) {
+  if (num_workers() < 2) GTEST_SKIP() << "one worker steals nothing";
+  constexpr int64_t kQueries = 64;
+  // Mixed packed queries: unweighted and weighted, 64 to 1009 elements,
+  // values over a narrow range (ranked by the bitmap) or 63 bits (sorted).
+  std::vector<std::vector<int64_t>> a(kQueries), w(kQueries);
+  std::vector<std::vector<int64_t>> dp(2 * kQueries);
+  std::vector<std::vector<int32_t>> rank(2 * kQueries);
+  std::vector<Query> want_q(kQueries), got_q(kQueries);
+  for (int64_t q = 0; q < kQueries; q++) {
+    const int64_t n = 64 + 15 * q;
+    for (int64_t i = 0; i < n; i++) {
+      a[q].push_back(q % 4 < 2 ? static_cast<int64_t>(uniform(q, i, 4 * n))
+                               : static_cast<int64_t>(hash64(q, i) >> 1));
+    }
+    want_q[q].a = got_q[q].a = a[q];
+    if (q % 2 == 0) {
+      rank[q].resize(n);
+      rank[kQueries + q].resize(n);
+      want_q[q].rank_out = rank[q];
+      got_q[q].rank_out = rank[kQueries + q];
+      continue;
+    }
+    for (int64_t i = 0; i < n; i++) {
+      w[q].push_back(1 + static_cast<int64_t>(uniform(kQueries + q, i, 1000)));
+    }
+    dp[q].resize(n);
+    dp[kQueries + q].resize(n);
+    want_q[q].w = got_q[q].w = w[q];
+    want_q[q].dp_out = dp[q];
+    got_q[q].dp_out = dp[kQueries + q];
+  }
+  std::vector<QueryResult> want(kQueries), got(kQueries);
+  {
+    Solver ref;
+    const bool prev = set_thread_sequential(true);
+    for (int64_t q = 0; q < kQueries; q++) ref.solve_query(want_q[q], want[q]);
+    set_thread_sequential(prev);
+  }
+  Solver s;
+  s.solve_many(got_q, got);  // warm the task contexts
+  std::atomic<int64_t> wrong{0};
+  const auto cap = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  bool stolen = false;
+  while (!stolen && std::chrono::steady_clock::now() < cap) {
+    const uint64_t steals = scheduler_stats().steals;
+    std::atomic<bool> done{false};
+    std::thread thief([&] {
+      while (!done.load()) {
+        parallel_for(0, 64, [](int64_t) { spin_us(5); }, 1);
+      }
+    });
+    std::thread solver([&] {
+      for (int r = 0; r < 200; r++) {
+        s.solve_many(got_q, got);
+        for (int64_t q = 0; q < kQueries; q++) {
+          const bool same =
+              got[q].k == want[q].k && got[q].best == want[q].best &&
+              rank[q] == rank[kQueries + q] && dp[q] == dp[kQueries + q];
+          if (!same) wrong.fetch_add(1);
+        }
+      }
+      done = true;
+    });
+    solver.join();
+    thief.join();
+    stolen = scheduler_stats().steals > steals;
+  }
+  EXPECT_TRUE(stolen) << "no task was stolen within 5 s";
+  EXPECT_EQ(wrong.load(), 0);
 }
 
 TEST(ParallelFor, CoversEveryIndexOnce) {

@@ -489,8 +489,8 @@ TEST(RankOnlyDifferential, PooledPlanForksOnlyWhereItMay) {
   } else {
     EXPECT_GT(rank(at), 0u);
   }
-  // Packed queries: the batch forks once per query past the first and
-  // nothing inside them does.
+  // Packed queries: the batch forks once per task past the first
+  // (min(kQueries, num_workers()) tasks) and nothing inside them does.
   constexpr int64_t kQueries = 8;
   const Vec w = weights(kPoolGateGrain, 64);
   std::vector<Vec> values;
@@ -507,8 +507,9 @@ TEST(RankOnlyDifferential, PooledPlanForksOnlyWhereItMay) {
   Solver s;
   s.solve_many(queries, results);
   for (int64_t q = 0; q < kQueries; q++) values[q][0]++;  // fresh misses
-  EXPECT_LE(spawns_of([&] { s.solve_many(queries, results); }),
-            static_cast<uint64_t>(kQueries - 1));
+  EXPECT_EQ(spawns_of([&] { s.solve_many(queries, results); }),
+            static_cast<uint64_t>(
+                std::min<int64_t>(kQueries, num_workers()) - 1));
 }
 
 // The pooled plan behind the Solver: misses and hits of the value cache

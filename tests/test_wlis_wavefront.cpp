@@ -201,7 +201,7 @@ TEST(WlisWavefrontDifferential, TiesKeysAndWeights) {
 // 4; on 2 or 3 it may keep one cell) and one cell on 1; a sorted input
 // (every cell on the main diagonal), sequential mode and thread-sequential
 // mode run one cell; solve_many's packed queries fork only the packing
-// loop.
+// loop, once per task past the first.
 TEST(WlisWavefrontDifferential, PlanPicksTheWavefrontWhereItPays) {
   const int64_t n = int64_t{1} << 16;
   const Vec line = banded(n);
@@ -236,7 +236,7 @@ TEST(WlisWavefrontDifferential, PlanPicksTheWavefrontWhereItPays) {
   EXPECT_EQ(spawns(), before) << "thread-sequential mode";
 
   // Packed queries solve in thread-sequential mode: the batch forks its
-  // packing loop (one task per query, grain 1) and nothing else.
+  // packing loop (min(q, num_workers()) tasks, grain 1) and nothing else.
   const int64_t q = 8, m = kPoolGateGrain;
   std::vector<Query> queries(q);
   std::vector<QueryResult> results(q);
@@ -244,10 +244,11 @@ TEST(WlisWavefrontDifferential, PlanPicksTheWavefrontWhereItPays) {
     queries[i].a = std::span<const int64_t>(line).subspan(i * m, m);
     queries[i].w = std::span<const int64_t>(w).subspan(i * m, m);
   }
-  s.solve_many(queries, results);  // warm the per-runner contexts
+  s.solve_many(queries, results);  // warm the task contexts
   before = spawns();
   s.solve_many(queries, results);
-  EXPECT_EQ(spawns() - before, pool ? static_cast<uint64_t>(q - 1) : 0u)
+  const int64_t tasks = std::min<int64_t>(q, num_workers());
+  EXPECT_EQ(spawns() - before, static_cast<uint64_t>(tasks - 1))
       << "solve_many";
   for (int64_t i = 0; i < q; i++) {
     const Vec qa(queries[i].a.begin(), queries[i].a.end());
