@@ -1,8 +1,9 @@
 // Figure 7(a): LIS running time vs LIS length k, *line pattern*.
 // Series: Seq-BS, SWGS, Ours (seq), Ours.   Paper setup: n = 10^8, 96 cores.
 // Seq-BS times the library's patience kernel (seq_patience_ranks_into:
-// AVX-512 register tiers up to 128 tails, then the branch-free memory
-// loop), checked against seq_bs_ranks, the paper's std::lower_bound
+// AVX-512 register tiers up to 128 tails, then a window over the top 128
+// tails while the elements land there, then the branch-free memory loop),
+// checked against seq_bs_ranks, the paper's std::lower_bound
 // "highly-optimized" baseline.
 // Default here: n = 10^6 (scaled for the reproduction machine; see
 // EXPERIMENTS.md). Flags: --n, --maxk, --swgsmaxk, --threads, --reps, --out FILE (JSON records).

@@ -210,23 +210,24 @@ void Solver::solve_many(std::span<const Query> queries,
     }
   }
   if (small_idx_.empty()) return;
-  // Small queries: min(m, num_workers()) tasks, each taking queries from
-  // one shared cursor and solving them sequentially (thread-sequential
-  // mode) on its own context, task t on context t. A query that throws
-  // moves the cursor past the end, so the other tasks stop after their
-  // current one, and parallel_for rethrows the first exception here.
+  // Small queries: T = min(m, num_workers()) tasks, task t solving packed
+  // queries t, t + T, ... sequentially (thread-sequential mode) on context
+  // t, so a repeated batch meets the same contexts and its warm runs
+  // allocate nothing. A query that throws raises `stop`, so the other
+  // tasks stop after their current one, and parallel_for rethrows the
+  // first exception here.
   if (task_ctx_n_ == 0) {
     task_ctx_n_ = static_cast<size_t>(num_workers());
     task_ctx_ = std::make_unique<std::unique_ptr<ThreadCtx>[]>(task_ctx_n_);
   }
   const int64_t m = static_cast<int64_t>(small_idx_.size());
-  std::atomic<int64_t> next{0};
+  const int64_t tasks = std::min(m, static_cast<int64_t>(task_ctx_n_));
+  std::atomic<bool> stop{false};
   parallel_for(
-      0, std::min(m, static_cast<int64_t>(task_ctx_n_)),
+      0, tasks,
       [&](int64_t t) {
         ThreadSequentialGuard seq(true);
-        int64_t i;
-        while ((i = next.fetch_add(1)) < m) {
+        for (int64_t i = t; i < m && !stop.load(); i += tasks) {
           try {
             internal::poll_cancellation();
             PARLIS_FAILPOINT("solver.packed_query");
@@ -234,7 +235,7 @@ void Solver::solve_many(std::span<const Query> queries,
             run_query(queries[small_idx_[i]], results[small_idx_[i]],
                       "solve_many", *task_ctx_[t]);
           } catch (...) {
-            next.store(m);
+            stop.store(true);
             throw;
           }
         }

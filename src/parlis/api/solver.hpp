@@ -38,7 +38,7 @@
 // not call into the same Solver concurrently. solve_many is the batched
 // entry point: it fans independent queries out across the pool itself —
 // queries of at most kPoolGateGrain elements are packed onto at most one
-// task per worker, each solving the queries it takes sequentially on its
+// task per worker, each solving its stride of them sequentially on its
 // own context (no nested fork-join), and larger ones run one at a time on
 // the caller's context — which is the serving shape for high query
 // traffic.
@@ -143,17 +143,20 @@ class Solver {
   /// Unweighted LIS ranks (dp values) of `a` into `out`, under
   /// options().ties. Every LIS entry point solves by patience sorting
   /// (lis/patience.hpp, internal::patience_ranks: register tiers while
-  /// k <= 128, then the memory loop). On the sweep in EXPERIMENTS.md
-  /// ("Register tiers") it beat Alg. 1's rounds on a 4-worker pool at every
-  /// k, so the Solver no longer runs them; the one-shot lis_ranks /
-  /// lis_frontiers still do. int64 keys under std::less (raw values under
-  /// kStrict and every rank image) of at least kSpeculateMinN elements
-  /// take speculative chunked patience: index chunks run the tiers on the
-  /// pool, and the caller replays only where a chunk's run and the true
-  /// one disagree (internal::speculative_patience_ranks_into). It runs on
-  /// the calling thread in sequential or thread-sequential mode, on a
-  /// 1-worker pool, and on inputs whose tiers spill within the first 4096
-  /// elements; the ranks are the same bits either way.
+  /// k <= 128; past that, for int64 keys under std::less with the SIMD
+  /// toggle on, a 128-tail window that slides up with the top of the tails
+  /// until too many elements land below it; then the memory loop). On the
+  /// sweep in EXPERIMENTS.md ("Register tiers") it beat Alg. 1's rounds on
+  /// a 4-worker pool at every k, so the Solver no longer runs them; the
+  /// one-shot lis_ranks / lis_frontiers still do. int64 keys under
+  /// std::less (raw values under kStrict and every rank image) of at least
+  /// kSpeculateMinN elements take speculative chunked patience: index
+  /// chunks run the tiers on the pool, and the caller replays only where a
+  /// chunk's run and the true one disagree
+  /// (internal::speculative_patience_ranks_into). It runs on the calling
+  /// thread in sequential or thread-sequential mode, on a 1-worker pool,
+  /// and on inputs whose tiers fill within the first 4096 elements; the
+  /// ranks are the same bits either way.
   void solve_lis(std::span<const int64_t> a, LisResult& out);
 
   /// Typed overload: "increasing" means increasing under `less` (a strict
@@ -238,15 +241,17 @@ class Solver {
   /// Batched serving: solves queries[i] into results[i] for every i.
   /// Queries are independent; |results| >= |queries|; every query is
   /// validated (validate_query) before any runs. Queries with |a| <=
-  /// kPoolGateGrain are packed onto min(their count, num_workers()) pool
-  /// tasks, each solving the queries it takes sequentially on its own
-  /// context; larger ones run first, one at a time on the caller's
-  /// context, by solve_lis's or solve_wlis's plan
-  /// (an unweighted one of kSpeculateMinN elements or more speculates on
-  /// the pool, a weighted one ranks on it from internal::kRankPoolMinN
-  /// elements up or, when its span is too wide for rank_only_into's
-  /// bitmap, sorts on it). Honors options().ties like every other entry
-  /// point.
+  /// kPoolGateGrain are packed onto T = min(their count, num_workers())
+  /// pool tasks: task t solves the packed queries t, t + T, ... in batch
+  /// order, sequentially on its own context, so a repeated batch meets the
+  /// same contexts and allocates nothing once warm; a query that throws
+  /// stops the other tasks after their current query. Larger ones run
+  /// first, one at a time on the caller's context, by solve_lis's or
+  /// solve_wlis's plan (an unweighted one of kSpeculateMinN elements or
+  /// more speculates on the pool, a weighted one ranks on it from
+  /// internal::kRankPoolMinN elements up or, when its span is too wide for
+  /// rank_only_into's bitmap, sorts on it). Honors options().ties like
+  /// every other entry point.
   void solve_many(std::span<const Query> queries,
                   std::span<QueryResult> results);
 

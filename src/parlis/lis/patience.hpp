@@ -1,17 +1,19 @@
 // The Solver's LIS kernel: patience sorting (the paper's Seq-BS baseline),
-// in AVX-512 register tiers while there are at most 128 tails, each tier
-// beside its scalar twin and the dispatch under the SIMD toggle
-// (util/simd.hpp). On a 4-core AVX-512 Xeon it beat Alg. 1's rounds on the
-// pool at every k measured (EXPERIMENTS.md, "Register tiers"), so
-// parlis::Solver and LisSession run it. Its pooled form, speculative
-// chunked patience (declared at the end, defined in lis/speculative.cpp),
-// runs index chunks of the tiers on the pool and replays only where a
-// chunk's run disagrees with the true one; the Solver runs it from
-// kSpeculateMinN elements up. seq_patience_ranks_into and
-// seq_patience_frontiers_into stay on one thread: they are the figures'
-// Seq-BS baseline and the tests' reference. Alg. 1 and the reconstruction
-// stay in lis/lis.hpp, which includes this header; the result structs live
-// here, so the Solver's headers include none of Alg. 1's tournament tree.
+// in AVX-512 register tiers while there are at most 128 tails and past
+// that in a 128-tail window that slides up with the top of the tails while
+// the elements land there, each beside its scalar twin and the dispatch
+// under the SIMD toggle (util/simd.hpp). On a 4-core AVX-512 Xeon it beat
+// Alg. 1's rounds on the pool at every k measured (EXPERIMENTS.md,
+// "Register tiers"), so parlis::Solver and LisSession run it. Its pooled
+// form, speculative chunked patience (declared at the end, defined in
+// lis/speculative.cpp), runs index chunks of the tiers on the pool and
+// replays only where a chunk's run disagrees with the true one; the
+// Solver runs it from kSpeculateMinN elements up. seq_patience_ranks_into
+// and seq_patience_frontiers_into stay on one thread: they are the
+// figures' Seq-BS baseline and the tests' reference. Alg. 1 and the
+// reconstruction stay in lis/lis.hpp, which includes this header; the
+// result structs live here, so the Solver's headers include none of
+// Alg. 1's tournament tree.
 #pragma once
 
 #include <algorithm>
@@ -78,10 +80,14 @@ struct LisFrontiers {
 //    wholly below x; the element then touches only the next line. Holding
 //    64 or 128 tails in 8 or 16 registers is throughput-bound (two port-5
 //    ops per register per element) and ran 1.4-2.8x slower.
+// Past 128 tails the 128-tail block becomes a window over the top of the
+// tails (internal::patience_window below), which patience_ranks runs until
+// too many elements land below it.
 
 namespace simd {
 
-/// Tails the tiers hold before the caller spills them to memory.
+/// Tails the tiers hold before the caller slides them (the window) or
+/// spills them to memory.
 inline constexpr int64_t kTierTails = 128;
 
 #if PARLIS_SIMD_BACKEND == 4
@@ -283,6 +289,43 @@ inline int64_t patience_tiers(const int64_t* a, int64_t i, int64_t hi,
   return patience_tiers_scalar(a, i, hi, rank, t, len);
 }
 
+// The sliding window. Where the memory loop would take over at the 129th
+// tail, the full tier block slides up instead: its bottom kTierTails / 2
+// tails freeze into tails[base, base + 64), the top half moves down, and
+// the block goes on in patience_lines<16>'s form with every rank offset by
+// base. An element at or below the top frozen tail, tails[base - 1], lands
+// among the frozen ones by patience_search. Deep inputs keep landing near
+// the top of the tails (on lis_deep's input every element lands within the
+// top 64), so the window keeps them in the vector loop: a finger at the
+// top of the tails, as in finger search trees (Guibas, McCreight, Plass and
+// Roberts, STOC 1977). When more than 1 / kWindowLeaveShare of a
+// 4096-element block lands in the frozen part, patience_ranks puts the
+// window's tails above the frozen ones and its memory loop runs the rest
+// of the input, for good. The window changes no rank, so the memory loop
+// is its scalar twin.
+inline constexpr int64_t kWindowLeaveShare = 8;
+
+#if PARLIS_SIMD_BACKEND == 4
+// What one block in the window leaves: the tier block holds tails base ..
+// base + len, tails[0, base) the frozen ones, and `landed` elements landed
+// among those. Returned by value, so that patience_ranks's len and base
+// stay in registers through its memory loop.
+struct WindowBlock {
+  int64_t len;
+  int64_t base;
+  int64_t landed;
+};
+
+// a[i, hi) in the window (lis/patience_window.cpp), from the tier block w
+// and the frozen tails[0, base) (entered with base == 0 at an element that
+// needs tail kTierTails + 1). Slides grow `tails` by patience_ranks's
+// doubling rule, which leaves it holding more than base + len slots.
+WindowBlock patience_window(const int64_t* a, int64_t i, int64_t hi,
+                            int32_t* rank, int64_t* w, int64_t len,
+                            int64_t base, std::vector<int64_t>& tails,
+                            int64_t n);
+#endif
+
 // Where patience_ranks starts: element `at`, with the `len` tails
 // tails[0, len) of a[0, at) (len <= kTierTails). The default is the start
 // of the input. Only int64 keys under std::less resume; the pooled form
@@ -297,13 +340,16 @@ struct PatienceResume {
 // Patience sorting (Seq-BS): rank[i] is one more than the number of tails
 // below a[i], and a[i] then becomes that tail (or a new last one). Returns
 // k. int64 keys under std::less (raw values and every rank image) start in
-// the tiers of patience_tiers while there are at most kTierTails tails;
-// the element that needs one more spills them to `tails`, and the memory
-// loop goes on from it. `tails` is scratch whose size is the memory loop's
-// capacity: it doubles up to |a| + 1 slots and is kept, so a warm call
-// allocates nothing. Polls cancellation every 4096 elements, on either
-// side of the spill. Cache-line aligned, so its speed does not move with
-// its link address.
+// the tiers of patience_tiers while there are at most kTierTails tails.
+// With the SIMD toggle on (AVX-512 builds), the element that needs one
+// more slides them into the window, run a block at a time until more than
+// 1 / kWindowLeaveShare of a block lands below it; otherwise, and then, the
+// tiers' tails spill to `tails` and the memory loop goes on from there.
+// `tails` is scratch whose size is the memory loop's capacity: it doubles
+// up to |a| + 1 slots and is kept, so a warm call allocates nothing, and
+// the window keeps to the same sizes. Polls cancellation every 4096
+// elements, on either side of the spill. Cache-line aligned, so its speed
+// does not move with its link address.
 template <typename T, typename Less>
 [[gnu::aligned(64)]] int32_t patience_ranks(std::span<const T> a, int32_t* rank,
                                             std::vector<T>& tails, Less less,
@@ -323,7 +369,11 @@ template <typename T, typename Less>
     cap = static_cast<int64_t>(tails.size());
   };
   [[maybe_unused]] alignas(64) int64_t tier[kTiers ? simd::kTierTails : 1];
-  [[maybe_unused]] bool in_tiers = kTiers;
+  enum class Front { kTiers, kWindow, kMemory };
+  [[maybe_unused]] Front front = kTiers ? Front::kTiers : Front::kMemory;
+  // The window's frozen tails, tails[0, base); the tier block holds the
+  // ones above them.
+  [[maybe_unused]] int64_t base = 0;
   if constexpr (kTiers) {
     std::fill(tier, tier + simd::kTierTails,
               std::numeric_limits<int64_t>::max());
@@ -337,13 +387,32 @@ template <typename T, typename Less>
     poll_cancellation();
     const int64_t hi = std::min(n, lo + 4096);
     if constexpr (kTiers) {
-      if (in_tiers) {
-        i = patience_tiers(a.data(), i, hi, rank, tier, len);
-        if (i == hi) continue;
-        // a[i] needs tail kTierTails + 1, so n > len: the spill fits.
-        in_tiers = false;
-        hold_tails(std::min(2 * len, n + 1));
-        std::copy(tier, tier + len, t);
+      if (front != Front::kMemory) {
+        if (front == Front::kTiers) {
+          i = patience_tiers(a.data(), i, hi, rank, tier, len);
+          if (i == hi) continue;
+          // a[i] needs tail kTierTails + 1, so n > len: the spill fits.
+          hold_tails(std::min(2 * len, n + 1));
+          front = simd::enabled() ? Front::kWindow : Front::kMemory;
+        }
+#if PARLIS_SIMD_BACKEND == 4
+        if (front == Front::kWindow) {
+          const WindowBlock b = patience_window(a.data(), i, hi, rank, tier,
+                                                len, base, tails, n);
+          i = hi;
+          len = b.len;
+          base = b.base;
+          t = tails.data();
+          cap = static_cast<int64_t>(tails.size());
+          if (b.landed <= 4096 / kWindowLeaveShare) continue;
+        }
+#endif
+        // The spill: the block's tails go above the frozen ones, and the
+        // memory loop takes the rest of the input.
+        front = Front::kMemory;
+        std::copy(tier, tier + len, t + base);
+        len += base;
+        base = 0;
       }
     }
     for (; i < hi; i++) {
@@ -357,7 +426,7 @@ template <typename T, typename Less>
       if (len == cap) [[unlikely]] hold_tails(std::min(2 * cap, n + 1));
     }
   }
-  return static_cast<int32_t>(len);
+  return static_cast<int32_t>(base + len);
 }
 
 // Lays the frontiers of res.rank (ranks 1..res.k) out flat, index-ascending
@@ -441,8 +510,10 @@ int32_t speculative_patience_ranks_forced(std::span<const int64_t> a,
 
 /// Sequential patience sorting (Seq-BS) with the same output contract as
 /// lis_ranks_into (lis/lis.hpp): the Solver's LIS path. O(n log k) time on
-/// the calling thread, O(n) while k <= 128 (the register tiers). `tails`
-/// is O(k) scratch, reused across calls; its contents after the call are
+/// the calling thread; for int64 keys under std::less O(n) while k <= 128
+/// (the register tiers) and, on an AVX-512 build with the SIMD toggle on,
+/// while elements land within the top 128 tails (the window). `tails` is
+/// O(k) scratch, reused across calls; its contents after the call are
 /// unspecified. Polls cancellation every 4096 elements.
 template <typename T, typename Less = std::less<T>>
 void seq_patience_ranks_into(std::span<const T> a, LisResult& res,

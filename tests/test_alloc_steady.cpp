@@ -3,11 +3,12 @@
 // Solver must perform ZERO heap allocations (the acceptance criterion of
 // the session API), on every path of the LIS plan's patience kernel: the
 // register tiers alone, the tiers spilling to the memory loop, the memory
-// loop alone (custom order), speculative chunks on the pool, and the rank
-// image (typed keys, kNonDecreasing ties), whose ranks come from the
-// pooled sort or, for int64 keys with a small span, the bitmap, on the
-// calling thread or, from internal::kRankPoolMinN keys up, on the pool,
-// and solve_many's packed queries on the pool tasks' own contexts.
+// loop alone (custom order), the sliding window past the tiers on deep
+// inputs, speculative chunks on the pool, and the rank image (typed keys,
+// kNonDecreasing ties), whose ranks come from the pooled sort or, for
+// int64 keys with a small span, the bitmap, on the calling thread or, from
+// internal::kRankPoolMinN keys up, on the pool, and solve_many's packed
+// queries on the pool tasks' own contexts.
 // Warm sliding-window session appends, direct and through the serving
 // engine, must allocate nothing either. A
 // process-wide operator-new hook counts every allocation on every thread,
@@ -415,16 +416,56 @@ int main() {
     outside.join();
   }
 
+  // The sliding window: two inputs of lis_deep's shape (n = 2^18, target
+  // k = 25,000), whose tails pass 128 within the caller's first block, so
+  // the plan stays on one thread and the kernel's window slides with the
+  // top of the tails. Once from the main thread and once from a
+  // std::thread outside the pool. The window grows the tails by the
+  // memory loop's rule, so each leg's solver then holds exactly what the
+  // same solves hold with the SIMD toggle off (the memory loop).
+  {
+    const int64_t dn = int64_t{1} << 18;
+    const std::vector<int64_t> d1 = line_pattern(dn, 25000, 31);
+    const std::vector<int64_t> d2 = line_pattern(dn, 25000, 32);
+    auto leg = [&](const char* what) {
+      Solver ds;
+      LisResult dout;
+      for (int r = 0; r < 3; r++) {
+        ds.solve_lis(d1, dout);
+        ds.solve_lis(d2, dout);
+      }
+      const uint64_t start = begin_window();
+      for (int r = 0; r < 5; r++) ds.solve_lis(r % 2 ? d2 : d1, dout);
+      const uint64_t allocs = g_allocs.load() - start;
+      if (dout.k <= simd::kTierTails) {
+        std::printf("FAIL %-34s k = %d stays in the tiers\n", what, dout.k);
+        failures++;
+      }
+      Solver twin;
+      const bool prev = simd::set_enabled(false);
+      twin.solve_lis(d1, dout);
+      twin.solve_lis(d2, dout);
+      simd::set_enabled(prev);
+      if (ds.resident_bytes() != twin.resident_bytes()) {
+        std::printf("FAIL %-34s resident %zu bytes, toggle off %zu\n", what,
+                    ds.resident_bytes(), twin.resident_bytes());
+        failures++;
+      }
+      expect_zero(what, allocs);
+    };
+    leg("solve_lis deep (window), main thread");
+    std::thread outside([&] { leg("solve_lis deep (window), outside"); });
+    outside.join();
+  }
+
   // Packed solve_many: a batch of 64 queries of 512 elements, unweighted
-  // and weighted, solved by min(64, num_workers()) pool tasks, each on the
-  // context it owns. Which task takes which query changes from batch to
-  // batch, and a context's scratch grows exactly to the largest query it
-  // has met, so every query here needs the same scratch: 512 distinct
-  // values, 63-bit (the hashed `a`, whose ranks come from the sort) or a
-  // shuffle of 0..511 (the bitmap), each with k under the patience tiers'
-  // 128 tails. Once from the main thread and once from a std::thread
-  // outside the pool, each leg checking that the batch forked on a pool of
-  // 2 or more workers.
+  // and weighted, solved by T = min(64, num_workers()) pool tasks, task t
+  // solving queries t, t + T, ... on the context it owns, so a repeated
+  // batch meets the same contexts: 63-bit values (the hashed `a`, whose
+  // ranks come from the sort) and shuffles of 0..511 (the bitmap), each
+  // with k under the patience tiers' 128 tails. Once from the main thread
+  // and once from a std::thread outside the pool, each leg checking that
+  // the batch forked on a pool of 2 or more workers.
   {
     constexpr int64_t kPacked = 64, pn = 512;
     std::vector<int64_t> shuffled(kPacked * pn);

@@ -37,6 +37,7 @@
 
 #include "parlis/api/solver.hpp"
 #include "parlis/lis/lis.hpp"
+#include "parlis/lis/seq_lis.hpp"
 #include "parlis/parallel/parallel.hpp"
 #include "parlis/parallel/random.hpp"
 #include "parlis/serve/engine.hpp"
@@ -927,22 +928,17 @@ TEST(Cancellation, DeadlineStopsWlisPassWithin4096Elements) {
   FAIL() << "no deadline landed inside the pass";
 }
 
-// The patience kernel's register tiers poll every 4096 elements as well;
-// the test above runs a comparator, so it reaches only the memory loop. A
-// deadline that runs out inside the tiers must stop them at the next poll:
-// the ranks written are a prefix whose length is a multiple of 4096,
-// strictly inside the input. The input keeps k near 10, so every element
-// runs in the 16-tail tier. The deadline is set from the measured time of
-// an unguarded solve, and re-picked when it expired before the kernel
-// started or after it ended. Thread-sequential mode keeps the solve on the
-// one-thread kernel: on the pool this input speculates, and its chunks
+// The patience kernel's vector loops poll every 4096 elements as well; the
+// test above runs a comparator, so it reaches only the memory loop. A
+// deadline that runs out inside them must stop them at the next poll: the
+// ranks written are a prefix whose length is a multiple of 4096, strictly
+// inside the input. The deadline is set from the measured time of an
+// unguarded solve, and re-picked when it expired before the kernel started
+// or after it ended. Thread-sequential mode keeps the solve on the
+// one-thread kernel: on the pool a banded input speculates, and its chunks
 // write ranks all over the input (the two tests below cover that path).
-TEST(Cancellation, DeadlineStopsRegisterTiersWithin4096Elements) {
-  const int64_t n = int64_t{1} << 21;
-  std::vector<int64_t> a(n);
-  for (int64_t i = 0; i < n; i++) {
-    a[i] = 4 * (n - i) + static_cast<int64_t>(uniform(94, i, 40));
-  }
+void expect_deadline_stops_kernel_at_a_poll(const std::vector<int64_t>& a) {
+  const int64_t n = static_cast<int64_t>(a.size());
   struct OneThread {
     bool prev = set_thread_sequential(true);
     ~OneThread() { set_thread_sequential(prev); }
@@ -951,7 +947,6 @@ TEST(Cancellation, DeadlineStopsRegisterTiersWithin4096Elements) {
   LisResult out;
   s.solve_lis(a, out);
   const std::vector<int32_t> ref = out.rank;
-  ASSERT_LE(out.k, 16);
   double solve_ms = 1e30;
   for (int r = 0; r < 3; r++) {
     const auto t0 = std::chrono::steady_clock::now();
@@ -991,6 +986,28 @@ TEST(Cancellation, DeadlineStopsRegisterTiersWithin4096Elements) {
     return;
   }
   FAIL() << "no deadline landed inside the kernel";
+}
+
+// The register tiers: k stays near 10, so every element runs in the
+// 16-tail tier.
+TEST(Cancellation, DeadlineStopsRegisterTiersWithin4096Elements) {
+  const int64_t n = int64_t{1} << 21;
+  std::vector<int64_t> a(n);
+  for (int64_t i = 0; i < n; i++) {
+    a[i] = 4 * (n - i) + static_cast<int64_t>(uniform(94, i, 40));
+  }
+  ASSERT_LE(seq_bs_length(a), 16);
+  expect_deadline_stops_kernel_at_a_poll(a);
+}
+
+// The window: a rising line (k ~ 65,000) whose elements land near the top
+// of the tails, so past its first block the kernel runs in the window,
+// which slides up every 64 new tails and never leaves.
+TEST(Cancellation, DeadlineStopsTheWindowWithin4096Elements) {
+  const int64_t n = int64_t{1} << 21;
+  const std::vector<int64_t> a = line_pattern(n, n / 32, 96);
+  ASSERT_GT(seq_bs_length(a), 256 * simd::kTierTails);
+  expect_deadline_stops_kernel_at_a_poll(a);
 }
 
 // Speculative solves poll in every chunk task and in the replay. A token

@@ -1,9 +1,12 @@
 // The Solver's LIS plan (Solver::run_lis, api/solver.hpp): every LIS entry
 // point solves by patience sorting on the calling thread. For int64 keys
 // under std::less (raw values and every rank image) the kernel starts in
-// the register tiers of lis/patience.hpp (16, 32, 64 and 128 tails) and spills
-// to the memory loop at the 129th tail; other orders on raw values (int64
-// keys under kStrict) run the memory loop alone. Whatever the path, the ranks, k and frontier layout must match
+// the register tiers of lis/patience.hpp (16, 32, 64 and 128 tails). At the
+// 129th tail the full tier slides up the tails as a window, with the SIMD
+// toggle on, until more than an eighth of a 4096-element block lands below
+// it; then, and at once with the toggle off, the memory loop runs the rest.
+// Other orders on raw values (int64 keys under kStrict) run the memory loop
+// alone. Whatever the path, the ranks, k and frontier layout must match
 // seq_bs_ranks, and the O(n^2) oracle at small n, with the SIMD toggle on
 // and off.
 //
@@ -135,9 +138,13 @@ std::vector<int64_t> edge_positions(int64_t n) {
   return {kBlock, kBlock + 1500, n - 1};
 }
 
+// Tail counts at every tier's edge, and at the window's: 192 tails fill it
+// after its first slide, and 256 after its second.
+constexpr int64_t kEdgeTails[] = {16, 32, 64, 128, 192, 256};
+
 TEST(LisPlanDifferential, TierEdges) {
   const int64_t n = 3 * kBlock + 77;
-  for (const int64_t e : {16, 32, 64, 128}) {
+  for (const int64_t e : kEdgeTails) {
     for (const int64_t at : edge_positions(n)) {
       for (const bool overflow : {false, true}) {
         SCOPED_TRACE(testing::Message() << "tails " << e
@@ -163,7 +170,7 @@ TEST(LisPlanDifferential, Int64MaxAsTheFillerValue) {
   check_plan({kMax}, {1});
   check_plan(std::vector<int64_t>(300, kMax), std::vector<int32_t>(300, 1));
   const int64_t n = 3 * kBlock + 77;
-  for (const int64_t e : {16, 32, 64, 128}) {
+  for (const int64_t e : kEdgeTails) {
     for (const int64_t at : edge_positions(n)) {
       SCOPED_TRACE(testing::Message() << "INT64_MAX as tail " << e + 1
                                       << " at " << at);
@@ -176,7 +183,7 @@ TEST(LisPlanDifferential, Int64MaxAsTheFillerValue) {
     }
   }
   // A strictly increasing run that ends in INT64_MAX at every tier edge.
-  for (const int64_t e : {16, 32, 64, 128}) {
+  for (const int64_t e : kEdgeTails) {
     std::vector<int64_t> a;
     for (int64_t i = 0; i < e; i++) a.push_back(i);
     for (int j = 0; j < 3; j++) a.push_back(kMax);
@@ -201,10 +208,13 @@ TEST(LisPlanDifferential, MinAllEqualAndIncreasing) {
 }
 
 // The vector tiers against their twin directly, on line inputs whose k
-// spans every tier and the spill.
+// spans every tier and the spill, and on rising lines (targets n/8 and
+// n/4) whose elements land near the top of the tails, so the window slides
+// up with them.
 TEST(LisPlanDifferential, VectorTiersMatchTheirTwin) {
   const int64_t n = 20000;
-  for (const int target_k : {8, 14, 20, 30, 45, 70, 110, 160, 400}) {
+  for (const int target_k :
+       {8, 14, 20, 30, 45, 70, 110, 160, 400, 2500, 5000}) {
     SCOPED_TRACE(testing::Message() << "target k " << target_k);
     const std::vector<int64_t> a = line_pattern(n, target_k, 800 + target_k);
     const std::span<const int64_t> as(a);
@@ -222,6 +232,108 @@ TEST(LisPlanDifferential, VectorTiersMatchTheirTwin) {
     EXPECT_EQ(vec.k, twin.k);
     expect_frontiers(vec_fr, twin_fr);
     EXPECT_EQ(vec.rank, seq_bs_ranks(a));
+  }
+}
+
+// The window's frozen edge: after a rise to `rise` tails (the window slid
+// once or twice, so it froze base = 64 or 128 tails), probes land exactly
+// on the top frozen tail, just above it (the window's slot 0), at frozen
+// slot 0 and at INT64_MIN; a probe that lowers the top frozen tail moves
+// the edge, so the next probe equal to the old top lands in the window.
+// The rise then goes on, to slide again. Too few probes land below the
+// window for it to leave, so the toggle-on run stays in it throughout.
+TEST(LisPlanDifferential, WindowFrozenEdge) {
+  for (const int64_t rise : {129, 160, 192, 193, 250}) {
+    SCOPED_TRACE(testing::Message() << "rise to " << rise << " tails");
+    // The window froze 64 tails at its first slide (tail 129) and 64 more
+    // at each further 64.
+    const int64_t base = 64 * ((rise - 65) / 64);
+    std::vector<int64_t> a;
+    std::vector<std::pair<size_t, int32_t>> probes;  // (index, rank)
+    for (int64_t j = 0; j < rise; j++) a.push_back(4 * j);
+    const int64_t top = 4 * (base - 1);  // tails[base - 1]
+    auto probe = [&](int64_t v, int64_t r) {
+      probes.push_back({a.size(), static_cast<int32_t>(r)});
+      a.push_back(v);
+    };
+    probe(top, base);              // on the top frozen tail
+    probe(top + 1, base + 1);      // the window's slot 0
+    probe(top - 1, base);          // lowers the top frozen tail ...
+    probe(top, base + 1);          // ... so this lands in the window
+    probe(0, 1);                   // frozen slot 0
+    probe(kMin, 1);
+    probe(kMin, 1);
+    for (int64_t j = rise; j < rise + 100; j++) a.push_back(4 * j);
+    const std::vector<int32_t> want = brute_lis_ranks(a);
+    ASSERT_EQ(want, seq_bs_ranks(a));
+    for (const auto& [i, r] : probes) {
+      ASSERT_EQ(want[i], r) << "probe at " << i;
+    }
+    check_plan(a, want);
+  }
+}
+
+// A rising line, whose elements land within the window, then uniform keys
+// over its whole range, most of which land below the window: the window
+// leaves for the memory loop at the end of the first block where more than
+// an eighth of the elements land below it. The keys start at a block
+// boundary and in mid-block; in the input's last 300 elements too few land
+// below the window for it to leave, so it runs to the end.
+TEST(LisPlanDifferential, WindowLeavesForUniformKeys) {
+  const int64_t n = 6 * kBlock;
+  for (const int64_t from : {2 * kBlock, 2 * kBlock + 1500, n - 300}) {
+    SCOPED_TRACE(testing::Message() << "uniform keys from " << from);
+    std::vector<int64_t> a = line_pattern(n, n / 4, 900);
+    const int64_t hi = *std::max_element(a.begin(), a.begin() + from);
+    for (int64_t i = from; i < n; i++) {
+      a[i] = static_cast<int64_t>(uniform(901, i, static_cast<uint64_t>(hi)));
+    }
+    const std::vector<int32_t> want = seq_bs_ranks(a);
+    ASSERT_GT(*std::max_element(want.begin(), want.begin() + from),
+              2 * simd::kTierTails);
+    check_plan(a, want);
+  }
+}
+
+// The window grows the tails by the memory loop's rule, so a Solver holds
+// the same bytes whichever of the two ran: from cold scratch, whose sizes
+// double from 256 slots and so meet the window's slides, and from scratch
+// that a smaller solve left at 301 slots, whose doublings fall between
+// slides. `stays` rises to 610 tails and lands near the top after that,
+// so the window runs to the end; `leaves` rises to 512 tails, filling the
+// window and the tails' slots, then lands below the window for a block,
+// and the memory loop it leaves for extends the tails again.
+TEST(LisPlanDifferential, WindowHoldsWhatTheMemoryLoopHolds) {
+  std::vector<int64_t> small, stays, leaves;
+  for (int64_t j = 0; j < 300; j++) small.push_back(j);
+  for (int64_t j = 0; j < 610; j++) stays.push_back(4 * j);
+  for (int64_t i = 0; stays.size() < 2000; i++) {
+    stays.push_back(4 * (609 - i % 20) - 1);
+  }
+  for (int64_t j = 0; j < 512; j++) leaves.push_back(4 * j);
+  for (int64_t i = 512; i < kBlock + 600; i++) {
+    leaves.push_back(static_cast<int64_t>(uniform(31, i, 4 * 300)));
+  }
+  for (int64_t j = 0; j < 300; j++) leaves.push_back(4 * 512 + j);
+  for (const std::vector<int64_t>* in : {&stays, &leaves}) {
+    const std::vector<int32_t> want = seq_bs_ranks(*in);
+    for (const bool warm : {false, true}) {
+      SCOPED_TRACE(testing::Message()
+                   << (in == &stays ? "stays" : "leaves")
+                   << (warm ? ", after a 300-element solve" : ", cold"));
+      size_t held[2] = {0, 0};
+      for (const bool vector : {true, false}) {
+        const bool prev = simd::set_enabled(vector);
+        Solver s;
+        LisResult lr;
+        if (warm) s.solve_lis(small, lr);
+        s.solve_lis(*in, lr);
+        simd::set_enabled(prev);
+        EXPECT_EQ(lr.rank, want);
+        held[vector] = s.resident_bytes();
+      }
+      EXPECT_EQ(held[true], held[false]);
+    }
   }
 }
 

@@ -301,6 +301,29 @@ TEST(SpeculativePatienceDifferential, BudgetHandsOverToTheKernel) {
   }
 }
 
+// A banded first half, then a rising line above it and uniform keys at
+// the end: the chunk that meets the line passes 128 tails in its first
+// block, so the one-thread kernel takes the true tails (k ~ 60) at the
+// line's first element, climbs the tiers into the window, slides with the
+// line and leaves the window for the memory loop in the uniform keys.
+TEST(SpeculativePatienceDifferential, HandOverEntersTheWindow) {
+  const int64_t n = 2 * kSpeculateMinN;
+  Vec a = banded(n);
+  const int64_t top = *std::max_element(a.begin(), a.begin() + n / 2);
+  for (int64_t i = n / 2; i < n; i++) {
+    a[i] = top + 4 * (i - n / 2) + static_cast<int64_t>(uniform(11, i, 256));
+  }
+  const uint64_t span = static_cast<uint64_t>(a[n - 4 * 4096]);
+  for (int64_t i = n - 4 * 4096 + 1; i < n; i++) {
+    a[i] = static_cast<int64_t>(uniform(12, i, span));
+  }
+  ASSERT_GT(max_rank(seq_bs_ranks(a)), 2 * simd::kTierTails);
+  for (const int g : {2, 4}) {
+    EXPECT_EQ(expect_forced(a, g).resumed_at, n / 2) << g << " chunks";
+  }
+  expect_solver(a);
+}
+
 // Through the Solver: both ties policies, double keys and std::greater,
 // on the banded input and the random values. Every one but std::greater
 // on raw int64 keys solves on a rank image, which speculates.
