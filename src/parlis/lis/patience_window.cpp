@@ -26,6 +26,7 @@ constexpr int64_t kFreeze = kSlots / 2;  // the tails one slide freezes
 
 // patience_ranks's growth rule for the tails: double them, at most n + 1
 // slots, until they hold more than `len` (the memory loop's spare slot).
+// patience_ranks sized them before the first slide, so they are not empty.
 void hold_above(std::vector<int64_t>& tails, int64_t len, int64_t n) {
   while (static_cast<int64_t>(tails.size()) <= len) {
     tails.resize(static_cast<size_t>(
@@ -54,17 +55,18 @@ WindowBlock patience_window(const int64_t* a, int64_t i, int64_t hi,
   int64_t* t = tails.data();
   // The top frozen tail; with none, the first element slides (it needs
   // tail kSlots + 1, so it is above INT64_MIN).
-  int64_t floor = base > 0 ? t[base - 1] : std::numeric_limits<int64_t>::min();
+  int64_t frozen_top =
+      base > 0 ? t[base - 1] : std::numeric_limits<int64_t>::min();
   int64_t last = w[kSlots - 1];
   int64_t k = len;
   int64_t landed = 0;
   for (; i < hi; i++) {
     const int64_t y = a[i];
-    if (y <= floor) [[unlikely]] {
+    if (y <= frozen_top) [[unlikely]] {
       const int64_t pos = patience_search(t, base, y, std::less<int64_t>{});
       rank[i] = static_cast<int32_t>(pos + 1);
       t[pos] = y;
-      floor = pos == base - 1 ? y : floor;
+      frozen_top = pos == base - 1 ? y : frozen_top;
       landed++;
       continue;
     }
@@ -78,7 +80,7 @@ WindowBlock patience_window(const int64_t* a, int64_t i, int64_t hi,
                 std::numeric_limits<int64_t>::max());
       base += kFreeze;
       k = kSlots - kFreeze;
-      floor = t[base - 1];
+      frozen_top = t[base - 1];
       last = std::numeric_limits<int64_t>::max();
       summarize();
     }

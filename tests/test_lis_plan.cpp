@@ -301,8 +301,9 @@ TEST(LisPlanDifferential, WindowLeavesForUniformKeys) {
 // that a smaller solve left at 301 slots, whose doublings fall between
 // slides. `stays` rises to 610 tails and lands near the top after that,
 // so the window runs to the end; `leaves` rises to 512 tails, filling the
-// window and the tails' slots, then lands below the window for a block,
-// and the memory loop it leaves for extends the tails again.
+// window and, from cold scratch, all 512 of the tails' slots, then lands
+// below the window for a block, and the memory loop it leaves for extends
+// the tails again.
 TEST(LisPlanDifferential, WindowHoldsWhatTheMemoryLoopHolds) {
   std::vector<int64_t> small, stays, leaves;
   for (int64_t j = 0; j < 300; j++) small.push_back(j);
