@@ -2,7 +2,8 @@
 // Series: Seq-BS, SWGS, Ours (seq), Ours.   Paper setup: n = 10^8, 96 cores.
 // Seq-BS times the library's patience kernel (seq_patience_ranks_into:
 // AVX-512 register tiers up to 128 tails, then a window over the top 128
-// tails while the elements land there, then the branch-free memory loop),
+// tails that searches the tails below it; the branch-free memory loop
+// with the SIMD toggle off),
 // checked against seq_bs_ranks, the paper's std::lower_bound
 // "highly-optimized" baseline.
 // Default here: n = 10^6 (scaled for the reproduction machine; see

@@ -2,8 +2,9 @@
 // [1, k']), paper setup n = 10^9 with k' in [1, 6*10^4]; scaled default
 // n = 4*10^6. Series: Seq-BS (the library's patience kernel,
 // seq_patience_ranks_into: AVX-512 register tiers up to 128 tails, then a
-// window over the top 128 tails while the elements land there, then the
-// branch-free memory loop; checked against seq_bs_ranks, the paper's
+// window over the top 128 tails that searches the tails below it; the
+// branch-free memory loop with the SIMD toggle off; checked against
+// seq_bs_ranks, the paper's
 // std::lower_bound baseline), Ours (seq), Ours.
 // Flags: --n, --maxk, --threads, --reps, --out FILE (JSON records).
 #include <cstdio>

@@ -5,9 +5,9 @@
 //    (lis/tournament_tree.hpp) is set from;
 //  - the patience kernel (seq_patience_ranks_into) with the SIMD toggle on
 //    (regs: the register tiers up to 128 tails, then the window that
-//    slides up with the top of the tails until too many elements land
-//    below it, lis/patience.hpp) and off (twin: their scalar twin, the
-//    memory loop), the SIMD rule's paired row at the kernel's call site;
+//    slides up with the top of the tails, lis/patience.hpp) and off (twin:
+//    their scalar twin, the memory loop), the SIMD rule's paired row at
+//    the kernel's call site;
 //  - Seq-BS (seq_bs_ranks, the paper's std::lower_bound baseline);
 //  - Solver::solve_lis, which runs the kernel, as speculative chunks on the
 //    pool from kSpeculateMinN elements up (api/solver.hpp). Solver ÷

@@ -32,6 +32,27 @@ size_t Solver::resident_bytes() const {
   return b;
 }
 
+void Solver::ThreadCtx::hold_like(const ThreadCtx& o) {
+  auto reserve = [](auto& v, const auto& like) {
+    if (v.capacity() < like.capacity()) v.reserve(like.capacity());
+  };
+  reserve(rs.order, o.rs.order);
+  reserve(rs.pos, o.rs.pos);
+  reserve(rs.rank, o.rs.rank);
+  reserve(rs.qpos, o.rs.qpos);
+  reserve(rs_scratch.sort_buf, o.rs_scratch.sort_buf);
+  reserve(rs_scratch.carry_qpos, o.rs_scratch.carry_qpos);
+  reserve(rs_scratch.carry_rank, o.rs_scratch.carry_rank);
+  reserve(rs_scratch.sorted_keys, o.rs_scratch.sorted_keys);
+  reserve(rs_scratch.run_masks, o.rs_scratch.run_masks);
+  reserve(values.values, o.values.values);
+  reserve(sweep.fenwick, o.sweep.fenwick);
+  reserve(lis_res.rank, o.lis_res.rank);
+  reserve(wlis_res.dp, o.wlis_res.dp);
+  // patience_ranks grows the tails from their size, not their capacity.
+  if (tails.size() < o.tails.size()) tails.resize(o.tails.size());
+}
+
 // ---- Memory-budget admission ------------------------------------------
 //
 // Documented scratch-size models, per element, deliberately generous (the
@@ -210,37 +231,45 @@ void Solver::solve_many(std::span<const Query> queries,
     }
   }
   if (small_idx_.empty()) return;
-  // Small queries: T = min(m, num_workers()) tasks, task t solving packed
-  // queries t, t + T, ... sequentially (thread-sequential mode) on context
-  // t, so a repeated batch meets the same contexts and its warm runs
-  // allocate nothing. A query that throws raises `stop`, so the other
-  // tasks stop after their current one, and parallel_for rethrows the
-  // first exception here.
+  // Small queries: T = min(m, num_workers()) tasks, each taking queries
+  // from one shared cursor and solving them sequentially (thread-sequential
+  // mode) on its own context, task t on context t. A query that throws
+  // moves the cursor past the end, so the other tasks stop after their
+  // current one, and parallel_for rethrows the first exception here.
   if (task_ctx_n_ == 0) {
     task_ctx_n_ = static_cast<size_t>(num_workers());
     task_ctx_ = std::make_unique<std::unique_ptr<ThreadCtx>[]>(task_ctx_n_);
   }
   const int64_t m = static_cast<int64_t>(small_idx_.size());
   const int64_t tasks = std::min(m, static_cast<int64_t>(task_ctx_n_));
-  std::atomic<bool> stop{false};
+  for (int64_t t = 0; t < tasks; t++) {
+    if (!task_ctx_[t]) task_ctx_[t] = std::make_unique<ThreadCtx>();
+  }
+  std::atomic<int64_t> next{0};
   parallel_for(
       0, tasks,
       [&](int64_t t) {
         ThreadSequentialGuard seq(true);
-        for (int64_t i = t; i < m && !stop.load(); i += tasks) {
+        int64_t i;
+        while ((i = next.fetch_add(1)) < m) {
           try {
             internal::poll_cancellation();
             PARLIS_FAILPOINT("solver.packed_query");
-            if (!task_ctx_[t]) task_ctx_[t] = std::make_unique<ThreadCtx>();
             run_query(queries[small_idx_[i]], results[small_idx_[i]],
                       "solve_many", *task_ctx_[t]);
           } catch (...) {
-            stop.store(true);
+            next.store(m);
             throw;
           }
         }
       },
       /*grain=*/1);
+  // Which task takes which query changes from batch to batch, so every
+  // context then grows to what the largest holds: a repeated batch finds
+  // each of its queries' scratch held wherever it runs, and allocates
+  // nothing after its first run.
+  for (int64_t t = 1; t < tasks; t++) task_ctx_[0]->hold_like(*task_ctx_[t]);
+  for (int64_t t = 1; t < tasks; t++) task_ctx_[t]->hold_like(*task_ctx_[0]);
 }
 
 }  // namespace parlis

@@ -242,10 +242,12 @@ class Solver {
   /// Queries are independent; |results| >= |queries|; every query is
   /// validated (validate_query) before any runs. Queries with |a| <=
   /// kPoolGateGrain are packed onto T = min(their count, num_workers())
-  /// pool tasks: task t solves the packed queries t, t + T, ... in batch
-  /// order, sequentially on its own context, so a repeated batch meets the
-  /// same contexts and allocates nothing once warm; a query that throws
-  /// stops the other tasks after their current query. Larger ones run
+  /// pool tasks that take them from one shared cursor and solve each
+  /// sequentially on the task's own context; after the batch every task
+  /// context grows to hold what the largest holds, so a repeated batch
+  /// allocates nothing after its first run, whichever task takes which
+  /// query. A query that throws stops the other tasks after their current
+  /// query. Larger ones run
   /// first, one at a time on the caller's context, by solve_lis's or
   /// solve_wlis's plan (an unweighted one of kSpeculateMinN elements or
   /// more speculates on the pool, a weighted one ranks on it from
@@ -338,6 +340,12 @@ class Solver {
              vec_bytes(tails) + sweep.resident_bytes() +
              lis_res.resident_bytes() + wlis_res.resident_bytes();
     }
+
+    // Grows every buffer above to hold at least what o's holds (the same
+    // list as resident_bytes counts), so a solve that fit in o's scratch
+    // allocates nothing in this one. solve_many's packed phase evens its
+    // task contexts this way.
+    void hold_like(const ThreadCtx& o);
   };
 
   // The WLIS budget fallback: Seq-AVL dp + patience length on `ctx`'s
@@ -450,8 +458,8 @@ class Solver {
 
   Options opts_;
   std::unique_ptr<ThreadCtx> main_ctx_; // caller-thread workspaces
-  // solve_many's packed task t owns task_ctx_[t], made on its first query,
-  // whichever thread runs the task; num_workers() entries once sized.
+  // solve_many's packed task t owns task_ctx_[t], made before the task
+  // runs, whichever thread runs it; num_workers() entries once sized.
   std::unique_ptr<std::unique_ptr<ThreadCtx>[]> task_ctx_;
   size_t task_ctx_n_ = 0;
   std::vector<int64_t> small_idx_;  // batch partition scratch

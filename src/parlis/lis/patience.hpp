@@ -1,14 +1,14 @@
 // The Solver's LIS kernel: patience sorting (the paper's Seq-BS baseline),
 // in AVX-512 register tiers while there are at most 128 tails and past
-// that in a 128-tail window that slides up with the top of the tails while
-// the elements land there, each beside its scalar twin and the dispatch
-// under the SIMD toggle (util/simd.hpp). On a 4-core AVX-512 Xeon it beat
-// Alg. 1's rounds on the pool at every k measured (EXPERIMENTS.md,
-// "Register tiers"), so parlis::Solver and LisSession run it. Its pooled
-// form, speculative chunked patience (declared at the end, defined in
-// lis/speculative.cpp), runs index chunks of the tiers on the pool and
-// replays only where a chunk's run disagrees with the true one; the
-// Solver runs it from kSpeculateMinN elements up. seq_patience_ranks_into
+// that in a 128-tail window that slides up with the top of the tails, each
+// beside its scalar twin and the dispatch under the SIMD toggle
+// (util/simd.hpp). On a 4-core AVX-512 Xeon it beat Alg. 1's rounds on
+// the pool at every k measured (EXPERIMENTS.md, "Register tiers"), so
+// parlis::Solver and LisSession run it. Its pooled form, speculative
+// chunked patience (declared at the end, defined in lis/speculative.cpp),
+// runs index chunks of the tiers on the pool and replays only where a
+// chunk's run disagrees with the true one; the Solver runs it from
+// kSpeculateMinN elements up. seq_patience_ranks_into
 // and seq_patience_frontiers_into stay on one thread: they are the
 // figures' Seq-BS baseline and the tests' reference. Alg. 1 and the
 // reconstruction stay in lis/lis.hpp, which includes this header; the
@@ -209,10 +209,10 @@ namespace internal {
 
 // A patience search halves the tails down to at most this many candidates,
 // then counts them branch-free.
-inline constexpr int64_t kPatienceWindow = 16;
+inline constexpr int64_t kSearchCount = 16;
 
 // The number of t[0, m) below x under `less`, branch-free. A hand-vectorized
-// AVX-512 count of the 16-tail window measured at most 7% faster at its
+// AVX-512 count of the final 16 tails measured at most 7% faster at its
 // call site, and slower on deep inputs: under the SIMD layer's 10% bar
 // (EXPERIMENTS.md), so it stays scalar.
 template <typename T, typename Less>
@@ -227,39 +227,53 @@ inline int64_t count_tails_below(const T* t, int64_t m, const T& x,
 // in the strictly increasing t[0, len). The search works from the end: on
 // the line inputs nine in ten elements land within the last 400 tails, on
 // deep ones within the last 20 (EXPERIMENTS.md, "Plan methodology"). The
-// last kPatienceWindow tails are tried first, behind the one branch, which
+// last kSearchCount tails are tried first, behind the one branch, which
 // such inputs predict well. Otherwise probes at len - 16·4^j (j >= 1)
-// narrow the window without branching; their addresses repeat from one
+// narrow the range without branching; their addresses repeat from one
 // element to the next. Since the tails are sorted, the probes below x form
-// a suffix of the probe sequence: the first of them bounds the window from
+// a suffix of the probe sequence: the first of them bounds the range from
 // below, the last probe not below x from above. Halving steps then move
-// `base` by a masked add, and the final window is counted whole.
+// `base` by a masked add, and the final kSearchCount tails are counted
+// whole.
 template <typename T, typename Less>
 inline int64_t patience_search(const T* t, int64_t len, const T& x,
                                Less less) {
-  if (len <= kPatienceWindow) return count_tails_below(t, len, x, less);
-  int64_t hi = len - kPatienceWindow;
+  if (len <= kSearchCount) return count_tails_below(t, len, x, less);
+  int64_t hi = len - kSearchCount;
   if (less(t[hi], x)) {
-    return hi + count_tails_below(t + hi, kPatienceWindow, x, less);
+    return hi + count_tails_below(t + hi, kSearchCount, x, less);
   }
   int64_t lo = 0;
-  for (int64_t s = 4 * kPatienceWindow; s < len; s *= 4) {
+  for (int64_t s = 4 * kSearchCount; s < len; s *= 4) {
     const int64_t below = -static_cast<int64_t>(less(t[len - s], x));
     lo = std::max(lo, below & (len - s + 1));
     hi = std::min(hi, len - s + (below & s));
   }
   const T* base = t + lo;
   int64_t m = hi - lo;
-  while (m > kPatienceWindow) {
+  while (m > kSearchCount) {
     const int64_t half = m / 2;
     base += half & -static_cast<int64_t>(less(base[half - 1], x));
     m -= half;
   }
-  // Every tail before base is below x and none from base + m on is, so a
-  // window of exactly kPatienceWindow tails that covers [base, base + m)
-  // counts the rest.
-  base = std::min(base, t + (len - kPatienceWindow));
-  return (base - t) + count_tails_below(base, kPatienceWindow, x, less);
+  // Every tail before base is below x and none from base + m on is, so
+  // exactly kSearchCount tails that cover [base, base + m) count the rest.
+  base = std::min(base, t + (len - kSearchCount));
+  return (base - t) + count_tails_below(base, kSearchCount, x, less);
+}
+
+// The tails' one growth rule: double them (from at least 2 * kSearchCount
+// slots), at most |a| + 1, until they hold more than `len`, the spare slot
+// the memory loop extends into. The memory loop and the window both grow
+// by it, so they leave `tails` the same size (resident_bytes() and the
+// 12 B/element budget count it), and a warm call allocates nothing.
+template <typename T>
+inline void grow_tails_above(std::vector<T>& tails, int64_t len, int64_t n) {
+  while (static_cast<int64_t>(tails.size()) <= len) {
+    const int64_t size = static_cast<int64_t>(tails.size());
+    tails.resize(static_cast<size_t>(
+        std::min(std::max(2 * size, 2 * kSearchCount), n + 1)));
+  }
 }
 
 // The register tiers' scalar twin: the memory kernel's loop below over the
@@ -298,28 +312,24 @@ inline int64_t patience_tiers(const int64_t* a, int64_t i, int64_t hi,
 // the top of the tails (on lis_deep's input every element lands within the
 // top 64), so the window keeps them in the vector loop: a finger at the
 // top of the tails, as in finger search trees (Guibas, McCreight, Plass and
-// Roberts, STOC 1977). When more than 1 / kWindowLeaveShare of a
-// 4096-element block lands in the frozen part, patience_ranks puts the
-// window's tails above the frozen ones and its memory loop runs the rest
-// of the input, for good. The window changes no rank, so the memory loop
-// is its scalar twin.
-inline constexpr int64_t kWindowLeaveShare = 8;
-
+// Roberts, STOC 1977). Once entered, the window runs the rest of the
+// input: on inputs whose elements mostly land among the frozen tails it
+// measured 0.33-0.96x the time of the memory loop over all of them
+// (EXPERIMENTS.md, "Sliding window over the top tails"). The window
+// changes no rank, so the memory loop is its scalar twin.
 #if PARLIS_SIMD_BACKEND == 4
-// What one block in the window leaves: the tier block holds tails base ..
-// base + len, tails[0, base) the frozen ones, and `landed` elements landed
-// among those. Returned by value, so that patience_ranks's len and base
-// stay in registers through its memory loop.
+// Where one block in the window ends: the tier block holds tails base ..
+// base + len and tails[0, base) the frozen ones. Returned by value, so
+// that patience_ranks never takes the address of its len and base.
 struct WindowBlock {
   int64_t len;
   int64_t base;
-  int64_t landed;
 };
 
 // a[i, hi) in the window (lis/patience_window.cpp), from the tier block w
 // and the frozen tails[0, base) (entered with base == 0 at an element that
-// needs tail kTierTails + 1). Slides grow `tails` by patience_ranks's
-// doubling rule, which leaves it holding more than base + len slots.
+// needs tail kTierTails + 1). Slides and the block's end grow `tails` by
+// grow_tails_above, so it holds more than base + len slots.
 WindowBlock patience_window(const int64_t* a, int64_t i, int64_t hi,
                             int32_t* rank, int64_t* w, int64_t len,
                             int64_t base, std::vector<int64_t>& tails,
@@ -342,13 +352,12 @@ struct PatienceResume {
 // k. int64 keys under std::less (raw values and every rank image) start in
 // the tiers of patience_tiers while there are at most kTierTails tails.
 // With the SIMD toggle on (AVX-512 builds), the element that needs one
-// more slides them into the window, run a block at a time until more than
-// 1 / kWindowLeaveShare of a block lands below it; otherwise, and then, the
-// tiers' tails spill to `tails` and the memory loop goes on from there.
-// `tails` is scratch whose size is the memory loop's capacity: it doubles
-// up to |a| + 1 slots and is kept, so a warm call allocates nothing, and
-// the window keeps to the same sizes. Polls cancellation every 4096
-// elements, on either side of the spill. Cache-line aligned, so its speed
+// more slides them into the window, which runs the rest of the input a
+// block at a time; otherwise the tiers' tails spill to `tails` and the
+// memory loop goes on from there. `tails` is scratch that grows by
+// grow_tails_above and is kept, so a warm call allocates nothing, and the
+// window leaves it the size the memory loop would. Polls cancellation
+// every 4096 elements, in every part. Cache-line aligned, so its speed
 // does not move with its link address.
 template <typename T, typename Less>
 [[gnu::aligned(64)]] int32_t patience_ranks(std::span<const T> a, int32_t* rank,
@@ -361,10 +370,9 @@ template <typename T, typename Less>
   int64_t i = 0;
   T* t = nullptr;
   int64_t cap = 0;
-  auto hold_tails = [&](int64_t slots) {
-    if (static_cast<int64_t>(tails.size()) < slots) {
-      tails.resize(static_cast<size_t>(slots));
-    }
+  // Grows the tails above `len` slots and points the memory loop at them.
+  auto hold_tails = [&] {
+    grow_tails_above(tails, len, n);
     t = tails.data();
     cap = static_cast<int64_t>(tails.size());
   };
@@ -381,39 +389,37 @@ template <typename T, typename Less>
     len = from.len;
     i = from.at;
   } else {
-    hold_tails(2 * kPatienceWindow);
+    hold_tails();
   }
   for (int64_t lo = i; lo < n; lo += 4096) {
     poll_cancellation();
     const int64_t hi = std::min(n, lo + 4096);
     if constexpr (kTiers) {
-      if (front != Front::kMemory) {
-        if (front == Front::kTiers) {
-          i = patience_tiers(a.data(), i, hi, rank, tier, len);
-          if (i == hi) continue;
-          // a[i] needs tail kTierTails + 1, so n > len: the spill fits.
-          hold_tails(std::min(2 * len, n + 1));
-          front = simd::enabled() ? Front::kWindow : Front::kMemory;
-        }
-#if PARLIS_SIMD_BACKEND == 4
-        if (front == Front::kWindow) {
-          const WindowBlock b = patience_window(a.data(), i, hi, rank, tier,
-                                                len, base, tails, n);
-          i = hi;
-          len = b.len;
-          base = b.base;
-          t = tails.data();
-          cap = static_cast<int64_t>(tails.size());
-          if (b.landed <= 4096 / kWindowLeaveShare) continue;
-        }
-#endif
-        // The spill: the block's tails go above the frozen ones, and the
-        // memory loop takes the rest of the input.
+      if (front == Front::kTiers) {
+        i = patience_tiers(a.data(), i, hi, rank, tier, len);
+        if (i == hi) continue;
+        // a[i] needs tail kTierTails + 1: the window takes it, or with the
+        // SIMD toggle off the spill does (n > len, so the tails fit) and
+        // the memory loop runs the rest of the input.
         front = Front::kMemory;
-        std::copy(tier, tier + len, t + base);
-        len += base;
-        base = 0;
+#if PARLIS_SIMD_BACKEND == 4
+        if (simd::enabled()) front = Front::kWindow;
+#endif
+        if (front == Front::kMemory) {
+          hold_tails();
+          std::copy(tier, tier + len, t);
+        }
       }
+#if PARLIS_SIMD_BACKEND == 4
+      if (front == Front::kWindow) {
+        const WindowBlock b = patience_window(a.data(), i, hi, rank, tier,
+                                              len, base, tails, n);
+        i = hi;
+        len = b.len;
+        base = b.base;
+        continue;
+      }
+#endif
     }
     for (; i < hi; i++) {
       const T x = a[i];
@@ -423,7 +429,7 @@ template <typename T, typename Less>
       // writes the spare slot and extends the tails.
       t[pos] = x;
       len += pos == len;
-      if (len == cap) [[unlikely]] hold_tails(std::min(2 * cap, n + 1));
+      if (len == cap) [[unlikely]] hold_tails();
     }
   }
   return static_cast<int32_t>(base + len);

@@ -24,16 +24,6 @@ namespace {
 constexpr int64_t kSlots = simd::kTierTails;
 constexpr int64_t kFreeze = kSlots / 2;  // the tails one slide freezes
 
-// patience_ranks's growth rule for the tails: double them, at most n + 1
-// slots, until they hold more than `len` (the memory loop's spare slot).
-// patience_ranks sized them before the first slide, so they are not empty.
-void hold_above(std::vector<int64_t>& tails, int64_t len, int64_t n) {
-  while (static_cast<int64_t>(tails.size()) <= len) {
-    tails.resize(static_cast<size_t>(
-        std::min(2 * static_cast<int64_t>(tails.size()), n + 1)));
-  }
-}
-
 }  // namespace
 
 // simd::detail::patience_lines<16>'s loop, with the ranks offset by the
@@ -59,7 +49,6 @@ WindowBlock patience_window(const int64_t* a, int64_t i, int64_t hi,
       base > 0 ? t[base - 1] : std::numeric_limits<int64_t>::min();
   int64_t last = w[kSlots - 1];
   int64_t k = len;
-  int64_t landed = 0;
   for (; i < hi; i++) {
     const int64_t y = a[i];
     if (y <= frozen_top) [[unlikely]] {
@@ -67,12 +56,11 @@ WindowBlock patience_window(const int64_t* a, int64_t i, int64_t hi,
       rank[i] = static_cast<int32_t>(pos + 1);
       t[pos] = y;
       frozen_top = pos == base - 1 ? y : frozen_top;
-      landed++;
       continue;
     }
     if (y > last) [[unlikely]] {
       // y needs tail base + kSlots + 1: freeze the bottom half and slide.
-      hold_above(tails, base + kSlots, n);
+      grow_tails_above(tails, base + kSlots, n);
       t = tails.data();
       std::copy_n(w, kFreeze, t + base);
       std::copy_n(w + kFreeze, kSlots - kFreeze, w);
@@ -106,8 +94,8 @@ WindowBlock patience_window(const int64_t* a, int64_t i, int64_t hi,
     k = rk > k ? rk : k;
     last = rk == kSlots ? y : last;
   }
-  hold_above(tails, base + k, n);
-  return WindowBlock{k, base, landed};
+  grow_tails_above(tails, base + k, n);
+  return WindowBlock{k, base};
 }
 #endif  // PARLIS_SIMD_BACKEND == 4
 

@@ -459,11 +459,13 @@ int main() {
   }
 
   // Packed solve_many: a batch of 64 queries of 512 elements, unweighted
-  // and weighted, solved by T = min(64, num_workers()) pool tasks, task t
-  // solving queries t, t + T, ... on the context it owns, so a repeated
-  // batch meets the same contexts: 63-bit values (the hashed `a`, whose
-  // ranks come from the sort) and shuffles of 0..511 (the bitmap), each
-  // with k under the patience tiers' 128 tails. Once from the main thread
+  // and weighted, solved by T = min(64, num_workers()) pool tasks that
+  // take them from a shared cursor, each on the context it owns; after a
+  // batch every task context holds what the largest holds, so a repeated
+  // batch allocates nothing whichever task takes which query: 63-bit
+  // values (the hashed `a`, whose ranks come from the sort) and shuffles
+  // of 0..511 (the bitmap), each with k under the patience tiers' 128
+  // tails. Once from the main thread
   // and once from a std::thread outside the pool, each leg checking that
   // the batch forked on a pool of 2 or more workers.
   {

@@ -1002,7 +1002,7 @@ TEST(Cancellation, DeadlineStopsRegisterTiersWithin4096Elements) {
 
 // The window: a rising line (k ~ 65,000) whose elements land near the top
 // of the tails, so past its first block the kernel runs in the window,
-// which slides up every 64 new tails and never leaves.
+// which slides up every 64 new tails.
 TEST(Cancellation, DeadlineStopsTheWindowWithin4096Elements) {
   const int64_t n = int64_t{1} << 21;
   const std::vector<int64_t> a = line_pattern(n, n / 32, 96);

@@ -2,9 +2,9 @@
 // point solves by patience sorting on the calling thread. For int64 keys
 // under std::less (raw values and every rank image) the kernel starts in
 // the register tiers of lis/patience.hpp (16, 32, 64 and 128 tails). At the
-// 129th tail the full tier slides up the tails as a window, with the SIMD
-// toggle on, until more than an eighth of a 4096-element block lands below
-// it; then, and at once with the toggle off, the memory loop runs the rest.
+// 129th tail the full tier slides up the tails as a window that runs the
+// rest of the input, with the SIMD toggle on; with it off the memory loop
+// runs the rest.
 // Other orders on raw values (int64 keys under kStrict) run the memory loop
 // alone. Whatever the path, the ranks, k and frontier layout must match
 // seq_bs_ranks, and the O(n^2) oracle at small n, with the SIMD toggle on
@@ -240,8 +240,7 @@ TEST(LisPlanDifferential, VectorTiersMatchTheirTwin) {
 // on the top frozen tail, just above it (the window's slot 0), at frozen
 // slot 0 and at INT64_MIN; a probe that lowers the top frozen tail moves
 // the edge, so the next probe equal to the old top lands in the window.
-// The rise then goes on, to slide again. Too few probes land below the
-// window for it to leave, so the toggle-on run stays in it throughout.
+// The rise then goes on, to slide again.
 TEST(LisPlanDifferential, WindowFrozenEdge) {
   for (const int64_t rise : {129, 160, 192, 193, 250}) {
     SCOPED_TRACE(testing::Message() << "rise to " << rise << " tails");
@@ -275,11 +274,9 @@ TEST(LisPlanDifferential, WindowFrozenEdge) {
 
 // A rising line, whose elements land within the window, then uniform keys
 // over its whole range, most of which land below the window: the window
-// leaves for the memory loop at the end of the first block where more than
-// an eighth of the elements land below it. The keys start at a block
-// boundary and in mid-block; in the input's last 300 elements too few land
-// below the window for it to leave, so it runs to the end.
-TEST(LisPlanDifferential, WindowLeavesForUniformKeys) {
+// lands them among its frozen tails for the rest of the input. The keys
+// start at a block boundary, in mid-block and 300 elements before the end.
+TEST(LisPlanDifferential, WindowTakesUniformKeysAfterALine) {
   const int64_t n = 6 * kBlock;
   for (const int64_t from : {2 * kBlock, 2 * kBlock + 1500, n - 300}) {
     SCOPED_TRACE(testing::Message() << "uniform keys from " << from);
@@ -299,28 +296,27 @@ TEST(LisPlanDifferential, WindowLeavesForUniformKeys) {
 // the same bytes whichever of the two ran: from cold scratch, whose sizes
 // double from 256 slots and so meet the window's slides, and from scratch
 // that a smaller solve left at 301 slots, whose doublings fall between
-// slides. `stays` rises to 610 tails and lands near the top after that,
-// so the window runs to the end; `leaves` rises to 512 tails, filling the
-// window and, from cold scratch, all 512 of the tails' slots, then lands
-// below the window for a block, and the memory loop it leaves for extends
-// the tails again.
+// slides. `top` rises to 610 tails and lands near the top after that;
+// `deep` rises to 512 tails, filling the window and, from cold scratch,
+// all 512 of the tails' slots, then lands among the frozen tails for a
+// block and then extends the tails again.
 TEST(LisPlanDifferential, WindowHoldsWhatTheMemoryLoopHolds) {
-  std::vector<int64_t> small, stays, leaves;
+  std::vector<int64_t> small, top, deep;
   for (int64_t j = 0; j < 300; j++) small.push_back(j);
-  for (int64_t j = 0; j < 610; j++) stays.push_back(4 * j);
-  for (int64_t i = 0; stays.size() < 2000; i++) {
-    stays.push_back(4 * (609 - i % 20) - 1);
+  for (int64_t j = 0; j < 610; j++) top.push_back(4 * j);
+  for (int64_t i = 0; top.size() < 2000; i++) {
+    top.push_back(4 * (609 - i % 20) - 1);
   }
-  for (int64_t j = 0; j < 512; j++) leaves.push_back(4 * j);
+  for (int64_t j = 0; j < 512; j++) deep.push_back(4 * j);
   for (int64_t i = 512; i < kBlock + 600; i++) {
-    leaves.push_back(static_cast<int64_t>(uniform(31, i, 4 * 300)));
+    deep.push_back(static_cast<int64_t>(uniform(31, i, 4 * 300)));
   }
-  for (int64_t j = 0; j < 300; j++) leaves.push_back(4 * 512 + j);
-  for (const std::vector<int64_t>* in : {&stays, &leaves}) {
+  for (int64_t j = 0; j < 300; j++) deep.push_back(4 * 512 + j);
+  for (const std::vector<int64_t>* in : {&top, &deep}) {
     const std::vector<int32_t> want = seq_bs_ranks(*in);
     for (const bool warm : {false, true}) {
       SCOPED_TRACE(testing::Message()
-                   << (in == &stays ? "stays" : "leaves")
+                   << (in == &top ? "top" : "deep")
                    << (warm ? ", after a 300-element solve" : ", cold"));
       size_t held[2] = {0, 0};
       for (const bool vector : {true, false}) {
@@ -541,10 +537,10 @@ TEST(LisPlanDifferential, ExtremeValues) {
   }
 }
 
-// k around the patience search's window (16) and its first probes
-// (len - 16, len - 64): every rank count from 1 to k passes through the
-// search as the tails grow. Small n, so the O(n^2) oracle checks too.
-TEST(LisPlanDifferential, KAroundTheSearchWindow) {
+// k around the patience search's final count (16 tails) and its first
+// probes (len - 16, len - 64): every rank count from 1 to k passes through
+// the search as the tails grow. Small n, so the O(n^2) oracle checks too.
+TEST(LisPlanDifferential, KAroundTheSearchCount) {
   for (const int64_t k : {15, 16, 17, 31, 32, 33, 63, 64, 65, 257}) {
     SCOPED_TRACE(testing::Message() << "k = " << k);
     std::vector<int64_t> sizes;

@@ -122,9 +122,8 @@ TEST(Scheduler, StolenTaskIgnoresTheRunnersScope) {
 
 // Any thread may run a packed solve_many task: here an outside thread
 // joining its own loops takes them from the shared submission queue while
-// another outside thread solves. Task t solves its stride of the queries
-// (t, t + T, ...) on the context it owns, so each result equals a
-// thread-sequential solve_query.
+// another outside thread solves. A task solves every query it takes on the
+// context it owns, so each result equals a thread-sequential solve_query.
 TEST(Scheduler, SolveManyTaskStolenByAnOutsideThread) {
   if (num_workers() < 2) GTEST_SKIP() << "one worker steals nothing";
   constexpr int64_t kQueries = 64;

@@ -305,7 +305,7 @@ TEST(SpeculativePatienceDifferential, BudgetHandsOverToTheKernel) {
 // the end: the chunk that meets the line passes 128 tails in its first
 // block, so the one-thread kernel takes the true tails (k ~ 60) at the
 // line's first element, climbs the tiers into the window, slides with the
-// line and leaves the window for the memory loop in the uniform keys.
+// line and lands the uniform keys among the window's frozen tails.
 TEST(SpeculativePatienceDifferential, HandOverEntersTheWindow) {
   const int64_t n = 2 * kSpeculateMinN;
   Vec a = banded(n);
