@@ -145,7 +145,7 @@ class Solver {
   /// (lis/patience.hpp, internal::patience_ranks: register tiers while
   /// k <= 128; past that, for int64 keys under std::less with the SIMD
   /// toggle on, a 128-tail window that slides up with the top of the tails
-  /// until too many elements land below it; then the memory loop). On the
+  /// for the rest of the input, and otherwise the memory loop). On the
   /// sweep in EXPERIMENTS.md ("Register tiers") it beat Alg. 1's rounds on
   /// a 4-worker pool at every k, so the Solver no longer runs them; the
   /// one-shot lis_ranks / lis_frontiers still do. int64 keys under

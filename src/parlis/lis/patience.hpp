@@ -81,8 +81,8 @@ struct LisFrontiers {
 //    64 or 128 tails in 8 or 16 registers is throughput-bound (two port-5
 //    ops per register per element) and ran 1.4-2.8x slower.
 // Past 128 tails the 128-tail block becomes a window over the top of the
-// tails (internal::patience_window below), which patience_ranks runs until
-// too many elements land below it.
+// tails (internal::patience_window below), which patience_ranks runs for
+// the rest of the input.
 
 namespace simd {
 

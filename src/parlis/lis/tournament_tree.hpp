@@ -81,7 +81,6 @@
 
 #include "parlis/parallel/parallel.hpp"
 #include "parlis/parallel/worker_counter.hpp"
-#include "parlis/util/resident.hpp"
 #include "parlis/util/simd.hpp"
 
 namespace parlis {
@@ -152,19 +151,39 @@ inline int64_t sweep8_count_i64_scalar(const int64_t* p, int64_t bound,
 #if PARLIS_SIMD_BACKEND == 4
 namespace detail {
 
+// Every intrinsic below is the masked form with a full mask, like
+// patience.hpp's shift_up1: the same instruction, but the unmasked forms'
+// undefined pass-through trips GCC 12's -Wmaybe-uninitialized in every
+// translation unit that includes this header.
+
 // Lane shift toward higher indices by (8 - imm) quadwords, vacated low
 // lanes filled from the top of `fill`: valignr concatenates [v | fill] and
 // takes quadwords imm..imm+7.
-#define PARLIS_SHIFT_UP_512(v, fill, by) _mm512_alignr_epi64(v, fill, 8 - (by))
+#define PARLIS_SHIFT_UP_512(v, fill, by) \
+  _mm512_mask_alignr_epi64(v, 0xFF, v, fill, 8 - (by))
+
+inline __m512i min_i64x8(__m512i a, __m512i b) {
+  return _mm512_mask_min_epi64(a, 0xFF, a, b);
+}
 
 // Exclusive prefix-min over the 8 lanes of v seeded with `bound`:
 // e[j] = min(bound, v[0..j-1]). Three shift+min steps build the inclusive
 // prefix, one more shifts it to exclusive and folds the seed in.
 inline __m512i eprefix_min8_512(__m512i v, __m512i bound, __m512i inf) {
-  __m512i i = _mm512_min_epi64(v, PARLIS_SHIFT_UP_512(v, inf, 1));
-  i = _mm512_min_epi64(i, PARLIS_SHIFT_UP_512(i, inf, 2));
-  i = _mm512_min_epi64(i, PARLIS_SHIFT_UP_512(i, inf, 4));
-  return _mm512_min_epi64(bound, PARLIS_SHIFT_UP_512(i, inf, 1));
+  __m512i i = min_i64x8(v, PARLIS_SHIFT_UP_512(v, inf, 1));
+  i = min_i64x8(i, PARLIS_SHIFT_UP_512(i, inf, 2));
+  i = min_i64x8(i, PARLIS_SHIFT_UP_512(i, inf, 4));
+  return min_i64x8(bound, PARLIS_SHIFT_UP_512(i, inf, 1));
+}
+
+// *out = the min of v's 8 lanes: min with the other 256-bit half, then the
+// other 128-bit pair, then the neighbour, and store lane 0 (a vector
+// subscript, one vmovq).
+inline void store_min8_512(__m512i v, int64_t* out) {
+  v = min_i64x8(v, _mm512_mask_shuffle_i64x2(v, 0xFF, v, v, 0x4E));
+  v = min_i64x8(v, _mm512_mask_shuffle_i64x2(v, 0xFF, v, v, 0xB1));
+  v = min_i64x8(v, _mm512_mask_permutex_epi64(v, 0xFF, v, 0xB1));
+  *out = v[0];
 }
 
 inline uint32_t cand_mask8_i64_vec(const int64_t* p, int64_t bound,
@@ -184,7 +203,7 @@ inline uint32_t sweep8_extract_i64_vec(int64_t* p, int64_t bound, int64_t inf,
   __mmask8 ext = _mm512_cmple_epi64_mask(v, e) & _mm512_cmplt_epi64_mask(v, I);
   __m512i nv = _mm512_mask_mov_epi64(v, ext, I);
   _mm512_storeu_si512(p, nv);
-  *new_min = _mm512_reduce_min_epi64(nv);
+  store_min8_512(nv, new_min);
   return ext;
 }
 
@@ -244,13 +263,6 @@ struct TournamentStorage {
   std::vector<T> top;           // implicit binary tree over block minima
   std::vector<int64_t> count;   // two-pass extraction pass-1 scratch
   WorkerCounter visits;
-
-  /// Measured heap bytes held (vector capacities + the visit counter's
-  /// per-worker slot array); the serving layer's eviction accounting.
-  size_t resident_bytes() const {
-    return vec_bytes(blocks) + vec_bytes(top) + vec_bytes(count) +
-           visits.resident_bytes();
-  }
 };
 
 template <typename T, typename Less = std::less<T>>

@@ -51,9 +51,6 @@ class WorkerCounter {
     return total;
   }
 
-  /// Heap bytes held by the lazily-created slot array.
-  size_t resident_bytes() const { return slots_.resident_bytes(); }
-
   /// Zeroes every slot. Not linearizable against concurrent add()s; call it
   /// only between parallel phases.
   void reset() {

@@ -75,14 +75,6 @@ class LazyWorkerSlots {
     for (int i = 0; a != nullptr && i < nslots_; i++) f(a[i]);
   }
 
-  /// Heap bytes held by the slot array (0 until first post-pool use) — the
-  /// serving layer's resident accounting reaches through here.
-  size_t resident_bytes() const {
-    return arr_.load(std::memory_order_acquire) != nullptr
-               ? static_cast<size_t>(nslots_) * sizeof(SlotT)
-               : 0;
-  }
-
  private:
   SlotT* init() {
     if (!internal::pool_started()) return nullptr;

@@ -56,9 +56,6 @@ class DominanceOracle {
   /// concurrently with count/kth (the SWGS rounds are phase-separated).
   void erase(int64_t i);
 
-  /// Bytes the level arrays reserved from the arena (introspection hook).
-  size_t pool_reserved_bytes() const { return arena_.reserved_bytes(); }
-
  private:
   // levels_[0] has width bit_ceil(n)/2 (the root's children — the root
   // itself is never a canonical node of any [0, i) decomposition);

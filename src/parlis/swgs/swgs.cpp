@@ -108,11 +108,9 @@ LisResult swgs_lis_ranks(std::span<const int64_t> a, uint64_t seed,
   return res;
 }
 
-namespace {
-
-void swgs_wlis_dispatch(std::span<const int64_t> a, std::span<const int64_t> w,
-                        uint64_t seed, WlisWorkspace& ws, WlisResult& out,
-                        SwgsStats* stats, bool rank_space_ready) {
+void swgs_wlis_into(std::span<const int64_t> a, std::span<const int64_t> w,
+                    uint64_t seed, WlisWorkspace& ws, WlisResult& out,
+                    SwgsStats* stats) {
   assert(a.size() == w.size());
   int64_t n = static_cast<int64_t>(a.size());
   out.dp.assign(n, 0);
@@ -120,63 +118,30 @@ void swgs_wlis_dispatch(std::span<const int64_t> a, std::span<const int64_t> w,
   out.k = 0;
   if (stats != nullptr) stats->total_checks = 0;
   if (n == 0) return;
-  // The same rank-space pass and dominant-max tree as Alg. 2. This clobbers
-  // the workspace's value-sequence cache (the rank space is overwritten and
-  // the tree's scores fill with SWGS dp values), so invalidate it.
-  ws.invalidate_cache();
-  if (!rank_space_ready) {
-    rank_space_into<int64_t>(a, TiesPolicy::kStrict, ws.rank_space,
-                             ws.rank_scratch);
-  }
+  // The same rank-space pass and dominant-max tree as Alg. 2.
+  rank_space_into<int64_t>(a, TiesPolicy::kStrict, ws.rank_space,
+                           ws.rank_scratch);
   const RankSpace& rsp = ws.rank_space;
-  int64_t checks;
-  // The cache was invalidated above, so a throw mid-rounds (cancellation,
-  // injected fault) leaves nothing to clean — but re-invalidate anyway in
-  // case a caller layered state on top between the invalidate and here.
-  try {
-    ws.tree.rebuild(rsp.order);
-    ws.batch.resize(n);  // frontiers partition [0, n): reused across rounds
-    checks = run_rounds(
-        a, seed, ws.swgs_rank, out.k,
-        [&](int32_t, const std::vector<int64_t>& frontier) {
-          int64_t fn = static_cast<int64_t>(frontier.size());
-          parallel_for(0, fn, [&](int64_t t) {
-            int64_t j = frontier[t];
-            int64_t q = ws.tree.dominant_max(rsp.qpos[j], j);
-            out.dp[j] = w[j] + std::max<int64_t>(0, q);
-          });
-          parallel_for(0, fn, [&](int64_t t) {
-            ws.batch[t] = {rsp.pos[frontier[t]], out.dp[frontier[t]]};
-          });
-          ws.tree.update_batch(ws.batch.data(), fn);
+  ws.tree.rebuild(rsp.order);
+  ws.batch.resize(n);  // frontiers partition [0, n): reused across rounds
+  int64_t checks = run_rounds(
+      a, seed, ws.swgs_rank, out.k,
+      [&](int32_t, const std::vector<int64_t>& frontier) {
+        int64_t fn = static_cast<int64_t>(frontier.size());
+        parallel_for(0, fn, [&](int64_t t) {
+          int64_t j = frontier[t];
+          int64_t q = ws.tree.dominant_max(rsp.qpos[j], j);
+          out.dp[j] = internal::checked_dp(w[j], q, j);
         });
-  } catch (...) {
-    ws.invalidate_cache();
-    throw;
-  }
+        parallel_for(0, fn, [&](int64_t t) {
+          ws.batch[t] = {rsp.pos[frontier[t]], out.dp[frontier[t]]};
+        });
+        ws.tree.update_batch(ws.batch.data(), fn);
+      });
   if (stats != nullptr) stats->total_checks = checks;
   out.best = reduce_index<int64_t>(
       0, n, 0, [&](int64_t i) { return out.dp[i]; },
       [](int64_t x, int64_t y) { return std::max(x, y); });
-}
-
-}  // namespace
-
-void swgs_wlis_into(std::span<const int64_t> a, std::span<const int64_t> w,
-                    uint64_t seed, WlisWorkspace& ws, WlisResult& out,
-                    SwgsStats* stats) {
-  swgs_wlis_dispatch(a, w, seed, ws, out, stats, /*rank_space_ready=*/false);
-}
-
-void swgs_wlis_compressed_into(std::span<const int64_t> ranks,
-                               std::span<const int64_t> w, uint64_t seed,
-                               WlisWorkspace& ws, WlisResult& out,
-                               SwgsStats* stats) {
-  assert(ranks.data() == ws.rank_space.rank.data() &&
-         ranks.size() == ws.rank_space.rank.size() &&
-         "ws.rank_space must be the rank_space_into output describing ranks");
-  swgs_wlis_dispatch(ranks, w, seed, ws, out, stats,
-                     /*rank_space_ready=*/true);
 }
 
 WlisResult swgs_wlis(std::span<const int64_t> a, std::span<const int64_t> w,

@@ -16,7 +16,8 @@
 //
 // The baseline returns the same LisResult / WlisResult structs as Alg. 1/2
 // — results are results, whichever algorithm produced them — and reports
-// its work diagnostics through the optional SwgsStats side channel.
+// its work diagnostics through the optional SwgsStats side channel. Like
+// Alg. 2, a dp sum past INT64_MAX throws Error{kInvalidArgument}.
 #pragma once
 
 #include <cstdint>
@@ -45,19 +46,12 @@ WlisResult swgs_wlis(std::span<const int64_t> a, std::span<const int64_t> w,
                      uint64_t seed = 42, SwgsStats* stats = nullptr);
 
 /// Workspace-injected form: shares the WlisWorkspace of Alg. 2 (rank
-/// space, score batches, range tree).
+/// space, score batches, range tree) as scratch. Any key type or ties
+/// policy reaches it through a rank image: pass a copy of the caller's
+/// rank_space_into output, not ws.rank_space.rank itself, which this call
+/// overwrites while it reads `a`.
 void swgs_wlis_into(std::span<const int64_t> a, std::span<const int64_t> w,
                     uint64_t seed, WlisWorkspace& ws, WlisResult& out,
                     SwgsStats* stats = nullptr);
-
-/// Rank-space entry point (like wlis_compressed_into, for keys compressed
-/// by the caller): `ranks` must be ws.rank_space.rank itself, with
-/// ws.rank_space the rank_space_into output for the caller's keys — the
-/// internal re-derivation is skipped, so generic keys pay exactly one
-/// compression.
-void swgs_wlis_compressed_into(std::span<const int64_t> ranks,
-                               std::span<const int64_t> w, uint64_t seed,
-                               WlisWorkspace& ws, WlisResult& out,
-                               SwgsStats* stats = nullptr);
 
 }  // namespace parlis

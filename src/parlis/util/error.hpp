@@ -9,13 +9,12 @@
 //
 // The contract the rest of the stack builds on: when an Error (or any other
 // exception — std::bad_alloc from a real OOM looks the same to the failure
-// paths) escapes a Solver, LisSession or WlisWorkspace entry point, the
-// object's warm state is coherent: a Solver's value cache stays keyed only
-// to a complete rank space (the key is dropped before the rank space is
-// overwritten), a session marks its derived state for a lazy rebuild from
-// its window, and a workspace goes through WlisWorkspace::invalidate_cache().
-// So the very next call on the same object behaves exactly like a call on
-// a cold one.
+// paths) escapes a Solver or LisSession entry point, the object's warm
+// state is coherent: a Solver's value cache stays keyed only to a complete
+// rank space (the key is dropped before the rank space is overwritten), and
+// a session marks its derived state for a lazy rebuild from its window. So
+// the very next call on the same object behaves exactly like a call on a
+// cold one. A WlisWorkspace keeps no state between calls, only capacity.
 #pragma once
 
 #include <cstdint>

@@ -1,10 +1,10 @@
 // The key of a cache derived from one int64 sequence.
 //
-// The value-sequence caches (the Solver's rank space of raw int64 values,
-// WlisWorkspace's levels) describe the sequence they were built from.
-// ValueCacheKey holds a copy of it and checks a candidate in two steps: the
-// size, then std::equal, which stops at the first difference, so a
-// same-size miss usually costs a few elements and a hit one pass.
+// The Solver's value cache (the rank space of raw int64 values) describes
+// the sequence it was built from. ValueCacheKey holds a copy of it and
+// checks a candidate in two steps: the size, then std::equal, which stops
+// at the first difference, so a same-size miss usually costs a few elements
+// and a hit one pass.
 #pragma once
 
 #include <algorithm>

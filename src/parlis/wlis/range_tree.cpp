@@ -192,41 +192,6 @@ void RangeTreeMax::rebuild_body(std::span<const int64_t> y_by_pos) {
   }
 }
 
-size_t RangeTreeMax::estimate_build_bytes(int64_t n) {
-  if (n <= 0) return 0;
-  size_t un = static_cast<size_t>(n);
-  // Mirrors the allocation sequence of rebuild_body: y (int32) + scores
-  // (atomic int64) + per materialized level below the root a Fenwick block
-  // array (atomic int64) and a rank table (int32), plus a bridge table
-  // (int32) on every level of width >= 32; the merge scratch (build_cur_ /
-  // build_nxt_) adds two int32 arrays on the heap.
-  int64_t root_width =
-      static_cast<int64_t>(std::bit_ceil(static_cast<uint64_t>(n)));
-  size_t bytes = un * (sizeof(int32_t) + sizeof(std::atomic<int64_t>));
-  for (int64_t w = root_width; w >= kLeafParentWidth; w /= 2) {
-    if (w != root_width) {
-      bytes += un * (sizeof(std::atomic<int64_t>) + sizeof(int32_t));
-    }
-    if (w >= 2 * kLeafParentWidth) bytes += un * sizeof(int32_t);
-  }
-  bytes += 2 * un * sizeof(int32_t);  // merge scratch
-  // Headroom for alignment padding, unused chunk tails, and the per-level
-  // granularity of the arena: ~10% plus one default chunk.
-  return bytes + bytes / 10 + Arena::kDefaultChunkBytes;
-}
-
-void RangeTreeMax::reset_scores() {
-  if (n_ == 0) return;
-  parallel_for(0, n_, [&](int64_t p) {
-    scores_[p].store(0, std::memory_order_relaxed);
-  });
-  for (size_t d = 1; d < levels_.size(); d++) {
-    std::atomic<int64_t>* f = levels_[d].fenwick;
-    parallel_for(0, n_,
-                 [&](int64_t p) { f[p].store(0, std::memory_order_relaxed); });
-  }
-}
-
 int64_t RangeTreeMax::fenwick_prefix_max(const std::atomic<int64_t>* f,
                                          int64_t count) {
   // Walk addresses are arithmetic in `count`: issue them all, then read.

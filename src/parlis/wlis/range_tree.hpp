@@ -62,15 +62,8 @@ class RangeTreeMax {
 
   /// Re-targets the tree at a new point set, resetting every score to 0.
   /// The previous build's arena chunks and merge scratch are recycled, so a
-  /// same-size rebuild — the Solver's warm steady state — performs zero
-  /// heap allocations.
+  /// same-size rebuild performs zero heap allocations.
   void rebuild(std::span<const int64_t> y_by_pos);
-
-  /// Zeroes every published score (the scores array and all Fenwick slots)
-  /// while keeping the point set and the rank/bridge tables: the fast path
-  /// for re-solving over an unchanged value sequence (same y_by_pos) with
-  /// new weights. O(n log n) stores, no allocation, no merging.
-  void reset_scores();
 
   // Level arrays hold plain pointers into arena_ chunks; the arena move
   // transfers chunk ownership without relocating them.
@@ -98,16 +91,6 @@ class RangeTreeMax {
   /// RangeStructure batched update: m items with distinct positions (any
   /// order accepted here; the concept contract says sorted by y).
   void update_batch(const ScoreUpdate* updates, int64_t m);
-
-  /// Bytes the level arrays reserved from the arena (introspection hook).
-  size_t pool_reserved_bytes() const { return arena_.reserved_bytes(); }
-
-  /// Upper-bound estimate of the memory a rebuild() over n points reserves
-  /// (arena level arrays plus the heap-backed merge scratch) — what
-  /// Options::memory_budget_bytes admission checks consult before building.
-  /// Deliberately a little generous (padding + one chunk of slack); the
-  /// fault tests pin it >= the real reserved_bytes() accounting.
-  static size_t estimate_build_bytes(int64_t n);
 
  private:
   // Level d covers nodes of width_ >> d positions; levels run from the

@@ -70,9 +70,6 @@ class RangeVeb {
     update_batch(batch.data(), static_cast<int64_t>(batch.size()));
   }
 
-  /// Bytes reserved by the shared pool (introspection hook).
-  size_t pool_reserved_bytes() const { return arena_->reserved_bytes(); }
-
   /// Testing hook: validates every inner staircase.
   void check() const;
 

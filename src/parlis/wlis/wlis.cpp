@@ -21,17 +21,11 @@ namespace {
 // Thin adapters binding a workspace to one RangeStruct flavour: the update
 // side is the uniform RangeStructure batch API; only the query side differs
 // (Appendix E tables vs. generic queries). The tree rebuilds in place
-// (allocation-free when warm) or, on a value-cache hit, only resets its
-// scores; the vEB variants are re-emplaced per solve.
+// (allocation-free when warm); the vEB variants are re-emplaced per solve.
 struct TreeAdapter {
   RangeTreeMax& rs;
   explicit TreeAdapter(WlisWorkspace& ws) : rs(ws.tree) {
-    if (ws.tree_ready) {
-      rs.reset_scores();
-    } else {
-      rs.rebuild(ws.rank_space.order);
-      ws.tree_ready = true;
-    }
+    rs.rebuild(ws.rank_space.order);
   }
 };
 
@@ -59,20 +53,20 @@ struct VebTabulatedAdapter {
 // the generic-key path; the rounds only consume comparisons through the
 // rank-space arrays, so they cannot tell the difference. When
 // `rank_space_ready`, ws.rank_space already describes `a` (the caller
-// compressed the original keys) and a cache miss skips re-deriving it.
+// compressed the original keys) and is not re-derived.
 template <typename Adapter>
 void run_wlis(std::span<const int64_t> a, std::span<const int64_t> w,
               WlisWorkspace& ws, WlisResult& res, bool rank_space_ready) {
   int64_t n = static_cast<int64_t>(a.size());
-  ws.cache_values(a, rank_space_ready);
-  if (!ws.frontiers_ready) {
-    // The frontiers run on the rank image: it orders like `a`, and its
-    // values all lie below n, so n is a sentinel no input can reach (raw
-    // values may hold INT64_MAX).
-    lis_frontiers_into<int64_t>(std::span<const int64_t>(ws.rank_space.rank),
-                                ws.frontiers, ws.tournament, n);
-    ws.frontiers_ready = true;
+  if (!rank_space_ready) {
+    rank_space_into<int64_t>(a, TiesPolicy::kStrict, ws.rank_space,
+                             ws.rank_scratch);
   }
+  // The frontiers run on the rank image: it orders like `a`, and its values
+  // all lie below n, so n is a sentinel no input can reach (raw values may
+  // hold INT64_MAX).
+  lis_frontiers_into<int64_t>(std::span<const int64_t>(ws.rank_space.rank),
+                              ws.frontiers, ws.tournament, n);
   Adapter ad(ws);
   const RankSpace& rsp = ws.rank_space;
   res.dp.assign(n, 0);
@@ -91,8 +85,6 @@ void run_wlis(std::span<const int64_t> a, std::span<const int64_t> w,
   }
   for (int32_t r = 1; r <= fr.k; r++) {
     // Round boundary: cancellation/deadline poll + fault-injection site.
-    // A throw here unwinds through wlis_dispatch's cache-invalidation
-    // chokepoint, so a half-updated tree is never mistaken for warm state.
     internal::poll_cancellation();
     PARLIS_FAILPOINT("wlis.round");
     const int64_t* f = fr.frontier_flat.data() + fr.frontier_offset[r - 1];
@@ -105,7 +97,7 @@ void run_wlis(std::span<const int64_t> a, std::span<const int64_t> w,
       ad.rs.dominant_max_batch(ws.qpos_buf.data(), f, fn, ws.qres.data());
       parallel_for(0, fn, [&](int64_t t) {
         int64_t j = f[t];
-        res.dp[j] = w[j] + std::max<int64_t>(0, ws.qres[t]);
+        res.dp[j] = internal::checked_dp(w[j], ws.qres[t], j);
       });
     } else {
       parallel_for(0, fn, [&](int64_t t) {
@@ -116,7 +108,7 @@ void run_wlis(std::span<const int64_t> a, std::span<const int64_t> w,
         } else {
           q = ad.rs.dominant_max(rsp.qpos[j], j);
         }
-        res.dp[j] = w[j] + std::max<int64_t>(0, q);
+        res.dp[j] = internal::checked_dp(w[j], q, j);
       });
     }
     // Lines 17-18: publish the new scores as one batch. The frontier is
@@ -138,40 +130,20 @@ void wlis_dispatch(std::span<const int64_t> a, std::span<const int64_t> w,
   out.best = 0;
   out.k = 0;
   if (a.empty()) return;
-  // Failure chokepoint: any throw out of the round engine (cancellation,
-  // deadline, injected fault, allocation failure mid-rebuild) invalidates
-  // the value cache before propagating, so the next solve on this
-  // workspace rebuilds everything from scratch — bit-identical to cold.
-  try {
-    switch (structure) {
-      case WlisStructure::kRangeTree:
-        run_wlis<TreeAdapter>(a, w, ws, out, rank_space_ready);
-        return;
-      case WlisStructure::kRangeVeb:
-        run_wlis<VebAdapter>(a, w, ws, out, rank_space_ready);
-        return;
-      case WlisStructure::kRangeVebTabulated:
-        run_wlis<VebTabulatedAdapter>(a, w, ws, out, rank_space_ready);
-        return;
-    }
-  } catch (...) {
-    ws.invalidate_cache();
-    throw;
+  switch (structure) {
+    case WlisStructure::kRangeTree:
+      run_wlis<TreeAdapter>(a, w, ws, out, rank_space_ready);
+      return;
+    case WlisStructure::kRangeVeb:
+      run_wlis<VebAdapter>(a, w, ws, out, rank_space_ready);
+      return;
+    case WlisStructure::kRangeVebTabulated:
+      run_wlis<VebTabulatedAdapter>(a, w, ws, out, rank_space_ready);
+      return;
   }
 }
 
 }  // namespace
-
-bool WlisWorkspace::cache_values(std::span<const int64_t> a,
-                                 bool rank_space_ready) {
-  return key.match_or_rebuild(a, [&] {
-    invalidate_cache();
-    if (!rank_space_ready) {
-      rank_space_into<int64_t>(a, TiesPolicy::kStrict, rank_space,
-                               rank_scratch);
-    }
-  });
-}
 
 void wlis_into(std::span<const int64_t> a, std::span<const int64_t> w,
                WlisWorkspace& ws, WlisResult& out, WlisStructure structure) {

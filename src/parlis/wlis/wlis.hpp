@@ -11,9 +11,13 @@
 //
 // Entry points: `wlis` is the one-shot form (fresh workspace per call);
 // `wlis_into` injects a caller-owned WlisWorkspace and result buffers so a
-// warm same-size solve allocates nothing. parlis::Solver runs neither: its
-// weighted plan is the Fenwick pass of wlis_sweep.hpp (home of WlisResult),
-// and these rounds are the reference the differential tests hold it to.
+// warm same-size solve allocates nothing. The workspace is scratch only:
+// every call derives the rank space, the frontiers and the range structure
+// from its own input. parlis::Solver runs neither: its weighted plan is the
+// Fenwick pass of wlis_sweep.hpp (home of WlisResult), and these rounds are
+// the reference the differential tests hold it to. A dp sum past INT64_MAX
+// throws Error{kInvalidArgument} with the pass's message; which
+// overflowing element it names is unspecified.
 #pragma once
 
 #include <cstdint>
@@ -50,8 +54,7 @@ void wlis_into(std::span<const int64_t> a, std::span<const int64_t> w,
 /// ws.rank_space and passes ws.rank_space.rank itself here (asserted —
 /// a rank span from any other RankSpace would pair the rounds with stale
 /// pos/qpos). Skips re-deriving the value order from the rank array;
-/// otherwise identical to wlis_into (same cache, same zero-allocation
-/// steady state).
+/// otherwise identical to wlis_into (same zero-allocation steady state).
 void wlis_compressed_into(std::span<const int64_t> ranks,
                           std::span<const int64_t> w, WlisWorkspace& ws,
                           WlisResult& out,

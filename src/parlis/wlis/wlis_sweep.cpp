@@ -13,17 +13,17 @@
 
 namespace parlis {
 
+void internal::throw_wlis_overflow(int64_t i) {
+  throw Error(ErrorCode::kInvalidArgument,
+              "weighted LIS: dp[" + std::to_string(i) +
+                  "] overflows int64 (w[i] plus the best chain before it)");
+}
+
 namespace {
 
 using Node = WlisSweepScratch::Node;
 
 constexpr int64_t kPoll = 4096;
-
-[[noreturn]] void throw_overflow(int64_t i) {
-  throw Error(ErrorCode::kInvalidArgument,
-              "weighted LIS: dp[" + std::to_string(i) +
-                  "] overflows int64 (w[i] plus the best chain before it)");
-}
 
 // What every cell of one pass reads and writes.
 struct Pass {
@@ -89,7 +89,9 @@ template <Cell kKind>
         len = std::max(len, f[j].len);
       }
       int64_t d;
-      if (__builtin_add_overflow(w[i], q, &d)) [[unlikely]] throw_overflow(i);
+      if (__builtin_add_overflow(w[i], q, &d)) [[unlikely]] {
+        internal::throw_wlis_overflow(i);
+      }
       len++;
       dp[i] = d;
       if constexpr (kKind != Cell::kOne) lens[i] = len;

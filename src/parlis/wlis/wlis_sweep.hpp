@@ -91,6 +91,19 @@ void wlis_sweep_into(std::span<const int64_t> rank, int64_t universe,
 
 namespace internal {
 
+/// Throws the pass's Error{kInvalidArgument} for a dp[i] past INT64_MAX.
+[[noreturn]] void throw_wlis_overflow(int64_t i);
+
+/// dp[i] = w + max(0, q) with the pass's overflow check: the add of Alg. 2's
+/// rounds and of SWGS (wlis.cpp, swgs.cpp).
+inline int64_t checked_dp(int64_t w, int64_t q, int64_t i) {
+  int64_t d;
+  if (__builtin_add_overflow(w, q > 0 ? q : 0, &d)) [[unlikely]] {
+    throw_wlis_overflow(i);
+  }
+  return d;
+}
+
 /// wlis_sweep_into's wavefront over `chunks` index chunks (clamped to
 /// [1, 32]; 1 is the one-cell schedule), run whether or not the plan would
 /// pick it. For the differential tests.

@@ -60,8 +60,8 @@ TEST(Solver, WarmReuseMatchesFreeFunctionsAcrossSizes) {
   }
 }
 
-// One warm workspace must serve every dominant-max backend of the rounds,
-// and the Solver's pass must agree with each of them.
+// One reused workspace must serve every dominant-max backend of the
+// rounds, and the Solver's pass must agree with each of them.
 TEST(Solver, AllWlisBackendsAgreeThroughOneWarmSolver) {
   const WlisStructure backends[] = {WlisStructure::kRangeTree,
                                     WlisStructure::kRangeVeb,
@@ -132,14 +132,14 @@ TEST(Solver, ValueCacheFastPathMatchesReference) {
   a3[n / 2] ^= 1;
   solver.solve_wlis(a3, w, out);
   EXPECT_EQ(out.dp, wlis(a3, w).dp);
-  // The rounds' backends share one workspace too, cached second solves
-  // included, and agree with the Solver's pass.
+  // The rounds' backends share one workspace too, repeated solves of the
+  // same input included, and agree with the Solver's pass.
   WlisWorkspace ws;
   WlisResult pass;
   solver.solve_wlis(a, w, pass);
   for (auto s : {WlisStructure::kRangeVeb, WlisStructure::kRangeTree}) {
     wlis_into(a, w, ws, out, s);
-    wlis_into(a, w, ws, out, s);  // cached second solve
+    wlis_into(a, w, ws, out, s);  // the same input on the reused workspace
     EXPECT_EQ(out.dp, pass.dp);
     EXPECT_EQ(out.dp, wlis(a, w, s).dp);
   }

@@ -211,20 +211,21 @@ TEST(EdgeCases, SolverDegenerateInputsBothPolicies) {
                       std::span<const int64_t>(eqw), wr);
     EXPECT_EQ(wr.best, ties == TiesPolicy::kStrict ? 2 : 100);
 
-    // The SWGS baseline on the rank image under the same ties policy.
+    // The SWGS baseline on the rank image under the same ties policy (a
+    // copy: swgs_wlis_into overwrites ws.rank_space while it reads it).
     WlisWorkspace ws;
     rank_space_into<int64_t>(std::span<const int64_t>(empty), ties,
                              ws.rank_space, ws.rank_scratch);
     EXPECT_EQ(swgs_lis_ranks(ws.rank_space.rank).k, 0);
-    swgs_wlis_compressed_into(ws.rank_space.rank,
-                              std::span<const int64_t>(empty), 42, ws, wr);
+    std::vector<int64_t> image = ws.rank_space.rank;
+    swgs_wlis_into(image, std::span<const int64_t>(empty), 42, ws, wr);
     EXPECT_EQ(wr.k, 0);
     rank_space_into<int64_t>(std::span<const int64_t>(eq), ties,
                              ws.rank_space, ws.rank_scratch);
     EXPECT_EQ(swgs_lis_ranks(ws.rank_space.rank).k,
               ties == TiesPolicy::kStrict ? 1 : 50);
-    swgs_wlis_compressed_into(ws.rank_space.rank,
-                              std::span<const int64_t>(eqw), 42, ws, wr);
+    image = ws.rank_space.rank;
+    swgs_wlis_into(image, std::span<const int64_t>(eqw), 42, ws, wr);
     EXPECT_EQ(wr.best, ties == TiesPolicy::kStrict ? 2 : 100);
   }
 }
@@ -350,9 +351,10 @@ TEST(EdgeCases, CustomOrderSentinelIsAnOrdinaryValue) {
 // ------------------------------------------------------ weight overflow ---
 
 // dp[i] = w[i] + max(0, best chain before i): a sum past INT64_MAX is
-// Error{kInvalidArgument} on every Solver path (it used to wrap, which is
-// UB). The prefix maximum is never negative, so INT64_MIN weights and
-// sums that land exactly on INT64_MAX are fine.
+// Error{kInvalidArgument} on every Solver path, in Alg. 2's rounds and in
+// SWGS (it used to wrap, which is UB). The prefix maximum is never
+// negative, so INT64_MIN weights and sums that land exactly on INT64_MAX
+// are fine.
 void expect_overflow(const std::function<void()>& solve) {
   try {
     solve();
@@ -416,6 +418,34 @@ TEST(EdgeCases, WlisWeightOverflowThrows) {
     EXPECT_EQ(out.dp, std::vector<int64_t>(3, kMax));
     EXPECT_EQ(out.k, 1);
   }
+
+  // The reference forms check the same add: Alg. 2's rounds under every
+  // structure, one-shot and on one workspace reused across the throws,
+  // and SWGS. The edges of the domain hold there too.
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  const std::vector<int64_t> at_max = {kMax - 2, 1, 1};
+  const std::vector<int64_t> at_min = {kMin, kMin, kMax};
+  WlisWorkspace ws;
+  WlisResult out;
+  for (const WlisStructure st :
+       {WlisStructure::kRangeTree, WlisStructure::kRangeVeb,
+        WlisStructure::kRangeVebTabulated}) {
+    SCOPED_TRACE(static_cast<int>(st));
+    expect_overflow([&] { (void)wlis(a, w, st); });
+    expect_overflow([&] { wlis_into(a, w, ws, out, st); });
+    wlis_into(a, at_max, ws, out, st);
+    EXPECT_EQ(out.dp, (std::vector<int64_t>{kMax - 2, kMax - 1, kMax}));
+    EXPECT_EQ(out.best, kMax);
+    wlis_into(a, at_min, ws, out, st);
+    EXPECT_EQ(out.dp, at_min);
+  }
+  expect_overflow([&] { (void)swgs_wlis(a, w); });
+  expect_overflow([&] { swgs_wlis_into(a, w, 42, ws, out); });
+  swgs_wlis_into(a, at_max, 42, ws, out);
+  EXPECT_EQ(out.dp, (std::vector<int64_t>{kMax - 2, kMax - 1, kMax}));
+  EXPECT_EQ(out.best, kMax);
+  swgs_wlis_into(a, at_min, 42, ws, out);
+  EXPECT_EQ(out.dp, at_min);
 }
 
 TEST(EdgeCases, SolveManyNonDecreasingTies) {

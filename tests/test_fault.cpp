@@ -28,7 +28,6 @@
 #include <functional>
 #include <limits>
 #include <new>
-#include <numeric>
 #include <set>
 #include <span>
 #include <string>
@@ -51,7 +50,6 @@
 #include "parlis/util/generators.hpp"
 #include "parlis/util/rank_space.hpp"
 #include "parlis/util/tracking_allocator.hpp"
-#include "parlis/wlis/range_tree.hpp"
 #include "parlis/wlis/wlis.hpp"
 #include "parlis/wlis/wlis_workspace.hpp"
 
@@ -459,12 +457,12 @@ TEST_F(FaultInjection, TableSurvivesEvictFault) {
   EXPECT_FALSE(t.contains(1));
 }
 
-// After a mid-solve failure unwinds, warm caches must have been funnelled
-// through the invalidation chokepoints: the next solve on the same warm
-// state is required to be bit-identical to a cold one. The Solver's pass
-// meets its site with a Solver; the rounds' sites (and the allocations
-// under them) meet theirs through wlis_into on one reused WlisWorkspace,
-// whose value cache the failure must leave coherent.
+// After a mid-solve failure unwinds, the next solve on the same warm state
+// must be bit-identical to a cold one. The Solver's pass meets its site
+// with a Solver and must leave its value cache coherent; the rounds' sites
+// (and the allocations under them) and SWGS's meet theirs through
+// wlis_into and swgs_wlis_into on one reused WlisWorkspace, which keeps no
+// state between calls, so both drivers must then match a fresh workspace.
 TEST_F(FaultInjection, WarmResolveAfterFaultMatchesCold) {
   const int64_t n = 8192;
   const std::vector<int64_t> a = make_vals(n, 31);
@@ -479,11 +477,23 @@ TEST_F(FaultInjection, WarmResolveAfterFaultMatchesCold) {
     const char* site;
     const std::vector<int64_t>* fault_a;
     const std::vector<int64_t>* fault_w;
+    bool swgs = false;  // the site fires in swgs_wlis_into, not wlis_into
   };
   auto expect_same = [](const WlisResult& x, const WlisResult& y) {
     EXPECT_EQ(x.dp, y.dp);
     EXPECT_EQ(x.best, y.best);
     EXPECT_EQ(x.k, y.k);
+  };
+  // One solve on `ws` by Alg. 2's rounds or by SWGS.
+  auto solve = [](bool swgs, const std::vector<int64_t>& x,
+                  const std::vector<int64_t>& y, WlisWorkspace& ws) {
+    WlisResult r;
+    if (swgs) {
+      swgs_wlis_into(x, y, 42, ws, r);
+    } else {
+      wlis_into(x, y, ws, r);
+    }
+    return r;
   };
 
   const Case rounds_cases[] = {
@@ -491,26 +501,25 @@ TEST_F(FaultInjection, WarmResolveAfterFaultMatchesCold) {
       {"lis.round", &a2, &w},
       {"rangetree.rebuild", &a_big, &w_big},
       {"arena.chunk_alloc", &a_big, &w_big},
+      {"swgs.round", &a2, &w, true},
   };
   for (const Case& c : rounds_cases) {
     SCOPED_TRACE(c.site);
     failpoints::disarm_all();
     WlisWorkspace warm;
-    WlisResult out;
-    wlis_into(a, w, warm, out);  // prime every cache level
+    (void)solve(c.swgs, a, w, warm);  // warm every buffer
     failpoints::arm_nth(c.site, 1);
-    EXPECT_ANY_THROW(wlis_into(*c.fault_a, *c.fault_w, warm, out));
+    EXPECT_ANY_THROW((void)solve(c.swgs, *c.fault_a, *c.fault_w, warm));
     failpoints::disarm_all();
 
-    WlisResult warm_out, cold_out;
-    wlis_into(a, w, warm, warm_out);
-    WlisWorkspace cold;
-    wlis_into(a, w, cold, cold_out);
-    expect_same(warm_out, cold_out);
-    // And the faulting input itself now solves identically too.
-    wlis_into(*c.fault_a, *c.fault_w, warm, warm_out);
-    wlis_into(*c.fault_a, *c.fault_w, cold, cold_out);
-    expect_same(warm_out, cold_out);
+    // Both drivers, on the first input and on the faulting one.
+    for (const bool swgs : {false, true}) {
+      SCOPED_TRACE(swgs ? "swgs_wlis_into" : "wlis_into");
+      WlisWorkspace cold, cold_fault;
+      expect_same(solve(swgs, a, w, warm), solve(swgs, a, w, cold));
+      expect_same(solve(swgs, *c.fault_a, *c.fault_w, warm),
+                  solve(swgs, *c.fault_a, *c.fault_w, cold_fault));
+    }
   }
 
   // The pass, on a value-cache miss and on a hit.
@@ -1265,21 +1274,6 @@ TEST(MemoryBudget, SolveManySweepMatchesUnlimited) {
     } catch (const Error& e) {
       EXPECT_EQ(e.code(), ErrorCode::kBudgetExceeded) << e.what();
     }
-  }
-}
-
-TEST(MemoryBudget, RangeTreeEstimateCoversRealAccounting) {
-  for (int64_t n : {int64_t{1}, int64_t{17}, int64_t{1000}, int64_t{4096},
-                    int64_t{65536}, int64_t{200000}}) {
-    SCOPED_TRACE("n=" + std::to_string(n));
-    std::vector<int64_t> perm(n);
-    std::iota(perm.begin(), perm.end(), 0);
-    // Deterministic shuffle via the library's own hash.
-    for (int64_t i = n - 1; i > 0; i--) {
-      std::swap(perm[i], perm[uniform(123, i, static_cast<uint64_t>(i + 1))]);
-    }
-    RangeTreeMax tree{std::span<const int64_t>(perm)};
-    EXPECT_LE(tree.pool_reserved_bytes(), RangeTreeMax::estimate_build_bytes(n));
   }
 }
 

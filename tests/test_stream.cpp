@@ -527,6 +527,8 @@ TEST(StreamSession, InterleavedAppendAndWarmWlisStayCoherent) {
   ASSERT_EQ(warm.dp, want.dp);
 }
 
+// Alg. 2's rounds on one reused WlisWorkspace: a repeated sequence and a
+// changed one both match a fresh solve (the workspace caches no values).
 TEST(StreamSession, HashedWlisGuardHitsAndFallsBack) {
   constexpr int64_t kN = 300;
   std::mt19937_64 rng(9);
@@ -536,11 +538,11 @@ TEST(StreamSession, HashedWlisGuardHitsAndFallsBack) {
   WlisWorkspace ws;
   WlisResult r1, r2, r3;
   wlis_into(std::span<const int64_t>(a), std::span<const int64_t>(w), ws, r1);
-  // Warm hit: size, hash and contents all match.
+  // The same sequence again on the reused workspace.
   wlis_into(std::span<const int64_t>(a), std::span<const int64_t>(w), ws, r2);
   ASSERT_EQ(r1.best, r2.best);
   ASSERT_EQ(r1.dp, r2.dp);
-  // A changed sequence (new hash) must miss and still be correct.
+  // A changed sequence on the same workspace must still be correct.
   std::vector<int64_t> b = a;
   b[0] -= 3;
   wlis_into(std::span<const int64_t>(b), std::span<const int64_t>(w), ws, r3);

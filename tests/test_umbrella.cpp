@@ -132,7 +132,8 @@ TEST(Umbrella, EveryPublicEntryPointIsReachable) {
   EXPECT_EQ(ws.rank_space.n_distinct, 10);
   rank_space_into<int64_t>(std::span<const int64_t>(a), TiesPolicy::kStrict,
                            ws.rank_space, ws.rank_scratch);
-  swgs_wlis_compressed_into(ws.rank_space.rank, w, 42, ws, sw3);
+  const std::vector<int64_t> image = ws.rank_space.rank;
+  swgs_wlis_into(image, w, 42, ws, sw3);
   EXPECT_EQ(sw3.dp, wr.dp);
   DominanceOracle oracle(a);
   EXPECT_EQ(oracle.n(), 10);

@@ -335,11 +335,11 @@ TEST(WlisPlanDifferential, SharedRankSpaceAcrossInterleavedSolves) {
   }
 }
 
-// A workspace whose value cache holds the rank space only (no frontiers,
-// no tree tables) must still give Alg. 2's rounds and the SWGS baseline
-// their correct answers, and the pass over that rank space agrees with
-// both.
-TEST(WlisPlanDifferential, PassWarmedWorkspaceServesTheRounds) {
+// One workspace reused by Alg. 2's rounds on two inputs, then by SWGS,
+// must give each its correct answer under every structure: the workspace
+// is scratch, so each call derives its own rank space, frontiers and range
+// structure. The pass over the rank space SWGS left agrees with all three.
+TEST(WlisPlanDifferential, ReusedWorkspaceServesEveryStructure) {
   const Vec a = shapes(6000, 71)[0].a;
   const Vec a2 = shapes(6000, 72)[4].a;
   const Vec w = weightings(6000, 73)[0].second;
@@ -351,28 +351,15 @@ TEST(WlisPlanDifferential, PassWarmedWorkspaceServesTheRounds) {
     WlisSweepScratch sweep;
     std::vector<int64_t> borrowed;
     WlisResult out;
-    EXPECT_FALSE(ws.cache_values(a));  // the rank space alone
-    wlis_sweep_into(ws.rank_space.rank, ws.rank_space.n_distinct, w, sweep,
-                    borrowed, out);
+    wlis_into(a, w, ws, out, st);
     expect_same(out, oracle(a, w));
-    EXPECT_FALSE(ws.frontiers_ready);
-    EXPECT_FALSE(ws.tree_ready);
-    wlis_into(a, w, ws, out, st);  // a value-cache hit without frontiers
-    expect_same(out, oracle(a, w));
-    wlis_into(a, w, ws, out, st);  // every level cached
-    expect_same(out, oracle(a, w));
-    // Re-keying the cache to a2 drops every level; the rounds must notice.
-    EXPECT_FALSE(ws.cache_values(a2));
     wlis_into(a2, w, ws, out, st);
     expect_same(out, oracle(a2, w));
-    // SWGS clobbers the workspace, and the next hit rebuilds.
-    EXPECT_TRUE(ws.cache_values(a2));
-    swgs_wlis_into(a2, w, 5, ws, out);
-    expect_same(out, oracle(a2, w));
-    EXPECT_FALSE(ws.cache_values(a2));
+    swgs_wlis_into(a, w, 5, ws, out);
+    expect_same(out, oracle(a, w));
     wlis_sweep_into(ws.rank_space.rank, ws.rank_space.n_distinct, w, sweep,
                     borrowed, out);
-    expect_same(out, oracle(a2, w));
+    expect_same(out, oracle(a, w));
   }
 }
 
